@@ -2,6 +2,7 @@
 lattice points of zonotopes of totally unimodular arrangements, together with
 the Tutte-polynomial identities that govern them."""
 
+from .analysis import deletion_contraction_check
 from .arrangement import (
     Cocircuit,
     LatticePointSet,
@@ -30,7 +31,6 @@ from .harmonics import (
     GradedClass,
     Harmonics,
     compute_filtration,
-    deletion_contraction_check,
     divided_power,
     divided_power_generation_check,
     iz_hilbert_series,

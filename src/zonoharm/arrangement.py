@@ -25,17 +25,11 @@ TU_MAX_GROUND = 12
 
 @dataclass(frozen=True)
 class VectorArrangement:
-    """A finite labeled family of columns in Z^r whose image spans Q^r.
-
-    ``tu`` is a tri-state flag: True when total unimodularity has been
-    verified or is guaranteed by construction, False when refuted, None when
-    unknown.
-    """
+    """A finite labeled family of columns in Z^r whose image spans Q^r."""
 
     lattice_rank: int
     ground: tuple
     columns: Mat
-    tu: bool | None = None
 
     def __post_init__(self):
         if self.columns.rows != self.lattice_rank or self.columns.cols != len(self.ground):
@@ -139,16 +133,15 @@ def loops_and_coloops(va: VectorArrangement):
 
 def deletion(va: VectorArrangement, a) -> VectorArrangement:
     """Remove one non-coloop element; the lattice is unchanged."""
-    _, coloops = loops_and_coloops(va)
-    if a in coloops:
-        raise IsColoopError(f"{a!r} is a coloop; deletion would drop the rank")
     idx = va.index_of(a)
-    cols = [c for j, c in enumerate(va.columns.col_list()) if j != idx]
+    rest = [c for j, c in enumerate(va.columns.col_list()) if j != idx]
+    cols = Mat.from_cols(rest, rows=va.lattice_rank)
+    if rank(cols) < va.lattice_rank:
+        raise IsColoopError(f"{a!r} is a coloop; deletion would drop the rank")
     return VectorArrangement(
         lattice_rank=va.lattice_rank,
         ground=tuple(x for x in va.ground if x != a),
-        columns=Mat.from_cols(cols, rows=va.lattice_rank),
-        tu=va.tu if va.tu else None,
+        columns=cols,
     )
 
 
@@ -199,22 +192,12 @@ def contraction_data(va: VectorArrangement, a):
         lattice_rank=va.lattice_rank - 1,
         ground=tuple(x for x in va.ground if x != a),
         columns=Mat.from_cols(new_cols, rows=va.lattice_rank - 1),
-        tu=va.tu if va.tu else None,
     )
     return contracted, U
 
 
 def contraction(va: VectorArrangement, a) -> VectorArrangement:
     return contraction_data(va, a)[0]
-
-
-def quotient_point_map(transform: Mat):
-    """Point map z -> z-bar induced by a contraction transform."""
-
-    def bar(z):
-        return tuple(transform.matvec(z)[1:])
-
-    return bar
 
 
 def enumerate_cocircuits(va: VectorArrangement) -> tuple:
@@ -261,19 +244,19 @@ def enumerate_cocircuits(va: VectorArrangement) -> tuple:
     return tuple(sorted(minimal, key=lambda c: c.covector))
 
 
-def interior_lattice_points(va: VectorArrangement) -> LatticePointSet:
+def interior_lattice_points(va: VectorArrangement, cocircuits=None) -> LatticePointSet:
     """Lattice points strictly inside the zonotope of the arrangement.
 
     Any coloop forces emptiness; in rank 0 the single (empty) point remains.
     Enumeration scans the coordinate bounding box of the zonotope and filters
-    by the strict facet inequalities -d_-(a) < <a, z> < d_+(a).
+    by the strict facet inequalities -d_-(a) < <a, z> < d_+(a).  Pass the
+    arrangement's cocircuits when they are already known.
     """
-    _, coloops = loops_and_coloops(va)
-    if coloops:
-        return LatticePointSet(())
     if va.lattice_rank == 0:
         return LatticePointSet(((),))
-    cocs = enumerate_cocircuits(va)
+    cocs = enumerate_cocircuits(va) if cocircuits is None else cocircuits
+    if any(c.degree == 1 for c in cocs):  # a coloop is a one-element cocircuit
+        return LatticePointSet(())
     cols = va.columns.col_list()
     lo = [sum(min(0, c[j]) for c in cols) for j in range(va.lattice_rank)]
     hi = [sum(max(0, c[j]) for c in cols) for j in range(va.lattice_rank)]

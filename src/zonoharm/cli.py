@@ -23,7 +23,7 @@ import sys
 from .arrangement import find_violating_minor
 from .errors import NotTotallyUnimodularError, ParseError, SizeExceededError
 from .formats import parse_arrangement, parse_graph
-from .report import AnalysisOptions, build_graph_report, build_report, to_json_bytes, render_text
+from .report import build_graph_report, build_report, render_text, to_json_bytes
 from .verification import SuiteConfig, run_suite
 
 EXIT_OK = 0
@@ -42,14 +42,6 @@ def _write(data) -> None:
         sys.stdout.flush()
 
 
-def _options(args) -> AnalysisOptions:
-    return AnalysisOptions(
-        json_output=args.json,
-        assume_tu=getattr(args, "assume_tu", False),
-        max_degree=args.max_degree,
-    )
-
-
 def _emit(report: dict, as_json: bool) -> int:
     _write(to_json_bytes(report) if as_json else render_text(report))
     return EXIT_OK if report["pass"] else EXIT_VERIFY
@@ -66,7 +58,7 @@ def cmd_analyze_graph(args) -> int:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     try:
-        report = build_graph_report(text, graph, _options(args))
+        report = build_graph_report(text, graph, max_degree=args.max_degree)
     except SizeExceededError as exc:
         print(f"size error: {exc}", file=sys.stderr)
         return EXIT_SIZE
@@ -104,7 +96,7 @@ def cmd_analyze_arrangement(args) -> int:
                 )
                 return EXIT_NOT_TU
             tu_verdict = True
-        report = build_report(text, va, None, _options(args), tu_verdict=tu_verdict)
+        report = build_report(text, va, None, tu_verdict, max_degree=args.max_degree)
     except NotTotallyUnimodularError as exc:
         print(f"not totally unimodular: {exc}", file=sys.stderr)
         return EXIT_NOT_TU
@@ -168,22 +160,23 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("--json", action="store_true", help="emit the machine-readable report")
+
+    def analyze(p):
+        p.add_argument("path")
+        common(p)
         p.add_argument(
             "--max-degree",
             type=int,
             default=None,
             help="cap the filtration degree (reports are marked truncated if hit)",
         )
-        p.add_argument("--seed", type=int, default=1, help="seed for seeded subcommands")
 
     pg = sub.add_parser("analyze-graph", help="analyze a directed graph file")
-    pg.add_argument("path")
-    common(pg)
+    analyze(pg)
     pg.set_defaults(func=cmd_analyze_graph)
 
     pa = sub.add_parser("analyze-arrangement", help="analyze a vector arrangement file")
-    pa.add_argument("path")
-    common(pa)
+    analyze(pa)
     pa.add_argument(
         "--assume-tu",
         action="store_true",
@@ -193,6 +186,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     pr = sub.add_parser("random-suite", help="run the seeded random verification suite")
     common(pr)
+    pr.add_argument("--seed", type=int, default=1, help="seed of the instance stream")
     pr.add_argument("--count", type=int, default=50, help="number of instances")
     pr.add_argument("--max-edges", type=int, default=7, help="edge cap per instance (<= 9)")
     pr.set_defaults(func=cmd_random_suite)

@@ -59,7 +59,7 @@ def serialize_graph(g: DirectedGraph) -> str:
     return "\n".join(lines) + "\n"
 
 
-def parse_arrangement(text: str, tu: bool | None = None) -> VectorArrangement:
+def parse_arrangement(text: str) -> VectorArrangement:
     rank_value = None
     labels: list = []
     cols: list = []
@@ -101,7 +101,6 @@ def parse_arrangement(text: str, tu: bool | None = None) -> VectorArrangement:
             lattice_rank=rank_value,
             ground=tuple(labels),
             columns=Mat.from_cols(cols, rows=rank_value),
-            tu=tu,
         )
     except ValueError as exc:
         raise ParseError(last_line, 1, str(exc))

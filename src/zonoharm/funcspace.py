@@ -70,8 +70,11 @@ class BinomialProduct:
         return "*".join(parts) if parts else "1"
 
 
-def _exponents_of_degree(r: int, d: int):
-    # weak compositions of d into r parts, descending-lex
+def exponents_of_degree(r: int, d: int):
+    """Exponent tuples of total degree exactly d in r variables, descending-lex.
+
+    These are the degree-d block of ``graded_exponents_up_to``, in its order.
+    """
     if r == 0:
         if d == 0:
             yield ()
@@ -93,7 +96,7 @@ def graded_exponents_up_to(r: int, d: int) -> list:
     """All exponent tuples of total degree <= d in graded-lex order."""
     out = []
     for deg in range(d + 1):
-        out.extend(_exponents_of_degree(r, deg))
+        out.extend(exponents_of_degree(r, deg))
     return out
 
 

@@ -172,7 +172,7 @@ def cographical_arrangement(g: DirectedGraph) -> VectorArrangement:
     Coordinates come from the fundamental cycles of the greedy spanning
     forest; the column of arrow a records its signed coefficient in each
     fundamental cycle.  Fundamental-cycle matrices are network matrices, so
-    the result is flagged totally unimodular.
+    the result is totally unimodular.
     """
     cycles = fundamental_cycles(g)
     r = len(cycles)
@@ -184,7 +184,6 @@ def cographical_arrangement(g: DirectedGraph) -> VectorArrangement:
         lattice_rank=r,
         ground=tuple(str(a.ident) for a in g.arrows),
         columns=Mat.from_cols(cols, rows=r),
-        tu=True,
     )
 
 

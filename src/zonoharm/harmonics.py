@@ -5,8 +5,7 @@ carry two filtrations: the rational one (images of bounded-degree
 polynomials) and the integral one (restrictions of bounded-degree
 integer-valued polynomials).  This module computes both, compares the
 integral lattice with its saturation degree by degree, builds the associated
-graded pieces with their divided-power operations, and checks the
-deletion/contraction exact sequences by exact rank arithmetic.
+graded pieces with their divided-power operations.
 
 The per-degree lattice bases double as Rees-algebra data; the weight
 attached to degree i is i itself (a topological grading would double it).
@@ -17,15 +16,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import factorial
 
-from .arrangement import (
-    VectorArrangement,
-    contraction_data,
-    deletion,
-    interior_lattice_points,
-    loops_and_coloops,
-)
-from .errors import DegreeOverflowError, LoopOrColoopError, NotIntegralError
-from .funcspace import BinomialProduct, binom_int, graded_exponents_up_to
+from .arrangement import VectorArrangement, interior_lattice_points
+from .errors import DegreeOverflowError, NotIntegralError
+from .funcspace import BinomialProduct, binom_int, binomial_products_up_to, exponents_of_degree
 from .graphs import tutte_of_arrangement
 from .linalg import (
     IntRowLattice,
@@ -34,7 +27,7 @@ from .linalg import (
     rank,
     saturation,
     saturation_index,
-    smith_with_left_transform,
+    smith_divisors,
     solve_row_lattice,
 )
 
@@ -72,40 +65,15 @@ class GradedClass:
     residue: tuple
 
 
-@dataclass(frozen=True)
-class DegreeCheck:
-    degree: int
-    dim_total: int
-    dim_contraction: int
-    dim_deletion_prev: int
-
-    @property
-    def ok(self) -> bool:
-        return self.dim_total == self.dim_contraction + self.dim_deletion_prev
-
-
-@dataclass(frozen=True)
-class DeletionContractionReport:
-    element: str
-    bijection_ok: bool
-    degree_checks: tuple
-    exactness_ok: bool | None  # None when the rank checks were not requested
-
-    @property
-    def dims_ok(self) -> bool:
-        return all(c.ok for c in self.degree_checks)
-
-    @property
-    def ok(self) -> bool:
-        return self.bijection_ok and self.dims_ok and self.exactness_ok is not False
-
-
 class Harmonics:
-    """Filtration data for one arrangement, computed once and shared."""
+    """Filtration data for one arrangement, computed once and shared.
 
-    def __init__(self, va: VectorArrangement, max_degree: int | None = None):
+    Pass the arrangement's interior points when they are already known.
+    """
+
+    def __init__(self, va: VectorArrangement, max_degree: int | None = None, points=None):
         self.va = va
-        self.points = interior_lattice_points(va)
+        self.points = interior_lattice_points(va) if points is None else points
         n = len(self.points)
         self.point_count = n
         self.functions: list = []  # binomial products, graded-lex, all degrees
@@ -124,9 +92,10 @@ class Harmonics:
         r = va.lattice_rank
         degree = 0
         while True:
-            for exps in _exponents_exact(r, degree):
-                row = tuple(_eval_binom_product(exps, p) for p in self.points.points)
-                self.functions.append(BinomialProduct(tuple(exps)))
+            for exps in exponents_of_degree(r, degree):
+                f = BinomialProduct(exps)
+                row = tuple(f.evaluate(p) for p in self.points.points)
+                self.functions.append(f)
                 self.eval_rows.append(row)
                 lattice.add(row)
             self._degree_offsets.append(len(self.functions))
@@ -228,7 +197,7 @@ class Harmonics:
                 raise NotIntegralError("filtration lattices are not nested")
             coords.append(c)
         if coords:
-            divisors, U, _ = smith_with_left_transform(Mat.from_cols(coords, rows=k))
+            divisors, U = smith_divisors(Mat.from_cols(coords, rows=k), transform=True)
             if any(d != 1 for d in divisors):
                 raise NotIntegralError("lower filtered piece is not saturated in the upper one")
         else:
@@ -268,33 +237,25 @@ class Harmonics:
         raise ValueError("coordinate function not found in basis")
 
 
-def _exponents_exact(r: int, degree: int):
-    return [e for e in graded_exponents_up_to(r, degree) if sum(e) == degree]
-
-
-def _eval_binom_product(exps, point) -> int:
-    v = 1
-    for x, i in zip(point, exps):
-        if i:
-            v *= binom_int(x, i)
-            if v == 0:
-                return 0
-    return v
-
-
 def compute_filtration(va: VectorArrangement, max_degree: int | None = None) -> FiltrationReport:
     """Rational dimensions, integral lattice bases, and saturation indices."""
     return Harmonics(va, max_degree=max_degree).report()
 
 
-def verify_saturation(report: FiltrationReport) -> bool:
-    """True iff every degree's integral lattice equals its saturation."""
+def verify_saturation(report) -> bool:
+    """True iff every degree's integral lattice equals its saturation.
+
+    Accepts a ``FiltrationReport`` or a ``Harmonics``.
+    """
     return all(ix == 1 for ix in report.saturation_indices)
 
 
-def iz_hilbert_series(va: VectorArrangement) -> tuple:
-    """Coefficients of t^(|A|-r) * T(0, 1/t) from the arrangement's Tutte polynomial."""
-    t = tutte_of_arrangement(va)
+def iz_hilbert_series(va: VectorArrangement, tutte=None) -> tuple:
+    """Coefficients of t^(|A|-r) * T(0, 1/t) from the arrangement's Tutte polynomial.
+
+    Pass the arrangement's Tutte polynomial when it is already known.
+    """
+    t = tutte_of_arrangement(va) if tutte is None else tutte
     nullity = va.size - va.lattice_rank
     ys = t.y_slice(0)  # {j: coeff of x^0 y^j}
     coeffs = [ys.get(nullity - m, 0) for m in range(nullity + 1)]
@@ -353,8 +314,8 @@ def divided_power_generation_check(ctx: Harmonics) -> bool:
     r = ctx.va.lattice_rank
     for i in range(ctx.top_degree + 1):
         gen = IntRowLattice(ctx.point_count)
-        for exps in graded_exponents_up_to(r, i):
-            gen.add(tuple(_eval_binom_product(exps, p) for p in pts))
+        for f in binomial_products_up_to(r, i):
+            gen.add(tuple(f.evaluate(p) for p in pts))
         if gen.canonical_rows() != ctx.saturated_rows(i):
             return False
     return True
@@ -368,116 +329,3 @@ def rees_data(ctx: Harmonics) -> tuple:
         hf = hermite_normal_form(Mat.from_rows(rows, cols=ctx.point_count).transpose())
         out.append((i, hf))
     return tuple(out)
-
-
-def deletion_contraction_check(
-    va: VectorArrangement, element, check_exactness: bool = True
-) -> DeletionContractionReport:
-    """Point-set bijection, dimension additivity, and exactness ranks.
-
-    For a non-loop, non-coloop element: the interior points of the deletion
-    sit inside those of the arrangement and the complement maps bijectively
-    onto the contraction's points; per degree, dimensions satisfy
-    dim_i = dim_i(contraction) + dim_{i-1}(deletion); and the pullback and
-    difference maps form a short exact sequence on the filtered pieces.
-    """
-    loops, coloops = loops_and_coloops(va)
-    if element in loops or element in coloops:
-        raise LoopOrColoopError(f"{element!r} is a loop or coloop")
-    va_del = deletion(va, element)
-    va_con, transform = contraction_data(va, element)
-    pts = interior_lattice_points(va)
-    pts_del = interior_lattice_points(va_del)
-    pts_con = interior_lattice_points(va_con)
-
-    pset = set(pts.points)
-    bijection_ok = all(p in pset for p in pts_del.points)
-    leftover = [p for p in pts.points if p not in set(pts_del.points)]
-    images = [tuple(transform.matvec(z)[1:]) for z in leftover]
-    bijection_ok = (
-        bijection_ok
-        and len(images) == len(set(images))
-        and set(images) == set(pts_con.points)
-    )
-
-    h = Harmonics(va)
-    h_del = Harmonics(va_del)
-    h_con = Harmonics(va_con)
-    max_i = max(h.top_degree, h_con.top_degree, h_del.top_degree + 1) + 1
-    checks = tuple(
-        DegreeCheck(
-            degree=i,
-            dim_total=h.q_dim(i),
-            dim_contraction=h_con.q_dim(i),
-            dim_deletion_prev=h_del.q_dim(i - 1),
-        )
-        for i in range(max_i + 1)
-    )
-
-    exactness: bool | None = None
-    if check_exactness:
-        # empty point sets make every space zero: vacuously exact
-        if h.point_count == 0:
-            exactness = True
-        else:
-            exactness = _exactness_ranks(
-                va, element, transform, h, h_del, h_con, pts, pts_del, pts_con
-            )
-    return DeletionContractionReport(
-        element=element,
-        bijection_ok=bijection_ok,
-        degree_checks=checks,
-        exactness_ok=exactness,
-    )
-
-
-def _exactness_ranks(va, element, transform, h, h_del, h_con, pts, pts_del, pts_con) -> bool:
-    """im(pullback) = ker(difference) and surjectivity, via evaluation vectors."""
-    col = va.column(element)
-    index = pts.index_map()
-    shift_idx = []
-    for z in pts_del.points:
-        if z not in index:
-            return False
-        zs = tuple(a + b for a, b in zip(z, col))
-        if zs not in index:
-            return False
-        shift_idx.append((index[z], index[zs]))
-    con_index = pts_con.index_map()
-    bar_idx = []
-    for z in pts.points:
-        zbar = tuple(transform.matvec(z)[1:])
-        pos = con_index.get(zbar)
-        if pos is None:
-            return False
-        bar_idx.append(pos)
-
-    n = h.point_count
-    for i in range(max(h.top_degree, h_con.top_degree, h_del.top_degree + 1) + 1):
-        rows = h.eval_rows_up_to(i)
-        rows_con = h_con.eval_rows_up_to(i)
-        # pullback of contraction functions along the bar map
-        xi_rows = [tuple(f[bar_idx[k]] for k in range(n)) for f in rows_con]
-        if rank(Mat.from_rows(xi_rows, cols=n)) != h_con.q_dim(i):
-            return False  # pullback not injective
-        joined = rank(Mat.from_rows(list(rows) + xi_rows, cols=n))
-        if joined != h.q_dim(i):
-            return False  # pullback image escapes the filtered piece
-        # difference operator into functions on the deletion's points
-        d_rows = [tuple(f[b] - f[a] for a, b in shift_idx) for f in rows]
-        m = len(pts_del.points)
-        if m:
-            rows_del = h_del.eval_rows_up_to(i - 1)
-            if rank(Mat.from_rows(d_rows, cols=m)) != h_del.q_dim(i - 1):
-                return False  # difference map not surjective
-            joined_del = rank(Mat.from_rows(list(rows_del) + d_rows, cols=m))
-            if joined_del != h_del.q_dim(i - 1):
-                return False  # image escapes the lower filtered piece
-            # composite must vanish identically
-            for f in xi_rows:
-                if any(f[b] - f[a] for a, b in shift_idx):
-                    return False
-        # exactness in the middle now follows from the rank identity
-        if h.q_dim(i) != h_con.q_dim(i) + h_del.q_dim(i - 1):
-            return False
-    return True

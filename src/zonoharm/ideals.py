@@ -15,7 +15,7 @@ from math import factorial
 
 from .arrangement import Cocircuit, VectorArrangement, enumerate_cocircuits
 from .errors import SizeExceededError
-from .funcspace import binom_int, graded_exponents_up_to
+from .funcspace import binom_int, exponents_of_degree
 from .harmonics import iz_hilbert_series
 from .linalg import Mat, rank
 
@@ -91,9 +91,7 @@ def verify_vanishing(generators, points) -> bool:
 def _power_expansion(covector, e: int, r: int) -> dict:
     """Monomial coefficients of (<covector, x>)^e as {exponents: coeff}."""
     out: dict = {}
-    for exps in graded_exponents_up_to(r, e):
-        if sum(exps) != e:
-            continue
+    for exps in exponents_of_degree(r, e):
         coeff = factorial(e)
         for k in exps:
             coeff //= factorial(k)
@@ -107,7 +105,7 @@ def _power_expansion(covector, e: int, r: int) -> dict:
 
 def _quotient_dim_at_degree(va, cocircuits, degree: int) -> int:
     r = va.lattice_rank
-    monos = [e for e in graded_exponents_up_to(r, degree) if sum(e) == degree]
+    monos = list(exponents_of_degree(r, degree))
     dim = len(monos)
     if dim > SYM_DEGREE_DIM_CAP:
         raise SizeExceededError(
@@ -122,9 +120,7 @@ def _quotient_dim_at_degree(va, cocircuits, degree: int) -> int:
         if e > degree:
             continue
         expansion = _power_expansion(c.covector, e, r)
-        for shift_exps in graded_exponents_up_to(r, degree - e):
-            if sum(shift_exps) != degree - e:
-                continue
+        for shift_exps in exponents_of_degree(r, degree - e):
             row = [0] * dim
             for exps, coeff in expansion.items():
                 total = tuple(a + b for a, b in zip(exps, shift_exps))
@@ -135,13 +131,17 @@ def _quotient_dim_at_degree(va, cocircuits, degree: int) -> int:
     return dim - rank(Mat.from_rows(rows, cols=dim))
 
 
-def power_ideal_quotient_dims(va: VectorArrangement, bound: int | None = None) -> tuple:
+def power_ideal_quotient_dims(
+    va: VectorArrangement, bound: int | None = None, cocircuits=None
+) -> tuple:
     """Graded dimensions of Sym modulo the pure cocircuit powers, up to a bound.
 
     The default bound is one past the length suggested by the Tutte series, so
-    the expected trailing zero is verified rather than assumed.
+    the expected trailing zero is verified rather than assumed.  Pass the
+    cocircuits (or a subset of them) when they are already known.
     """
-    cocircuits = enumerate_cocircuits(va)
+    if cocircuits is None:
+        cocircuits = enumerate_cocircuits(va)
     if bound is None:
         bound = len(iz_hilbert_series(va))
     return tuple(_quotient_dim_at_degree(va, cocircuits, d) for d in range(bound + 1))
@@ -157,11 +157,9 @@ def redundant_generators(va: VectorArrangement, bound: int | None = None) -> tup
     cocircuits = enumerate_cocircuits(va)
     if bound is None:
         bound = len(iz_hilbert_series(va))
-    full = tuple(_quotient_dim_at_degree(va, cocircuits, d) for d in range(bound + 1))
-    out = []
-    for i in range(len(cocircuits)):
-        rest = cocircuits[:i] + cocircuits[i + 1 :]
-        dims = tuple(_quotient_dim_at_degree(va, rest, d) for d in range(bound + 1))
-        if dims == full:
-            out.append(i)
-    return tuple(out)
+    full = power_ideal_quotient_dims(va, bound, cocircuits)
+    return tuple(
+        i
+        for i in range(len(cocircuits))
+        if power_ideal_quotient_dims(va, bound, cocircuits[:i] + cocircuits[i + 1 :]) == full
+    )

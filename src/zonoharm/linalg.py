@@ -302,10 +302,12 @@ def row_hnf(rows, ncols: int, transform: bool = False):
     return hnf, tuple(pivot_cols)
 
 
-def smith_divisors(m) -> tuple:
+def smith_divisors(m, transform: bool = False):
     """Nonzero elementary divisors d_1 | d_2 | ... of an integer matrix.
 
-    Inputs with max dimension above SMITH_MAX_DIM are rejected.
+    With ``transform``, returns (divisors, U) where U (as rows) is unimodular
+    and U * m * V = diag(divisors) for some untracked unimodular V.  Inputs
+    with max dimension above SMITH_MAX_DIM are rejected.
     """
     rows = [[int(x) for x in r] for r in _rows_of(m)]
     nr = len(rows)
@@ -313,6 +315,7 @@ def smith_divisors(m) -> tuple:
     if max(nr, nc, 0) > SMITH_MAX_DIM:
         raise SizeExceededError(f"smith form limited to dimension {SMITH_MAX_DIM}")
     a = rows
+    U = [[1 if i == j else 0 for j in range(nr)] for i in range(nr)] if transform else None
     t = 0
     limit = min(nr, nc)
     while t < limit:
@@ -328,6 +331,8 @@ def smith_divisors(m) -> tuple:
             break
         i0, j0 = pos
         a[t], a[i0] = a[i0], a[t]
+        if U is not None:
+            U[t], U[i0] = U[i0], U[t]
         for row in a:
             row[t], row[j0] = row[j0], row[t]
         # clear row and column t
@@ -337,8 +342,12 @@ def smith_divisors(m) -> tuple:
                 if a[i][t]:
                     q = a[i][t] // a[t][t]
                     a[i] = [x - q * y for x, y in zip(a[i], a[t])]
+                    if U is not None:
+                        U[i] = [x - q * y for x, y in zip(U[i], U[t])]
                     if a[i][t]:
                         a[t], a[i] = a[i], a[t]
+                        if U is not None:
+                            U[t], U[i] = U[i], U[t]
                         dirty = True
             for j in range(t + 1, nc):
                 if a[t][j]:
@@ -362,102 +371,18 @@ def smith_divisors(m) -> tuple:
                 break
         if bad is not None:
             a[t] = [x + y for x, y in zip(a[t], a[bad])]
+            if U is not None:
+                U[t] = [x + y for x, y in zip(U[t], U[bad])]
             continue
         if a[t][t] < 0:
             a[t] = [-x for x in a[t]]
-        t += 1
-    return tuple(a[i][i] for i in range(t))
-
-
-def smith_with_left_transform(m):
-    """Smith data with the left transform tracked.
-
-    Returns (divisors, U, U_inv) where U is unimodular, U_inv its inverse, and
-    U * m * V = diag(divisors) for some (untracked) unimodular V.  Row ops are
-    applied to U while U_inv accumulates the inverse ops, so U * U_inv = I.
-    """
-    rows = [[int(x) for x in r] for r in _rows_of(m)]
-    nr = len(rows)
-    nc = len(rows[0]) if rows else (m.cols if isinstance(m, Mat) else 0)
-    if max(nr, nc, 0) > SMITH_MAX_DIM:
-        raise SizeExceededError(f"smith form limited to dimension {SMITH_MAX_DIM}")
-    a = rows
-    U = [[1 if i == j else 0 for j in range(nr)] for i in range(nr)]
-    Uinv = [[1 if i == j else 0 for j in range(nr)] for i in range(nr)]
-
-    def swap_rows(i, j):
-        a[i], a[j] = a[j], a[i]
-        U[i], U[j] = U[j], U[i]
-        for row in Uinv:
-            row[i], row[j] = row[j], row[i]
-
-    def add_row(i, j, q):
-        # row_i += q * row_j
-        a[i] = [x + q * y for x, y in zip(a[i], a[j])]
-        U[i] = [x + q * y for x, y in zip(U[i], U[j])]
-        for row in Uinv:
-            row[j] -= q * row[i]
-
-    def negate_row(i):
-        a[i] = [-x for x in a[i]]
-        U[i] = [-x for x in U[i]]
-        for row in Uinv:
-            row[i] = -row[i]
-
-    t = 0
-    limit = min(nr, nc)
-    while t < limit:
-        pos = None
-        best = None
-        for i in range(t, nr):
-            for j in range(t, nc):
-                v = abs(a[i][j])
-                if v and (best is None or v < best):
-                    best, pos = v, (i, j)
-        if pos is None:
-            break
-        i0, j0 = pos
-        if i0 != t:
-            swap_rows(t, i0)
-        if j0 != t:
-            for row in a:
-                row[t], row[j0] = row[j0], row[t]
-        while True:
-            dirty = False
-            for i in range(t + 1, nr):
-                if a[i][t]:
-                    q = a[i][t] // a[t][t]
-                    add_row(i, t, -q)
-                    if a[i][t]:
-                        swap_rows(t, i)
-                        dirty = True
-            for j in range(t + 1, nc):
-                if a[t][j]:
-                    q = a[t][j] // a[t][t]
-                    for row in a:
-                        row[j] -= q * row[t]
-                    if a[t][j]:
-                        for row in a:
-                            row[t], row[j] = row[j], row[t]
-                        dirty = True
-            if not dirty:
-                break
-        bad = None
-        for i in range(t + 1, nr):
-            for j in range(t + 1, nc):
-                if a[i][j] % a[t][t]:
-                    bad = i
-                    break
-            if bad is not None:
-                break
-        if bad is not None:
-            add_row(t, bad, 1)
-            continue
-        if a[t][t] < 0:
-            negate_row(t)
+            if U is not None:
+                U[t] = [-x for x in U[t]]
         t += 1
     divisors = tuple(a[i][i] for i in range(t))
-    return divisors, [tuple(r) for r in U], [tuple(r) for r in Uinv]
+    if transform:
+        return divisors, [tuple(u) for u in U]
+    return divisors
 
 
 def hermite_normal_form(m) -> HermiteForm:

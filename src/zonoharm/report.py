@@ -8,84 +8,28 @@ decimal strings to stay safe for consumers with double-precision parsers.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 
-from .arrangement import (
-    VectorArrangement,
-    enumerate_cocircuits,
-    interior_lattice_points,
-    loops_and_coloops,
-)
-from .graphs import (
-    DirectedGraph,
-    cographical_arrangement,
-    enumerate_oriented_cycles,
-    graph_rank,
-    su2_poincare_polynomial,
-    theta_subgraphs,
-    tutte_of_arrangement,
-    tutte_polynomial,
-)
-from .harmonics import (
-    Harmonics,
-    deletion_contraction_check,
-    divided_power_generation_check,
-    iz_hilbert_series,
-    verify_saturation,
-)
-from .ideals import k_minus_generators, power_ideal_quotient_dims, verify_vanishing
+from .analysis import CHECKS, Analysis
+from .arrangement import VectorArrangement
+from .graphs import DirectedGraph, cographical_arrangement, graph_rank, theta_subgraphs
 
 SCHEMA_VERSION = 1
 JSON_INT_LIMIT = 2**53
-
-
-@dataclass(frozen=True)
-class AnalysisOptions:
-    json_output: bool = False
-    assume_tu: bool = False
-    max_degree: int | None = None
-    exactness_elements: int | None = 4  # rank checks per report; None = all
-
-
-def _trim(seq) -> list:
-    out = list(seq)
-    while out and out[-1] == 0:
-        out.pop()
-    return out
+EXACTNESS_ELEMENTS = 4  # usable elements per report that get the exactness rank checks
 
 
 def build_report(
     source_text: str,
     va: VectorArrangement,
     graph: DirectedGraph | None,
-    options: AnalysisOptions,
     tu_verdict,
+    max_degree: int | None = None,
 ) -> dict:
     """Assemble the full analysis record for an arrangement (or graph) input."""
-    ctx = Harmonics(va, max_degree=options.max_degree)
-    filt = ctx.report()
-    cocircuits = enumerate_cocircuits(va)
-    points = ctx.points
-    tutte = tutte_of_arrangement(va)
-    iz = iz_hilbert_series(va)
-
-    gr = _trim(filt.gr_dims)
-    identity_ok = gr == _trim(iz)
-    saturation_ok = verify_saturation(filt)
-    dp_ok = divided_power_generation_check(ctx)
-    gens = k_minus_generators(va, cocircuits)
-    vanishing_ok = verify_vanishing(gens, points)
-    power_dims = power_ideal_quotient_dims(va)
-    power_ok = _trim(power_dims) == gr
-
-    loops, coloops = loops_and_coloops(va)
-    dc_reports = []
-    usable = [a for a in va.ground if a not in loops and a not in coloops]
-    for pos, a in enumerate(usable):
-        exact = options.exactness_elements is None or pos < options.exactness_elements
-        dc_reports.append(deletion_contraction_check(va, a, check_exactness=exact))
-    dc_ok = all(r.ok for r in dc_reports)
-
+    ctx = Analysis(va, graph, max_degree=max_degree, exact_elements=EXACTNESS_ELEMENTS)
+    h = ctx.harmonics
+    results = [(c, c.run(ctx)) for c in CHECKS if c.key]
+    loops, coloops = ctx.loops_and_coloops
     report = {
         "schemaVersion": SCHEMA_VERSION,
         "kind": "graph" if graph is not None else "arrangement",
@@ -105,30 +49,25 @@ def build_report(
                 "dMinus": c.d_minus,
                 "support": list(c.support(va.ground)),
             }
-            for c in cocircuits
+            for c in ctx.cocircuits
         ],
-        "interiorPoints": [list(p) for p in points.points],
-        "pointCount": filt.point_count,
-        "tutte": [[i, j, c] for i, j, c in tutte.terms],
-        "izHilbert": _trim(iz),
-        "qDims": list(filt.q_dims),
-        "grDims": list(filt.gr_dims),
-        "saturationIndices": list(filt.saturation_indices),
-        "topDegree": filt.top_degree,
-        "truncated": filt.truncated,
+        "interiorPoints": [list(p) for p in ctx.points.points],
+        "pointCount": h.point_count,
+        "tutte": [[i, j, c] for i, j, c in ctx.tutte.terms],
+        "izHilbert": list(ctx.iz),
+        "qDims": list(h.q_dims),
+        "grDims": list(h.gr_dims()),
+        "saturationIndices": list(h.saturation_indices),
+        "topDegree": h.top_degree,
+        "truncated": h.truncated,
     }
     if graph is not None:
-        cycles = enumerate_oriented_cycles(graph)
-        thetas = theta_subgraphs(graph, cycles)
-        su2 = su2_poincare_polynomial(graph)
-        t_graph = tutte_polynomial(graph)
-        identity_ok = identity_ok and gr == _trim(su2)
         report["graph"] = {
             "vertexCount": len(graph.vertices),
             "arrowCount": len(graph.arrows),
             "rank": graph_rank(graph),
-            "tutte": [[i, j, c] for i, j, c in t_graph.terms],
-            "su2Poincare": _trim(su2),
+            "tutte": [[i, j, c] for i, j, c in ctx.graph_tutte.terms],
+            "su2Poincare": list(ctx.su2),
             "orientedCycles": [
                 {
                     "arrows": [[i, s] for i, s in c.arrows],
@@ -136,38 +75,36 @@ def build_report(
                     "dMinus": len(c.c_minus),
                     "classVector": list(c.class_vector),
                 }
-                for c in cycles
+                for c in ctx.cycles
             ],
             "thetaTriples": [
-                [[list(a) for a in c.arrows] for c in triple] for triple in thetas
+                [[list(a) for a in c.arrows] for c in triple]
+                for triple in theta_subgraphs(graph, ctx.cycles)
             ],
         }
-    report["checks"] = {
-        "tutteIdentity": identity_ok,
-        "saturation": saturation_ok,
-        "dividedPowerGeneration": dp_ok,
-        "generatorsVanish": vanishing_ok,
-        "powerIdealDims": power_ok,
-        "deletionContraction": [
-            {
-                "element": r.element,
-                "bijection": r.bijection_ok,
-                "dims": r.dims_ok,
-                "exactness": r.exactness_ok,
-            }
-            for r in dc_reports
-        ],
-    }
-    report["pass"] = bool(
-        identity_ok and saturation_ok and dp_ok and vanishing_ok and power_ok and dc_ok
-        and not filt.truncated
-    )
+    report["checks"] = {c.key: _check_json(value) for c, value in results}
+    report["pass"] = all(c.passed(value) for c, value in results) and not h.truncated
     return report
 
 
-def build_graph_report(source_text: str, graph: DirectedGraph, options: AnalysisOptions) -> dict:
+def _check_json(value):
+    """Boolean verdicts as they are; deletion/contraction reports as records."""
+    if isinstance(value, bool):
+        return value
+    return [
+        {
+            "element": r.element,
+            "bijection": r.bijection_ok,
+            "dims": r.dims_ok,
+            "exactness": r.exactness_ok,
+        }
+        for r in value
+    ]
+
+
+def build_graph_report(source_text: str, graph: DirectedGraph, max_degree: int | None = None) -> dict:
     va = cographical_arrangement(graph)
-    return build_report(source_text, va, graph, options, tu_verdict=True)
+    return build_report(source_text, va, graph, tu_verdict=True, max_degree=max_degree)
 
 
 def _stringify_big_ints(value):
@@ -232,23 +169,18 @@ def render_text(report: dict) -> str:
     add(f"  grDims           : {report['grDims']}")
     add(f"  saturationIndices: {report['saturationIndices']}")
     add(f"  topDegree        : {report['topDegree']}" + (" (truncated)" if report["truncated"] else ""))
-    checks = report["checks"]
     add("  checks:")
-    for key in (
-        "tutteIdentity",
-        "saturation",
-        "dividedPowerGeneration",
-        "generatorsVanish",
-        "powerIdealDims",
-    ):
-        add(f"    {key:<24} {'pass' if checks[key] else 'FAIL'}")
-    for rec in checks["deletionContraction"]:
-        exact = {True: "pass", False: "FAIL", None: "skipped"}[rec["exactness"]]
-        verdict = "pass" if (rec["bijection"] and rec["dims"] and rec["exactness"] is not False) else "FAIL"
-        add(
-            f"    delete/contract {rec['element']:<6} {verdict}"
-            f" (bijection {'ok' if rec['bijection'] else 'FAIL'},"
-            f" dims {'ok' if rec['dims'] else 'FAIL'}, exactness {exact})"
-        )
+    for key, value in report["checks"].items():
+        if isinstance(value, bool):
+            add(f"    {key:<24} {'pass' if value else 'FAIL'}")
+            continue
+        for rec in value:
+            exact = {True: "pass", False: "FAIL", None: "skipped"}[rec["exactness"]]
+            verdict = "pass" if (rec["bijection"] and rec["dims"] and rec["exactness"] is not False) else "FAIL"
+            add(
+                f"    delete/contract {rec['element']:<6} {verdict}"
+                f" (bijection {'ok' if rec['bijection'] else 'FAIL'},"
+                f" dims {'ok' if rec['dims'] else 'FAIL'}, exactness {exact})"
+            )
     add(f"  verdict: {'PASS' if report['pass'] else 'FAIL'}")
     return "\n".join(lines) + "\n"

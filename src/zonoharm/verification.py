@@ -2,9 +2,9 @@
 
 Each instance (a directed multigraph) is pushed through the cographical
 arrangement, the filtration, the Tutte specializations, the ideal layer, and
-the deletion/contraction checks; every identity that must hold is recorded as
-a named boolean.  The random stream is fully determined by its seed so any
-failure can be replayed from the serialized instance.
+the deletion/contraction checks; every identity of ``analysis.CHECKS`` is
+recorded as a named boolean.  The random stream is fully determined by its
+seed so any failure can be replayed from the serialized instance.
 """
 
 from __future__ import annotations
@@ -12,27 +12,10 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 
-from .arrangement import enumerate_cocircuits, loops_and_coloops
+from .analysis import CHECKS, Analysis
 from .errors import SizeExceededError
-from .graphs import (
-    DirectedGraph,
-    Arrow,
-    cographical_arrangement,
-    enumerate_oriented_cycles,
-    graph_rank,
-    su2_poincare_polynomial,
-    tutte_of_arrangement,
-    tutte_polynomial,
-)
-from .harmonics import (
-    Harmonics,
-    deletion_contraction_check,
-    divided_power,
-    divided_power_generation_check,
-    iz_hilbert_series,
-    verify_saturation,
-)
-from .ideals import k_minus_generators, power_ideal_quotient_dims, verify_vanishing
+from .formats import serialize_graph
+from .graphs import Arrow, DirectedGraph, cographical_arrangement
 
 RANDOM_SUITE_MAX_EDGES = 9
 
@@ -78,91 +61,11 @@ def random_connected_multigraph(rng: random.Random, max_edges: int) -> DirectedG
     return DirectedGraph(vertices=vertices, arrows=tuple(arrows))
 
 
-def _trim(seq) -> tuple:
-    out = list(seq)
-    while out and out[-1] == 0:
-        out.pop()
-    return tuple(out)
-
-
 def run_instance_checks(g: DirectedGraph, check_exactness: bool = False) -> InstanceChecks:
-    """All structural identities for one graph instance."""
-    from .formats import serialize_graph
-
-    result = InstanceChecks(index=0, graph_text=serialize_graph(g))
-    checks = result.checks
-    va = cographical_arrangement(g)
-    ctx = Harmonics(va)
-    report = ctx.report()
-    gr = _trim(report.gr_dims)
-    iz = _trim(iz_hilbert_series(va))
-    su2 = _trim(su2_poincare_polynomial(g))
-    t_graph = tutte_polynomial(g)
-    t_arr = tutte_of_arrangement(va)
-
-    checks["tutte_identity"] = gr == iz == su2
-    checks["point_count_identity"] = (
-        sum(report.gr_dims) == report.point_count == t_graph.eval_at(1, 0)
-    )
-    checks["tutte_duality"] = t_arr.swap().terms == t_graph.terms
-    checks["saturation"] = verify_saturation(report)
-    checks["divided_power_generation"] = divided_power_generation_check(ctx)
-
-    cocircuits = enumerate_cocircuits(va)
-    cycles = enumerate_oriented_cycles(g)
-    cyc_data = set()
-    for c in cycles:
-        vec = c.class_vector
-        lead = next((x for x in vec if x), 0)
-        canon = vec if lead > 0 else tuple(-x for x in vec)
-        dp, dm = len(c.c_plus), len(c.c_minus)
-        cyc_data.add((canon, (dp, dm) if lead > 0 else (dm, dp)))
-    coc_data = {(c.covector, (c.d_plus, c.d_minus)) for c in cocircuits}
-    checks["cocircuits_match_cycles"] = cyc_data == coc_data
-
-    gens = k_minus_generators(va, cocircuits)
-    checks["generators_vanish"] = verify_vanishing(gens, ctx.points)
-    checks["power_ideal_dims"] = _trim(power_ideal_quotient_dims(va)) == gr
-
-    if ctx.top_degree >= 1 and report.point_count:
-        ok = True
-        e = ctx.coordinate_class(0)
-        for m in range(2, ctx.top_degree + 1):
-            em = divided_power(ctx, e, m)
-            lhs = tuple(x * _factorial(m) for x in ctx.eval_vector(em))
-            eta = ctx.eval_vector(e)
-            rhs = tuple(v**m for v in eta)
-            diff = tuple(a - b for a, b in zip(lhs, rhs))
-            sat_rows = ctx.saturated_rows(m - 1)
-            ok = ok and _in_row_lattice(sat_rows, diff)
-        checks["divided_power_law"] = ok
-    else:
-        checks["divided_power_law"] = True
-
-    loops, coloops = loops_and_coloops(va)
-    dc_ok = True
-    for a in va.ground:
-        if a in loops or a in coloops:
-            continue
-        rep = deletion_contraction_check(va, a, check_exactness=check_exactness)
-        dc_ok = dc_ok and rep.ok
-    checks["deletion_contraction"] = dc_ok
-    return result
-
-
-def _factorial(m: int) -> int:
-    out = 1
-    for i in range(2, m + 1):
-        out *= i
-    return out
-
-
-def _in_row_lattice(rows, vec) -> bool:
-    from .linalg import solve_row_lattice
-
-    if not rows:
-        return not any(vec)
-    return solve_row_lattice(rows, vec) is not None
+    """Every check of ``CHECKS`` for one graph instance."""
+    ctx = Analysis(cographical_arrangement(g), g, exact_elements=None if check_exactness else 0)
+    checks = {c.name: c.passed(c.run(ctx)) for c in CHECKS}
+    return InstanceChecks(index=0, graph_text=serialize_graph(g), checks=checks)
 
 
 @dataclass

@@ -15,6 +15,7 @@ from functools import lru_cache
 import pytest
 
 from conftest import data_path
+from zonoharm.analysis import deletion_contraction_check
 from zonoharm.arrangement import (
     VectorArrangement,
     enumerate_cocircuits,
@@ -30,7 +31,6 @@ from zonoharm.graphs import (
 )
 from zonoharm.harmonics import (
     Harmonics,
-    deletion_contraction_check,
     divided_power,
     divided_power_generation_check,
     iz_hilbert_series,
@@ -58,7 +58,7 @@ def trim(seq):
 
 
 def cycle_arrangement(k):
-    return VectorArrangement(1, tuple(f"a{i}" for i in range(k)), Mat.from_rows([[1] * k]), tu=True)
+    return VectorArrangement(1, tuple(f"a{i}" for i in range(k)), Mat.from_rows([[1] * k]))
 
 
 @lru_cache(maxsize=1)

@@ -20,13 +20,13 @@ from zonoharm.graphs import cographical_arrangement, tutte_of_arrangement
 from zonoharm.linalg import Mat, rank
 
 
-def arr(rank_, cols, labels=None, tu=None):
+def arr(rank_, cols, labels=None):
     labels = tuple(labels) if labels else tuple(f"a{i+1}" for i in range(len(cols)))
-    return VectorArrangement(rank_, labels, Mat.from_cols(cols, rows=rank_), tu=tu)
+    return VectorArrangement(rank_, labels, Mat.from_cols(cols, rows=rank_))
 
 
 def cycle_arrangement(k):
-    return arr(1, [(1,)] * k, tu=True)
+    return arr(1, [(1,)] * k)
 
 
 HOUSE = [(1, 0), (1, 0), (1, 0), (1, 1), (0, 1), (0, 1)]
@@ -157,7 +157,7 @@ class TestInteriorPoints:
         assert len(pts) > 0
 
     def test_rank_zero_single_point(self):
-        va = VectorArrangement(0, ("a1", "a2"), Mat.zero(0, 2), tu=True)
+        va = VectorArrangement(0, ("a1", "a2"), Mat.zero(0, 2))
         assert interior_lattice_points(va).points == ((),)
 
 
@@ -167,7 +167,6 @@ def _relabeled(va, perm):
         va.lattice_rank,
         tuple(va.ground[j] for j in perm),
         Mat.from_cols(cols, rows=va.lattice_rank),
-        tu=va.tu,
     )
 
 

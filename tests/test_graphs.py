@@ -94,7 +94,6 @@ class TestCographical:
         # greedy forest {1,2,3,5}; coordinates by fundamental cycles of 4 and 6
         assert va.lattice_rank == 2
         assert va.columns.col_list() == [[1, -1], [1, -1], [1, -1], [1, 0], [0, 1], [0, 1]]
-        assert va.tu is True
 
     def test_coherent_cycle_is_all_ones(self):
         va = cographical_arrangement(cycle_graph(5))
@@ -276,14 +275,14 @@ class TestTutteOfArrangement:
     def test_empty_ground(self):
         from zonoharm.arrangement import VectorArrangement
 
-        va = VectorArrangement(0, (), Mat.zero(0, 0), tu=True)
+        va = VectorArrangement(0, (), Mat.zero(0, 0))
         assert tutte_of_arrangement(va).terms == ((0, 0, 1),)
 
     def test_parallel_elements(self):
         from zonoharm.arrangement import VectorArrangement
 
         k = 4
-        va = VectorArrangement(1, tuple("abcd"), Mat.from_rows([[1] * k]), tu=True)
+        va = VectorArrangement(1, tuple("abcd"), Mat.from_rows([[1] * k]))
         # k parallel elements: x + y + y^2 + ... + y^(k-1)
         expected = {(1, 0): 1}
         expected.update({(0, j): 1 for j in range(1, k)})
@@ -294,7 +293,7 @@ class TestTutteOfArrangement:
         from zonoharm.errors import SizeExceededError
         import pytest
 
-        va = VectorArrangement(1, tuple(f"a{i}" for i in range(21)), Mat.from_rows([[1] * 21]), tu=True)
+        va = VectorArrangement(1, tuple(f"a{i}" for i in range(21)), Mat.from_rows([[1] * 21]))
         with pytest.raises(SizeExceededError):
             tutte_of_arrangement(va)
 

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 
 from strategies import connected_multigraphs
+from zonoharm.analysis import deletion_contraction_check
 from zonoharm.arrangement import VectorArrangement, interior_lattice_points
 from zonoharm.errors import DegreeOverflowError, LoopOrColoopError
 from zonoharm.funcspace import binom_int
@@ -11,7 +12,6 @@ from zonoharm.graphs import cographical_arrangement, su2_poincare_polynomial
 from zonoharm.harmonics import (
     Harmonics,
     compute_filtration,
-    deletion_contraction_check,
     divided_power,
     divided_power_generation_check,
     iz_hilbert_series,
@@ -22,11 +22,11 @@ from zonoharm.linalg import Mat, saturation_index, solve_row_lattice
 
 
 def cycle_arrangement(k):
-    return VectorArrangement(1, tuple(f"a{i}" for i in range(k)), Mat.from_rows([[1] * k]), tu=True)
+    return VectorArrangement(1, tuple(f"a{i}" for i in range(k)), Mat.from_rows([[1] * k]))
 
 
 def coloop_arrangement():
-    return VectorArrangement(2, ("a1", "a2"), Mat.from_cols([(1, 0), (0, 1)]), tu=True)
+    return VectorArrangement(2, ("a1", "a2"), Mat.from_cols([(1, 0), (0, 1)]))
 
 
 def trim(seq):
@@ -90,7 +90,7 @@ class TestHilbertSeries:
         assert iz_hilbert_series(house_arrangement) == (1, 2, 2, 1)
 
     def test_single_coloop_zero(self):
-        va = VectorArrangement(1, ("a1",), Mat.from_rows([[1]]), tu=True)
+        va = VectorArrangement(1, ("a1",), Mat.from_rows([[1]]))
         assert iz_hilbert_series(va) == ()
 
 
@@ -156,7 +156,7 @@ class TestGenerationCheck:
         assert divided_power_generation_check(Harmonics(house_arrangement))
 
     def test_single_point(self):
-        va = VectorArrangement(0, ("a1",), Mat.zero(0, 1), tu=True)
+        va = VectorArrangement(0, ("a1",), Mat.zero(0, 1))
         assert divided_power_generation_check(Harmonics(va))
 
 
@@ -186,7 +186,7 @@ class TestDeletionContraction:
         assert (final.dim_total, final.dim_contraction, final.dim_deletion_prev) == (2, 1, 1)
 
     def test_rejects_loop_or_coloop(self):
-        va = VectorArrangement(1, ("a1", "a2"), Mat.from_cols([(1,), (0,)]), tu=True)
+        va = VectorArrangement(1, ("a1", "a2"), Mat.from_cols([(1,), (0,)]))
         with pytest.raises(LoopOrColoopError):
             deletion_contraction_check(va, "a1")
         with pytest.raises(LoopOrColoopError):
@@ -199,7 +199,7 @@ class TestReesData:
         assert [(i, hf.basis.cols) for i, hf in data] == [(0, 1), (1, 3), (2, 5), (3, 6)]
 
     def test_single_point(self):
-        va = VectorArrangement(0, ("a1",), Mat.zero(0, 1), tu=True)
+        va = VectorArrangement(0, ("a1",), Mat.zero(0, 1))
         data = rees_data(Harmonics(va))
         assert [(i, hf.basis.cols) for i, hf in data] == [(0, 1)]
 
@@ -252,7 +252,6 @@ class TestInvariants:
             va.lattice_rank,
             va.ground,
             Mat.from_cols([u.matvec(c) for c in va.columns.col_list()], rows=va.lattice_rank),
-            tu=None,
         )
         a, b = compute_filtration(va), compute_filtration(changed)
         assert a.point_count == b.point_count

@@ -16,7 +16,7 @@ from zonoharm.linalg import Mat
 
 
 def cycle_arrangement(k):
-    return VectorArrangement(1, tuple(f"a{i}" for i in range(k)), Mat.from_rows([[1] * k]), tu=True)
+    return VectorArrangement(1, tuple(f"a{i}" for i in range(k)), Mat.from_rows([[1] * k]))
 
 
 def trim(seq):
@@ -37,7 +37,7 @@ class TestGenerators:
         assert (g.shift, g.degree) == (-1, 4)
 
     def test_single_coloop_constant_one(self):
-        va = VectorArrangement(1, ("a1",), Mat.from_rows([[1]]), tu=True)
+        va = VectorArrangement(1, ("a1",), Mat.from_rows([[1]]))
         (g,) = k_minus_generators(va)
         assert g.degree == 0
         assert g.evaluate((7,)) == 1
@@ -74,7 +74,7 @@ class TestQuotientDims:
             assert trim(dims) == (1,) * (k - 1)
 
     def test_unit_ideal(self):
-        va = VectorArrangement(1, ("a1",), Mat.from_rows([[1]]), tu=True)
+        va = VectorArrangement(1, ("a1",), Mat.from_rows([[1]]))
         assert trim(power_ideal_quotient_dims(va)) == ()
 
     @given(connected_multigraphs(max_edges=6))

@@ -10,6 +10,7 @@ from zonoharm.errors import SizeExceededError
 from zonoharm.linalg import (
     IntRowLattice,
     Mat,
+    det,
     hermite_normal_form,
     integer_kernel,
     kernel_basis,
@@ -18,7 +19,6 @@ from zonoharm.linalg import (
     saturation,
     saturation_index,
     smith_divisors,
-    smith_with_left_transform,
     solve_row_lattice,
 )
 
@@ -155,6 +155,19 @@ class TestHermite:
     @settings(max_examples=40)
     def test_divisors_match_minor_gcd_oracle(self, rows):
         assert smith_divisors(Mat.from_rows(rows)) == _minor_gcd_divisors(rows)
+
+    @given(small_matrices)
+    @settings(max_examples=40)
+    def test_left_transform(self, rows):
+        # U * m * V = diag(d) with V unimodular: row i of U * m is d_i times a
+        # row of V^-1 for i < len(d), and zero beyond
+        divisors, U = smith_divisors(Mat.from_rows(rows), transform=True)
+        assert divisors == smith_divisors(Mat.from_rows(rows))
+        assert abs(det(U)) == 1
+        um = Mat.from_rows(U).matmul(Mat.from_rows(rows)).row_list()
+        for i, row in enumerate(um):
+            d = divisors[i] if i < len(divisors) else 0
+            assert all(x % d == 0 for x in row) if d else not any(row)
 
     @given(small_matrices)
     @settings(max_examples=40)
