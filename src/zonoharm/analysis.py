@@ -157,21 +157,21 @@ class Analysis:
         loops, coloops = self.loops_and_coloops
         if element in loops or element in coloops:
             raise LoopOrColoopError(f"{element!r} is a loop or coloop")
-        dele = Analysis(deletion(self.va, element))
+        ctx_del = Analysis(deletion(self.va, element))
         va_con, transform = contraction_data(self.va, element)
-        con = Analysis(va_con)
+        ctx_con = Analysis(va_con)
 
         pts = self.points.points
         bars = [tuple(transform.matvec(z)[1:]) for z in pts]
-        del_pts = set(dele.points.points)
+        del_pts = set(ctx_del.points.points)
         images = [zbar for z, zbar in zip(pts, bars) if z not in del_pts]
         bijection_ok = (
             del_pts <= set(pts)
             and len(images) == len(set(images))
-            and set(images) == set(con.points.points)
+            and set(images) == set(ctx_con.points.points)
         )
 
-        h, h_del, h_con = self.full_harmonics, dele.harmonics, con.harmonics
+        h, h_del, h_con = self.full_harmonics, ctx_del.harmonics, ctx_con.harmonics
         top = max(h.top_degree, h_con.top_degree, h_del.top_degree + 1)
         checks = tuple(
             DegreeCheck(
@@ -186,7 +186,7 @@ class Analysis:
         exactness: bool | None = None
         if check_exactness:
             # empty point sets make every space zero: vacuously exact
-            exactness = h.point_count == 0 or _exactness_ranks(self, dele, con, element, bars)
+            exactness = h.point_count == 0 or _exactness_ranks(self, ctx_del, ctx_con, element, bars)
         return DeletionContractionReport(
             element=element,
             bijection_ok=bijection_ok,
@@ -202,23 +202,23 @@ def deletion_contraction_check(
     return Analysis(va).deletion_contraction(element, check_exactness)
 
 
-def _exactness_ranks(ctx: Analysis, dele: Analysis, con: Analysis, element, bars) -> bool:
+def _exactness_ranks(ctx: Analysis, ctx_del: Analysis, ctx_con: Analysis, element, bars) -> bool:
     """im(pullback) = ker(difference) and surjectivity, via evaluation vectors.
 
     ``bars[k]`` is the image in the contraction's lattice of the k-th point.
     """
-    h, h_del, h_con = ctx.full_harmonics, dele.harmonics, con.harmonics
+    h, h_del, h_con = ctx.full_harmonics, ctx_del.harmonics, ctx_con.harmonics
     col = ctx.va.column(element)
     index = ctx.points.index_map()
     shift_idx = []
-    for z in dele.points.points:
+    for z in ctx_del.points.points:
         if z not in index:
             return False
         zs = tuple(a + b for a, b in zip(z, col))
         if zs not in index:
             return False
         shift_idx.append((index[z], index[zs]))
-    con_index = con.points.index_map()
+    con_index = ctx_con.points.index_map()
     bar_idx = []
     for zbar in bars:
         pos = con_index.get(zbar)
@@ -227,7 +227,7 @@ def _exactness_ranks(ctx: Analysis, dele: Analysis, con: Analysis, element, bars
         bar_idx.append(pos)
 
     n = h.point_count
-    m = len(dele.points)
+    m = len(ctx_del.points)
     for i in range(max(h.top_degree, h_con.top_degree, h_del.top_degree + 1) + 1):
         rows = h.eval_rows_up_to(i)
         rows_con = h_con.eval_rows_up_to(i)
