@@ -69,7 +69,12 @@ class DeletionContractionReport:
 
     @property
     def ok(self) -> bool:
-        return self.bijection_ok and self.dims_ok and self.exactness_ok is not False
+        return self.verdict(self.bijection_ok, self.dims_ok, self.exactness_ok)
+
+    @staticmethod
+    def verdict(bijection_ok: bool, dims_ok: bool, exactness_ok: bool | None) -> bool:
+        """Pass unless a part failed; unchecked exactness (None) does not fail."""
+        return bijection_ok and dims_ok and exactness_ok is not False
 
 
 class Analysis:

@@ -213,9 +213,9 @@ def enumerate_cocircuits(va: VectorArrangement) -> tuple:
     seen = {}
     for sel in combinations(range(n), r - 1):
         sub = [cols[j] for j in sel]  # rows of the (r-1) x r pairing matrix
-        if rank(Mat.from_rows(sub, cols=r)) != r - 1:
-            continue
         kern = kernel_basis(Mat.from_rows(sub, cols=r))
+        if kern.cols != 1:  # the subset has rank below r - 1
+            continue
         alpha = primitive_vector(kern.col(0))
         if alpha in seen:
             continue

@@ -266,10 +266,6 @@ class BivariatePolynomial:
     def zero() -> "BivariatePolynomial":
         return BivariatePolynomial(())
 
-    @staticmethod
-    def term(i: int, j: int, c: int = 1) -> "BivariatePolynomial":
-        return BivariatePolynomial.from_dict({(i, j): c})
-
     def coeff(self, i: int, j: int) -> int:
         for a, b, c in self.terms:
             if (a, b) == (i, j):

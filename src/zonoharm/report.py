@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 
-from .analysis import CHECKS, Analysis
+from .analysis import CHECKS, Analysis, DeletionContractionReport
 from .arrangement import VectorArrangement
 from .graphs import DirectedGraph, cographical_arrangement, graph_rank, theta_subgraphs
 
@@ -176,7 +176,8 @@ def render_text(report: dict) -> str:
             continue
         for rec in value:
             exact = {True: "pass", False: "FAIL", None: "skipped"}[rec["exactness"]]
-            verdict = "pass" if (rec["bijection"] and rec["dims"] and rec["exactness"] is not False) else "FAIL"
+            ok = DeletionContractionReport.verdict(rec["bijection"], rec["dims"], rec["exactness"])
+            verdict = "pass" if ok else "FAIL"
             add(
                 f"    delete/contract {rec['element']:<6} {verdict}"
                 f" (bijection {'ok' if rec['bijection'] else 'FAIL'},"

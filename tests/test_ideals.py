@@ -1,8 +1,10 @@
 from hypothesis import given, settings
 
 from strategies import connected_multigraphs
+from zonoharm import linalg
 from zonoharm.arrangement import VectorArrangement, enumerate_cocircuits, interior_lattice_points
 from zonoharm.funcspace import binom_int
+from zonoharm.formats import parse_graph
 from zonoharm.graphs import cographical_arrangement
 from zonoharm.harmonics import compute_filtration
 from zonoharm.ideals import (
@@ -126,3 +128,21 @@ class TestRedundancy:
 
     def test_cycle_has_no_redundancy(self):
         assert redundant_generators(cycle_arrangement(4)) == ()
+
+    def test_k33_reaches_modular_rank(self, monkeypatch):
+        # Sym_4 and Sym_5 in 4 variables have 35 and 56 monomials, so the
+        # higher degrees are ranked on the certified modular path.
+        text = "".join(f"vertex {side}{i}\n" for side in "ab" for i in (1, 2, 3))
+        text += "".join(f"arrow {3 * i + j + 1} a{i + 1} b{j + 1}\n" for i in range(3) for j in range(3))
+        va = cographical_arrangement(parse_graph(text))
+        calls = []
+
+        def spy(rows):
+            calls.append(len(rows[0]))
+            return modular_kernel(rows)
+
+        modular_kernel = linalg._modular_kernel
+        monkeypatch.setattr(linalg, "_modular_kernel", spy)
+        assert power_ideal_quotient_dims(va) == (1, 4, 10, 11, 5, 0)
+        assert len(redundant_generators(va)) == 6
+        assert calls and min(calls) >= linalg.MODULAR_MIN_SIDE

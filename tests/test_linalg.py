@@ -1,13 +1,18 @@
+import random
 from fractions import Fraction
 from itertools import combinations
 from math import gcd
 
 import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from zonoharm import linalg
 from zonoharm.errors import SizeExceededError
 from zonoharm.linalg import (
+    MODULAR_MIN_SIDE,
+    P,
     IntRowLattice,
     Mat,
     det,
@@ -19,6 +24,7 @@ from zonoharm.linalg import (
     saturation,
     saturation_index,
     smith_divisors,
+    _bareiss_rank,
     solve_row_lattice,
 )
 
@@ -101,6 +107,105 @@ class TestRank:
     def test_rank_nullity(self, rows):
         m = Mat.from_rows(rows)
         assert m.cols == rank(m) + kernel_basis(m).cols
+
+
+@st.composite
+def large_products(draw):
+    """A*B with smaller side 32-48 and inner dimension k at most that side.
+
+    A has entries up to 2**20 in size and B is (I_k | C) with C's entries up
+    to 2**20.  Unshuffled, every kernel vector has entries below 2**20, so
+    the modular rank certifies; with B's columns shuffled, kernel vectors are
+    ratios of k-minors and the rank usually falls back to Bareiss.
+    """
+    nrows, ncols = draw(st.integers(32, 48)), draw(st.integers(32, 48))
+    side = min(nrows, ncols)
+    k = draw(st.one_of(st.integers(1, side - 1), st.just(side)))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    big = 2**20
+    a = [[rng.randint(-big, big) for _ in range(k)] for _ in range(nrows)]
+    c = [[rng.randint(-big, big) for _ in range(ncols - k)] for _ in range(k)]
+    b = [[int(i == j) for j in range(k)] + c[i] for i in range(k)]
+    if draw(st.booleans()):
+        order = rng.sample(range(ncols), ncols)
+        b = [[r[j] for j in order] for r in b]
+    return [[sum(x * y for x, y in zip(r, c)) for c in zip(*b)] for r in a]
+
+
+def grid_incidence(n: int) -> list:
+    """Vertex-arrow incidence matrix of the n x n grid graph: rank n*n - 1."""
+    vs = [(i, j) for i in range(n) for j in range(n)]
+    arrows = [((i, j), (i + 1, j)) for i in range(n - 1) for j in range(n)]
+    arrows += [((i, j), (i, j + 1)) for i in range(n) for j in range(n - 1)]
+    return [[(v == head) - (v == tail) for tail, head in arrows] for v in vs]
+
+
+def huge_kernel_matrix(n: int = 40) -> list:
+    """Rank n - 1; the kernel is spanned by (1, 2**40, 0, ..., 0)."""
+    rows = [[0] * n for _ in range(n)]
+    rows[0][0], rows[0][1] = 2**40, -1
+    for i in range(2, n):
+        rows[i][i] = 1
+    return rows
+
+
+@pytest.fixture()
+def bareiss_calls(monkeypatch):
+    """Count the calls rank makes to the Bareiss elimination."""
+    calls = []
+
+    def spy(rows):
+        calls.append((len(rows), len(rows[0]) if rows else 0))
+        return _bareiss_rank(rows)
+
+    monkeypatch.setattr(linalg, "_bareiss_rank", spy)
+    return calls
+
+
+class TestModularRank:
+    @given(large_products())
+    @settings(max_examples=25)
+    def test_matches_bareiss(self, rows):
+        assert min(len(rows), len(rows[0])) >= MODULAR_MIN_SIDE
+        assert rank(Mat.from_rows(rows)) == _bareiss_rank([list(r) for r in rows])
+
+    @pytest.mark.parametrize(
+        "rows, expected",
+        [
+            (grid_incidence(6), 35),
+            ([list(r) for r in zip(*grid_incidence(6))], 35),
+            (huge_kernel_matrix(), 39),
+            ([[P * (i == j) for j in range(40)] for i in range(40)], 40),
+        ],
+        ids=["grid", "grid-transposed", "huge-kernel", "P-identity"],
+    )
+    def test_matches_sympy(self, rows, expected):
+        assert rank(Mat.from_rows(rows)) == sympy.Matrix(rows).rank() == expected
+
+    def test_certified_without_fallback(self, bareiss_calls):
+        assert rank(Mat.from_rows(grid_incidence(6))) == 35
+        assert bareiss_calls == []
+
+    def test_small_side_uses_bareiss(self, bareiss_calls):
+        rows = grid_incidence(6)[: MODULAR_MIN_SIDE - 1]
+        assert rank(Mat.from_rows(rows)) == MODULAR_MIN_SIDE - 1
+        assert bareiss_calls == [(MODULAR_MIN_SIDE - 1, 60)]
+
+    def test_failed_check_falls_back(self, bareiss_calls):
+        # every entry vanishes mod P, so rho_p = 0 and no unit vector checks
+        assert rank(Mat.from_rows([[P * (i == j) for j in range(40)] for i in range(40)])) == 40
+        assert bareiss_calls == [(40, 40)]
+
+    def test_failed_lift_falls_back(self, bareiss_calls):
+        # the kernel vector's entry 2**40 exceeds the reconstruction bound
+        assert rank(Mat.from_rows(huge_kernel_matrix())) == 39
+        assert bareiss_calls == [(40, 40)]
+
+    def test_fractions_on_modular_path(self, bareiss_calls):
+        rows = grid_incidence(6)
+        halves = Mat.from_rows([[Fraction(x, 2) for x in r] for r in rows])
+        assert rank(halves) == 35
+        assert bareiss_calls == []
 
 
 class TestKernel:
