@@ -7,7 +7,9 @@ for a graph input, its oriented cycles and graph polynomials.  ``CHECKS``
 defines every identity once, as a function of a context.  The CLI report
 evaluates the checks that carry a report key; the random suite evaluates all
 of them.  The deletion/contraction check builds one context per minor and
-reuses the parent's points and filtration.
+reuses the parent's points and filtration.  Only a parent context enumerates
+its cocircuits; each minor's are derived from the parent's and handed to the
+minor's context, while its points come from its own facet description.
 """
 
 from __future__ import annotations
@@ -19,8 +21,10 @@ from typing import Callable
 
 from .arrangement import (
     VectorArrangement,
+    contraction_cocircuits,
     contraction_data,
     deletion,
+    deletion_cocircuits,
     enumerate_cocircuits,
     interior_lattice_points,
     loops_and_coloops,
@@ -83,6 +87,8 @@ class Analysis:
     ``max_degree`` caps the filtration in ``harmonics``.  ``exact_elements``
     is how many usable elements, in ground-set order, get the exactness rank
     checks in the deletion/contraction check; None means all of them.
+    ``cocircuits``, when given, are the arrangement's cocircuits, already
+    derived; otherwise they are enumerated.
     """
 
     def __init__(
@@ -91,11 +97,13 @@ class Analysis:
         graph: DirectedGraph | None = None,
         max_degree: int | None = None,
         exact_elements: int | None = None,
+        cocircuits: tuple | None = None,
     ):
         self.va = va
         self.graph = graph
         self.max_degree = max_degree
         self.exact_elements = exact_elements
+        self._cocircuits = cocircuits
 
     @cached_property
     def loops_and_coloops(self) -> tuple:
@@ -109,7 +117,7 @@ class Analysis:
 
     @cached_property
     def cocircuits(self) -> tuple:
-        return enumerate_cocircuits(self.va)
+        return enumerate_cocircuits(self.va) if self._cocircuits is None else self._cocircuits
 
     @cached_property
     def points(self):
@@ -157,14 +165,19 @@ class Analysis:
         onto the contraction's points; per degree, dimensions satisfy
         dim_i = dim_i(contraction) + dim_{i-1}(deletion); and the pullback and
         difference maps form a short exact sequence on the filtered pieces.
-        The two minor contexts are dropped when the element is done.
+        The minors' cocircuits are derived from this context's; their points
+        are computed from them, never mapped, so the bijection test is not
+        vacuous.  The two minor contexts are dropped when the element is done.
         """
         loops, coloops = self.loops_and_coloops
         if element in loops or element in coloops:
             raise LoopOrColoopError(f"{element!r} is a loop or coloop")
-        ctx_del = Analysis(deletion(self.va, element))
-        va_con, transform = contraction_data(self.va, element)
-        ctx_con = Analysis(va_con)
+        va, cocs = self.va, self.cocircuits
+        ctx_del = Analysis(deletion(va, element), cocircuits=deletion_cocircuits(va, element, cocs))
+        va_con, transform, inverse = contraction_data(va, element)
+        ctx_con = Analysis(
+            va_con, cocircuits=contraction_cocircuits(va, element, cocs, va_con, inverse)
+        )
 
         pts = self.points.points
         bars = [tuple(transform.matvec(z)[1:]) for z in pts]

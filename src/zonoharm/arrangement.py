@@ -2,16 +2,18 @@
 
 Covers total unimodularity (brute-force subdeterminants at desk scale),
 loops/coloops, deletion and contraction, cocircuit enumeration via corank-1
-column subsets, the zonotope's facet description, and the interior lattice
-points obtained from it.
+column subsets, the cocircuits of a minor derived from its parent's, the
+zonotope's facet description, and the interior lattice points obtained from
+it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, product
+from itertools import combinations
 
 from .errors import (
+    CertificateError,
     IsColoopError,
     IsLoopError,
     NotTotallyUnimodularError,
@@ -145,15 +147,18 @@ def deletion(va: VectorArrangement, a) -> VectorArrangement:
     )
 
 
-def _completion_transform(v) -> list:
-    """Unimodular U (as rows) with U v = e_1, built by sequential xgcd row ops.
+def _completion_transform(v) -> tuple:
+    """Unimodular U with U v = e_1, and U^-1, built by sequential xgcd row ops.
 
-    Requires v primitive.  Deterministic, so quotient coordinates are
-    reproducible across runs.
+    Requires v primitive.  Returns (U as rows, columns of U^-1); each row op
+    on U is undone by the inverse column op on U^-1, so the first column of
+    U^-1 ends as v.  Deterministic, so quotient coordinates are reproducible
+    across runs.
     """
     r = len(v)
     col = [int(x) for x in v]
     U = [[1 if i == j else 0 for j in range(r)] for i in range(r)]
+    inv = [[1 if i == j else 0 for j in range(r)] for i in range(r)]
     for i in range(1, r):
         if col[i] == 0:
             continue
@@ -162,26 +167,31 @@ def _completion_transform(v) -> list:
         u0, ui = U[0], U[i]
         U[0] = [x * p + y * q for p, q in zip(u0, ui)]
         U[i] = [-b_ * p + a_ * q for p, q in zip(u0, ui)]
+        w0, wi = inv[0], inv[i]
+        inv[0] = [a_ * p + b_ * q for p, q in zip(w0, wi)]
+        inv[i] = [-y * p + x * q for p, q in zip(w0, wi)]
         col[0], col[i] = g, 0
     if col[0] < 0:
         U[0] = [-x for x in U[0]]
+        inv[0] = [-x for x in inv[0]]
         col[0] = -col[0]
     if col[0] != 1:
         raise ValueError("column is not primitive")
-    return U
+    return U, inv
 
 
 def contraction_data(va: VectorArrangement, a):
     """Contraction by a non-loop element plus the quotient map.
 
-    Returns (contracted, transform) where ``transform`` is the unimodular
-    matrix U with U * chi(a) = e_1; points map to the quotient by
-    z |-> (U z)[1:].
+    Returns (contracted, transform, inverse) where ``transform`` is the
+    unimodular matrix U with U * chi(a) = e_1 and ``inverse`` is U^-1; points
+    map to the quotient by z |-> (U z)[1:].
     """
     col = va.column(a)
     if not any(col):
         raise IsLoopError(f"{a!r} is a loop; contraction is undefined")
-    U = Mat.from_rows(_completion_transform(col))
+    rows, inv_cols = _completion_transform(col)
+    U = Mat.from_rows(rows)
     idx = va.index_of(a)
     new_cols = []
     for j, c in enumerate(va.columns.col_list()):
@@ -193,7 +203,7 @@ def contraction_data(va: VectorArrangement, a):
         ground=tuple(x for x in va.ground if x != a),
         columns=Mat.from_cols(new_cols, rows=va.lattice_rank - 1),
     )
-    return contracted, U
+    return contracted, U, Mat.from_cols(inv_cols, rows=va.lattice_rank)
 
 
 def contraction(va: VectorArrangement, a) -> VectorArrangement:
@@ -244,30 +254,127 @@ def enumerate_cocircuits(va: VectorArrangement) -> tuple:
     return tuple(sorted(minimal, key=lambda c: c.covector))
 
 
+def deletion_cocircuits(va: VectorArrangement, a, cocircuits) -> tuple:
+    """The cocircuits of ``deletion(va, a)``, derived from those of ``va``.
+
+    They are the minimal nonempty sets C - a (Oxley, *Matroid Theory*, 3.1).
+    Each keeps its covector and drops the value at ``a``, so the result is
+    ``enumerate_cocircuits`` of the deletion, in the same order.
+    """
+    idx = va.index_of(a)
+    restricted = []
+    for c in cocircuits:
+        values = c.values[:idx] + c.values[idx + 1 :]
+        support = sum(1 << i for i, v in enumerate(values) if v)
+        if support:
+            restricted.append((support, c.covector, values))
+    supports = [s for s, _, _ in restricted]
+    return tuple(
+        Cocircuit(covector, values, values.count(1), values.count(-1))
+        for s, covector, values in restricted
+        if not any(t & s == t != s for t in supports)
+    )
+
+
+def contraction_cocircuits(
+    va: VectorArrangement, a, cocircuits, contracted: VectorArrangement, inverse: Mat
+) -> tuple:
+    """The cocircuits of the contraction by ``a``, derived from those of ``va``.
+
+    They are the cocircuits that avoid ``a`` (Oxley, *Matroid Theory*, 3.1).
+    With ``contracted`` and ``inverse`` = U^-1 from ``contraction_data``,
+    covector alpha becomes beta with (0, beta) = alpha U^-1, which pairs with
+    each contracted column (U c)[1:] as alpha pairs with c.  The sign is
+    renormalized and the result sorted, so it is ``enumerate_cocircuits`` of
+    the contraction; ``certify_pairings`` checks every beta before return.
+    """
+    idx = va.index_of(a)
+    lift = inverse.col_list()[1:]
+    out = []
+    for c in cocircuits:
+        if c.values[idx]:
+            continue
+        beta = tuple(sum(x * y for x, y in zip(c.covector, u)) for u in lift)
+        values = c.values[:idx] + c.values[idx + 1 :]
+        d_plus, d_minus = c.d_plus, c.d_minus
+        if next(x for x in beta if x) < 0:
+            beta = tuple(-x for x in beta)
+            values = tuple(-v for v in values)
+            d_plus, d_minus = d_minus, d_plus
+        out.append(Cocircuit(beta, values, d_plus, d_minus))
+    out.sort(key=lambda c: c.covector)
+    certify_pairings(contracted, out)
+    return tuple(out)
+
+
+def certify_pairings(va: VectorArrangement, cocircuits) -> None:
+    """Raise CertificateError unless each covector pairs with the columns to its values.
+
+    The columns span, so the values determine the covector: a derived
+    cocircuit that passes is the one with those values.
+    """
+    cols = va.columns.col_list()
+    for c in cocircuits:
+        if tuple(sum(x * y for x, y in zip(c.covector, col)) for col in cols) != c.values:
+            raise CertificateError(f"covector {c.covector} does not pair to {c.values}")
+
+
 def interior_lattice_points(va: VectorArrangement, cocircuits=None) -> LatticePointSet:
     """Lattice points strictly inside the zonotope of the arrangement.
 
     Any coloop forces emptiness; in rank 0 the single (empty) point remains.
-    Enumeration scans the coordinate bounding box of the zonotope and filters
-    by the strict facet inequalities -d_-(a) < <a, z> < d_+(a).  Pass the
+    The points are those z in the coordinate bounding box of the zonotope
+    with -d_-(a) < <a, z> < d_+(a) for every cocircuit a.  A depth-first scan
+    fixes z_0, z_1, ... in turn and prunes a prefix as soon as, for some
+    cocircuit, no completion inside the box can meet its inequalities; with
+    the box's per-cocircuit suffix minima and maxima this narrows each
+    coordinate to an interval.  The box contains the zonotope, and a
+    cocircuit is tested exactly at its last nonzero coordinate, so the scan
+    is exact.  Points come out in lexicographic order.  Pass the
     arrangement's cocircuits when they are already known.
     """
-    if va.lattice_rank == 0:
+    r = va.lattice_rank
+    if r == 0:
         return LatticePointSet(((),))
     cocs = enumerate_cocircuits(va) if cocircuits is None else cocircuits
     if any(c.degree == 1 for c in cocs):  # a coloop is a one-element cocircuit
         return LatticePointSet(())
     cols = va.columns.col_list()
-    lo = [sum(min(0, c[j]) for c in cols) for j in range(va.lattice_rank)]
-    hi = [sum(max(0, c[j]) for c in cols) for j in range(va.lattice_rank)]
+    lo = [sum(min(0, c[j]) for c in cols) for j in range(r)]
+    hi = [sum(max(0, c[j]) for c in cols) for j in range(r)]
+    # levels[j]: (k, a_j, low, high) for each cocircuit k with a_j != 0, where
+    # a_j z_j must lie in [low - p_k, high - p_k] given the prefix pairing p_k
+    levels = [[] for _ in range(r)]
+    for k, c in enumerate(cocs):
+        low, high = 1 - c.d_minus, c.d_plus - 1
+        for j in reversed(range(r)):
+            a = c.covector[j]
+            if a:
+                levels[j].append((k, a, low, high))
+                low -= max(a * lo[j], a * hi[j])
+                high -= min(a * lo[j], a * hi[j])
     pts = []
-    for z in product(*(range(a, b + 1) for a, b in zip(lo, hi))):
-        ok = True
-        for c in cocs:
-            s = sum(x * y for x, y in zip(c.covector, z))
-            if not (-c.d_minus < s < c.d_plus):
-                ok = False
-                break
-        if ok:
-            pts.append(z)
+    z = [0] * r
+
+    def scan(j, prefix):
+        zlo, zhi = lo[j], hi[j]
+        for k, a, low, high in levels[j]:
+            t_lo, t_hi = low - prefix[k], high - prefix[k]
+            if a < 0:
+                t_lo, t_hi = t_hi, t_lo
+            zlo = max(zlo, -(-t_lo // a))
+            zhi = min(zhi, t_hi // a)
+        if j + 1 == r:
+            for v in range(zlo, zhi + 1):
+                z[j] = v
+                pts.append(tuple(z))
+            return
+        for v in range(zlo, zhi + 1):
+            z[j] = v
+            nxt = list(prefix)
+            for k, a, _, _ in levels[j]:
+                nxt[k] += a * v
+            scan(j + 1, nxt)
+
+    scan(0, [0] * len(cocs))
     return LatticePointSet(tuple(pts))

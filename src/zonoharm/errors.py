@@ -33,6 +33,10 @@ class DegreeOverflowError(ZonoharmError):
     """Requested graded degree exceeds the top degree of the filtration."""
 
 
+class CertificateError(ZonoharmError):
+    """A derived result failed its exact certificate; indicates an internal bug."""
+
+
 class NotIntegralError(ZonoharmError):
     """An integrality postcondition failed; indicates an internal bug."""
 

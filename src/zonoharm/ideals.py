@@ -103,8 +103,12 @@ def _power_expansion(covector, e: int, r: int) -> dict:
     return out
 
 
-def _quotient_dim_at_degree(va, cocircuits, degree: int) -> int:
-    r = va.lattice_rank
+def _expansions(cocircuits, r: int) -> list:
+    """(e, expansion of a^e) for each cocircuit a, with e = d(a) - 1."""
+    return [(c.degree - 1, _power_expansion(c.covector, c.degree - 1, r)) for c in cocircuits]
+
+
+def _quotient_dim_at_degree(r: int, expansions, degree: int) -> int:
     monos = list(exponents_of_degree(r, degree))
     dim = len(monos)
     if dim > SYM_DEGREE_DIM_CAP:
@@ -115,11 +119,9 @@ def _quotient_dim_at_degree(va, cocircuits, degree: int) -> int:
         return 0
     index = {e: i for i, e in enumerate(monos)}
     rows = []
-    for c in cocircuits:
-        e = c.degree - 1
+    for e, expansion in expansions:
         if e > degree:
             continue
-        expansion = _power_expansion(c.covector, e, r)
         for shift_exps in exponents_of_degree(r, degree - e):
             row = [0] * dim
             for exps, coeff in expansion.items():
@@ -129,6 +131,10 @@ def _quotient_dim_at_degree(va, cocircuits, degree: int) -> int:
     if not rows:
         return dim
     return dim - rank(Mat.from_rows(rows, cols=dim))
+
+
+def _quotient_dims(r: int, expansions, bound: int) -> tuple:
+    return tuple(_quotient_dim_at_degree(r, expansions, d) for d in range(bound + 1))
 
 
 def power_ideal_quotient_dims(
@@ -144,7 +150,8 @@ def power_ideal_quotient_dims(
         cocircuits = enumerate_cocircuits(va)
     if bound is None:
         bound = len(iz_hilbert_series(va))
-    return tuple(_quotient_dim_at_degree(va, cocircuits, d) for d in range(bound + 1))
+    r = va.lattice_rank
+    return _quotient_dims(r, _expansions(cocircuits, r), bound)
 
 
 def redundant_generators(va: VectorArrangement, bound: int | None = None) -> tuple:
@@ -152,14 +159,16 @@ def redundant_generators(va: VectorArrangement, bound: int | None = None) -> tup
 
     Generator g is implied when dropping it leaves every truncated-degree
     quotient dimension unchanged.  No minimality claim: the remaining set may
-    itself contain further implications.
+    itself contain further implications.  Each cocircuit power is expanded
+    once and shared by every leave-one-out comparison.
     """
-    cocircuits = enumerate_cocircuits(va)
+    r = va.lattice_rank
+    expansions = _expansions(enumerate_cocircuits(va), r)
     if bound is None:
         bound = len(iz_hilbert_series(va))
-    full = power_ideal_quotient_dims(va, bound, cocircuits)
+    full = _quotient_dims(r, expansions, bound)
     return tuple(
         i
-        for i in range(len(cocircuits))
-        if power_ideal_quotient_dims(va, bound, cocircuits[:i] + cocircuits[i + 1 :]) == full
+        for i in range(len(expansions))
+        if _quotient_dims(r, expansions[:i] + expansions[i + 1 :], bound) == full
     )

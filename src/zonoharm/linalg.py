@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from math import gcd, isqrt, lcm
 from operator import mul
 
@@ -52,8 +53,7 @@ class Mat:
             cols = width
         elif cols is None:
             cols = 0
-        data = tuple(x for r in rows for x in r)
-        return Mat(len(rows), cols, data)
+        return Mat(len(rows), cols, tuple(chain.from_iterable(rows)))
 
     @staticmethod
     def from_cols(cols, rows: int | None = None) -> "Mat":
@@ -80,11 +80,7 @@ class Mat:
         return [list(self.col(j)) for j in range(self.cols)]
 
     def transpose(self) -> "Mat":
-        return Mat(
-            self.cols,
-            self.rows,
-            tuple(self.data[i * self.cols + j] for j in range(self.cols) for i in range(self.rows)),
-        )
+        return Mat(self.cols, self.rows, tuple(chain.from_iterable(map(self.col, range(self.cols)))))
 
     def matvec(self, v) -> tuple:
         if len(v) != self.cols:

@@ -1,21 +1,27 @@
 import random
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from strategies import connected_multigraphs
 from zonoharm.arrangement import (
+    Cocircuit,
     LatticePointSet,
     VectorArrangement,
+    certify_pairings,
     contraction,
+    contraction_cocircuits,
     contraction_data,
     deletion,
+    deletion_cocircuits,
     enumerate_cocircuits,
     interior_lattice_points,
     is_totally_unimodular,
     loops_and_coloops,
 )
-from zonoharm.errors import IsColoopError, IsLoopError, SizeExceededError
+from zonoharm.errors import CertificateError, IsColoopError, IsLoopError, SizeExceededError
 from zonoharm.graphs import cographical_arrangement, tutte_of_arrangement
 from zonoharm.linalg import Mat, rank
 
@@ -98,7 +104,7 @@ class TestContraction:
         assert out.columns.col_list() == [[1], [1]]
 
     def test_house_element_four(self, house_arrangement):
-        out, transform = contraction_data(house_arrangement, "e4")
+        out, transform, _ = contraction_data(house_arrangement, "e4")
         assert out.lattice_rank == 1 and out.size == 5
         # point-count additivity: 6 interior points split 2 + 4
         pts = interior_lattice_points(house_arrangement)
@@ -140,6 +146,96 @@ class TestCocircuits:
             enumerate_cocircuits(arr(1, [(2,)]))
 
 
+def _usable(va):
+    loops, coloops = loops_and_coloops(va)
+    return [a for a in va.ground if a not in loops and a not in coloops]
+
+
+@st.composite
+def sheared_arrangements(draw, max_edges=6):
+    """A cycle-space arrangement moved by a few random integer shears.
+
+    Shears keep the lattice, so the arrangement stays valid while its
+    covectors leave {-1, 0, 1} and its bounding box changes.
+    """
+    va = cographical_arrangement(draw(connected_multigraphs(max_edges=max_edges)))
+    r = va.lattice_rank
+    cols = va.columns.col_list()
+    if r >= 2:
+        for _ in range(draw(st.integers(0, 3))):
+            i, j = draw(st.lists(st.integers(0, r - 1), min_size=2, max_size=2, unique=True))
+            f = draw(st.sampled_from((-2, -1, 1, 2)))
+            for c in cols:
+                c[i] += f * c[j]
+    return VectorArrangement(r, va.ground, Mat.from_cols(cols, rows=r))
+
+
+def box_filter(va, cocs):
+    """Oracle: every point of the zonotope's bounding box that meets the facet inequalities."""
+    r = va.lattice_rank
+    if r and any(c.degree == 1 for c in cocs):
+        return ()
+    cols = va.columns.col_list()
+    lo = [sum(min(0, c[j]) for c in cols) for j in range(r)]
+    hi = [sum(max(0, c[j]) for c in cols) for j in range(r)]
+    return tuple(
+        z
+        for z in product(*(range(a, b + 1) for a, b in zip(lo, hi)))
+        if all(-c.d_minus < sum(x * y for x, y in zip(c.covector, z)) < c.d_plus for c in cocs)
+    )
+
+
+class TestMinorCocircuits:
+    @given(connected_multigraphs(max_edges=8))
+    @settings(max_examples=40, deadline=None)
+    def test_derived_equal_enumerated(self, g):
+        va = cographical_arrangement(g)
+        cocs = enumerate_cocircuits(va)
+        for a in _usable(va):
+            assert deletion_cocircuits(va, a, cocs) == enumerate_cocircuits(deletion(va, a))
+            va_con, _, inverse = contraction_data(va, a)
+            derived = contraction_cocircuits(va, a, cocs, va_con, inverse)
+            assert derived == enumerate_cocircuits(va_con)
+
+    @given(sheared_arrangements())
+    @settings(max_examples=30, deadline=None)
+    def test_derived_equal_enumerated_sheared(self, va):
+        cocs = enumerate_cocircuits(va)
+        for a in _usable(va):
+            assert deletion_cocircuits(va, a, cocs) == enumerate_cocircuits(deletion(va, a))
+            va_con, transform, inverse = contraction_data(va, a)
+            assert transform.matmul(inverse) == Mat.identity(va.lattice_rank)
+            derived = contraction_cocircuits(va, a, cocs, va_con, inverse)
+            assert derived == enumerate_cocircuits(va_con)
+
+    def test_deletion_drops_nonminimal_restriction(self, house_arrangement):
+        # deleting e4 leaves (1, -1) supported on {e1, e2, e3, e5, e6}, which
+        # contains the restricted supports of (0, 1) and (1, 0)
+        va = house_arrangement
+        derived = deletion_cocircuits(va, "e4", enumerate_cocircuits(va))
+        assert {c.covector for c in derived} == {(0, 1), (1, 0)}
+
+    def test_flipped_beta_entry_raises(self, house_arrangement):
+        va = house_arrangement
+        va_con, _, inverse = contraction_data(va, "e5")
+        derived = contraction_cocircuits(va, "e5", enumerate_cocircuits(va), va_con, inverse)
+        certify_pairings(va_con, derived)
+        (c,) = derived
+        bad = Cocircuit((-c.covector[0],) + c.covector[1:], c.values, c.d_plus, c.d_minus)
+        with pytest.raises(CertificateError):
+            certify_pairings(va_con, (bad,))
+
+    def test_wrong_inverse_raises(self):
+        va = arr(3, [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 0), (0, 1, 1), (1, 1, 1)])
+        cocs = enumerate_cocircuits(va)
+        va_con, _, inverse = contraction_data(va, "a1")
+        assert contraction_cocircuits(va, "a1", cocs, va_con, inverse)
+        rows = inverse.row_list()
+        rows[1][2] += 1
+        with pytest.raises(CertificateError):
+            contraction_cocircuits(va, "a1", cocs, va_con, Mat.from_rows(rows))
+
+
 class TestInteriorPoints:
     def test_house(self, house_arrangement):
         pts = interior_lattice_points(house_arrangement)
@@ -159,6 +255,19 @@ class TestInteriorPoints:
     def test_rank_zero_single_point(self):
         va = VectorArrangement(0, ("a1", "a2"), Mat.zero(0, 2))
         assert interior_lattice_points(va).points == ((),)
+
+    @given(connected_multigraphs(max_edges=8))
+    @settings(max_examples=40, deadline=None)
+    def test_pruned_scan_equals_box_filter(self, g):
+        va = cographical_arrangement(g)
+        cocs = enumerate_cocircuits(va)
+        assert interior_lattice_points(va, cocs).points == box_filter(va, cocs)
+
+    @given(sheared_arrangements())
+    @settings(max_examples=40, deadline=None)
+    def test_pruned_scan_equals_box_filter_sheared(self, va):
+        cocs = enumerate_cocircuits(va)
+        assert interior_lattice_points(va, cocs).points == box_filter(va, cocs)
 
 
 def _relabeled(va, perm):
@@ -188,7 +297,7 @@ class TestProperties:
             if a in loops or a in coloops:
                 continue
             va_del = deletion(va, a)
-            va_con, transform = contraction_data(va, a)
+            va_con, transform, _ = contraction_data(va, a)
             pts_del = interior_lattice_points(va_del)
             pts_con = interior_lattice_points(va_con)
             assert all(p in pts for p in pts_del.points)
