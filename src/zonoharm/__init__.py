@@ -1,5 +1,5 @@
 """Exact computation of graded function-space filtrations on the interior
-lattice points of zonotopes of totally unimodular arrangements, together with
+lattice points of zonotopes of unimodular arrangements, together with
 the Tutte-polynomial identities that govern them."""
 
 from .analysis import deletion_contraction_check
@@ -11,7 +11,6 @@ from .arrangement import (
     deletion,
     enumerate_cocircuits,
     interior_lattice_points,
-    is_totally_unimodular,
     loops_and_coloops,
 )
 from .graphs import (

@@ -1,10 +1,9 @@
 """Vector arrangements: labeled integer vectors spanning Z^r.
 
-Covers total unimodularity (brute-force subdeterminants at desk scale),
-loops/coloops, deletion and contraction, cocircuit enumeration via corank-1
-column subsets, the cocircuits of a minor derived from its parent's, the
-zonotope's facet description, and the interior lattice points obtained from
-it.
+Covers loops/coloops, deletion and contraction, cocircuit enumeration via
+corank-1 column subsets (which is also the unimodularity test), the
+cocircuits of a minor derived from its parent's, the zonotope's facet
+description, and the interior lattice points obtained from it.
 """
 
 from __future__ import annotations
@@ -12,17 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .errors import (
-    CertificateError,
-    IsColoopError,
-    IsLoopError,
-    NotTotallyUnimodularError,
-    SizeExceededError,
-)
+from .errors import CertificateError, IsColoopError, IsLoopError, NotTotallyUnimodularError
 from .linalg import Mat, det, kernel_basis, primitive_vector, rank, xgcd
-
-TU_MAX_RANK = 6
-TU_MAX_GROUND = 12
 
 
 @dataclass(frozen=True)
@@ -56,8 +46,8 @@ class VectorArrangement:
 class Cocircuit:
     """A primitive covector of minimal support, with its sign counts.
 
-    ``values[i]`` is the pairing with the i-th ground element; for totally
-    unimodular inputs these lie in {-1, 0, 1}.
+    ``values[i]`` is the pairing with the i-th ground element; for unimodular
+    inputs these lie in {-1, 0, 1}.
     """
 
     covector: tuple
@@ -90,31 +80,6 @@ class LatticePointSet:
 
     def index_map(self) -> dict:
         return {p: i for i, p in enumerate(self.points)}
-
-
-def find_violating_minor(va: VectorArrangement):
-    """First square subdeterminant outside {-1, 0, 1}, or None.
-
-    Returns (row_indices, ground_labels, determinant) for the offending minor.
-    """
-    r, n = va.lattice_rank, va.size
-    if r > TU_MAX_RANK or n > TU_MAX_GROUND:
-        raise SizeExceededError(
-            f"brute-force TU check limited to rank {TU_MAX_RANK} and {TU_MAX_GROUND} columns"
-        )
-    rows = va.columns.row_list()
-    for k in range(1, min(r, n) + 1):
-        for rsel in combinations(range(r), k):
-            for csel in combinations(range(n), k):
-                d = det([[rows[i][j] for j in csel] for i in rsel])
-                if d not in (-1, 0, 1):
-                    return rsel, tuple(va.ground[j] for j in csel), d
-    return None
-
-
-def is_totally_unimodular(va: VectorArrangement) -> bool:
-    """True iff every square subdeterminant of the column matrix is in {-1, 0, 1}."""
-    return find_violating_minor(va) is None
 
 
 def loops_and_coloops(va: VectorArrangement):
@@ -213,8 +178,16 @@ def contraction(va: VectorArrangement, a) -> VectorArrangement:
 def enumerate_cocircuits(va: VectorArrangement) -> tuple:
     """All cocircuits up to sign, canonicalized and sorted by covector.
 
-    The representative of {a, -a} has positive first nonzero entry.  Raises
-    NotTotallyUnimodularError when some pairing falls outside {-1, 0, 1}.
+    The representative of {a, -a} has positive first nonzero entry.  Each
+    support is the complement of a hyperplane, so the supports are minimal.
+
+    This is the unimodularity test: every cocircuit pairs into {-1, 0, 1} iff
+    every basis of columns has determinant +-1, i.e. iff the arrangement is
+    totally unimodular after a change of lattice basis.  Otherwise raises
+    NotTotallyUnimodularError with a witness basis: the (r-1)-subset that
+    defines the offending cocircuit plus a column it pairs to outside
+    {-1, 0, 1}.  That basis's determinant is a nonzero multiple of the
+    pairing, so it is not +-1.
     """
     r, n = va.lattice_rank, va.size
     if r == 0:
@@ -230,9 +203,11 @@ def enumerate_cocircuits(va: VectorArrangement) -> tuple:
         if alpha in seen:
             continue
         values = tuple(sum(x * y for x, y in zip(alpha, c)) for c in cols)
-        if any(v not in (-1, 0, 1) for v in values):
+        bad = next((j for j, v in enumerate(values) if v not in (-1, 0, 1)), None)
+        if bad is not None:
+            basis = sorted(sel + (bad,))
             raise NotTotallyUnimodularError(
-                f"cocircuit {alpha} pairs to {values}; arrangement is not totally unimodular"
+                tuple(va.ground[j] for j in basis), det([cols[j] for j in basis]), alpha, values
             )
         seen[alpha] = Cocircuit(
             covector=alpha,
@@ -240,18 +215,7 @@ def enumerate_cocircuits(va: VectorArrangement) -> tuple:
             d_plus=sum(1 for v in values if v == 1),
             d_minus=sum(1 for v in values if v == -1),
         )
-    # supports coming from corank-1 subsets are complements of hyperplanes and
-    # hence already minimal; the filter below is a cheap safeguard.
-    items = list(seen.values())
-    supports = {c.covector: frozenset(i for i, v in enumerate(c.values) if v) for c in items}
-    minimal = [
-        c
-        for c in items
-        if not any(
-            other is not c and supports[other.covector] < supports[c.covector] for other in items
-        )
-    ]
-    return tuple(sorted(minimal, key=lambda c: c.covector))
+    return tuple(sorted(seen.values(), key=lambda c: c.covector))
 
 
 def deletion_cocircuits(va: VectorArrangement, a, cocircuits) -> tuple:

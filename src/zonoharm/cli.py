@@ -6,7 +6,8 @@ Subcommands:
   random-suite                seeded random cross-verification stream
 
 Exit codes: 0 all verdicts pass, 2 parse error, 3 size cap exceeded,
-4 verification failure, 5 not totally unimodular.
+4 verification failure, 5 not totally unimodular (some basis of columns has
+determinant other than +-1; the message names one).
 
 Output conventions: interior points are listed in lexicographic order;
 cocircuit covectors are sign-normalized so their first nonzero entry is
@@ -20,7 +21,6 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .arrangement import find_violating_minor
 from .errors import NotTotallyUnimodularError, ParseError, SizeExceededError
 from .formats import parse_arrangement, parse_graph
 from .report import build_graph_report, build_report, render_text, to_json_bytes
@@ -47,10 +47,11 @@ def _emit(report: dict, as_json: bool) -> int:
     return EXIT_OK if report["pass"] else EXIT_VERIFY
 
 
-def cmd_analyze_graph(args) -> int:
+def _analyze(args, parse, build) -> int:
+    """Read ``args.path``, parse it and emit the report that ``build`` assembles."""
     try:
         text = open(args.path, encoding="utf-8").read()
-        graph = parse_graph(text)
+        parsed = parse(text)
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
@@ -58,45 +59,7 @@ def cmd_analyze_graph(args) -> int:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     try:
-        report = build_graph_report(text, graph, max_degree=args.max_degree)
-    except SizeExceededError as exc:
-        print(f"size error: {exc}", file=sys.stderr)
-        return EXIT_SIZE
-    return _emit(report, args.json)
-
-
-def cmd_analyze_arrangement(args) -> int:
-    try:
-        text = open(args.path, encoding="utf-8").read()
-        va = parse_arrangement(text)
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except ParseError as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    try:
-        if args.assume_tu:
-            tu_verdict = "assumed"
-        else:
-            try:
-                minor = find_violating_minor(va)
-            except SizeExceededError as exc:
-                print(
-                    f"size error: {exc}; pass --assume-tu to analyze anyway",
-                    file=sys.stderr,
-                )
-                return EXIT_SIZE
-            if minor is not None:
-                rows, labels, value = minor
-                print(
-                    f"not totally unimodular: minor on rows {list(rows)} and columns"
-                    f" {list(labels)} has determinant {value}",
-                    file=sys.stderr,
-                )
-                return EXIT_NOT_TU
-            tu_verdict = True
-        report = build_report(text, va, None, tu_verdict, max_degree=args.max_degree)
+        report = build(text, parsed, max_degree=args.max_degree)
     except NotTotallyUnimodularError as exc:
         print(f"not totally unimodular: {exc}", file=sys.stderr)
         return EXIT_NOT_TU
@@ -104,6 +67,14 @@ def cmd_analyze_arrangement(args) -> int:
         print(f"size error: {exc}", file=sys.stderr)
         return EXIT_SIZE
     return _emit(report, args.json)
+
+
+def cmd_analyze_graph(args) -> int:
+    return _analyze(args, parse_graph, build_graph_report)
+
+
+def cmd_analyze_arrangement(args) -> int:
+    return _analyze(args, parse_arrangement, build_report)
 
 
 def cmd_random_suite(args) -> int:
@@ -177,11 +148,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     pa = sub.add_parser("analyze-arrangement", help="analyze a vector arrangement file")
     analyze(pa)
-    pa.add_argument(
-        "--assume-tu",
-        action="store_true",
-        help="skip the brute-force TU check (required beyond its size cap)",
-    )
     pa.set_defaults(func=cmd_analyze_arrangement)
 
     pr = sub.add_parser("random-suite", help="run the seeded random verification suite")

@@ -10,7 +10,19 @@ class SizeExceededError(ZonoharmError):
 
 
 class NotTotallyUnimodularError(ZonoharmError):
-    """A computation met a subdeterminant or covector value outside {-1, 0, 1}."""
+    """Some basis of columns has a determinant other than +-1.
+
+    ``basis`` holds the labels of the witness columns and ``determinant``
+    their determinant; the message also names the cocircuit that found them.
+    """
+
+    def __init__(self, basis: tuple, determinant: int, covector: tuple, values: tuple):
+        super().__init__(
+            f"basis {list(basis)} has determinant {determinant}"
+            f" (cocircuit {covector} pairs to {values})"
+        )
+        self.basis = basis
+        self.determinant = determinant
 
 
 class IsLoopError(ZonoharmError):

@@ -50,12 +50,6 @@ class DirectedGraph:
                 raise ValueError(f"arrow {a.ident} references an unknown vertex")
         object.__setattr__(self, "arrows", tuple(sorted(self.arrows, key=lambda a: a.ident)))
 
-    def arrow(self, ident: int) -> Arrow:
-        for a in self.arrows:
-            if a.ident == ident:
-                return a
-        raise KeyError(ident)
-
 
 @dataclass(frozen=True)
 class OrientedCycle:
@@ -409,13 +403,18 @@ def su2_poincare_polynomial(g: DirectedGraph) -> tuple:
     return tuple(coeffs)
 
 
-def tutte_of_arrangement(va: VectorArrangement) -> BivariatePolynomial:
-    """Tutte polynomial of the column matroid by the corank-nullity sum."""
-    n = va.size
-    if n > TUTTE_ARRANGEMENT_MAX_GROUND:
+def check_tutte_size(va: VectorArrangement) -> None:
+    """Raise SizeExceededError if ``va`` is past the corank-nullity sum's cap."""
+    if va.size > TUTTE_ARRANGEMENT_MAX_GROUND:
         raise SizeExceededError(
             f"corank-nullity sum limited to {TUTTE_ARRANGEMENT_MAX_GROUND} columns"
         )
+
+
+def tutte_of_arrangement(va: VectorArrangement) -> BivariatePolynomial:
+    """Tutte polynomial of the column matroid by the corank-nullity sum."""
+    check_tutte_size(va)
+    n = va.size
     r = va.lattice_rank
     cols = va.columns.col_list()
     acc: dict = {}

@@ -11,7 +11,13 @@ import json
 
 from .analysis import CHECKS, Analysis, DeletionContractionReport
 from .arrangement import VectorArrangement
-from .graphs import DirectedGraph, cographical_arrangement, graph_rank, theta_subgraphs
+from .graphs import (
+    DirectedGraph,
+    check_tutte_size,
+    cographical_arrangement,
+    graph_rank,
+    theta_subgraphs,
+)
 
 SCHEMA_VERSION = 1
 JSON_INT_LIMIT = 2**53
@@ -21,11 +27,17 @@ EXACTNESS_ELEMENTS = 4  # usable elements per report that get the exactness rank
 def build_report(
     source_text: str,
     va: VectorArrangement,
-    graph: DirectedGraph | None,
-    tu_verdict,
+    graph: DirectedGraph | None = None,
     max_degree: int | None = None,
 ) -> dict:
-    """Assemble the full analysis record for an arrangement (or graph) input."""
+    """Assemble the full analysis record for an arrangement (or graph) input.
+
+    Raises SizeExceededError before any other work when the Tutte polynomial,
+    which every report needs, is past its cap, and NotTotallyUnimodularError
+    when the cocircuits reject ``va``; a report therefore always certifies
+    that every basis has determinant +-1.
+    """
+    check_tutte_size(va)
     ctx = Analysis(va, graph, max_degree=max_degree, exact_elements=EXACTNESS_ELEMENTS)
     h = ctx.harmonics
     results = [(c, c.run(ctx)) for c in CHECKS if c.key]
@@ -38,7 +50,7 @@ def build_report(
             "latticeRank": va.lattice_rank,
             "groundSize": va.size,
             "groundSet": list(va.ground),
-            "totallyUnimodular": tu_verdict,
+            "totallyUnimodular": True,
             "loops": list(loops),
             "coloops": list(coloops),
         },
@@ -104,7 +116,7 @@ def _check_json(value):
 
 def build_graph_report(source_text: str, graph: DirectedGraph, max_degree: int | None = None) -> dict:
     va = cographical_arrangement(graph)
-    return build_report(source_text, va, graph, tu_verdict=True, max_degree=max_degree)
+    return build_report(source_text, va, graph, max_degree=max_degree)
 
 
 def _stringify_big_ints(value):

@@ -1,10 +1,12 @@
 import random
-from itertools import product
+from itertools import combinations, product
 
 import pytest
-from hypothesis import given, settings
+import sympy
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from oracles import violating_minor
 from strategies import connected_multigraphs
 from zonoharm.arrangement import (
     Cocircuit,
@@ -18,12 +20,16 @@ from zonoharm.arrangement import (
     deletion_cocircuits,
     enumerate_cocircuits,
     interior_lattice_points,
-    is_totally_unimodular,
     loops_and_coloops,
 )
-from zonoharm.errors import CertificateError, IsColoopError, IsLoopError, SizeExceededError
+from zonoharm.errors import (
+    CertificateError,
+    IsColoopError,
+    IsLoopError,
+    NotTotallyUnimodularError,
+)
 from zonoharm.graphs import cographical_arrangement, tutte_of_arrangement
-from zonoharm.linalg import Mat, rank
+from zonoharm.linalg import Mat, det, rank
 
 
 def arr(rank_, cols, labels=None):
@@ -36,25 +42,83 @@ def cycle_arrangement(k):
 
 
 HOUSE = [(1, 0), (1, 0), (1, 0), (1, 1), (0, 1), (0, 1)]
+SHEARED_HOUSE = [(1, 0), (1, 0), (1, 0), (2, 1), (1, 1), (1, 1)]  # (x, y) -> (x + y, y)
+
+
+def unimodular(va) -> bool:
+    """The library's decision: the cocircuits certify that every basis has det +-1."""
+    try:
+        enumerate_cocircuits(va)
+    except NotTotallyUnimodularError:
+        return False
+    return True
+
+
+def assert_supports_incomparable(cocs):
+    supports = [frozenset(i for i, v in enumerate(c.values) if v) for c in cocs]
+    assert not any(s <= t for i, s in enumerate(supports) for j, t in enumerate(supports) if i != j)
+
+
+@st.composite
+def spanning_matrices(draw):
+    """A spanning integer arrangement of rank <= 4 with <= 7 columns and small entries."""
+    r = draw(st.integers(1, 4))
+    n = draw(st.integers(r, 7))
+    entries = draw(st.sampled_from((st.integers(-1, 1), st.integers(-2, 2))))
+    m = Mat.from_cols([[draw(entries) for _ in range(r)] for _ in range(n)], rows=r)
+    assume(rank(m) == r)
+    return VectorArrangement(r, tuple(f"a{i + 1}" for i in range(n)), m)
 
 
 class TestTotallyUnimodular:
     def test_house(self, house_arrangement):
-        assert is_totally_unimodular(house_arrangement)
+        assert unimodular(house_arrangement)
+        assert violating_minor(house_arrangement) is None
 
     def test_single_column_two(self):
-        assert not is_totally_unimodular(arr(1, [(2,)]))
+        assert not unimodular(arr(1, [(2,)]))
+        assert violating_minor(arr(1, [(2,)])) is not None
 
     def test_identity_columns(self):
-        assert is_totally_unimodular(arr(3, [(1, 0, 0), (0, 1, 0), (0, 0, 1)]))
+        va = arr(3, [(1, 0, 0), (0, 1, 0), (0, 0, 1)])
+        assert unimodular(va)
+        assert violating_minor(va) is None
 
-    def test_size_cap(self):
-        with pytest.raises(SizeExceededError):
-            is_totally_unimodular(arr(1, [(1,)] * 13))
+    def test_sheared_house_accepted(self):
+        # a GL_2(Z) image of the house: not TU as written, yet every basis has det +-1
+        va = arr(2, SHEARED_HOUSE)
+        assert violating_minor(va) is not None
+        assert unimodular(va)
 
     def test_spanning_required(self):
         with pytest.raises(ValueError):
             arr(2, [(1, 0), (2, 0)])
+
+    @given(spanning_matrices())
+    @settings(max_examples=150, deadline=None)
+    def test_rejected_iff_some_basis_determinant_exceeds_one(self, va):
+        cols = va.columns.col_list()
+        dets = [det([cols[j] for j in sel]) for sel in combinations(range(va.size), va.lattice_rank)]
+        try:
+            cocs = enumerate_cocircuits(va)
+        except NotTotallyUnimodularError as exc:
+            assert any(abs(d) > 1 for d in dets)
+            assert len(set(exc.basis)) == va.lattice_rank
+            witness = sympy.Matrix([va.column(a) for a in exc.basis]).det()
+            assert witness == exc.determinant
+            assert exc.determinant not in (-1, 1)
+        else:
+            assert all(abs(d) <= 1 for d in dets)
+            assert_supports_incomparable(cocs)
+
+    def test_witness_names_basis_and_determinant(self):
+        va = arr(2, [(1, 1), (1, -1), (1, 0)], labels="abc")
+        with pytest.raises(NotTotallyUnimodularError) as info:
+            enumerate_cocircuits(va)
+        assert str(info.value) == (
+            "basis ['a', 'b'] has determinant -2 (cocircuit (1, -1) pairs to (0, 2, 1))"
+        )
+        assert sympy.Matrix([[1, 1], [1, -1]]).det() == info.value.determinant == -2
 
 
 class TestLoopsColoops:
@@ -140,8 +204,6 @@ class TestCocircuits:
             assert set(c.values) <= {-1, 0, 1}
 
     def test_non_tu_detected_at_enumeration(self):
-        from zonoharm.errors import NotTotallyUnimodularError
-
         with pytest.raises(NotTotallyUnimodularError):
             enumerate_cocircuits(arr(1, [(2,)]))
 
@@ -191,6 +253,7 @@ class TestMinorCocircuits:
     def test_derived_equal_enumerated(self, g):
         va = cographical_arrangement(g)
         cocs = enumerate_cocircuits(va)
+        assert_supports_incomparable(cocs)
         for a in _usable(va):
             assert deletion_cocircuits(va, a, cocs) == enumerate_cocircuits(deletion(va, a))
             va_con, _, inverse = contraction_data(va, a)
@@ -201,6 +264,7 @@ class TestMinorCocircuits:
     @settings(max_examples=30, deadline=None)
     def test_derived_equal_enumerated_sheared(self, va):
         cocs = enumerate_cocircuits(va)
+        assert_supports_incomparable(cocs)
         for a in _usable(va):
             assert deletion_cocircuits(va, a, cocs) == enumerate_cocircuits(deletion(va, a))
             va_con, transform, inverse = contraction_data(va, a)

@@ -1,10 +1,13 @@
+import cProfile
 import json
+import pstats
 import subprocess
 import sys
 
 import pytest
 
 from conftest import data_path
+from zonoharm.arrangement import enumerate_cocircuits
 from zonoharm.cli import main
 from zonoharm.report import _stringify_big_ints, to_json_bytes
 
@@ -84,26 +87,55 @@ class TestAnalyzeArrangement:
         assert code == 5
         assert b"determinant 2" in err
 
-    def test_size_cap_without_assume(self, tmp_path):
-        f = tmp_path / "big.arr"
-        cols = "".join(f"col a{i} 1\n" for i in range(13))
-        f.write_text("rank 1\n" + cols)
-        assert main(["analyze-arrangement", str(f)]) == 3
+    def test_sheared_house_matches_house(self, capsys, tmp_path):
+        # (x, y) -> (x + y, y) takes house.arr to columns that are not TU as
+        # written; every basis still has determinant +-1
+        f = tmp_path / "sheared.arr"
+        f.write_text(
+            "rank 2\n"
+            + "".join(f"col e{i} 1 0\n" for i in (1, 2, 3))
+            + "col e4 2 1\ncol e5 1 1\ncol e6 1 1\n"
+        )
+        code = main(["analyze-arrangement", str(f), "--json"])
+        sheared = json.loads(capsys.readouterr().out)
+        assert code == 0
+        assert sheared["arrangement"]["totallyUnimodular"] is True
+        assert main(["analyze-arrangement", str(data_path("house.arr")), "--json"]) == 0
+        house = json.loads(capsys.readouterr().out)
+        for key in ("pointCount", "qDims", "grDims", "saturationIndices", "izHilbert", "topDegree"):
+            assert sheared[key] == house[key]
+        signs = [sorted((c["dPlus"], c["dMinus"]) for c in r["cocircuits"]) for r in (sheared, house)]
+        assert signs[0] == signs[1]
 
-    def test_assume_tu_allows_large_input(self, tmp_path, capsys):
+    def test_thirteen_columns_pass(self, tmp_path, capsys):
         f = tmp_path / "big.arr"
-        cols = "".join(f"col a{i} 1\n" for i in range(13))
-        f.write_text("rank 1\n" + cols)
-        code = main(["analyze-arrangement", str(f), "--assume-tu", "--json"])
+        f.write_text("rank 1\n" + "".join(f"col a{i} 1\n" for i in range(13)))
+        code = main(["analyze-arrangement", str(f), "--json"])
         report = json.loads(capsys.readouterr().out)
         assert code == 0
-        assert report["arrangement"]["totallyUnimodular"] == "assumed"
+        assert report["arrangement"]["totallyUnimodular"] is True
         assert report["grDims"] == [1] * 12
 
-    def test_assume_tu_still_catches_bad_pairings(self, tmp_path):
-        f = tmp_path / "notreally.arr"
+    def test_thirteen_twos_exit_five(self, tmp_path):
+        f = tmp_path / "twos.arr"
         f.write_text("rank 1\n" + "".join(f"col a{i} 2\n" for i in range(13)))
-        assert main(["analyze-arrangement", str(f), "--assume-tu"]) == 5
+        assert main(["analyze-arrangement", str(f)]) == 5
+
+    def test_size_cap_exits_before_cocircuits(self, tmp_path):
+        # a rank-10 network matrix with 21 columns: the identity plus 11
+        # interval columns, past the Tutte polynomial's 20-column cap
+        intervals = [(i, i + 1) for i in range(9)] + [(0, 9), (2, 6)]
+        cols = [[int(i == j) for i in range(10)] for j in range(10)]
+        cols += [[int(lo <= i <= hi) for i in range(10)] for lo, hi in intervals]
+        f = tmp_path / "network.arr"
+        f.write_text(
+            "rank 10\n" + "".join(f"col a{j} {' '.join(map(str, c))}\n" for j, c in enumerate(cols))
+        )
+        prof = cProfile.Profile()
+        assert prof.runcall(main, ["analyze-arrangement", str(f)]) == 3
+        code = enumerate_cocircuits.__code__
+        key = (code.co_filename, code.co_firstlineno, code.co_name)
+        assert key not in pstats.Stats(prof).stats
 
 
 class TestRandomSuite:

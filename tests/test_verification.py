@@ -54,7 +54,7 @@ class TestInstanceChecks:
 
 class TestSuite:
     def test_small_suite_passes(self):
-        summary = run_suite(SuiteConfig(seed=2, count=15, max_edges=6, exactness_instances=3))
+        summary = run_suite(SuiteConfig(seed=2, count=15, max_edges=6))
         assert summary.ok
         assert summary.passes == 15
         assert summary.first_failure is None
