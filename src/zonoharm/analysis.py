@@ -157,6 +157,23 @@ class Analysis:
     def su2(self) -> tuple:
         return su2_poincare_polynomial(self.graph)
 
+    def minors(self, element) -> tuple:
+        """Contexts of the deletion and the contraction of a non-loop,
+        non-coloop element, with ``bars``: the image in the contraction's
+        lattice of each of this context's points, in order.
+        """
+        loops, coloops = self.loops_and_coloops
+        if element in loops or element in coloops:
+            raise LoopOrColoopError(f"{element!r} is a loop or coloop")
+        va, cocs = self.va, self.cocircuits
+        ctx_del = Analysis(deletion(va, element), cocircuits=deletion_cocircuits(va, element, cocs))
+        va_con, transform, inverse = contraction_data(va, element)
+        ctx_con = Analysis(
+            va_con, cocircuits=contraction_cocircuits(va, element, cocs, va_con, inverse)
+        )
+        bars = [tuple(transform.matvec(z)[1:]) for z in self.points.points]
+        return ctx_del, ctx_con, bars
+
     def deletion_contraction(self, element, check_exactness: bool = True) -> DeletionContractionReport:
         """Point-set bijection, dimension additivity, and exactness ranks.
 
@@ -169,18 +186,8 @@ class Analysis:
         are computed from them, never mapped, so the bijection test is not
         vacuous.  The two minor contexts are dropped when the element is done.
         """
-        loops, coloops = self.loops_and_coloops
-        if element in loops or element in coloops:
-            raise LoopOrColoopError(f"{element!r} is a loop or coloop")
-        va, cocs = self.va, self.cocircuits
-        ctx_del = Analysis(deletion(va, element), cocircuits=deletion_cocircuits(va, element, cocs))
-        va_con, transform, inverse = contraction_data(va, element)
-        ctx_con = Analysis(
-            va_con, cocircuits=contraction_cocircuits(va, element, cocs, va_con, inverse)
-        )
-
+        ctx_del, ctx_con, bars = self.minors(element)
         pts = self.points.points
-        bars = [tuple(transform.matvec(z)[1:]) for z in pts]
         del_pts = set(ctx_del.points.points)
         images = [zbar for z, zbar in zip(pts, bars) if z not in del_pts]
         bijection_ok = (
@@ -223,7 +230,11 @@ def deletion_contraction_check(
 def _exactness_ranks(ctx: Analysis, ctx_del: Analysis, ctx_con: Analysis, element, bars) -> bool:
     """im(pullback) = ker(difference) and surjectivity, via evaluation vectors.
 
-    ``bars[k]`` is the image in the contraction's lattice of the k-th point.
+    Each filtered piece is represented by the q_dim canonical rows of its
+    integral lattice, which span the same rational space as all of its
+    binomial-product evaluation rows, so every rank below tests the same
+    statement over Q on fewer rows.  ``bars[k]`` is the image in the
+    contraction's lattice of the k-th point.
     """
     h, h_del, h_con = ctx.full_harmonics, ctx_del.harmonics, ctx_con.harmonics
     col = ctx.va.column(element)
@@ -247,8 +258,8 @@ def _exactness_ranks(ctx: Analysis, ctx_del: Analysis, ctx_con: Analysis, elemen
     n = h.point_count
     m = len(ctx_del.points)
     for i in range(max(h.top_degree, h_con.top_degree, h_del.top_degree + 1) + 1):
-        rows = h.eval_rows_up_to(i)
-        rows_con = h_con.eval_rows_up_to(i)
+        rows = h.basis_up_to(i)
+        rows_con = h_con.basis_up_to(i)
         # pullback of contraction functions along the bar map
         xi_rows = [tuple(f[bar_idx[k]] for k in range(n)) for f in rows_con]
         if rank(Mat.from_rows(xi_rows, cols=n)) != h_con.q_dim(i):
@@ -259,7 +270,7 @@ def _exactness_ranks(ctx: Analysis, ctx_del: Analysis, ctx_con: Analysis, elemen
         # difference operator into functions on the deletion's points
         d_rows = [tuple(f[b] - f[a] for a, b in shift_idx) for f in rows]
         if m:
-            rows_del = h_del.eval_rows_up_to(i - 1)
+            rows_del = h_del.basis_up_to(i - 1)
             if rank(Mat.from_rows(d_rows, cols=m)) != h_del.q_dim(i - 1):
                 return False  # difference map not surjective
             joined_del = rank(Mat.from_rows(list(rows_del) + d_rows, cols=m))

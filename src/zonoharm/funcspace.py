@@ -9,8 +9,10 @@ enumerated in graded-lexicographic order so evaluation matrices are stable.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from itertools import combinations
 from math import factorial
+from operator import mul
 
 from .errors import EmptyPointSetError
 from .linalg import Mat
@@ -90,6 +92,37 @@ def exponents_of_degree(r: int, d: int):
         out.append(tuple(comp))
     out.sort(key=lambda e: tuple(-x for x in e))
     yield from out
+
+
+def binomial_product_rows(points, r: int):
+    """Yield, degree by degree, the binomial products of that degree with their
+    evaluation rows on ``points``: a list of (BinomialProduct, row) pairs in the
+    order of ``exponents_of_degree``.
+
+    Each coordinate keeps a table of rows C(p_j, i) over the points, extended
+    by one degree per step through C(x, i) = C(x, i-1) * (x - i + 1) / i (an
+    exact division for every integer x), so a row is the entrywise product of
+    at most r table rows.  The generator is endless; stop it when done.
+    """
+    pts = tuple(points)
+    ones = (1,) * len(pts)
+    tables = [[ones] for _ in range(r)]  # tables[j][i][k] == binom_int(pts[k][j], i)
+    degree = 0
+    while True:
+        if degree:
+            for j, table in enumerate(tables):
+                table.append(tuple(v * (p[j] - degree + 1) // degree for v, p in zip(table[-1], pts)))
+        block = []
+        for exps in exponents_of_degree(r, degree):
+            factors = [tables[j][i] for j, i in enumerate(exps) if i]
+            row = reduce(_entrywise_product, factors) if factors else ones
+            block.append((BinomialProduct(exps), row))
+        yield block
+        degree += 1
+
+
+def _entrywise_product(a: tuple, b: tuple) -> tuple:
+    return tuple(map(mul, a, b))
 
 
 def graded_exponents_up_to(r: int, d: int) -> list:

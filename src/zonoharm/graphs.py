@@ -229,21 +229,27 @@ def _nonforest_ids(g: DirectedGraph) -> tuple:
 
 
 def theta_subgraphs(g: DirectedGraph, cycles=None) -> tuple:
-    """Unordered cycle triples whose classes admit signs summing to zero."""
+    """Unordered cycle triples whose classes admit signs summing to zero.
+
+    v_i + s v_j + t v_k = 0 means v_k = -t (v_i + s v_j), so each pair i < j
+    and sign s looks its sum up among the classes and their negations.  The
+    triples come out sorted by their indices (i, j, k) in ``cycles``.
+    """
     if cycles is None:
         cycles = enumerate_oriented_cycles(g)
-    triples = []
-    for i, j, k in combinations(range(len(cycles)), 3):
-        vi, vj, vk = (cycles[x].class_vector for x in (i, j, k))
-        for sj in (1, -1):
-            for sk in (1, -1):
-                if all(a + sj * b + sk * c == 0 for a, b, c in zip(vi, vj, vk)):
-                    triples.append((cycles[i], cycles[j], cycles[k]))
-                    break
-            else:
-                continue
-            break
-    return tuple(triples)
+    vecs = [c.class_vector for c in cycles]
+    where: dict = {}  # class vector or its negation -> indices of the cycles
+    for k, v in enumerate(vecs):
+        where.setdefault(v, []).append(k)
+        where.setdefault(tuple(-x for x in v), []).append(k)
+    found = set()
+    for i, j in combinations(range(len(vecs)), 2):
+        vi, vj = vecs[i], vecs[j]
+        for s in (1, -1):
+            for k in where.get(tuple(a + s * b for a, b in zip(vi, vj)), ()):
+                if k > j:
+                    found.add((i, j, k))
+    return tuple((cycles[i], cycles[j], cycles[k]) for i, j, k in sorted(found))
 
 
 @dataclass(frozen=True)

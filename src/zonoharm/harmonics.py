@@ -7,6 +7,12 @@ integer-valued polynomials).  This module computes both, compares the
 integral lattice with its saturation degree by degree, builds the associated
 graded pieces with their divided-power operations.
 
+The saturation of each degree's lattice L in Z^n is certified where it can
+be: when every pivot of the canonical row form of L is 1, Z^n / L is free, so
+L is saturated (index 1) and its canonical rows are the saturated rows.
+Otherwise the index comes from the Smith form and the saturated rows from two
+integer kernels, so a lattice that is not saturated is still reported.
+
 The per-degree lattice bases double as Rees-algebra data; the weight
 attached to degree i is i itself (a topological grading would double it).
 """
@@ -18,7 +24,7 @@ from math import factorial
 
 from .arrangement import VectorArrangement, interior_lattice_points
 from .errors import DegreeOverflowError, NotIntegralError
-from .funcspace import BinomialProduct, binom_int, binomial_products_up_to, exponents_of_degree
+from .funcspace import binom_int, binomial_product_rows, binomial_products_up_to
 from .graphs import tutte_of_arrangement
 from .linalg import (
     IntRowLattice,
@@ -69,6 +75,12 @@ class Harmonics:
     """Filtration data for one arrangement, computed once and shared.
 
     Pass the arrangement's interior points when they are already known.
+    Degree by degree, the evaluation rows of the binomial products (built
+    from per-coordinate tables, see ``binomial_product_rows``) are added to
+    one integer row lattice.  A degree whose canonical rows all have pivot 1
+    gets saturation index 1 and its canonical rows as saturated rows, with
+    no Smith form or kernel; any other degree falls back to
+    ``saturation_index`` and ``saturation``.
     """
 
     def __init__(self, va: VectorArrangement, max_degree: int | None = None, points=None):
@@ -89,12 +101,9 @@ class Harmonics:
             self.top_degree = 0
             return
         lattice = IntRowLattice(n)
-        r = va.lattice_rank
-        degree = 0
-        while True:
-            for exps in exponents_of_degree(r, degree):
-                f = BinomialProduct(exps)
-                row = tuple(f.evaluate(p) for p in self.points.points)
+        blocks = binomial_product_rows(self.points.points, va.lattice_rank)
+        for degree, block in enumerate(blocks):
+            for f, row in block:
                 self.functions.append(f)
                 self.eval_rows.append(row)
                 lattice.add(row)
@@ -102,10 +111,15 @@ class Harmonics:
             self.q_dims.append(lattice.rank)
             rows = lattice.canonical_rows()
             self.lattice_rows.append(rows)
-            basis_cols = Mat.from_rows(rows, cols=n).transpose()
-            self.saturation_indices.append(saturation_index(basis_cols, n))
-            sat = saturation(basis_cols)
-            self._saturated_rows.append(tuple(tuple(x) for x in sat.transpose().row_list()))
+            if all(row[c] == 1 for row, c in zip(rows, lattice.pivot_cols)):
+                # unit pivots: Z^n / L is free, so L is its own saturation
+                self.saturation_indices.append(1)
+                self._saturated_rows.append(rows)
+            else:
+                basis_cols = Mat.from_rows(rows, cols=n).transpose()
+                self.saturation_indices.append(saturation_index(basis_cols, n))
+                sat = saturation(basis_cols)
+                self._saturated_rows.append(tuple(tuple(x) for x in sat.transpose().row_list()))
             if lattice.rank == n:
                 self.top_degree = degree
                 break
@@ -113,7 +127,6 @@ class Harmonics:
                 self.top_degree = degree
                 self.truncated = True
                 break
-            degree += 1
 
     # -- basic accessors -------------------------------------------------
 
@@ -128,6 +141,12 @@ class Harmonics:
             return []
         degree = min(degree, self.top_degree)
         return self.eval_rows[: self._degree_offsets[degree + 1]]
+
+    def basis_up_to(self, degree: int) -> tuple:
+        """Canonical basis rows of the degree-<=i lattice; they span its Q-space."""
+        if self.point_count == 0 or degree < 0:
+            return ()
+        return self.lattice_rows[min(degree, self.top_degree)]
 
     def q_dim(self, degree: int) -> int:
         """Rational dimension of the degree-<=i filtered piece (extended)."""

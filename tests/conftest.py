@@ -5,6 +5,7 @@ import pytest
 from hypothesis import settings
 
 from zonoharm.formats import parse_arrangement, parse_graph
+from zonoharm.graphs import Arrow, DirectedGraph
 
 settings.register_profile("zonoharm", deadline=None)
 settings.load_profile("zonoharm")
@@ -29,3 +30,11 @@ def rng():
 
 def data_path(name: str) -> Path:
     return DATA / name
+
+
+def wheel_graph(k: int) -> DirectedGraph:
+    """The wheel W_k: a hub joined by k spokes (arrows 1..k) to a k-cycle rim."""
+    rim = [f"r{i}" for i in range(k)]
+    ends = [("h", v) for v in rim] + [(rim[i], rim[(i + 1) % k]) for i in range(k)]
+    arrows = tuple(Arrow(ident=i, tail=t, head=h) for i, (t, h) in enumerate(ends, start=1))
+    return DirectedGraph(vertices=("h", *rim), arrows=arrows)

@@ -2,7 +2,7 @@
 
 from itertools import combinations
 
-from zonoharm.linalg import det
+from zonoharm.linalg import Mat, det, rank
 
 
 def violating_minor(va):
@@ -21,3 +21,60 @@ def violating_minor(va):
                 if d not in (-1, 0, 1):
                     return rsel, tuple(va.ground[j] for j in csel), d
     return None
+
+
+def theta_triples(cycles):
+    """Cycle triples whose classes admit signs summing to zero, by trying every triple."""
+    triples = []
+    for i, j, k in combinations(range(len(cycles)), 3):
+        vi, vj, vk = (cycles[x].class_vector for x in (i, j, k))
+        if any(
+            all(a + sj * b + sk * c == 0 for a, b, c in zip(vi, vj, vk))
+            for sj in (1, -1)
+            for sk in (1, -1)
+        ):
+            triples.append((cycles[i], cycles[j], cycles[k]))
+    return tuple(triples)
+
+
+def exactness_on_eval_rows(ctx, ctx_del, ctx_con, element, bars):
+    """The deletion/contraction exactness ranks on every binomial-product
+    evaluation row of each filtered piece, not only on a basis of it.
+
+    Same arguments and verdict as ``analysis._exactness_ranks``.
+    """
+    h, h_del, h_con = ctx.full_harmonics, ctx_del.harmonics, ctx_con.harmonics
+    col = ctx.va.column(element)
+    index = ctx.points.index_map()
+    shift_idx = []
+    for z in ctx_del.points.points:
+        zs = tuple(a + b for a, b in zip(z, col))
+        if z not in index or zs not in index:
+            return False
+        shift_idx.append((index[z], index[zs]))
+    con_index = ctx_con.points.index_map()
+    if any(zbar not in con_index for zbar in bars):
+        return False
+    bar_idx = [con_index[zbar] for zbar in bars]
+
+    n = h.point_count
+    m = len(ctx_del.points)
+    for i in range(max(h.top_degree, h_con.top_degree, h_del.top_degree + 1) + 1):
+        rows = h.eval_rows_up_to(i)
+        xi_rows = [tuple(f[bar_idx[k]] for k in range(n)) for f in h_con.eval_rows_up_to(i)]
+        if rank(Mat.from_rows(xi_rows, cols=n)) != h_con.q_dim(i):
+            return False
+        if rank(Mat.from_rows(list(rows) + xi_rows, cols=n)) != h.q_dim(i):
+            return False
+        d_rows = [tuple(f[b] - f[a] for a, b in shift_idx) for f in rows]
+        if m:
+            rows_del = h_del.eval_rows_up_to(i - 1)
+            if rank(Mat.from_rows(d_rows, cols=m)) != h_del.q_dim(i - 1):
+                return False
+            if rank(Mat.from_rows(list(rows_del) + d_rows, cols=m)) != h_del.q_dim(i - 1):
+                return False
+            if any(f[b] - f[a] for f in xi_rows for a, b in shift_idx):
+                return False
+        if h.q_dim(i) != h_con.q_dim(i) + h_del.q_dim(i - 1):
+            return False
+    return True

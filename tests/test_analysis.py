@@ -1,16 +1,20 @@
-"""The analysis context computes each quantity once per arrangement."""
+"""The analysis context computes each quantity once; exactness ranks match their oracle."""
 
 import cProfile
 import pstats
+import random
 
 import pytest
 
-from zonoharm.analysis import Analysis
+from conftest import data_path, wheel_graph
+from oracles import exactness_on_eval_rows
+from zonoharm.analysis import Analysis, _exactness_ranks
 from zonoharm.arrangement import enumerate_cocircuits
+from zonoharm.formats import parse_graph
 from zonoharm.graphs import Arrow, DirectedGraph, cographical_arrangement, tutte_of_arrangement
 from zonoharm.harmonics import Harmonics
 from zonoharm.report import build_graph_report
-from zonoharm.verification import run_instance_checks
+from zonoharm.verification import random_connected_multigraph, run_instance_checks
 
 
 def complete_graph_k4() -> DirectedGraph:
@@ -46,3 +50,43 @@ def test_each_quantity_once_per_arrangement(run):
     assert _calls(stats, enumerate_cocircuits) == 1
     assert _calls(stats, tutte_of_arrangement) == 1
 
+
+def _exactness_both_ways(ctx: Analysis, element, bars=None) -> tuple:
+    """The exactness verdict on basis rows and on all evaluation rows."""
+    ctx_del, ctx_con, own_bars = ctx.minors(element)
+    args = (ctx, ctx_del, ctx_con, element, own_bars if bars is None else bars)
+    return _exactness_ranks(*args), exactness_on_eval_rows(*args)
+
+
+def _graph_contexts():
+    for name in ("cycle4", "house", "selfloop", "theta"):
+        yield name, Analysis(cographical_arrangement(parse_graph(data_path(f"{name}.graph").read_text())))
+    yield "K4", Analysis(cographical_arrangement(complete_graph_k4()))
+    yield "W4", Analysis(cographical_arrangement(wheel_graph(4)))
+    rng = random.Random(1)
+    for i in range(12):
+        yield f"suite{i}", Analysis(cographical_arrangement(random_connected_multigraph(rng, 9)))
+
+
+def test_exactness_on_basis_rows_matches_all_rows():
+    checked = 0
+    for name, ctx in _graph_contexts():
+        if not ctx.points.points:
+            continue
+        for a in ctx.usable:
+            assert _exactness_both_ways(ctx, a) == (True, True), (name, a)
+            checked += 1
+    assert checked >= 40
+
+
+def test_exactness_fails_on_swapped_bars(house_graph):
+    # two points with different images in the contraction trade images: the
+    # pullback no longer factors through the quotient, so exactness fails
+    ctx = Analysis(cographical_arrangement(house_graph))
+    assert len(ctx.usable) == 6
+    for a in ctx.usable:
+        _, _, bars = ctx.minors(a)
+        k = next(k for k in range(1, len(bars)) if bars[k] != bars[0])
+        swapped = [bars[k], *bars[1:k], bars[0], *bars[k + 1 :]]
+        assert _exactness_both_ways(ctx, a) == (True, True)
+        assert _exactness_both_ways(ctx, a, swapped) == (False, False)

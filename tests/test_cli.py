@@ -6,9 +6,10 @@ import sys
 
 import pytest
 
-from conftest import data_path
+from conftest import data_path, wheel_graph
 from zonoharm.arrangement import enumerate_cocircuits
 from zonoharm.cli import main
+from zonoharm.formats import serialize_graph
 from zonoharm.report import _stringify_big_ints, to_json_bytes
 
 
@@ -45,6 +46,16 @@ class TestAnalyzeGraph:
         assert report["pointCount"] == 0
         assert report["izHilbert"] == []
         assert report["pass"] is True
+
+    def test_wheel_six(self, capsys, tmp_path):
+        path = tmp_path / "wheel6.graph"
+        path.write_text(serialize_graph(wheel_graph(6)))
+        code = main(["analyze-graph", str(path), "--json"])
+        report = json.loads(capsys.readouterr().out)
+        assert code == 0
+        assert report["pass"] is True
+        assert report["pointCount"] == 62
+        assert report["grDims"] == [1, 6, 15, 20, 15, 5]
 
     def test_parse_error_exit_code(self, tmp_path):
         bad = tmp_path / "bad.graph"

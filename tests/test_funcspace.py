@@ -10,6 +10,7 @@ from zonoharm.funcspace import (
     BinomialProduct,
     Monomial,
     binom_int,
+    binomial_product_rows,
     binomial_products_up_to,
     evaluate,
     monomials_up_to,
@@ -130,3 +131,27 @@ class TestProperties:
             binom_int(alpha[0] * p[0] + alpha[1] * p[1], m) for p in grid.points
         )
         assert solve_row_lattice(basis, target) is not None
+
+
+class TestTabledRows:
+    @given(
+        st.integers(0, 3).flatmap(
+            lambda r: st.lists(
+                st.tuples(*[st.integers(-6, 6)] * r), min_size=0, max_size=6
+            ).map(lambda pts: (r, pts))
+        ),
+        st.integers(0, 7),
+    )
+    @settings(max_examples=60)
+    def test_rows_equal_pointwise_evaluation(self, r_pts, top):
+        # coordinates as low as -6 and degrees up to 7, above every coordinate
+        r, pts = r_pts
+        blocks = binomial_product_rows(pts, r)
+        listed = []
+        for degree in range(top + 1):
+            block = next(blocks)
+            assert all(f.degree == degree for f, _ in block)
+            for f, row in block:
+                assert row == tuple(f.evaluate(p) for p in pts)
+            listed.extend(f for f, _ in block)
+        assert listed == binomial_products_up_to(r, top)

@@ -23,6 +23,8 @@ CASES = [
     (f"graph_{name}.txt", 0, ["analyze-graph", f"{name}.graph"])
     for name in ("cycle4", "house", "selfloop", "theta")
 ] + [
+    # text only for W7: its JSON report is 167 KB, mostly theta triples
+    ("graph_wheel7.txt", 0, ["analyze-graph", "wheel7.graph"]),
     ("arr_house.json", 0, ["analyze-arrangement", "house.arr", "--json"]),
     ("graph_house_maxdeg1.json", 4, ["analyze-graph", "house.graph", "--json", "--max-degree", "1"]),
     ("suite_seed7_count5.json", 0, ["random-suite", "--seed", "7", "--count", "5", "--json"]),

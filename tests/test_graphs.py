@@ -3,7 +3,7 @@ from itertools import combinations
 
 from hypothesis import given, settings
 
-from oracles import violating_minor
+from oracles import theta_triples, violating_minor
 from strategies import connected_multigraphs
 from zonoharm.arrangement import interior_lattice_points
 from zonoharm.graphs import (
@@ -212,6 +212,17 @@ class TestThetaSubgraphs:
     def test_theta_graph(self):
         g = graph(2, [(1, 2), (1, 2), (2, 1)])
         assert len(theta_subgraphs(g)) == 1
+
+    def test_complete_graph_k5(self):
+        g = graph(5, list(combinations(range(1, 6), 2)))
+        cycles = enumerate_oriented_cycles(g)
+        assert theta_subgraphs(g, cycles) == theta_triples(cycles)
+
+    @given(connected_multigraphs(max_edges=8))
+    @settings(max_examples=60)
+    def test_matches_triple_oracle(self, g):
+        cycles = enumerate_oriented_cycles(g)
+        assert theta_subgraphs(g, cycles) == theta_triples(cycles)
 
 
 class TestTutte:

@@ -3,9 +3,11 @@ import random
 import pytest
 from hypothesis import given, settings
 
+from conftest import wheel_graph
 from strategies import connected_multigraphs
-from zonoharm.analysis import deletion_contraction_check
-from zonoharm.arrangement import VectorArrangement, interior_lattice_points
+from zonoharm import harmonics, linalg
+from zonoharm.analysis import CHECKS, Analysis, deletion_contraction_check
+from zonoharm.arrangement import LatticePointSet, VectorArrangement, interior_lattice_points
 from zonoharm.errors import DegreeOverflowError, LoopOrColoopError
 from zonoharm.funcspace import binom_int
 from zonoharm.graphs import cographical_arrangement, su2_poincare_polynomial
@@ -18,7 +20,7 @@ from zonoharm.harmonics import (
     rees_data,
     verify_saturation,
 )
-from zonoharm.linalg import Mat, saturation_index, solve_row_lattice
+from zonoharm.linalg import Mat, saturation, saturation_index, solve_row_lattice
 
 
 def cycle_arrangement(k):
@@ -79,6 +81,41 @@ class TestSaturationVerdict:
         # the degree-1 evaluation lattice has index 2 in its saturation
         rows = [(1, 1), (0, 2)]  # values of 1 and x on {0, 2}
         assert saturation_index(Mat.from_rows(rows).transpose(), 2) == 2
+
+    def test_non_unit_pivot_takes_the_smith_path(self):
+        # the degree-1 lattice of {0, 2} has canonical rows (1, 1), (0, 2):
+        # pivot 2 certifies nothing, so the index comes from the Smith form
+        va = cycle_arrangement(3)
+        pts = LatticePointSet(((0,), (2,)))
+        h = Harmonics(va, points=pts)
+        assert h.lattice_rows == [((1, 1),), ((1, 1), (0, 2))]
+        assert h.saturation_indices == [1, 2]
+        assert h.saturated_rows(1) == ((1, 0), (0, 1))
+        ctx = Analysis(va)
+        ctx.points = pts
+        (check,) = [c for c in CHECKS if c.name == "saturation"]
+        assert check.passed(check.run(ctx)) is False
+
+    def test_wheel_certified_without_smith_or_saturation(self, monkeypatch):
+        calls = []
+
+        def counted(module, name):
+            fn = getattr(module, name)
+
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return fn(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, wrapper)
+
+        for module in (harmonics, linalg):
+            for name in ("smith_divisors", "saturation_index", "saturation"):
+                counted(module, name)
+        ctx = Analysis(cographical_arrangement(wheel_graph(5)))
+        assert ctx.harmonics.saturation_indices == [1] * 5
+        for a in ctx.usable:
+            assert ctx.deletion_contraction(a, check_exactness=False).ok
+        assert calls == []
 
 
 class TestHilbertSeries:
@@ -239,6 +276,14 @@ class TestInvariants:
     def test_saturation_everywhere(self, g):
         rep = compute_filtration(cographical_arrangement(g))
         assert all(ix == 1 for ix in rep.saturation_indices)
+
+    @given(connected_multigraphs(max_edges=7))
+    @settings(max_examples=30)
+    def test_saturated_rows_equal_saturation(self, g):
+        h = Harmonics(cographical_arrangement(g))
+        for i, rows in enumerate(h.lattice_rows):
+            sat = saturation(Mat.from_rows(rows, cols=h.point_count).transpose())
+            assert h.saturated_rows(i) == tuple(map(tuple, sat.transpose().row_list()))
 
     @given(connected_multigraphs(max_edges=5))
     @settings(max_examples=15)
