@@ -44,7 +44,7 @@ def main():
     rep = ctx.report()
     print("qDims:", rep.q_dims, " grDims:", rep.gr_dims, " saturation:", rep.saturation_indices)
     print("izHilbert:", iz_hilbert_series(matrix))
-    print("rees ranks:", [(i, hf.basis.cols) for i, hf in rees_data(ctx)])
+    print("rees ranks:", [(i, len(rows)) for i, rows in rees_data(ctx)])
 
     print("\n== ideal layer ==")
     for g in k_minus_generators(matrix):
@@ -54,10 +54,10 @@ def main():
 
     print("\n== divided powers on the first coordinate class ==")
     e = ctx.coordinate_class(0)
-    print("eta values:", ctx.eval_vector(e))
+    print("eta values:", e.values)
     for m in (2, 3):
         em = divided_power(ctx, e, m)
-        print(f"e^[{m}] values:", ctx.eval_vector(em), " residue:", em.residue)
+        print(f"e^[{m}] values:", em.values)
 
 
 if __name__ == "__main__":

@@ -295,9 +295,6 @@ class BivariatePolynomial:
         return {j: c for ii, j, c in self.terms if ii == i}
 
 
-_TUTTE_MEMO: dict = {}
-
-
 def _components_count(n: int, edges) -> int:
     parent = list(range(n))
 
@@ -358,9 +355,9 @@ def _canonical_key(n: int, edges: tuple):
     return tuple(sorted(tuple(sorted((relabel[u], relabel[v]))) for u, v in edges))
 
 
-def _tutte_edges(n: int, edges: tuple) -> BivariatePolynomial:
+def _tutte_edges(n: int, edges: tuple, memo: dict) -> BivariatePolynomial:
     key = _canonical_key(n, edges)
-    hit = _TUTTE_MEMO.get(key)
+    hit = memo.get(key)
     if hit is not None:
         return hit
     loops = sum(1 for u, v in edges if u == v)
@@ -385,22 +382,25 @@ def _tutte_edges(n: int, edges: tuple) -> BivariatePolynomial:
         con_edges = tuple(
             tuple(sorted((u if a == v else a, u if b == v else b))) for a, b in keep
         )
-        poly = _tutte_edges(n, del_edges) + _tutte_edges(n, con_edges)
-    _TUTTE_MEMO[key] = poly
+        poly = _tutte_edges(n, del_edges, memo) + _tutte_edges(n, con_edges, memo)
+    memo[key] = poly
     return poly
 
 
 def tutte_polynomial(g: DirectedGraph) -> BivariatePolynomial:
-    """Tutte polynomial via deletion-contraction with memoization."""
+    """Tutte polynomial via deletion-contraction, memoized within this call."""
     vindex = {v: i for i, v in enumerate(g.vertices)}
     edges = tuple(tuple(sorted((vindex[a.tail], vindex[a.head]))) for a in g.arrows)
-    return _tutte_edges(len(g.vertices), edges)
+    return _tutte_edges(len(g.vertices), edges, {})
 
 
-def su2_poincare_polynomial(g: DirectedGraph) -> tuple:
+def su2_poincare_polynomial(g: DirectedGraph, tutte=None) -> tuple:
     """Coefficients of t^rank * T(1/t, 0), the Poincare polynomial of the
-    SU(2) graphical configuration space; empty tuple for the zero polynomial."""
-    t = tutte_polynomial(g)
+    SU(2) graphical configuration space; empty tuple for the zero polynomial.
+
+    Pass the graph's Tutte polynomial when it is already known.
+    """
+    t = tutte_polynomial(g) if tutte is None else tutte
     rk = graph_rank(g)
     xs = t.x_slice(0)  # {i: coeff of x^i y^0}
     coeffs = [xs.get(rk - m, 0) for m in range(rk + 1)]

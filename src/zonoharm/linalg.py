@@ -5,10 +5,10 @@ computed fraction-free (Bareiss).  Ranks of matrices whose smaller side is
 below MODULAR_MIN_SIDE use Bareiss too; larger ones are ranked modulo the
 prime P and certified exactly: every kernel vector of the echelon form mod P
 is lifted to Q and checked against every row over Z, and any failure falls
-back to Bareiss (see ``rank``).  Hermite forms are canonical column-style
-forms of column lattices, and elementary divisors come from the Smith form.
-Matrices are desk-scale; the Smith form enforces an explicit size cap
-instead of trying to be clever.
+back to Bareiss (see ``rank``).  Lattices are held as canonical row-style
+Hermite forms, and elementary divisors come from the Smith form.  Matrices
+are desk-scale; the Smith form enforces an explicit size cap instead of
+trying to be clever.
 """
 
 from __future__ import annotations
@@ -97,22 +97,6 @@ class Mat:
             for c in cols:
                 data.append(sum(a * b for a, b in zip(r, c)))
         return Mat(self.rows, other.cols, tuple(data))
-
-
-@dataclass(frozen=True)
-class HermiteForm:
-    """Column-style Hermite normal form of a column lattice.
-
-    ``basis`` has one column per lattice basis vector; ``pivots[c]`` is the row
-    of column c's pivot.  Pivot entries are positive and entries to the left of
-    a pivot in its row are reduced into ``[0, pivot)``.  ``elementary_divisors``
-    are the nonzero invariant factors of the same lattice (Smith form), each
-    dividing the next.
-    """
-
-    basis: Mat
-    pivots: tuple
-    elementary_divisors: tuple
 
 
 def xgcd(a: int, b: int):
@@ -385,12 +369,10 @@ def row_hnf(rows, ncols: int, transform: bool = False):
     return hnf, tuple(pivot_cols)
 
 
-def smith_divisors(m, transform: bool = False):
+def smith_divisors(m):
     """Nonzero elementary divisors d_1 | d_2 | ... of an integer matrix.
 
-    With ``transform``, returns (divisors, U) where U (as rows) is unimodular
-    and U * m * V = diag(divisors) for some untracked unimodular V.  Inputs
-    with max dimension above SMITH_MAX_DIM are rejected.
+    Inputs with max dimension above SMITH_MAX_DIM are rejected.
     """
     rows = [[int(x) for x in r] for r in _rows_of(m)]
     nr = len(rows)
@@ -398,7 +380,6 @@ def smith_divisors(m, transform: bool = False):
     if max(nr, nc, 0) > SMITH_MAX_DIM:
         raise SizeExceededError(f"smith form limited to dimension {SMITH_MAX_DIM}")
     a = rows
-    U = [[1 if i == j else 0 for j in range(nr)] for i in range(nr)] if transform else None
     t = 0
     limit = min(nr, nc)
     while t < limit:
@@ -414,8 +395,6 @@ def smith_divisors(m, transform: bool = False):
             break
         i0, j0 = pos
         a[t], a[i0] = a[i0], a[t]
-        if U is not None:
-            U[t], U[i0] = U[i0], U[t]
         for row in a:
             row[t], row[j0] = row[j0], row[t]
         # clear row and column t
@@ -425,12 +404,8 @@ def smith_divisors(m, transform: bool = False):
                 if a[i][t]:
                     q = a[i][t] // a[t][t]
                     a[i] = [x - q * y for x, y in zip(a[i], a[t])]
-                    if U is not None:
-                        U[i] = [x - q * y for x, y in zip(U[i], U[t])]
                     if a[i][t]:
                         a[t], a[i] = a[i], a[t]
-                        if U is not None:
-                            U[t], U[i] = U[i], U[t]
                         dirty = True
             for j in range(t + 1, nc):
                 if a[t][j]:
@@ -454,27 +429,11 @@ def smith_divisors(m, transform: bool = False):
                 break
         if bad is not None:
             a[t] = [x + y for x, y in zip(a[t], a[bad])]
-            if U is not None:
-                U[t] = [x + y for x, y in zip(U[t], U[bad])]
             continue
         if a[t][t] < 0:
             a[t] = [-x for x in a[t]]
-            if U is not None:
-                U[t] = [-x for x in U[t]]
         t += 1
-    divisors = tuple(a[i][i] for i in range(t))
-    if transform:
-        return divisors, [tuple(u) for u in U]
-    return divisors
-
-
-def hermite_normal_form(m) -> HermiteForm:
-    """Column-style HNF of the column lattice, with its elementary divisors."""
-    mat = m if isinstance(m, Mat) else Mat.from_rows(_rows_of(m))
-    hnf_rows, pivot_cols = row_hnf(mat.transpose().row_list(), mat.rows)
-    basis = Mat.from_rows(hnf_rows, cols=mat.rows).transpose()
-    divisors = smith_divisors(basis) if basis.cols else ()
-    return HermiteForm(basis=basis, pivots=pivot_cols, elementary_divisors=divisors)
+    return tuple(a[i][i] for i in range(t))
 
 
 def integer_kernel(m) -> Mat:
@@ -506,36 +465,22 @@ def saturation_index(m, ambient_rank: int) -> int:
     return idx
 
 
-def solve_row_lattice(gen_rows, target):
-    """Integer coefficients expressing target in the row lattice, or None.
+def in_row_lattice(echelon_rows, vec) -> bool:
+    """True iff the integer vector lies in the row lattice of ``echelon_rows``.
 
-    ``sum(c[i] * gen_rows[i]) == target`` with integer c when solvable.
+    The rows must be in echelon form: each row's first nonzero entry lies
+    strictly to the right of the previous row's, as in ``row_hnf`` or
+    ``IntRowLattice.canonical_rows``.
     """
-    gen_rows = [list(r) for r in gen_rows]
-    target = list(target)
-    if not gen_rows:
-        return () if all(x == 0 for x in target) else None
-    ncols = len(gen_rows[0])
-    hnf, pivots, U = row_hnf(gen_rows, ncols, transform=True)
-    t = list(target)
-    coeffs_on_h = []
-    for i, c in enumerate(pivots):
-        p = hnf[i][c]
-        if t[c] % p:
-            return None
-        q = t[c] // p
-        coeffs_on_h.append(q)
+    v = list(vec)
+    for row in echelon_rows:
+        c = next(j for j, x in enumerate(row) if x)
+        q, rem = divmod(v[c], row[c])
+        if rem:
+            return False
         if q:
-            t = [a - q * b for a, b in zip(t, hnf[i])]
-    if any(t):
-        return None
-    n = len(gen_rows)
-    out = [0] * n
-    for q, urow in zip(coeffs_on_h, U):
-        if q:
-            for j in range(n):
-                out[j] += q * urow[j]
-    return tuple(out)
+            v = [a - q * b for a, b in zip(v, row)]
+    return not any(v)
 
 
 class IntRowLattice:
@@ -576,16 +521,6 @@ class IntRowLattice:
     @property
     def rank(self) -> int:
         return len(self.rows)
-
-    def contains(self, vec) -> bool:
-        v = [int(x) for x in vec]
-        for row, c in zip(self.rows, self.pivot_cols):
-            if v[c]:
-                if v[c] % row[c]:
-                    return False
-                q = v[c] // row[c]
-                v = [a - q * b for a, b in zip(v, row)]
-        return not any(v)
 
     def canonical_rows(self) -> tuple:
         work = [list(r) for r in self.rows]

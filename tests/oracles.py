@@ -1,8 +1,9 @@
 """Brute-force reference computations that tests compare the library against."""
 
-from itertools import combinations
+from itertools import combinations, islice
 
-from zonoharm.linalg import Mat, det, rank
+from zonoharm.funcspace import binomial_product_rows
+from zonoharm.linalg import Mat, det, rank, row_hnf
 
 
 def violating_minor(va):
@@ -37,6 +38,46 @@ def theta_triples(cycles):
     return tuple(triples)
 
 
+def solve_row_lattice(gen_rows, target):
+    """Integer coefficients expressing target in the row lattice, or None.
+
+    ``sum(c[i] * gen_rows[i]) == target`` with integer c when solvable.
+    """
+    gen_rows = [list(r) for r in gen_rows]
+    target = list(target)
+    if not gen_rows:
+        return () if all(x == 0 for x in target) else None
+    ncols = len(gen_rows[0])
+    hnf, pivots, U = row_hnf(gen_rows, ncols, transform=True)
+    t = list(target)
+    coeffs_on_h = []
+    for i, c in enumerate(pivots):
+        p = hnf[i][c]
+        if t[c] % p:
+            return None
+        q = t[c] // p
+        coeffs_on_h.append(q)
+        if q:
+            t = [a - q * b for a, b in zip(t, hnf[i])]
+    if any(t):
+        return None
+    n = len(gen_rows)
+    out = [0] * n
+    for q, urow in zip(coeffs_on_h, U):
+        if q:
+            for j in range(n):
+                out[j] += q * urow[j]
+    return tuple(out)
+
+
+def eval_rows_up_to(h, degree):
+    """Evaluation rows on h's points of every binomial product of degree <= ``degree``."""
+    if h.point_count == 0 or degree < 0:
+        return []
+    blocks = binomial_product_rows(h.points.points, h.va.lattice_rank)
+    return [row for block in islice(blocks, min(degree, h.top_degree) + 1) for _, row in block]
+
+
 def exactness_on_eval_rows(ctx, ctx_del, ctx_con, element, bars):
     """The deletion/contraction exactness ranks on every binomial-product
     evaluation row of each filtered piece, not only on a basis of it.
@@ -60,15 +101,15 @@ def exactness_on_eval_rows(ctx, ctx_del, ctx_con, element, bars):
     n = h.point_count
     m = len(ctx_del.points)
     for i in range(max(h.top_degree, h_con.top_degree, h_del.top_degree + 1) + 1):
-        rows = h.eval_rows_up_to(i)
-        xi_rows = [tuple(f[bar_idx[k]] for k in range(n)) for f in h_con.eval_rows_up_to(i)]
+        rows = eval_rows_up_to(h, i)
+        xi_rows = [tuple(f[bar_idx[k]] for k in range(n)) for f in eval_rows_up_to(h_con, i)]
         if rank(Mat.from_rows(xi_rows, cols=n)) != h_con.q_dim(i):
             return False
         if rank(Mat.from_rows(list(rows) + xi_rows, cols=n)) != h.q_dim(i):
             return False
         d_rows = [tuple(f[b] - f[a] for a, b in shift_idx) for f in rows]
         if m:
-            rows_del = h_del.eval_rows_up_to(i - 1)
+            rows_del = eval_rows_up_to(h_del, i - 1)
             if rank(Mat.from_rows(d_rows, cols=m)) != h_del.q_dim(i - 1):
                 return False
             if rank(Mat.from_rows(list(rows_del) + d_rows, cols=m)) != h_del.q_dim(i - 1):

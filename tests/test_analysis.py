@@ -11,7 +11,13 @@ from oracles import exactness_on_eval_rows
 from zonoharm.analysis import Analysis, _exactness_ranks
 from zonoharm.arrangement import enumerate_cocircuits
 from zonoharm.formats import parse_graph
-from zonoharm.graphs import Arrow, DirectedGraph, cographical_arrangement, tutte_of_arrangement
+from zonoharm.graphs import (
+    Arrow,
+    DirectedGraph,
+    cographical_arrangement,
+    tutte_of_arrangement,
+    tutte_polynomial,
+)
 from zonoharm.harmonics import Harmonics
 from zonoharm.report import build_graph_report
 from zonoharm.verification import random_connected_multigraph, run_instance_checks
@@ -49,6 +55,7 @@ def test_each_quantity_once_per_arrangement(run):
     assert _calls(stats, Harmonics.__init__) == 1 + 2 * u
     assert _calls(stats, enumerate_cocircuits) == 1
     assert _calls(stats, tutte_of_arrangement) == 1
+    assert _calls(stats, tutte_polynomial) == 1
 
 
 def _exactness_both_ways(ctx: Analysis, element, bars=None) -> tuple:

@@ -3,12 +3,14 @@ import random
 import pytest
 from hypothesis import given, settings
 
-from conftest import wheel_graph
+from conftest import data_path, wheel_graph
+from oracles import solve_row_lattice
 from strategies import connected_multigraphs
 from zonoharm import harmonics, linalg
 from zonoharm.analysis import CHECKS, Analysis, deletion_contraction_check
 from zonoharm.arrangement import LatticePointSet, VectorArrangement, interior_lattice_points
 from zonoharm.errors import DegreeOverflowError, LoopOrColoopError
+from zonoharm.formats import parse_graph
 from zonoharm.funcspace import binom_int
 from zonoharm.graphs import cographical_arrangement, su2_poincare_polynomial
 from zonoharm.harmonics import (
@@ -20,7 +22,7 @@ from zonoharm.harmonics import (
     rees_data,
     verify_saturation,
 )
-from zonoharm.linalg import Mat, saturation, saturation_index, solve_row_lattice
+from zonoharm.linalg import Mat, saturation, saturation_index
 
 
 def cycle_arrangement(k):
@@ -36,6 +38,32 @@ def trim(seq):
     while out and out[-1] == 0:
         out.pop()
     return tuple(out)
+
+
+def check_passes(name, ctx):
+    (check,) = [c for c in CHECKS if c.name == name]
+    return check.passed(check.run(ctx))
+
+
+def count_calls(monkeypatch, names, modules=(harmonics, linalg)):
+    """Record in the returned list each call of the named functions of ``modules``."""
+    calls = []
+
+    def counted(module, name):
+        fn = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    for name in names:
+        owners = [m for m in modules if hasattr(m, name)]
+        assert owners, name
+        for module in owners:
+            counted(module, name)
+    return calls
 
 
 class TestFiltration:
@@ -93,24 +121,11 @@ class TestSaturationVerdict:
         assert h.saturated_rows(1) == ((1, 0), (0, 1))
         ctx = Analysis(va)
         ctx.points = pts
-        (check,) = [c for c in CHECKS if c.name == "saturation"]
-        assert check.passed(check.run(ctx)) is False
+        assert check_passes("saturation", ctx) is False
+        assert check_passes("divided_power_generation", ctx) is False
 
     def test_wheel_certified_without_smith_or_saturation(self, monkeypatch):
-        calls = []
-
-        def counted(module, name):
-            fn = getattr(module, name)
-
-            def wrapper(*args, **kwargs):
-                calls.append(name)
-                return fn(*args, **kwargs)
-
-            monkeypatch.setattr(module, name, wrapper)
-
-        for module in (harmonics, linalg):
-            for name in ("smith_divisors", "saturation_index", "saturation"):
-                counted(module, name)
+        calls = count_calls(monkeypatch, ("smith_divisors", "saturation_index", "saturation"))
         ctx = Analysis(cographical_arrangement(wheel_graph(5)))
         assert ctx.harmonics.saturation_indices == [1] * 5
         for a in ctx.usable:
@@ -135,12 +150,12 @@ class TestDividedPower:
     def test_cycle_square(self):
         ctx = Harmonics(cycle_arrangement(5))
         e = ctx.coordinate_class(0)
-        assert ctx.eval_vector(e) == (1, 2, 3, 4)
+        assert e.values == (1, 2, 3, 4)
         e2 = divided_power(ctx, e, 2)
         assert e2.degree == 2
-        assert ctx.eval_vector(e2) == tuple(binom_int(z, 2) for z in (1, 2, 3, 4))
+        assert e2.values == tuple(binom_int(z, 2) for z in (1, 2, 3, 4))
         # 2 e^[2] = e^2 in the graded quotient
-        diff = tuple(2 * a - b * b for a, b in zip(ctx.eval_vector(e2), ctx.eval_vector(e)))
+        diff = tuple(2 * a - b * b for a, b in zip(e2.values, e.values))
         assert solve_row_lattice(ctx.saturated_rows(1), diff) is not None
 
     def test_m_one_is_identity(self):
@@ -153,7 +168,7 @@ class TestDividedPower:
         e = ctx.coordinate_class(0)
         u = divided_power(ctx, e, 0)
         assert u.degree == 0
-        assert ctx.eval_vector(u) == (1, 1, 1)
+        assert u.values == (1, 1, 1)
 
     def test_degree_overflow(self):
         ctx = Harmonics(cycle_arrangement(4))
@@ -165,13 +180,12 @@ class TestDividedPower:
         ctx = Harmonics(house_arrangement)
         for j in (0, 1):
             e = ctx.coordinate_class(j)
-            eta = ctx.eval_vector(e)
             for m in range(2, ctx.top_degree + 1):
                 em = divided_power(ctx, e, m)
                 fact = 1
                 for i in range(2, m + 1):
                     fact *= i
-                diff = tuple(fact * a - b**m for a, b in zip(ctx.eval_vector(em), eta))
+                diff = tuple(fact * a - b**m for a, b in zip(em.values, e.values))
                 assert solve_row_lattice(ctx.saturated_rows(m - 1), diff) is not None
 
     def test_square_not_in_plain_subring_for_long_cycles(self):
@@ -180,9 +194,16 @@ class TestDividedPower:
             ctx = Harmonics(cycle_arrangement(k))
             e = ctx.coordinate_class(0)
             e2 = divided_power(ctx, e, 2)
-            eta = ctx.eval_vector(e)
-            gens = list(ctx.saturated_rows(1)) + [tuple(v * v for v in eta)]
-            assert solve_row_lattice(gens, ctx.eval_vector(e2)) is None
+            gens = list(ctx.saturated_rows(1)) + [tuple(v * v for v in e.values)]
+            assert solve_row_lattice(gens, e2.values) is None
+
+    def test_law_check_fails_on_plain_powers(self, house_arrangement, monkeypatch):
+        # with C(n, k) replaced by n**k the "divided power" is e^m itself, and
+        # (m! - 1) e^m is not in the lower piece: the check reports, not raises
+        ctx = Analysis(house_arrangement)
+        assert check_passes("divided_power_law", ctx) is True
+        monkeypatch.setattr(harmonics, "binom_int", lambda n, k: n**k)
+        assert check_passes("divided_power_law", ctx) is False
 
 
 class TestGenerationCheck:
@@ -233,20 +254,41 @@ class TestDeletionContraction:
 class TestReesData:
     def test_house_ranks(self, house_arrangement):
         data = rees_data(Harmonics(house_arrangement))
-        assert [(i, hf.basis.cols) for i, hf in data] == [(0, 1), (1, 3), (2, 5), (3, 6)]
+        assert [(i, len(rows)) for i, rows in data] == [(0, 1), (1, 3), (2, 5), (3, 6)]
 
     def test_single_point(self):
         va = VectorArrangement(0, ("a1",), Mat.zero(0, 1))
         data = rees_data(Harmonics(va))
-        assert [(i, hf.basis.cols) for i, hf in data] == [(0, 1)]
+        assert [(i, len(rows)) for i, rows in data] == [(0, 1)]
 
     def test_cycle_three(self):
         data = rees_data(Harmonics(cycle_arrangement(3)))
-        assert [(i, hf.basis.cols) for i, hf in data] == [(0, 1), (1, 2)]
+        assert [(i, len(rows)) for i, rows in data] == [(0, 1), (1, 2)]
 
     def test_bases_are_saturated(self, house_arrangement):
-        for _, hf in rees_data(Harmonics(house_arrangement)):
-            assert all(d == 1 for d in hf.elementary_divisors)
+        for _, rows in rees_data(Harmonics(house_arrangement)):
+            assert saturation_index(Mat.from_rows(rows).transpose(), 6) == 1
+
+
+@pytest.fixture(scope="module")
+def wheel7():
+    """Analysis context of the cycle-space arrangement of the wheel W7."""
+    return Analysis(cographical_arrangement(parse_graph(data_path("wheel7.graph").read_text())))
+
+
+class TestWheel7:
+    def test_filtration_without_smith(self, wheel7, monkeypatch):
+        calls = count_calls(monkeypatch, ("smith_divisors",))
+        rep = compute_filtration(wheel7.va)
+        assert rep.point_count == 126
+        assert rep.gr_dims == (1, 7, 21, 35, 35, 21, 6)
+        assert calls == []
+
+    def test_divided_power_checks_without_smith(self, wheel7, monkeypatch):
+        calls = count_calls(monkeypatch, ("smith_divisors",))
+        assert check_passes("divided_power_law", wheel7) is True
+        assert check_passes("divided_power_generation", wheel7) is True
+        assert calls == []
 
 
 def _random_unimodular(rng, n):
