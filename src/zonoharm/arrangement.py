@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .errors import CertificateError, IsColoopError, IsLoopError, NotTotallyUnimodularError
-from .linalg import Mat, det, kernel_basis, primitive_vector, rank, xgcd
+from .linalg import Mat, det, integer_kernel, rank, xgcd
 
 
 @dataclass(frozen=True)
@@ -195,11 +195,10 @@ def enumerate_cocircuits(va: VectorArrangement) -> tuple:
     cols = va.columns.col_list()
     seen = {}
     for sel in combinations(range(n), r - 1):
-        sub = [cols[j] for j in sel]  # rows of the (r-1) x r pairing matrix
-        kern = kernel_basis(Mat.from_rows(sub, cols=r))
-        if kern.cols != 1:  # the subset has rank below r - 1
+        kern = integer_kernel([cols[j] for j in sel], r)
+        if len(kern) != 1:  # the subset has rank below r - 1
             continue
-        alpha = primitive_vector(kern.col(0))
+        alpha = kern[0]  # primitive, with positive first nonzero entry
         if alpha in seen:
             continue
         values = tuple(sum(x * y for x, y in zip(alpha, c)) for c in cols)

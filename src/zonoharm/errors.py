@@ -37,10 +37,6 @@ class LoopOrColoopError(ZonoharmError):
     """Operation requires an element that is neither a loop nor a coloop."""
 
 
-class EmptyPointSetError(ZonoharmError):
-    """Evaluation requested on an empty point set."""
-
-
 class DegreeOverflowError(ZonoharmError):
     """Requested graded degree exceeds the top degree of the filtration."""
 

@@ -11,9 +11,9 @@ Each degree's lattice L in Z^n is held once, as its canonical row-style
 Hermite rows, and every consumer reads those rows.  The saturation of L is
 certified where it can be: when every pivot of the canonical rows is 1,
 Z^n / L is free, so L is saturated (index 1) and its canonical rows are the
-saturated rows.  Otherwise the index comes from the Smith form and the
-saturated rows from two integer kernels, so a lattice that is not saturated
-is still reported.
+saturated rows.  Otherwise ``linalg.saturate`` gives the saturated rows as
+the integer kernel of the integer kernel, and the index as the quotient of
+the pivot products, so a lattice that is not saturated is still reported.
 
 A graded class is an integral representative given by its values on the
 points.  Its divided powers are entrywise binomial coefficients, checked by
@@ -34,7 +34,7 @@ from .arrangement import VectorArrangement, interior_lattice_points
 from .errors import DegreeOverflowError, NotIntegralError
 from .funcspace import binom_int, binomial_product_rows
 from .graphs import tutte_of_arrangement
-from .linalg import IntRowLattice, Mat, in_row_lattice, saturation, saturation_index
+from .linalg import IntRowLattice, in_row_lattice, saturate
 
 
 @dataclass(frozen=True)
@@ -77,8 +77,7 @@ class Harmonics:
     from per-coordinate tables, see ``binomial_product_rows``) are added to
     one integer row lattice.  A degree whose canonical rows all have pivot 1
     gets saturation index 1 and its canonical rows as saturated rows, with
-    no Smith form or kernel; any other degree falls back to
-    ``saturation_index`` and ``saturation``.
+    no kernel; any other degree falls back to ``saturate``.
     """
 
     def __init__(self, va: VectorArrangement, max_degree: int | None = None, points=None):
@@ -97,7 +96,7 @@ class Harmonics:
         lattice = IntRowLattice(n)
         blocks = binomial_product_rows(self.points.points, va.lattice_rank)
         for degree, block in enumerate(blocks):
-            for _, row in block:
+            for row in block:
                 lattice.add(row)
             self.q_dims.append(lattice.rank)
             rows = lattice.canonical_rows()
@@ -107,10 +106,9 @@ class Harmonics:
                 self.saturation_indices.append(1)
                 self._saturated_rows.append(rows)
             else:
-                basis_cols = Mat.from_rows(rows, cols=n).transpose()
-                self.saturation_indices.append(saturation_index(basis_cols, n))
-                sat = saturation(basis_cols)
-                self._saturated_rows.append(tuple(tuple(x) for x in sat.transpose().row_list()))
+                sat, index = saturate(rows, n)
+                self.saturation_indices.append(index)
+                self._saturated_rows.append(sat)
             if lattice.rank == n:
                 self.top_degree = degree
                 break

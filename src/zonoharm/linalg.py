@@ -1,27 +1,23 @@
-"""Exact integer and rational linear algebra on small dense matrices.
+"""Exact integer linear algebra on small dense matrices.
 
 All values are immutable and all functions are pure.  Determinants are
 computed fraction-free (Bareiss).  Ranks of matrices whose smaller side is
 below MODULAR_MIN_SIDE use Bareiss too; larger ones are ranked modulo the
 prime P and certified exactly: every kernel vector of the echelon form mod P
 is lifted to Q and checked against every row over Z, and any failure falls
-back to Bareiss (see ``rank``).  Lattices are held as canonical row-style
-Hermite forms, and elementary divisors come from the Smith form.  Matrices
-are desk-scale; the Smith form enforces an explicit size cap instead of
-trying to be clever.
+back to Bareiss (see ``rank``).  Every lattice computation runs on one xgcd
+echelon, ``IntRowLattice``, whose canonical rows are the row-style Hermite
+form: integer kernels are read off the echelon form of [A^T | I], and a
+saturation is the kernel of the kernel.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import chain
-from math import gcd, isqrt, lcm
+from math import isqrt, lcm, prod
 from operator import mul
 
-from .errors import SizeExceededError
-
-SMITH_MAX_DIM = 64
 P = (1 << 61) - 1  # prime modulus of the certified rank
 MODULAR_MIN_SIDE = 32  # smaller side from which the modular rank beats Bareiss
 _LIFT_BOUND = isqrt(P // 2)  # rational reconstruction: |num|, den <= this
@@ -29,7 +25,7 @@ _LIFT_BOUND = isqrt(P // 2)  # rational reconstruction: |num|, den <= this
 
 @dataclass(frozen=True)
 class Mat:
-    """Immutable row-major matrix with int (or Fraction) entries."""
+    """Immutable row-major matrix with int entries."""
 
     rows: int
     cols: int
@@ -112,31 +108,11 @@ def xgcd(a: int, b: int):
     return a, x0, y0
 
 
-def _rows_of(m) -> list:
+def _int_rows(m) -> list:
+    """Rows of m as fresh lists."""
     if isinstance(m, Mat):
         return m.row_list()
     return [list(r) for r in m]
-
-
-def _int_rows(m) -> list:
-    """Rows of m as fresh lists; Fraction rows are scaled to integer rows."""
-    if isinstance(m, Mat):
-        rows, types = m.row_list(), set(map(type, m.data))
-    else:
-        rows = [list(r) for r in m]
-        types = {type(x) for r in rows for x in r}
-    return _clear_fractions(rows) if Fraction in types else rows
-
-
-def _clear_fractions(rows: list) -> list:
-    out = []
-    for r in rows:
-        if any(isinstance(x, Fraction) for x in r):
-            mult = lcm(*(Fraction(x).denominator for x in r)) if r else 1
-            out.append([int(x * mult) for x in r])
-        else:
-            out.append([int(x) for x in r])
-    return out
 
 
 def det(m) -> int:
@@ -262,215 +238,12 @@ def _lift_vector(x: list):
     return [n * (mult // d) for n, d in fracs]
 
 
-def kernel_basis(m) -> Mat:
-    """Basis of the right kernel over Q; columns span the kernel.
-
-    Returns an (ncols x k) matrix with Fraction entries; k = 0 when the kernel
-    is trivial.
-    """
-    rows = [[Fraction(x) for x in r] for r in _rows_of(m)]
-    ncols = len(rows[0]) if rows else (m.cols if isinstance(m, Mat) else 0)
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        piv = next((i for i in range(r, len(rows)) if rows[i][c]), None)
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        inv = rows[r][c]
-        rows[r] = [x / inv for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c]:
-                f = rows[i][c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-    free = [c for c in range(ncols) if c not in pivots]
-    basis_cols = []
-    for f in free:
-        v = [Fraction(0)] * ncols
-        v[f] = Fraction(1)
-        for i, p in enumerate(pivots):
-            v[p] = -rows[i][f]
-        basis_cols.append(v)
-    return Mat.from_cols(basis_cols, rows=ncols)
-
-
-def primitive_vector(v) -> tuple:
-    """Scale a nonzero rational vector to a primitive integer vector.
-
-    The sign is normalized so the first nonzero entry is positive.
-    """
-    fracs = [Fraction(x) for x in v]
-    mult = lcm(*(f.denominator for f in fracs)) if fracs else 1
-    ints = [int(f * mult) for f in fracs]
-    g = 0
-    for x in ints:
-        g = gcd(g, x)
-    if g == 0:
-        raise ValueError("zero vector has no primitive form")
-    ints = [x // g for x in ints]
-    lead = next(x for x in ints if x)
-    if lead < 0:
-        ints = [-x for x in ints]
-    return tuple(ints)
-
-
-def row_hnf(rows, ncols: int, transform: bool = False):
-    """Canonical row-style Hermite normal form of the row lattice.
-
-    Returns (hnf_rows, pivot_cols) or, with ``transform``, additionally the
-    full unimodular U with U * input = [hnf_rows; 0].
-    """
-    work = [[int(x) for x in r] for r in rows]
-    n = len(work)
-    U = [[1 if i == j else 0 for j in range(n)] for i in range(n)] if transform else None
-    r = 0
-    pivot_cols = []
-    for c in range(ncols):
-        piv = next((i for i in range(r, n) if work[i][c]), None)
-        if piv is None:
-            continue
-        work[r], work[piv] = work[piv], work[r]
-        if U is not None:
-            U[r], U[piv] = U[piv], U[r]
-        for i in range(r + 1, n):
-            if work[i][c]:
-                g, x, y = xgcd(work[r][c], work[i][c])
-                a_, b_ = work[r][c] // g, work[i][c] // g
-                wr, wi = work[r], work[i]
-                work[r] = [x * p + y * q for p, q in zip(wr, wi)]
-                work[i] = [-b_ * p + a_ * q for p, q in zip(wr, wi)]
-                if U is not None:
-                    ur, ui = U[r], U[i]
-                    U[r] = [x * p + y * q for p, q in zip(ur, ui)]
-                    U[i] = [-b_ * p + a_ * q for p, q in zip(ur, ui)]
-        if work[r][c] < 0:
-            work[r] = [-x for x in work[r]]
-            if U is not None:
-                U[r] = [-x for x in U[r]]
-        pivot_cols.append(c)
-        r += 1
-        if r == n:
-            break
-    # reduce entries above each pivot into [0, pivot)
-    for k in range(len(pivot_cols)):
-        c = pivot_cols[k]
-        p = work[k][c]
-        for i in range(k):
-            q = work[i][c] // p
-            if q:
-                work[i] = [a - q * b for a, b in zip(work[i], work[k])]
-                if U is not None:
-                    U[i] = [a - q * b for a, b in zip(U[i], U[k])]
-    hnf = [tuple(work[i]) for i in range(len(pivot_cols))]
-    if transform:
-        return hnf, tuple(pivot_cols), [tuple(u) for u in U]
-    return hnf, tuple(pivot_cols)
-
-
-def smith_divisors(m):
-    """Nonzero elementary divisors d_1 | d_2 | ... of an integer matrix.
-
-    Inputs with max dimension above SMITH_MAX_DIM are rejected.
-    """
-    rows = [[int(x) for x in r] for r in _rows_of(m)]
-    nr = len(rows)
-    nc = len(rows[0]) if rows else (m.cols if isinstance(m, Mat) else 0)
-    if max(nr, nc, 0) > SMITH_MAX_DIM:
-        raise SizeExceededError(f"smith form limited to dimension {SMITH_MAX_DIM}")
-    a = rows
-    t = 0
-    limit = min(nr, nc)
-    while t < limit:
-        # locate a nonzero entry in the remaining block
-        pos = None
-        best = None
-        for i in range(t, nr):
-            for j in range(t, nc):
-                v = abs(a[i][j])
-                if v and (best is None or v < best):
-                    best, pos = v, (i, j)
-        if pos is None:
-            break
-        i0, j0 = pos
-        a[t], a[i0] = a[i0], a[t]
-        for row in a:
-            row[t], row[j0] = row[j0], row[t]
-        # clear row and column t
-        while True:
-            dirty = False
-            for i in range(t + 1, nr):
-                if a[i][t]:
-                    q = a[i][t] // a[t][t]
-                    a[i] = [x - q * y for x, y in zip(a[i], a[t])]
-                    if a[i][t]:
-                        a[t], a[i] = a[i], a[t]
-                        dirty = True
-            for j in range(t + 1, nc):
-                if a[t][j]:
-                    q = a[t][j] // a[t][t]
-                    for row in a:
-                        row[j] -= q * row[t]
-                    if a[t][j]:
-                        for row in a:
-                            row[t], row[j] = row[j], row[t]
-                        dirty = True
-            if not dirty:
-                break
-        # enforce divisibility of the remaining block by a[t][t]
-        bad = None
-        for i in range(t + 1, nr):
-            for j in range(t + 1, nc):
-                if a[i][j] % a[t][t]:
-                    bad = i
-                    break
-            if bad is not None:
-                break
-        if bad is not None:
-            a[t] = [x + y for x, y in zip(a[t], a[bad])]
-            continue
-        if a[t][t] < 0:
-            a[t] = [-x for x in a[t]]
-        t += 1
-    return tuple(a[i][i] for i in range(t))
-
-
-def integer_kernel(m) -> Mat:
-    """Basis of the integer right kernel {x in Z^cols : m x = 0} (saturated)."""
-    mat = m if isinstance(m, Mat) else Mat.from_rows(_rows_of(m))
-    hnf, pivots, U = row_hnf(mat.transpose().row_list(), mat.rows, transform=True)
-    kernel_rows = U[len(hnf) :]
-    if not kernel_rows:
-        return Mat.zero(mat.cols, 0)
-    canon, _ = row_hnf(kernel_rows, mat.cols)
-    return Mat.from_rows(canon, cols=mat.cols).transpose()
-
-
-def saturation(m) -> Mat:
-    """Canonical basis of the saturation of the column lattice of m."""
-    mat = m if isinstance(m, Mat) else Mat.from_rows(_rows_of(m))
-    perp = integer_kernel(mat.transpose())
-    return integer_kernel(perp.transpose())
-
-
-def saturation_index(m, ambient_rank: int) -> int:
-    """Index of a column lattice inside its saturation (1 iff saturated)."""
-    mat = m if isinstance(m, Mat) else Mat.from_rows(_rows_of(m))
-    if mat.rows != ambient_rank:
-        raise ValueError("ambient rank does not match matrix rows")
-    idx = 1
-    for d in smith_divisors(mat):
-        idx *= d
-    return idx
-
-
 def in_row_lattice(echelon_rows, vec) -> bool:
     """True iff the integer vector lies in the row lattice of ``echelon_rows``.
 
     The rows must be in echelon form: each row's first nonzero entry lies
-    strictly to the right of the previous row's, as in ``row_hnf`` or
-    ``IntRowLattice.canonical_rows``.
+    strictly to the right of the previous row's, as in
+    ``IntRowLattice.canonical_rows``, ``integer_kernel`` or ``saturate``.
     """
     v = list(vec)
     for row in echelon_rows:
@@ -532,3 +305,40 @@ class IntRowLattice:
                 if q:
                     work[i] = [a - q * b for a, b in zip(work[i], work[k])]
         return tuple(tuple(r) for r in work)
+
+
+def integer_kernel(rows, ncols: int) -> tuple:
+    """Canonical basis rows of the integer kernel {x in Z^ncols : rows x = 0}.
+
+    The echelon rows of [rows^T | I] whose pivot lies in the identity block
+    vanish on the left block, so their tails are kernel vectors; they form a
+    basis of the kernel lattice (Cohen, *A Course in Computational Algebraic
+    Number Theory*, 2.4).  The tails are in row-style Hermite form, so a
+    one-dimensional kernel is a primitive vector with positive first nonzero
+    entry.
+    """
+    rows = [tuple(r) for r in rows]
+    k = len(rows)
+    lattice = IntRowLattice(k + ncols)
+    for j in range(ncols):
+        lattice.add([r[j] for r in rows] + [int(i == j) for i in range(ncols)])
+    canon = lattice.canonical_rows()
+    return tuple(row[k:] for row, c in zip(canon, lattice.pivot_cols) if c >= k)
+
+
+def saturate(rows, ncols: int):
+    """Saturation of the row lattice L of ``rows`` in Z^ncols, with its index.
+
+    Returns (sat_rows, index): the canonical rows of the integer points of
+    L's Q-span, which is the integer kernel of L's integer kernel, and the
+    index of L in it.  Echelon bases of one Q-space share their pivot
+    columns, so on those coordinates the covolumes of L and of its
+    saturation are the products of their pivots; the index is their
+    quotient, and it is 1 iff L is saturated.
+    """
+    lattice = IntRowLattice(ncols)
+    for r in rows:
+        lattice.add(r)
+    sat = integer_kernel(integer_kernel(lattice.rows, ncols), ncols)
+    pivots = prod(r[c] for r, c in zip(lattice.rows, lattice.pivot_cols))
+    return sat, pivots // prod(next(x for x in r if x) for r in sat)

@@ -1,9 +1,10 @@
 """Brute-force reference computations that tests compare the library against."""
 
 from itertools import combinations, islice
+from math import prod
 
-from zonoharm.funcspace import binomial_product_rows
-from zonoharm.linalg import Mat, det, rank, row_hnf
+from zonoharm.funcspace import binom_int, binomial_product_rows, exponents_of_degree
+from zonoharm.linalg import Mat, det, rank, xgcd
 
 
 def violating_minor(va):
@@ -36,6 +37,90 @@ def theta_triples(cycles):
         ):
             triples.append((cycles[i], cycles[j], cycles[k]))
     return tuple(triples)
+
+
+def binomial_product_value(exps, point):
+    """Value of prod_j C(x_j, i_j) at ``point``, one binomial coefficient at a time."""
+    return prod(binom_int(x, i) for x, i in zip(point, exps))
+
+
+def monomial_value(exps, point):
+    """Value of the monomial prod_j x_j^i_j at ``point``."""
+    return prod(x**i for x, i in zip(point, exps))
+
+
+def pointwise_rows(r, degree, points, value=binomial_product_value):
+    """Rows of ``value`` at each point, one per exponent of total degree <=
+    ``degree`` in r variables, in the order of ``exponents_of_degree``."""
+    return [
+        [value(e, p) for p in points] for d in range(degree + 1) for e in exponents_of_degree(r, d)
+    ]
+
+
+def row_hnf(rows, ncols: int, transform: bool = False):
+    """Canonical row-style Hermite normal form of the row lattice, in one batch.
+
+    Returns (hnf_rows, pivot_cols) or, with ``transform``, additionally the
+    full unimodular U with U * input = [hnf_rows; 0].
+    """
+    work = [[int(x) for x in r] for r in rows]
+    n = len(work)
+    U = [[1 if i == j else 0 for j in range(n)] for i in range(n)] if transform else None
+    r = 0
+    pivot_cols = []
+    for c in range(ncols):
+        piv = next((i for i in range(r, n) if work[i][c]), None)
+        if piv is None:
+            continue
+        work[r], work[piv] = work[piv], work[r]
+        if U is not None:
+            U[r], U[piv] = U[piv], U[r]
+        for i in range(r + 1, n):
+            if work[i][c]:
+                g, x, y = xgcd(work[r][c], work[i][c])
+                a_, b_ = work[r][c] // g, work[i][c] // g
+                wr, wi = work[r], work[i]
+                work[r] = [x * p + y * q for p, q in zip(wr, wi)]
+                work[i] = [-b_ * p + a_ * q for p, q in zip(wr, wi)]
+                if U is not None:
+                    ur, ui = U[r], U[i]
+                    U[r] = [x * p + y * q for p, q in zip(ur, ui)]
+                    U[i] = [-b_ * p + a_ * q for p, q in zip(ur, ui)]
+        if work[r][c] < 0:
+            work[r] = [-x for x in work[r]]
+            if U is not None:
+                U[r] = [-x for x in U[r]]
+        pivot_cols.append(c)
+        r += 1
+        if r == n:
+            break
+    # reduce entries above each pivot into [0, pivot)
+    for k in range(len(pivot_cols)):
+        c = pivot_cols[k]
+        p = work[k][c]
+        for i in range(k):
+            q = work[i][c] // p
+            if q:
+                work[i] = [a - q * b for a, b in zip(work[i], work[k])]
+                if U is not None:
+                    U[i] = [a - q * b for a, b in zip(U[i], U[k])]
+    hnf = [tuple(work[i]) for i in range(len(pivot_cols))]
+    if transform:
+        return hnf, tuple(pivot_cols), [tuple(u) for u in U]
+    return hnf, tuple(pivot_cols)
+
+
+def kernel_hnf(rows, ncols):
+    """Canonical rows of the integer kernel of ``rows``: the rows of the
+    transform U of the batch HNF of rows^T that U sends to zero."""
+    columns = [[r[j] for r in rows] for j in range(ncols)]
+    hnf, _, U = row_hnf(columns, len(rows), transform=True)
+    return row_hnf(U[len(hnf) :], ncols)[0]
+
+
+def saturation_hnf(rows, ncols):
+    """Canonical rows of the saturation of the row lattice: the kernel of the kernel."""
+    return kernel_hnf(kernel_hnf(rows, ncols), ncols)
 
 
 def solve_row_lattice(gen_rows, target):
@@ -75,7 +160,7 @@ def eval_rows_up_to(h, degree):
     if h.point_count == 0 or degree < 0:
         return []
     blocks = binomial_product_rows(h.points.points, h.va.lattice_rank)
-    return [row for block in islice(blocks, min(degree, h.top_degree) + 1) for _, row in block]
+    return [row for block in islice(blocks, min(degree, h.top_degree) + 1) for row in block]
 
 
 def exactness_on_eval_rows(ctx, ctx_del, ctx_con, element, bars):

@@ -38,7 +38,7 @@ from zonoharm.harmonics import (
     verify_saturation,
 )
 from zonoharm.ideals import k_minus_generators, power_ideal_quotient_dims, verify_vanishing
-from zonoharm.linalg import Mat, saturation_index
+from zonoharm.linalg import Mat, saturate
 from zonoharm.verification import random_connected_multigraph
 
 SUITE_SEED = 1
@@ -205,7 +205,7 @@ class TestCriterion5Saturation:
                 failures.append(f"cycle k={k}")
         # sensitivity: the two-point set {0, 2} in Z has index 2 at degree 1
         rows = [(1, 1), (0, 2)]
-        idx = saturation_index(Mat.from_rows(rows).transpose(), 2)
+        idx = saturate(rows, 2)[1]
         if idx != 2:
             failures.append(f"non-example index {idx}")
         _report(5, not failures, "saturation indices all 1; {0,2} non-example has index 2")

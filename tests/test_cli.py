@@ -1,8 +1,10 @@
 import cProfile
 import json
+import os
 import pstats
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -220,3 +222,28 @@ class TestMaxDegree:
         report = json.loads(capsys.readouterr().out)
         assert code == 0
         assert report["truncated"] is False
+
+
+class TestImports:
+    def test_cli_needs_only_the_standard_library(self):
+        # a fresh interpreter: every module that importing the CLI adds is
+        # part of zonoharm or of the standard library, and exact arithmetic
+        # needs no fractions
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        script = (
+            "import sys\n"
+            "before = set(sys.modules)\n"
+            "import zonoharm.cli\n"
+            "print(*sorted(set(sys.modules) - before))\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60
+        )
+        assert proc.returncode == 0, proc.stderr
+        added = proc.stdout.split()
+        assert "zonoharm.cli" in added
+        tops = {name.split(".")[0] for name in added}
+        assert sorted(tops - {"zonoharm"} - sys.stdlib_module_names) == []
+        assert "fractions" not in added

@@ -1,24 +1,24 @@
-from itertools import product
+from itertools import chain, islice, product
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import solve_row_lattice
+from oracles import binomial_product_value, monomial_value, pointwise_rows, solve_row_lattice
 from zonoharm.arrangement import LatticePointSet
-from zonoharm.errors import EmptyPointSetError
-from zonoharm.funcspace import (
-    BinomialProduct,
-    Monomial,
-    binom_int,
-    binomial_product_rows,
-    binomial_products_up_to,
-    evaluate,
-    monomials_up_to,
-)
+from zonoharm.funcspace import binom_int, binomial_product_rows, exponents_of_degree
 from zonoharm.linalg import Mat, rank
 
 HOUSE_POINTS = LatticePointSet(tuple((a, b) for a in (1, 2, 3) for b in (1, 2)))
+
+
+def exponents_up_to(r, d):
+    return list(chain.from_iterable(exponents_of_degree(r, k) for k in range(d + 1)))
+
+
+def rows_up_to(points, r, d):
+    """Evaluation rows of every binomial product of degree <= d, from the tables."""
+    return list(chain.from_iterable(islice(binomial_product_rows(points, r), d + 1)))
 
 
 class TestBinomInt:
@@ -38,48 +38,47 @@ class TestBinomInt:
 
 class TestBases:
     def test_monomials_rank2_degree1(self):
-        assert [m.exponents for m in monomials_up_to(2, 1)] == [(0, 0), (1, 0), (0, 1)]
+        assert exponents_up_to(2, 1) == [(0, 0), (1, 0), (0, 1)]
 
     def test_monomials_rank1_degree3(self):
-        assert [m.exponents for m in monomials_up_to(1, 3)] == [(0,), (1,), (2,), (3,)]
+        assert exponents_up_to(1, 3) == [(0,), (1,), (2,), (3,)]
 
     def test_monomial_count(self):
-        assert len(monomials_up_to(2, 2)) == 6
+        assert len(exponents_up_to(2, 2)) == 6
 
     def test_binomials_rank1_degree2(self):
-        assert [b.per_coordinate for b in binomial_products_up_to(1, 2)] == [(0,), (1,), (2,)]
+        # C(x, 0), C(x, 1), C(x, 2) on x = 0, 1, 2, 3
+        pts = [(0,), (1,), (2,), (3,)]
+        assert rows_up_to(pts, 1, 2) == [(1, 1, 1, 1), (0, 1, 2, 3), (0, 0, 1, 3)]
 
     def test_binomial_value(self):
-        assert BinomialProduct((2,)).evaluate((3,)) == 3
+        assert rows_up_to([(3,)], 1, 2)[2] == (3,)
 
     def test_binomial_count(self):
-        assert len(binomial_products_up_to(2, 2)) == 6
+        assert len(rows_up_to(HOUSE_POINTS.points, 2, 2)) == 6
 
     def test_same_exponent_order(self):
-        monos = [m.exponents for m in monomials_up_to(3, 3)]
-        binos = [b.per_coordinate for b in binomial_products_up_to(3, 3)]
-        assert monos == binos
+        # graded, then descending-lex within a degree; each exponent once
+        exps = exponents_up_to(3, 3)
+        assert exps == sorted(exps, key=lambda e: (sum(e), tuple(-x for x in e)))
+        assert set(exps) == {e for e in product(range(4), repeat=3) if sum(e) <= 3}
+        assert len(exps) == len(set(exps))
 
 
 class TestEvaluate:
     def test_constant_row(self):
-        ev = evaluate([Monomial((0, 0))], HOUSE_POINTS)
-        assert ev.values.row(0) == (1,) * 6
+        assert next(binomial_product_rows(HOUSE_POINTS.points, 2)) == [(1,) * 6]
 
     def test_house_degree_one(self):
-        ev = evaluate(binomial_products_up_to(2, 1), HOUSE_POINTS)
-        assert ev.values.row(0) == (1, 1, 1, 1, 1, 1)
-        assert ev.values.row(1) == (1, 1, 2, 2, 3, 3)
-        assert ev.values.row(2) == (1, 2, 1, 2, 1, 2)
+        rows = rows_up_to(HOUSE_POINTS.points, 2, 1)
+        assert rows[0] == (1, 1, 1, 1, 1, 1)
+        assert rows[1] == (1, 1, 2, 2, 3, 3)
+        assert rows[2] == (1, 2, 1, 2, 1, 2)
 
     def test_shifted_binomial_of_difference(self):
         # C(x1 - x2 + 1, 2) on the six house points, in lexicographic order
         values = tuple(binom_int(p[0] - p[1] + 1, 2) for p in HOUSE_POINTS.points)
         assert values == (0, 0, 1, 0, 3, 1)
-
-    def test_empty_points_rejected(self):
-        with pytest.raises(EmptyPointSetError):
-            evaluate([Monomial((0,))], LatticePointSet(()))
 
 
 small_points = st.lists(
@@ -94,16 +93,20 @@ class TestProperties:
     )
     @settings(max_examples=80)
     def test_binomial_products_integer_valued(self, exps, point):
-        assert isinstance(BinomialProduct(exps).evaluate(point), int)
+        rows = rows_up_to([point], 2, sum(exps))
+        (value,) = rows[exponents_up_to(2, sum(exps)).index(exps)]
+        assert isinstance(value, int)
+        assert value == binomial_product_value(exps, point)
 
     @given(small_points, st.integers(0, 3))
     @settings(max_examples=40)
     def test_spans_agree_over_q(self, pts, d):
-        ps = LatticePointSet(tuple(pts))
-        mono = evaluate(monomials_up_to(2, d), ps).values
-        bino = evaluate(binomial_products_up_to(2, d), ps).values
-        stacked = Mat.from_rows(mono.row_list() + bino.row_list(), cols=len(ps))
-        assert rank(mono) == rank(bino) == rank(stacked)
+        ps = LatticePointSet(tuple(pts)).points
+        mono = pointwise_rows(2, d, ps, value=monomial_value)
+        bino = rows_up_to(ps, 2, d)
+        n = len(ps)
+        stacked = Mat.from_rows(mono + bino, cols=n)
+        assert rank(Mat.from_rows(mono, cols=n)) == rank(Mat.from_rows(bino, cols=n)) == rank(stacked)
 
     @given(
         st.lists(st.integers(-3, 3), min_size=3, max_size=3),
@@ -111,11 +114,13 @@ class TestProperties:
     )
     @settings(max_examples=40)
     def test_evaluation_is_multiplicative(self, e1, e2):
-        f = Monomial(tuple(abs(x) for x in e1[:2]))
-        g = Monomial(tuple(abs(x) for x in e2[:2]))
-        fg = Monomial(tuple(a + b for a, b in zip(f.exponents, g.exponents)))
-        for p in HOUSE_POINTS.points:
-            assert fg.evaluate(p) == f.evaluate(p) * g.evaluate(p)
+        # on disjoint coordinates, the row of a product of binomial products
+        # is the entrywise product of their rows
+        a, b = abs(e1[0]), abs(e2[1])
+        exps = exponents_up_to(2, a + b)
+        rows = rows_up_to(HOUSE_POINTS.points, 2, a + b)
+        f, g, fg = (rows[exps.index(e)] for e in ((a, 0), (0, b), (a, b)))
+        assert fg == tuple(x * y for x, y in zip(f, g))
 
     @given(
         st.tuples(st.integers(-3, 3), st.integers(-3, 3)).filter(lambda a: any(a)),
@@ -127,7 +132,7 @@ class TestProperties:
         # products of total degree <= m; checked on a grid large enough to
         # separate polynomials of per-variable degree <= m
         grid = LatticePointSet(tuple(product(range(m + 1), repeat=2)))
-        basis = evaluate(binomial_products_up_to(2, m), grid).values.row_list()
+        basis = rows_up_to(grid.points, 2, m)
         target = tuple(
             binom_int(alpha[0] * p[0] + alpha[1] * p[1], m) for p in grid.points
         )
@@ -148,11 +153,6 @@ class TestTabledRows:
         # coordinates as low as -6 and degrees up to 7, above every coordinate
         r, pts = r_pts
         blocks = binomial_product_rows(pts, r)
-        listed = []
         for degree in range(top + 1):
-            block = next(blocks)
-            assert all(f.degree == degree for f, _ in block)
-            for f, row in block:
-                assert row == tuple(f.evaluate(p) for p in pts)
-            listed.extend(f for f, _ in block)
-        assert listed == binomial_products_up_to(r, top)
+            expected = pointwise_rows(r, degree, pts)[len(exponents_up_to(r, degree - 1)) :]
+            assert next(blocks) == [tuple(row) for row in expected]

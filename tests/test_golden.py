@@ -26,14 +26,17 @@ CASES = [
     # text only for W7: its JSON report is 167 KB, mostly theta triples
     ("graph_wheel7.txt", 0, ["analyze-graph", "wheel7.graph"]),
     ("arr_house.json", 0, ["analyze-arrangement", "house.arr", "--json"]),
+    # house.arr in a sheared lattice basis: its columns are not a network matrix
+    ("arr_house_sheared.json", 0, ["analyze-arrangement", "house_sheared.arr", "--json"]),
     ("graph_house_maxdeg1.json", 4, ["analyze-graph", "house.graph", "--json", "--max-degree", "1"]),
     ("suite_seed7_count5.json", 0, ["random-suite", "--seed", "7", "--count", "5", "--json"]),
 ]
 
 
 def test_every_data_graph_is_covered():
-    covered = {args[1] for _, _, args in CASES if args[0] == "analyze-graph"}
-    assert covered == {p.name for p in DATA.glob("*.graph")}
+    for command, pattern in (("analyze-graph", "*.graph"), ("analyze-arrangement", "*.arr")):
+        covered = {args[1] for _, _, args in CASES if args[0] == command}
+        assert covered == {p.name for p in DATA.glob(pattern)}
 
 
 @pytest.mark.parametrize("golden,code,args", CASES, ids=[c[0] for c in CASES])

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 
 from conftest import data_path, wheel_graph
-from oracles import solve_row_lattice
+from oracles import saturation_hnf, solve_row_lattice
 from strategies import connected_multigraphs
 from zonoharm import harmonics, linalg
 from zonoharm.analysis import CHECKS, Analysis, deletion_contraction_check
@@ -22,7 +22,7 @@ from zonoharm.harmonics import (
     rees_data,
     verify_saturation,
 )
-from zonoharm.linalg import Mat, saturation, saturation_index
+from zonoharm.linalg import Mat, saturate
 
 
 def cycle_arrangement(k):
@@ -108,14 +108,16 @@ class TestSaturationVerdict:
         # {0, 2} in Z is not the interior point set of any unimodular zonotope:
         # the degree-1 evaluation lattice has index 2 in its saturation
         rows = [(1, 1), (0, 2)]  # values of 1 and x on {0, 2}
-        assert saturation_index(Mat.from_rows(rows).transpose(), 2) == 2
+        assert saturate(rows, 2)[1] == 2
 
-    def test_non_unit_pivot_takes_the_smith_path(self):
+    def test_non_unit_pivot_takes_the_saturate_path(self, monkeypatch):
         # the degree-1 lattice of {0, 2} has canonical rows (1, 1), (0, 2):
-        # pivot 2 certifies nothing, so the index comes from the Smith form
+        # pivot 2 certifies nothing, so the index comes from ``saturate``
+        calls = count_calls(monkeypatch, ("saturate",))
         va = cycle_arrangement(3)
         pts = LatticePointSet(((0,), (2,)))
         h = Harmonics(va, points=pts)
+        assert calls == ["saturate"]
         assert h.lattice_rows == [((1, 1),), ((1, 1), (0, 2))]
         assert h.saturation_indices == [1, 2]
         assert h.saturated_rows(1) == ((1, 0), (0, 1))
@@ -124,8 +126,16 @@ class TestSaturationVerdict:
         assert check_passes("saturation", ctx) is False
         assert check_passes("divided_power_generation", ctx) is False
 
+    def test_no_dimension_cap_on_the_fallback(self):
+        # 65 even points, past any dimension cap: the degree-1 lattice has
+        # index 2 in its saturation, which holds the values of z / 2
+        pts = LatticePointSet(tuple((2 * k,) for k in range(65)))
+        h = Harmonics(cycle_arrangement(3), max_degree=1, points=pts)
+        assert h.saturation_indices == [1, 2]
+        assert tuple(range(65)) in h.saturated_rows(1)
+
     def test_wheel_certified_without_smith_or_saturation(self, monkeypatch):
-        calls = count_calls(monkeypatch, ("smith_divisors", "saturation_index", "saturation"))
+        calls = count_calls(monkeypatch, ("saturate",))
         ctx = Analysis(cographical_arrangement(wheel_graph(5)))
         assert ctx.harmonics.saturation_indices == [1] * 5
         for a in ctx.usable:
@@ -267,7 +277,7 @@ class TestReesData:
 
     def test_bases_are_saturated(self, house_arrangement):
         for _, rows in rees_data(Harmonics(house_arrangement)):
-            assert saturation_index(Mat.from_rows(rows).transpose(), 6) == 1
+            assert saturate(rows, 6)[1] == 1
 
 
 @pytest.fixture(scope="module")
@@ -278,14 +288,14 @@ def wheel7():
 
 class TestWheel7:
     def test_filtration_without_smith(self, wheel7, monkeypatch):
-        calls = count_calls(monkeypatch, ("smith_divisors",))
+        calls = count_calls(monkeypatch, ("saturate",))
         rep = compute_filtration(wheel7.va)
         assert rep.point_count == 126
         assert rep.gr_dims == (1, 7, 21, 35, 35, 21, 6)
         assert calls == []
 
     def test_divided_power_checks_without_smith(self, wheel7, monkeypatch):
-        calls = count_calls(monkeypatch, ("smith_divisors",))
+        calls = count_calls(monkeypatch, ("saturate",))
         assert check_passes("divided_power_law", wheel7) is True
         assert check_passes("divided_power_generation", wheel7) is True
         assert calls == []
@@ -324,8 +334,7 @@ class TestInvariants:
     def test_saturated_rows_equal_saturation(self, g):
         h = Harmonics(cographical_arrangement(g))
         for i, rows in enumerate(h.lattice_rows):
-            sat = saturation(Mat.from_rows(rows, cols=h.point_count).transpose())
-            assert h.saturated_rows(i) == tuple(map(tuple, sat.transpose().row_list()))
+            assert h.saturated_rows(i) == tuple(saturation_hnf(rows, h.point_count))
 
     @given(connected_multigraphs(max_edges=5))
     @settings(max_examples=15)

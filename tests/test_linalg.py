@@ -1,16 +1,14 @@
 import random
-from fractions import Fraction
 from itertools import combinations
-from math import gcd
+from math import gcd, prod
 
 import pytest
 import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import solve_row_lattice
+from oracles import pointwise_rows, row_hnf, saturation_hnf, solve_row_lattice
 from zonoharm import linalg
-from zonoharm.errors import SizeExceededError
 from zonoharm.linalg import (
     MODULAR_MIN_SIDE,
     P,
@@ -18,12 +16,8 @@ from zonoharm.linalg import (
     Mat,
     in_row_lattice,
     integer_kernel,
-    kernel_basis,
     rank,
-    row_hnf,
-    saturation,
-    saturation_index,
-    smith_divisors,
+    saturate,
     _bareiss_rank,
 )
 
@@ -89,12 +83,6 @@ class TestRank:
     def test_house_matrix(self):
         assert rank(Mat.from_cols(HOUSE_COLS, rows=2)) == 2
 
-    def test_fractions(self):
-        singular = Mat.from_rows([[Fraction(1, 2), Fraction(1, 3)], [Fraction(3, 2), Fraction(1)]])
-        assert rank(singular) == 1
-        regular = Mat.from_rows([[Fraction(1, 2), Fraction(1, 3)], [Fraction(1, 5), Fraction(1)]])
-        assert rank(regular) == 2
-
     @given(small_matrices)
     @settings(max_examples=60)
     def test_rank_of_transpose(self, rows):
@@ -105,7 +93,7 @@ class TestRank:
     @settings(max_examples=60)
     def test_rank_nullity(self, rows):
         m = Mat.from_rows(rows)
-        assert m.cols == rank(m) + kernel_basis(m).cols
+        assert m.cols == rank(m) + len(integer_kernel(rows, m.cols))
 
 
 @st.composite
@@ -200,79 +188,86 @@ class TestModularRank:
         assert rank(Mat.from_rows(huge_kernel_matrix())) == 39
         assert bareiss_calls == [(40, 40)]
 
-    def test_fractions_on_modular_path(self, bareiss_calls):
-        rows = grid_incidence(6)
-        halves = Mat.from_rows([[Fraction(x, 2) for x in r] for r in rows])
-        assert rank(halves) == 35
-        assert bareiss_calls == []
+
+def lattice_index(rows):
+    """Index of the row lattice in its saturation, from the gcd of its maximal minors."""
+    return prod(_minor_gcd_divisors(rows))
 
 
 class TestKernel:
     def test_identity_trivial(self):
-        assert kernel_basis(Mat.identity(3)).cols == 0
+        assert integer_kernel(Mat.identity(3).row_list(), 3) == ()
 
     def test_one_one(self):
-        k = kernel_basis(Mat.from_rows([[1, 1]]))
-        assert k.cols == 1
-        x, y = k.col(0)
-        assert x == -y != 0
+        assert integer_kernel([[1, 1]], 2) == ((1, -1),)
 
     @given(small_matrices)
     @settings(max_examples=40)
     def test_kernel_annihilates(self, rows):
         m = Mat.from_rows(rows)
-        k = kernel_basis(m)
-        for j in range(k.cols):
-            assert all(v == 0 for v in m.matvec(k.col(j)))
+        for v in integer_kernel(rows, m.cols):
+            assert all(x == 0 for x in m.matvec(v))
 
 
 class TestHermite:
+    # the elementary divisors of a lattice multiply to its index in its
+    # saturation; ``saturate`` reads that index off the echelon pivots
     def test_diag_2_3_divisors(self):
-        assert smith_divisors(Mat.from_rows([[2, 0], [0, 3]])) == (1, 6)
+        assert saturate([[2, 0], [0, 3]], 2) == (((1, 0), (0, 1)), 6)
 
     def test_identity_divisors(self):
-        assert smith_divisors(Mat.identity(4)) == (1, 1, 1, 1)
+        identity = tuple(Mat.identity(4).row_list())
+        assert saturate(identity, 4) == (tuple(map(tuple, identity)), 1)
 
     def test_house_degree_one_evaluation_lattice(self):
         # rows: values of 1, x1, x2 on {1,2,3} x {1,2}; oracle verified the
         # divisors are all 1 (sympy smith_normal_form gives diag(1,1,1))
         pts = [(a, b) for a in (1, 2, 3) for b in (1, 2)]
         rows = [[1] * 6, [p[0] for p in pts], [p[1] for p in pts]]
-        assert smith_divisors(Mat.from_rows(rows)) == (1, 1, 1)
+        assert saturate(rows, 6)[1] == 1
 
     def test_smith_cap(self):
-        with pytest.raises(SizeExceededError):
-            smith_divisors(Mat.identity(65))
+        # no dimension cap: a lattice of dimension 65 and index 2 saturates
+        # to all of Z^65
+        rows = Mat.identity(65).row_list()
+        rows[64][64] = 2
+        assert saturate(rows, 65) == (tuple(map(tuple, Mat.identity(65).row_list())), 2)
 
     @given(small_matrices)
     @settings(max_examples=50)
     def test_idempotent(self, rows):
-        hnf, pivots = row_hnf(rows, len(rows[0]))
-        assert row_hnf(hnf, len(rows[0])) == (hnf, pivots)
+        lat = IntRowLattice(len(rows[0]))
+        for r in rows:
+            lat.add(r)
+        again = IntRowLattice(len(rows[0]))
+        for r in lat.canonical_rows():
+            again.add(r)
+        assert again.canonical_rows() == lat.canonical_rows()
+        assert again.pivot_cols == lat.pivot_cols
 
     @given(small_matrices)
     @settings(max_examples=40)
     def test_divisors_match_minor_gcd_oracle(self, rows):
-        assert smith_divisors(Mat.from_rows(rows)) == _minor_gcd_divisors(rows)
+        assert saturate(rows, len(rows[0]))[1] == lattice_index(rows)
 
     @given(small_matrices)
     @settings(max_examples=40)
     def test_divisors_match_sympy(self, rows):
-        sympy = pytest.importorskip("sympy")
         from sympy.matrices.normalforms import smith_normal_form
 
         d = smith_normal_form(sympy.Matrix(rows))
-        expected = tuple(
-            int(d[i, i]) for i in range(min(d.shape)) if d[i, i] != 0
-        )
-        assert smith_divisors(Mat.from_rows(rows)) == expected
+        expected = prod(int(d[i, i]) for i in range(min(d.shape)) if d[i, i] != 0)
+        assert saturate(rows, len(rows[0]))[1] == abs(expected)
 
     @given(small_matrices)
     @settings(max_examples=40)
     def test_column_lattice_preserved(self, rows):
         m = Mat.from_rows(rows)
         gens = [tuple(c) for c in m.col_list()]
-        basis, _ = row_hnf(gens, m.rows)
+        lat = IntRowLattice(m.rows)
+        for g in gens:
+            lat.add(g)
+        basis = lat.canonical_rows()
         # mutual membership of generating sets
         for v in basis:
             assert solve_row_lattice(gens, v) is not None
@@ -282,37 +277,35 @@ class TestHermite:
 
 class TestSaturation:
     def test_index_two(self):
-        assert saturation_index(Mat.from_cols([(2, 0), (0, 1)]), 2) == 2
+        assert saturate([(2, 0), (0, 1)], 2)[1] == 2
 
     def test_index_one(self):
-        assert saturation_index(Mat.from_cols([(1, 0), (0, 1)]), 2) == 1
+        assert saturate([(1, 0), (0, 1)], 2)[1] == 1
 
     def test_house_degree_two_lattice_saturated(self):
         # binomial products of degree <= 2 evaluated on {1,2,3} x {1,2}
         pts = [(a, b) for a in (1, 2, 3) for b in (1, 2)]
-        from zonoharm.funcspace import binomial_products_up_to
-
-        rows = [[f.evaluate(p) for p in pts] for f in binomial_products_up_to(2, 2)]
-        assert saturation_index(Mat.from_rows(rows).transpose(), 6) == 1
+        assert saturate(pointwise_rows(2, 2, pts), 6)[1] == 1
 
     @given(small_matrices)
     @settings(max_examples=40)
     def test_index_one_iff_divisors_one(self, rows):
-        m = Mat.from_rows(rows).transpose()
-        idx = saturation_index(m, m.rows)
-        divisors = smith_divisors(m)
-        assert (idx == 1) == all(d == 1 for d in divisors)
+        lat = IntRowLattice(len(rows[0]))
+        for r in rows:
+            lat.add(r)
+        sat, idx = saturate(rows, len(rows[0]))
+        assert (idx == 1) == (sat == lat.canonical_rows()) == (lattice_index(rows) == 1)
 
     @given(small_matrices)
     @settings(max_examples=40)
     def test_saturation_contains_and_same_span(self, rows):
-        m = Mat.from_rows(rows)
-        sat = saturation(m)
-        assert rank(sat) == rank(m)
-        sat_rows = [tuple(c) for c in sat.col_list()]
-        for c in m.col_list():
-            assert solve_row_lattice(sat_rows, tuple(c)) is not None
-        assert saturation_index(sat, m.rows) in (1,) if sat.cols else True
+        ncols = len(rows[0])
+        sat, _ = saturate(rows, ncols)
+        assert list(sat) == saturation_hnf(rows, ncols)
+        assert len(sat) == rank(Mat.from_rows(rows))
+        for r in rows:
+            assert in_row_lattice(sat, r)
+        assert saturate(sat, ncols) == (sat, 1)
 
 
 class TestIntegerKernel:
@@ -320,12 +313,11 @@ class TestIntegerKernel:
     @settings(max_examples=40)
     def test_kernel_is_saturated_and_annihilates(self, rows):
         m = Mat.from_rows(rows)
-        k = integer_kernel(m)
-        for j in range(k.cols):
-            assert all(v == 0 for v in m.matvec(k.col(j)))
-        assert k.cols == m.cols - rank(m)
-        if k.cols:
-            assert saturation_index(k, m.cols) == 1
+        k = integer_kernel(rows, m.cols)
+        for v in k:
+            assert all(x == 0 for x in m.matvec(v))
+        assert len(k) == m.cols - rank(m)
+        assert saturate(k, m.cols) == (k, 1)
 
 
 class TestRowLattice:
