@@ -134,7 +134,7 @@ class Analysis:
 
     @cached_property
     def tutte(self):
-        return tutte_of_arrangement(self.va)
+        return tutte_of_arrangement(self.va, self.cocircuits)
 
     @cached_property
     def iz(self) -> tuple:

@@ -180,6 +180,11 @@ def enumerate_cocircuits(va: VectorArrangement) -> tuple:
 
     The representative of {a, -a} has positive first nonzero entry.  Each
     support is the complement of a hyperplane, so the supports are minimal.
+    Each cocircuit is the integer kernel of the first (r-1)-subset of
+    columns, in lexicographic order, that spans its hyperplane.  A subset
+    that misses the support of a cocircuit already found lies in that
+    hyperplane, so it is dependent or spans it again; it is skipped without
+    a kernel.
 
     This is the unimodularity test: every cocircuit pairs into {-1, 0, 1} iff
     every basis of columns has determinant +-1, i.e. iff the arrangement is
@@ -193,14 +198,16 @@ def enumerate_cocircuits(va: VectorArrangement) -> tuple:
     if r == 0:
         return ()
     cols = va.columns.col_list()
-    seen = {}
+    found = []
+    supports = []  # support bitmask of each cocircuit found
     for sel in combinations(range(n), r - 1):
+        mask = sum(1 << j for j in sel)
+        if not all(mask & s for s in supports):
+            continue
         kern = integer_kernel([cols[j] for j in sel], r)
         if len(kern) != 1:  # the subset has rank below r - 1
             continue
         alpha = kern[0]  # primitive, with positive first nonzero entry
-        if alpha in seen:
-            continue
         values = tuple(sum(x * y for x, y in zip(alpha, c)) for c in cols)
         bad = next((j for j, v in enumerate(values) if v not in (-1, 0, 1)), None)
         if bad is not None:
@@ -208,13 +215,9 @@ def enumerate_cocircuits(va: VectorArrangement) -> tuple:
             raise NotTotallyUnimodularError(
                 tuple(va.ground[j] for j in basis), det([cols[j] for j in basis]), alpha, values
             )
-        seen[alpha] = Cocircuit(
-            covector=alpha,
-            values=values,
-            d_plus=sum(1 for v in values if v == 1),
-            d_minus=sum(1 for v in values if v == -1),
-        )
-    return tuple(sorted(seen.values(), key=lambda c: c.covector))
+        found.append(Cocircuit(alpha, values, values.count(1), values.count(-1)))
+        supports.append(sum(1 << j for j, v in enumerate(values) if v))
+    return tuple(sorted(found, key=lambda c: c.covector))
 
 
 def deletion_cocircuits(va: VectorArrangement, a, cocircuits) -> tuple:

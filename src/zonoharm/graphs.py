@@ -9,6 +9,11 @@ representative per opposite pair.
 Terminology note: a bridge of the graph is a loop of the cographical
 arrangement, and a self-loop of the graph is a coloop of it.  Code and reports
 always use the arrangement-level meaning of loop/coloop.
+
+The graph's Tutte polynomial comes from memoized deletion-contraction.  An
+arrangement's comes from the corank-nullity sum with every rank taken over
+GF(2), which is exact once the cocircuits certify that every basis has
+determinant +-1.
 """
 
 from __future__ import annotations
@@ -16,10 +21,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .arrangement import VectorArrangement
+from .arrangement import VectorArrangement, enumerate_cocircuits
 from .errors import SizeExceededError
 from .funcspace import binom_int
-from .linalg import Mat, rank
+from .linalg import Mat
 
 TUTTE_ARRANGEMENT_MAX_GROUND = 20
 
@@ -417,21 +422,50 @@ def check_tutte_size(va: VectorArrangement) -> None:
         )
 
 
-def tutte_of_arrangement(va: VectorArrangement) -> BivariatePolynomial:
-    """Tutte polynomial of the column matroid by the corank-nullity sum."""
+def tutte_of_arrangement(va: VectorArrangement, cocircuits=None) -> BivariatePolynomial:
+    """Tutte polynomial of the column matroid by the corank-nullity sum, on GF(2) ranks.
+
+    The cocircuits certify that every basis of columns has determinant +-1;
+    unless they are passed, ``enumerate_cocircuits`` runs here and raises
+    NotTotallyUnimodularError on any other input.  The columns span Q^r, so
+    an independent subset extends to such a basis, which stays independent
+    mod 2: every subset has the same rank over GF(2) as over Q.  One
+    depth-first walk over the subsets keeps an xor basis of the columns'
+    parity bitmasks and counts the subsets of each (rank, size), all
+    supersets of a spanning subset at once, and (x-1)^(r-rank)
+    (y-1)^(size-rank) is expanded once per pair.
+    """
     check_tutte_size(va)
-    n = va.size
-    r = va.lattice_rank
-    cols = va.columns.col_list()
+    if cocircuits is None:
+        enumerate_cocircuits(va)
+    n, r = va.size, va.lattice_rank
+    parity = [sum((x & 1) << i for i, x in enumerate(c)) for c in va.columns.col_list()]
+    counts = [[0] * (n + 1) for _ in range(r + 1)]  # counts[rank][size]
+
+    def walk(start, basis, size):
+        # basis: reduced vectors with distinct leading bits, in descending order
+        if len(basis) == r:  # every superset has full rank as well
+            m = n - start
+            for t in range(m + 1):
+                counts[r][size + t] += binom_int(m, t)
+            return
+        counts[len(basis)][size] += 1
+        for k in range(start, n):
+            v = parity[k]
+            for b in basis:
+                v = min(v, v ^ b)
+            walk(k + 1, tuple(sorted((*basis, v), reverse=True)) if v else basis, size + 1)
+
+    walk(0, (), 0)
     acc: dict = {}
-    for size in range(n + 1):
-        for sel in combinations(range(n), size):
-            rk = rank(Mat.from_cols([cols[j] for j in sel], rows=r)) if sel else 0
+    for rk, row in enumerate(counts):
+        for size, count in enumerate(row):
+            if not count:
+                continue
             p, q = r - rk, size - rk
-            # expand (x-1)^p (y-1)^q
+            # expand count * (x-1)^p (y-1)^q
             for i in range(p + 1):
-                ci = binom_int(p, i) * (-1) ** (p - i)
+                ci = count * binom_int(p, i) * (-1) ** (p - i)
                 for j in range(q + 1):
-                    c = ci * binom_int(q, j) * (-1) ** (q - j)
-                    acc[(i, j)] = acc.get((i, j), 0) + c
+                    acc[(i, j)] = acc.get((i, j), 0) + ci * binom_int(q, j) * (-1) ** (q - j)
     return BivariatePolynomial.from_dict(acc)

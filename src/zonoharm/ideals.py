@@ -16,6 +16,7 @@ from math import factorial
 from .arrangement import Cocircuit, VectorArrangement, enumerate_cocircuits
 from .errors import SizeExceededError
 from .funcspace import binom_int, exponents_of_degree
+from .graphs import tutte_of_arrangement
 from .harmonics import iz_hilbert_series
 from .linalg import Mat, rank
 
@@ -144,12 +145,13 @@ def power_ideal_quotient_dims(
 
     The default bound is one past the length suggested by the Tutte series, so
     the expected trailing zero is verified rather than assumed.  Pass the
-    cocircuits (or a subset of them) when they are already known.
+    cocircuits (or a subset of them) when they are already known; they also
+    stand as the certificate that ``tutte_of_arrangement`` takes.
     """
     if cocircuits is None:
         cocircuits = enumerate_cocircuits(va)
     if bound is None:
-        bound = len(iz_hilbert_series(va))
+        bound = len(iz_hilbert_series(va, tutte_of_arrangement(va, cocircuits)))
     r = va.lattice_rank
     return _quotient_dims(r, _expansions(cocircuits, r), bound)
 
@@ -163,9 +165,10 @@ def redundant_generators(va: VectorArrangement, bound: int | None = None) -> tup
     once and shared by every leave-one-out comparison.
     """
     r = va.lattice_rank
-    expansions = _expansions(enumerate_cocircuits(va), r)
+    cocircuits = enumerate_cocircuits(va)
+    expansions = _expansions(cocircuits, r)
     if bound is None:
-        bound = len(iz_hilbert_series(va))
+        bound = len(iz_hilbert_series(va, tutte_of_arrangement(va, cocircuits)))
     full = _quotient_dims(r, expansions, bound)
     return tuple(
         i

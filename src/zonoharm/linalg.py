@@ -55,14 +55,6 @@ class Mat:
     def from_cols(cols, rows: int | None = None) -> "Mat":
         return Mat.from_rows(cols, rows).transpose()
 
-    @staticmethod
-    def identity(n: int) -> "Mat":
-        return Mat(n, n, tuple(1 if i == j else 0 for i in range(n) for j in range(n)))
-
-    @staticmethod
-    def zero(rows: int, cols: int) -> "Mat":
-        return Mat(rows, cols, (0,) * (rows * cols))
-
     def row(self, i: int) -> tuple:
         return self.data[i * self.cols : (i + 1) * self.cols]
 
@@ -82,17 +74,6 @@ class Mat:
         if len(v) != self.cols:
             raise ValueError("length mismatch")
         return tuple(sum(r[j] * v[j] for j in range(self.cols)) for r in (self.row(i) for i in range(self.rows)))
-
-    def matmul(self, other: "Mat") -> "Mat":
-        if self.cols != other.rows:
-            raise ValueError("shape mismatch")
-        cols = other.col_list()
-        data = []
-        for i in range(self.rows):
-            r = self.row(i)
-            for c in cols:
-                data.append(sum(a * b for a, b in zip(r, c)))
-        return Mat(self.rows, other.cols, tuple(data))
 
 
 def xgcd(a: int, b: int):

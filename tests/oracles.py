@@ -3,8 +3,23 @@
 from itertools import combinations, islice
 from math import prod
 
+from zonoharm.arrangement import Cocircuit
+from zonoharm.errors import NotTotallyUnimodularError
 from zonoharm.funcspace import binom_int, binomial_product_rows, exponents_of_degree
-from zonoharm.linalg import Mat, det, rank, xgcd
+from zonoharm.graphs import BivariatePolynomial
+from zonoharm.linalg import Mat, det, integer_kernel, rank, xgcd
+
+
+def identity(n):
+    """The n x n identity matrix."""
+    return Mat.from_rows([[int(i == j) for j in range(n)] for i in range(n)], cols=n)
+
+
+def matmul(a, b):
+    """The product of two matrices, entry by entry."""
+    cols = b.col_list()
+    rows = [[sum(x * y for x, y in zip(a.row(i), c)) for c in cols] for i in range(a.rows)]
+    return Mat.from_rows(rows, cols=b.cols)
 
 
 def violating_minor(va):
@@ -23,6 +38,54 @@ def violating_minor(va):
                 if d not in (-1, 0, 1):
                     return rsel, tuple(va.ground[j] for j in csel), d
     return None
+
+
+def unpruned_cocircuits(va):
+    """``enumerate_cocircuits`` with an integer kernel on every (r-1)-subset of columns.
+
+    Same order of discovery, so the same result and, for a rejected input,
+    the same witness basis and determinant.
+    """
+    r, n = va.lattice_rank, va.size
+    if r == 0:
+        return ()
+    cols = va.columns.col_list()
+    seen = {}
+    for sel in combinations(range(n), r - 1):
+        kern = integer_kernel([cols[j] for j in sel], r)
+        if len(kern) != 1:
+            continue
+        alpha = kern[0]
+        if alpha in seen:
+            continue
+        values = tuple(sum(x * y for x, y in zip(alpha, c)) for c in cols)
+        bad = next((j for j, v in enumerate(values) if v not in (-1, 0, 1)), None)
+        if bad is not None:
+            basis = sorted(sel + (bad,))
+            raise NotTotallyUnimodularError(
+                tuple(va.ground[j] for j in basis), det([cols[j] for j in basis]), alpha, values
+            )
+        seen[alpha] = Cocircuit(alpha, values, values.count(1), values.count(-1))
+    return tuple(sorted(seen.values(), key=lambda c: c.covector))
+
+
+def bareiss_tutte(va):
+    """Tutte polynomial of the column matroid by the corank-nullity sum, with a
+    Bareiss rank over Q for each of the 2^n column subsets."""
+    n = va.size
+    r = va.lattice_rank
+    cols = va.columns.col_list()
+    acc = {}
+    for size in range(n + 1):
+        for sel in combinations(range(n), size):
+            rk = rank(Mat.from_cols([cols[j] for j in sel], rows=r)) if sel else 0
+            p, q = r - rk, size - rk
+            for i in range(p + 1):
+                ci = binom_int(p, i) * (-1) ** (p - i)
+                for j in range(q + 1):
+                    c = ci * binom_int(q, j) * (-1) ** (q - j)
+                    acc[(i, j)] = acc.get((i, j), 0) + c
+    return BivariatePolynomial.from_dict(acc)
 
 
 def theta_triples(cycles):

@@ -1,3 +1,5 @@
+import cProfile
+import pstats
 import random
 from itertools import combinations, product
 
@@ -6,7 +8,8 @@ import sympy
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from oracles import violating_minor
+from conftest import wheel_graph
+from oracles import identity, matmul, unpruned_cocircuits, violating_minor
 from strategies import connected_multigraphs
 from zonoharm.arrangement import (
     Cocircuit,
@@ -29,7 +32,7 @@ from zonoharm.errors import (
     NotTotallyUnimodularError,
 )
 from zonoharm.graphs import cographical_arrangement, tutte_of_arrangement
-from zonoharm.linalg import Mat, det, rank
+from zonoharm.linalg import Mat, det, integer_kernel, rank
 
 
 def arr(rank_, cols, labels=None):
@@ -207,6 +210,27 @@ class TestCocircuits:
         with pytest.raises(NotTotallyUnimodularError):
             enumerate_cocircuits(arr(1, [(2,)]))
 
+    @given(st.one_of(spanning_matrices(), connected_multigraphs(max_edges=8).map(cographical_arrangement)))
+    @settings(max_examples=150, deadline=None)
+    def test_pruned_scan_equals_unpruned_scan(self, va):
+        def outcome(scan):
+            try:
+                return scan(va)
+            except NotTotallyUnimodularError as exc:
+                return exc.basis, exc.determinant, str(exc)
+
+        assert outcome(enumerate_cocircuits) == outcome(unpruned_cocircuits)
+
+    def test_pruned_scan_kernel_count_on_w5(self):
+        # one kernel per cocircuit (the 21 cycles of W5); the unpruned scan
+        # takes one per 4-subset of the 10 columns, C(10, 4) = 210
+        w5_kernel_calls = 21
+        prof = cProfile.Profile()
+        cocs = prof.runcall(enumerate_cocircuits, cographical_arrangement(wheel_graph(5)))
+        code = integer_kernel.__code__
+        key = (code.co_filename, code.co_firstlineno, code.co_name)
+        assert len(cocs) == pstats.Stats(prof).stats[key][1] == w5_kernel_calls
+
 
 def _usable(va):
     loops, coloops = loops_and_coloops(va)
@@ -268,7 +292,7 @@ class TestMinorCocircuits:
         for a in _usable(va):
             assert deletion_cocircuits(va, a, cocs) == enumerate_cocircuits(deletion(va, a))
             va_con, transform, inverse = contraction_data(va, a)
-            assert transform.matmul(inverse) == Mat.identity(va.lattice_rank)
+            assert matmul(transform, inverse) == identity(va.lattice_rank)
             derived = contraction_cocircuits(va, a, cocs, va_con, inverse)
             assert derived == enumerate_cocircuits(va_con)
 
@@ -317,7 +341,7 @@ class TestInteriorPoints:
         assert len(pts) > 0
 
     def test_rank_zero_single_point(self):
-        va = VectorArrangement(0, ("a1", "a2"), Mat.zero(0, 2))
+        va = VectorArrangement(0, ("a1", "a2"), Mat(0, 2, ()))
         assert interior_lattice_points(va).points == ((),)
 
     @given(connected_multigraphs(max_edges=8))

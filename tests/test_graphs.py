@@ -1,11 +1,17 @@
+import cProfile
+import pstats
 import random
 from itertools import combinations
 
+import pytest
 from hypothesis import given, settings
 
-from oracles import theta_triples, violating_minor
+from conftest import DATA
+from oracles import bareiss_tutte, theta_triples, violating_minor
 from strategies import connected_multigraphs
-from zonoharm.arrangement import interior_lattice_points
+from zonoharm.arrangement import VectorArrangement, enumerate_cocircuits, interior_lattice_points
+from zonoharm.errors import NotTotallyUnimodularError, SizeExceededError
+from zonoharm.formats import parse_arrangement, parse_graph
 from zonoharm.graphs import (
     Arrow,
     BivariatePolynomial,
@@ -20,6 +26,7 @@ from zonoharm.graphs import (
     tutte_polynomial,
 )
 from zonoharm.linalg import Mat, rank
+from zonoharm.verification import random_connected_multigraph
 
 
 def graph(n, edges):
@@ -278,14 +285,10 @@ class TestSu2Poincare:
 
 class TestTutteOfArrangement:
     def test_empty_ground(self):
-        from zonoharm.arrangement import VectorArrangement
-
-        va = VectorArrangement(0, (), Mat.zero(0, 0))
+        va = VectorArrangement(0, (), Mat(0, 0, ()))
         assert tutte_of_arrangement(va).terms == ((0, 0, 1),)
 
     def test_parallel_elements(self):
-        from zonoharm.arrangement import VectorArrangement
-
         k = 4
         va = VectorArrangement(1, tuple("abcd"), Mat.from_rows([[1] * k]))
         # k parallel elements: x + y + y^2 + ... + y^(k-1)
@@ -294,13 +297,46 @@ class TestTutteOfArrangement:
         assert tutte_of_arrangement(va) == BivariatePolynomial.from_dict(expected)
 
     def test_size_cap(self):
-        from zonoharm.arrangement import VectorArrangement
-        from zonoharm.errors import SizeExceededError
-        import pytest
-
-        va = VectorArrangement(1, tuple(f"a{i}" for i in range(21)), Mat.from_rows([[1] * 21]))
+        # not unimodular either: the cap must trip before the cocircuits run
+        va = VectorArrangement(1, tuple(f"a{i}" for i in range(21)), Mat.from_rows([[2] + [1] * 20]))
+        prof = cProfile.Profile()
         with pytest.raises(SizeExceededError):
+            prof.runcall(tutte_of_arrangement, va)
+        code = enumerate_cocircuits.__code__
+        assert (code.co_filename, code.co_firstlineno, code.co_name) not in pstats.Stats(prof).stats
+
+    def test_non_unimodular_input_rejected(self):
+        # (2) is 0 mod 2, so GF(2) ranks would read it as a loop
+        va = VectorArrangement(1, ("a", "b"), Mat.from_rows([[1, 2]]))
+        with pytest.raises(NotTotallyUnimodularError) as info:
             tutte_of_arrangement(va)
+        assert info.value.determinant == 2
+
+    @pytest.mark.parametrize(
+        "name", sorted(p.name for p in DATA.iterdir() if p.suffix in (".arr", ".graph")) + ["random"]
+    )
+    def test_equals_bareiss_oracle(self, name):
+        # house_sheared.arr has even entries: its GF(2) ranks agree with
+        # the ranks over Q only because every basis has determinant +-1
+        if name == "random":
+            rng = random.Random(2024)
+            vas = [cographical_arrangement(random_connected_multigraph(rng, 7)) for _ in range(20)]
+        elif name.endswith(".arr"):
+            vas = [parse_arrangement((DATA / name).read_text())]
+        else:
+            vas = [cographical_arrangement(parse_graph((DATA / name).read_text()))]
+        for va in vas:
+            assert tutte_of_arrangement(va) == bareiss_tutte(va)
+
+    def test_eighteen_columns_rank_seven(self):
+        # a 12-cycle with 6 chords: the Bareiss corank-nullity sum took 15 s
+        # here (Python 3.11.7, 2-core x86-64 VM), the GF(2) walk 0.4 s
+        edges = [(i, i % 12 + 1) for i in range(1, 13)]
+        edges += [(1, 7), (2, 5), (3, 10), (4, 9), (6, 11), (8, 12)]
+        g = graph(12, edges)
+        va = cographical_arrangement(g)
+        assert (va.lattice_rank, va.size) == (7, 18)
+        assert tutte_of_arrangement(va).swap() == tutte_polynomial(g)
 
     @given(connected_multigraphs(max_edges=6))
     @settings(max_examples=25)
@@ -309,8 +345,6 @@ class TestTutteOfArrangement:
         assert tutte_of_arrangement(va).swap() == tutte_polynomial(g)
 
     def test_twenty_seeded_random_graphs(self):
-        from zonoharm.verification import random_connected_multigraph
-
         rng = random.Random(2024)
         for _ in range(20):
             g = random_connected_multigraph(rng, 7)
@@ -323,7 +357,6 @@ class TestIncidenceKernel:
         # kernel of the vertex-arrow incidence matrix has dimension
         # |A| - rank, and the rank equals the greedy spanning-forest size
         from zonoharm.linalg import integer_kernel
-        from zonoharm.verification import random_connected_multigraph
 
         rng = random.Random(99)
         for _ in range(20):

@@ -224,7 +224,7 @@ class TestGenerationCheck:
         assert divided_power_generation_check(Harmonics(house_arrangement))
 
     def test_single_point(self):
-        va = VectorArrangement(0, ("a1",), Mat.zero(0, 1))
+        va = VectorArrangement(0, ("a1",), Mat(0, 1, ()))
         assert divided_power_generation_check(Harmonics(va))
 
 
@@ -267,7 +267,7 @@ class TestReesData:
         assert [(i, len(rows)) for i, rows in data] == [(0, 1), (1, 3), (2, 5), (3, 6)]
 
     def test_single_point(self):
-        va = VectorArrangement(0, ("a1",), Mat.zero(0, 1))
+        va = VectorArrangement(0, ("a1",), Mat(0, 1, ()))
         data = rees_data(Harmonics(va))
         assert [(i, len(rows)) for i, rows in data] == [(0, 1)]
 

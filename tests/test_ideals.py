@@ -1,5 +1,10 @@
+import cProfile
+import pstats
+
+import pytest
 from hypothesis import given, settings
 
+from conftest import data_path
 from strategies import connected_multigraphs
 from zonoharm import linalg
 from zonoharm.arrangement import VectorArrangement, enumerate_cocircuits, interior_lattice_points
@@ -121,6 +126,16 @@ class TestLeadingForms:
 
 
 class TestRedundancy:
+    @pytest.mark.parametrize("fn", [redundant_generators, power_ideal_quotient_dims])
+    def test_cocircuits_enumerated_once(self, fn):
+        # the default bound reads the Tutte polynomial, which the same
+        # cocircuits certify; they are not enumerated a second time
+        va = cographical_arrangement(parse_graph(data_path("theta.graph").read_text()))
+        prof = cProfile.Profile()
+        prof.runcall(fn, va)
+        code = enumerate_cocircuits.__code__
+        assert pstats.Stats(prof).stats[(code.co_filename, code.co_firstlineno, code.co_name)][1] == 1
+
     def test_house_redundant_generator(self, house_arrangement):
         cocs = enumerate_cocircuits(house_arrangement)
         (idx,) = redundant_generators(house_arrangement)

@@ -7,7 +7,7 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import pointwise_rows, row_hnf, saturation_hnf, solve_row_lattice
+from oracles import identity, pointwise_rows, row_hnf, saturation_hnf, solve_row_lattice
 from zonoharm import linalg
 from zonoharm.linalg import (
     MODULAR_MIN_SIDE,
@@ -75,10 +75,10 @@ small_matrices = st.integers(1, 4).flatmap(
 
 class TestRank:
     def test_identity(self):
-        assert rank(Mat.identity(2)) == 2
+        assert rank(identity(2)) == 2
 
     def test_zero(self):
-        assert rank(Mat.zero(3, 4)) == 0
+        assert rank(Mat(3, 4, (0,) * 12)) == 0
 
     def test_house_matrix(self):
         assert rank(Mat.from_cols(HOUSE_COLS, rows=2)) == 2
@@ -196,7 +196,7 @@ def lattice_index(rows):
 
 class TestKernel:
     def test_identity_trivial(self):
-        assert integer_kernel(Mat.identity(3).row_list(), 3) == ()
+        assert integer_kernel(identity(3).row_list(), 3) == ()
 
     def test_one_one(self):
         assert integer_kernel([[1, 1]], 2) == ((1, -1),)
@@ -216,8 +216,8 @@ class TestHermite:
         assert saturate([[2, 0], [0, 3]], 2) == (((1, 0), (0, 1)), 6)
 
     def test_identity_divisors(self):
-        identity = tuple(Mat.identity(4).row_list())
-        assert saturate(identity, 4) == (tuple(map(tuple, identity)), 1)
+        eye = tuple(identity(4).row_list())
+        assert saturate(eye, 4) == (tuple(map(tuple, eye)), 1)
 
     def test_house_degree_one_evaluation_lattice(self):
         # rows: values of 1, x1, x2 on {1,2,3} x {1,2}; oracle verified the
@@ -229,9 +229,9 @@ class TestHermite:
     def test_smith_cap(self):
         # no dimension cap: a lattice of dimension 65 and index 2 saturates
         # to all of Z^65
-        rows = Mat.identity(65).row_list()
+        rows = identity(65).row_list()
         rows[64][64] = 2
-        assert saturate(rows, 65) == (tuple(map(tuple, Mat.identity(65).row_list())), 2)
+        assert saturate(rows, 65) == (tuple(map(tuple, identity(65).row_list())), 2)
 
     @given(small_matrices)
     @settings(max_examples=50)
