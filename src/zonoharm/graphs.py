@@ -10,10 +10,11 @@ Terminology note: a bridge of the graph is a loop of the cographical
 arrangement, and a self-loop of the graph is a coloop of it.  Code and reports
 always use the arrangement-level meaning of loop/coloop.
 
-The graph's Tutte polynomial comes from memoized deletion-contraction.  An
-arrangement's comes from the corank-nullity sum with every rank taken over
-GF(2), which is exact once the cocircuits certify that every basis has
-determinant +-1.
+Both Tutte polynomials come from one corank-nullity walk with every rank
+taken over GF(2).  For a graph the columns are the unsigned incidence
+vectors, which represent its cycle matroid over GF(2).  For an
+arrangement they are the columns mod 2, which is exact once the cocircuits
+certify that every basis has determinant +-1.
 """
 
 from __future__ import annotations
@@ -267,25 +268,6 @@ class BivariatePolynomial:
     def from_dict(d: dict) -> "BivariatePolynomial":
         return BivariatePolynomial(tuple(sorted((i, j, c) for (i, j), c in d.items() if c)))
 
-    @staticmethod
-    def zero() -> "BivariatePolynomial":
-        return BivariatePolynomial(())
-
-    def coeff(self, i: int, j: int) -> int:
-        for a, b, c in self.terms:
-            if (a, b) == (i, j):
-                return c
-        return 0
-
-    def __add__(self, other: "BivariatePolynomial") -> "BivariatePolynomial":
-        d = {(i, j): c for i, j, c in self.terms}
-        for i, j, c in other.terms:
-            d[(i, j)] = d.get((i, j), 0) + c
-        return BivariatePolynomial.from_dict(d)
-
-    def shift(self, di: int, dj: int) -> "BivariatePolynomial":
-        return BivariatePolynomial(tuple((i + di, j + dj, c) for i, j, c in self.terms))
-
     def eval_at(self, x: int, y: int) -> int:
         return sum(c * x**i * y**j for i, j, c in self.terms)
 
@@ -300,103 +282,18 @@ class BivariatePolynomial:
         return {j: c for ii, j, c in self.terms if ii == i}
 
 
-def _components_count(n: int, edges) -> int:
-    parent = list(range(n))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    comp = n
-    for u, v in edges:
-        ru, rv = find(u), find(v)
-        if ru != rv:
-            parent[rv] = ru
-            comp -= 1
-    return comp
-
-
-def _canonical_key(n: int, edges: tuple):
-    """Memo key: degree-refined vertex relabeling of the edge multiset.
-
-    The refinement is not full isomorphism; isomorphic graphs may get distinct
-    keys (a missed memo hit), but any two graphs sharing a key are identical
-    after the relabeling, so lookups are always sound.
-    """
-    used = sorted({v for e in edges for v in e})
-    if not used:
-        return ()
-    colors = {}
-    loops = {v: 0 for v in used}
-    deg = {v: 0 for v in used}
-    for u, v in edges:
-        if u == v:
-            loops[u] += 1
-            deg[u] += 2
-        else:
-            deg[u] += 1
-            deg[v] += 1
-    for v in used:
-        colors[v] = (deg[v], loops[v])
-    for _ in range(len(used)):
-        ranks = {c: i for i, c in enumerate(sorted(set(colors.values())))}
-        new = {}
-        for v in used:
-            nbr = []
-            for u, w in edges:
-                if u == v and w != v:
-                    nbr.append(ranks[colors[w]])
-                elif w == v and u != v:
-                    nbr.append(ranks[colors[u]])
-            new[v] = (ranks[colors[v]], tuple(sorted(nbr)))
-        if len(set(new.values())) == len(set(colors.values())):
-            colors = new
-            break
-        colors = new
-    order = sorted(used, key=lambda v: (colors[v], v))
-    relabel = {v: i for i, v in enumerate(order)}
-    return tuple(sorted(tuple(sorted((relabel[u], relabel[v]))) for u, v in edges))
-
-
-def _tutte_edges(n: int, edges: tuple, memo: dict) -> BivariatePolynomial:
-    key = _canonical_key(n, edges)
-    hit = memo.get(key)
-    if hit is not None:
-        return hit
-    loops = sum(1 for u, v in edges if u == v)
-    proper = [e for e in edges if e[0] != e[1]]
-    base_comp = _components_count(n, proper)
-    pivot = None
-    bridges = 0
-    for idx, e in enumerate(proper):
-        rest = proper[:idx] + proper[idx + 1 :]
-        if _components_count(n, rest) > base_comp:
-            bridges += 1
-        elif pivot is None:
-            pivot = idx
-    if pivot is None:
-        poly = BivariatePolynomial.from_dict({(bridges, loops): 1})
-    else:
-        e = proper[pivot]
-        keep = list(edges)
-        keep.remove(e)
-        del_edges = tuple(keep)
-        u, v = e
-        con_edges = tuple(
-            tuple(sorted((u if a == v else a, u if b == v else b))) for a, b in keep
-        )
-        poly = _tutte_edges(n, del_edges, memo) + _tutte_edges(n, con_edges, memo)
-    memo[key] = poly
-    return poly
-
-
 def tutte_polynomial(g: DirectedGraph) -> BivariatePolynomial:
-    """Tutte polynomial via deletion-contraction, memoized within this call."""
+    """Tutte polynomial of the graph's cycle matroid by the corank-nullity sum.
+
+    Each arrow is the unsigned column of the incidence matrix over GF(2): the
+    bitmask of its two ends, 0 for a self-loop.  A set of arrows is
+    independent over GF(2) exactly when it is a forest, so these columns
+    represent the cycle matroid (Oxley, *Matroid Theory*, 5.1) and no
+    certificate is needed.  The rank is that of the graph.
+    """
     vindex = {v: i for i, v in enumerate(g.vertices)}
-    edges = tuple(tuple(sorted((vindex[a.tail], vindex[a.head]))) for a in g.arrows)
-    return _tutte_edges(len(g.vertices), edges, {})
+    parity = [(1 << vindex[a.tail]) ^ (1 << vindex[a.head]) for a in g.arrows]
+    return _corank_nullity(parity, graph_rank(g))
 
 
 def su2_poincare_polynomial(g: DirectedGraph, tutte=None) -> tuple:
@@ -429,17 +326,24 @@ def tutte_of_arrangement(va: VectorArrangement, cocircuits=None) -> BivariatePol
     unless they are passed, ``enumerate_cocircuits`` runs here and raises
     NotTotallyUnimodularError on any other input.  The columns span Q^r, so
     an independent subset extends to such a basis, which stays independent
-    mod 2: every subset has the same rank over GF(2) as over Q.  One
-    depth-first walk over the subsets keeps an xor basis of the columns'
-    parity bitmasks and counts the subsets of each (rank, size), all
-    supersets of a spanning subset at once, and (x-1)^(r-rank)
-    (y-1)^(size-rank) is expanded once per pair.
+    mod 2: every subset has the same rank over GF(2) as over Q.
     """
     check_tutte_size(va)
     if cocircuits is None:
         enumerate_cocircuits(va)
-    n, r = va.size, va.lattice_rank
     parity = [sum((x & 1) << i for i, x in enumerate(c)) for c in va.columns.col_list()]
+    return _corank_nullity(parity, va.lattice_rank)
+
+
+def _corank_nullity(parity: list, r: int) -> BivariatePolynomial:
+    """Corank-nullity sum of the matroid of GF(2) columns ``parity`` of rank ``r``.
+
+    One depth-first walk over the subsets keeps an xor basis of the columns'
+    bitmasks and counts the subsets of each (rank, size), all supersets of a
+    spanning subset at once, and (x-1)^(r-rank) (y-1)^(size-rank) is expanded
+    once per pair.
+    """
+    n = len(parity)
     counts = [[0] * (n + 1) for _ in range(r + 1)]  # counts[rank][size]
 
     def walk(start, basis, size):

@@ -145,13 +145,17 @@ def power_ideal_quotient_dims(
 
     The default bound is one past the length suggested by the Tutte series, so
     the expected trailing zero is verified rather than assumed.  Pass the
-    cocircuits (or a subset of them) when they are already known; they also
-    stand as the certificate that ``tutte_of_arrangement`` takes.
+    cocircuits when they are already known.  Without a bound, only the
+    cocircuits enumerated here stand as the certificate that
+    ``tutte_of_arrangement`` takes, never the ones passed in.
     """
-    if cocircuits is None:
-        cocircuits = enumerate_cocircuits(va)
     if bound is None:
-        bound = len(iz_hilbert_series(va, tutte_of_arrangement(va, cocircuits)))
+        certified = enumerate_cocircuits(va)
+        bound = len(iz_hilbert_series(va, tutte_of_arrangement(va, certified)))
+        if cocircuits is None:
+            cocircuits = certified
+    elif cocircuits is None:
+        cocircuits = enumerate_cocircuits(va)
     r = va.lattice_rank
     return _quotient_dims(r, _expansions(cocircuits, r), bound)
 

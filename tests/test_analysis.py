@@ -9,7 +9,7 @@ import pytest
 from conftest import data_path, wheel_graph
 from oracles import exactness_on_eval_rows
 from zonoharm.analysis import Analysis, _exactness_ranks
-from zonoharm.arrangement import enumerate_cocircuits
+from zonoharm.arrangement import VectorArrangement, contraction_data, enumerate_cocircuits
 from zonoharm.formats import parse_graph
 from zonoharm.graphs import (
     Arrow,
@@ -19,6 +19,7 @@ from zonoharm.graphs import (
     tutte_polynomial,
 )
 from zonoharm.harmonics import Harmonics
+from zonoharm.linalg import Mat
 from zonoharm.report import build_graph_report
 from zonoharm.verification import random_connected_multigraph, run_instance_checks
 
@@ -97,3 +98,19 @@ def test_exactness_fails_on_swapped_bars(house_graph):
         swapped = [bars[k], *bars[1:k], bars[0], *bars[k + 1 :]]
         assert _exactness_both_ways(ctx, a) == (True, True)
         assert _exactness_both_ways(ctx, a, swapped) == (False, False)
+
+
+def test_exactness_fails_on_bars_not_constant_along_the_element():
+    # the 7 points are symmetric under swapping the coordinates, so the bars
+    # of the swapped point, (U (z1, z0))[1:], factor through an affine
+    # bijection and pass every rank check; they are not constant along the
+    # element's direction, which only the composite-vanishing test sees
+    cols = [(1, 0), (1, 0), (0, 1), (0, 1), (1, 1), (1, 1)]
+    va = VectorArrangement(2, tuple(f"e{i}" for i in range(6)), Mat.from_cols(cols, rows=2))
+    ctx = Analysis(va)
+    assert len(ctx.points) == 7
+    for a in ("e0", "e1", "e2", "e3"):
+        _, transform, _ = contraction_data(va, a)
+        twisted = [tuple(transform.matvec((z[1], z[0]))[1:]) for z in ctx.points.points]
+        assert _exactness_both_ways(ctx, a) == (True, True)
+        assert _exactness_both_ways(ctx, a, twisted) == (False, False)

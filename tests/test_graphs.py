@@ -249,6 +249,23 @@ class TestTutte:
     def test_matches_corank_nullity_oracle(self, g):
         assert tutte_polynomial(g) == corank_nullity_tutte(g)
 
+    def test_matches_oracle_on_graphs_that_may_be_disconnected(self):
+        # isolated vertices, several components and no arrows at all, which
+        # connected_multigraphs never yields
+        rng = random.Random(7)
+        kinds = set()
+        for _ in range(200):
+            n = rng.randint(1, 7)
+            g = graph(n, [(rng.randint(1, n), rng.randint(1, n)) for _ in range(rng.randint(0, 9))])
+            if len({v for a in g.arrows for v in (a.tail, a.head)}) < n:
+                kinds.add("isolated vertex")
+            if len(g.vertices) - graph_rank(g) > 1:
+                kinds.add("several components")
+            if not g.arrows:
+                kinds.add("no arrows")
+            assert tutte_polynomial(g) == corank_nullity_tutte(g)
+        assert kinds == {"isolated vertex", "several components", "no arrows"}
+
     @given(connected_multigraphs(max_edges=6))
     @settings(max_examples=25)
     def test_orientation_independent_quantities(self, g):

@@ -8,6 +8,7 @@ from conftest import data_path
 from strategies import connected_multigraphs
 from zonoharm import linalg
 from zonoharm.arrangement import VectorArrangement, enumerate_cocircuits, interior_lattice_points
+from zonoharm.errors import NotTotallyUnimodularError
 from zonoharm.funcspace import binom_int
 from zonoharm.formats import parse_graph
 from zonoharm.graphs import cographical_arrangement
@@ -83,6 +84,13 @@ class TestQuotientDims:
     def test_unit_ideal(self):
         va = VectorArrangement(1, ("a1",), Mat.from_rows([[1]]))
         assert trim(power_ideal_quotient_dims(va)) == ()
+
+    def test_passed_cocircuits_do_not_certify_the_bound(self):
+        # (2) is 0 mod 2; without a bound the Tutte series is certified by
+        # cocircuits enumerated in the call, never by the tuple passed in
+        va = VectorArrangement(1, ("a", "b"), Mat.from_rows([[1, 2]]))
+        with pytest.raises(NotTotallyUnimodularError):
+            power_ideal_quotient_dims(va, cocircuits=())
 
     @given(connected_multigraphs(max_edges=6))
     @settings(max_examples=30)
