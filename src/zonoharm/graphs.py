@@ -14,7 +14,9 @@ Both Tutte polynomials come from one corank-nullity walk with every rank
 taken over GF(2).  For a graph the columns are the unsigned incidence
 vectors, which represent its cycle matroid over GF(2).  For an
 arrangement they are the columns mod 2, which is exact once the cocircuits
-certify that every basis has determinant +-1.
+certify that every basis has determinant +-1.  The walk runs once per
+connected part of the matroid, on the part's dual when that has the lower
+rank, so bridges, self-loops and long cycles stay cheap.
 """
 
 from __future__ import annotations
@@ -289,11 +291,12 @@ def tutte_polynomial(g: DirectedGraph) -> BivariatePolynomial:
     bitmask of its two ends, 0 for a self-loop.  A set of arrows is
     independent over GF(2) exactly when it is a forest, so these columns
     represent the cycle matroid (Oxley, *Matroid Theory*, 5.1) and no
-    certificate is needed.  The rank is that of the graph.
+    certificate is needed.  Bridges, self-loops and the blocks joined at
+    cut vertices come out as separate parts of ``_corank_nullity``.
     """
     vindex = {v: i for i, v in enumerate(g.vertices)}
     parity = [(1 << vindex[a.tail]) ^ (1 << vindex[a.head]) for a in g.arrows]
-    return _corank_nullity(parity, graph_rank(g))
+    return _corank_nullity(parity)
 
 
 def su2_poincare_polynomial(g: DirectedGraph, tutte=None) -> tuple:
@@ -332,11 +335,55 @@ def tutte_of_arrangement(va: VectorArrangement, cocircuits=None) -> BivariatePol
     if cocircuits is None:
         enumerate_cocircuits(va)
     parity = [sum((x & 1) << i for i, x in enumerate(c)) for c in va.columns.col_list()]
-    return _corank_nullity(parity, va.lattice_rank)
+    return _corank_nullity(parity)
 
 
-def _corank_nullity(parity: list, r: int) -> BivariatePolynomial:
-    """Corank-nullity sum of the matroid of GF(2) columns ``parity`` of rank ``r``.
+def _corank_nullity(parity: list) -> BivariatePolynomial:
+    """Tutte polynomial of the matroid of the GF(2) columns ``parity``.
+
+    Elimination picks a basis B of columns and the fundamental circuit of
+    every other column.  Columns that share such a circuit are joined into a
+    part; the matroid is the direct sum of its parts, so T is the product of
+    theirs, and a loop or coloop is a part with T = y or x.  A part whose
+    rank exceeds its nullity is walked as its dual and x, y swapped: with
+    coordinates [I | A] on B, the dual is [A^T | I] (Oxley, *Matroid Theory*,
+    2.2.8), so column k becomes the set of circuits that hold it.  A walk
+    stops growing a subset once it spans, so the lower rank is the cheaper.
+    """
+    basis, circuits, parts = [], {}, []  # basis: (reduced vector, columns it sums)
+    for k, v in enumerate(parity):
+        m = 1 << k
+        for b, bm in basis:
+            if v ^ b < v:
+                v, m = v ^ b, m ^ bm
+        if v:
+            basis = sorted((*basis, (v, m)), reverse=True)
+            m = 1 << k
+        else:
+            circuits[k] = m
+        for p in [p for p in parts if p & m]:
+            parts.remove(p)
+            m |= p
+        parts.append(m)
+    acc = {(0, 0): 1}
+    for part in parts:
+        cols = [k for k in range(len(parity)) if part >> k & 1]
+        rest = [k for k in cols if k in circuits]
+        if 2 * len(rest) >= len(cols):
+            t = _walk([parity[k] for k in cols], len(cols) - len(rest))
+        else:
+            dual = [sum(1 << i for i, h in enumerate(rest) if circuits[h] >> k & 1) for k in cols]
+            t = {(j, i): c for (i, j), c in _walk(dual, len(rest)).items()}
+        prod: dict = {}
+        for (i, j), c in acc.items():
+            for (p, q), d in t.items():
+                prod[i + p, j + q] = prod.get((i + p, j + q), 0) + c * d
+        acc = prod
+    return BivariatePolynomial.from_dict(acc)
+
+
+def _walk(parity: list, r: int) -> dict:
+    """Corank-nullity sum {(i, j): coeff} of the GF(2) columns ``parity`` of rank ``r``.
 
     One depth-first walk over the subsets keeps an xor basis of the columns'
     bitmasks and counts the subsets of each (rank, size), all supersets of a
@@ -372,4 +419,4 @@ def _corank_nullity(parity: list, r: int) -> BivariatePolynomial:
                 ci = count * binom_int(p, i) * (-1) ** (p - i)
                 for j in range(q + 1):
                     acc[(i, j)] = acc.get((i, j), 0) + ci * binom_int(q, j) * (-1) ** (q - j)
-    return BivariatePolynomial.from_dict(acc)
+    return acc

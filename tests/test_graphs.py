@@ -232,6 +232,29 @@ class TestThetaSubgraphs:
         assert theta_subgraphs(g, cycles) == theta_triples(cycles)
 
 
+def times(*polys):
+    """Product of polynomials given as {(i, j): coeff}."""
+    acc = {(0, 0): 1}
+    for p in polys:
+        prod = {}
+        for (i, j), c in acc.items():
+            for (k, l), d in p.items():
+                prod[i + k, j + l] = prod.get((i + k, j + l), 0) + c * d
+        acc = prod
+    return acc
+
+
+def walk_steps(fn, *args):
+    """``fn(*args)`` and the number of subsets the corank-nullity walk visited."""
+    prof = cProfile.Profile()
+    result = prof.runcall(fn, *args)
+    stats = pstats.Stats(prof).stats
+    steps = sum(
+        v[1] for (f, _, name), v in stats.items() if name == "walk" and f.endswith("graphs.py")
+    )
+    return result, steps
+
+
 class TestTutte:
     def test_triangle(self):
         t = tutte_polynomial(cycle_graph(3))
@@ -265,6 +288,38 @@ class TestTutte:
                 kinds.add("no arrows")
             assert tutte_polynomial(g) == corank_nullity_tutte(g)
         assert kinds == {"isolated vertex", "several components", "no arrows"}
+
+    def test_bridges_blocks_and_long_cycles_walk_few_subsets(self):
+        # each part is walked alone and a part of high rank as its dual, so
+        # the walk visits a few subsets per arrow where one walk over all
+        # the arrows would visit about 2^20
+        tri = {(2, 0): 1, (1, 0): 1, (0, 1): 1}
+        pendant = [(1, 2), (2, 3), (3, 1)] + [(i, i + 1) for i in range(3, 20)]
+        chain = [e for k in range(1, 13, 2) for e in ((k, k + 1), (k + 1, k + 2), (k + 2, k))]
+        cases = [
+            (graph(31, [(i, i + 1) for i in range(1, 31)]), {(30, 0): 1}),
+            (cycle_graph(20), {**{(i, 0): 1 for i in range(1, 20)}, (0, 1): 1}),
+            (graph(20, pendant), times(tri, {(17, 0): 1})),
+            (graph(13, chain), times(*[tri] * 6)),
+        ]
+        for g, expected in cases:
+            t, steps = walk_steps(tutte_polynomial, g)
+            assert t == BivariatePolynomial.from_dict(expected)
+            assert steps <= 2 * len(g.arrows)
+            if len(g.arrows) <= 20:
+                assert tutte_of_arrangement(cographical_arrangement(g)).swap() == t
+
+    def test_pendant_arrows_add_one_step_each(self):
+        # W5 with a 10-arrow path hanging off a rim vertex: the path's
+        # bridges are coloops, never loops of a dual walk over W5
+        spokes = [(1, i) for i in range(2, 7)] + [(i, i % 5 + 2) for i in range(2, 7)]
+        wheel, steps = walk_steps(tutte_polynomial, graph(6, spokes))
+        assert wheel == corank_nullity_tutte(graph(6, spokes))
+        g = graph(16, spokes + [(i, i + 1) for i in range(6, 16)])
+        t, pendant_steps = walk_steps(tutte_polynomial, g)
+        wheel_dict = {(i, j): c for i, j, c in wheel.terms}
+        assert t == BivariatePolynomial.from_dict(times(wheel_dict, {(10, 0): 1}))
+        assert pendant_steps == steps + 10
 
     @given(connected_multigraphs(max_edges=6))
     @settings(max_examples=25)

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from zonoharm import graphs
 from zonoharm.errors import SizeExceededError
 from zonoharm.formats import parse_graph
 from zonoharm.graphs import connected_components
@@ -46,6 +47,15 @@ class TestInstanceChecks:
         assert set(res.checks) == EXPECTED_CHECKS
         assert res.ok
         assert res.failed() == ()
+
+    def test_walk_with_swapped_exponents_fails_the_point_count(self, house_graph, monkeypatch):
+        # both Tutte polynomials come from one walk, so a walk that returned
+        # T(M*) for T(M) would keep tutte_duality; the point count and the
+        # Hilbert series comparisons catch it
+        walk = graphs._corank_nullity
+        monkeypatch.setattr(graphs, "_corank_nullity", lambda parity: walk(parity).swap())
+        res = run_instance_checks(house_graph)
+        assert res.failed() == ("point_count_identity", "tutte_identity")
 
     def test_graph_text_replays(self, house_graph):
         res = run_instance_checks(house_graph)
