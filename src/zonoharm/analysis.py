@@ -2,13 +2,14 @@
 
 ``Analysis`` computes each quantity that the checks read lazily and at most
 once: loops and coloops, cocircuits, interior points, the filtration, the
-Tutte polynomial with its series, the power-ideal quotient dimensions and,
-for a graph input, its oriented cycles and graph polynomials.  ``CHECKS``
-defines every identity once, as a function of a context.  The CLI report
-evaluates the checks that carry a report key; the random suite evaluates all
-of them.  The deletion/contraction check builds one context per minor and
-reuses the parent's points and filtration.  Only a parent context enumerates
-its cocircuits; each minor's are derived from the parent's and handed to the
+Tutte polynomial with its series, whether the shifted binomials vanish, the
+certified power-ideal quotient dimensions and, for a graph input, its
+oriented cycles and graph polynomials.  ``CHECKS`` defines every identity
+once, as a function of a context.  The CLI report evaluates the checks that
+carry a report key; the random suite evaluates all of them.  The
+deletion/contraction check builds one context per minor and reuses the
+parent's points and filtration.  Only a parent context enumerates its
+cocircuits; each minor's are derived from the parent's and handed to the
 minor's context, while its points come from its own facet description.
 """
 
@@ -43,8 +44,8 @@ from .harmonics import (
     iz_hilbert_series,
     verify_saturation,
 )
-from .ideals import k_minus_generators, power_ideal_quotient_dims, verify_vanishing
-from .linalg import Mat, rank
+from .ideals import k_minus_generators, quotient_dims, verify_vanishing
+from .linalg import IntRowLattice, in_row_lattice
 
 
 @dataclass(frozen=True)
@@ -141,8 +142,13 @@ class Analysis:
         return iz_hilbert_series(self.va, self.tutte)
 
     @cached_property
+    def generators_vanish(self) -> bool:
+        return verify_vanishing(k_minus_generators(self.va, self.cocircuits), self.points)
+
+    @cached_property
     def power_dims(self) -> tuple:
-        return power_ideal_quotient_dims(self.va, len(self.iz), self.cocircuits)
+        h = self.full_harmonics
+        return quotient_dims(self.va, self.cocircuits, len(self.iz), h, self.generators_vanish)
 
     @cached_property
     def cycles(self) -> tuple:
@@ -231,9 +237,10 @@ def _exactness_ranks(ctx: Analysis, ctx_del: Analysis, ctx_con: Analysis, elemen
 
     Each filtered piece is represented by the q_dim canonical rows of its
     integral lattice, which span the same rational space as all of its
-    binomial-product evaluation rows, so every rank below tests the same
-    statement over Q on fewer rows.  ``bars[k]`` is the image in the
-    contraction's lattice of the k-th point.
+    binomial-product evaluation rows, so every test below decides the same
+    statement over Q on fewer rows.  An integer row lies in a piece's Q-span
+    iff it lies in the piece's saturated rows.  ``bars[k]`` is the image in
+    the contraction's lattice of the k-th point.
     """
     h, h_del, h_con = ctx.full_harmonics, ctx_del.harmonics, ctx_con.harmonics
     col = ctx.va.column(element)
@@ -261,19 +268,16 @@ def _exactness_ranks(ctx: Analysis, ctx_del: Analysis, ctx_con: Analysis, elemen
         rows_con = h_con.basis_up_to(i)
         # pullback of contraction functions along the bar map
         xi_rows = [tuple(f[bar_idx[k]] for k in range(n)) for f in rows_con]
-        if rank(Mat.from_rows(xi_rows, cols=n)) != h_con.q_dim(i):
+        if IntRowLattice(n, xi_rows).rank != h_con.q_dim(i):
             return False  # pullback not injective
-        joined = rank(Mat.from_rows(list(rows) + xi_rows, cols=n))
-        if joined != h.q_dim(i):
+        if not all(in_row_lattice(h.saturated_rows(i), f) for f in xi_rows):
             return False  # pullback image escapes the filtered piece
         # difference operator into functions on the deletion's points
         d_rows = [tuple(f[b] - f[a] for a, b in shift_idx) for f in rows]
         if m:
-            rows_del = h_del.basis_up_to(i - 1)
-            if rank(Mat.from_rows(d_rows, cols=m)) != h_del.q_dim(i - 1):
+            if IntRowLattice(m, d_rows).rank != h_del.q_dim(i - 1):
                 return False  # difference map not surjective
-            joined_del = rank(Mat.from_rows(list(rows_del) + d_rows, cols=m))
-            if joined_del != h_del.q_dim(i - 1):
+            if not all(in_row_lattice(h_del.saturated_rows(i - 1), f) for f in d_rows):
                 return False  # image escapes the lower filtered piece
             # composite must vanish identically
             for f in xi_rows:
@@ -330,7 +334,7 @@ def _cocircuits_match_cycles(ctx: Analysis) -> bool:
 
 
 def _generators_vanish(ctx: Analysis) -> bool:
-    return verify_vanishing(k_minus_generators(ctx.va, ctx.cocircuits), ctx.points)
+    return ctx.generators_vanish
 
 
 def _power_ideal_dims(ctx: Analysis) -> bool:

@@ -4,8 +4,14 @@ Each cocircuit a contributes two generators: the shifted binomial
 C(<a, x> + d_-(a) - 1, d(a) - 1), which vanishes identically on the interior
 lattice points, and the pure power a^(d(a)-1), which cuts out the graded
 quotient over Q.  The graded quotient dimensions are computed degree by
-degree with exact linear algebra over the monomial basis; no symbolic ideal
-machinery is involved.
+degree over the monomial basis, with no symbolic ideal machinery.
+
+Each degree's Macaulay matrix is ranked modulo the prime P, without lifting,
+and certified by orbit harmonics: where the shifted binomials vanish on the
+points Z, their top-degree parts, the pure powers up to units, lie in
+gr I(Z), so dim (Sym/I)_d >= grDims[d] of the filtration on Z.  A rank mod P
+can only overstate dim (Sym/I)_d, so a mod-P dimension equal to grDims[d] is
+exact.  Every other degree is ranked by Bareiss.
 """
 
 from __future__ import annotations
@@ -13,14 +19,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import factorial
 
-from .arrangement import Cocircuit, VectorArrangement, enumerate_cocircuits
+from .arrangement import Cocircuit, VectorArrangement, enumerate_cocircuits, interior_lattice_points
 from .errors import SizeExceededError
 from .funcspace import binom_int, exponents_of_degree
 from .graphs import tutte_of_arrangement
-from .harmonics import iz_hilbert_series
-from .linalg import Mat, rank
+from .harmonics import Harmonics, iz_hilbert_series
+from .linalg import rank
 
 SYM_DEGREE_DIM_CAP = 3000
+P = (1 << 61) - 1  # prime modulus of the certified rank
 
 
 @dataclass(frozen=True)
@@ -109,15 +116,15 @@ def _expansions(cocircuits, r: int) -> list:
     return [(c.degree - 1, _power_expansion(c.covector, c.degree - 1, r)) for c in cocircuits]
 
 
-def _quotient_dim_at_degree(r: int, expansions, degree: int) -> int:
+def _macaulay_rows(r: int, expansions, degree: int) -> tuple:
+    """(dim Sym_d, rows): every monomial multiple of degree d of each power,
+    over the monomial basis of Sym_d."""
     monos = list(exponents_of_degree(r, degree))
     dim = len(monos)
     if dim > SYM_DEGREE_DIM_CAP:
         raise SizeExceededError(
             f"degree-{degree} symmetric power has dimension {dim} > {SYM_DEGREE_DIM_CAP}"
         )
-    if dim == 0:
-        return 0
     index = {e: i for i, e in enumerate(monos)}
     rows = []
     for e, expansion in expansions:
@@ -129,13 +136,60 @@ def _quotient_dim_at_degree(r: int, expansions, degree: int) -> int:
                 total = tuple(a + b for a, b in zip(exps, shift_exps))
                 row[index[total]] += coeff
             rows.append(row)
+    return dim, rows
+
+
+def _rank_mod_p(rows: list) -> int:
+    """Rank modulo P of nonempty integer rows, by elimination without lifting;
+    each pivot row has the fewest nonzeros, for the least fill-in."""
+    work = [[x % P for x in r] for r in rows]
+    rho = 0
+    for c in range(len(work[0])):
+        cands = [i for i, w in enumerate(work) if w[c]]
+        if not cands:
+            continue
+        row_p = work.pop(max(cands, key=lambda i: work[i].count(0)))
+        inv = pow(row_p[c], -1, P)
+        tail = [x * inv % P for x in row_p[c:]]
+        for w in work:
+            f = w[c]
+            if f:
+                w[c:] = [(a - f * b) % P for a, b in zip(w[c:], tail)]
+        rho += 1
+        if not work:
+            break
+    return rho
+
+
+def _quotient_dim(r: int, expansions, degree: int, floor: int | None) -> int:
+    """dim (Sym/I)_d over Q: mod P where that meets the lower bound ``floor``, else by Bareiss."""
+    dim, rows = _macaulay_rows(r, expansions, degree)
     if not rows:
         return dim
-    return dim - rank(Mat.from_rows(rows, cols=dim))
+    if floor is not None and dim - _rank_mod_p(rows) == floor:
+        return floor
+    return dim - rank(rows)
 
 
-def _quotient_dims(r: int, expansions, bound: int) -> tuple:
-    return tuple(_quotient_dim_at_degree(r, expansions, d) for d in range(bound + 1))
+def quotient_dims(va: VectorArrangement, cocircuits, bound: int, harmonics, vanishing) -> tuple:
+    """Graded dimensions of Sym modulo the pure cocircuit powers, degrees 0..bound.
+
+    ``harmonics`` is the untruncated filtration on the points, and
+    ``vanishing`` says whether the shifted binomials vanish on them; if so,
+    its grDims, padded with zeros, bound the dimensions from below.
+    """
+    r = va.lattice_rank
+    gr = harmonics.gr_dims()
+    floors = gr + (0,) * (bound + 1 - len(gr)) if vanishing else (None,) * (bound + 1)
+    expansions = _expansions(cocircuits, r)
+    return tuple(_quotient_dim(r, expansions, d, floors[d]) for d in range(bound + 1))
+
+
+def _certificate(va: VectorArrangement, cocircuits) -> tuple:
+    """The filtration on the interior points and the vanishing verdict there."""
+    points = interior_lattice_points(va, cocircuits)
+    vanishing = verify_vanishing(k_minus_generators(va, cocircuits), points)
+    return Harmonics(va, points=points), vanishing
 
 
 def power_ideal_quotient_dims(
@@ -156,26 +210,28 @@ def power_ideal_quotient_dims(
             cocircuits = certified
     elif cocircuits is None:
         cocircuits = enumerate_cocircuits(va)
-    r = va.lattice_rank
-    return _quotient_dims(r, _expansions(cocircuits, r), bound)
+    return quotient_dims(va, cocircuits, bound, *_certificate(va, cocircuits))
 
 
 def redundant_generators(va: VectorArrangement, bound: int | None = None) -> tuple:
-    """Indices of cocircuit generators implied by the others, degree by degree.
+    """Indices of cocircuit generators implied by the others, up to a degree bound.
 
-    Generator g is implied when dropping it leaves every truncated-degree
-    quotient dimension unchanged.  No minimality claim: the remaining set may
-    itself contain further implications.  Each cocircuit power is expanded
-    once and shared by every leave-one-out comparison.
+    Generator g of degree e is implied iff dropping it leaves the degree-e
+    quotient dimension unchanged: then g lies in the ideal of the others, so
+    the two ideals agree in every degree.  A generator of degree above the
+    bound counts as implied.  Dropping g can only enlarge the quotient, so a
+    mod-P dimension equal to the full one proves g implied; otherwise one
+    Bareiss rank decides.  No minimality claim: the remaining set may itself
+    contain further implications.
     """
-    r = va.lattice_rank
     cocircuits = enumerate_cocircuits(va)
-    expansions = _expansions(cocircuits, r)
     if bound is None:
         bound = len(iz_hilbert_series(va, tutte_of_arrangement(va, cocircuits)))
-    full = _quotient_dims(r, expansions, bound)
+    full = quotient_dims(va, cocircuits, bound, *_certificate(va, cocircuits))
+    r = va.lattice_rank
+    exps = _expansions(cocircuits, r)
     return tuple(
         i
-        for i in range(len(expansions))
-        if _quotient_dims(r, expansions[:i] + expansions[i + 1 :], bound) == full
+        for i, (e, _) in enumerate(exps)
+        if e > bound or _quotient_dim(r, exps[:i] + exps[i + 1 :], e, full[e]) == full[e]
     )

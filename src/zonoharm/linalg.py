@@ -1,26 +1,17 @@
 """Exact integer linear algebra on small dense matrices.
 
-All values are immutable and all functions are pure.  Determinants are
-computed fraction-free (Bareiss).  Ranks of matrices whose smaller side is
-below MODULAR_MIN_SIDE use Bareiss too; larger ones are ranked modulo the
-prime P and certified exactly: every kernel vector of the echelon form mod P
-is lifted to Q and checked against every row over Z, and any failure falls
-back to Bareiss (see ``rank``).  Every lattice computation runs on one xgcd
-echelon, ``IntRowLattice``, whose canonical rows are the row-style Hermite
-form: integer kernels are read off the echelon form of [A^T | I], and a
-saturation is the kernel of the kernel.
+All values are immutable and all functions are pure.  Determinants and
+ranks are computed fraction-free (Bareiss).  Every lattice computation runs
+on one xgcd echelon, ``IntRowLattice``, whose canonical rows are the
+row-style Hermite form: integer kernels are read off the echelon form of
+[A^T | I], and a saturation is the kernel of the kernel.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain
-from math import isqrt, lcm, prod
-from operator import mul
-
-P = (1 << 61) - 1  # prime modulus of the certified rank
-MODULAR_MIN_SIDE = 32  # smaller side from which the modular rank beats Bareiss
-_LIFT_BOUND = isqrt(P // 2)  # rational reconstruction: |num|, den <= this
+from math import prod
 
 
 @dataclass(frozen=True)
@@ -122,32 +113,8 @@ def det(m) -> int:
 
 
 def rank(m) -> int:
-    """Exact rank over the rationals.
-
-    Matrices whose smaller side is below MODULAR_MIN_SIDE are ranked by
-    fraction-free Gaussian elimination (Bareiss).  Larger ones are put in
-    echelon form modulo P, giving rho_p; if rho_p < cols, the kernel vector
-    of each free column is read off that form, lifted to Q by rational
-    reconstruction, cleared of denominators and checked to annihilate every
-    row exactly over Z.  If all cols - rho_p vectors check, rho_p is the
-    rank: a minor that vanishes over Z vanishes mod P, so rho_p <= rank; the
-    checked vectors are independent (each is nonzero on its own free column
-    and zero on the others), so rank <= rho_p.  A failed lift or check falls
-    back to Bareiss, so the result never depends on P.
-    """
+    """Exact rank over the rationals, by fraction-free Gaussian elimination (Bareiss)."""
     rows = _int_rows(m)
-    if not rows or min(len(rows), len(rows[0])) < MODULAR_MIN_SIDE:
-        return _bareiss_rank(rows)
-    if len(rows) < len(rows[0]):
-        rows = [list(c) for c in zip(*rows)]
-    rho, kernel = _modular_kernel(rows)
-    if all(v is not None and not any(sum(map(mul, r, v)) for r in rows) for v in kernel):
-        return rho
-    return _bareiss_rank(rows)
-
-
-def _bareiss_rank(rows: list) -> int:
-    """Rank of integer rows by fraction-free elimination; mutates ``rows``."""
     if not rows:
         return 0
     ncols = len(rows[0])
@@ -169,54 +136,6 @@ def _bareiss_rank(rows: list) -> int:
         if r == len(rows):
             break
     return r
-
-
-def _modular_kernel(rows: list):
-    """Rank mod P of integer rows, and per free column the integer lift of
-    its kernel vector mod P, or None where rational reconstruction failed.
-    """
-    ncols = len(rows[0])
-    work = [[x % P for x in r] for r in rows]
-    echelon, pivots = [], []
-    for c in range(ncols):
-        cands = [i for i, w in enumerate(work) if w[c]]
-        if not cands:
-            continue
-        row_p = work.pop(max(cands, key=lambda i: work[i].count(0)))  # fewest nonzeros: least fill-in
-        inv = pow(row_p[c], -1, P)
-        row_p = [x * inv % P for x in row_p]
-        tail = row_p[c:]
-        for w in work:
-            f = w[c]
-            if f:
-                w[c:] = [(a - f * b) % P for a, b in zip(w[c:], tail)]
-        echelon.append(row_p)
-        pivots.append(c)
-        if not work:
-            break
-    kernel = []
-    for free in sorted(set(range(ncols)) - set(pivots)):
-        x = [0] * ncols
-        x[free] = 1
-        for row, c in zip(reversed(echelon), reversed(pivots)):
-            x[c] = -sum(map(mul, row[c + 1 :], x[c + 1 :])) % P
-        kernel.append(_lift_vector(x))
-    return len(pivots), kernel
-
-
-def _lift_vector(x: list):
-    """Integer vector proportional to the rational lift of x mod P, or None."""
-    fracs = []
-    for a in x:
-        r0, r1, s0, s1 = P, a, 0, 1
-        while r1 > _LIFT_BOUND:
-            q = r0 // r1
-            r0, r1, s0, s1 = r1, r0 - q * r1, s1, s0 - q * s1
-        if not 0 < abs(s1) <= _LIFT_BOUND:
-            return None
-        fracs.append((r1, s1) if s1 > 0 else (-r1, -s1))
-    mult = lcm(*(d for _, d in fracs))
-    return [n * (mult // d) for n, d in fracs]
 
 
 def in_row_lattice(echelon_rows, vec) -> bool:
@@ -244,10 +163,12 @@ class IntRowLattice:
     dimension of the span, and ``canonical_rows`` returns the row-style HNF.
     """
 
-    def __init__(self, ncols: int):
+    def __init__(self, ncols: int, rows=()):
         self.ncols = ncols
         self.rows: list = []  # sorted by pivot column
         self.pivot_cols: list = []
+        for r in rows:
+            self.add(r)
 
     def add(self, vec) -> None:
         v = [int(x) for x in vec]
@@ -317,9 +238,7 @@ def saturate(rows, ncols: int):
     saturation are the products of their pivots; the index is their
     quotient, and it is 1 iff L is saturated.
     """
-    lattice = IntRowLattice(ncols)
-    for r in rows:
-        lattice.add(r)
+    lattice = IntRowLattice(ncols, rows)
     sat = integer_kernel(integer_kernel(lattice.rows, ncols), ncols)
     pivots = prod(r[c] for r, c in zip(lattice.rows, lattice.pivot_cols))
     return sat, pivots // prod(next(x for x in r if x) for r in sat)

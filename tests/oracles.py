@@ -3,10 +3,12 @@
 from itertools import combinations, islice
 from math import prod
 
-from zonoharm.arrangement import Cocircuit
+from zonoharm.arrangement import Cocircuit, enumerate_cocircuits
 from zonoharm.errors import NotTotallyUnimodularError
 from zonoharm.funcspace import binom_int, binomial_product_rows, exponents_of_degree
-from zonoharm.graphs import BivariatePolynomial
+from zonoharm.graphs import BivariatePolynomial, tutte_of_arrangement
+from zonoharm.harmonics import iz_hilbert_series
+from zonoharm.ideals import _expansions, _macaulay_rows
 from zonoharm.linalg import Mat, det, integer_kernel, rank, xgcd
 
 
@@ -267,3 +269,28 @@ def exactness_on_eval_rows(ctx, ctx_del, ctx_con, element, bars):
         if h.q_dim(i) != h_con.q_dim(i) + h_del.q_dim(i - 1):
             return False
     return True
+
+
+def all_degree_redundant_generators(va, bound=None):
+    """Indices of cocircuit generators whose removal leaves every quotient
+    dimension up to the bound unchanged, each dimension by an exact rank.
+
+    Same arguments and result as ``ideals.redundant_generators``.
+    """
+    r = va.lattice_rank
+    cocircuits = enumerate_cocircuits(va)
+    expansions = _expansions(cocircuits, r)
+    if bound is None:
+        bound = len(iz_hilbert_series(va, tutte_of_arrangement(va, cocircuits)))
+
+    def dims(exps):
+        out = []
+        for d in range(bound + 1):
+            dim, rows = _macaulay_rows(r, exps, d)
+            out.append(dim - rank(Mat.from_rows(rows, cols=dim)))
+        return tuple(out)
+
+    full = dims(expansions)
+    return tuple(
+        i for i in range(len(expansions)) if dims(expansions[:i] + expansions[i + 1 :]) == full
+    )

@@ -19,6 +19,7 @@ from zonoharm.graphs import (
     tutte_polynomial,
 )
 from zonoharm.harmonics import Harmonics
+from zonoharm.ideals import verify_vanishing
 from zonoharm.linalg import Mat
 from zonoharm.report import build_graph_report
 from zonoharm.verification import random_connected_multigraph, run_instance_checks
@@ -57,6 +58,8 @@ def test_each_quantity_once_per_arrangement(run):
     assert _calls(stats, enumerate_cocircuits) == 1
     assert _calls(stats, tutte_of_arrangement) == 1
     assert _calls(stats, tutte_polynomial) == 1
+    # the generatorsVanish check and the certificate of the power dims share one verdict
+    assert _calls(stats, verify_vanishing) == 1
 
 
 def _exactness_both_ways(ctx: Analysis, element, bars=None) -> tuple:
@@ -114,3 +117,29 @@ def test_exactness_fails_on_bars_not_constant_along_the_element():
         twisted = [tuple(transform.matvec((z[1], z[0]))[1:]) for z in ctx.points.points]
         assert _exactness_both_ways(ctx, a) == (True, True)
         assert _exactness_both_ways(ctx, a, twisted) == (False, False)
+
+
+@pytest.mark.parametrize(
+    "layer, method, fault",
+    [
+        ("parent", "saturated_rows", lambda rows, i: rows(i - 1)),
+        ("deletion", "saturated_rows", lambda rows, i: rows(i - 1)),
+        ("contraction", "basis_up_to", lambda rows, i: rows(i)[:1] * len(rows(i))),
+        ("parent", "basis_up_to", lambda rows, i: rows(i)[:1]),
+    ],
+    ids=["pullback-escapes", "difference-escapes", "pullback-not-injective", "difference-not-onto"],
+)
+def test_each_exactness_exit_fails_on_its_own_fault(layer, method, fault):
+    # each fault breaks one of the four tests and leaves the others, and the
+    # dimension identity, true: a saturated piece lagging one degree lets an
+    # image escape it; basis rows that repeat the first, or keep only the
+    # constant function, take rank from the pullback or the difference
+    ctx = Analysis(cographical_arrangement(wheel_graph(4)))
+    a = ctx.usable[0]
+    ctx_del, ctx_con, bars = ctx.minors(a)
+    assert _exactness_ranks(ctx, ctx_del, ctx_con, a, bars)
+    layers = {"parent": ctx, "deletion": ctx_del, "contraction": ctx_con}
+    h = layers[layer].full_harmonics
+    rows = getattr(h, method)
+    setattr(h, method, lambda i: fault(rows, i))  # the instance attribute shadows the method
+    assert not _exactness_ranks(ctx, ctx_del, ctx_con, a, bars)

@@ -1,12 +1,15 @@
 import cProfile
 import pstats
+import random
 
 import pytest
 from hypothesis import given, settings
 
-from conftest import data_path
+from conftest import data_path, wheel_graph
+from oracles import all_degree_redundant_generators
 from strategies import connected_multigraphs
-from zonoharm import linalg
+from zonoharm import ideals
+from zonoharm.analysis import Analysis
 from zonoharm.arrangement import VectorArrangement, enumerate_cocircuits, interior_lattice_points
 from zonoharm.errors import NotTotallyUnimodularError
 from zonoharm.funcspace import binom_int
@@ -21,6 +24,7 @@ from zonoharm.ideals import (
     verify_vanishing,
 )
 from zonoharm.linalg import Mat
+from zonoharm.verification import random_connected_multigraph
 
 
 def cycle_arrangement(k):
@@ -152,20 +156,93 @@ class TestRedundancy:
     def test_cycle_has_no_redundancy(self):
         assert redundant_generators(cycle_arrangement(4)) == ()
 
-    def test_k33_reaches_modular_rank(self, monkeypatch):
-        # Sym_4 and Sym_5 in 4 variables have 35 and 56 monomials, so the
-        # higher degrees are ranked on the certified modular path.
-        text = "".join(f"vertex {side}{i}\n" for side in "ab" for i in (1, 2, 3))
-        text += "".join(f"arrow {3 * i + j + 1} a{i + 1} b{j + 1}\n" for i in range(3) for j in range(3))
-        va = cographical_arrangement(parse_graph(text))
-        calls = []
-
-        def spy(rows):
-            calls.append(len(rows[0]))
-            return modular_kernel(rows)
-
-        modular_kernel = linalg._modular_kernel
-        monkeypatch.setattr(linalg, "_modular_kernel", spy)
-        assert power_ideal_quotient_dims(va) == (1, 4, 10, 11, 5, 0)
+    def test_k33_reaches_modular_rank(self, bareiss_calls):
+        # every degree of the report's dims is certified mod P; each
+        # non-redundant generator takes one exact rank to decide
+        va = cographical_arrangement(parse_graph(K33))
+        assert Analysis(va).power_dims == (1, 4, 10, 11, 5, 0)
+        assert bareiss_calls == []
         assert len(redundant_generators(va)) == 6
-        assert calls and min(calls) >= linalg.MODULAR_MIN_SIDE
+        assert len(bareiss_calls) == 9
+
+    @pytest.mark.parametrize("name", ["house", "C3", "C4", "C5", "C6", "W4", "K33", "prism"])
+    def test_one_degree_matches_all_degrees(self, name):
+        va = named_arrangement(name)
+        assert redundant_generators(va) == all_degree_redundant_generators(va)
+
+    def test_one_degree_matches_all_degrees_on_random_graphs(self):
+        rng = random.Random(7)
+        for _ in range(30):
+            va = cographical_arrangement(random_connected_multigraph(rng, 7))
+            assert redundant_generators(va) == all_degree_redundant_generators(va)
+
+
+K33 = "".join(f"vertex {side}{i}\n" for side in "ab" for i in (1, 2, 3)) + "".join(
+    f"arrow {3 * i + j + 1} a{i + 1} b{j + 1}\n" for i in range(3) for j in range(3)
+)
+PRISM_ARROWS = ("x1 x2", "x2 x3", "x3 x1", "y1 y2", "y2 y3", "y3 y1", "x1 y1", "x2 y2", "x3 y3")
+PRISM = "".join(f"vertex {side}{i}\n" for side in "xy" for i in (1, 2, 3)) + "".join(
+    f"arrow {n} {ends}\n" for n, ends in enumerate(PRISM_ARROWS, start=1)
+)
+
+
+def named_arrangement(name):
+    if name.startswith("C"):
+        return cycle_arrangement(int(name[1:]))
+    if name == "W4":
+        return cographical_arrangement(wheel_graph(4))
+    text = {"K33": K33, "prism": PRISM}.get(name) or data_path(f"{name}.graph").read_text()
+    return cographical_arrangement(parse_graph(text))
+
+
+# power-ideal dims and redundant generator indices, computed by exact ranks
+EXPECTED = {
+    "house": ((1, 2, 2, 1, 0), (0,)),
+    "W4": ((1, 4, 6, 3, 0), (2, 4, 5, 7, 8, 9, 10, 11)),
+    "K33": ((1, 4, 10, 11, 5, 0), (3, 6, 7, 10, 12, 13)),
+    "prism": ((1, 4, 8, 9, 4, 0), (0, 3, 5, 6, 7, 9, 10, 11, 13)),
+}
+
+
+@pytest.fixture()
+def bareiss_calls(monkeypatch):
+    """Record the shape of every exact rank the ideal layer takes."""
+    calls = []
+    exact = ideals.rank
+
+    def spy(rows):
+        calls.append((len(rows), len(rows[0])))
+        return exact(rows)
+
+    monkeypatch.setattr(ideals, "rank", spy)
+    return calls
+
+
+class TestCertificate:
+    """Each exit of the orbit-harmonics certificate: a certified degree (see
+    ``test_k33_reaches_modular_rank``), a bound missed mod a small prime,
+    and no bound when the shifted binomials do not vanish."""
+
+    @pytest.mark.parametrize("p", [2, 3])
+    @pytest.mark.parametrize("name", sorted(EXPECTED))
+    def test_small_prime_falls_back_to_exact_rank(self, monkeypatch, bareiss_calls, name, p):
+        monkeypatch.setattr(ideals, "P", p)
+        va = named_arrangement(name)
+        assert (power_ideal_quotient_dims(va), redundant_generators(va)) == EXPECTED[name]
+        assert bareiss_calls
+
+    @pytest.mark.parametrize("name", sorted(EXPECTED))
+    def test_no_bound_without_vanishing(self, monkeypatch, bareiss_calls, name):
+        monkeypatch.setattr(ideals, "verify_vanishing", lambda gens, points: False)
+        va = named_arrangement(name)
+        dims = power_ideal_quotient_dims(va)
+        assert dims == EXPECTED[name][0]
+        # one exact rank per degree that has generators, none mod P alone
+        low = min(c.degree - 1 for c in enumerate_cocircuits(va))
+        assert len(bareiss_calls) == len(dims) - low
+
+    def test_report_without_vanishing_ranks_every_degree_exactly(self, bareiss_calls):
+        ctx = Analysis(named_arrangement("K33"))
+        ctx.generators_vanish = False  # the cached verdict
+        assert ctx.power_dims == EXPECTED["K33"][0]
+        assert len(bareiss_calls) == 3  # degrees 3..5: K3,3's shortest cycles have 4 arrows

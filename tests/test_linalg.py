@@ -1,4 +1,3 @@
-import random
 from itertools import combinations
 from math import gcd, prod
 
@@ -8,18 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import identity, pointwise_rows, row_hnf, saturation_hnf, solve_row_lattice
-from zonoharm import linalg
-from zonoharm.linalg import (
-    MODULAR_MIN_SIDE,
-    P,
-    IntRowLattice,
-    Mat,
-    in_row_lattice,
-    integer_kernel,
-    rank,
-    saturate,
-    _bareiss_rank,
-)
+from zonoharm.ideals import P, _rank_mod_p
+from zonoharm.linalg import IntRowLattice, Mat, in_row_lattice, integer_kernel, rank, saturate
 
 HOUSE_COLS = [(1, 0), (1, 0), (1, 0), (1, 1), (0, 1), (0, 1)]
 
@@ -96,29 +85,6 @@ class TestRank:
         assert m.cols == rank(m) + len(integer_kernel(rows, m.cols))
 
 
-@st.composite
-def large_products(draw):
-    """A*B with smaller side 32-48 and inner dimension k at most that side.
-
-    A has entries up to 2**20 in size and B is (I_k | C) with C's entries up
-    to 2**20.  Unshuffled, every kernel vector has entries below 2**20, so
-    the modular rank certifies; with B's columns shuffled, kernel vectors are
-    ratios of k-minors and the rank usually falls back to Bareiss.
-    """
-    nrows, ncols = draw(st.integers(32, 48)), draw(st.integers(32, 48))
-    side = min(nrows, ncols)
-    k = draw(st.one_of(st.integers(1, side - 1), st.just(side)))
-    rng = random.Random(draw(st.integers(0, 2**32)))
-    big = 2**20
-    a = [[rng.randint(-big, big) for _ in range(k)] for _ in range(nrows)]
-    c = [[rng.randint(-big, big) for _ in range(ncols - k)] for _ in range(k)]
-    b = [[int(i == j) for j in range(k)] + c[i] for i in range(k)]
-    if draw(st.booleans()):
-        order = rng.sample(range(ncols), ncols)
-        b = [[r[j] for j in order] for r in b]
-    return [[sum(x * y for x, y in zip(r, c)) for c in zip(*b)] for r in a]
-
-
 def grid_incidence(n: int) -> list:
     """Vertex-arrow incidence matrix of the n x n grid graph: rank n*n - 1."""
     vs = [(i, j) for i in range(n) for j in range(n)]
@@ -136,25 +102,20 @@ def huge_kernel_matrix(n: int = 40) -> list:
     return rows
 
 
-@pytest.fixture()
-def bareiss_calls(monkeypatch):
-    """Count the calls rank makes to the Bareiss elimination."""
-    calls = []
-
-    def spy(rows):
-        calls.append((len(rows), len(rows[0]) if rows else 0))
-        return _bareiss_rank(rows)
-
-    monkeypatch.setattr(linalg, "_bareiss_rank", spy)
-    return calls
+# entries that are units, zero or multiples of P modulo P, so the mod-P rank can drop
+p_matrices = st.integers(1, 6).flatmap(
+    lambda r: st.integers(1, 6).flatmap(
+        lambda c: st.lists(
+            st.lists(st.sampled_from((0, 1, -1, 2, P, P + 1, 2 * P - 1, 3 * P)), min_size=c, max_size=c),
+            min_size=r,
+            max_size=r,
+        )
+    )
+)
 
 
 class TestModularRank:
-    @given(large_products())
-    @settings(max_examples=25)
-    def test_matches_bareiss(self, rows):
-        assert min(len(rows), len(rows[0])) >= MODULAR_MIN_SIDE
-        assert rank(Mat.from_rows(rows)) == _bareiss_rank([list(r) for r in rows])
+    """``rank`` against sympy, and the mod-P rank of the ideal layer against both."""
 
     @pytest.mark.parametrize(
         "rows, expected",
@@ -169,24 +130,21 @@ class TestModularRank:
     def test_matches_sympy(self, rows, expected):
         assert rank(Mat.from_rows(rows)) == sympy.Matrix(rows).rank() == expected
 
-    def test_certified_without_fallback(self, bareiss_calls):
-        assert rank(Mat.from_rows(grid_incidence(6))) == 35
-        assert bareiss_calls == []
+    @pytest.mark.parametrize(
+        "rows",
+        [grid_incidence(6), [list(r) for r in zip(*grid_incidence(6))], huge_kernel_matrix()],
+        ids=["grid", "grid-transposed", "huge-kernel"],
+    )
+    def test_mod_p_matches_sympy(self, rows):
+        assert _rank_mod_p(rows) == sympy.Matrix(rows).rank()
 
-    def test_small_side_uses_bareiss(self, bareiss_calls):
-        rows = grid_incidence(6)[: MODULAR_MIN_SIDE - 1]
-        assert rank(Mat.from_rows(rows)) == MODULAR_MIN_SIDE - 1
-        assert bareiss_calls == [(MODULAR_MIN_SIDE - 1, 60)]
+    def test_mod_p_of_p_identity_is_zero(self):
+        assert _rank_mod_p([[P * (i == j) for j in range(40)] for i in range(40)]) == 0
 
-    def test_failed_check_falls_back(self, bareiss_calls):
-        # every entry vanishes mod P, so rho_p = 0 and no unit vector checks
-        assert rank(Mat.from_rows([[P * (i == j) for j in range(40)] for i in range(40)])) == 40
-        assert bareiss_calls == [(40, 40)]
-
-    def test_failed_lift_falls_back(self, bareiss_calls):
-        # the kernel vector's entry 2**40 exceeds the reconstruction bound
-        assert rank(Mat.from_rows(huge_kernel_matrix())) == 39
-        assert bareiss_calls == [(40, 40)]
+    @given(p_matrices)
+    @settings(max_examples=60)
+    def test_mod_p_never_exceeds_rank(self, rows):
+        assert _rank_mod_p(rows) <= rank(Mat.from_rows(rows))
 
 
 def lattice_index(rows):
