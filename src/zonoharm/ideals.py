@@ -4,20 +4,26 @@ Each cocircuit a contributes two generators: the shifted binomial
 C(<a, x> + d_-(a) - 1, d(a) - 1), which vanishes identically on the interior
 lattice points, and the pure power a^(d(a)-1), which cuts out the graded
 quotient over Q.  The graded quotient dimensions are computed degree by
-degree over the monomial basis, with no symbolic ideal machinery.
+degree, with no symbolic ideal machinery.
 
-Each degree's Macaulay matrix is ranked modulo the prime P, without lifting,
-and certified by orbit harmonics: where the shifted binomials vanish on the
-points Z, their top-degree parts, the pure powers up to units, lie in
-gr I(Z), so dim (Sym/I)_d >= grDims[d] of the filtration on Z.  A rank mod P
-can only overstate dim (Sym/I)_d, so a mod-P dimension equal to grDims[d] is
-exact.  Every other degree is ranked by Bareiss.
+The quotients V_d = (Sym/I)_d are built modulo the prime P by successive
+quotients: V_d is V_{d-1}^r modulo the Koszul images of V_{d-2} and the
+degree-d generators, which is exact over any field because the Koszul
+complex of the variables is.  Every matrix has at most r * dim V_{d-1}
+columns.  Each dimension is certified by orbit harmonics: where the shifted
+binomials vanish on the points Z, their top-degree parts, the pure powers up
+to units, lie in gr I(Z), so dim (Sym/I)_d >= grDims[d] of the filtration on
+Z.  A dimension mod P can only overstate dim (Sym/I)_d, so one equal to
+grDims[d] is exact.  Every other degree is ranked by Bareiss on its
+Macaulay matrix, whose rows are the monomial multiples of the generators
+and whose columns are the monomials of Sym_d; ``SYM_DEGREE_DIM_CAP`` limits
+only that exact fallback.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import factorial
+from math import comb, factorial
 
 from .arrangement import Cocircuit, VectorArrangement, enumerate_cocircuits, interior_lattice_points
 from .errors import SizeExceededError
@@ -27,7 +33,7 @@ from .harmonics import Harmonics, iz_hilbert_series
 from .linalg import rank
 
 SYM_DEGREE_DIM_CAP = 3000
-P = (1 << 61) - 1  # prime modulus of the certified rank
+P = (1 << 61) - 1  # prime field of the successive quotients
 
 
 @dataclass(frozen=True)
@@ -118,14 +124,14 @@ def _expansions(cocircuits, r: int) -> list:
 
 def _macaulay_rows(r: int, expansions, degree: int) -> tuple:
     """(dim Sym_d, rows): every monomial multiple of degree d of each power,
-    over the monomial basis of Sym_d."""
-    monos = list(exponents_of_degree(r, degree))
-    dim = len(monos)
+    over the monomial basis of Sym_d.  The dimension is capped before any
+    monomial is listed."""
+    dim = comb(degree + r - 1, r - 1) if r else int(degree == 0)
     if dim > SYM_DEGREE_DIM_CAP:
         raise SizeExceededError(
             f"degree-{degree} symmetric power has dimension {dim} > {SYM_DEGREE_DIM_CAP}"
         )
-    index = {e: i for i, e in enumerate(monos)}
+    index = {e: i for i, e in enumerate(exponents_of_degree(r, degree))}
     rows = []
     for e, expansion in expansions:
         if e > degree:
@@ -139,50 +145,149 @@ def _macaulay_rows(r: int, expansions, degree: int) -> tuple:
     return dim, rows
 
 
-def _rank_mod_p(rows: list) -> int:
-    """Rank modulo P of nonempty integer rows, by elimination without lifting;
-    each pivot row has the fewest nonzeros, for the least fill-in."""
-    work = [[x % P for x in r] for r in rows]
-    rho = 0
-    for c in range(len(work[0])):
-        cands = [i for i, w in enumerate(work) if w[c]]
-        if not cands:
-            continue
-        row_p = work.pop(max(cands, key=lambda i: work[i].count(0)))
-        inv = pow(row_p[c], -1, P)
-        tail = [x * inv % P for x in row_p[c:]]
-        for w in work:
-            f = w[c]
-            if f:
-                w[c:] = [(a - f * b) % P for a, b in zip(w[c:], tail)]
-        rho += 1
-        if not work:
-            break
-    return rho
-
-
-def _quotient_dim(r: int, expansions, degree: int, floor: int | None) -> int:
-    """dim (Sym/I)_d over Q: mod P where that meets the lower bound ``floor``, else by Bareiss."""
+def _exact_dim(r: int, expansions, degree: int) -> int:
+    """dim (Sym/I)_d over Q, by a Bareiss rank of the Macaulay matrix."""
     dim, rows = _macaulay_rows(r, expansions, degree)
-    if not rows:
-        return dim
-    if floor is not None and dim - _rank_mod_p(rows) == floor:
-        return floor
-    return dim - rank(rows)
+    return dim - rank(rows) if rows else dim
+
+
+def _reduce(row: dict, pivots: dict) -> dict:
+    """A sparse row mod P minus its parts along the reduced echelon ``pivots``
+    ({column: row with 1 there and 0 at every other pivot column})."""
+    out = dict(row)
+    for c, f in row.items():
+        if f and c in pivots:
+            for k, v in pivots[c].items():
+                out[k] = (out.get(k, 0) - f * v) % P
+    return {k: v for k, v in out.items() if v}
+
+
+def _insert(row: dict, pivots: dict) -> None:
+    """Add a sparse row to the reduced echelon ``pivots``, keeping it reduced."""
+    row = _reduce(row, pivots)
+    if not row:
+        return
+    p = min(row)
+    inv = pow(row[p], -1, P)
+    row = {k: v * inv % P for k, v in row.items()}
+    for other in pivots.values():
+        f = other.pop(p, 0)
+        if f:
+            for k, v in row.items():
+                if k != p:
+                    other[k] = (other.get(k, 0) - f * v) % P
+    pivots[p] = row
+
+
+def _rank(rows) -> int:
+    """Rank mod P of sparse rows."""
+    pivots: dict = {}
+    for row in rows:
+        _insert(row, pivots)
+    return len(pivots)
+
+
+def _chain(r: int, expansions, bound: int):
+    """The successive quotients V_d = (Sym/I)_d over F_P, for d = 0..bound.
+
+    W_0 is the constants, and W_d = V_{d-1}^r for d > 0: its column j*q + b is
+    x_j times basis element b of V_{d-1}, with q = dim V_{d-1}.  By exactness
+    of the Koszul complex, V_d is W_d modulo two families of relations:
+    the images x_k b e_j - x_j b e_k for b in the basis of V_{d-2}, and the
+    degree-d generators, each monomial x_j m' (j its first variable) placed
+    in block j as the normal form of m'.  The basis of V_d is the non-pivot
+    columns of the reduced echelon form of these relations, which gives the
+    normal form in V_d of every column of W_d, hence the multiplication maps
+    V_{d-1} -> V_d.
+
+    Yields (dim V_d, free, residuals): ``free`` is dim W_d less the rank of
+    the Koszul images, and ``residuals`` maps the index of each degree-d
+    generator to its row reduced against those images.
+    """
+    maps: list = []  # maps[t][c]: normal form in V_t of column c of W_t
+    dims: list = []  # dims[t] = dim V_t
+    memo: dict = {}
+
+    def place(m) -> dict:
+        """The monomial m of degree t as a sparse vector of W_t."""
+        j = next((j for j, a in enumerate(m) if a), None)
+        if j is None:
+            return {0: 1}
+        rest = m[:j] + (m[j] - 1,) + m[j + 1 :]
+        q = dims[sum(rest)]
+        return {j * q + i: v for i, v in normal_form(rest).items()}
+
+    def normal_form(m) -> dict:
+        if m not in memo:
+            images = maps[sum(m)]
+            out: dict = {}
+            for c, v in place(m).items():
+                for i, w in images[c].items():
+                    out[i] = (out.get(i, 0) + v * w) % P
+            memo[m] = out
+        return memo[m]
+
+    for d in range(bound + 1):
+        q = dims[d - 1] if d else 0
+        ncols = r * q if d else 1
+        pivots: dict = {}
+        if d >= 2:
+            q2, images = dims[d - 2], maps[d - 1]
+            for b in range(q2):
+                for j in range(r):
+                    for k in range(j + 1, r):
+                        row = {j * q + i: v for i, v in images[k * q2 + b].items()}
+                        for i, v in images[j * q2 + b].items():
+                            row[k * q + i] = -v % P
+                        _insert(row, pivots)
+        residuals = {}
+        for g, (e, expansion) in enumerate(expansions):
+            if e == d:
+                row: dict = {}
+                for m, coeff in expansion.items():
+                    for c, v in place(m).items():
+                        row[c] = (row.get(c, 0) + coeff * v) % P
+                residuals[g] = _reduce(row, pivots)
+        free = ncols - len(pivots)
+        for row in residuals.values():
+            _insert(row, pivots)
+        basis = {c: i for i, c in enumerate(c for c in range(ncols) if c not in pivots)}
+        maps.append(
+            [
+                {basis[k]: -v % P for k, v in pivots[c].items() if k != c}
+                if c in pivots
+                else {basis[c]: 1}
+                for c in range(ncols)
+            ]
+        )
+        dims.append(len(basis))
+        yield len(basis), free, residuals
+
+
+def _certified(r: int, expansions, bound: int, harmonics, vanishing):
+    """For d = 0..bound, yield (dim (Sym/I)_d over Q, free, residuals) of ``_chain``.
+
+    ``harmonics`` is the untruncated filtration on the points, and
+    ``vanishing`` says whether the shifted binomials vanish on them; if so,
+    its grDims, padded with zeros, bound the dimensions from below.  A chain
+    dimension mod P bounds each from above, so one that meets the floor is
+    exact; every other degree is ranked by Bareiss.
+    """
+    gr = harmonics.gr_dims() if vanishing else ()
+    for d, (dim, free, residuals) in enumerate(_chain(r, expansions, bound)):
+        exact = vanishing and dim == (gr[d] if d < len(gr) else 0)
+        yield (dim if exact else _exact_dim(r, expansions, d)), free, residuals
 
 
 def quotient_dims(va: VectorArrangement, cocircuits, bound: int, harmonics, vanishing) -> tuple:
     """Graded dimensions of Sym modulo the pure cocircuit powers, degrees 0..bound.
 
     ``harmonics`` is the untruncated filtration on the points, and
-    ``vanishing`` says whether the shifted binomials vanish on them; if so,
-    its grDims, padded with zeros, bound the dimensions from below.
+    ``vanishing`` says whether the shifted binomials vanish on them.
     """
     r = va.lattice_rank
-    gr = harmonics.gr_dims()
-    floors = gr + (0,) * (bound + 1 - len(gr)) if vanishing else (None,) * (bound + 1)
-    expansions = _expansions(cocircuits, r)
-    return tuple(_quotient_dim(r, expansions, d, floors[d]) for d in range(bound + 1))
+    chain = _certified(r, _expansions(cocircuits, r), bound, harmonics, vanishing)
+    return tuple(dim for dim, _, _ in chain)
 
 
 def _certificate(va: VectorArrangement, cocircuits) -> tuple:
@@ -219,19 +324,25 @@ def redundant_generators(va: VectorArrangement, bound: int | None = None) -> tup
     Generator g of degree e is implied iff dropping it leaves the degree-e
     quotient dimension unchanged: then g lies in the ideal of the others, so
     the two ideals agree in every degree.  A generator of degree above the
-    bound counts as implied.  Dropping g can only enlarge the quotient, so a
-    mod-P dimension equal to the full one proves g implied; otherwise one
-    Bareiss rank decides.  No minimality claim: the remaining set may itself
-    contain further implications.
+    bound counts as implied.  Dropping g leaves V_{<e} as it is, so the
+    degree-e generator rows are reduced once against that degree's Koszul
+    images, and the others' residual rows give the dimension without g
+    mod P.  Dropping g can only enlarge the quotient, so a mod-P dimension
+    equal to the full one proves g implied; otherwise one Bareiss rank
+    decides.  No minimality claim: the remaining set may itself contain
+    further implications.
     """
     cocircuits = enumerate_cocircuits(va)
     if bound is None:
         bound = len(iz_hilbert_series(va, tutte_of_arrangement(va, cocircuits)))
-    full = quotient_dims(va, cocircuits, bound, *_certificate(va, cocircuits))
     r = va.lattice_rank
     exps = _expansions(cocircuits, r)
-    return tuple(
-        i
-        for i, (e, _) in enumerate(exps)
-        if e > bound or _quotient_dim(r, exps[:i] + exps[i + 1 :], e, full[e]) == full[e]
-    )
+    implied = [e > bound for e, _ in exps]
+    chain = _certified(r, exps, bound, *_certificate(va, cocircuits))
+    for d, (full, free, residuals) in enumerate(chain):
+        for g in residuals:
+            others = [row for i, row in residuals.items() if i != g]
+            implied[g] = (
+                free - _rank(others) == full or _exact_dim(r, exps[:g] + exps[g + 1 :], d) == full
+            )
+    return tuple(i for i, x in enumerate(implied) if x)

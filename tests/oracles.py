@@ -8,7 +8,7 @@ from zonoharm.errors import NotTotallyUnimodularError
 from zonoharm.funcspace import binom_int, binomial_product_rows, exponents_of_degree
 from zonoharm.graphs import BivariatePolynomial, tutte_of_arrangement
 from zonoharm.harmonics import iz_hilbert_series
-from zonoharm.ideals import _expansions, _macaulay_rows
+from zonoharm.ideals import P, _expansions, _macaulay_rows
 from zonoharm.linalg import Mat, det, integer_kernel, rank, xgcd
 
 
@@ -294,3 +294,40 @@ def all_degree_redundant_generators(va, bound=None):
     return tuple(
         i for i in range(len(expansions)) if dims(expansions[:i] + expansions[i + 1 :]) == full
     )
+
+
+def rank_mod_p(rows, p=P):
+    """Rank modulo the prime p of nonempty integer rows, by dense elimination
+    without lifting; each pivot row has the fewest nonzeros, for the least
+    fill-in."""
+    work = [[x % p for x in r] for r in rows]
+    rho = 0
+    for c in range(len(work[0])):
+        cands = [i for i, w in enumerate(work) if w[c]]
+        if not cands:
+            continue
+        row_p = work.pop(max(cands, key=lambda i: work[i].count(0)))
+        inv = pow(row_p[c], -1, p)
+        tail = [x * inv % p for x in row_p[c:]]
+        for w in work:
+            f = w[c]
+            if f:
+                w[c:] = [(a - f * b) % p for a, b in zip(w[c:], tail)]
+        rho += 1
+        if not work:
+            break
+    return rho
+
+
+def dense_quotient_dims_mod_p(va, bound, p=P, cocircuits=None):
+    """dim over F_p of Sym modulo the pure cocircuit powers, degrees 0..bound,
+    each from the rank mod p of its dense Macaulay matrix."""
+    r = va.lattice_rank
+    if cocircuits is None:
+        cocircuits = enumerate_cocircuits(va)
+    expansions = _expansions(cocircuits, r)
+    out = []
+    for d in range(bound + 1):
+        dim, rows = _macaulay_rows(r, expansions, d)
+        out.append(dim - rank_mod_p(rows, p) if rows else dim)
+    return tuple(out)

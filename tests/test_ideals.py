@@ -6,16 +6,16 @@ import pytest
 from hypothesis import given, settings
 
 from conftest import data_path, wheel_graph
-from oracles import all_degree_redundant_generators
+from oracles import all_degree_redundant_generators, dense_quotient_dims_mod_p
 from strategies import connected_multigraphs
 from zonoharm import ideals
 from zonoharm.analysis import Analysis
 from zonoharm.arrangement import VectorArrangement, enumerate_cocircuits, interior_lattice_points
-from zonoharm.errors import NotTotallyUnimodularError
+from zonoharm.errors import NotTotallyUnimodularError, SizeExceededError
 from zonoharm.funcspace import binom_int
 from zonoharm.formats import parse_graph
-from zonoharm.graphs import cographical_arrangement
-from zonoharm.harmonics import compute_filtration
+from zonoharm.graphs import cographical_arrangement, tutte_of_arrangement
+from zonoharm.harmonics import compute_filtration, iz_hilbert_series
 from zonoharm.ideals import (
     k_minus_generators,
     power_ideal_quotient_dims,
@@ -156,9 +156,9 @@ class TestRedundancy:
     def test_cycle_has_no_redundancy(self):
         assert redundant_generators(cycle_arrangement(4)) == ()
 
-    def test_k33_reaches_modular_rank(self, bareiss_calls):
-        # every degree of the report's dims is certified mod P; each
-        # non-redundant generator takes one exact rank to decide
+    def test_k33_certified_by_the_chain(self, bareiss_calls):
+        # every degree of the report's dims is certified by the chain mod P;
+        # each non-redundant generator takes one exact rank to decide
         va = cographical_arrangement(parse_graph(K33))
         assert Analysis(va).power_dims == (1, 4, 10, 11, 5, 0)
         assert bareiss_calls == []
@@ -220,7 +220,7 @@ def bareiss_calls(monkeypatch):
 
 class TestCertificate:
     """Each exit of the orbit-harmonics certificate: a certified degree (see
-    ``test_k33_reaches_modular_rank``), a bound missed mod a small prime,
+    ``test_k33_certified_by_the_chain``), a bound missed mod a small prime,
     and no bound when the shifted binomials do not vanish."""
 
     @pytest.mark.parametrize("p", [2, 3])
@@ -246,3 +246,91 @@ class TestCertificate:
         ctx.generators_vanish = False  # the cached verdict
         assert ctx.power_dims == EXPECTED["K33"][0]
         assert len(bareiss_calls) == 3  # degrees 3..5: K3,3's shortest cycles have 4 arrows
+
+    def test_wheel7_certified_without_exact_rank(self, bareiss_calls):
+        va = cographical_arrangement(parse_graph(data_path("wheel7.graph").read_text()))
+        assert power_ideal_quotient_dims(va) == (1, 7, 21, 35, 35, 21, 6, 0)
+        assert bareiss_calls == []
+
+
+def top_bound(va):
+    """The default bound of ``power_ideal_quotient_dims``."""
+    return len(iz_hilbert_series(va, tutte_of_arrangement(va, enumerate_cocircuits(va))))
+
+
+def chain_dims(va, bound):
+    """dim V_d over F_P of the successive quotients, before any certificate."""
+    r = va.lattice_rank
+    expansions = ideals._expansions(enumerate_cocircuits(va), r)
+    return tuple(dim for dim, _, _ in ideals._chain(r, expansions, bound))
+
+
+class TestChain:
+    """The successive quotients mod p against the dense Macaulay ranks mod p:
+    both are dim over F_p of the same graded piece, so they agree degree by
+    degree whether or not the certificate holds."""
+
+    @pytest.mark.parametrize("p", [ideals.P, 2, 3])
+    @pytest.mark.parametrize("name", sorted(EXPECTED))
+    def test_matches_dense_mod_p(self, monkeypatch, name, p):
+        monkeypatch.setattr(ideals, "P", p)
+        va = named_arrangement(name)
+        bound = top_bound(va)
+        assert chain_dims(va, bound) == dense_quotient_dims_mod_p(va, bound, p)
+
+    @pytest.mark.parametrize("p", [ideals.P, 2, 3])
+    def test_matches_dense_mod_p_on_random_graphs(self, monkeypatch, p):
+        monkeypatch.setattr(ideals, "P", p)
+        rng = random.Random(7)
+        for _ in range(30):
+            va = cographical_arrangement(random_connected_multigraph(rng, 7))
+            bound = top_bound(va)
+            assert chain_dims(va, bound) == dense_quotient_dims_mod_p(va, bound, p)
+
+    @pytest.mark.parametrize(
+        "va, bound",
+        [
+            (VectorArrangement(1, ("a1",), Mat.from_rows([[1]])), 3),  # a degree-0 generator
+            (cographical_arrangement(parse_graph("vertex a\nvertex b\narrow 1 a b\n")), 3),
+            (cographical_arrangement(parse_graph(data_path("selfloop.graph").read_text())), 3),
+            (named_arrangement("K33"), 2),  # below the top degree
+            (named_arrangement("prism"), 3),
+        ],
+        ids=["unit-ideal", "no-cocircuits", "selfloop", "K33-bound-2", "prism-bound-3"],
+    )
+    def test_edge_cases_match_dense(self, va, bound):
+        dense = dense_quotient_dims_mod_p(va, bound)
+        assert chain_dims(va, bound) == dense
+        assert power_ideal_quotient_dims(va, bound) == dense
+        assert redundant_generators(va, bound) == all_degree_redundant_generators(va, bound)
+
+    def test_no_cocircuits_has_rank_zero(self):
+        va = cographical_arrangement(parse_graph("vertex a\nvertex b\narrow 1 a b\n"))
+        assert va.lattice_rank == 0 and enumerate_cocircuits(va) == ()
+        assert power_ideal_quotient_dims(va) == (1, 0)
+
+
+class TestSizeCap:
+    """``SYM_DEGREE_DIM_CAP`` guards the exact fallback only."""
+
+    def test_fallback_trips_before_listing_monomials(self, monkeypatch, bareiss_calls):
+        monkeypatch.setattr(ideals, "SYM_DEGREE_DIM_CAP", 3)
+        monkeypatch.setattr(ideals, "verify_vanishing", lambda gens, points: False)
+        listed = []
+        exponents = ideals.exponents_of_degree
+
+        def spy(r, d):
+            listed.append(d)
+            return exponents(r, d)
+
+        monkeypatch.setattr(ideals, "exponents_of_degree", spy)
+        va = named_arrangement("K33")  # dim Sym_1 = 4 > 3; no generator below degree 3
+        with pytest.raises(SizeExceededError, match="degree-1 "):
+            power_ideal_quotient_dims(va)
+        assert 1 not in listed
+        assert bareiss_calls == []
+
+    @pytest.mark.parametrize("name", sorted(EXPECTED))
+    def test_certified_degrees_never_trip(self, monkeypatch, name):
+        monkeypatch.setattr(ideals, "SYM_DEGREE_DIM_CAP", 0)
+        assert power_ideal_quotient_dims(named_arrangement(name)) == EXPECTED[name][0]

@@ -6,8 +6,8 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import identity, pointwise_rows, row_hnf, saturation_hnf, solve_row_lattice
-from zonoharm.ideals import P, _rank_mod_p
+from oracles import identity, pointwise_rows, rank_mod_p, row_hnf, saturation_hnf, solve_row_lattice
+from zonoharm.ideals import P
 from zonoharm.linalg import IntRowLattice, Mat, in_row_lattice, integer_kernel, rank, saturate
 
 HOUSE_COLS = [(1, 0), (1, 0), (1, 0), (1, 1), (0, 1), (0, 1)]
@@ -115,7 +115,7 @@ p_matrices = st.integers(1, 6).flatmap(
 
 
 class TestModularRank:
-    """``rank`` against sympy, and the mod-P rank of the ideal layer against both."""
+    """``rank`` against sympy, and the dense mod-P rank oracle of the ideal layer against both."""
 
     @pytest.mark.parametrize(
         "rows, expected",
@@ -136,15 +136,15 @@ class TestModularRank:
         ids=["grid", "grid-transposed", "huge-kernel"],
     )
     def test_mod_p_matches_sympy(self, rows):
-        assert _rank_mod_p(rows) == sympy.Matrix(rows).rank()
+        assert rank_mod_p(rows) == sympy.Matrix(rows).rank()
 
     def test_mod_p_of_p_identity_is_zero(self):
-        assert _rank_mod_p([[P * (i == j) for j in range(40)] for i in range(40)]) == 0
+        assert rank_mod_p([[P * (i == j) for j in range(40)] for i in range(40)]) == 0
 
     @given(p_matrices)
     @settings(max_examples=60)
     def test_mod_p_never_exceeds_rank(self, rows):
-        assert _rank_mod_p(rows) <= rank(Mat.from_rows(rows))
+        assert rank_mod_p(rows) <= rank(Mat.from_rows(rows))
 
 
 def lattice_index(rows):
