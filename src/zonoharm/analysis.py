@@ -235,12 +235,13 @@ def deletion_contraction_check(
 def _exactness_ranks(ctx: Analysis, ctx_del: Analysis, ctx_con: Analysis, element, bars) -> bool:
     """im(pullback) = ker(difference) and surjectivity, via evaluation vectors.
 
-    Each filtered piece is represented by the q_dim canonical rows of its
+    Each filtered piece is represented by the q_dim echelon rows of its
     integral lattice, which span the same rational space as all of its
     binomial-product evaluation rows, so every test below decides the same
     statement over Q on fewer rows.  An integer row lies in a piece's Q-span
-    iff it lies in the piece's saturated rows.  ``bars[k]`` is the image in
-    the contraction's lattice of the k-th point.
+    iff it lies in the piece's saturated lattice, tested against that
+    lattice's echelon.  No canonical rows are read.  ``bars[k]`` is the image
+    in the contraction's lattice of the k-th point.
     """
     h, h_del, h_con = ctx.full_harmonics, ctx_del.harmonics, ctx_con.harmonics
     col = ctx.va.column(element)
@@ -264,20 +265,20 @@ def _exactness_ranks(ctx: Analysis, ctx_del: Analysis, ctx_con: Analysis, elemen
     n = h.point_count
     m = len(ctx_del.points)
     for i in range(max(h.top_degree, h_con.top_degree, h_del.top_degree + 1) + 1):
-        rows = h.basis_up_to(i)
-        rows_con = h_con.basis_up_to(i)
+        rows, _ = h.echelon(i)
+        rows_con, _ = h_con.echelon(i)
         # pullback of contraction functions along the bar map
         xi_rows = [tuple(f[bar_idx[k]] for k in range(n)) for f in rows_con]
         if IntRowLattice(n, xi_rows).rank != h_con.q_dim(i):
             return False  # pullback not injective
-        if not all(in_row_lattice(h.saturated_rows(i), f) for f in xi_rows):
+        if not in_row_lattice(*h.saturated_echelon(i), xi_rows):
             return False  # pullback image escapes the filtered piece
         # difference operator into functions on the deletion's points
         d_rows = [tuple(f[b] - f[a] for a, b in shift_idx) for f in rows]
         if m:
             if IntRowLattice(m, d_rows).rank != h_del.q_dim(i - 1):
                 return False  # difference map not surjective
-            if not all(in_row_lattice(h_del.saturated_rows(i - 1), f) for f in d_rows):
+            if not in_row_lattice(*h_del.saturated_echelon(i - 1), d_rows):
                 return False  # image escapes the lower filtered piece
             # composite must vanish identically
             for f in xi_rows:

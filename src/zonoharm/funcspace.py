@@ -8,7 +8,7 @@ their exponents, so evaluation rows are stable.
 
 from __future__ import annotations
 
-from functools import reduce
+from functools import lru_cache, reduce
 from itertools import combinations
 from math import factorial
 from operator import mul
@@ -24,12 +24,13 @@ def binom_int(n: int, k: int) -> int:
     return num // factorial(k)
 
 
-def exponents_of_degree(r: int, d: int):
-    """Exponent tuples of total degree exactly d in r variables, descending-lex."""
+@lru_cache(maxsize=256)
+def exponents_of_degree(r: int, d: int) -> tuple:
+    """Exponent tuples of total degree exactly d in r variables, descending-lex.
+
+    Tabulated once per (r, d); the tuple is shared by every caller."""
     if r == 0:
-        if d == 0:
-            yield ()
-        return
+        return ((),) if d == 0 else ()
     out = []
     for bars in combinations(range(d + r - 1), r - 1):
         prev = -1
@@ -40,7 +41,7 @@ def exponents_of_degree(r: int, d: int):
         comp.append(d + r - 2 - prev)
         out.append(tuple(comp))
     out.sort(key=lambda e: tuple(-x for x in e))
-    yield from out
+    return tuple(out)
 
 
 def binomial_product_rows(points, r: int):

@@ -7,19 +7,22 @@ integer-valued polynomials).  This module computes both, compares the
 integral lattice with its saturation degree by degree, and gives the
 associated graded pieces their divided-power operations.
 
-Each degree's lattice L in Z^n is held once, as its canonical row-style
-Hermite rows, and every consumer reads those rows.  The saturation of L is
-certified where it can be: when every pivot of the canonical rows is 1,
-Z^n / L is free, so L is saturated (index 1) and its canonical rows are the
-saturated rows.  Otherwise ``linalg.saturate`` gives the saturated rows as
-the integer kernel of the integer kernel, and the index as the quotient of
-the pivot products, so a lattice that is not saturated is still reported.
+Each degree's lattice L in Z^n is kept as a snapshot of the echelon it had
+once that degree's rows were in: its rows and pivot columns.  The pivots of
+an echelon basis depend only on L, so they are the canonical pivots.  When
+every pivot is 1, Z^n / L is free, so L is saturated (index 1) and its
+echelon is a basis of its saturation.  Otherwise ``linalg.saturate`` gives
+the saturated rows as the integer kernel of the integer kernel, and the
+index as the quotient of the pivot products, so a lattice that is not
+saturated is still reported.  The canonical row-style Hermite rows of a
+degree are formed when first read; the deletion/contraction check reads
+only echelons, so a minor's filtration forms none.
 
 A graded class is an integral representative given by its values on the
 points.  Its divided powers are entrywise binomial coefficients, checked by
-membership in the canonical rows: integrality against the lattice of the
-target degree, and the law m! * e^[m] = e^m against the saturated rows of
-the degree below.
+lattice membership: integrality against the lattice of the target degree,
+and the law m! * e^[m] = e^m against the saturated lattice of the degree
+below.
 
 The per-degree saturated rows double as Rees-algebra data; the weight
 attached to degree i is i itself (a topological grading would double it).
@@ -34,7 +37,7 @@ from .arrangement import VectorArrangement, interior_lattice_points
 from .errors import DegreeOverflowError, NotIntegralError
 from .funcspace import binom_int, binomial_product_rows
 from .graphs import tutte_of_arrangement
-from .linalg import IntRowLattice, in_row_lattice, saturate
+from .linalg import IntRowLattice, hermite_rows, in_row_lattice, saturate
 
 
 @dataclass(frozen=True)
@@ -75,9 +78,10 @@ class Harmonics:
     Pass the arrangement's interior points when they are already known.
     Degree by degree, the evaluation rows of the binomial products (built
     from per-coordinate tables, see ``binomial_product_rows``) are added to
-    one integer row lattice.  A degree whose canonical rows all have pivot 1
-    gets saturation index 1 and its canonical rows as saturated rows, with
-    no kernel; any other degree falls back to ``saturate``.
+    one integer row lattice, and each degree keeps a snapshot of its echelon.
+    A degree whose echelon has all pivots 1 gets saturation index 1, with no
+    kernel; any other degree falls back to ``saturate``.  Canonical rows are
+    computed per degree, on first read.
     """
 
     def __init__(self, va: VectorArrangement, max_degree: int | None = None, points=None):
@@ -86,9 +90,10 @@ class Harmonics:
         n = len(self.points)
         self.point_count = n
         self.q_dims: list = []
-        self.lattice_rows: list = []  # canonical HNF rows of the degree-<=i lattice
         self.saturation_indices: list = []
-        self._saturated_rows: list = []
+        self._echelons: list = []  # (rows, pivot_cols) of the degree-<=i lattice
+        self._saturated: list = []  # saturate's rows, or None where the pivots are 1
+        self._canonical: dict = {}  # degree -> canonical rows, filled on first read
         self.truncated = False
         if n == 0:
             self.top_degree = 0
@@ -98,18 +103,19 @@ class Harmonics:
         for degree, block in enumerate(blocks):
             for row in block:
                 lattice.add(row)
-            self.q_dims.append(lattice.rank)
-            rows = lattice.canonical_rows()
-            self.lattice_rows.append(rows)
-            if all(row[c] == 1 for row, c in zip(rows, lattice.pivot_cols)):
-                # unit pivots: Z^n / L is free, so L is its own saturation
+            rows, pivots = tuple(lattice.rows), tuple(lattice.pivot_cols)
+            self._echelons.append((rows, pivots))
+            self.q_dims.append(len(rows))
+            if all(row[c] == 1 for row, c in zip(rows, pivots)):
+                # unit pivots, which are the canonical pivots: Z^n / L is
+                # free, so L is its own saturation
                 self.saturation_indices.append(1)
-                self._saturated_rows.append(rows)
+                self._saturated.append(None)
             else:
                 sat, index = saturate(rows, n)
                 self.saturation_indices.append(index)
-                self._saturated_rows.append(sat)
-            if lattice.rank == n:
+                self._saturated.append(sat)
+            if len(rows) == n:
                 self.top_degree = degree
                 break
             if max_degree is not None and degree >= max_degree:
@@ -119,11 +125,33 @@ class Harmonics:
 
     # -- basic accessors -------------------------------------------------
 
+    def _degree(self, degree: int) -> int | None:
+        """The stored degree that holds the degree-<=i piece; None when that
+        piece is 0 (no points, or a negative degree)."""
+        if self.point_count == 0 or degree < 0:
+            return None
+        return min(degree, self.top_degree)
+
+    def _canonical_rows(self, d: int) -> tuple:
+        rows = self._canonical.get(d)
+        if rows is None:
+            rows = self._canonical[d] = hermite_rows(*self._echelons[d])
+        return rows
+
+    @property
+    def lattice_rows(self) -> list:
+        """Canonical HNF rows of the degree-<=i lattice, for each stored degree i."""
+        return [self._canonical_rows(d) for d in range(len(self._echelons))]
+
     def basis_up_to(self, degree: int) -> tuple:
         """Canonical basis rows of the degree-<=i lattice; they span its Q-space."""
-        if self.point_count == 0 or degree < 0:
-            return ()
-        return self.lattice_rows[min(degree, self.top_degree)]
+        d = self._degree(degree)
+        return () if d is None else self._canonical_rows(d)
+
+    def echelon(self, degree: int) -> tuple:
+        """(rows, pivot_cols): an echelon basis of the degree-<=i lattice."""
+        d = self._degree(degree)
+        return ((), ()) if d is None else self._echelons[d]
 
     def q_dim(self, degree: int) -> int:
         """Rational dimension of the degree-<=i filtered piece (extended)."""
@@ -135,10 +163,22 @@ class Harmonics:
 
     def saturated_rows(self, degree: int) -> tuple:
         """Canonical basis rows of the saturated degree-<=i lattice."""
-        if self.point_count == 0 or degree < 0:
+        d = self._degree(degree)
+        if d is None:
             return ()
-        degree = min(degree, self.top_degree)
-        return self._saturated_rows[degree]
+        sat = self._saturated[d]
+        return self._canonical_rows(d) if sat is None else sat
+
+    def saturated_echelon(self, degree: int) -> tuple:
+        """(rows, pivot_cols): an echelon basis of the saturated degree-<=i
+        lattice.  It shares the lattice's pivot columns, since both span one
+        Q-space; with unit pivots it is the lattice's own echelon."""
+        d = self._degree(degree)
+        if d is None:
+            return ((), ())
+        rows, pivots = self._echelons[d]
+        sat = self._saturated[d]
+        return (rows if sat is None else sat, pivots)
 
     def gr_dims(self) -> tuple:
         out = []
@@ -223,10 +263,10 @@ def divided_power(ctx: Harmonics, cls: GradedClass, m: int) -> GradedClass:
             f"degree {target} exceeds the top filtration degree {ctx.top_degree}"
         )
     w = tuple(binom_int(v, m) for v in cls.values)
-    if not in_row_lattice(ctx.basis_up_to(target), w):
+    if not in_row_lattice(*ctx.echelon(target), [w]):
         raise NotIntegralError("divided power does not lie in the integral span")
     diff = tuple(factorial(m) * a - b**m for a, b in zip(w, cls.values))
-    if not in_row_lattice(ctx.saturated_rows(target - 1), diff):
+    if not in_row_lattice(*ctx.saturated_echelon(target - 1), [diff]):
         raise NotIntegralError(f"m! * e^[m] - e^m is not in the degree-{target - 1} piece")
     return GradedClass(degree=target, values=w)
 

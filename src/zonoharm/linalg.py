@@ -2,9 +2,12 @@
 
 All values are immutable and all functions are pure.  Determinants and
 ranks are computed fraction-free (Bareiss).  Every lattice computation runs
-on one xgcd echelon, ``IntRowLattice``, whose canonical rows are the
-row-style Hermite form: integer kernels are read off the echelon form of
-[A^T | I], and a saturation is the kernel of the kernel.
+on one integer echelon, ``IntRowLattice``: an insert subtracts a multiple of
+each stored row whose pivot divides the entry and takes an xgcd step at any
+other pivot.  Membership is decided on any echelon basis, in batches, and
+``hermite_rows`` reduces one to the canonical rows, the row-style Hermite
+form, only where they are read: integer kernels are read off the canonical
+form of [A^T | I], and a saturation is the kernel of the kernel.
 """
 
 from __future__ import annotations
@@ -138,29 +141,49 @@ def rank(m) -> int:
     return r
 
 
-def in_row_lattice(echelon_rows, vec) -> bool:
-    """True iff the integer vector lies in the row lattice of ``echelon_rows``.
+def in_row_lattice(echelon_rows, pivot_cols, vecs) -> bool:
+    """True iff every integer vector of ``vecs`` lies in the row lattice of ``echelon_rows``.
 
-    The rows must be in echelon form: each row's first nonzero entry lies
-    strictly to the right of the previous row's, as in
-    ``IntRowLattice.canonical_rows``, ``integer_kernel`` or ``saturate``.
+    The rows must be in echelon form, row k's first nonzero entry at column
+    ``pivot_cols[k]``, strictly increasing, as in ``IntRowLattice`` or the
+    canonical rows of ``hermite_rows``, ``integer_kernel`` or ``saturate``.
+    Any echelon basis of the lattice gives the same answer.
     """
-    v = list(vec)
-    for row in echelon_rows:
-        c = next(j for j, x in enumerate(row) if x)
-        q, rem = divmod(v[c], row[c])
-        if rem:
+    basis = tuple(zip(echelon_rows, pivot_cols))
+    for vec in vecs:
+        v = list(vec)
+        for row, c in basis:
+            q, rem = divmod(v[c], row[c])
+            if rem:
+                return False
+            if q:
+                v[c:] = [a - q * b for a, b in zip(v[c:], row[c:])]
+        if any(v):
             return False
-        if q:
-            v = [a - q * b for a, b in zip(v, row)]
-    return not any(v)
+    return True
+
+
+def hermite_rows(echelon_rows, pivot_cols) -> tuple:
+    """The canonical rows (row-style Hermite form) of an echelon basis with
+    positive pivots: each entry above a pivot is reduced into [0, pivot).
+    They depend only on the lattice, not on the echelon basis given."""
+    work = [list(r) for r in echelon_rows]
+    for k, c in enumerate(pivot_cols):
+        row = work[k]
+        p = row[c]
+        for i in range(k):
+            q = work[i][c] // p
+            if q:
+                work[i][c:] = [a - q * b for a, b in zip(work[i][c:], row[c:])]
+    return tuple(map(tuple, work))
 
 
 class IntRowLattice:
-    """Grow-only integer row lattice kept in echelon form.
+    """Grow-only integer row lattice kept in echelon form with positive pivots.
 
-    Rows are inserted with xgcd combinations; ``rank`` equals the rational
-    dimension of the span, and ``canonical_rows`` returns the row-style HNF.
+    ``rank`` equals the rational dimension of the span, and ``canonical_rows``
+    returns the row-style HNF.  Stored rows are replaced, never mutated, so a
+    tuple of ``rows`` taken between inserts is a lasting snapshot.
     """
 
     def __init__(self, ncols: int, rows=()):
@@ -171,42 +194,46 @@ class IntRowLattice:
             self.add(r)
 
     def add(self, vec) -> None:
-        v = [int(x) for x in vec]
-        if len(v) != self.ncols:
+        """Insert ``vec``.  The pivot scan resumes after each cleared column;
+        a stored pivot that divides the entry is subtracted with the row left
+        as it is, and any other pivot takes an xgcd step that replaces it."""
+        v = list(map(int, vec))
+        n = self.ncols
+        if len(v) != n:
             raise ValueError("length mismatch")
-        for idx in range(len(self.rows) + 1):
-            c = next((j for j in range(self.ncols) if v[j]), None)
+        rows, pivots = self.rows, self.pivot_cols
+        idx = 0
+        c = -1
+        while True:
+            c = next((j for j in range(c + 1, n) if v[j]), None)
             if c is None:
                 return
-            if idx == len(self.rows) or self.pivot_cols[idx] > c:
+            while idx < len(pivots) and pivots[idx] < c:
+                idx += 1
+            if idx == len(pivots) or pivots[idx] > c:
                 if v[c] < 0:
                     v = [-x for x in v]
-                self.rows.insert(idx, v)
-                self.pivot_cols.insert(idx, c)
+                rows.insert(idx, v)
+                pivots.insert(idx, c)
                 return
-            if self.pivot_cols[idx] < c:
-                continue
-            row = self.rows[idx]
-            g, x, y = xgcd(row[c], v[c])
-            a_, b_ = row[c] // g, v[c] // g
-            new_row = [x * p + y * q for p, q in zip(row, v)]
-            v = [-b_ * p + a_ * q for p, q in zip(row, v)]
-            self.rows[idx] = new_row
+            row = rows[idx]
+            p, t = row[c], v[c]
+            q, rem = divmod(t, p)
+            if rem:
+                g, x, y = xgcd(p, t)
+                a_, b_ = p // g, t // g
+                rows[idx] = [x * s + y * u for s, u in zip(row, v)]
+                v[c:] = [a_ * u - b_ * s for s, u in zip(row[c:], v[c:])]
+            else:
+                v[c:] = [u - q * s for s, u in zip(row[c:], v[c:])]
+            idx += 1
 
     @property
     def rank(self) -> int:
         return len(self.rows)
 
     def canonical_rows(self) -> tuple:
-        work = [list(r) for r in self.rows]
-        for k in range(len(work)):
-            c = self.pivot_cols[k]
-            p = work[k][c]
-            for i in range(k):
-                q = work[i][c] // p
-                if q:
-                    work[i] = [a - q * b for a, b in zip(work[i], work[k])]
-        return tuple(tuple(r) for r in work)
+        return hermite_rows(self.rows, self.pivot_cols)
 
 
 def integer_kernel(rows, ncols: int) -> tuple:

@@ -5,7 +5,9 @@ import pytest
 from hypothesis import settings
 
 from zonoharm.formats import parse_arrangement, parse_graph
-from zonoharm.graphs import Arrow, DirectedGraph
+from zonoharm.arrangement import VectorArrangement
+from zonoharm.graphs import Arrow, DirectedGraph, cographical_arrangement
+from zonoharm.linalg import Mat
 
 settings.register_profile("zonoharm", deadline=None)
 settings.load_profile("zonoharm")
@@ -38,3 +40,26 @@ def wheel_graph(k: int) -> DirectedGraph:
     ends = [("h", v) for v in rim] + [(rim[i], rim[(i + 1) % k]) for i in range(k)]
     arrows = tuple(Arrow(ident=i, tail=t, head=h) for i, (t, h) in enumerate(ends, start=1))
     return DirectedGraph(vertices=("h", *rim), arrows=arrows)
+
+
+def cycle_arrangement(k: int) -> VectorArrangement:
+    """The rank-1 arrangement of k copies of (1): the cographical arrangement of a k-cycle."""
+    return VectorArrangement(1, tuple(f"a{i}" for i in range(k)), Mat.from_rows([[1] * k]))
+
+
+K33 = "".join(f"vertex {side}{i}\n" for side in "ab" for i in (1, 2, 3)) + "".join(
+    f"arrow {3 * i + j + 1} a{i + 1} b{j + 1}\n" for i in range(3) for j in range(3)
+)
+PRISM_ARROWS = ("x1 x2", "x2 x3", "x3 x1", "y1 y2", "y2 y3", "y3 y1", "x1 y1", "x2 y2", "x3 y3")
+PRISM = "".join(f"vertex {side}{i}\n" for side in "xy" for i in (1, 2, 3)) + "".join(
+    f"arrow {n} {ends}\n" for n, ends in enumerate(PRISM_ARROWS, start=1)
+)
+
+
+def named_arrangement(name):
+    if name.startswith("C"):
+        return cycle_arrangement(int(name[1:]))
+    if name == "W4":
+        return cographical_arrangement(wheel_graph(4))
+    text = {"K33": K33, "prism": PRISM}.get(name) or data_path(f"{name}.graph").read_text()
+    return cographical_arrangement(parse_graph(text))

@@ -9,7 +9,7 @@ from zonoharm.funcspace import binom_int, binomial_product_rows, exponents_of_de
 from zonoharm.graphs import BivariatePolynomial, tutte_of_arrangement
 from zonoharm.harmonics import iz_hilbert_series
 from zonoharm.ideals import P, _expansions, _macaulay_rows
-from zonoharm.linalg import Mat, det, integer_kernel, rank, xgcd
+from zonoharm.linalg import IntRowLattice, Mat, det, integer_kernel, rank, saturate, xgcd
 
 
 def identity(n):
@@ -173,6 +173,62 @@ def row_hnf(rows, ncols: int, transform: bool = False):
     if transform:
         return hnf, tuple(pivot_cols), [tuple(u) for u in U]
     return hnf, tuple(pivot_cols)
+
+
+def pivot_cols(echelon_rows) -> tuple:
+    """Column of each echelon row's first nonzero entry."""
+    return tuple(next(j for j, x in enumerate(r) if x) for r in echelon_rows)
+
+
+class XgcdRowLattice(IntRowLattice):
+    """``IntRowLattice`` with the reference insert: the pivot scan restarts
+    from column 0 after each step, and every stored pivot the vector meets
+    takes an xgcd step that rebuilds the stored row, divisible or not."""
+
+    def add(self, vec) -> None:
+        v = [int(x) for x in vec]
+        if len(v) != self.ncols:
+            raise ValueError("length mismatch")
+        for idx in range(len(self.rows) + 1):
+            c = next((j for j in range(self.ncols) if v[j]), None)
+            if c is None:
+                return
+            if idx == len(self.rows) or self.pivot_cols[idx] > c:
+                if v[c] < 0:
+                    v = [-x for x in v]
+                self.rows.insert(idx, v)
+                self.pivot_cols.insert(idx, c)
+                return
+            if self.pivot_cols[idx] < c:
+                continue
+            row = self.rows[idx]
+            g, x, y = xgcd(row[c], v[c])
+            a_, b_ = row[c] // g, v[c] // g
+            new_row = [x * p + y * q for p, q in zip(row, v)]
+            v = [-b_ * p + a_ * q for p, q in zip(row, v)]
+            self.rows[idx] = new_row
+
+
+def eager_filtration(points, r: int, max_degree=None) -> list:
+    """(canonical rows, saturated rows, saturation index) per degree, as the
+    filtration is built when every degree is reduced to canonical rows at
+    once: the reference insert, then ``canonical_rows``, certified by unit
+    pivots or else saturated."""
+    n = len(points)
+    if n == 0:
+        return []
+    lattice = XgcdRowLattice(n)
+    out = []
+    for degree, block in enumerate(binomial_product_rows(points, r)):
+        for row in block:
+            lattice.add(row)
+        canon = lattice.canonical_rows()
+        if all(row[c] == 1 for row, c in zip(canon, lattice.pivot_cols)):
+            out.append((canon, canon, 1))
+        else:
+            out.append((canon, *saturate(canon, n)))
+        if lattice.rank == n or (max_degree is not None and degree >= max_degree):
+            return out
 
 
 def kernel_hnf(rows, ncols):

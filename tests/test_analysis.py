@@ -20,7 +20,7 @@ from zonoharm.graphs import (
 )
 from zonoharm.harmonics import Harmonics
 from zonoharm.ideals import verify_vanishing
-from zonoharm.linalg import Mat
+from zonoharm.linalg import Mat, hermite_rows
 from zonoharm.report import build_graph_report
 from zonoharm.verification import random_connected_multigraph, run_instance_checks
 
@@ -32,9 +32,19 @@ def complete_graph_k4() -> DirectedGraph:
     return DirectedGraph(vertices=vs, arrows=arrows)
 
 
-def _calls(stats: pstats.Stats, fn) -> int:
+def _key(fn) -> tuple:
     code = fn.__code__
-    return stats.stats.get((code.co_filename, code.co_firstlineno, code.co_name), (0, 0))[1]
+    return code.co_filename, code.co_firstlineno, code.co_name
+
+
+def _calls(stats: pstats.Stats, fn, caller=None) -> int:
+    """Calls of ``fn``; with ``caller``, only the calls made from that function."""
+    entry = stats.stats.get(_key(fn))
+    if entry is None:
+        return 0
+    if caller is None:
+        return entry[1]
+    return entry[4].get(_key(caller), (0,))[0]
 
 
 @pytest.mark.parametrize(
@@ -47,14 +57,20 @@ def _calls(stats: pstats.Stats, fn) -> int:
 )
 def test_each_quantity_once_per_arrangement(run):
     g = complete_graph_k4()
-    u = len(Analysis(cographical_arrangement(g)).usable)
+    ctx = Analysis(cographical_arrangement(g))
+    u = len(ctx.usable)
     assert u == 6
+    assert ctx.harmonics.q_dims == [1, 4, 6]
     prof = cProfile.Profile()
     prof.runcall(run, g)
     stats = pstats.Stats(prof)
     # one filtration for the arrangement and one per minor; nothing rebuilt,
     # and the minors' cocircuits are derived from the arrangement's
     assert _calls(stats, Harmonics.__init__) == 1 + 2 * u
+    # canonical rows of a filtration: one form per degree of the
+    # arrangement's, which the dividedPowerGeneration check reads, and none
+    # for any minor, whose checks read echelons
+    assert _calls(stats, hermite_rows, caller=Harmonics._canonical_rows) == 3
     assert _calls(stats, enumerate_cocircuits) == 1
     assert _calls(stats, tutte_of_arrangement) == 1
     assert _calls(stats, tutte_polynomial) == 1
@@ -122,17 +138,17 @@ def test_exactness_fails_on_bars_not_constant_along_the_element():
 @pytest.mark.parametrize(
     "layer, method, fault",
     [
-        ("parent", "saturated_rows", lambda rows, i: rows(i - 1)),
-        ("deletion", "saturated_rows", lambda rows, i: rows(i - 1)),
-        ("contraction", "basis_up_to", lambda rows, i: rows(i)[:1] * len(rows(i))),
-        ("parent", "basis_up_to", lambda rows, i: rows(i)[:1]),
+        ("parent", "saturated_echelon", lambda ech, i: ech(i - 1)),
+        ("deletion", "saturated_echelon", lambda ech, i: ech(i - 1)),
+        ("contraction", "echelon", lambda ech, i: (ech(i)[0][:1] * len(ech(i)[0]), ech(i)[1])),
+        ("parent", "echelon", lambda ech, i: (ech(i)[0][:1], ech(i)[1][:1])),
     ],
     ids=["pullback-escapes", "difference-escapes", "pullback-not-injective", "difference-not-onto"],
 )
 def test_each_exactness_exit_fails_on_its_own_fault(layer, method, fault):
     # each fault breaks one of the four tests and leaves the others, and the
     # dimension identity, true: a saturated piece lagging one degree lets an
-    # image escape it; basis rows that repeat the first, or keep only the
+    # image escape it; echelon rows that repeat the first, or keep only the
     # constant function, take rank from the pullback or the difference
     ctx = Analysis(cographical_arrangement(wheel_graph(4)))
     a = ctx.usable[0]
@@ -140,6 +156,6 @@ def test_each_exactness_exit_fails_on_its_own_fault(layer, method, fault):
     assert _exactness_ranks(ctx, ctx_del, ctx_con, a, bars)
     layers = {"parent": ctx, "deletion": ctx_del, "contraction": ctx_con}
     h = layers[layer].full_harmonics
-    rows = getattr(h, method)
-    setattr(h, method, lambda i: fault(rows, i))  # the instance attribute shadows the method
+    ech = getattr(h, method)
+    setattr(h, method, lambda i: fault(ech, i))  # the instance attribute shadows the method
     assert not _exactness_ranks(ctx, ctx_del, ctx_con, a, bars)

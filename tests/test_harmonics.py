@@ -3,8 +3,8 @@ import random
 import pytest
 from hypothesis import given, settings
 
-from conftest import data_path, wheel_graph
-from oracles import saturation_hnf, solve_row_lattice
+from conftest import cycle_arrangement, data_path, named_arrangement, wheel_graph
+from oracles import eager_filtration, pivot_cols, saturation_hnf, solve_row_lattice
 from strategies import connected_multigraphs
 from zonoharm import harmonics, linalg
 from zonoharm.analysis import CHECKS, Analysis, deletion_contraction_check
@@ -22,11 +22,7 @@ from zonoharm.harmonics import (
     rees_data,
     verify_saturation,
 )
-from zonoharm.linalg import Mat, saturate
-
-
-def cycle_arrangement(k):
-    return VectorArrangement(1, tuple(f"a{i}" for i in range(k)), Mat.from_rows([[1] * k]))
+from zonoharm.linalg import Mat, in_row_lattice, saturate
 
 
 def coloop_arrangement():
@@ -95,6 +91,37 @@ class TestFiltration:
         rep = compute_filtration(house_arrangement, max_degree=1)
         assert rep.truncated
         assert rep.q_dims == (1, 3)
+
+
+class TestCanonicalRowsOnDemand:
+    """Each degree keeps its echelon; canonical rows are formed when read."""
+
+    @pytest.mark.parametrize(
+        "name, max_degree",
+        [("house", None), ("W4", None), ("K33", None), ("prism", None), ("K33", 2), ("even", None)],
+    )
+    def test_equal_to_eager_rows_at_every_degree(self, monkeypatch, name, max_degree):
+        if name == "even":  # {0, 2}: degree 1 has index 2 in its saturation
+            va, pts = cycle_arrangement(3), LatticePointSet(((0,), (2,)))
+        else:
+            va = named_arrangement(name)
+            pts = interior_lattice_points(va)
+        eager = eager_filtration(pts.points, va.lattice_rank, max_degree)
+        calls = count_calls(monkeypatch, ("hermite_rows",), modules=(harmonics,))
+        h = Harmonics(va, max_degree=max_degree, points=pts)
+        assert calls == []
+        assert h.truncated == (max_degree is not None)
+        assert h.q_dims == [len(canon) for canon, _, _ in eager]
+        assert h.saturation_indices == [index for _, _, index in eager]
+        for i, (canon, sat, _) in enumerate(eager):
+            assert h.basis_up_to(i) == canon
+            assert h.saturated_rows(i) == sat
+            rows, pivots = h.saturated_echelon(i)
+            assert pivots == pivot_cols(sat)
+            assert in_row_lattice(rows, pivots, sat) and in_row_lattice(sat, pivots, rows)
+        assert len(calls) == len(eager)  # one form per degree, however often read
+        assert h.lattice_rows == [canon for canon, _, _ in eager]
+        assert len(calls) == len(eager)
 
 
 class TestSaturationVerdict:

@@ -5,7 +5,7 @@ import random
 import pytest
 from hypothesis import given, settings
 
-from conftest import data_path, wheel_graph
+from conftest import K33, cycle_arrangement, data_path, named_arrangement
 from oracles import all_degree_redundant_generators, dense_quotient_dims_mod_p
 from strategies import connected_multigraphs
 from zonoharm import ideals
@@ -25,10 +25,6 @@ from zonoharm.ideals import (
 )
 from zonoharm.linalg import Mat
 from zonoharm.verification import random_connected_multigraph
-
-
-def cycle_arrangement(k):
-    return VectorArrangement(1, tuple(f"a{i}" for i in range(k)), Mat.from_rows([[1] * k]))
 
 
 def trim(seq):
@@ -175,24 +171,6 @@ class TestRedundancy:
         for _ in range(30):
             va = cographical_arrangement(random_connected_multigraph(rng, 7))
             assert redundant_generators(va) == all_degree_redundant_generators(va)
-
-
-K33 = "".join(f"vertex {side}{i}\n" for side in "ab" for i in (1, 2, 3)) + "".join(
-    f"arrow {3 * i + j + 1} a{i + 1} b{j + 1}\n" for i in range(3) for j in range(3)
-)
-PRISM_ARROWS = ("x1 x2", "x2 x3", "x3 x1", "y1 y2", "y2 y3", "y3 y1", "x1 y1", "x2 y2", "x3 y3")
-PRISM = "".join(f"vertex {side}{i}\n" for side in "xy" for i in (1, 2, 3)) + "".join(
-    f"arrow {n} {ends}\n" for n, ends in enumerate(PRISM_ARROWS, start=1)
-)
-
-
-def named_arrangement(name):
-    if name.startswith("C"):
-        return cycle_arrangement(int(name[1:]))
-    if name == "W4":
-        return cographical_arrangement(wheel_graph(4))
-    text = {"K33": K33, "prism": PRISM}.get(name) or data_path(f"{name}.graph").read_text()
-    return cographical_arrangement(parse_graph(text))
 
 
 # power-ideal dims and redundant generator indices, computed by exact ranks

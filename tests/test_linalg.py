@@ -6,7 +6,16 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import identity, pointwise_rows, rank_mod_p, row_hnf, saturation_hnf, solve_row_lattice
+from oracles import (
+    XgcdRowLattice,
+    identity,
+    pivot_cols,
+    pointwise_rows,
+    rank_mod_p,
+    row_hnf,
+    saturation_hnf,
+    solve_row_lattice,
+)
 from zonoharm.ideals import P
 from zonoharm.linalg import IntRowLattice, Mat, in_row_lattice, integer_kernel, rank, saturate
 
@@ -261,8 +270,7 @@ class TestSaturation:
         sat, _ = saturate(rows, ncols)
         assert list(sat) == saturation_hnf(rows, ncols)
         assert len(sat) == rank(Mat.from_rows(rows))
-        for r in rows:
-            assert in_row_lattice(sat, r)
+        assert in_row_lattice(sat, pivot_cols(sat), rows)
         assert saturate(sat, ncols) == (sat, 1)
 
 
@@ -303,15 +311,55 @@ class TestRowLattice:
         batch, _ = row_hnf(rows, ncols)
         assert lat.canonical_rows() == tuple(batch)
         assert lat.rank == rank(Mat.from_rows(rows))
-        for r in rows:
-            assert in_row_lattice(lat.canonical_rows(), r)
+        assert in_row_lattice(lat.canonical_rows(), lat.pivot_cols, rows)
+        assert in_row_lattice(lat.rows, lat.pivot_cols, rows)
+
+    @given(
+        small_matrices.flatmap(
+            lambda rows: st.lists(
+                st.one_of(
+                    st.sampled_from(rows),  # a duplicate
+                    st.just([0] * len(rows[0])),  # a zero row
+                    # a multiple of a row, negative ones included: xgcd(2, -4)
+                    st.tuples(st.sampled_from(rows), st.sampled_from((-4, -3, -2, -1, 2, 3))).map(
+                        lambda rk: [rk[1] * x for x in rk[0]]
+                    ),
+                ),
+                max_size=4,
+            ).flatmap(lambda extra: st.permutations(list(rows) + extra))
+        )
+    )
+    @settings(max_examples=80)
+    def test_insert_matches_xgcd_reference(self, rows):
+        ncols = len(rows[0])
+        lat, ref = IntRowLattice(ncols, rows), XgcdRowLattice(ncols, rows)
+        assert lat.canonical_rows() == ref.canonical_rows()
+        assert lat.pivot_cols == ref.pivot_cols
+        assert [r[c] for r, c in zip(lat.rows, lat.pivot_cols)] == [
+            r[c] for r, c in zip(ref.rows, ref.pivot_cols)
+        ]
+        assert lat.rank == ref.rank
+
+    def test_divisible_pivot_keeps_the_stored_row(self):
+        lat = IntRowLattice(3, [(2, 1, 0)])
+        row = lat.rows[0]
+        lat.add((-4, 0, 1))  # -4 = -2 * 2: subtracted, no xgcd step
+        assert lat.rows[0] is row
+        assert lat.rows == [[2, 1, 0], [0, 2, 1]]
+        lat.add((3, 0, 0))  # 2 does not divide 3: the stored row is replaced
+        assert lat.rows[0] is not row and row == [2, 1, 0]
+        assert lat.canonical_rows() == XgcdRowLattice(3, [(2, 1, 0), (-4, 0, 1), (3, 0, 0)]).canonical_rows()
 
     @given(small_matrices, st.lists(st.integers(-3, 3), min_size=5, max_size=5), st.integers(0, 4))
     @settings(max_examples=60)
     def test_membership_matches_solver(self, rows, coeffs, bump):
         # integer combinations of the rows, one entry perturbed by 0..4
         ncols = len(rows[0])
-        hnf, _ = row_hnf(rows, ncols)
+        hnf, pivots = row_hnf(rows, ncols)
+        lat = IntRowLattice(ncols, rows)
         v = [sum(c * r[j] for c, r in zip(coeffs, rows)) for j in range(ncols)]
         v[0] += bump
-        assert in_row_lattice(hnf, v) == (solve_row_lattice(rows, v) is not None)
+        expected = solve_row_lattice(rows, v) is not None
+        assert in_row_lattice(hnf, pivots, [v]) == expected
+        assert in_row_lattice(lat.rows, lat.pivot_cols, [v]) == expected
+        assert in_row_lattice(hnf, pivots, [rows[0], v]) == expected
