@@ -15,9 +15,8 @@ minor's context, while its points come from its own facet description.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .arrangement import (
     VectorArrangement,
@@ -48,8 +47,7 @@ from .ideals import k_minus_generators, quotient_dims, verify_vanishing
 from .linalg import IntRowLattice, in_row_lattice
 
 
-@dataclass(frozen=True)
-class DegreeCheck:
+class DegreeCheck(NamedTuple):
     degree: int
     dim_total: int
     dim_contraction: int
@@ -60,8 +58,7 @@ class DegreeCheck:
         return self.dim_total == self.dim_contraction + self.dim_deletion_prev
 
 
-@dataclass(frozen=True)
-class DeletionContractionReport:
+class DeletionContractionReport(NamedTuple):
     element: str
     bijection_ok: bool
     degree_checks: tuple
@@ -367,8 +364,7 @@ def _deletion_contraction(ctx: Analysis) -> tuple:
     )
 
 
-@dataclass(frozen=True)
-class Check:
+class Check(NamedTuple):
     """A named identity: ``run`` computes its value from a context, ``passed``
     reads the verdict off that value.  ``key`` names it in the CLI report;
     checks without a key are evaluated by the random suite only."""

@@ -4,32 +4,53 @@ Covers loops/coloops, deletion and contraction, cocircuit enumeration via
 corank-1 column subsets (which is also the unimodularity test), the
 cocircuits of a minor derived from its parent's, the zonotope's facet
 description, and the interior lattice points obtained from it.
+
+``Cocircuit`` is a named tuple.  ``VectorArrangement`` and
+``LatticePointSet`` validate and normalise their fields on construction;
+they are plain classes, immutable by convention: nothing reassigns a field.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
+from typing import NamedTuple
 
 from .errors import CertificateError, IsColoopError, IsLoopError, NotTotallyUnimodularError
 from .linalg import Mat, det, integer_kernel, rank, xgcd
 
 
-@dataclass(frozen=True)
 class VectorArrangement:
     """A finite labeled family of columns in Z^r whose image spans Q^r."""
 
-    lattice_rank: int
-    ground: tuple
-    columns: Mat
+    __slots__ = ("lattice_rank", "ground", "columns")
 
-    def __post_init__(self):
-        if self.columns.rows != self.lattice_rank or self.columns.cols != len(self.ground):
+    def __init__(self, lattice_rank: int, ground: tuple, columns: Mat):
+        if columns.rows != lattice_rank or columns.cols != len(ground):
             raise ValueError("column matrix shape does not match rank and ground set")
-        if len(set(self.ground)) != len(self.ground):
+        if len(set(ground)) != len(ground):
             raise ValueError("duplicate ground set labels")
-        if rank(self.columns) != self.lattice_rank:
+        if rank(columns) != lattice_rank:
             raise ValueError("columns do not span the ambient lattice")
+        self.lattice_rank = lattice_rank
+        self.ground = ground
+        self.columns = columns
+
+    def _key(self) -> tuple:
+        return (self.lattice_rank, self.ground, self.columns)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        return (
+            f"VectorArrangement(lattice_rank={self.lattice_rank!r},"
+            f" ground={self.ground!r}, columns={self.columns!r})"
+        )
 
     @property
     def size(self) -> int:
@@ -42,8 +63,7 @@ class VectorArrangement:
         return self.columns.col(self.index_of(label))
 
 
-@dataclass(frozen=True)
-class Cocircuit:
+class Cocircuit(NamedTuple):
     """A primitive covector of minimal support, with its sign counts.
 
     ``values[i]`` is the pairing with the i-th ground element; for unimodular
@@ -63,14 +83,24 @@ class Cocircuit:
         return tuple(a for a, v in zip(ground, self.values) if v)
 
 
-@dataclass(frozen=True)
 class LatticePointSet:
     """A finite set of lattice points, stored in lexicographic order."""
 
-    points: tuple
+    __slots__ = ("points",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "points", tuple(sorted(tuple(p) for p in self.points)))
+    def __init__(self, points: tuple):
+        self.points = tuple(sorted(tuple(p) for p in points))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.points == other.points
+
+    def __hash__(self):
+        return hash((self.points,))
+
+    def __repr__(self):
+        return f"LatticePointSet(points={self.points!r})"
 
     def __len__(self):
         return len(self.points)

@@ -24,7 +24,6 @@ import sys
 from .errors import NotTotallyUnimodularError, ParseError, SizeExceededError
 from .formats import parse_arrangement, parse_graph
 from .report import build_graph_report, build_report, render_text, to_json_bytes
-from .verification import SuiteConfig, run_suite
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -78,6 +77,9 @@ def cmd_analyze_arrangement(args) -> int:
 
 
 def cmd_random_suite(args) -> int:
+    # imported here: no other subcommand needs the suite, and every call pays for an import
+    from .verification import SuiteConfig, run_suite
+
     cfg = SuiteConfig(seed=args.seed, count=args.count, max_edges=args.max_edges)
     try:
         summary = run_suite(cfg)

@@ -8,10 +8,10 @@ their exponents, so evaluation rows are stable.
 
 from __future__ import annotations
 
-from functools import lru_cache, reduce
-from itertools import combinations
+from functools import lru_cache
+from itertools import combinations, repeat
 from math import factorial
-from operator import mul
+from operator import floordiv, mul
 
 
 def binom_int(n: int, k: int) -> int:
@@ -44,31 +44,43 @@ def exponents_of_degree(r: int, d: int) -> tuple:
     return tuple(out)
 
 
+@lru_cache(maxsize=256)
+def _parent_steps(r: int, d: int) -> tuple:
+    """(k, j, e_j) for each exponent e of ``exponents_of_degree(r, d)``,
+    d > 0: j is e's last nonzero coordinate and k the position of e - u_j
+    among the exponents of degree d - 1.  Tabulated once per (r, d)."""
+    position = {e: k for k, e in enumerate(exponents_of_degree(r, d - 1))}
+    steps = []
+    for e in exponents_of_degree(r, d):
+        j = max(c for c in range(r) if e[c])
+        steps.append((position[e[:j] + (e[j] - 1,) + e[j + 1 :]], j, e[j]))
+    return tuple(steps)
+
+
 def binomial_product_rows(points, r: int):
     """Yield, degree by degree, the evaluation rows on ``points`` of the
     binomial products of that degree, in the order of ``exponents_of_degree``.
 
-    Each coordinate keeps a table of rows C(p_j, i) over the points, extended
-    by one degree per step through C(x, i) = C(x, i-1) * (x - i + 1) / i (an
-    exact division for every integer x), so a row is the entrywise product of
-    at most r table rows.  The generator is endless; stop it when done.
+    The row of an exponent e of degree d > 0 comes in one entrywise step from
+    the row of e - u_j, where j is e's last nonzero coordinate, through
+    C(x, i) = C(x, i-1) * (x - i + 1) / i with i = e_j: the other factors
+    of the product are unchanged, so the division is exact.  Only the
+    previous degree's rows are kept.  The generator is endless; stop it when
+    done.
     """
     pts = tuple(points)
-    ones = (1,) * len(pts)
-    tables = [[ones] for _ in range(r)]  # tables[j][i][k] == binom_int(pts[k][j], i)
-    degree = 0
+    # shifted[j][i][k] == pts[k][j] - i + 1, one tuple per coordinate and degree
+    shifted = [[None, tuple(p[j] for p in pts)] for j in range(r)]
+    block = [(1,) * len(pts)]
+    yield block
+    degree = 1
     while True:
-        if degree:
-            for j, table in enumerate(tables):
-                table.append(tuple(v * (p[j] - degree + 1) // degree for v, p in zip(table[-1], pts)))
-        block = []
-        for exps in exponents_of_degree(r, degree):
-            factors = [tables[j][i] for j, i in enumerate(exps) if i]
-            row = reduce(_entrywise_product, factors) if factors else ones
-            block.append(row)
+        if degree > 1:
+            for col in shifted:
+                col.append(tuple(x - 1 for x in col[-1]))
+        prev, block = block, []
+        for k, j, i in _parent_steps(r, degree):
+            row = map(mul, prev[k], shifted[j][i])
+            block.append(tuple(row if i == 1 else map(floordiv, row, repeat(i))))
         yield block
         degree += 1
-
-
-def _entrywise_product(a: tuple, b: tuple) -> tuple:
-    return tuple(map(mul, a, b))

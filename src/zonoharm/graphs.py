@@ -17,12 +17,17 @@ arrangement they are the columns mod 2, which is exact once the cocircuits
 certify that every basis has determinant +-1.  The walk runs once per
 connected part of the matroid, on the part's dual when that has the lower
 rank, so bridges, self-loops and long cycles stay cheap.
+
+``Arrow``, ``OrientedCycle`` and ``BivariatePolynomial`` are named tuples.
+``DirectedGraph`` validates its vertices and arrows and sorts the arrows on
+construction; it is a plain class, immutable by convention: nothing
+reassigns a field.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
+from typing import NamedTuple
 
 from .arrangement import VectorArrangement, enumerate_cocircuits
 from .errors import SizeExceededError
@@ -32,35 +37,46 @@ from .linalg import Mat
 TUTTE_ARRANGEMENT_MAX_GROUND = 20
 
 
-@dataclass(frozen=True)
-class Arrow:
+class Arrow(NamedTuple):
     ident: int
     tail: str
     head: str
 
 
-@dataclass(frozen=True)
 class DirectedGraph:
     """Vertices plus an ordered list of arrows; parallels and self-loops allowed."""
 
-    vertices: tuple
-    arrows: tuple
+    __slots__ = ("vertices", "arrows")
 
-    def __post_init__(self):
-        vset = set(self.vertices)
-        if len(vset) != len(self.vertices):
+    def __init__(self, vertices: tuple, arrows: tuple):
+        vset = set(vertices)
+        if len(vset) != len(vertices):
             raise ValueError("duplicate vertex labels")
-        ids = [a.ident for a in self.arrows]
+        ids = [a.ident for a in arrows]
         if len(set(ids)) != len(ids):
             raise ValueError("duplicate arrow ids")
-        for a in self.arrows:
+        for a in arrows:
             if a.tail not in vset or a.head not in vset:
                 raise ValueError(f"arrow {a.ident} references an unknown vertex")
-        object.__setattr__(self, "arrows", tuple(sorted(self.arrows, key=lambda a: a.ident)))
+        self.vertices = vertices
+        self.arrows = tuple(sorted(arrows, key=lambda a: a.ident))
+
+    def _key(self) -> tuple:
+        return (self.vertices, self.arrows)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        return f"DirectedGraph(vertices={self.vertices!r}, arrows={self.arrows!r})"
 
 
-@dataclass(frozen=True)
-class OrientedCycle:
+class OrientedCycle(NamedTuple):
     """A simple cycle as signed arrows in canonical cyclic order.
 
     ``arrows`` starts at the lowest arrow id, which always carries sign +1.
@@ -260,8 +276,7 @@ def theta_subgraphs(g: DirectedGraph, cycles=None) -> tuple:
     return tuple((cycles[i], cycles[j], cycles[k]) for i, j, k in sorted(found))
 
 
-@dataclass(frozen=True)
-class BivariatePolynomial:
+class BivariatePolynomial(NamedTuple):
     """Bivariate polynomial with arbitrary-precision integer coefficients."""
 
     terms: tuple  # sorted ((i, j, coeff), ...), no zero coefficients

@@ -30,8 +30,8 @@ attached to degree i is i itself (a topological grading would double it).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import factorial
+from typing import NamedTuple
 
 from .arrangement import VectorArrangement, interior_lattice_points
 from .errors import DegreeOverflowError, NotIntegralError
@@ -40,8 +40,7 @@ from .graphs import tutte_of_arrangement
 from .linalg import IntRowLattice, hermite_rows, in_row_lattice, saturate
 
 
-@dataclass(frozen=True)
-class FiltrationReport:
+class FiltrationReport(NamedTuple):
     """Per-degree summary of the filtration on functions on the point set.
 
     ``q_dims[i]`` is the rational dimension of the degree-<=i piece,
@@ -60,8 +59,7 @@ class FiltrationReport:
     truncated: bool = False
 
 
-@dataclass(frozen=True)
-class GradedClass:
+class GradedClass(NamedTuple):
     """An element of one graded piece, given by an integral representative.
 
     ``values`` are the representative's integer values on the interior
@@ -76,12 +74,12 @@ class Harmonics:
     """Filtration data for one arrangement, computed once and shared.
 
     Pass the arrangement's interior points when they are already known.
-    Degree by degree, the evaluation rows of the binomial products (built
-    from per-coordinate tables, see ``binomial_product_rows``) are added to
-    one integer row lattice, and each degree keeps a snapshot of its echelon.
-    A degree whose echelon has all pivots 1 gets saturation index 1, with no
-    kernel; any other degree falls back to ``saturate``.  Canonical rows are
-    computed per degree, on first read.
+    Degree by degree, the evaluation rows of the binomial products (each
+    built from one row of the previous degree, see ``binomial_product_rows``)
+    are added to one integer row lattice, and each degree keeps a snapshot
+    of its echelon.  A degree whose echelon has all pivots 1 gets saturation
+    index 1, with no kernel; any other degree falls back to ``saturate``.
+    Canonical rows are computed per degree, on first read.
     """
 
     def __init__(self, va: VectorArrangement, max_degree: int | None = None, points=None):
@@ -278,8 +276,12 @@ def divided_power_generation_check(ctx: Harmonics) -> bool:
     prod_j C(z_j, m_j), the products of divided powers of the coordinate
     classes, so for every degree i its canonical rows must equal those of
     the saturated lattice of restricted degree-<=i integer-valued functions.
+    A degree with unit pivots is its own saturation, so only the degrees
+    that ``saturate`` ran on are compared, and only they form canonical rows.
     """
-    return all(rows == ctx.saturated_rows(i) for i, rows in enumerate(ctx.lattice_rows))
+    return all(
+        ctx._canonical_rows(d) == sat for d, sat in enumerate(ctx._saturated) if sat is not None
+    )
 
 
 def rees_data(ctx: Harmonics) -> tuple:

@@ -22,8 +22,8 @@ only that exact fallback.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import comb, factorial
+from typing import NamedTuple
 
 from .arrangement import Cocircuit, VectorArrangement, enumerate_cocircuits, interior_lattice_points
 from .errors import SizeExceededError
@@ -36,8 +36,7 @@ SYM_DEGREE_DIM_CAP = 3000
 P = (1 << 61) - 1  # prime field of the successive quotients
 
 
-@dataclass(frozen=True)
-class IdealGenerator:
+class IdealGenerator(NamedTuple):
     """One generator attached to a cocircuit.
 
     ``binomial_shift`` kind: C(<covector, x> + shift, degree) with

@@ -1,35 +1,50 @@
 """Exact integer linear algebra on small dense matrices.
 
-All values are immutable and all functions are pure.  Determinants and
-ranks are computed fraction-free (Bareiss).  Every lattice computation runs
-on one integer echelon, ``IntRowLattice``: an insert subtracts a multiple of
-each stored row whose pivot divides the entry and takes an xgcd step at any
-other pivot.  Membership is decided on any echelon basis, in batches, and
-``hermite_rows`` reduces one to the canonical rows, the row-style Hermite
-form, only where they are read: integer kernels are read off the canonical
-form of [A^T | I], and a saturation is the kernel of the kernel.
+All values are immutable and all functions are pure.  ``Mat`` is a plain
+class, immutable by convention: nothing reassigns its fields.  Determinants
+and ranks are computed fraction-free (Bareiss).  Every lattice computation
+runs on one integer echelon, ``IntRowLattice``: an insert subtracts a
+multiple of each stored row whose pivot divides the entry and takes an xgcd
+step at any other pivot.  Membership is decided on any echelon basis, in
+batches, and ``hermite_rows`` reduces one to the canonical rows, the
+row-style Hermite form, only where they are read: integer kernels are read
+off the canonical form of [A^T | I], and a saturation is the kernel of the
+kernel.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import chain
 from math import prod
 
 
-@dataclass(frozen=True)
 class Mat:
     """Immutable row-major matrix with int entries."""
 
-    rows: int
-    cols: int
-    data: tuple
+    __slots__ = ("rows", "cols", "data")
 
-    def __post_init__(self):
-        if self.rows < 0 or self.cols < 0:
+    def __init__(self, rows: int, cols: int, data: tuple):
+        if rows < 0 or cols < 0:
             raise ValueError("negative dimension")
-        if len(self.data) != self.rows * self.cols:
+        if len(data) != rows * cols:
             raise ValueError("entry count does not match shape")
+        self.rows = rows
+        self.cols = cols
+        self.data = data
+
+    def _key(self) -> tuple:
+        return (self.rows, self.cols, self.data)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        return f"Mat(rows={self.rows!r}, cols={self.cols!r}, data={self.data!r})"
 
     @staticmethod
     def from_rows(rows, cols: int | None = None) -> "Mat":

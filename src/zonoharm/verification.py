@@ -10,7 +10,8 @@ seed so any failure can be replayed from the serialized instance.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from types import MappingProxyType
+from typing import NamedTuple
 
 from .analysis import CHECKS, Analysis
 from .errors import SizeExceededError
@@ -21,18 +22,16 @@ RANDOM_SUITE_MAX_EDGES = 9
 EXACTNESS_INSTANCES = 20  # leading instances per suite that get the exactness rank checks
 
 
-@dataclass(frozen=True)
-class SuiteConfig:
+class SuiteConfig(NamedTuple):
     seed: int = 1
     count: int = 50
     max_edges: int = 7
 
 
-@dataclass
-class InstanceChecks:
+class InstanceChecks(NamedTuple):
     index: int
     graph_text: str = ""
-    checks: dict = field(default_factory=dict)
+    checks: dict = MappingProxyType({})  # read-only, so the shared default stays empty
 
     @property
     def ok(self) -> bool:
@@ -68,8 +67,7 @@ def run_instance_checks(g: DirectedGraph, check_exactness: bool = False) -> Inst
     return InstanceChecks(index=0, graph_text=serialize_graph(g), checks=checks)
 
 
-@dataclass
-class SuiteSummary:
+class SuiteSummary(NamedTuple):
     seed: int
     count: int
     max_edges: int
@@ -93,13 +91,12 @@ def run_suite(cfg: SuiteConfig) -> SuiteSummary:
     for i in range(cfg.count):
         g = random_connected_multigraph(rng, cfg.max_edges)
         res = run_instance_checks(g, check_exactness=i < EXACTNESS_INSTANCES)
-        res.index = i
         if res.ok:
             passes += 1
         else:
             failures += 1
             if first_failure is None:
-                first_failure = res
+                first_failure = res._replace(index=i)
     return SuiteSummary(
         seed=cfg.seed,
         count=cfg.count,

@@ -224,26 +224,53 @@ class TestMaxDegree:
         assert report["truncated"] is False
 
 
+def run_python(script: str):
+    """Run ``script`` in a fresh interpreter that imports zonoharm from src."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60
+    )
+
+
 class TestImports:
     def test_cli_needs_only_the_standard_library(self):
         # a fresh interpreter: every module that importing the CLI adds is
         # part of zonoharm or of the standard library, and exact arithmetic
         # needs no fractions
-        src = str(Path(__file__).resolve().parent.parent / "src")
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
         script = (
             "import sys\n"
             "before = set(sys.modules)\n"
             "import zonoharm.cli\n"
             "print(*sorted(set(sys.modules) - before))\n"
         )
-        proc = subprocess.run(
-            [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60
-        )
+        proc = run_python(script)
         assert proc.returncode == 0, proc.stderr
         added = proc.stdout.split()
         assert "zonoharm.cli" in added
         tops = {name.split(".")[0] for name in added}
         assert sorted(tops - {"zonoharm"} - sys.stdlib_module_names) == []
         assert "fractions" not in added
+
+    def test_start_up_loads_no_dataclasses_and_no_suite(self):
+        # every CLI call pays for what importing the CLI loads: not
+        # dataclasses (with inspect, ast and dis behind it), and not the
+        # random suite, which only its subcommand imports.  The suite module
+        # is then imported too, so no module of the package may load them.
+        # A fresh interpreter, since pytest itself loads dataclasses; only
+        # what the imports add counts, as some interpreters' site hooks load
+        # inspect before any user code runs.
+        script = (
+            "import sys\n"
+            "before = set(sys.modules)\n"
+            "import zonoharm.cli\n"
+            "added = set(sys.modules) - before\n"
+            "print(*sorted(added & {'dataclasses', 'inspect', 'zonoharm.verification'}))\n"
+            "import zonoharm.verification\n"
+            "added = set(sys.modules) - before\n"
+            "print(*sorted(added & {'dataclasses', 'inspect'}))\n"
+        )
+        proc = run_python(script)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines() == ["", ""]

@@ -66,9 +66,7 @@ class TestVanishing:
     def test_wrong_shift_fails(self):
         va = cycle_arrangement(5)
         (g,) = k_minus_generators(va)
-        from dataclasses import replace
-
-        bad = replace(g, shift=g.shift - 1)
+        bad = g._replace(shift=g.shift - 1)
         assert not verify_vanishing([bad], interior_lattice_points(va))
 
 

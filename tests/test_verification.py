@@ -69,6 +69,23 @@ class TestSuite:
         assert summary.passes == 15
         assert summary.first_failure is None
 
+    def test_first_failure_keeps_its_index(self, monkeypatch):
+        # the swapped walk of the instance checks above fails most instances;
+        # the summary names the first failing one by its index in the stream
+        walk = graphs._corank_nullity
+        monkeypatch.setattr(graphs, "_corank_nullity", lambda parity: walk(parity).swap())
+        cfg = SuiteConfig(seed=4, count=12, max_edges=6)
+        summary = run_suite(cfg)
+        rng = random.Random(cfg.seed)
+        replay = [
+            run_instance_checks(random_connected_multigraph(rng, cfg.max_edges), True)
+            for _ in range(cfg.count)
+        ]
+        failing = [i for i, res in enumerate(replay) if not res.ok]
+        assert failing[0] == 2
+        assert (summary.failures, summary.passes) == (len(failing), cfg.count - len(failing))
+        assert summary.first_failure == replay[2]._replace(index=2)
+
     def test_edge_cap(self):
         with pytest.raises(SizeExceededError):
             run_suite(SuiteConfig(max_edges=10))
