@@ -4,10 +4,13 @@
 once: loops and coloops, cocircuits, interior points, the filtration, the
 Tutte polynomial with its series, whether the shifted binomials vanish, the
 certified power-ideal quotient dimensions and, for a graph input, its
-oriented cycles and graph polynomials.  ``CHECKS`` defines every identity
-once, as a function of a context.  The CLI report evaluates the checks that
-carry a report key; the random suite evaluates all of them.  The
-deletion/contraction check builds one context per minor and reuses the
+oriented cycles and graph polynomials.  Coloops are read off the
+cocircuits.  A graph's Tutte polynomial is the arrangement's with x and y
+swapped, so one walk serves both; the ``tutte_duality`` check certifies the
+coordinatisation that makes this a theorem.  ``CHECKS`` defines every
+identity once, as a function of a context.  The CLI report evaluates the
+checks that carry a report key; the random suite evaluates all of them.
+The deletion/contraction check builds one context per minor and reuses the
 parent's points and filtration.  Only a parent context enumerates its
 cocircuits; each minor's are derived from the parent's and handed to the
 minor's context, while its points come from its own facet description.
@@ -32,9 +35,10 @@ from .errors import LoopOrColoopError, NotIntegralError
 from .graphs import (
     DirectedGraph,
     enumerate_oriented_cycles,
+    graph_rank,
+    signed_incidence,
     su2_poincare_polynomial,
     tutte_of_arrangement,
-    tutte_polynomial,
 )
 from .harmonics import (
     Harmonics,
@@ -104,7 +108,7 @@ class Analysis:
 
     @cached_property
     def loops_and_coloops(self) -> tuple:
-        return loops_and_coloops(self.va)
+        return loops_and_coloops(self.va, self.cocircuits)
 
     @cached_property
     def usable(self) -> tuple:
@@ -153,7 +157,9 @@ class Analysis:
 
     @cached_property
     def graph_tutte(self):
-        return tutte_polynomial(self.graph)
+        """T_G(x, y) = T_A(y, x): the ``tutte_duality`` check certifies that
+        the arrangement's matroid is the dual of the graph's."""
+        return self.tutte.swap()
 
     @cached_property
     def su2(self) -> tuple:
@@ -309,7 +315,17 @@ def _point_count_identity(ctx: Analysis) -> bool:
 
 
 def _tutte_duality(ctx: Analysis) -> bool:
-    return ctx.tutte.swap().terms == ctx.graph_tutte.terms
+    """The columns A coordinatise the dual of the graph's cycle matroid.
+
+    D A^T = 0 for the signed incidence matrix D puts the row space of A in
+    the cycle space, and r + rank(G) = |E| makes it all of it, the
+    orthogonal complement of the row space of D.  Then M[A] = M[D]*
+    (Oxley, *Matroid Theory*, 2.2.8), so T_G = T_A with x and y swapped.
+    """
+    va, d = ctx.va, signed_incidence(ctx.graph)
+    if any(any(d.matvec(va.columns.row(i))) for i in range(va.lattice_rank)):
+        return False
+    return va.lattice_rank + graph_rank(ctx.graph) == va.size
 
 
 def _saturation(ctx: Analysis) -> bool:

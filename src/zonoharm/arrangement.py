@@ -3,7 +3,11 @@
 Covers loops/coloops, deletion and contraction, cocircuit enumeration via
 corank-1 column subsets (which is also the unimodularity test), the
 cocircuits of a minor derived from its parent's, the zonotope's facet
-description, and the interior lattice points obtained from it.
+description, and the interior lattice points obtained from it.  The
+cocircuit scan cuts each subset's kernel from the kernels of the column
+prefixes it shares with the subset before, and the coloops are read off the
+one-element cocircuits, so one rank, in the constructor, is all an
+arrangement or a deletion costs.
 
 ``Cocircuit`` is a named tuple.  ``VectorArrangement`` and
 ``LatticePointSet`` validate and normalise their fields on construction;
@@ -13,10 +17,11 @@ they are plain classes, immutable by convention: nothing reassigns a field.
 from __future__ import annotations
 
 from itertools import combinations
+from operator import mul
 from typing import NamedTuple
 
 from .errors import CertificateError, IsColoopError, IsLoopError, NotTotallyUnimodularError
-from .linalg import Mat, det, integer_kernel, rank, xgcd
+from .linalg import Mat, det, kernel_step, rank, xgcd
 
 
 class VectorArrangement:
@@ -112,34 +117,32 @@ class LatticePointSet:
         return {p: i for i, p in enumerate(self.points)}
 
 
-def loops_and_coloops(va: VectorArrangement):
-    """Loops are zero columns; coloops are columns whose removal drops the rank."""
-    loops = []
-    coloops = []
-    full = va.lattice_rank
-    cols = va.columns.col_list()
-    for i, a in enumerate(va.ground):
-        if not any(cols[i]):
-            loops.append(a)
-            continue
-        rest = [c for j, c in enumerate(cols) if j != i]
-        if rank(Mat.from_cols(rest, rows=va.lattice_rank)) < full:
-            coloops.append(a)
-    return tuple(loops), tuple(coloops)
+def loops_and_coloops(va: VectorArrangement, cocircuits=None):
+    """Loops are zero columns; coloops are the one-element cocircuits.
+
+    A coloop lies in every basis, so its complement spans a hyperplane
+    (Oxley, *Matroid Theory*, 2.1).  Pass the arrangement's cocircuits when
+    they are already known; otherwise ``enumerate_cocircuits`` runs here and
+    raises NotTotallyUnimodularError on an input it rejects.
+    """
+    cocs = enumerate_cocircuits(va) if cocircuits is None else cocircuits
+    loops = tuple(a for j, a in enumerate(va.ground) if not any(va.columns.col(j)))
+    coloops = {a for c in cocs if c.degree == 1 for a in c.support(va.ground)}
+    return loops, tuple(a for a in va.ground if a in coloops)
 
 
 def deletion(va: VectorArrangement, a) -> VectorArrangement:
     """Remove one non-coloop element; the lattice is unchanged."""
     idx = va.index_of(a)
     rest = [c for j, c in enumerate(va.columns.col_list()) if j != idx]
-    cols = Mat.from_cols(rest, rows=va.lattice_rank)
-    if rank(cols) < va.lattice_rank:
-        raise IsColoopError(f"{a!r} is a coloop; deletion would drop the rank")
-    return VectorArrangement(
-        lattice_rank=va.lattice_rank,
-        ground=tuple(x for x in va.ground if x != a),
-        columns=cols,
-    )
+    try:
+        return VectorArrangement(
+            lattice_rank=va.lattice_rank,
+            ground=va.ground[:idx] + va.ground[idx + 1 :],
+            columns=Mat.from_cols(rest, rows=va.lattice_rank),
+        )
+    except ValueError:  # the parent's shape and labels are valid, so only the span fails
+        raise IsColoopError(f"{a!r} is a coloop; deletion would drop the rank") from None
 
 
 def _completion_transform(v) -> tuple:
@@ -214,7 +217,10 @@ def enumerate_cocircuits(va: VectorArrangement) -> tuple:
     columns, in lexicographic order, that spans its hyperplane.  A subset
     that misses the support of a cocircuit already found lies in that
     hyperplane, so it is dependent or spans it again; it is skipped without
-    a kernel.
+    a kernel.  The kernels come from a stack of prefix kernels: ``stack[k]``
+    is a basis of the kernel of the first k columns of the last subset that
+    needed one, and a subset redoes only the ``kernel_step`` calls past the
+    prefix it shares with that one.
 
     This is the unimodularity test: every cocircuit pairs into {-1, 0, 1} iff
     every basis of columns has determinant +-1, i.e. iff the arrangement is
@@ -230,23 +236,36 @@ def enumerate_cocircuits(va: VectorArrangement) -> tuple:
     cols = va.columns.col_list()
     found = []
     supports = []  # support bitmask of each cocircuit found
+    stack = [[[int(i == j) for j in range(r)] for i in range(r)]]
+    last = ()
     for sel in combinations(range(n), r - 1):
         mask = sum(1 << j for j in sel)
         if not all(mask & s for s in supports):
             continue
-        kern = integer_kernel([cols[j] for j in sel], r)
-        if len(kern) != 1:  # the subset has rank below r - 1
-            continue
-        alpha = kern[0]  # primitive, with positive first nonzero entry
-        values = tuple(sum(x * y for x, y in zip(alpha, c)) for c in cols)
-        bad = next((j for j, v in enumerate(values) if v not in (-1, 0, 1)), None)
-        if bad is not None:
-            basis = sorted(sel + (bad,))
-            raise NotTotallyUnimodularError(
-                tuple(va.ground[j] for j in basis), det([cols[j] for j in basis]), alpha, values
-            )
-        found.append(Cocircuit(alpha, values, values.count(1), values.count(-1)))
-        supports.append(sum(1 << j for j, v in enumerate(values) if v))
+        k = 0
+        while k < len(stack) - 1 and sel[k] == last[k]:
+            k += 1
+        del stack[k + 1 :]
+        last = sel
+        for j in sel[k:]:
+            cut = kernel_step(stack[-1], cols[j])
+            if cut is None:  # the subset has rank below r - 1
+                break
+            stack.append(cut)
+        else:
+            (alpha,) = stack[-1]
+            if next(x for x in alpha if x) < 0:
+                alpha = [-x for x in alpha]
+            alpha = tuple(alpha)
+            values = tuple(sum(map(mul, alpha, c)) for c in cols)
+            bad = next((j for j, v in enumerate(values) if v not in (-1, 0, 1)), None)
+            if bad is not None:
+                basis = sorted(sel + (bad,))
+                raise NotTotallyUnimodularError(
+                    tuple(va.ground[j] for j in basis), det([cols[j] for j in basis]), alpha, values
+                )
+            found.append(Cocircuit(alpha, values, values.count(1), values.count(-1)))
+            supports.append(sum(1 << j for j, v in enumerate(values) if v))
     return tuple(sorted(found, key=lambda c: c.covector))
 
 
@@ -290,7 +309,7 @@ def contraction_cocircuits(
     for c in cocircuits:
         if c.values[idx]:
             continue
-        beta = tuple(sum(x * y for x, y in zip(c.covector, u)) for u in lift)
+        beta = tuple(sum(map(mul, c.covector, u)) for u in lift)
         values = c.values[:idx] + c.values[idx + 1 :]
         d_plus, d_minus = c.d_plus, c.d_minus
         if next(x for x in beta if x) < 0:
@@ -311,7 +330,7 @@ def certify_pairings(va: VectorArrangement, cocircuits) -> None:
     """
     cols = va.columns.col_list()
     for c in cocircuits:
-        if tuple(sum(x * y for x, y in zip(c.covector, col)) for col in cols) != c.values:
+        if tuple(sum(map(mul, c.covector, col)) for col in cols) != c.values:
             raise CertificateError(f"covector {c.covector} does not pair to {c.values}")
 
 

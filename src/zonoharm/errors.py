@@ -13,7 +13,8 @@ class NotTotallyUnimodularError(ZonoharmError):
     """Some basis of columns has a determinant other than +-1.
 
     ``basis`` holds the labels of the witness columns and ``determinant``
-    their determinant; the message also names the cocircuit that found them.
+    their determinant; ``covector`` is the cocircuit that found them and
+    ``values`` its pairings with the columns, both named in the message.
     """
 
     def __init__(self, basis: tuple, determinant: int, covector: tuple, values: tuple):
@@ -23,6 +24,8 @@ class NotTotallyUnimodularError(ZonoharmError):
         )
         self.basis = basis
         self.determinant = determinant
+        self.covector = covector
+        self.values = values
 
 
 class IsLoopError(ZonoharmError):

@@ -16,7 +16,9 @@ vectors, which represent its cycle matroid over GF(2).  For an
 arrangement they are the columns mod 2, which is exact once the cocircuits
 certify that every basis has determinant +-1.  The walk runs once per
 connected part of the matroid, on the part's dual when that has the lower
-rank, so bridges, self-loops and long cycles stay cheap.
+rank, so bridges, self-loops and long cycles stay cheap.  A report walks
+only its arrangement: a graph's polynomial is the cographical one with x
+and y swapped, once ``signed_incidence`` certifies the coordinatisation.
 
 ``Arrow``, ``OrientedCycle`` and ``BivariatePolynomial`` are named tuples.
 ``DirectedGraph`` validates its vertices and arrows and sorts the arrows on
@@ -129,6 +131,19 @@ def connected_components(g: DirectedGraph) -> int:
 def graph_rank(g: DirectedGraph) -> int:
     """Number of vertices minus number of connected components."""
     return len(g.vertices) - connected_components(g)
+
+
+def signed_incidence(g: DirectedGraph) -> Mat:
+    """The |V| x |E| signed incidence matrix: arrow a's column is +1 at its
+    head and -1 at its tail, so a self-loop gives a zero column."""
+    vindex = {v: i for i, v in enumerate(g.vertices)}
+    cols = []
+    for a in g.arrows:
+        col = [0] * len(g.vertices)
+        col[vindex[a.head]] += 1
+        col[vindex[a.tail]] -= 1
+        cols.append(col)
+    return Mat.from_cols(cols, rows=len(g.vertices))
 
 
 def spanning_forest(g: DirectedGraph) -> tuple:

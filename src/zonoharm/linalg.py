@@ -3,19 +3,23 @@
 All values are immutable and all functions are pure.  ``Mat`` is a plain
 class, immutable by convention: nothing reassigns its fields.  Determinants
 and ranks are computed fraction-free (Bareiss).  Every lattice computation
-runs on one integer echelon, ``IntRowLattice``: an insert subtracts a
-multiple of each stored row whose pivot divides the entry and takes an xgcd
-step at any other pivot.  Membership is decided on any echelon basis, in
-batches, and ``hermite_rows`` reduces one to the canonical rows, the
-row-style Hermite form, only where they are read: integer kernels are read
-off the canonical form of [A^T | I], and a saturation is the kernel of the
-kernel.
+runs on one kernel step and one integer echelon.  ``kernel_step`` cuts a
+lattice basis down to the vectors that pair to zero with one more row, by
+unimodular xgcd column steps; an integer kernel is the identity cut by each
+row in turn, and the cocircuit scan cuts the kernels of shared column
+prefixes.  ``IntRowLattice`` is the echelon: an insert subtracts a multiple
+of each stored row whose pivot divides the entry and takes an xgcd step at
+any other pivot.  Membership is decided on any echelon basis, in batches,
+and ``hermite_rows`` reduces one to the canonical rows, the row-style
+Hermite form, only where they are read: integer kernels are returned in it,
+and a saturation is the kernel of the kernel.
 """
 
 from __future__ import annotations
 
 from itertools import chain
 from math import prod
+from operator import mul
 
 
 class Mat:
@@ -82,7 +86,10 @@ class Mat:
     def matvec(self, v) -> tuple:
         if len(v) != self.cols:
             raise ValueError("length mismatch")
-        return tuple(sum(r[j] * v[j] for j in range(self.cols)) for r in (self.row(i) for i in range(self.rows)))
+        data, n = self.data, self.cols
+        if not n:
+            return (0,) * self.rows
+        return tuple(sum(map(mul, data[k : k + n], v)) for k in range(0, len(data), n))
 
 
 def xgcd(a: int, b: int):
@@ -251,23 +258,52 @@ class IntRowLattice:
         return hermite_rows(self.rows, self.pivot_cols)
 
 
+def kernel_step(basis, vec):
+    """The vectors of the lattice spanned by ``basis`` that pair to 0 with ``vec``.
+
+    Unimodular xgcd column steps gather every nonzero pairing onto one
+    basis vector, which is then dropped; the others, in their order, are a
+    basis of the sublattice.  Returns None when every basis vector already
+    pairs to 0, so the sublattice is the whole lattice.
+    """
+    out = list(basis)
+    piv = None
+    for i, b in enumerate(basis):
+        t = sum(map(mul, b, vec))
+        if not t:
+            continue
+        if piv is None:
+            piv, pb, p = i, b, t
+            continue
+        q, rem = divmod(t, p)
+        if rem:
+            g, x, y = xgcd(p, t)
+            a_, b_ = p // g, t // g
+            out[i] = [a_ * u - b_ * s for s, u in zip(pb, b)]
+            pb, p = [x * s + y * u for s, u in zip(pb, b)], g
+        else:
+            out[i] = [u - q * s for s, u in zip(pb, b)]
+    if piv is None:
+        return None
+    del out[piv]
+    return out
+
+
 def integer_kernel(rows, ncols: int) -> tuple:
     """Canonical basis rows of the integer kernel {x in Z^ncols : rows x = 0}.
 
-    The echelon rows of [rows^T | I] whose pivot lies in the identity block
-    vanish on the left block, so their tails are kernel vectors; they form a
-    basis of the kernel lattice (Cohen, *A Course in Computational Algebraic
-    Number Theory*, 2.4).  The tails are in row-style Hermite form, so a
+    The identity basis of Z^ncols is cut by ``kernel_step`` once per row;
+    each step is unimodular on the lattice it cuts, so the result is a basis
+    of the kernel lattice, and ``hermite_rows`` makes it canonical.  A
     one-dimensional kernel is a primitive vector with positive first nonzero
     entry.
     """
-    rows = [tuple(r) for r in rows]
-    k = len(rows)
-    lattice = IntRowLattice(k + ncols)
-    for j in range(ncols):
-        lattice.add([r[j] for r in rows] + [int(i == j) for i in range(ncols)])
-    canon = lattice.canonical_rows()
-    return tuple(row[k:] for row, c in zip(canon, lattice.pivot_cols) if c >= k)
+    basis = [[int(i == j) for j in range(ncols)] for i in range(ncols)]
+    for row in rows:
+        cut = kernel_step(basis, row)
+        if cut is not None:
+            basis = cut
+    return IntRowLattice(ncols, basis).canonical_rows()
 
 
 def saturate(rows, ncols: int):

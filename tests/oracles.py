@@ -9,7 +9,7 @@ from zonoharm.funcspace import binom_int, binomial_product_rows, exponents_of_de
 from zonoharm.graphs import BivariatePolynomial, tutte_of_arrangement
 from zonoharm.harmonics import iz_hilbert_series
 from zonoharm.ideals import P, _expansions, _macaulay_rows
-from zonoharm.linalg import IntRowLattice, Mat, det, integer_kernel, rank, saturate, xgcd
+from zonoharm.linalg import IntRowLattice, Mat, det, rank, saturate, xgcd
 
 
 def identity(n):
@@ -42,8 +42,57 @@ def violating_minor(va):
     return None
 
 
+def echelon_integer_kernel(rows, ncols: int) -> tuple:
+    """Canonical basis rows of the integer kernel, read off the echelon of [rows^T | I].
+
+    The echelon rows whose pivot lies in the identity block vanish on the
+    left block, so their tails are kernel vectors; they form a basis of the
+    kernel lattice (Cohen, *A Course in Computational Algebraic Number
+    Theory*, 2.4), in row-style Hermite form.
+    """
+    rows = [tuple(r) for r in rows]
+    k = len(rows)
+    lattice = IntRowLattice(k + ncols)
+    for j in range(ncols):
+        lattice.add([r[j] for r in rows] + [int(i == j) for i in range(ncols)])
+    canon = lattice.canonical_rows()
+    return tuple(row[k:] for row, c in zip(canon, lattice.pivot_cols) if c >= k)
+
+
+def _cocircuit_or_raise(va, cols, sel, alpha):
+    """The cocircuit of covector ``alpha`` found on ``sel``, or the library's witness error."""
+    values = tuple(sum(x * y for x, y in zip(alpha, c)) for c in cols)
+    bad = next((j for j, v in enumerate(values) if v not in (-1, 0, 1)), None)
+    if bad is not None:
+        basis = sorted(sel + (bad,))
+        raise NotTotallyUnimodularError(
+            tuple(va.ground[j] for j in basis), det([cols[j] for j in basis]), alpha, values
+        )
+    return Cocircuit(alpha, values, values.count(1), values.count(-1))
+
+
+def echelon_cocircuits(va):
+    """The lexicographic cocircuit scan with its support-mask skip, one
+    ``echelon_integer_kernel`` per subset that the masks do not skip."""
+    r, n = va.lattice_rank, va.size
+    if r == 0:
+        return ()
+    cols = va.columns.col_list()
+    found, supports = [], []
+    for sel in combinations(range(n), r - 1):
+        mask = sum(1 << j for j in sel)
+        if not all(mask & s for s in supports):
+            continue
+        kern = echelon_integer_kernel([cols[j] for j in sel], r)
+        if len(kern) == 1:
+            c = _cocircuit_or_raise(va, cols, sel, kern[0])
+            found.append(c)
+            supports.append(sum(1 << j for j, v in enumerate(c.values) if v))
+    return tuple(sorted(found, key=lambda c: c.covector))
+
+
 def unpruned_cocircuits(va):
-    """``enumerate_cocircuits`` with an integer kernel on every (r-1)-subset of columns.
+    """The cocircuit scan with an ``echelon_integer_kernel`` on every (r-1)-subset of columns.
 
     Same order of discovery, so the same result and, for a rejected input,
     the same witness basis and determinant.
@@ -54,21 +103,23 @@ def unpruned_cocircuits(va):
     cols = va.columns.col_list()
     seen = {}
     for sel in combinations(range(n), r - 1):
-        kern = integer_kernel([cols[j] for j in sel], r)
-        if len(kern) != 1:
-            continue
-        alpha = kern[0]
-        if alpha in seen:
-            continue
-        values = tuple(sum(x * y for x, y in zip(alpha, c)) for c in cols)
-        bad = next((j for j, v in enumerate(values) if v not in (-1, 0, 1)), None)
-        if bad is not None:
-            basis = sorted(sel + (bad,))
-            raise NotTotallyUnimodularError(
-                tuple(va.ground[j] for j in basis), det([cols[j] for j in basis]), alpha, values
-            )
-        seen[alpha] = Cocircuit(alpha, values, values.count(1), values.count(-1))
+        kern = echelon_integer_kernel([cols[j] for j in sel], r)
+        if len(kern) == 1 and kern[0] not in seen:
+            seen[kern[0]] = _cocircuit_or_raise(va, cols, sel, kern[0])
     return tuple(sorted(seen.values(), key=lambda c: c.covector))
+
+
+def rank_loops_and_coloops(va):
+    """Loops are zero columns; coloops are columns whose removal drops the rank."""
+    cols = va.columns.col_list()
+    loops = tuple(a for a, c in zip(va.ground, cols) if not any(c))
+    coloops = tuple(
+        a
+        for i, a in enumerate(va.ground)
+        if any(cols[i])
+        and rank(Mat.from_cols(cols[:i] + cols[i + 1 :], rows=va.lattice_rank)) < va.lattice_rank
+    )
+    return loops, coloops
 
 
 def bareiss_tutte(va):

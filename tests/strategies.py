@@ -2,7 +2,9 @@
 
 from hypothesis import strategies as st
 
-from zonoharm.graphs import Arrow, DirectedGraph
+from zonoharm.arrangement import VectorArrangement
+from zonoharm.graphs import Arrow, DirectedGraph, cographical_arrangement
+from zonoharm.linalg import Mat
 
 
 @st.composite
@@ -26,3 +28,22 @@ def connected_multigraphs(draw, max_edges=6, allow_self_loops=True):
     return DirectedGraph(
         vertices=tuple(f"v{i}" for i in range(1, n + 1)), arrows=tuple(arrows)
     )
+
+
+@st.composite
+def sheared_arrangements(draw, max_edges=6):
+    """A cycle-space arrangement moved by a few random integer shears.
+
+    Shears keep the lattice, so the arrangement stays valid while its
+    covectors leave {-1, 0, 1} and its bounding box changes.
+    """
+    va = cographical_arrangement(draw(connected_multigraphs(max_edges=max_edges)))
+    r = va.lattice_rank
+    cols = va.columns.col_list()
+    if r >= 2:
+        for _ in range(draw(st.integers(0, 3))):
+            i, j = draw(st.lists(st.integers(0, r - 1), min_size=2, max_size=2, unique=True))
+            f = draw(st.sampled_from((-2, -1, 1, 2)))
+            for c in cols:
+                c[i] += f * c[j]
+    return VectorArrangement(r, va.ground, Mat.from_cols(cols, rows=r))

@@ -8,19 +8,21 @@ import pytest
 
 from conftest import data_path, wheel_graph
 from oracles import exactness_on_eval_rows
-from zonoharm.analysis import Analysis, _exactness_ranks
+from zonoharm.analysis import Analysis, _exactness_ranks, _tutte_duality
 from zonoharm.arrangement import VectorArrangement, contraction_data, enumerate_cocircuits
 from zonoharm.formats import parse_graph
 from zonoharm.graphs import (
     Arrow,
     DirectedGraph,
+    _corank_nullity,
     cographical_arrangement,
+    signed_incidence,
     tutte_of_arrangement,
     tutte_polynomial,
 )
 from zonoharm.harmonics import Harmonics
 from zonoharm.ideals import verify_vanishing
-from zonoharm.linalg import Mat, hermite_rows
+from zonoharm.linalg import Mat, hermite_rows, rank
 from zonoharm.report import build_graph_report
 from zonoharm.verification import random_connected_multigraph, run_instance_checks
 
@@ -72,8 +74,10 @@ def test_each_quantity_once_per_arrangement(run):
     # dividedPowerGeneration check has no saturation to compare with
     assert _calls(stats, hermite_rows, caller=Harmonics._canonical_rows) == 0
     assert _calls(stats, enumerate_cocircuits) == 1
+    # one walk: the graph's polynomial is the arrangement's, swapped
     assert _calls(stats, tutte_of_arrangement) == 1
-    assert _calls(stats, tutte_polynomial) == 1
+    assert _calls(stats, tutte_polynomial) == 0
+    assert _calls(stats, _corank_nullity) == 1
     # the generatorsVanish check and the certificate of the power dims share one verdict
     assert _calls(stats, verify_vanishing) == 1
 
@@ -159,3 +163,37 @@ def test_each_exactness_exit_fails_on_its_own_fault(layer, method, fault):
     ech = getattr(h, method)
     setattr(h, method, lambda i: fault(ech, i))  # the instance attribute shadows the method
     assert not _exactness_ranks(ctx, ctx_del, ctx_con, a, bars)
+
+
+class TestTutteDuality:
+    """The certificate that T_G is T_A with x and y swapped, on W5."""
+
+    @staticmethod
+    def _duality(g, rows) -> bool:
+        va = VectorArrangement(len(rows), tuple(str(a.ident) for a in g.arrows), Mat.from_rows(rows))
+        return _tutte_duality(Analysis(va, g))
+
+    def test_cycle_matrix_passes(self):
+        g = wheel_graph(5)
+        assert self._duality(g, cographical_arrangement(g).columns.row_list())
+
+    def test_flipped_sign_fails(self):
+        # one cycle no longer closes up at the ends of the flipped arrow
+        g = wheel_graph(5)
+        rows = cographical_arrangement(g).columns.row_list()
+        j = next(j for j, x in enumerate(rows[0]) if x)
+        rows[0][j] = -rows[0][j]
+        assert rank(Mat.from_rows(rows)) == len(rows)
+        assert not self._duality(g, rows)
+
+    def test_broken_rank_identity_fails(self):
+        # four of the five fundamental cycles: every row is a cycle, but they
+        # span only part of the cycle space, so r + rank(G) < |E|
+        g = wheel_graph(5)
+        rows = cographical_arrangement(g).columns.row_list()
+        assert not self._duality(g, rows[:-1])
+
+    def test_self_loop_has_zero_incidence_column(self):
+        g = DirectedGraph(("a", "b"), (Arrow(1, "a", "b"), Arrow(2, "b", "a"), Arrow(3, "b", "b")))
+        assert signed_incidence(g).col(2) == (0, 0)
+        assert self._duality(g, cographical_arrangement(g).columns.row_list())

@@ -9,8 +9,15 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import wheel_graph
-from oracles import identity, matmul, unpruned_cocircuits, violating_minor
-from strategies import connected_multigraphs
+from oracles import (
+    echelon_cocircuits,
+    identity,
+    matmul,
+    rank_loops_and_coloops,
+    unpruned_cocircuits,
+    violating_minor,
+)
+from strategies import connected_multigraphs, sheared_arrangements
 from zonoharm.arrangement import (
     Cocircuit,
     LatticePointSet,
@@ -32,7 +39,7 @@ from zonoharm.errors import (
     NotTotallyUnimodularError,
 )
 from zonoharm.graphs import cographical_arrangement, tutte_of_arrangement
-from zonoharm.linalg import Mat, det, integer_kernel, rank
+from zonoharm.linalg import Mat, det, kernel_step, rank
 
 
 def arr(rank_, cols, labels=None):
@@ -55,6 +62,14 @@ def unimodular(va) -> bool:
     except NotTotallyUnimodularError:
         return False
     return True
+
+
+def scan_outcome(scan, va):
+    """The cocircuits, or the payload of the witness error that rejects ``va``."""
+    try:
+        return scan(va)
+    except NotTotallyUnimodularError as exc:
+        return exc.basis, exc.determinant, exc.covector, exc.values, str(exc)
 
 
 def assert_supports_incomparable(cocs):
@@ -136,6 +151,29 @@ class TestLoopsColoops:
     def test_cycle(self):
         assert loops_and_coloops(cycle_arrangement(4)) == ((), ())
 
+    def test_rank_zero_all_loops(self):
+        va = VectorArrangement(0, ("a1", "a2"), Mat(0, 2, ()))
+        assert loops_and_coloops(va) == (("a1", "a2"), ())
+
+    def test_rejected_input_raises(self):
+        # coloops are read off the cocircuits, so an input they reject raises
+        with pytest.raises(NotTotallyUnimodularError):
+            loops_and_coloops(arr(2, [(1, 1), (1, -1), (1, 0)]))
+
+    @given(connected_multigraphs(max_edges=8))
+    @settings(max_examples=80, deadline=None)
+    def test_cocircuits_equal_rank_definition(self, g):
+        # self-loops are coloops, bridges are loops, a tree has rank 0
+        va = cographical_arrangement(g)
+        expected = rank_loops_and_coloops(va)
+        assert loops_and_coloops(va) == expected
+        assert loops_and_coloops(va, enumerate_cocircuits(va)) == expected
+
+    @given(sheared_arrangements())
+    @settings(max_examples=40, deadline=None)
+    def test_cocircuits_equal_rank_definition_sheared(self, va):
+        assert loops_and_coloops(va) == rank_loops_and_coloops(va)
+
 
 class TestDeletion:
     def test_cycle(self):
@@ -213,47 +251,36 @@ class TestCocircuits:
     @given(st.one_of(spanning_matrices(), connected_multigraphs(max_edges=8).map(cographical_arrangement)))
     @settings(max_examples=150, deadline=None)
     def test_pruned_scan_equals_unpruned_scan(self, va):
-        def outcome(scan):
-            try:
-                return scan(va)
-            except NotTotallyUnimodularError as exc:
-                return exc.basis, exc.determinant, str(exc)
+        assert scan_outcome(enumerate_cocircuits, va) == scan_outcome(unpruned_cocircuits, va)
 
-        assert outcome(enumerate_cocircuits) == outcome(unpruned_cocircuits)
+    @given(
+        st.one_of(
+            spanning_matrices(),
+            connected_multigraphs(max_edges=8).map(cographical_arrangement),
+            sheared_arrangements(),
+        )
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_prefix_kernels_equal_echelon_scan(self, va):
+        # TU, sheared and (with entries +-2) rejected inputs: the same
+        # cocircuits, or the same witness, as one echelon kernel per subset
+        assert scan_outcome(enumerate_cocircuits, va) == scan_outcome(echelon_cocircuits, va)
 
     def test_pruned_scan_kernel_count_on_w5(self):
-        # one kernel per cocircuit (the 21 cycles of W5); the unpruned scan
-        # takes one per 4-subset of the 10 columns, C(10, 4) = 210
-        w5_kernel_calls = 21
+        # the 21 cocircuits (cycles) of W5 take 40 kernel steps in all, where
+        # the unpruned scan takes one kernel per 4-subset of the 10 columns,
+        # C(10, 4) = 210, and a kernel from scratch takes 4 steps
         prof = cProfile.Profile()
         cocs = prof.runcall(enumerate_cocircuits, cographical_arrangement(wheel_graph(5)))
-        code = integer_kernel.__code__
+        code = kernel_step.__code__
         key = (code.co_filename, code.co_firstlineno, code.co_name)
-        assert len(cocs) == pstats.Stats(prof).stats[key][1] == w5_kernel_calls
+        assert len(cocs) == 21
+        assert pstats.Stats(prof).stats[key][1] == 40
 
 
 def _usable(va):
     loops, coloops = loops_and_coloops(va)
     return [a for a in va.ground if a not in loops and a not in coloops]
-
-
-@st.composite
-def sheared_arrangements(draw, max_edges=6):
-    """A cycle-space arrangement moved by a few random integer shears.
-
-    Shears keep the lattice, so the arrangement stays valid while its
-    covectors leave {-1, 0, 1} and its bounding box changes.
-    """
-    va = cographical_arrangement(draw(connected_multigraphs(max_edges=max_edges)))
-    r = va.lattice_rank
-    cols = va.columns.col_list()
-    if r >= 2:
-        for _ in range(draw(st.integers(0, 3))):
-            i, j = draw(st.lists(st.integers(0, r - 1), min_size=2, max_size=2, unique=True))
-            f = draw(st.sampled_from((-2, -1, 1, 2)))
-            for c in cols:
-                c[i] += f * c[j]
-    return VectorArrangement(r, va.ground, Mat.from_cols(cols, rows=r))
 
 
 def box_filter(va, cocs):

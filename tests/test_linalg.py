@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from oracles import (
     XgcdRowLattice,
+    echelon_integer_kernel,
     identity,
     pivot_cols,
     pointwise_rows,
@@ -17,7 +18,15 @@ from oracles import (
     solve_row_lattice,
 )
 from zonoharm.ideals import P
-from zonoharm.linalg import IntRowLattice, Mat, in_row_lattice, integer_kernel, rank, saturate
+from zonoharm.linalg import (
+    IntRowLattice,
+    Mat,
+    in_row_lattice,
+    integer_kernel,
+    kernel_step,
+    rank,
+    saturate,
+)
 
 HOUSE_COLS = [(1, 0), (1, 0), (1, 0), (1, 1), (0, 1), (0, 1)]
 
@@ -165,8 +174,29 @@ class TestKernel:
     def test_identity_trivial(self):
         assert integer_kernel(identity(3).row_list(), 3) == ()
 
+    def test_empty_kernel_of_full_rank_rows(self):
+        # unimodular and non-unimodular square matrices of full rank
+        assert integer_kernel([[2, 1], [1, 1]], 2) == ()
+        assert integer_kernel([[2, 0], [0, 3]], 2) == ()
+
+    def test_full_kernel(self):
+        eye = tuple(map(tuple, identity(3).row_list()))
+        assert integer_kernel([], 3) == eye
+        assert integer_kernel([[0, 0, 0], [0, 0, 0]], 3) == eye
+
     def test_one_one(self):
         assert integer_kernel([[1, 1]], 2) == ((1, -1),)
+
+    def test_kernel_step_drops_one_vector(self):
+        assert kernel_step([[1, 0], [0, 1]], (2, 3)) == [[-3, 2]]
+        assert kernel_step([[1, 0], [0, 1]], (0, 0)) is None
+        assert kernel_step([[1, 0]], (0, 5)) is None
+        assert kernel_step([[1, 0]], (5, 0)) == []
+
+    @given(small_matrices)
+    @settings(max_examples=60)
+    def test_matches_echelon_oracle(self, rows):
+        assert integer_kernel(rows, len(rows[0])) == echelon_integer_kernel(rows, len(rows[0]))
 
     @given(small_matrices)
     @settings(max_examples=40)

@@ -49,8 +49,9 @@ class TestInstanceChecks:
         assert res.failed() == ()
 
     def test_walk_with_swapped_exponents_fails_the_point_count(self, house_graph, monkeypatch):
-        # both Tutte polynomials come from one walk, so a walk that returned
-        # T(M*) for T(M) would keep tutte_duality; the point count and the
+        # both Tutte polynomials come from one walk, and tutte_duality
+        # certifies the coordinatisation, not the walk, so a walk that
+        # returned T(M*) for T(M) would keep it; the point count and the
         # Hilbert series comparisons catch it
         walk = graphs._corank_nullity
         monkeypatch.setattr(graphs, "_corank_nullity", lambda parity: walk(parity).swap())
