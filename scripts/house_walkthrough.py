@@ -9,16 +9,17 @@ unimodular change of basis.
 
 from pathlib import Path
 
-from zonoharm.arrangement import enumerate_cocircuits, interior_lattice_points
-from zonoharm.formats import parse_arrangement, parse_graph
-from zonoharm.graphs import (
-    cographical_arrangement,
-    enumerate_oriented_cycles,
-    su2_poincare_polynomial,
+from zonoharm import (
+    deletion_contraction_check,
+    divided_power,
+    power_ideal_quotient_dims,
+    redundant_generators,
     theta_subgraphs,
 )
-from zonoharm.harmonics import Harmonics, divided_power, iz_hilbert_series, rees_data
-from zonoharm.ideals import k_minus_generators, power_ideal_quotient_dims, redundant_generators
+from zonoharm.analysis import Analysis
+from zonoharm.formats import parse_arrangement, parse_graph
+from zonoharm.graphs import cographical_arrangement
+from zonoharm.ideals import k_minus_generators
 
 DATA = Path(__file__).resolve().parent.parent / "data"
 
@@ -28,35 +29,36 @@ def main():
     matrix = parse_arrangement((DATA / "house.arr").read_text())
 
     print("== graph route ==")
-    va = cographical_arrangement(graph)
-    print("columns:", va.columns.col_list())
-    for c in enumerate_oriented_cycles(graph):
+    gctx = Analysis(cographical_arrangement(graph), graph)
+    print("columns:", gctx.va.columns.col_list())
+    for c in gctx.cycles:
         print(f"cycle {c.arrows}  |C+|={len(c.c_plus)} |C-|={len(c.c_minus)}")
-    print("theta triples:", len(theta_subgraphs(graph)))
-    print("su2 poincare:", su2_poincare_polynomial(graph))
+    print("theta triples:", len(theta_subgraphs(graph, gctx.cycles)))
+    print("coordinatises the dual of the cycle matroid:", gctx.tutte_duality)
+    print("su2 poincare (the iz series):", gctx.iz)
 
     print("\n== matrix route ==")
-    print("interior points:", interior_lattice_points(matrix).points)
-    for c in enumerate_cocircuits(matrix):
+    ctx = Analysis(matrix)
+    print("interior points:", ctx.points.points)
+    for c in ctx.cocircuits:
         print(f"cocircuit {c.covector}  d+={c.d_plus} d-={c.d_minus}")
 
-    ctx = Harmonics(matrix)
-    rep = ctx.report()
-    print("qDims:", rep.q_dims, " grDims:", rep.gr_dims, " saturation:", rep.saturation_indices)
-    print("izHilbert:", iz_hilbert_series(matrix))
-    print("rees ranks:", [(i, len(rows)) for i, rows in rees_data(ctx)])
+    h = ctx.harmonics
+    print("qDims:", h.q_dims, " grDims:", h.gr_dims, " saturation:", h.saturation_indices)
+    print("izHilbert:", ctx.iz)
+    print("delete/contract e4:", deletion_contraction_check(matrix, "e4").ok)
 
     print("\n== ideal layer ==")
-    for g in k_minus_generators(matrix):
-        print("generator:", g.describe())
+    for g in k_minus_generators(matrix, ctx.cocircuits):
+        print(f"generator: C(<{g.cocircuit.covector}, x> {g.shift:+d}, {g.degree})")
     print("quotient dims:", power_ideal_quotient_dims(matrix))
     print("redundant generator indices:", redundant_generators(matrix))
 
     print("\n== divided powers on the first coordinate class ==")
-    e = ctx.coordinate_class(0)
+    e = h.coordinate_class(0)
     print("eta values:", e.values)
     for m in (2, 3):
-        em = divided_power(ctx, e, m)
+        em = divided_power(h, e, m)
         print(f"e^[{m}] values:", em.values)
 
 

@@ -7,7 +7,6 @@ from .arrangement import (
     Cocircuit,
     LatticePointSet,
     VectorArrangement,
-    contraction,
     deletion,
     enumerate_cocircuits,
     interior_lattice_points,
@@ -20,27 +19,22 @@ from .graphs import (
     cographical_arrangement,
     enumerate_oriented_cycles,
     graph_rank,
-    su2_poincare_polynomial,
     theta_subgraphs,
     tutte_of_arrangement,
-    tutte_polynomial,
 )
 from .harmonics import (
-    FiltrationReport,
     GradedClass,
     Harmonics,
     compute_filtration,
     divided_power,
     divided_power_generation_check,
     iz_hilbert_series,
-    rees_data,
     verify_saturation,
 )
 from .ideals import (
     IdealGenerator,
     k_minus_generators,
     power_ideal_quotient_dims,
-    pure_power_generators,
     redundant_generators,
     verify_vanishing,
 )

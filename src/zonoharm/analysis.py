@@ -4,12 +4,13 @@
 once: loops and coloops, cocircuits, interior points, the filtration, the
 Tutte polynomial with its series, whether the shifted binomials vanish, the
 certified power-ideal quotient dimensions and, for a graph input, its
-oriented cycles and graph polynomials.  Coloops are read off the
-cocircuits.  A graph's Tutte polynomial is the arrangement's with x and y
-swapped, so one walk serves both; the ``tutte_duality`` check certifies the
-coordinatisation that makes this a theorem.  ``CHECKS`` defines every
-identity once, as a function of a context.  The CLI report evaluates the
-checks that carry a report key; the random suite evaluates all of them.
+oriented cycles, its Tutte polynomial and the duality verdict.  Coloops are
+read off the cocircuits.  A graph's Tutte polynomial is the arrangement's
+with x and y swapped, so one walk serves both, and its SU(2) series is the
+iz series; ``tutte_duality`` certifies the coordinatisation that makes both
+theorems, and a graph's ``tutteIdentity`` gates on it.  ``CHECKS`` defines
+every identity once, as a function of a context.  The CLI report evaluates
+the checks that carry a report key; the random suite evaluates all of them.
 The deletion/contraction check builds one context per minor and reuses the
 parent's points and filtration.  Only a parent context enumerates its
 cocircuits; each minor's are derived from the parent's and handed to the
@@ -37,7 +38,6 @@ from .graphs import (
     enumerate_oriented_cycles,
     graph_rank,
     signed_incidence,
-    su2_poincare_polynomial,
     tutte_of_arrangement,
 )
 from .harmonics import (
@@ -157,13 +157,25 @@ class Analysis:
 
     @cached_property
     def graph_tutte(self):
-        """T_G(x, y) = T_A(y, x): the ``tutte_duality`` check certifies that
-        the arrangement's matroid is the dual of the graph's."""
+        """T_G(x, y) = T_A(y, x): ``tutte_duality`` certifies that the
+        arrangement's matroid is the dual of the graph's."""
         return self.tutte.swap()
 
     @cached_property
-    def su2(self) -> tuple:
-        return su2_poincare_polynomial(self.graph, self.graph_tutte)
+    def tutte_duality(self) -> bool:
+        """The columns A coordinatise the dual of the graph's cycle matroid.
+
+        D A^T = 0 for the signed incidence matrix D puts the row space of A
+        in the cycle space, and r + rank(G) = |E| makes it all of it, the
+        orthogonal complement of the row space of D.  Then M[A] = M[D]*
+        (Oxley, *Matroid Theory*, 2.2.8), so T_G = T_A with x and y swapped,
+        and the graph's SU(2) series t^rank(G) T_G(1/t, 0) is the iz series
+        t^(|A|-r) T_A(0, 1/t).
+        """
+        va, d = self.va, signed_incidence(self.graph)
+        if any(any(d.matvec(va.columns.row(i))) for i in range(va.lattice_rank)):
+            return False
+        return va.lattice_rank + graph_rank(self.graph) == va.size
 
     def minors(self, element) -> tuple:
         """Contexts of the deletion and the contraction of a non-loop,
@@ -301,31 +313,22 @@ def _trim(seq) -> list:
 
 
 def _gr(ctx: Analysis) -> list:
-    return _trim(ctx.harmonics.gr_dims())
+    return _trim(ctx.harmonics.gr_dims)
 
 
 def _tutte_identity(ctx: Analysis) -> bool:
-    gr = _gr(ctx)
-    return gr == _trim(ctx.iz) and (ctx.graph is None or gr == _trim(ctx.su2))
+    """grDims equal the iz series, which for a graph is its SU(2) series
+    once ``tutte_duality`` holds."""
+    return _gr(ctx) == _trim(ctx.iz) and (ctx.graph is None or ctx.tutte_duality)
 
 
 def _point_count_identity(ctx: Analysis) -> bool:
     h = ctx.harmonics
-    return sum(h.gr_dims()) == h.point_count == ctx.graph_tutte.eval_at(1, 0)
+    return sum(h.gr_dims) == h.point_count == ctx.graph_tutte.eval_at(1, 0)
 
 
 def _tutte_duality(ctx: Analysis) -> bool:
-    """The columns A coordinatise the dual of the graph's cycle matroid.
-
-    D A^T = 0 for the signed incidence matrix D puts the row space of A in
-    the cycle space, and r + rank(G) = |E| makes it all of it, the
-    orthogonal complement of the row space of D.  Then M[A] = M[D]*
-    (Oxley, *Matroid Theory*, 2.2.8), so T_G = T_A with x and y swapped.
-    """
-    va, d = ctx.va, signed_incidence(ctx.graph)
-    if any(any(d.matvec(va.columns.row(i))) for i in range(va.lattice_rank)):
-        return False
-    return va.lattice_rank + graph_rank(ctx.graph) == va.size
+    return ctx.tutte_duality
 
 
 def _saturation(ctx: Analysis) -> bool:

@@ -204,10 +204,6 @@ def contraction_data(va: VectorArrangement, a):
     return contracted, U, Mat.from_cols(inv_cols, rows=va.lattice_rank)
 
 
-def contraction(va: VectorArrangement, a) -> VectorArrangement:
-    return contraction_data(va, a)[0]
-
-
 def enumerate_cocircuits(va: VectorArrangement) -> tuple:
     """All cocircuits up to sign, canonicalized and sorted by covector.
 

@@ -5,9 +5,9 @@ Subcommands:
   analyze-arrangement <file>  full pipeline on an arrangement file
   random-suite                seeded random cross-verification stream
 
-Exit codes: 0 all verdicts pass, 2 parse error, 3 size cap exceeded,
-4 verification failure, 5 not totally unimodular (some basis of columns has
-determinant other than +-1; the message names one).
+Exit codes: 0 all verdicts pass, 2 unreadable input or invalid argument,
+3 size cap exceeded, 4 verification failure, 5 not totally unimodular (some
+basis of columns has determinant other than +-1; the message names one).
 
 Output conventions: interior points are listed in lexicographic order;
 cocircuit covectors are sign-normalized so their first nonzero entry is
@@ -46,14 +46,23 @@ def _emit(report: dict, as_json: bool) -> int:
     return EXIT_OK if report["pass"] else EXIT_VERIFY
 
 
+def _input_error(message: str) -> int:
+    print(f"error: {message}", file=sys.stderr)
+    return EXIT_PARSE
+
+
 def _analyze(args, parse, build) -> int:
     """Read ``args.path``, parse it and emit the report that ``build`` assembles."""
+    if args.max_degree is not None and args.max_degree < 0:
+        return _input_error("--max-degree must be non-negative")
     try:
-        text = open(args.path, encoding="utf-8").read()
+        with open(args.path, encoding="utf-8") as f:
+            text = f.read()
         parsed = parse(text)
     except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+        return _input_error(str(exc))
+    except UnicodeDecodeError as exc:
+        return _input_error(f"{args.path}: not UTF-8 text (byte {exc.start}: {exc.reason})")
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE
@@ -77,6 +86,10 @@ def cmd_analyze_arrangement(args) -> int:
 
 
 def cmd_random_suite(args) -> int:
+    if args.count < 0:
+        return _input_error("--count must be non-negative")
+    if args.max_edges < 1:
+        return _input_error("--max-edges must be at least 1")
     # imported here: no other subcommand needs the suite, and every call pays for an import
     from .verification import SuiteConfig, run_suite
 

@@ -105,10 +105,3 @@ def parse_arrangement(text: str) -> VectorArrangement:
     except ValueError as exc:
         raise ParseError(last_line, 1, str(exc))
 
-
-def serialize_arrangement(va: VectorArrangement) -> str:
-    lines = [f"rank {va.lattice_rank}"]
-    for label in va.ground:
-        entries = " ".join(str(x) for x in va.column(label))
-        lines.append(f"col {label} {entries}".rstrip())
-    return "\n".join(lines) + "\n"

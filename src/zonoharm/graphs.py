@@ -10,15 +10,13 @@ Terminology note: a bridge of the graph is a loop of the cographical
 arrangement, and a self-loop of the graph is a coloop of it.  Code and reports
 always use the arrangement-level meaning of loop/coloop.
 
-Both Tutte polynomials come from one corank-nullity walk with every rank
-taken over GF(2).  For a graph the columns are the unsigned incidence
-vectors, which represent its cycle matroid over GF(2).  For an
-arrangement they are the columns mod 2, which is exact once the cocircuits
+The Tutte polynomial comes from one corank-nullity walk with every rank
+taken over GF(2), on the columns mod 2, which is exact once the cocircuits
 certify that every basis has determinant +-1.  The walk runs once per
 connected part of the matroid, on the part's dual when that has the lower
-rank, so bridges, self-loops and long cycles stay cheap.  A report walks
-only its arrangement: a graph's polynomial is the cographical one with x
-and y swapped, once ``signed_incidence`` certifies the coordinatisation.
+rank, so bridges, self-loops and long cycles stay cheap.  A graph's
+polynomial is its cographical arrangement's with x and y swapped, once
+``signed_incidence`` certifies the coordinatisation.
 
 ``Arrow``, ``OrientedCycle`` and ``BivariatePolynomial`` are named tuples.
 ``DirectedGraph`` validates its vertices and arrows and sorts the arrows on
@@ -306,42 +304,9 @@ class BivariatePolynomial(NamedTuple):
     def swap(self) -> "BivariatePolynomial":
         return BivariatePolynomial(tuple(sorted((j, i, c) for i, j, c in self.terms)))
 
-    def x_slice(self, j: int) -> dict:
-        """Coefficients {i: c} of y^j."""
-        return {i: c for i, jj, c in self.terms if jj == j}
-
     def y_slice(self, i: int) -> dict:
+        """Coefficients {j: c} of x^i."""
         return {j: c for ii, j, c in self.terms if ii == i}
-
-
-def tutte_polynomial(g: DirectedGraph) -> BivariatePolynomial:
-    """Tutte polynomial of the graph's cycle matroid by the corank-nullity sum.
-
-    Each arrow is the unsigned column of the incidence matrix over GF(2): the
-    bitmask of its two ends, 0 for a self-loop.  A set of arrows is
-    independent over GF(2) exactly when it is a forest, so these columns
-    represent the cycle matroid (Oxley, *Matroid Theory*, 5.1) and no
-    certificate is needed.  Bridges, self-loops and the blocks joined at
-    cut vertices come out as separate parts of ``_corank_nullity``.
-    """
-    vindex = {v: i for i, v in enumerate(g.vertices)}
-    parity = [(1 << vindex[a.tail]) ^ (1 << vindex[a.head]) for a in g.arrows]
-    return _corank_nullity(parity)
-
-
-def su2_poincare_polynomial(g: DirectedGraph, tutte=None) -> tuple:
-    """Coefficients of t^rank * T(1/t, 0), the Poincare polynomial of the
-    SU(2) graphical configuration space; empty tuple for the zero polynomial.
-
-    Pass the graph's Tutte polynomial when it is already known.
-    """
-    t = tutte_polynomial(g) if tutte is None else tutte
-    rk = graph_rank(g)
-    xs = t.x_slice(0)  # {i: coeff of x^i y^0}
-    coeffs = [xs.get(rk - m, 0) for m in range(rk + 1)]
-    while coeffs and coeffs[-1] == 0:
-        coeffs.pop()
-    return tuple(coeffs)
 
 
 def check_tutte_size(va: VectorArrangement) -> None:

@@ -14,18 +14,15 @@ every pivot is 1, Z^n / L is free, so L is saturated (index 1) and its
 echelon is a basis of its saturation.  Otherwise ``linalg.saturate`` gives
 the saturated rows as the integer kernel of the integer kernel, and the
 index as the quotient of the pivot products, so a lattice that is not
-saturated is still reported.  The canonical row-style Hermite rows of a
-degree are formed when first read; the deletion/contraction check reads
-only echelons, so a minor's filtration forms none.
+saturated is still reported.  Only the divided-power generation check forms
+canonical row-style Hermite rows, and only at the degrees ``saturate`` ran
+on; the deletion/contraction check reads echelons.
 
 A graded class is an integral representative given by its values on the
 points.  Its divided powers are entrywise binomial coefficients, checked by
 lattice membership: integrality against the lattice of the target degree,
 and the law m! * e^[m] = e^m against the saturated lattice of the degree
 below.
-
-The per-degree saturated rows double as Rees-algebra data; the weight
-attached to degree i is i itself (a topological grading would double it).
 """
 
 from __future__ import annotations
@@ -38,25 +35,6 @@ from .errors import DegreeOverflowError, NotIntegralError
 from .funcspace import binom_int, binomial_product_rows
 from .graphs import tutte_of_arrangement
 from .linalg import IntRowLattice, hermite_rows, in_row_lattice, saturate
-
-
-class FiltrationReport(NamedTuple):
-    """Per-degree summary of the filtration on functions on the point set.
-
-    ``q_dims[i]`` is the rational dimension of the degree-<=i piece,
-    ``gr_dims`` its successive differences, ``z_lattice_bases[i]`` the
-    canonical rows (row-style Hermite form) of the lattice of restricted
-    degree-<=i integer-valued polynomials, and ``saturation_indices[i]`` the
-    index of that lattice in its saturation.
-    """
-
-    point_count: int
-    q_dims: tuple
-    gr_dims: tuple
-    z_lattice_bases: tuple
-    saturation_indices: tuple
-    top_degree: int
-    truncated: bool = False
 
 
 class GradedClass(NamedTuple):
@@ -79,7 +57,6 @@ class Harmonics:
     are added to one integer row lattice, and each degree keeps a snapshot
     of its echelon.  A degree whose echelon has all pivots 1 gets saturation
     index 1, with no kernel; any other degree falls back to ``saturate``.
-    Canonical rows are computed per degree, on first read.
     """
 
     def __init__(self, va: VectorArrangement, max_degree: int | None = None, points=None):
@@ -91,7 +68,6 @@ class Harmonics:
         self.saturation_indices: list = []
         self._echelons: list = []  # (rows, pivot_cols) of the degree-<=i lattice
         self._saturated: list = []  # saturate's rows, or None where the pivots are 1
-        self._canonical: dict = {}  # degree -> canonical rows, filled on first read
         self.truncated = False
         if n == 0:
             self.top_degree = 0
@@ -130,22 +106,6 @@ class Harmonics:
             return None
         return min(degree, self.top_degree)
 
-    def _canonical_rows(self, d: int) -> tuple:
-        rows = self._canonical.get(d)
-        if rows is None:
-            rows = self._canonical[d] = hermite_rows(*self._echelons[d])
-        return rows
-
-    @property
-    def lattice_rows(self) -> list:
-        """Canonical HNF rows of the degree-<=i lattice, for each stored degree i."""
-        return [self._canonical_rows(d) for d in range(len(self._echelons))]
-
-    def basis_up_to(self, degree: int) -> tuple:
-        """Canonical basis rows of the degree-<=i lattice; they span its Q-space."""
-        d = self._degree(degree)
-        return () if d is None else self._canonical_rows(d)
-
     def echelon(self, degree: int) -> tuple:
         """(rows, pivot_cols): an echelon basis of the degree-<=i lattice."""
         d = self._degree(degree)
@@ -159,14 +119,6 @@ class Harmonics:
             return self.q_dims[degree] if self.q_dims else 0
         return self.point_count
 
-    def saturated_rows(self, degree: int) -> tuple:
-        """Canonical basis rows of the saturated degree-<=i lattice."""
-        d = self._degree(degree)
-        if d is None:
-            return ()
-        sat = self._saturated[d]
-        return self._canonical_rows(d) if sat is None else sat
-
     def saturated_echelon(self, degree: int) -> tuple:
         """(rows, pivot_cols): an echelon basis of the saturated degree-<=i
         lattice.  It shares the lattice's pivot columns, since both span one
@@ -178,24 +130,10 @@ class Harmonics:
         sat = self._saturated[d]
         return (rows if sat is None else sat, pivots)
 
+    @property
     def gr_dims(self) -> tuple:
-        out = []
-        prev = 0
-        for q in self.q_dims:
-            out.append(q - prev)
-            prev = q
-        return tuple(out)
-
-    def report(self) -> FiltrationReport:
-        return FiltrationReport(
-            point_count=self.point_count,
-            q_dims=tuple(self.q_dims),
-            gr_dims=self.gr_dims(),
-            z_lattice_bases=tuple(self.lattice_rows),
-            saturation_indices=tuple(self.saturation_indices),
-            top_degree=self.top_degree,
-            truncated=self.truncated,
-        )
+        """Dimensions of the graded pieces: successive differences of ``q_dims``."""
+        return tuple(q - p for p, q in zip([0, *self.q_dims], self.q_dims))
 
     # -- graded classes ---------------------------------------------------
 
@@ -211,17 +149,15 @@ class Harmonics:
         return GradedClass(degree=1, values=tuple(p[j] for p in self.points.points))
 
 
-def compute_filtration(va: VectorArrangement, max_degree: int | None = None) -> FiltrationReport:
-    """Rational dimensions, integral lattice bases, and saturation indices."""
-    return Harmonics(va, max_degree=max_degree).report()
+def compute_filtration(va: VectorArrangement, max_degree: int | None = None) -> Harmonics:
+    """The filtration of ``va`` on its own interior points: rational
+    dimensions, integral lattices, and saturation indices."""
+    return Harmonics(va, max_degree=max_degree)
 
 
-def verify_saturation(report) -> bool:
-    """True iff every degree's integral lattice equals its saturation.
-
-    Accepts a ``FiltrationReport`` or a ``Harmonics``.
-    """
-    return all(ix == 1 for ix in report.saturation_indices)
+def verify_saturation(h: Harmonics) -> bool:
+    """True iff every degree's integral lattice equals its saturation."""
+    return all(ix == 1 for ix in h.saturation_indices)
 
 
 def iz_hilbert_series(va: VectorArrangement, tutte=None) -> tuple:
@@ -280,10 +216,8 @@ def divided_power_generation_check(ctx: Harmonics) -> bool:
     that ``saturate`` ran on are compared, and only they form canonical rows.
     """
     return all(
-        ctx._canonical_rows(d) == sat for d, sat in enumerate(ctx._saturated) if sat is not None
+        hermite_rows(*ctx._echelons[d]) == sat
+        for d, sat in enumerate(ctx._saturated)
+        if sat is not None
     )
 
-
-def rees_data(ctx: Harmonics) -> tuple:
-    """Per-degree saturated lattice bases (canonical rows) with their grading weights."""
-    return tuple((i, ctx.saturated_rows(i)) for i in range(ctx.top_degree + 1))

@@ -37,68 +37,29 @@ P = (1 << 61) - 1  # prime field of the successive quotients
 
 
 class IdealGenerator(NamedTuple):
-    """One generator attached to a cocircuit.
+    """The shifted binomial C(<covector, x> + shift, degree) of a cocircuit a,
+    with shift = d_-(a) - 1 and degree = d(a) - 1."""
 
-    ``binomial_shift`` kind: C(<covector, x> + shift, degree) with
-    shift = d_-(a) - 1;  ``pure_power`` kind: <covector, x> ** degree, with
-    degree = d(a) - 1 in both cases.
-    """
-
-    kind: str
     cocircuit: Cocircuit
     shift: int
     degree: int
 
-    def describe(self) -> str:
-        lin = "+".join(
-            f"{c}*x{j + 1}" for j, c in enumerate(self.cocircuit.covector) if c
-        ).replace("+-", "-")
-        if self.kind == "binomial_shift":
-            s = f"{self.shift:+d}" if self.shift else ""
-            return f"C({lin}{s}, {self.degree})"
-        return f"({lin})^{self.degree}"
-
     def evaluate(self, point) -> int:
         s = sum(c * x for c, x in zip(self.cocircuit.covector, point))
-        if self.kind == "binomial_shift":
-            return binom_int(s + self.shift, self.degree)
-        return s**self.degree
+        return binom_int(s + self.shift, self.degree)
 
 
 def k_minus_generators(va: VectorArrangement, cocircuits=None) -> tuple:
     """Shifted-binomial generators, one per canonical cocircuit."""
     if cocircuits is None:
         cocircuits = enumerate_cocircuits(va)
-    return tuple(
-        IdealGenerator(
-            kind="binomial_shift",
-            cocircuit=c,
-            shift=c.d_minus - 1,
-            degree=c.degree - 1,
-        )
-        for c in cocircuits
-    )
-
-
-def pure_power_generators(va: VectorArrangement, cocircuits=None) -> tuple:
-    if cocircuits is None:
-        cocircuits = enumerate_cocircuits(va)
-    return tuple(
-        IdealGenerator(kind="pure_power", cocircuit=c, shift=0, degree=c.degree - 1)
-        for c in cocircuits
-    )
+    return tuple(IdealGenerator(c, c.d_minus - 1, c.degree - 1) for c in cocircuits)
 
 
 def verify_vanishing(generators, points) -> bool:
     """Every shifted-binomial generator is zero at every interior point."""
     pts = points.points if hasattr(points, "points") else points
-    for g in generators:
-        if g.kind != "binomial_shift":
-            continue
-        for p in pts:
-            if g.evaluate(p) != 0:
-                return False
-    return True
+    return not any(g.evaluate(p) for g in generators for p in pts)
 
 
 def _power_expansion(covector, e: int, r: int) -> dict:
@@ -272,7 +233,7 @@ def _certified(r: int, expansions, bound: int, harmonics, vanishing):
     dimension mod P bounds each from above, so one that meets the floor is
     exact; every other degree is ranked by Bareiss.
     """
-    gr = harmonics.gr_dims() if vanishing else ()
+    gr = harmonics.gr_dims if vanishing else ()
     for d, (dim, free, residuals) in enumerate(_chain(r, expansions, bound)):
         exact = vanishing and dim == (gr[d] if d < len(gr) else 0)
         yield (dim if exact else _exact_dim(r, expansions, d)), free, residuals
@@ -289,32 +250,23 @@ def quotient_dims(va: VectorArrangement, cocircuits, bound: int, harmonics, vani
     return tuple(dim for dim, _, _ in chain)
 
 
-def _certificate(va: VectorArrangement, cocircuits) -> tuple:
-    """The filtration on the interior points and the vanishing verdict there."""
+def _standalone(va: VectorArrangement, bound: int | None) -> tuple:
+    """(cocircuits, bound, harmonics, vanishing) for a call outside an analysis
+    context: the cocircuits are enumerated once, and certify both the Tutte
+    polynomial and the points.  The default bound is the length of the Tutte
+    series, one past its last degree, so the expected trailing zero is
+    verified rather than assumed."""
+    cocircuits = enumerate_cocircuits(va)
+    if bound is None:
+        bound = len(iz_hilbert_series(va, tutte_of_arrangement(va, cocircuits)))
     points = interior_lattice_points(va, cocircuits)
     vanishing = verify_vanishing(k_minus_generators(va, cocircuits), points)
-    return Harmonics(va, points=points), vanishing
+    return cocircuits, bound, Harmonics(va, points=points), vanishing
 
 
-def power_ideal_quotient_dims(
-    va: VectorArrangement, bound: int | None = None, cocircuits=None
-) -> tuple:
-    """Graded dimensions of Sym modulo the pure cocircuit powers, up to a bound.
-
-    The default bound is one past the length suggested by the Tutte series, so
-    the expected trailing zero is verified rather than assumed.  Pass the
-    cocircuits when they are already known.  Without a bound, only the
-    cocircuits enumerated here stand as the certificate that
-    ``tutte_of_arrangement`` takes, never the ones passed in.
-    """
-    if bound is None:
-        certified = enumerate_cocircuits(va)
-        bound = len(iz_hilbert_series(va, tutte_of_arrangement(va, certified)))
-        if cocircuits is None:
-            cocircuits = certified
-    elif cocircuits is None:
-        cocircuits = enumerate_cocircuits(va)
-    return quotient_dims(va, cocircuits, bound, *_certificate(va, cocircuits))
+def power_ideal_quotient_dims(va: VectorArrangement, bound: int | None = None) -> tuple:
+    """Graded dimensions of Sym modulo the pure cocircuit powers, degrees 0..bound."""
+    return quotient_dims(va, *_standalone(va, bound))
 
 
 def redundant_generators(va: VectorArrangement, bound: int | None = None) -> tuple:
@@ -331,13 +283,11 @@ def redundant_generators(va: VectorArrangement, bound: int | None = None) -> tup
     decides.  No minimality claim: the remaining set may itself contain
     further implications.
     """
-    cocircuits = enumerate_cocircuits(va)
-    if bound is None:
-        bound = len(iz_hilbert_series(va, tutte_of_arrangement(va, cocircuits)))
+    cocircuits, bound, harmonics, vanishing = _standalone(va, bound)
     r = va.lattice_rank
     exps = _expansions(cocircuits, r)
     implied = [e > bound for e, _ in exps]
-    chain = _certified(r, exps, bound, *_certificate(va, cocircuits))
+    chain = _certified(r, exps, bound, harmonics, vanishing)
     for d, (full, free, residuals) in enumerate(chain):
         for g in residuals:
             others = [row for i, row in residuals.items() if i != g]

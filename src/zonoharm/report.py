@@ -68,7 +68,7 @@ def build_report(
         "tutte": [[i, j, c] for i, j, c in ctx.tutte.terms],
         "izHilbert": list(ctx.iz),
         "qDims": list(h.q_dims),
-        "grDims": list(h.gr_dims()),
+        "grDims": list(h.gr_dims),
         "saturationIndices": list(h.saturation_indices),
         "topDegree": h.top_degree,
         "truncated": h.truncated,
@@ -79,7 +79,9 @@ def build_report(
             "arrowCount": len(graph.arrows),
             "rank": graph_rank(graph),
             "tutte": [[i, j, c] for i, j, c in ctx.graph_tutte.terms],
-            "su2Poincare": list(ctx.su2),
+            # t^rank(G) T_G(1/t, 0) is the iz series once tutte_duality holds,
+            # and tutteIdentity fails a graph report where it does not
+            "su2Poincare": list(ctx.iz),
             "orientedCycles": [
                 {
                     "arrows": [[i, s] for i, s in c.arrows],

@@ -6,7 +6,7 @@ from math import prod
 from zonoharm.arrangement import Cocircuit, enumerate_cocircuits
 from zonoharm.errors import NotTotallyUnimodularError
 from zonoharm.funcspace import binom_int, binomial_product_rows, exponents_of_degree
-from zonoharm.graphs import BivariatePolynomial, tutte_of_arrangement
+from zonoharm.graphs import BivariatePolynomial, _corank_nullity, graph_rank, tutte_of_arrangement
 from zonoharm.harmonics import iz_hilbert_series
 from zonoharm.ideals import P, _expansions, _macaulay_rows
 from zonoharm.linalg import IntRowLattice, Mat, det, rank, saturate, xgcd
@@ -139,6 +139,30 @@ def bareiss_tutte(va):
                     c = ci * binom_int(q, j) * (-1) ** (q - j)
                     acc[(i, j)] = acc.get((i, j), 0) + c
     return BivariatePolynomial.from_dict(acc)
+
+
+def tutte_polynomial(g):
+    """Tutte polynomial of the graph's cycle matroid by the corank-nullity sum.
+
+    Each arrow is the unsigned column of the incidence matrix over GF(2): the
+    bitmask of its two ends, 0 for a self-loop.  A set of arrows is
+    independent over GF(2) exactly when it is a forest, so these columns
+    represent the cycle matroid (Oxley, *Matroid Theory*, 5.1) with no
+    coordinatisation to certify.
+    """
+    vindex = {v: i for i, v in enumerate(g.vertices)}
+    return _corank_nullity([(1 << vindex[a.tail]) ^ (1 << vindex[a.head]) for a in g.arrows])
+
+
+def su2_poincare_polynomial(g):
+    """Coefficients of t^rank * T_G(1/t, 0), the Poincare polynomial of the
+    SU(2) graphical configuration space, from the graph's own Tutte polynomial."""
+    rk = graph_rank(g)
+    xs = {i: c for i, j, c in tutte_polynomial(g).terms if j == 0}
+    coeffs = [xs.get(rk - m, 0) for m in range(rk + 1)]
+    while coeffs and coeffs[-1] == 0:
+        coeffs.pop()
+    return tuple(coeffs)
 
 
 def theta_triples(cycles):

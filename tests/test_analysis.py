@@ -18,12 +18,11 @@ from zonoharm.graphs import (
     cographical_arrangement,
     signed_incidence,
     tutte_of_arrangement,
-    tutte_polynomial,
 )
-from zonoharm.harmonics import Harmonics
+from zonoharm.harmonics import Harmonics, divided_power_generation_check
 from zonoharm.ideals import verify_vanishing
 from zonoharm.linalg import Mat, hermite_rows, rank
-from zonoharm.report import build_graph_report
+from zonoharm.report import build_graph_report, build_report
 from zonoharm.verification import random_connected_multigraph, run_instance_checks
 
 
@@ -72,12 +71,13 @@ def test_each_quantity_once_per_arrangement(run):
     # canonical rows of a filtration: none.  The minors' checks read
     # echelons, and every degree of K4's filtration has unit pivots, so the
     # dividedPowerGeneration check has no saturation to compare with
-    assert _calls(stats, hermite_rows, caller=Harmonics._canonical_rows) == 0
+    assert _calls(stats, hermite_rows, caller=divided_power_generation_check) == 0
     assert _calls(stats, enumerate_cocircuits) == 1
-    # one walk: the graph's polynomial is the arrangement's, swapped
+    # one walk: the graph's polynomial is the arrangement's, swapped, and one
+    # duality certificate, read by both Tutte checks
     assert _calls(stats, tutte_of_arrangement) == 1
-    assert _calls(stats, tutte_polynomial) == 0
     assert _calls(stats, _corank_nullity) == 1
+    assert _calls(stats, signed_incidence) == 1
     # the generatorsVanish check and the certificate of the power dims share one verdict
     assert _calls(stats, verify_vanishing) == 1
 
@@ -192,6 +192,18 @@ class TestTutteDuality:
         g = wheel_graph(5)
         rows = cographical_arrangement(g).columns.row_list()
         assert not self._duality(g, rows[:-1])
+
+    def test_report_gates_on_duality(self):
+        # the columns of spokes 1 and 2 swapped: still unimodular, with the
+        # same matroid up to relabelling, so every series still agrees; only
+        # the certificate sees that the columns no longer belong to their arrows
+        g = wheel_graph(5)
+        cols = cographical_arrangement(g).columns.col_list()
+        cols[0], cols[1] = cols[1], cols[0]
+        va = VectorArrangement(5, tuple(str(a.ident) for a in g.arrows), Mat.from_cols(cols, rows=5))
+        report = build_report("", va, g)
+        assert [key for key, v in report["checks"].items() if v is False] == ["tutteIdentity"]
+        assert report["pass"] is False
 
     def test_self_loop_has_zero_incidence_column(self):
         g = DirectedGraph(("a", "b"), (Arrow(1, "a", "b"), Arrow(2, "b", "a"), Arrow(3, "b", "b")))

@@ -151,6 +151,28 @@ class TestAnalyzeArrangement:
         assert key not in pstats.Stats(prof).stats
 
 
+class TestBadInput:
+    """Each exits 2 with a one-line message, not a traceback or a silent result."""
+
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (["analyze-graph", "{latin1}"], "not UTF-8"),
+            (["random-suite", "--max-edges", "0"], "--max-edges"),
+            (["random-suite", "--count", "-3"], "--count"),
+            (["analyze-graph", "{house}", "--max-degree", "-1"], "--max-degree"),
+        ],
+        ids=["non-utf8", "max-edges-zero", "negative-count", "negative-max-degree"],
+    )
+    def test_exits_two_with_one_line(self, capsys, tmp_path, args, message):
+        latin1 = tmp_path / "latin1.graph"
+        latin1.write_bytes("vertex caf\xe9\n".encode("latin-1"))
+        args = [a.format(latin1=latin1, house=data_path("house.graph")) for a in args]
+        assert main(args) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.count("\n") == 1 and message in err
+
+
 class TestRandomSuite:
     def test_fifty_instances_pass(self, capsys):
         code = main(["random-suite", "--seed", "1", "--count", "50", "--max-edges", "7", "--json"])

@@ -7,7 +7,13 @@ import pytest
 from hypothesis import given, settings
 
 from conftest import DATA
-from oracles import bareiss_tutte, theta_triples, violating_minor
+from oracles import (
+    bareiss_tutte,
+    su2_poincare_polynomial,
+    theta_triples,
+    tutte_polynomial,
+    violating_minor,
+)
 from strategies import connected_multigraphs
 from zonoharm.arrangement import VectorArrangement, enumerate_cocircuits, interior_lattice_points
 from zonoharm.errors import NotTotallyUnimodularError, SizeExceededError
@@ -20,11 +26,10 @@ from zonoharm.graphs import (
     enumerate_oriented_cycles,
     graph_rank,
     spanning_forest,
-    su2_poincare_polynomial,
     theta_subgraphs,
     tutte_of_arrangement,
-    tutte_polynomial,
 )
+from zonoharm.harmonics import iz_hilbert_series
 from zonoharm.linalg import Mat, rank
 from zonoharm.verification import random_connected_multigraph
 
@@ -265,7 +270,9 @@ class TestTutte:
         assert tutte_polynomial(graph(1, [(1, 1)])).terms == ((0, 1, 1),)
 
     def test_house_su2(self, house_graph):
+        # a report reads the SU(2) series off the cographical iz series
         assert su2_poincare_polynomial(house_graph) == (1, 2, 2, 1)
+        assert iz_hilbert_series(cographical_arrangement(house_graph)) == (1, 2, 2, 1)
 
     @given(connected_multigraphs(max_edges=6))
     @settings(max_examples=30)
@@ -335,24 +342,31 @@ class TestTutte:
         assert tutte_polynomial(g2) == tutte_polynomial(g)
         assert su2_poincare_polynomial(g2) == su2_poincare_polynomial(g)
         va, va2 = cographical_arrangement(g), cographical_arrangement(g2)
+        assert iz_hilbert_series(va2) == iz_hilbert_series(va)
         assert len(interior_lattice_points(va)) == len(interior_lattice_points(va2))
 
 
 class TestSu2Poincare:
+    """The SU(2) series from the graph's own Tutte polynomial equals the iz
+    series of its cographical arrangement, which is what a report writes."""
+
     def test_cycles(self):
         for k in range(2, 7):
-            assert su2_poincare_polynomial(cycle_graph(k)) == (1,) * (k - 1)
+            g = cycle_graph(k)
+            assert su2_poincare_polynomial(g) == (1,) * (k - 1)
+            assert iz_hilbert_series(cographical_arrangement(g)) == (1,) * (k - 1)
 
     def test_self_loop_zero(self):
         g = graph(2, [(1, 2), (2, 2)])
         assert su2_poincare_polynomial(g) == ()
+        assert iz_hilbert_series(cographical_arrangement(g)) == ()
 
     @given(connected_multigraphs(max_edges=6))
     @settings(max_examples=30)
     def test_coefficient_sum_counts_interior_points(self, g):
-        total = sum(su2_poincare_polynomial(g))
         va = cographical_arrangement(g)
-        assert total == len(interior_lattice_points(va))
+        assert iz_hilbert_series(va) == su2_poincare_polynomial(g)
+        assert sum(iz_hilbert_series(va)) == len(interior_lattice_points(va))
 
 
 class TestTutteOfArrangement:

@@ -4,7 +4,14 @@ import pytest
 from hypothesis import given, settings
 
 from conftest import cycle_arrangement, data_path, named_arrangement, wheel_graph
-from oracles import eager_filtration, pivot_cols, saturation_hnf, solve_row_lattice
+from oracles import (
+    eager_filtration,
+    pivot_cols,
+    row_hnf,
+    saturation_hnf,
+    solve_row_lattice,
+    su2_poincare_polynomial,
+)
 from strategies import connected_multigraphs
 from zonoharm import harmonics, linalg
 from zonoharm.analysis import CHECKS, Analysis, deletion_contraction_check
@@ -12,17 +19,16 @@ from zonoharm.arrangement import LatticePointSet, VectorArrangement, interior_la
 from zonoharm.errors import DegreeOverflowError, LoopOrColoopError
 from zonoharm.formats import parse_graph
 from zonoharm.funcspace import binom_int
-from zonoharm.graphs import cographical_arrangement, su2_poincare_polynomial
+from zonoharm.graphs import cographical_arrangement
 from zonoharm.harmonics import (
     Harmonics,
     compute_filtration,
     divided_power,
     divided_power_generation_check,
     iz_hilbert_series,
-    rees_data,
     verify_saturation,
 )
-from zonoharm.linalg import Mat, in_row_lattice, saturate
+from zonoharm.linalg import Mat, hermite_rows, in_row_lattice, saturate
 
 
 def coloop_arrangement():
@@ -66,9 +72,9 @@ class TestFiltration:
     def test_house(self, house_arrangement):
         rep = compute_filtration(house_arrangement)
         assert rep.point_count == 6
-        assert rep.q_dims == (1, 3, 5, 6)
+        assert rep.q_dims == [1, 3, 5, 6]
         assert rep.gr_dims == (1, 2, 2, 1)
-        assert rep.saturation_indices == (1, 1, 1, 1)
+        assert rep.saturation_indices == [1, 1, 1, 1]
         assert rep.top_degree == 3
 
     def test_cycle_four(self):
@@ -79,7 +85,7 @@ class TestFiltration:
     def test_coloop_zeroed(self):
         rep = compute_filtration(coloop_arrangement())
         assert rep.point_count == 0
-        assert rep.q_dims == ()
+        assert rep.q_dims == []
         assert rep.gr_dims == ()
 
     def test_qdims_weakly_increasing(self, house_arrangement):
@@ -90,11 +96,12 @@ class TestFiltration:
     def test_max_degree_truncation(self, house_arrangement):
         rep = compute_filtration(house_arrangement, max_degree=1)
         assert rep.truncated
-        assert rep.q_dims == (1, 3)
+        assert rep.q_dims == [1, 3]
 
 
 class TestCanonicalRowsOnDemand:
-    """Each degree keeps its echelon; canonical rows are formed when read."""
+    """Each degree keeps its echelon, with the eager filtration's canonical
+    rows; building the filtration forms none."""
 
     @pytest.mark.parametrize(
         "name, max_degree",
@@ -114,14 +121,10 @@ class TestCanonicalRowsOnDemand:
         assert h.q_dims == [len(canon) for canon, _, _ in eager]
         assert h.saturation_indices == [index for _, _, index in eager]
         for i, (canon, sat, _) in enumerate(eager):
-            assert h.basis_up_to(i) == canon
-            assert h.saturated_rows(i) == sat
+            assert hermite_rows(*h.echelon(i)) == canon
             rows, pivots = h.saturated_echelon(i)
             assert pivots == pivot_cols(sat)
             assert in_row_lattice(rows, pivots, sat) and in_row_lattice(sat, pivots, rows)
-        assert len(calls) == len(eager)  # one form per degree, however often read
-        assert h.lattice_rows == [canon for canon, _, _ in eager]
-        assert len(calls) == len(eager)
 
 
 class TestSaturationVerdict:
@@ -145,9 +148,9 @@ class TestSaturationVerdict:
         pts = LatticePointSet(((0,), (2,)))
         h = Harmonics(va, points=pts)
         assert calls == ["saturate"]
-        assert h.lattice_rows == [((1, 1),), ((1, 1), (0, 2))]
+        assert [hermite_rows(*h.echelon(i)) for i in (0, 1)] == [((1, 1),), ((1, 1), (0, 2))]
         assert h.saturation_indices == [1, 2]
-        assert h.saturated_rows(1) == ((1, 0), (0, 1))
+        assert h.saturated_echelon(1)[0] == ((1, 0), (0, 1))
         ctx = Analysis(va)
         ctx.points = pts
         assert check_passes("saturation", ctx) is False
@@ -159,7 +162,7 @@ class TestSaturationVerdict:
         pts = LatticePointSet(tuple((2 * k,) for k in range(65)))
         h = Harmonics(cycle_arrangement(3), max_degree=1, points=pts)
         assert h.saturation_indices == [1, 2]
-        assert tuple(range(65)) in h.saturated_rows(1)
+        assert tuple(range(65)) in h.saturated_echelon(1)[0]
 
     def test_wheel_certified_without_smith_or_saturation(self, monkeypatch):
         calls = count_calls(monkeypatch, ("saturate",))
@@ -193,7 +196,7 @@ class TestDividedPower:
         assert e2.values == tuple(binom_int(z, 2) for z in (1, 2, 3, 4))
         # 2 e^[2] = e^2 in the graded quotient
         diff = tuple(2 * a - b * b for a, b in zip(e2.values, e.values))
-        assert solve_row_lattice(ctx.saturated_rows(1), diff) is not None
+        assert solve_row_lattice(ctx.saturated_echelon(1)[0], diff) is not None
 
     def test_m_one_is_identity(self):
         ctx = Harmonics(cycle_arrangement(4))
@@ -223,7 +226,7 @@ class TestDividedPower:
                 for i in range(2, m + 1):
                     fact *= i
                 diff = tuple(fact * a - b**m for a, b in zip(em.values, e.values))
-                assert solve_row_lattice(ctx.saturated_rows(m - 1), diff) is not None
+                assert solve_row_lattice(ctx.saturated_echelon(m - 1)[0], diff) is not None
 
     def test_square_not_in_plain_subring_for_long_cycles(self):
         # the divided square is not an integer polynomial in the degree-1 class
@@ -231,7 +234,7 @@ class TestDividedPower:
             ctx = Harmonics(cycle_arrangement(k))
             e = ctx.coordinate_class(0)
             e2 = divided_power(ctx, e, 2)
-            gens = list(ctx.saturated_rows(1)) + [tuple(v * v for v in e.values)]
+            gens = list(ctx.saturated_echelon(1)[0]) + [tuple(v * v for v in e.values)]
             assert solve_row_lattice(gens, e2.values) is None
 
     def test_law_check_fails_on_plain_powers(self, house_arrangement, monkeypatch):
@@ -286,6 +289,12 @@ class TestDeletionContraction:
             deletion_contraction_check(va, "a1")
         with pytest.raises(LoopOrColoopError):
             deletion_contraction_check(va, "a2")
+
+
+def rees_data(h):
+    """(i, rows) per degree: a basis of the saturated degree-<=i lattice, the
+    Rees-algebra data of the filtration with weight i at degree i."""
+    return [(i, h.saturated_echelon(i)[0]) for i in range(h.top_degree + 1)]
 
 
 class TestReesData:
@@ -360,8 +369,10 @@ class TestInvariants:
     @settings(max_examples=30)
     def test_saturated_rows_equal_saturation(self, g):
         h = Harmonics(cographical_arrangement(g))
-        for i, rows in enumerate(h.lattice_rows):
-            assert h.saturated_rows(i) == tuple(saturation_hnf(rows, h.point_count))
+        n = h.point_count
+        for i in range(len(h.q_dims)):
+            sat = h.saturated_echelon(i)[0]
+            assert row_hnf(sat, n)[0] == saturation_hnf(h.echelon(i)[0], n)
 
     @given(connected_multigraphs(max_edges=5))
     @settings(max_examples=15)

@@ -19,7 +19,6 @@ from zonoharm.harmonics import compute_filtration, iz_hilbert_series
 from zonoharm.ideals import (
     k_minus_generators,
     power_ideal_quotient_dims,
-    pure_power_generators,
     redundant_generators,
     verify_vanishing,
 )
@@ -36,13 +35,16 @@ def trim(seq):
 
 class TestGenerators:
     def test_house(self, house_arrangement):
-        gens = {g.describe() for g in k_minus_generators(house_arrangement)}
-        assert gens == {"C(1*x2-1, 2)", "C(1*x1-1, 3)", "C(1*x1-1*x2+1, 4)"}
+        gens = k_minus_generators(house_arrangement)
+        assert {(g.cocircuit.covector, g.shift, g.degree) for g in gens} == {
+            ((0, 1), -1, 2),
+            ((1, 0), -1, 3),
+            ((1, -1), 1, 4),
+        }
 
     def test_cycle(self):
         (g,) = k_minus_generators(cycle_arrangement(5))
-        assert g.describe() == "C(1*x1-1, 4)"
-        assert (g.shift, g.degree) == (-1, 4)
+        assert (g.cocircuit.covector, g.shift, g.degree) == ((1,), -1, 4)
 
     def test_single_coloop_constant_one(self):
         va = VectorArrangement(1, ("a1",), Mat.from_rows([[1]]))
@@ -83,12 +85,13 @@ class TestQuotientDims:
         va = VectorArrangement(1, ("a1",), Mat.from_rows([[1]]))
         assert trim(power_ideal_quotient_dims(va)) == ()
 
-    def test_passed_cocircuits_do_not_certify_the_bound(self):
-        # (2) is 0 mod 2; without a bound the Tutte series is certified by
-        # cocircuits enumerated in the call, never by the tuple passed in
+    def test_non_unimodular_input_rejected(self):
+        # (2) is 0 mod 2; with or without a bound, the cocircuits enumerated
+        # in the call reject it before the Tutte series is read
         va = VectorArrangement(1, ("a", "b"), Mat.from_rows([[1, 2]]))
-        with pytest.raises(NotTotallyUnimodularError):
-            power_ideal_quotient_dims(va, cocircuits=())
+        for bound in (None, 3):
+            with pytest.raises(NotTotallyUnimodularError):
+                power_ideal_quotient_dims(va, bound)
 
     @given(connected_multigraphs(max_edges=6))
     @settings(max_examples=30)
@@ -124,11 +127,6 @@ class TestLeadingForms:
                 lhs = binom_int(t + c.d_minus - 1, e)
                 rhs = binom_int(-t + c.d_plus - 1, e)
                 assert lhs == sign * rhs
-
-    def test_pure_power_generators_shape(self, house_arrangement):
-        gens = pure_power_generators(house_arrangement)
-        assert {g.degree for g in gens} == {2, 3, 4}
-        assert all(g.kind == "pure_power" for g in gens)
 
 
 class TestRedundancy:

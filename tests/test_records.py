@@ -121,5 +121,5 @@ def test_generator_replace():
     (g,) = k_minus_generators(cycle_arrangement(5))
     bad = g._replace(shift=g.shift - 1)
     assert bad.shift == g.shift - 1
-    assert (bad.kind, bad.cocircuit, bad.degree) == (g.kind, g.cocircuit, g.degree)
+    assert (bad.cocircuit, bad.degree) == (g.cocircuit, g.degree)
     assert bad != g and g._replace(shift=g.shift) == g

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from zonoharm import graphs
+from zonoharm import analysis, graphs, ideals
 from zonoharm.errors import SizeExceededError
 from zonoharm.formats import parse_graph
 from zonoharm.graphs import connected_components
@@ -57,6 +57,35 @@ class TestInstanceChecks:
         monkeypatch.setattr(graphs, "_corank_nullity", lambda parity: walk(parity).swap())
         res = run_instance_checks(house_graph)
         assert res.failed() == ("point_count_identity", "tutte_identity")
+
+    @pytest.mark.parametrize(
+        "module, name, fault, failed",
+        [
+            # one cycle lost: only the cocircuit/cycle match reads the cycles
+            (
+                analysis,
+                "enumerate_oriented_cycles",
+                lambda f: lambda g: f(g)[:-1],
+                ("cocircuits_match_cycles",),
+            ),
+            # each shift one too low: the binomials miss their zeros; the power
+            # dims read the verdict too, but fall back to exact ranks and hold
+            (
+                analysis,
+                "k_minus_generators",
+                lambda f: lambda va, cocs: [x._replace(shift=x.shift - 1) for x in f(va, cocs)],
+                ("generators_vanish",),
+            ),
+            # the last cocircuit power dropped from the ideal layer's generators
+            (ideals, "_expansions", lambda f: lambda cocs, r: f(cocs, r)[:-1], ("power_ideal_dims",)),
+        ],
+        ids=["cycles", "shifted-binomials", "pure-powers"],
+    )
+    def test_planted_fault_fails_only_its_check(
+        self, house_graph, monkeypatch, module, name, fault, failed
+    ):
+        monkeypatch.setattr(module, name, fault(getattr(module, name)))
+        assert run_instance_checks(house_graph, check_exactness=True).failed() == failed
 
     def test_graph_text_replays(self, house_graph):
         res = run_instance_checks(house_graph)
