@@ -7,7 +7,6 @@ from .arrangement import (
     Cocircuit,
     LatticePointSet,
     VectorArrangement,
-    deletion,
     enumerate_cocircuits,
     interior_lattice_points,
     loops_and_coloops,

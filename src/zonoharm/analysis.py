@@ -13,24 +13,30 @@ every identity once, as a function of a context.  The CLI report evaluates
 the checks that carry a report key; the random suite evaluates all of them.
 The deletion/contraction check builds one context per minor and reuses the
 parent's points and filtration.  Only a parent context enumerates its
-cocircuits; each minor's are derived from the parent's and handed to the
-minor's context, while its points come from its own facet description.
+cocircuits; both minors' are derived from the parent's in one sweep and
+handed to the minors' contexts, while their points come from their own
+facet descriptions.  The parent's cocircuits also certify each minor's
+span, so no minor runs a rank: an element that is not a coloop (no
+one-element cocircuit) leaves a deletion that spans, and one that is not a
+loop (a nonzero, primitive column) is mapped to e_1 by a unimodular U, whose
+rows 1.. take the other columns onto a spanning set of Z^(r-1).
 """
 
 from __future__ import annotations
 
 from functools import cached_property
+from operator import mul
 from typing import Callable, NamedTuple
 
 from .arrangement import (
     VectorArrangement,
-    contraction_cocircuits,
-    contraction_data,
-    deletion,
-    deletion_cocircuits,
+    completion_transform,
+    contract_column,
+    delete_column,
     enumerate_cocircuits,
     interior_lattice_points,
     loops_and_coloops,
+    minor_cocircuits,
 )
 from .errors import LoopOrColoopError, NotIntegralError
 from .graphs import (
@@ -181,17 +187,24 @@ class Analysis:
         """Contexts of the deletion and the contraction of a non-loop,
         non-coloop element, with ``bars``: the image in the contraction's
         lattice of each of this context's points, in order.
+
+        The cocircuits certify the element, so neither minor runs a rank:
+        the deletion's columns are sliced from this context's, and the
+        contraction's come from the rows 1.. of U with U chi(a) = e_1.  Both
+        minors' cocircuits come from one sweep over this context's.
         """
         loops, coloops = self.loops_and_coloops
         if element in loops or element in coloops:
             raise LoopOrColoopError(f"{element!r} is a loop or coloop")
-        va, cocs = self.va, self.cocircuits
-        ctx_del = Analysis(deletion(va, element), cocircuits=deletion_cocircuits(va, element, cocs))
-        va_con, transform, inverse = contraction_data(va, element)
-        ctx_con = Analysis(
-            va_con, cocircuits=contraction_cocircuits(va, element, cocs, va_con, inverse)
-        )
-        bars = [tuple(transform.matvec(z)[1:]) for z in self.points.points]
+        va = self.va
+        idx = va.index_of(element)
+        rows, inv_cols = completion_transform(va.columns.col(idx))
+        quotient = rows[1:]
+        va_con = contract_column(va, idx, quotient)
+        cocs_del, cocs_con = minor_cocircuits(self.cocircuits, idx, va_con, inv_cols[1:])
+        ctx_del = Analysis(delete_column(va, idx), cocircuits=cocs_del)
+        ctx_con = Analysis(va_con, cocircuits=cocs_con)
+        bars = [tuple(sum(map(mul, u, z)) for u in quotient) for z in self.points.points]
         return ctx_del, ctx_con, bars
 
     def deletion_contraction(self, element, check_exactness: bool = True) -> DeletionContractionReport:

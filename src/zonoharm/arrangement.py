@@ -2,12 +2,15 @@
 
 Covers loops/coloops, deletion and contraction, cocircuit enumeration via
 corank-1 column subsets (which is also the unimodularity test), the
-cocircuits of a minor derived from its parent's, the zonotope's facet
-description, and the interior lattice points obtained from it.  The
-cocircuit scan cuts each subset's kernel from the kernels of the column
-prefixes it shares with the subset before, and the coloops are read off the
-one-element cocircuits, so one rank, in the constructor, is all an
-arrangement or a deletion costs.
+cocircuits of both minors derived from their parent's in one sweep, the
+zonotope's facet description, and the interior lattice points obtained from
+it.  The cocircuit scan cuts each subset's kernel from the kernels of the
+column prefixes it shares with the subset before, and the coloops are read
+off the one-element cocircuits, so one rank, in the constructor, is all an
+arrangement costs; minors cost none.  A deletion's columns are sliced out
+of its parent's and a contraction's are mapped by a unimodular transform,
+both without the constructor's checks; only ``deletion``, for a caller that
+has no cocircuits, ranks the columns to find a coloop.
 
 ``Cocircuit`` is a named tuple.  ``VectorArrangement`` and
 ``LatticePointSet`` validate and normalise their fields on construction;
@@ -16,7 +19,7 @@ they are plain classes, immutable by convention: nothing reassigns a field.
 
 from __future__ import annotations
 
-from itertools import combinations
+from itertools import chain, combinations
 from operator import mul
 from typing import NamedTuple
 
@@ -131,27 +134,61 @@ def loops_and_coloops(va: VectorArrangement, cocircuits=None):
     return loops, tuple(a for a in va.ground if a in coloops)
 
 
+def _spanning(lattice_rank: int, ground: tuple, columns: Mat) -> VectorArrangement:
+    """An arrangement built without the constructor's checks.
+
+    For minors only: the parent fixes the shape and the labels, and the
+    caller certifies the span.
+    """
+    va = object.__new__(VectorArrangement)
+    va.lattice_rank, va.ground, va.columns = lattice_rank, ground, columns
+    return va
+
+
+def delete_column(va: VectorArrangement, idx: int) -> VectorArrangement:
+    """Drop the element at ``idx``; its columns are sliced out of the parent's data.
+
+    The result spans iff the element is not a coloop, which the caller
+    certifies: no rank is run here.
+    """
+    data, n = va.columns.data, va.size
+    rows = (data[k : k + idx] + data[k + idx + 1 : k + n] for k in range(0, len(data), n))
+    kept = Mat(va.lattice_rank, n - 1, tuple(chain.from_iterable(rows)))
+    return _spanning(va.lattice_rank, va.ground[:idx] + va.ground[idx + 1 :], kept)
+
+
+def contract_column(va: VectorArrangement, idx: int, quotient) -> VectorArrangement:
+    """Contract the element at ``idx``, given ``quotient``: rows 1.. of a
+    unimodular U that maps its column to e_1.
+
+    Each other column c becomes (U c)[1:].  U is unimodular and the parent
+    spans, so these columns span Z^(r-1): no rank is run here.
+    """
+    data, n = va.columns.data, va.size
+    cols = [data[j::n] for j in range(n) if j != idx]
+    out = tuple(sum(map(mul, u, c)) for u in quotient for c in cols)
+    ground = va.ground[:idx] + va.ground[idx + 1 :]
+    return _spanning(va.lattice_rank - 1, ground, Mat(len(quotient), n - 1, out))
+
+
 def deletion(va: VectorArrangement, a) -> VectorArrangement:
-    """Remove one non-coloop element; the lattice is unchanged."""
-    idx = va.index_of(a)
-    rest = [c for j, c in enumerate(va.columns.col_list()) if j != idx]
-    try:
-        return VectorArrangement(
-            lattice_rank=va.lattice_rank,
-            ground=va.ground[:idx] + va.ground[idx + 1 :],
-            columns=Mat.from_cols(rest, rows=va.lattice_rank),
-        )
-    except ValueError:  # the parent's shape and labels are valid, so only the span fails
-        raise IsColoopError(f"{a!r} is a coloop; deletion would drop the rank") from None
+    """Remove one non-coloop element; the lattice is unchanged.
+
+    A coloop is found by the rank of the remaining columns.
+    """
+    deleted = delete_column(va, va.index_of(a))
+    if rank(deleted.columns) != va.lattice_rank:
+        raise IsColoopError(f"{a!r} is a coloop; deletion would drop the rank")
+    return deleted
 
 
-def _completion_transform(v) -> tuple:
+def completion_transform(v) -> tuple:
     """Unimodular U with U v = e_1, and U^-1, built by sequential xgcd row ops.
 
-    Requires v primitive.  Returns (U as rows, columns of U^-1); each row op
-    on U is undone by the inverse column op on U^-1, so the first column of
-    U^-1 ends as v.  Deterministic, so quotient coordinates are reproducible
-    across runs.
+    Requires v primitive.  Returns (U as rows, columns of U^-1), as lists;
+    each row op on U is undone by the inverse column op on U^-1, so the first
+    column of U^-1 ends as v.  Deterministic, so quotient coordinates are
+    reproducible across runs.
     """
     r = len(v)
     col = [int(x) for x in v]
@@ -185,23 +222,13 @@ def contraction_data(va: VectorArrangement, a):
     unimodular matrix U with U * chi(a) = e_1 and ``inverse`` is U^-1; points
     map to the quotient by z |-> (U z)[1:].
     """
-    col = va.column(a)
+    idx = va.index_of(a)
+    col = va.columns.col(idx)
     if not any(col):
         raise IsLoopError(f"{a!r} is a loop; contraction is undefined")
-    rows, inv_cols = _completion_transform(col)
-    U = Mat.from_rows(rows)
-    idx = va.index_of(a)
-    new_cols = []
-    for j, c in enumerate(va.columns.col_list()):
-        if j == idx:
-            continue
-        new_cols.append(U.matvec(c)[1:])
-    contracted = VectorArrangement(
-        lattice_rank=va.lattice_rank - 1,
-        ground=tuple(x for x in va.ground if x != a),
-        columns=Mat.from_cols(new_cols, rows=va.lattice_rank - 1),
-    )
-    return contracted, U, Mat.from_cols(inv_cols, rows=va.lattice_rank)
+    rows, inv_cols = completion_transform(col)
+    contracted = contract_column(va, idx, rows[1:])
+    return contracted, Mat.from_rows(rows), Mat.from_cols(inv_cols, rows=va.lattice_rank)
 
 
 def enumerate_cocircuits(va: VectorArrangement) -> tuple:
@@ -265,57 +292,50 @@ def enumerate_cocircuits(va: VectorArrangement) -> tuple:
     return tuple(sorted(found, key=lambda c: c.covector))
 
 
-def deletion_cocircuits(va: VectorArrangement, a, cocircuits) -> tuple:
-    """The cocircuits of ``deletion(va, a)``, derived from those of ``va``.
+def minor_cocircuits(cocircuits, idx: int, contracted: VectorArrangement, lift) -> tuple:
+    """The cocircuits of the deletion and of the contraction of the element at
+    ``idx``, derived in one sweep from ``cocircuits``, their parent's.
 
-    They are the minimal nonempty sets C - a (Oxley, *Matroid Theory*, 3.1).
-    Each keeps its covector and drops the value at ``a``, so the result is
+    The contraction's are the cocircuits that avoid the element; the
+    deletion's are the minimal nonempty sets C - a (Oxley, *Matroid Theory*,
+    3.1).  A set C - a with a in C is minimal: it cannot contain a cocircuit
+    that avoids a, nor strictly contain another C' - a, as C would contain
+    that cocircuit or C'.  So only a cocircuit that avoids the element can
+    be dropped from the deletion's, when it contains some C - a.  Each
+    deletion cocircuit keeps its covector, so that tuple is
     ``enumerate_cocircuits`` of the deletion, in the same order.
+
+    With ``contracted`` from ``contract_column`` and ``lift`` the columns
+    1.. of U^-1, covector alpha becomes beta with (0, beta) = alpha U^-1,
+    which pairs with each contracted column (U c)[1:] as alpha pairs with c.
+    The sign is renormalized and the result sorted, so it is
+    ``enumerate_cocircuits`` of the contraction; ``certify_pairings`` checks
+    every beta before return.  Returns (deletion's, contraction's).
     """
-    idx = va.index_of(a)
-    restricted = []
+    kept = []  # (support, cocircuit) for each candidate; support None for a C - a with a in C
+    cuts = []  # the support of each C - a with a in C
+    con = []
     for c in cocircuits:
+        v = c.values[idx]
         values = c.values[:idx] + c.values[idx + 1 :]
-        support = sum(1 << i for i, v in enumerate(values) if v)
-        if support:
-            restricted.append((support, c.covector, values))
-    supports = [s for s, _, _ in restricted]
-    return tuple(
-        Cocircuit(covector, values, values.count(1), values.count(-1))
-        for s, covector, values in restricted
-        if not any(t & s == t != s for t in supports)
-    )
-
-
-def contraction_cocircuits(
-    va: VectorArrangement, a, cocircuits, contracted: VectorArrangement, inverse: Mat
-) -> tuple:
-    """The cocircuits of the contraction by ``a``, derived from those of ``va``.
-
-    They are the cocircuits that avoid ``a`` (Oxley, *Matroid Theory*, 3.1).
-    With ``contracted`` and ``inverse`` = U^-1 from ``contraction_data``,
-    covector alpha becomes beta with (0, beta) = alpha U^-1, which pairs with
-    each contracted column (U c)[1:] as alpha pairs with c.  The sign is
-    renormalized and the result sorted, so it is ``enumerate_cocircuits`` of
-    the contraction; ``certify_pairings`` checks every beta before return.
-    """
-    idx = va.index_of(a)
-    lift = inverse.col_list()[1:]
-    out = []
-    for c in cocircuits:
-        if c.values[idx]:
+        if v:
+            if any(values):
+                cuts.append(sum(1 << i for i, x in enumerate(values) if x))
+                d_plus, d_minus = (c.d_plus - 1, c.d_minus) if v > 0 else (c.d_plus, c.d_minus - 1)
+                kept.append((None, Cocircuit(c.covector, values, d_plus, d_minus)))
             continue
+        support = sum(1 << i for i, x in enumerate(values) if x)
+        kept.append((support, Cocircuit(c.covector, values, c.d_plus, c.d_minus)))
         beta = tuple(sum(map(mul, c.covector, u)) for u in lift)
-        values = c.values[:idx] + c.values[idx + 1 :]
-        d_plus, d_minus = c.d_plus, c.d_minus
         if next(x for x in beta if x) < 0:
-            beta = tuple(-x for x in beta)
-            values = tuple(-v for v in values)
-            d_plus, d_minus = d_minus, d_plus
-        out.append(Cocircuit(beta, values, d_plus, d_minus))
-    out.sort(key=lambda c: c.covector)
-    certify_pairings(contracted, out)
-    return tuple(out)
+            beta, values = tuple(-x for x in beta), tuple(-x for x in values)
+            con.append(Cocircuit(beta, values, c.d_minus, c.d_plus))
+        else:
+            con.append(Cocircuit(beta, values, c.d_plus, c.d_minus))
+    deleted = tuple(c for s, c in kept if s is None or not any(t & s == t for t in cuts))
+    con.sort(key=lambda c: c.covector)
+    certify_pairings(contracted, con)
+    return deleted, tuple(con)
 
 
 def certify_pairings(va: VectorArrangement, cocircuits) -> None:

@@ -78,6 +78,9 @@ def test_each_quantity_once_per_arrangement(run):
     assert _calls(stats, tutte_of_arrangement) == 1
     assert _calls(stats, _corank_nullity) == 1
     assert _calls(stats, signed_incidence) == 1
+    # the arrangement's own rank and no other: its cocircuits certify that
+    # each minor spans, so Analysis.minors builds both minors without one
+    assert _calls(stats, rank) == 1
     # the generatorsVanish check and the certificate of the power dims share one verdict
     assert _calls(stats, verify_vanishing) == 1
 

@@ -18,23 +18,24 @@ from oracles import (
     violating_minor,
 )
 from strategies import connected_multigraphs, sheared_arrangements
+from zonoharm.analysis import Analysis
 from zonoharm.arrangement import (
     Cocircuit,
     LatticePointSet,
     VectorArrangement,
     certify_pairings,
-    contraction_cocircuits,
     contraction_data,
     deletion,
-    deletion_cocircuits,
     enumerate_cocircuits,
     interior_lattice_points,
     loops_and_coloops,
+    minor_cocircuits,
 )
 from zonoharm.errors import (
     CertificateError,
     IsColoopError,
     IsLoopError,
+    LoopOrColoopError,
     NotTotallyUnimodularError,
 )
 from zonoharm.graphs import cographical_arrangement, tutte_of_arrangement
@@ -297,6 +298,42 @@ def box_filter(va, cocs):
     )
 
 
+def _minor_cocircuits(va, a, cocs):
+    """(deletion's, contraction's) cocircuits derived from ``cocs`` in one sweep."""
+    va_con, _, inverse = contraction_data(va, a)
+    return minor_cocircuits(cocs, va.index_of(a), va_con, inverse.col_list()[1:])
+
+
+def assert_minors_validated(va):
+    """Every usable element's minors from ``Analysis.minors`` equal the validated ones."""
+    ctx = Analysis(va)
+    loops, coloops = ctx.loops_and_coloops
+    r, cols = va.lattice_rank, va.columns.col_list()
+    for idx, a in enumerate(va.ground):
+        if a in loops or a in coloops:
+            with pytest.raises(LoopOrColoopError):
+                ctx.minors(a)
+            if a in loops:
+                with pytest.raises(IsLoopError):
+                    contraction_data(va, a)
+            else:
+                with pytest.raises(IsColoopError):
+                    deletion(va, a)
+            continue
+        ctx_del, ctx_con, bars = ctx.minors(a)
+        ground = va.ground[:idx] + va.ground[idx + 1 :]
+        rest = cols[:idx] + cols[idx + 1 :]
+        # the constructor runs its rank check on the same columns, built by transposes
+        assert ctx_del.va == VectorArrangement(r, ground, Mat.from_cols(rest, rows=r))
+        _, transform, inverse = contraction_data(va, a)
+        assert matmul(transform, inverse) == identity(r)
+        images = [transform.matvec(c)[1:] for c in rest]
+        assert ctx_con.va == VectorArrangement(r - 1, ground, Mat.from_cols(images, rows=r - 1))
+        assert bars == [transform.matvec(z)[1:] for z in ctx.points.points]
+        assert ctx_del.cocircuits == enumerate_cocircuits(ctx_del.va)
+        assert ctx_con.cocircuits == enumerate_cocircuits(ctx_con.va)
+
+
 class TestMinorCocircuits:
     @given(connected_multigraphs(max_edges=8))
     @settings(max_examples=40, deadline=None)
@@ -305,10 +342,9 @@ class TestMinorCocircuits:
         cocs = enumerate_cocircuits(va)
         assert_supports_incomparable(cocs)
         for a in _usable(va):
-            assert deletion_cocircuits(va, a, cocs) == enumerate_cocircuits(deletion(va, a))
-            va_con, _, inverse = contraction_data(va, a)
-            derived = contraction_cocircuits(va, a, cocs, va_con, inverse)
-            assert derived == enumerate_cocircuits(va_con)
+            cocs_del, cocs_con = _minor_cocircuits(va, a, cocs)
+            assert cocs_del == enumerate_cocircuits(deletion(va, a))
+            assert cocs_con == enumerate_cocircuits(contraction_data(va, a)[0])
 
     @given(sheared_arrangements())
     @settings(max_examples=30, deadline=None)
@@ -316,23 +352,42 @@ class TestMinorCocircuits:
         cocs = enumerate_cocircuits(va)
         assert_supports_incomparable(cocs)
         for a in _usable(va):
-            assert deletion_cocircuits(va, a, cocs) == enumerate_cocircuits(deletion(va, a))
+            cocs_del, cocs_con = _minor_cocircuits(va, a, cocs)
+            assert cocs_del == enumerate_cocircuits(deletion(va, a))
             va_con, transform, inverse = contraction_data(va, a)
             assert matmul(transform, inverse) == identity(va.lattice_rank)
-            derived = contraction_cocircuits(va, a, cocs, va_con, inverse)
-            assert derived == enumerate_cocircuits(va_con)
+            assert cocs_con == enumerate_cocircuits(va_con)
+
+    @given(connected_multigraphs(max_edges=8))
+    @settings(max_examples=40, deadline=None)
+    def test_analysis_minors_equal_validated(self, g):
+        assert_minors_validated(cographical_arrangement(g))
+
+    @given(sheared_arrangements())
+    @settings(max_examples=30, deadline=None)
+    def test_analysis_minors_equal_validated_sheared(self, va):
+        assert_minors_validated(va)
+
+    def test_loop_and_coloop_contracts(self):
+        # a1 is a coloop and a2 a loop of this rank-1 arrangement
+        va = arr(1, [(1,), (0,)])
+        with pytest.raises(IsColoopError):
+            deletion(va, "a1")
+        with pytest.raises(IsLoopError):
+            contraction_data(va, "a2")
+        assert_minors_validated(va)
 
     def test_deletion_drops_nonminimal_restriction(self, house_arrangement):
         # deleting e4 leaves (1, -1) supported on {e1, e2, e3, e5, e6}, which
         # contains the restricted supports of (0, 1) and (1, 0)
         va = house_arrangement
-        derived = deletion_cocircuits(va, "e4", enumerate_cocircuits(va))
+        derived, _ = _minor_cocircuits(va, "e4", enumerate_cocircuits(va))
         assert {c.covector for c in derived} == {(0, 1), (1, 0)}
 
     def test_flipped_beta_entry_raises(self, house_arrangement):
         va = house_arrangement
-        va_con, _, inverse = contraction_data(va, "e5")
-        derived = contraction_cocircuits(va, "e5", enumerate_cocircuits(va), va_con, inverse)
+        va_con = contraction_data(va, "e5")[0]
+        _, derived = _minor_cocircuits(va, "e5", enumerate_cocircuits(va))
         certify_pairings(va_con, derived)
         (c,) = derived
         bad = Cocircuit((-c.covector[0],) + c.covector[1:], c.values, c.d_plus, c.d_minus)
@@ -343,11 +398,11 @@ class TestMinorCocircuits:
         va = arr(3, [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 0), (0, 1, 1), (1, 1, 1)])
         cocs = enumerate_cocircuits(va)
         va_con, _, inverse = contraction_data(va, "a1")
-        assert contraction_cocircuits(va, "a1", cocs, va_con, inverse)
-        rows = inverse.row_list()
-        rows[1][2] += 1
+        lift = inverse.col_list()[1:]
+        assert minor_cocircuits(cocs, 0, va_con, lift)[1]
+        lift[1][1] += 1  # entry (1, 2) of U^-1
         with pytest.raises(CertificateError):
-            contraction_cocircuits(va, "a1", cocs, va_con, Mat.from_rows(rows))
+            minor_cocircuits(cocs, 0, va_con, lift)
 
 
 class TestInteriorPoints:

@@ -30,6 +30,22 @@ class TestGraphFormat:
         with pytest.raises(ParseError):
             parse_graph("vertex a\narrow one a a\n")
 
+    @pytest.mark.parametrize(
+        "text, where",
+        [
+            # the head '1' also occurs earlier on the line, as the arrow id
+            ("vertex a\narrow 1 a 1\n", (2, 11)),
+            # two spaces before the label
+            ("vertex  a\nvertex  a\n", (2, 9)),
+            ("  vertx a\n", (1, 3)),
+            ("vertex a\narrow 1 a   b\n", (2, 13)),
+        ],
+    )
+    def test_error_column_is_the_token_start(self, text, where):
+        with pytest.raises(ParseError) as err:
+            parse_graph(text)
+        assert (err.value.line, err.value.column) == where
+
     @given(connected_multigraphs(max_edges=6))
     @settings(max_examples=30)
     def test_roundtrip(self, g):
@@ -49,6 +65,20 @@ class TestArrangementFormat:
         with pytest.raises(ParseError) as err:
             parse_arrangement("rank 2\ncol a 1\n")
         assert err.value.line == 2
+
+    @pytest.mark.parametrize(
+        "text, where",
+        [
+            ("rank 2\ncol a 1  z\n", (2, 10)),
+            ("rank  -1\n", (1, 7)),
+            ("rank 1\ncol a 1\ncol  a 1\n", (3, 6)),
+            ("rank 1\n rank 1\n", (2, 2)),
+        ],
+    )
+    def test_error_column_is_the_token_start(self, text, where):
+        with pytest.raises(ParseError) as err:
+            parse_arrangement(text)
+        assert (err.value.line, err.value.column) == where
 
     def test_missing_rank(self):
         with pytest.raises(ParseError):
