@@ -19,7 +19,12 @@ facet descriptions.  The parent's cocircuits also certify each minor's
 span, so no minor runs a rank: an element that is not a coloop (no
 one-element cocircuit) leaves a deletion that spans, and one that is not a
 loop (a nonzero, primitive column) is mapped to e_1 by a unimodular U, whose
-rows 1.. take the other columns onto a spanning set of Z^(r-1).
+rows 1.. take the other columns onto a spanning set of Z^(r-1).  The
+exactness ranks keep one running lattice per map across the degrees and
+insert only the images of the echelon rows whose pivot column is new at a
+degree, which span the piece together with the degree below; a degree
+whose pivot columns do not contain those below it is not nested in it,
+and fails.
 """
 
 from __future__ import annotations
@@ -263,13 +268,18 @@ def deletion_contraction_check(
 def _exactness_ranks(ctx: Analysis, ctx_del: Analysis, ctx_con: Analysis, element, bars) -> bool:
     """im(pullback) = ker(difference) and surjectivity, via evaluation vectors.
 
-    Each filtered piece is represented by the q_dim echelon rows of its
-    integral lattice, which span the same rational space as all of its
-    binomial-product evaluation rows, so every test below decides the same
-    statement over Q on fewer rows.  An integer row lies in a piece's Q-span
-    iff it lies in the piece's saturated lattice, tested against that
-    lattice's echelon.  No canonical rows are read.  ``bars[k]`` is the image
-    in the contraction's lattice of the k-th point.
+    Each filtered piece V_i is represented by the echelon rows of its
+    integral lattice, which span V_i over Q.  The pieces are nested, so V_i
+    is V_{i-1} plus the rows whose pivot column is new at degree i: a
+    combination of those leads at a column no vector of V_{i-1} leads at.
+    One running lattice per map holds the images of the new rows of every
+    degree so far, so it spans the image of V_i, and each degree inserts and
+    tests only its new rows' images.  Rank and membership in a saturated
+    lattice depend only on the Q-span, and an image tested at a lower
+    degree stays in the pieces above it, so every verdict is that of all
+    rows.  A degree whose pivot columns do not contain those of the degree
+    below breaks the nesting, and fails.  ``bars[k]`` is the image in the
+    contraction's lattice of the k-th point.
     """
     h, h_del, h_con = ctx.full_harmonics, ctx_del.harmonics, ctx_con.harmonics
     col = ctx.va.column(element)
@@ -292,19 +302,29 @@ def _exactness_ranks(ctx: Analysis, ctx_del: Analysis, ctx_con: Analysis, elemen
 
     n = h.point_count
     m = len(ctx_del.points)
+    pullback, difference = IntRowLattice(n), IntRowLattice(m)
+    below, below_con = set(), set()  # pivot columns of the degree below
     for i in range(max(h.top_degree, h_con.top_degree, h_del.top_degree + 1) + 1):
-        rows, _ = h.echelon(i)
-        rows_con, _ = h_con.echelon(i)
-        # pullback of contraction functions along the bar map
-        xi_rows = [tuple(f[bar_idx[k]] for k in range(n)) for f in rows_con]
-        if IntRowLattice(n, xi_rows).rank != h_con.q_dim(i):
+        rows, pivots = h.echelon(i)
+        rows_con, pivots_con = h_con.echelon(i)
+        if not (below.issubset(pivots) and below_con.issubset(pivots_con)):
+            return False  # the pieces are not nested
+        # pullback of the new contraction functions along the bar map
+        new_con = [f for f, c in zip(rows_con, pivots_con) if c not in below_con]
+        xi_rows = [tuple(f[k] for k in bar_idx) for f in new_con]
+        for f in xi_rows:
+            pullback.add(f)
+        if pullback.rank != h_con.q_dim(i):
             return False  # pullback not injective
         if not in_row_lattice(*h.saturated_echelon(i), xi_rows):
             return False  # pullback image escapes the filtered piece
-        # difference operator into functions on the deletion's points
-        d_rows = [tuple(f[b] - f[a] for a, b in shift_idx) for f in rows]
         if m:
-            if IntRowLattice(m, d_rows).rank != h_del.q_dim(i - 1):
+            # difference operator into functions on the deletion's points
+            new = [f for f, c in zip(rows, pivots) if c not in below]
+            d_rows = [tuple(f[b] - f[a] for a, b in shift_idx) for f in new]
+            for f in d_rows:
+                difference.add(f)
+            if difference.rank != h_del.q_dim(i - 1):
                 return False  # difference map not surjective
             if not in_row_lattice(*h_del.saturated_echelon(i - 1), d_rows):
                 return False  # image escapes the lower filtered piece
@@ -315,6 +335,7 @@ def _exactness_ranks(ctx: Analysis, ctx_del: Analysis, ctx_con: Analysis, elemen
         # exactness in the middle now follows from the rank identity
         if h.q_dim(i) != h_con.q_dim(i) + h_del.q_dim(i - 1):
             return False
+        below, below_con = set(pivots), set(pivots_con)
     return True
 
 

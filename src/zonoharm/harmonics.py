@@ -11,7 +11,10 @@ Each degree's lattice L in Z^n is kept as a snapshot of the echelon it had
 once that degree's rows were in: its rows and pivot columns.  The pivots of
 an echelon basis depend only on L, so they are the canonical pivots.  When
 every pivot is 1, Z^n / L is free, so L is saturated (index 1) and its
-echelon is a basis of its saturation.  Otherwise ``linalg.saturate`` gives
+echelon is a basis of its saturation.  In particular a lattice with n rows
+and unit pivots is Z^n, which completes the filtration: that degree stops
+inserting its rows there, since every further row reduces to 0 and no
+snapshot, dimension or index can change.  Otherwise ``linalg.saturate`` gives
 the saturated rows as the integer kernel of the integer kernel, and the
 index as the quotient of the pivot products, so a lattice that is not
 saturated is still reported.  Only the divided-power generation check forms
@@ -54,9 +57,10 @@ class Harmonics:
     Pass the arrangement's interior points when they are already known.
     Degree by degree, the evaluation rows of the binomial products (each
     built from one row of the previous degree, see ``binomial_product_rows``)
-    are added to one integer row lattice, and each degree keeps a snapshot
-    of its echelon.  A degree whose echelon has all pivots 1 gets saturation
-    index 1, with no kernel; any other degree falls back to ``saturate``.
+    are added to one integer row lattice, up to the row that makes it Z^n,
+    and each degree keeps a snapshot of its echelon.  A degree whose echelon
+    has all pivots 1 gets saturation index 1, with no kernel; any other
+    degree falls back to ``saturate``.
     """
 
     def __init__(self, va: VectorArrangement, max_degree: int | None = None, points=None):
@@ -74,10 +78,13 @@ class Harmonics:
             return
         lattice = IntRowLattice(n)
         blocks = binomial_product_rows(self.points.points, va.lattice_rank)
+        grown, grown_pivots = lattice.rows, lattice.pivot_cols  # updated in place
         for degree, block in enumerate(blocks):
             for row in block:
                 lattice.add(row)
-            rows, pivots = tuple(lattice.rows), tuple(lattice.pivot_cols)
+                if len(grown) == n and all(r[c] == 1 for r, c in zip(grown, grown_pivots)):
+                    break  # the lattice is Z^n: every further row reduces to 0
+            rows, pivots = tuple(grown), tuple(grown_pivots)
             self._echelons.append((rows, pivots))
             self.q_dims.append(len(rows))
             if all(row[c] == 1 for row, c in zip(rows, pivots)):

@@ -63,17 +63,20 @@ def verify_vanishing(generators, points) -> bool:
 
 
 def _power_expansion(covector, e: int, r: int) -> dict:
-    """Monomial coefficients of (<covector, x>)^e as {exponents: coeff}."""
+    """Monomial coefficients of (<covector, x>)^e as {exponents: coeff}.
+
+    Only monomials in the covector's support have nonzero coefficients, so
+    the exponents are enumerated over the support and placed in r-tuples;
+    the placement keeps their descending-lexicographic order."""
+    support = [j for j in range(r) if covector[j]]
     out: dict = {}
-    for exps in exponents_of_degree(r, e):
+    for sub in exponents_of_degree(len(support), e):
+        exps = [0] * r
         coeff = factorial(e)
-        for k in exps:
-            coeff //= factorial(k)
-        for a, k in zip(covector, exps):
-            if k:
-                coeff *= a**k
-        if coeff:
-            out[exps] = coeff
+        for j, k in zip(support, sub):
+            exps[j] = k
+            coeff = coeff // factorial(k) * covector[j] ** k
+        out[tuple(exps)] = coeff
     return out
 
 

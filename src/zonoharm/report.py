@@ -3,11 +3,17 @@
 The JSON schema is versioned and key order is fixed, so identical inputs give
 byte-identical output.  Integers whose magnitude exceeds 2**53 are rendered as
 decimal strings to stay safe for consumers with double-precision parsers.
+
+The JSON is written in one recursive pass, byte for byte what
+``json.dumps(..., indent=2)`` gives on the same tree with its big integers
+turned into strings, with strings escaped by the standard library's C
+escaper.  The ``json`` package is not imported: with an indent it runs its
+pure-Python encoder anyway, and every CLI call would pay for the import.
 """
 
 from __future__ import annotations
 
-import json
+from _json import encode_basestring_ascii
 
 from .analysis import CHECKS, Analysis, DeletionContractionReport
 from .arrangement import VectorArrangement
@@ -121,19 +127,57 @@ def build_graph_report(source_text: str, graph: DirectedGraph, max_degree: int |
     return build_report(source_text, va, graph, max_degree=max_degree)
 
 
-def _stringify_big_ints(value):
-    if type(value) is int and abs(value) >= JSON_INT_LIMIT:
-        return str(value)
-    if isinstance(value, dict):
-        return {k: _stringify_big_ints(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_stringify_big_ints(v) for v in value]
-    return value
+def _write_json(value, indent: str, out: list) -> None:
+    """Append the indent=2 JSON of ``value``, nested at ``indent``, to ``out``.
+
+    Dicts (with str keys), lists, tuples, str, int, bool and None only; the
+    escaper and the final branch raise TypeError on anything else."""
+    if value is None:
+        out.append("null")
+    elif value is True:
+        out.append("true")
+    elif value is False:
+        out.append("false")
+    elif type(value) is int:
+        text = str(value)
+        out.append(text if -JSON_INT_LIMIT < value < JSON_INT_LIMIT else f'"{text}"')
+    elif type(value) is str:
+        out.append(encode_basestring_ascii(value))
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            out.append("[]")
+            return
+        inner = indent + "  "
+        sep = "[\n" + inner
+        for item in value:
+            out.append(sep)
+            _write_json(item, inner, out)
+            sep = ",\n" + inner
+        out.append("\n" + indent + "]")
+    elif isinstance(value, dict):
+        if not value:
+            out.append("{}")
+            return
+        inner = indent + "  "
+        sep = "{\n" + inner
+        for key, item in value.items():
+            out.append(sep)
+            out.append(encode_basestring_ascii(key))
+            out.append(": ")
+            _write_json(item, inner, out)
+            sep = ",\n" + inner
+        out.append("\n" + indent + "}")
+    else:
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 def to_json_bytes(report: dict) -> bytes:
-    payload = _stringify_big_ints(report)
-    return (json.dumps(payload, indent=2, sort_keys=False) + "\n").encode("utf-8")
+    """The report as JSON with two-space indents and a final newline, in its
+    own key order; integers of magnitude >= 2**53 become decimal strings."""
+    out: list = []
+    _write_json(report, "", out)
+    out.append("\n")
+    return "".join(out).encode("ascii")
 
 
 def _poly_str(terms) -> str:

@@ -42,6 +42,13 @@ def wheel_graph(k: int) -> DirectedGraph:
     return DirectedGraph(vertices=("h", *rim), arrows=arrows)
 
 
+def complete_graph(k: int) -> DirectedGraph:
+    """K_k with vertices v0..v(k-1) and one arrow from each vertex to every later one."""
+    vs = tuple(f"v{i}" for i in range(k))
+    pairs = [(t, h) for i, t in enumerate(vs) for h in vs[i + 1 :]]
+    return DirectedGraph(vs, tuple(Arrow(ident=i, tail=t, head=h) for i, (t, h) in enumerate(pairs, start=1)))
+
+
 def cycle_arrangement(k: int) -> VectorArrangement:
     """The rank-1 arrangement of k copies of (1): the cographical arrangement of a k-cycle."""
     return VectorArrangement(1, tuple(f"a{i}" for i in range(k)), Mat.from_rows([[1] * k]))
@@ -59,7 +66,9 @@ PRISM = "".join(f"vertex {side}{i}\n" for side in "xy" for i in (1, 2, 3)) + "".
 def named_arrangement(name):
     if name.startswith("C"):
         return cycle_arrangement(int(name[1:]))
-    if name == "W4":
-        return cographical_arrangement(wheel_graph(4))
+    if name in ("W4", "W5"):
+        return cographical_arrangement(wheel_graph(int(name[1:])))
+    if name == "K5":
+        return cographical_arrangement(complete_graph(5))
     text = {"K33": K33, "prism": PRISM}.get(name) or data_path(f"{name}.graph").read_text()
     return cographical_arrangement(parse_graph(text))

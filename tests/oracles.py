@@ -1,7 +1,8 @@
 """Brute-force reference computations that tests compare the library against."""
 
+import json
 from itertools import combinations, islice
-from math import prod
+from math import factorial, prod
 
 from zonoharm.arrangement import Cocircuit, enumerate_cocircuits
 from zonoharm.errors import NotTotallyUnimodularError
@@ -10,6 +11,7 @@ from zonoharm.graphs import BivariatePolynomial, _corank_nullity, graph_rank, tu
 from zonoharm.harmonics import iz_hilbert_series
 from zonoharm.ideals import P, _expansions, _macaulay_rows
 from zonoharm.linalg import IntRowLattice, Mat, det, rank, saturate, xgcd
+from zonoharm.report import JSON_INT_LIMIT
 
 
 def identity(n):
@@ -400,6 +402,37 @@ def exactness_on_eval_rows(ctx, ctx_del, ctx_con, element, bars):
         if h.q_dim(i) != h_con.q_dim(i) + h_del.q_dim(i - 1):
             return False
     return True
+
+
+def dense_power_expansion(covector, e: int, r: int) -> dict:
+    """Monomial coefficients of (<covector, x>)^e as {exponents: coeff}, over
+    all C(r+e-1, e) exponents of degree e, keeping the nonzero ones."""
+    out: dict = {}
+    for exps in exponents_of_degree(r, e):
+        coeff = factorial(e)
+        for k in exps:
+            coeff //= factorial(k)
+        for a, k in zip(covector, exps):
+            if k:
+                coeff *= a**k
+        if coeff:
+            out[exps] = coeff
+    return out
+
+
+def _stringify_big_ints(value):
+    if type(value) is int and abs(value) >= JSON_INT_LIMIT:
+        return str(value)
+    if isinstance(value, dict):
+        return {k: _stringify_big_ints(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_stringify_big_ints(v) for v in value]
+    return value
+
+
+def stdlib_json_bytes(report) -> bytes:
+    """The report through the standard library encoder, big integers as strings."""
+    return (json.dumps(_stringify_big_ints(report), indent=2, sort_keys=False) + "\n").encode("utf-8")
 
 
 def all_degree_redundant_generators(va, bound=None):

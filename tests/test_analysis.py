@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from conftest import data_path, wheel_graph
+from conftest import complete_graph, data_path, wheel_graph
 from oracles import exactness_on_eval_rows
 from zonoharm.analysis import Analysis, _exactness_ranks, _tutte_duality
 from zonoharm.arrangement import VectorArrangement, contraction_data, enumerate_cocircuits
@@ -24,13 +24,6 @@ from zonoharm.ideals import verify_vanishing
 from zonoharm.linalg import Mat, hermite_rows, rank
 from zonoharm.report import build_graph_report, build_report
 from zonoharm.verification import random_connected_multigraph, run_instance_checks
-
-
-def complete_graph_k4() -> DirectedGraph:
-    vs = ("a", "b", "c", "d")
-    pairs = [(t, h) for i, t in enumerate(vs) for h in vs[i + 1 :]]
-    arrows = tuple(Arrow(ident=i, tail=t, head=h) for i, (t, h) in enumerate(pairs, start=1))
-    return DirectedGraph(vertices=vs, arrows=arrows)
 
 
 def _key(fn) -> tuple:
@@ -57,7 +50,7 @@ def _calls(stats: pstats.Stats, fn, caller=None) -> int:
     ids=["build_graph_report", "run_instance_checks"],
 )
 def test_each_quantity_once_per_arrangement(run):
-    g = complete_graph_k4()
+    g = complete_graph(4)
     ctx = Analysis(cographical_arrangement(g))
     u = len(ctx.usable)
     assert u == 6
@@ -95,7 +88,7 @@ def _exactness_both_ways(ctx: Analysis, element, bars=None) -> tuple:
 def _graph_contexts():
     for name in ("cycle4", "house", "selfloop", "theta"):
         yield name, Analysis(cographical_arrangement(parse_graph(data_path(f"{name}.graph").read_text())))
-    yield "K4", Analysis(cographical_arrangement(complete_graph_k4()))
+    yield "K4", Analysis(cographical_arrangement(complete_graph(4)))
     yield "W4", Analysis(cographical_arrangement(wheel_graph(4)))
     rng = random.Random(1)
     for i in range(12):
@@ -142,6 +135,16 @@ def test_exactness_fails_on_bars_not_constant_along_the_element():
         assert _exactness_both_ways(ctx, a, twisted) == (False, False)
 
 
+def _drop_an_old_pivot(ech, i):
+    """Degree 2's echelon without its row at the last pivot column of degree 1."""
+    rows, pivots = ech(i)
+    if i != 2:
+        return rows, pivots
+    dropped = ech(1)[1][-1]
+    keep = [k for k, c in enumerate(pivots) if c != dropped]
+    return tuple(rows[k] for k in keep), tuple(pivots[k] for k in keep)
+
+
 @pytest.mark.parametrize(
     "layer, method, fault",
     [
@@ -149,14 +152,24 @@ def test_exactness_fails_on_bars_not_constant_along_the_element():
         ("deletion", "saturated_echelon", lambda ech, i: ech(i - 1)),
         ("contraction", "echelon", lambda ech, i: (ech(i)[0][:1] * len(ech(i)[0]), ech(i)[1])),
         ("parent", "echelon", lambda ech, i: (ech(i)[0][:1], ech(i)[1][:1])),
+        ("parent", "echelon", _drop_an_old_pivot),
     ],
-    ids=["pullback-escapes", "difference-escapes", "pullback-not-injective", "difference-not-onto"],
+    ids=[
+        "pullback-escapes",
+        "difference-escapes",
+        "pullback-not-injective",
+        "difference-not-onto",
+        "pieces-not-nested",
+    ],
 )
 def test_each_exactness_exit_fails_on_its_own_fault(layer, method, fault):
-    # each fault breaks one of the four tests and leaves the others, and the
+    # each fault breaks one of the five tests and leaves the others, and the
     # dimension identity, true: a saturated piece lagging one degree lets an
     # image escape it; echelon rows that repeat the first, or keep only the
-    # constant function, take rank from the pullback or the difference
+    # constant function, take rank from the pullback or the difference; a
+    # degree that drops a pivot of the degree below is no longer nested in
+    # it, which only the nesting test sees, as the rows it still has span
+    # every image that the new-pivot rows give
     ctx = Analysis(cographical_arrangement(wheel_graph(4)))
     a = ctx.usable[0]
     ctx_del, ctx_con, bars = ctx.minors(a)

@@ -7,12 +7,15 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from conftest import data_path, wheel_graph
+from oracles import stdlib_json_bytes
 from zonoharm.arrangement import enumerate_cocircuits
 from zonoharm.cli import main
 from zonoharm.formats import serialize_graph
-from zonoharm.report import _stringify_big_ints, to_json_bytes
+from zonoharm.report import to_json_bytes
 
 
 def run_cli(*args):
@@ -217,8 +220,30 @@ class TestDeterminism:
 
 class TestJsonEncoding:
     def test_big_integers_become_strings(self):
-        payload = _stringify_big_ints({"a": 2**60, "b": [2**53 - 1, -(2**54)], "c": True})
+        payload = json.loads(to_json_bytes({"a": 2**60, "b": [2**53 - 1, -(2**54)], "c": True}))
         assert payload == {"a": str(2**60), "b": [2**53 - 1, str(-(2**54))], "c": True}
+
+    @given(
+        st.recursive(
+            st.none()
+            | st.booleans()
+            | st.integers(-(2**53) - 2, -(2**53) + 2)
+            | st.integers(2**53 - 2, 2**53 + 2)
+            | st.integers(-(2**70), 2**70)
+            | st.text(alphabet=st.characters(codec="utf-8") | st.sampled_from('"\\\n\t\x00\x1f\x7f')),
+            lambda kids: st.lists(kids, max_size=4)
+            | st.lists(kids, max_size=4).map(tuple)
+            | st.dictionaries(st.text(max_size=4), kids, max_size=4),
+            max_leaves=20,
+        )
+    )
+    def test_writer_equals_the_stdlib_encoder(self, value):
+        assert to_json_bytes(value) == stdlib_json_bytes(value)
+
+    @pytest.mark.parametrize("value", [1.5, [0, 2.0], {"a": {"b": float("nan")}}, {1: "a"}, b"a"])
+    def test_floats_and_other_types_raise(self, value):
+        with pytest.raises(TypeError):
+            to_json_bytes(value)
 
     def test_json_bytes_stable_key_order(self):
         blob = to_json_bytes({"z": 1, "a": 2})
@@ -277,7 +302,8 @@ class TestImports:
 
     def test_start_up_loads_no_dataclasses_and_no_suite(self):
         # every CLI call pays for what importing the CLI loads: not
-        # dataclasses (with inspect, ast and dis behind it), and not the
+        # dataclasses (with inspect, ast and dis behind it), not the json
+        # package, whose indented output is pure Python anyway, and not the
         # random suite, which only its subcommand imports.  The suite module
         # is then imported too, so no module of the package may load them.
         # A fresh interpreter, since pytest itself loads dataclasses; only
@@ -288,7 +314,7 @@ class TestImports:
             "before = set(sys.modules)\n"
             "import zonoharm.cli\n"
             "added = set(sys.modules) - before\n"
-            "print(*sorted(added & {'dataclasses', 'inspect', 'zonoharm.verification'}))\n"
+            "print(*sorted(added & {'dataclasses', 'inspect', 'json', 'zonoharm.verification'}))\n"
             "import zonoharm.verification\n"
             "added = set(sys.modules) - before\n"
             "print(*sorted(added & {'dataclasses', 'inspect'}))\n"

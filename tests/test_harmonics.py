@@ -29,6 +29,7 @@ from zonoharm.harmonics import (
     verify_saturation,
 )
 from zonoharm.linalg import Mat, hermite_rows, in_row_lattice, saturate
+from zonoharm.report import build_graph_report
 
 
 def coloop_arrangement():
@@ -101,11 +102,23 @@ class TestFiltration:
 
 class TestCanonicalRowsOnDemand:
     """Each degree keeps its echelon, with the eager filtration's canonical
-    rows; building the filtration forms none."""
+    rows; building the filtration forms none.  The eager filtration inserts
+    every row of every degree, so the inputs where ``Harmonics`` stops a
+    degree at Z^n (all but "even", whose pivots are not all 1) show that the
+    stop changes no snapshot."""
 
     @pytest.mark.parametrize(
         "name, max_degree",
-        [("house", None), ("W4", None), ("K33", None), ("prism", None), ("K33", 2), ("even", None)],
+        [
+            ("house", None),
+            ("W4", None),
+            ("K33", None),
+            ("prism", None),
+            ("W5", None),
+            ("K5", None),
+            ("K33", 2),
+            ("even", None),
+        ],
     )
     def test_equal_to_eager_rows_at_every_degree(self, monkeypatch, name, max_degree):
         if name == "even":  # {0, 2}: degree 1 has index 2 in its saturation
@@ -125,6 +138,46 @@ class TestCanonicalRowsOnDemand:
             rows, pivots = h.saturated_echelon(i)
             assert pivots == pivot_cols(sat)
             assert in_row_lattice(rows, pivots, sat) and in_row_lattice(sat, pivots, rows)
+
+
+class TestStopAtZn:
+    """A degree stops inserting rows once its lattice is Z^n: n rows, all pivots 1."""
+
+    @staticmethod
+    def count_adds(monkeypatch):
+        counts = [0]
+        add = linalg.IntRowLattice.add
+
+        def counted(self, vec):
+            counts[0] += 1
+            return add(self, vec)
+
+        monkeypatch.setattr(linalg.IntRowLattice, "add", counted)
+        return counts
+
+    def test_insert_counts_on_wheel5(self, monkeypatch):
+        # W5: 30 points, degrees 0-4 with 1 + 5 + 15 + 35 + 70 = 126 rows;
+        # degree 4 reaches Z^30 after 30 of its 70 rows
+        g = wheel_graph(5)
+        va = cographical_arrangement(g)
+        pts = interior_lattice_points(va)
+        counts = self.count_adds(monkeypatch)
+        h = Harmonics(va, points=pts)
+        assert h.q_dims == [1, 6, 16, 26, 30]
+        assert counts == [86]
+        counts[0] = 0
+        build_graph_report("", g)
+        assert counts == [1165]
+
+    def test_full_rank_with_a_non_unit_pivot_goes_on(self, monkeypatch):
+        # points (0, 0), (2, 1): after 1 and x the degree-1 lattice has rank
+        # 2 = n but pivot 2; y is still inserted and makes it Z^2.  A stop at
+        # full rank alone would skip y and report index 2
+        counts = self.count_adds(monkeypatch)
+        h = Harmonics(coloop_arrangement(), points=LatticePointSet(((0, 0), (2, 1))))
+        assert counts == [3]
+        assert h.q_dims == [1, 2]
+        assert h.saturation_indices == [1, 1]
 
 
 class TestSaturationVerdict:

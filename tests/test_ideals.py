@@ -4,9 +4,10 @@ import random
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import K33, cycle_arrangement, data_path, named_arrangement
-from oracles import all_degree_redundant_generators, dense_quotient_dims_mod_p
+from oracles import all_degree_redundant_generators, dense_power_expansion, dense_quotient_dims_mod_p
 from strategies import connected_multigraphs
 from zonoharm import ideals
 from zonoharm.analysis import Analysis
@@ -31,6 +32,19 @@ def trim(seq):
     while out and out[-1] == 0:
         out.pop()
     return tuple(out)
+
+
+@given(
+    st.integers(0, 6).flatmap(
+        lambda r: st.tuples(st.lists(st.integers(-3, 3), min_size=r, max_size=r), st.integers(0, 6))
+    )
+)
+def test_power_expansion_over_the_support_equals_the_dense_one(case):
+    # same keys, values and key order as the expansion over every exponent
+    covector, e = case
+    r = len(covector)
+    expected = dense_power_expansion(covector, e, r)
+    assert list(ideals._power_expansion(covector, e, r).items()) == list(expected.items())
 
 
 class TestGenerators:
