@@ -10,7 +10,8 @@ with x and y swapped, so one walk serves both, and its SU(2) series is the
 iz series; ``tutte_duality`` certifies the coordinatisation that makes both
 theorems, and a graph's ``tutteIdentity`` gates on it.  ``CHECKS`` defines
 every identity once, as a function of a context.  The CLI report evaluates
-the checks that carry a report key; the random suite evaluates all of them.
+the checks that carry a report key; the random suite evaluates all of them,
+and the standalone calls of ``ideals`` read their inputs off a context.
 The deletion/contraction check builds one context per minor and reuses the
 parent's points and filtration.  Only a parent context enumerates its
 cocircuits; both minors' are derived from the parent's in one sweep and
@@ -96,9 +97,11 @@ class DeletionContractionReport(NamedTuple):
 class Analysis:
     """The quantities of one arrangement (and its graph, if any), each computed once.
 
-    ``max_degree`` caps the filtration in ``harmonics``.  ``exact_elements``
-    is how many usable elements, in ground-set order, get the exactness rank
-    checks in the deletion/contraction check; None means all of them.
+    ``harmonics`` is the one filtration of the arrangement, built to its top
+    degree and read by every check, the power-ideal dimensions and the
+    deletion/contraction checks alike.  ``exact_elements`` is how many usable
+    elements, in ground-set order, get the exactness rank checks in the
+    deletion/contraction check; None means all of them.
     ``cocircuits``, when given, are the arrangement's cocircuits, already
     derived; otherwise they are enumerated.
     """
@@ -107,13 +110,11 @@ class Analysis:
         self,
         va: VectorArrangement,
         graph: DirectedGraph | None = None,
-        max_degree: int | None = None,
         exact_elements: int | None = None,
         cocircuits: tuple | None = None,
     ):
         self.va = va
         self.graph = graph
-        self.max_degree = max_degree
         self.exact_elements = exact_elements
         self._cocircuits = cocircuits
 
@@ -137,13 +138,7 @@ class Analysis:
 
     @cached_property
     def harmonics(self) -> Harmonics:
-        return Harmonics(self.va, self.max_degree, self.points)
-
-    @cached_property
-    def full_harmonics(self) -> Harmonics:
-        """The untruncated filtration; ``harmonics`` itself unless that one is truncated."""
-        h = self.harmonics
-        return Harmonics(self.va, points=self.points) if h.truncated else h
+        return Harmonics(self.va, self.points)
 
     @cached_property
     def tutte(self):
@@ -159,7 +154,7 @@ class Analysis:
 
     @cached_property
     def power_dims(self) -> tuple:
-        h = self.full_harmonics
+        h = self.harmonics
         return quotient_dims(self.va, self.cocircuits, len(self.iz), h, self.generators_vanish)
 
     @cached_property
@@ -234,7 +229,7 @@ class Analysis:
             and set(images) == set(ctx_con.points.points)
         )
 
-        h, h_del, h_con = self.full_harmonics, ctx_del.harmonics, ctx_con.harmonics
+        h, h_del, h_con = self.harmonics, ctx_del.harmonics, ctx_con.harmonics
         top = max(h.top_degree, h_con.top_degree, h_del.top_degree + 1)
         checks = tuple(
             DegreeCheck(
@@ -281,7 +276,7 @@ def _exactness_ranks(ctx: Analysis, ctx_del: Analysis, ctx_con: Analysis, elemen
     below breaks the nesting, and fails.  ``bars[k]`` is the image in the
     contraction's lattice of the k-th point.
     """
-    h, h_del, h_con = ctx.full_harmonics, ctx_del.harmonics, ctx_con.harmonics
+    h, h_del, h_con = ctx.harmonics, ctx_del.harmonics, ctx_con.harmonics
     col = ctx.va.column(element)
     index = ctx.points.index_map()
     shift_idx = []

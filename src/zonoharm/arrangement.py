@@ -9,8 +9,7 @@ column prefixes it shares with the subset before, and the coloops are read
 off the one-element cocircuits, so one rank, in the constructor, is all an
 arrangement costs; minors cost none.  A deletion's columns are sliced out
 of its parent's and a contraction's are mapped by a unimodular transform,
-both without the constructor's checks; only ``deletion``, for a caller that
-has no cocircuits, ranks the columns to find a coloop.
+both without the constructor's checks.
 
 ``Cocircuit`` is a named tuple.  ``VectorArrangement`` and
 ``LatticePointSet`` validate and normalise their fields on construction;
@@ -23,7 +22,7 @@ from itertools import chain, combinations
 from operator import mul
 from typing import NamedTuple
 
-from .errors import CertificateError, IsColoopError, IsLoopError, NotTotallyUnimodularError
+from .errors import CertificateError, NotTotallyUnimodularError
 from .linalg import Mat, det, kernel_step, rank, xgcd
 
 
@@ -171,17 +170,6 @@ def contract_column(va: VectorArrangement, idx: int, quotient) -> VectorArrangem
     return _spanning(va.lattice_rank - 1, ground, Mat(len(quotient), n - 1, out))
 
 
-def deletion(va: VectorArrangement, a) -> VectorArrangement:
-    """Remove one non-coloop element; the lattice is unchanged.
-
-    A coloop is found by the rank of the remaining columns.
-    """
-    deleted = delete_column(va, va.index_of(a))
-    if rank(deleted.columns) != va.lattice_rank:
-        raise IsColoopError(f"{a!r} is a coloop; deletion would drop the rank")
-    return deleted
-
-
 def completion_transform(v) -> tuple:
     """Unimodular U with U v = e_1, and U^-1, built by sequential xgcd row ops.
 
@@ -213,22 +201,6 @@ def completion_transform(v) -> tuple:
     if col[0] != 1:
         raise ValueError("column is not primitive")
     return U, inv
-
-
-def contraction_data(va: VectorArrangement, a):
-    """Contraction by a non-loop element plus the quotient map.
-
-    Returns (contracted, transform, inverse) where ``transform`` is the
-    unimodular matrix U with U * chi(a) = e_1 and ``inverse`` is U^-1; points
-    map to the quotient by z |-> (U z)[1:].
-    """
-    idx = va.index_of(a)
-    col = va.columns.col(idx)
-    if not any(col):
-        raise IsLoopError(f"{a!r} is a loop; contraction is undefined")
-    rows, inv_cols = completion_transform(col)
-    contracted = contract_column(va, idx, rows[1:])
-    return contracted, Mat.from_rows(rows), Mat.from_cols(inv_cols, rows=va.lattice_rank)
 
 
 def enumerate_cocircuits(va: VectorArrangement) -> tuple:

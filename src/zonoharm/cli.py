@@ -53,8 +53,6 @@ def _input_error(message: str) -> int:
 
 def _analyze(args, parse, build) -> int:
     """Read ``args.path``, parse it and emit the report that ``build`` assembles."""
-    if args.max_degree is not None and args.max_degree < 0:
-        return _input_error("--max-degree must be non-negative")
     try:
         with open(args.path, encoding="utf-8") as f:
             text = f.read()
@@ -67,7 +65,7 @@ def _analyze(args, parse, build) -> int:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     try:
-        report = build(text, parsed, max_degree=args.max_degree)
+        report = build(text, parsed)
     except NotTotallyUnimodularError as exc:
         print(f"not totally unimodular: {exc}", file=sys.stderr)
         return EXIT_NOT_TU
@@ -150,12 +148,6 @@ def build_parser() -> argparse.ArgumentParser:
     def analyze(p):
         p.add_argument("path")
         common(p)
-        p.add_argument(
-            "--max-degree",
-            type=int,
-            default=None,
-            help="cap the filtration degree (reports are marked truncated if hit)",
-        )
 
     pg = sub.add_parser("analyze-graph", help="analyze a directed graph file")
     analyze(pg)

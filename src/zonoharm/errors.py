@@ -28,14 +28,6 @@ class NotTotallyUnimodularError(ZonoharmError):
         self.values = values
 
 
-class IsLoopError(ZonoharmError):
-    """Operation requires a non-loop element."""
-
-
-class IsColoopError(ZonoharmError):
-    """Operation requires a non-coloop element."""
-
-
 class LoopOrColoopError(ZonoharmError):
     """Operation requires an element that is neither a loop nor a coloop."""
 

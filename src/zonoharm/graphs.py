@@ -117,18 +117,10 @@ class _UnionFind:
         return True
 
 
-def connected_components(g: DirectedGraph) -> int:
-    uf = _UnionFind(g.vertices)
-    count = len(g.vertices)
-    for a in g.arrows:
-        if uf.union(a.tail, a.head):
-            count -= 1
-    return count
-
-
 def graph_rank(g: DirectedGraph) -> int:
-    """Number of vertices minus number of connected components."""
-    return len(g.vertices) - connected_components(g)
+    """Number of vertices minus number of connected components: the arrows
+    of a spanning forest."""
+    return len(spanning_forest(g))
 
 
 def signed_incidence(g: DirectedGraph) -> Mat:

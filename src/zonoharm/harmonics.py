@@ -5,7 +5,9 @@ carry two filtrations: the rational one (images of bounded-degree
 polynomials) and the integral one (restrictions of bounded-degree
 integer-valued polynomials).  This module computes both, compares the
 integral lattice with its saturation degree by degree, and gives the
-associated graded pieces their divided-power operations.
+associated graded pieces their divided-power operations.  An arrangement
+has one filtration, always built up to the degree whose piece is every
+function on the points; its analysis context builds it once.
 
 Each degree's lattice L in Z^n is kept as a snapshot of the echelon it had
 once that degree's rows were in: its rows and pivot columns.  The pivots of
@@ -63,7 +65,7 @@ class Harmonics:
     degree falls back to ``saturate``.
     """
 
-    def __init__(self, va: VectorArrangement, max_degree: int | None = None, points=None):
+    def __init__(self, va: VectorArrangement, points=None):
         self.va = va
         self.points = interior_lattice_points(va) if points is None else points
         n = len(self.points)
@@ -72,7 +74,6 @@ class Harmonics:
         self.saturation_indices: list = []
         self._echelons: list = []  # (rows, pivot_cols) of the degree-<=i lattice
         self._saturated: list = []  # saturate's rows, or None where the pivots are 1
-        self.truncated = False
         if n == 0:
             self.top_degree = 0
             return
@@ -98,10 +99,6 @@ class Harmonics:
                 self._saturated.append(sat)
             if len(rows) == n:
                 self.top_degree = degree
-                break
-            if max_degree is not None and degree >= max_degree:
-                self.top_degree = degree
-                self.truncated = True
                 break
 
     # -- basic accessors -------------------------------------------------
@@ -156,10 +153,10 @@ class Harmonics:
         return GradedClass(degree=1, values=tuple(p[j] for p in self.points.points))
 
 
-def compute_filtration(va: VectorArrangement, max_degree: int | None = None) -> Harmonics:
+def compute_filtration(va: VectorArrangement) -> Harmonics:
     """The filtration of ``va`` on its own interior points: rational
     dimensions, integral lattices, and saturation indices."""
-    return Harmonics(va, max_degree=max_degree)
+    return Harmonics(va)
 
 
 def verify_saturation(h: Harmonics) -> bool:

@@ -25,11 +25,9 @@ from __future__ import annotations
 from math import comb, factorial
 from typing import NamedTuple
 
-from .arrangement import Cocircuit, VectorArrangement, enumerate_cocircuits, interior_lattice_points
+from .arrangement import Cocircuit, VectorArrangement, enumerate_cocircuits
 from .errors import SizeExceededError
 from .funcspace import binom_int, exponents_of_degree
-from .graphs import tutte_of_arrangement
-from .harmonics import Harmonics, iz_hilbert_series
 from .linalg import rank
 
 SYM_DEGREE_DIM_CAP = 3000
@@ -230,7 +228,7 @@ def _chain(r: int, expansions, bound: int):
 def _certified(r: int, expansions, bound: int, harmonics, vanishing):
     """For d = 0..bound, yield (dim (Sym/I)_d over Q, free, residuals) of ``_chain``.
 
-    ``harmonics`` is the untruncated filtration on the points, and
+    ``harmonics`` is the filtration on the points, and
     ``vanishing`` says whether the shifted binomials vanish on them; if so,
     its grDims, padded with zeros, bound the dimensions from below.  A chain
     dimension mod P bounds each from above, so one that meets the floor is
@@ -245,7 +243,7 @@ def _certified(r: int, expansions, bound: int, harmonics, vanishing):
 def quotient_dims(va: VectorArrangement, cocircuits, bound: int, harmonics, vanishing) -> tuple:
     """Graded dimensions of Sym modulo the pure cocircuit powers, degrees 0..bound.
 
-    ``harmonics`` is the untruncated filtration on the points, and
+    ``harmonics`` is the filtration on the points, and
     ``vanishing`` says whether the shifted binomials vanish on them.
     """
     r = va.lattice_rank
@@ -254,17 +252,17 @@ def quotient_dims(va: VectorArrangement, cocircuits, bound: int, harmonics, vani
 
 
 def _standalone(va: VectorArrangement, bound: int | None) -> tuple:
-    """(cocircuits, bound, harmonics, vanishing) for a call outside an analysis
-    context: the cocircuits are enumerated once, and certify both the Tutte
-    polynomial and the points.  The default bound is the length of the Tutte
-    series, one past its last degree, so the expected trailing zero is
-    verified rather than assumed."""
-    cocircuits = enumerate_cocircuits(va)
-    if bound is None:
-        bound = len(iz_hilbert_series(va, tutte_of_arrangement(va, cocircuits)))
-    points = interior_lattice_points(va, cocircuits)
-    vanishing = verify_vanishing(k_minus_generators(va, cocircuits), points)
-    return cocircuits, bound, Harmonics(va, points=points), vanishing
+    """(cocircuits, bound, harmonics, vanishing) for a call outside a report,
+    read off one ``analysis.Analysis`` of ``va``, so the cocircuits, the
+    Tutte series, the points and the filtration are each computed once.  The
+    default bound is the length of the Tutte series, one past its last
+    degree, so the expected trailing zero is verified rather than assumed."""
+    # imported here: ``analysis`` imports this module
+    from .analysis import Analysis
+
+    ctx = Analysis(va)
+    bound = len(ctx.iz) if bound is None else bound
+    return ctx.cocircuits, bound, ctx.harmonics, ctx.generators_vanish
 
 
 def power_ideal_quotient_dims(va: VectorArrangement, bound: int | None = None) -> tuple:

@@ -34,7 +34,6 @@ def build_report(
     source_text: str,
     va: VectorArrangement,
     graph: DirectedGraph | None = None,
-    max_degree: int | None = None,
 ) -> dict:
     """Assemble the full analysis record for an arrangement (or graph) input.
 
@@ -44,7 +43,7 @@ def build_report(
     that every basis has determinant +-1.
     """
     check_tutte_size(va)
-    ctx = Analysis(va, graph, max_degree=max_degree, exact_elements=EXACTNESS_ELEMENTS)
+    ctx = Analysis(va, graph, exact_elements=EXACTNESS_ELEMENTS)
     h = ctx.harmonics
     results = [(c, c.run(ctx)) for c in CHECKS if c.key]
     loops, coloops = ctx.loops_and_coloops
@@ -77,7 +76,7 @@ def build_report(
         "grDims": list(h.gr_dims),
         "saturationIndices": list(h.saturation_indices),
         "topDegree": h.top_degree,
-        "truncated": h.truncated,
+        "truncated": False,  # the filtration is always built to its top degree
     }
     if graph is not None:
         report["graph"] = {
@@ -103,7 +102,7 @@ def build_report(
             ],
         }
     report["checks"] = {c.key: _check_json(value) for c, value in results}
-    report["pass"] = all(c.passed(value) for c, value in results) and not h.truncated
+    report["pass"] = all(c.passed(value) for c, value in results)
     return report
 
 
@@ -122,9 +121,9 @@ def _check_json(value):
     ]
 
 
-def build_graph_report(source_text: str, graph: DirectedGraph, max_degree: int | None = None) -> dict:
+def build_graph_report(source_text: str, graph: DirectedGraph) -> dict:
     va = cographical_arrangement(graph)
-    return build_report(source_text, va, graph, max_degree=max_degree)
+    return build_report(source_text, va, graph)
 
 
 def _write_json(value, indent: str, out: list) -> None:
@@ -226,7 +225,7 @@ def render_text(report: dict) -> str:
     add(f"  qDims            : {report['qDims']}")
     add(f"  grDims           : {report['grDims']}")
     add(f"  saturationIndices: {report['saturationIndices']}")
-    add(f"  topDegree        : {report['topDegree']}" + (" (truncated)" if report["truncated"] else ""))
+    add(f"  topDegree        : {report['topDegree']}")
     add("  checks:")
     for key, value in report["checks"].items():
         if isinstance(value, bool):

@@ -4,8 +4,15 @@ import json
 from itertools import combinations, islice
 from math import factorial, prod
 
-from zonoharm.arrangement import Cocircuit, enumerate_cocircuits
-from zonoharm.errors import NotTotallyUnimodularError
+from zonoharm.arrangement import (
+    Cocircuit,
+    VectorArrangement,
+    completion_transform,
+    contract_column,
+    delete_column,
+    enumerate_cocircuits,
+)
+from zonoharm.errors import NotTotallyUnimodularError, ZonoharmError
 from zonoharm.funcspace import binom_int, binomial_product_rows, exponents_of_degree
 from zonoharm.graphs import BivariatePolynomial, _corank_nullity, graph_rank, tutte_of_arrangement
 from zonoharm.harmonics import iz_hilbert_series
@@ -24,6 +31,41 @@ def matmul(a, b):
     cols = b.col_list()
     rows = [[sum(x * y for x, y in zip(a.row(i), c)) for c in cols] for i in range(a.rows)]
     return Mat.from_rows(rows, cols=b.cols)
+
+
+class IsLoopError(ZonoharmError):
+    """Operation requires a non-loop element."""
+
+
+class IsColoopError(ZonoharmError):
+    """Operation requires a non-coloop element."""
+
+
+def deletion(va: VectorArrangement, a) -> VectorArrangement:
+    """Remove one non-coloop element; the lattice is unchanged.
+
+    A coloop is found by the rank of the remaining columns, not by cocircuits.
+    """
+    deleted = delete_column(va, va.index_of(a))
+    if rank(deleted.columns) != va.lattice_rank:
+        raise IsColoopError(f"{a!r} is a coloop; deletion would drop the rank")
+    return deleted
+
+
+def contraction_data(va: VectorArrangement, a):
+    """Contraction by a non-loop element plus the quotient map.
+
+    Returns (contracted, transform, inverse) where ``transform`` is the
+    unimodular matrix U with U * chi(a) = e_1 and ``inverse`` is U^-1; points
+    map to the quotient by z |-> (U z)[1:].
+    """
+    idx = va.index_of(a)
+    col = va.columns.col(idx)
+    if not any(col):
+        raise IsLoopError(f"{a!r} is a loop; contraction is undefined")
+    rows, inv_cols = completion_transform(col)
+    contracted = contract_column(va, idx, rows[1:])
+    return contracted, Mat.from_rows(rows), Mat.from_cols(inv_cols, rows=va.lattice_rank)
 
 
 def violating_minor(va):
@@ -367,7 +409,7 @@ def exactness_on_eval_rows(ctx, ctx_del, ctx_con, element, bars):
 
     Same arguments and verdict as ``analysis._exactness_ranks``.
     """
-    h, h_del, h_con = ctx.full_harmonics, ctx_del.harmonics, ctx_con.harmonics
+    h, h_del, h_con = ctx.harmonics, ctx_del.harmonics, ctx_con.harmonics
     col = ctx.va.column(element)
     index = ctx.points.index_map()
     shift_idx = []

@@ -7,9 +7,9 @@ import random
 import pytest
 
 from conftest import complete_graph, data_path, wheel_graph
-from oracles import exactness_on_eval_rows
+from oracles import contraction_data, exactness_on_eval_rows
 from zonoharm.analysis import Analysis, _exactness_ranks, _tutte_duality
-from zonoharm.arrangement import VectorArrangement, contraction_data, enumerate_cocircuits
+from zonoharm.arrangement import VectorArrangement, enumerate_cocircuits
 from zonoharm.formats import parse_graph
 from zonoharm.graphs import (
     Arrow,
@@ -175,7 +175,7 @@ def test_each_exactness_exit_fails_on_its_own_fault(layer, method, fault):
     ctx_del, ctx_con, bars = ctx.minors(a)
     assert _exactness_ranks(ctx, ctx_del, ctx_con, a, bars)
     layers = {"parent": ctx, "deletion": ctx_del, "contraction": ctx_con}
-    h = layers[layer].full_harmonics
+    h = layers[layer].harmonics
     ech = getattr(h, method)
     setattr(h, method, lambda i: fault(ech, i))  # the instance attribute shadows the method
     assert not _exactness_ranks(ctx, ctx_del, ctx_con, a, bars)

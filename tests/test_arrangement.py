@@ -10,6 +10,10 @@ from hypothesis import strategies as st
 
 from conftest import wheel_graph
 from oracles import (
+    IsColoopError,
+    IsLoopError,
+    contraction_data,
+    deletion,
     echelon_cocircuits,
     identity,
     matmul,
@@ -24,20 +28,12 @@ from zonoharm.arrangement import (
     LatticePointSet,
     VectorArrangement,
     certify_pairings,
-    contraction_data,
-    deletion,
     enumerate_cocircuits,
     interior_lattice_points,
     loops_and_coloops,
     minor_cocircuits,
 )
-from zonoharm.errors import (
-    CertificateError,
-    IsColoopError,
-    IsLoopError,
-    LoopOrColoopError,
-    NotTotallyUnimodularError,
-)
+from zonoharm.errors import CertificateError, LoopOrColoopError, NotTotallyUnimodularError
 from zonoharm.graphs import cographical_arrangement, tutte_of_arrangement
 from zonoharm.linalg import Mat, det, kernel_step, rank
 
@@ -176,6 +172,8 @@ class TestLoopsColoops:
 
 
 class TestDeletion:
+    """The reference deletion that ``Analysis.minors`` is checked against."""
+
     def test_cycle(self):
         va = deletion(cycle_arrangement(3), "a1")
         assert va.size == 2 and va.lattice_rank == 1
@@ -195,6 +193,8 @@ class TestDeletion:
 
 
 class TestContraction:
+    """The reference contraction that ``Analysis.minors`` is checked against."""
+
     def test_cycle_gives_rank_zero(self):
         va = contraction_data(cycle_arrangement(4), "a2")[0]
         assert va.lattice_rank == 0

@@ -163,14 +163,13 @@ class TestBadInput:
             (["analyze-graph", "{latin1}"], "not UTF-8"),
             (["random-suite", "--max-edges", "0"], "--max-edges"),
             (["random-suite", "--count", "-3"], "--count"),
-            (["analyze-graph", "{house}", "--max-degree", "-1"], "--max-degree"),
         ],
-        ids=["non-utf8", "max-edges-zero", "negative-count", "negative-max-degree"],
+        ids=["non-utf8", "max-edges-zero", "negative-count"],
     )
     def test_exits_two_with_one_line(self, capsys, tmp_path, args, message):
         latin1 = tmp_path / "latin1.graph"
         latin1.write_bytes("vertex caf\xe9\n".encode("latin-1"))
-        args = [a.format(latin1=latin1, house=data_path("house.graph")) for a in args]
+        args = [a.format(latin1=latin1) for a in args]
         assert main(args) == 2
         out, err = capsys.readouterr()
         assert out == "" and err.count("\n") == 1 and message in err
@@ -256,19 +255,22 @@ class TestJsonEncoding:
 
 
 class TestMaxDegree:
-    def test_truncated_report_fails_verification(self, capsys):
-        code = main(["analyze-graph", str(data_path("house.graph")), "--json", "--max-degree", "1"])
-        report = json.loads(capsys.readouterr().out)
-        assert code == 4
-        assert report["truncated"] is True
-        assert report["qDims"] == [1, 3]
-        assert report["pass"] is False
+    """The filtration has no degree cap: the option is gone, and the schema-1
+    key ``truncated`` is always false."""
 
-    def test_generous_cap_is_harmless(self, capsys):
-        code = main(["analyze-graph", str(data_path("house.graph")), "--json", "--max-degree", "9"])
+    def test_option_is_rejected_by_argparse(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["analyze-graph", str(data_path("house.graph")), "--max-degree", "1"])
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "unrecognized arguments: --max-degree 1" in err
+
+    def test_report_is_never_truncated(self, capsys):
+        code = main(["analyze-graph", str(data_path("house.graph")), "--json"])
         report = json.loads(capsys.readouterr().out)
         assert code == 0
         assert report["truncated"] is False
+        assert report["qDims"][-1] == report["pointCount"]
 
 
 def run_python(script: str):

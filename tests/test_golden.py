@@ -28,7 +28,6 @@ CASES = [
     ("arr_house.json", 0, ["analyze-arrangement", "house.arr", "--json"]),
     # house.arr in a sheared lattice basis: its columns are not a network matrix
     ("arr_house_sheared.json", 0, ["analyze-arrangement", "house_sheared.arr", "--json"]),
-    ("graph_house_maxdeg1.json", 4, ["analyze-graph", "house.graph", "--json", "--max-degree", "1"]),
     ("suite_seed7_count5.json", 0, ["random-suite", "--seed", "7", "--count", "5", "--json"]),
 ]
 

@@ -1,4 +1,5 @@
 import random
+from itertools import islice
 
 import pytest
 from hypothesis import given, settings
@@ -18,7 +19,7 @@ from zonoharm.analysis import CHECKS, Analysis, deletion_contraction_check
 from zonoharm.arrangement import LatticePointSet, VectorArrangement, interior_lattice_points
 from zonoharm.errors import DegreeOverflowError, LoopOrColoopError
 from zonoharm.formats import parse_graph
-from zonoharm.funcspace import binom_int
+from zonoharm.funcspace import binom_int, binomial_product_rows
 from zonoharm.graphs import cographical_arrangement
 from zonoharm.harmonics import (
     Harmonics,
@@ -94,18 +95,14 @@ class TestFiltration:
         assert all(a <= b for a, b in zip(rep.q_dims, rep.q_dims[1:]))
         assert rep.q_dims[-1] == rep.point_count
 
-    def test_max_degree_truncation(self, house_arrangement):
-        rep = compute_filtration(house_arrangement, max_degree=1)
-        assert rep.truncated
-        assert rep.q_dims == [1, 3]
-
 
 class TestCanonicalRowsOnDemand:
     """Each degree keeps its echelon, with the eager filtration's canonical
     rows; building the filtration forms none.  The eager filtration inserts
     every row of every degree, so the inputs where ``Harmonics`` stops a
     degree at Z^n (all but "even", whose pivots are not all 1) show that the
-    stop changes no snapshot."""
+    stop changes no snapshot.  ``max_degree`` stops the eager filtration
+    early; the degrees it has are compared."""
 
     @pytest.mark.parametrize(
         "name, max_degree",
@@ -128,11 +125,11 @@ class TestCanonicalRowsOnDemand:
             pts = interior_lattice_points(va)
         eager = eager_filtration(pts.points, va.lattice_rank, max_degree)
         calls = count_calls(monkeypatch, ("hermite_rows",), modules=(harmonics,))
-        h = Harmonics(va, max_degree=max_degree, points=pts)
+        h = Harmonics(va, points=pts)
         assert calls == []
-        assert h.truncated == (max_degree is not None)
-        assert h.q_dims == [len(canon) for canon, _, _ in eager]
-        assert h.saturation_indices == [index for _, _, index in eager]
+        top = len(h.q_dims) if max_degree is None else len(eager)
+        assert h.q_dims[:top] == [len(canon) for canon, _, _ in eager]
+        assert h.saturation_indices[:top] == [index for _, _, index in eager]
         for i, (canon, sat, _) in enumerate(eager):
             assert hermite_rows(*h.echelon(i)) == canon
             rows, pivots = h.saturated_echelon(i)
@@ -211,11 +208,15 @@ class TestSaturationVerdict:
 
     def test_no_dimension_cap_on_the_fallback(self):
         # 65 even points, past any dimension cap: the degree-1 lattice has
-        # index 2 in its saturation, which holds the values of z / 2
-        pts = LatticePointSet(tuple((2 * k,) for k in range(65)))
-        h = Harmonics(cycle_arrangement(3), max_degree=1, points=pts)
-        assert h.saturation_indices == [1, 2]
-        assert tuple(range(65)) in h.saturated_echelon(1)[0]
+        # index 2 in its saturation, which holds the values of z / 2.  The
+        # whole filtration on them runs to degree 64, so ``saturate`` is
+        # called on the degree-<=1 rows directly; the {0, 2} case above
+        # covers the fallback inside ``Harmonics``
+        points = tuple((2 * k,) for k in range(65))
+        rows = [row for block in islice(binomial_product_rows(points, 1), 2) for row in block]
+        sat, index = saturate(rows, 65)
+        assert index == 2
+        assert tuple(range(65)) in sat
 
     def test_wheel_certified_without_smith_or_saturation(self, monkeypatch):
         calls = count_calls(monkeypatch, ("saturate",))

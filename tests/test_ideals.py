@@ -9,14 +9,14 @@ from hypothesis import strategies as st
 from conftest import K33, cycle_arrangement, data_path, named_arrangement
 from oracles import all_degree_redundant_generators, dense_power_expansion, dense_quotient_dims_mod_p
 from strategies import connected_multigraphs
-from zonoharm import ideals
+from zonoharm import analysis, ideals
 from zonoharm.analysis import Analysis
 from zonoharm.arrangement import VectorArrangement, enumerate_cocircuits, interior_lattice_points
 from zonoharm.errors import NotTotallyUnimodularError, SizeExceededError
 from zonoharm.funcspace import binom_int
 from zonoharm.formats import parse_graph
 from zonoharm.graphs import cographical_arrangement, tutte_of_arrangement
-from zonoharm.harmonics import compute_filtration, iz_hilbert_series
+from zonoharm.harmonics import Harmonics, compute_filtration, iz_hilbert_series
 from zonoharm.ideals import (
     k_minus_generators,
     power_ideal_quotient_dims,
@@ -154,6 +154,18 @@ class TestRedundancy:
         code = enumerate_cocircuits.__code__
         assert pstats.Stats(prof).stats[(code.co_filename, code.co_firstlineno, code.co_name)][1] == 1
 
+    @pytest.mark.parametrize("fn", [redundant_generators, power_ideal_quotient_dims])
+    def test_one_filtration_per_call(self, fn):
+        prof = cProfile.Profile()
+        prof.runcall(fn, named_arrangement("W4"))
+        code = Harmonics.__init__.__code__
+        assert pstats.Stats(prof).stats[(code.co_filename, code.co_firstlineno, code.co_name)][1] == 1
+
+    @pytest.mark.parametrize("name", ["W4", "house"])
+    def test_standalone_dims_equal_the_context(self, name):
+        va = named_arrangement(name)
+        assert power_ideal_quotient_dims(va) == Analysis(va).power_dims
+
     def test_house_redundant_generator(self, house_arrangement):
         cocs = enumerate_cocircuits(house_arrangement)
         (idx,) = redundant_generators(house_arrangement)
@@ -221,7 +233,7 @@ class TestCertificate:
 
     @pytest.mark.parametrize("name", sorted(EXPECTED))
     def test_no_bound_without_vanishing(self, monkeypatch, bareiss_calls, name):
-        monkeypatch.setattr(ideals, "verify_vanishing", lambda gens, points: False)
+        monkeypatch.setattr(analysis, "verify_vanishing", lambda gens, points: False)
         va = named_arrangement(name)
         dims = power_ideal_quotient_dims(va)
         assert dims == EXPECTED[name][0]
@@ -303,7 +315,7 @@ class TestSizeCap:
 
     def test_fallback_trips_before_listing_monomials(self, monkeypatch, bareiss_calls):
         monkeypatch.setattr(ideals, "SYM_DEGREE_DIM_CAP", 3)
-        monkeypatch.setattr(ideals, "verify_vanishing", lambda gens, points: False)
+        monkeypatch.setattr(analysis, "verify_vanishing", lambda gens, points: False)
         listed = []
         exponents = ideals.exponents_of_degree
 
