@@ -13,8 +13,11 @@ every identity once, as a function of a context.  The CLI report evaluates
 the checks that carry a report key; the random suite evaluates all of them,
 and the standalone calls of ``ideals`` read their inputs off a context.
 The deletion/contraction check builds one context per minor and reuses the
-parent's points and filtration.  Only a parent context enumerates its
-cocircuits; both minors' are derived from the parent's in one sweep and
+parent's points and filtration.  A parent with a coloop builds no minors:
+the coloop is a one-element cocircuit of both, so neither has interior
+points, and its report is read off the empty sets.  Only a parent context
+enumerates its cocircuits; both minors' are derived from the parent's in
+one sweep, the deletion's filtered through one table per parent, and
 handed to the minors' contexts, while their points come from their own
 facet descriptions.  The parent's cocircuits also certify each minor's
 span, so no minor runs a rank: an element that is not a coloop (no
@@ -39,6 +42,7 @@ from .arrangement import (
     completion_transform,
     contract_column,
     delete_column,
+    deletion_drops,
     enumerate_cocircuits,
     interior_lattice_points,
     loops_and_coloops,
@@ -94,6 +98,11 @@ class DeletionContractionReport(NamedTuple):
         return bijection_ok and dims_ok and exactness_ok is not False
 
 
+# The degree checks of three empty point sets: every top degree is 0, and the
+# checks run through degree max(0, 0, 0 + 1) + 1.
+_EMPTY_MINOR_CHECKS = tuple(DegreeCheck(i, 0, 0, 0) for i in range(3))
+
+
 class Analysis:
     """The quantities of one arrangement (and its graph, if any), each computed once.
 
@@ -131,6 +140,12 @@ class Analysis:
     @cached_property
     def cocircuits(self) -> tuple:
         return enumerate_cocircuits(self.va) if self._cocircuits is None else self._cocircuits
+
+    @cached_property
+    def drop_table(self) -> tuple:
+        """The ``deletion_drops`` table of the cocircuits, built on the first
+        call of ``minors`` and read by every later one."""
+        return deletion_drops(self.cocircuits)
 
     @cached_property
     def points(self):
@@ -183,6 +198,11 @@ class Analysis:
             return False
         return va.lattice_rank + graph_rank(self.graph) == va.size
 
+    def _require_usable(self, element) -> None:
+        loops, coloops = self.loops_and_coloops
+        if element in loops or element in coloops:
+            raise LoopOrColoopError(f"{element!r} is a loop or coloop")
+
     def minors(self, element) -> tuple:
         """Contexts of the deletion and the contraction of a non-loop,
         non-coloop element, with ``bars``: the image in the contraction's
@@ -191,17 +211,18 @@ class Analysis:
         The cocircuits certify the element, so neither minor runs a rank:
         the deletion's columns are sliced from this context's, and the
         contraction's come from the rows 1.. of U with U chi(a) = e_1.  Both
-        minors' cocircuits come from one sweep over this context's.
+        minors' cocircuits come from one sweep over this context's, filtered
+        through its ``drop_table``.
         """
-        loops, coloops = self.loops_and_coloops
-        if element in loops or element in coloops:
-            raise LoopOrColoopError(f"{element!r} is a loop or coloop")
+        self._require_usable(element)
         va = self.va
         idx = va.index_of(element)
         rows, inv_cols = completion_transform(va.columns.col(idx))
         quotient = rows[1:]
         va_con = contract_column(va, idx, quotient)
-        cocs_del, cocs_con = minor_cocircuits(self.cocircuits, idx, va_con, inv_cols[1:])
+        cocs_del, cocs_con = minor_cocircuits(
+            self.cocircuits, self.drop_table, idx, va_con, inv_cols[1:]
+        )
         ctx_del = Analysis(delete_column(va, idx), cocircuits=cocs_del)
         ctx_con = Analysis(va_con, cocircuits=cocs_con)
         bars = [tuple(sum(map(mul, u, z)) for u in quotient) for z in self.points.points]
@@ -218,7 +239,21 @@ class Analysis:
         The minors' cocircuits are derived from this context's; their points
         are computed from them, never mapped, so the bijection test is not
         vacuous.  The two minor contexts are dropped when the element is done.
+
+        A parent with a coloop builds no minors.  The coloop is a
+        one-element cocircuit of the parent and still one of both minors, so
+        none of the three has interior points: the bijection holds between
+        empty sets, every dimension is 0, and every space is zero, so the
+        sequence is exact.
         """
+        self._require_usable(element)
+        if self.loops_and_coloops[1]:
+            return DeletionContractionReport(
+                element=element,
+                bijection_ok=True,
+                degree_checks=_EMPTY_MINOR_CHECKS,
+                exactness_ok=True if check_exactness else None,
+            )
         ctx_del, ctx_con, bars = self.minors(element)
         pts = self.points.points
         del_pts = set(ctx_del.points.points)

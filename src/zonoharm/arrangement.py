@@ -2,7 +2,8 @@
 
 Covers loops/coloops, deletion and contraction, cocircuit enumeration via
 corank-1 column subsets (which is also the unimodularity test), the
-cocircuits of both minors derived from their parent's in one sweep, the
+cocircuits of both minors derived from their parent's in one sweep (the
+deletion's through one table of dropped cocircuits per parent), the
 zonotope's facet description, and the interior lattice points obtained from
 it.  The cocircuit scan cuts each subset's kernel from the kernels of the
 column prefixes it shares with the subset before, and the coloops are read
@@ -264,18 +265,40 @@ def enumerate_cocircuits(va: VectorArrangement) -> tuple:
     return tuple(sorted(found, key=lambda c: c.covector))
 
 
-def minor_cocircuits(cocircuits, idx: int, contracted: VectorArrangement, lift) -> tuple:
+def deletion_drops(cocircuits) -> tuple:
+    """For each cocircuit C, the bitmask of the element positions a whose
+    deletion drops C: those for which some cocircuit C' has C' - C = {a}.
+
+    The deletion's cocircuits are the minimal nonempty sets C - a (Oxley,
+    *Matroid Theory*, 3.1).  A set C - a with a in C is minimal: it cannot
+    contain a cocircuit that avoids a, nor strictly contain another C' - a,
+    as C would contain that cocircuit or C'.  So a cocircuit C that avoids a
+    is dropped exactly when it contains some nonempty C' - a with a in C',
+    that is when C' - C = {a}.  One table serves the deletion of every
+    element that is not a coloop.
+    """
+    supports = [sum(1 << i for i, v in enumerate(c.values) if v) for c in cocircuits]
+    table = []
+    for s in supports:
+        drop = 0
+        for t in supports:
+            d = t & ~s
+            if not d & (d - 1):  # at most one element of C' lies outside C
+                drop |= d
+        table.append(drop)
+    return tuple(table)
+
+
+def minor_cocircuits(cocircuits, drops, idx: int, contracted: VectorArrangement, lift) -> tuple:
     """The cocircuits of the deletion and of the contraction of the element at
-    ``idx``, derived in one sweep from ``cocircuits``, their parent's.
+    ``idx``, derived in one sweep from ``cocircuits``, their parent's, and
+    ``drops``, their ``deletion_drops`` table.
 
     The contraction's are the cocircuits that avoid the element; the
-    deletion's are the minimal nonempty sets C - a (Oxley, *Matroid Theory*,
-    3.1).  A set C - a with a in C is minimal: it cannot contain a cocircuit
-    that avoids a, nor strictly contain another C' - a, as C would contain
-    that cocircuit or C'.  So only a cocircuit that avoids the element can
-    be dropped from the deletion's, when it contains some C - a.  Each
-    deletion cocircuit keeps its covector, so that tuple is
-    ``enumerate_cocircuits`` of the deletion, in the same order.
+    deletion's are each C - a with a in C, and each cocircuit avoiding a
+    whose bit a is clear in the table.  Each deletion cocircuit keeps its
+    covector, so that tuple is ``enumerate_cocircuits`` of the deletion, in
+    the same order.
 
     With ``contracted`` from ``contract_column`` and ``lift`` the columns
     1.. of U^-1, covector alpha becomes beta with (0, beta) = alpha U^-1,
@@ -284,30 +307,28 @@ def minor_cocircuits(cocircuits, idx: int, contracted: VectorArrangement, lift) 
     ``enumerate_cocircuits`` of the contraction; ``certify_pairings`` checks
     every beta before return.  Returns (deletion's, contraction's).
     """
-    kept = []  # (support, cocircuit) for each candidate; support None for a C - a with a in C
-    cuts = []  # the support of each C - a with a in C
+    bit = 1 << idx
+    deleted = []
     con = []
-    for c in cocircuits:
+    for c, drop in zip(cocircuits, drops):
         v = c.values[idx]
         values = c.values[:idx] + c.values[idx + 1 :]
         if v:
             if any(values):
-                cuts.append(sum(1 << i for i, x in enumerate(values) if x))
                 d_plus, d_minus = (c.d_plus - 1, c.d_minus) if v > 0 else (c.d_plus, c.d_minus - 1)
-                kept.append((None, Cocircuit(c.covector, values, d_plus, d_minus)))
+                deleted.append(Cocircuit(c.covector, values, d_plus, d_minus))
             continue
-        support = sum(1 << i for i, x in enumerate(values) if x)
-        kept.append((support, Cocircuit(c.covector, values, c.d_plus, c.d_minus)))
+        if not drop & bit:
+            deleted.append(Cocircuit(c.covector, values, c.d_plus, c.d_minus))
         beta = tuple(sum(map(mul, c.covector, u)) for u in lift)
         if next(x for x in beta if x) < 0:
             beta, values = tuple(-x for x in beta), tuple(-x for x in values)
             con.append(Cocircuit(beta, values, c.d_minus, c.d_plus))
         else:
             con.append(Cocircuit(beta, values, c.d_plus, c.d_minus))
-    deleted = tuple(c for s, c in kept if s is None or not any(t & s == t for t in cuts))
     con.sort(key=lambda c: c.covector)
     certify_pairings(contracted, con)
-    return deleted, tuple(con)
+    return tuple(deleted), tuple(con)
 
 
 def certify_pairings(va: VectorArrangement, cocircuits) -> None:

@@ -58,13 +58,17 @@ def _parent_steps(r: int, d: int) -> tuple:
 
 
 def binomial_product_rows(points, r: int):
-    """Yield, degree by degree, the evaluation rows on ``points`` of the
-    binomial products of that degree, in the order of ``exponents_of_degree``.
+    """Yield, degree by degree, an iterator over the evaluation rows on
+    ``points`` of the binomial products of that degree, in the order of
+    ``exponents_of_degree``.
 
     The row of an exponent e of degree d > 0 comes in one entrywise step from
     the row of e - u_j, where j is e's last nonzero coordinate, through
     C(x, i) = C(x, i-1) * (x - i + 1) / i with i = e_j: the other factors
-    of the product are unchanged, so the division is exact.  Only the
+    of the product are unchanged, so the division is exact.  Each row is
+    built when its iterator reaches it, so a consumer that stops within a
+    degree and asks for no next one builds no further row; asking for the
+    next degree first builds the rest of this one, which it needs.  Only the
     previous degree's rows are kept.  The generator is endless; stop it when
     done.
     """
@@ -72,15 +76,24 @@ def binomial_product_rows(points, r: int):
     # shifted[j][i][k] == pts[k][j] - i + 1, one tuple per coordinate and degree
     shifted = [[None, tuple(p[j] for p in pts)] for j in range(r)]
     block = [(1,) * len(pts)]
-    yield block
+    yield iter(block)
     degree = 1
     while True:
         if degree > 1:
             for col in shifted:
                 col.append(tuple(x - 1 for x in col[-1]))
         prev, block = block, []
-        for k, j, i in _parent_steps(r, degree):
-            row = map(mul, prev[k], shifted[j][i])
-            block.append(tuple(row if i == 1 else map(floordiv, row, repeat(i))))
-        yield block
+        rows = _rows_of_degree(prev, block, shifted, _parent_steps(r, degree))
+        yield rows
+        for _ in rows:  # complete the block the next degree is built from
+            pass
         degree += 1
+
+
+def _rows_of_degree(prev, block, shifted, steps):
+    """Build, append to ``block`` and yield each row of one degree in turn."""
+    for k, j, i in steps:
+        row = map(mul, prev[k], shifted[j][i])
+        row = tuple(row if i == 1 else map(floordiv, row, repeat(i)))
+        block.append(row)
+        yield row

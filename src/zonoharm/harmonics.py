@@ -60,7 +60,8 @@ class Harmonics:
     Degree by degree, the evaluation rows of the binomial products (each
     built from one row of the previous degree, see ``binomial_product_rows``)
     are added to one integer row lattice, up to the row that makes it Z^n,
-    and each degree keeps a snapshot of its echelon.  A degree whose echelon
+    past which no row is built, and each degree keeps a snapshot of its
+    echelon.  A degree whose echelon
     has all pivots 1 gets saturation index 1, with no kernel; any other
     degree falls back to ``saturate``.
     """

@@ -3,10 +3,12 @@
 import json
 from itertools import combinations, islice
 from math import factorial, prod
+from operator import mul
 
 from zonoharm.arrangement import (
     Cocircuit,
     VectorArrangement,
+    certify_pairings,
     completion_transform,
     contract_column,
     delete_column,
@@ -66,6 +68,39 @@ def contraction_data(va: VectorArrangement, a):
     rows, inv_cols = completion_transform(col)
     contracted = contract_column(va, idx, rows[1:])
     return contracted, Mat.from_rows(rows), Mat.from_cols(inv_cols, rows=va.lattice_rank)
+
+
+def scanned_minor_cocircuits(cocircuits, idx: int, contracted, lift) -> tuple:
+    """``arrangement.minor_cocircuits`` without the drop table: the deletion
+    keeps a cocircuit C that avoids the element unless C contains a whole
+    nonempty C' - a with a in C', found by scanning every such C' - a.
+
+    Returns (deletion's, contraction's), in the library's order.
+    """
+    kept = []  # (support, cocircuit) for each candidate; support None for a C - a with a in C
+    cuts = []  # the support of each C - a with a in C
+    con = []
+    for c in cocircuits:
+        v = c.values[idx]
+        values = c.values[:idx] + c.values[idx + 1 :]
+        if v:
+            if any(values):
+                cuts.append(sum(1 << i for i, x in enumerate(values) if x))
+                d_plus, d_minus = (c.d_plus - 1, c.d_minus) if v > 0 else (c.d_plus, c.d_minus - 1)
+                kept.append((None, Cocircuit(c.covector, values, d_plus, d_minus)))
+            continue
+        support = sum(1 << i for i, x in enumerate(values) if x)
+        kept.append((support, Cocircuit(c.covector, values, c.d_plus, c.d_minus)))
+        beta = tuple(sum(map(mul, c.covector, u)) for u in lift)
+        if next(x for x in beta if x) < 0:
+            beta, values = tuple(-x for x in beta), tuple(-x for x in values)
+            con.append(Cocircuit(beta, values, c.d_minus, c.d_plus))
+        else:
+            con.append(Cocircuit(beta, values, c.d_plus, c.d_minus))
+    deleted = tuple(c for s, c in kept if s is None or not any(t & s == t for t in cuts))
+    con.sort(key=lambda c: c.covector)
+    certify_pairings(contracted, con)
+    return deleted, tuple(con)
 
 
 def violating_minor(va):

@@ -5,11 +5,22 @@ import pstats
 import random
 
 import pytest
+from hypothesis import given, settings
 
 from conftest import complete_graph, data_path, wheel_graph
 from oracles import contraction_data, exactness_on_eval_rows
-from zonoharm.analysis import Analysis, _exactness_ranks, _tutte_duality
-from zonoharm.arrangement import VectorArrangement, enumerate_cocircuits
+from strategies import connected_multigraphs
+from zonoharm import analysis
+from zonoharm.analysis import (
+    Analysis,
+    DegreeCheck,
+    DeletionContractionReport,
+    _deletion_contraction,
+    _exactness_ranks,
+    _tutte_duality,
+)
+from zonoharm.arrangement import VectorArrangement, certify_pairings, enumerate_cocircuits
+from zonoharm.errors import LoopOrColoopError
 from zonoharm.formats import parse_graph
 from zonoharm.graphs import (
     Arrow,
@@ -179,6 +190,94 @@ def test_each_exactness_exit_fails_on_its_own_fault(layer, method, fault):
     ech = getattr(h, method)
     setattr(h, method, lambda i: fault(ech, i))  # the instance attribute shadows the method
     assert not _exactness_ranks(ctx, ctx_del, ctx_con, a, bars)
+
+
+def _report_from_minors(ctx: Analysis, a, check_exactness: bool) -> DeletionContractionReport:
+    """The deletion/contraction report assembled from ``ctx.minors(a)``, for
+    a parent with a coloop, after checking that both minors are empty."""
+    ctx_del, ctx_con, bars = ctx.minors(a)
+    certify_pairings(ctx_del.va, ctx_del.cocircuits)
+    certify_pairings(ctx_con.va, ctx_con.cocircuits)
+    assert ctx.points.points == ctx_del.points.points == ctx_con.points.points == () == tuple(bars)
+    h, h_del, h_con = ctx.harmonics, ctx_del.harmonics, ctx_con.harmonics
+    top = max(h.top_degree, h_con.top_degree, h_del.top_degree + 1)
+    checks = tuple(
+        DegreeCheck(i, h.q_dim(i), h_con.q_dim(i), h_del.q_dim(i - 1)) for i in range(top + 2)
+    )
+    assert all(c == DegreeCheck(c.degree, 0, 0, 0) for c in checks)
+    exactness = None
+    if check_exactness:
+        exactness = exactness_on_eval_rows(ctx, ctx_del, ctx_con, a, bars)
+    return DeletionContractionReport(a, True, checks, exactness)
+
+
+def _data_graph(name: str) -> DirectedGraph:
+    return parse_graph(data_path(f"{name}.graph").read_text())
+
+
+def _with_self_loop(g: DirectedGraph) -> DirectedGraph:
+    """``g`` plus one self-loop arrow, a coloop of its cographical arrangement."""
+    v = g.vertices[0]
+    return DirectedGraph(g.vertices, (*g.arrows, Arrow(len(g.arrows) + 1, v, v)))
+
+
+class TestColoopParent:
+    """A parent with a coloop reports its deletion/contraction checks without minors."""
+
+    @staticmethod
+    def assert_shortcut_equals_minors(va):
+        ctx = Analysis(va)
+        assert ctx.loops_and_coloops[1]
+        for a in ctx.usable:
+            for check_exactness in (True, False):
+                report = ctx.deletion_contraction(a, check_exactness)
+                assert report == _report_from_minors(ctx, a, check_exactness)
+                assert report.ok
+
+    @given(connected_multigraphs(max_edges=7))
+    @settings(max_examples=40, deadline=None)
+    def test_shortcut_equals_the_minors(self, g):
+        self.assert_shortcut_equals_minors(cographical_arrangement(_with_self_loop(g)))
+
+    def test_shortcut_equals_the_minors_off_a_graph(self):
+        # the house's columns with a zero third coordinate, sheared, and a
+        # column (1, 1, 1), the only one off the plane z = 0: a coloop of an
+        # arrangement whose columns are not a network matrix
+        house = [(1, 0), (1, 0), (1, 0), (1, 1), (0, 1), (0, 1)]
+        cols = [(x + y, y, 0) for x, y in house] + [(1, 1, 1)]
+        va = VectorArrangement(3, tuple(f"e{i}" for i in range(1, 8)), Mat.from_cols(cols, rows=3))
+        assert Analysis(va).loops_and_coloops == ((), ("e7",))
+        assert len(Analysis(va).usable) == 6
+        self.assert_shortcut_equals_minors(va)
+
+    def test_builds_no_minor(self, monkeypatch):
+        ctx = Analysis(cographical_arrangement(_data_graph("house_selfloop")))
+        assert ctx.loops_and_coloops == ((), ("7",))
+        assert ctx.harmonics.point_count == 0  # the parent's filtration, read by other checks
+        calls = []
+
+        def spy(name, fn):
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        for name in ("completion_transform", "minor_cocircuits"):
+            monkeypatch.setattr(analysis, name, spy(name, getattr(analysis, name)))
+        monkeypatch.setattr(Harmonics, "__init__", spy("Harmonics", Harmonics.__init__))
+        reports = _deletion_contraction(ctx)
+        assert [r.element for r in reports] == ["1", "2", "3", "4", "5", "6"]
+        assert all(r.ok for r in reports)
+        assert calls == []
+
+    def test_loop_or_coloop_element_still_raises(self):
+        ctx = Analysis(cographical_arrangement(_data_graph("selfloop")))
+        assert ctx.loops_and_coloops == (("1",), ("2",))
+        for a in ("1", "2"):
+            for check_exactness in (True, False):
+                with pytest.raises(LoopOrColoopError):
+                    ctx.deletion_contraction(a, check_exactness)
 
 
 class TestTutteDuality:

@@ -18,6 +18,7 @@ from oracles import (
     identity,
     matmul,
     rank_loops_and_coloops,
+    scanned_minor_cocircuits,
     unpruned_cocircuits,
     violating_minor,
 )
@@ -28,6 +29,7 @@ from zonoharm.arrangement import (
     LatticePointSet,
     VectorArrangement,
     certify_pairings,
+    deletion_drops,
     enumerate_cocircuits,
     interior_lattice_points,
     loops_and_coloops,
@@ -301,7 +303,7 @@ def box_filter(va, cocs):
 def _minor_cocircuits(va, a, cocs):
     """(deletion's, contraction's) cocircuits derived from ``cocs`` in one sweep."""
     va_con, _, inverse = contraction_data(va, a)
-    return minor_cocircuits(cocs, va.index_of(a), va_con, inverse.col_list()[1:])
+    return minor_cocircuits(cocs, deletion_drops(cocs), va.index_of(a), va_con, inverse.col_list()[1:])
 
 
 def assert_minors_validated(va):
@@ -358,6 +360,34 @@ class TestMinorCocircuits:
             assert matmul(transform, inverse) == identity(va.lattice_rank)
             assert cocs_con == enumerate_cocircuits(va_con)
 
+    @staticmethod
+    def assert_table_equals_scan(va):
+        cocs = enumerate_cocircuits(va)
+        drops = deletion_drops(cocs)
+        for a in _usable(va):
+            va_con, _, inverse = contraction_data(va, a)
+            args = (va.index_of(a), va_con, inverse.col_list()[1:])
+            assert minor_cocircuits(cocs, drops, *args) == scanned_minor_cocircuits(cocs, *args)
+
+    @given(connected_multigraphs(max_edges=8))
+    @settings(max_examples=40, deadline=None)
+    def test_drop_table_equals_the_scan(self, g):
+        self.assert_table_equals_scan(cographical_arrangement(g))
+
+    @given(sheared_arrangements())
+    @settings(max_examples=30, deadline=None)
+    def test_drop_table_equals_the_scan_sheared(self, va):
+        self.assert_table_equals_scan(va)
+
+    def test_drop_table_of_the_house(self, house_arrangement):
+        # supports {e4, e5, e6}, {e1, e2, e3, e5, e6}, {e1..e4}: the first
+        # and the third each have only e4 outside the second, so deleting e4
+        # (bit 3) drops the second, as in test_deletion_drops_nonminimal_restriction;
+        # every other difference has two elements
+        cocs = enumerate_cocircuits(house_arrangement)
+        assert [c.covector for c in cocs] == [(0, 1), (1, -1), (1, 0)]
+        assert deletion_drops(cocs) == (0, 1 << 3, 0)
+
     @given(connected_multigraphs(max_edges=8))
     @settings(max_examples=40, deadline=None)
     def test_analysis_minors_equal_validated(self, g):
@@ -399,10 +429,11 @@ class TestMinorCocircuits:
         cocs = enumerate_cocircuits(va)
         va_con, _, inverse = contraction_data(va, "a1")
         lift = inverse.col_list()[1:]
-        assert minor_cocircuits(cocs, 0, va_con, lift)[1]
+        drops = deletion_drops(cocs)
+        assert minor_cocircuits(cocs, drops, 0, va_con, lift)[1]
         lift[1][1] += 1  # entry (1, 2) of U^-1
         with pytest.raises(CertificateError):
-            minor_cocircuits(cocs, 0, va_con, lift)
+            minor_cocircuits(cocs, drops, 0, va_con, lift)
 
 
 class TestInteriorPoints:

@@ -67,7 +67,7 @@ class TestBases:
 
 class TestEvaluate:
     def test_constant_row(self):
-        assert next(binomial_product_rows(HOUSE_POINTS.points, 2)) == [(1,) * 6]
+        assert list(next(binomial_product_rows(HOUSE_POINTS.points, 2))) == [(1,) * 6]
 
     def test_house_degree_one(self):
         rows = rows_up_to(HOUSE_POINTS.points, 2, 1)
@@ -139,20 +139,37 @@ class TestProperties:
         assert solve_row_lattice(basis, target) is not None
 
 
-class TestTabledRows:
-    @given(
-        st.integers(0, 3).flatmap(
-            lambda r: st.lists(
-                st.tuples(*[st.integers(-6, 6)] * r), min_size=0, max_size=6
-            ).map(lambda pts: (r, pts))
-        ),
-        st.integers(0, 7),
+# a rank r <= 3 and up to 6 points with coordinates in [-6, 6]
+POINT_SETS = st.integers(0, 3).flatmap(
+    lambda r: st.lists(st.tuples(*[st.integers(-6, 6)] * r), min_size=0, max_size=6).map(
+        lambda pts: (r, pts)
     )
+)
+
+
+def pointwise_block(r, degree, pts):
+    """The rows of one degree, each evaluated point by point."""
+    return [tuple(row) for row in pointwise_rows(r, degree, pts)[len(exponents_up_to(r, degree - 1)) :]]
+
+
+class TestTabledRows:
+    @given(POINT_SETS, st.integers(0, 7))
     @settings(max_examples=60)
     def test_rows_equal_pointwise_evaluation(self, r_pts, top):
         # coordinates as low as -6 and degrees up to 7, above every coordinate
         r, pts = r_pts
         blocks = binomial_product_rows(pts, r)
         for degree in range(top + 1):
-            expected = pointwise_rows(r, degree, pts)[len(exponents_up_to(r, degree - 1)) :]
-            assert next(blocks) == [tuple(row) for row in expected]
+            assert list(next(blocks)) == pointwise_block(r, degree, pts)
+
+    @given(POINT_SETS, st.integers(1, 5), st.integers(0, 3))
+    @settings(max_examples=60)
+    def test_a_degree_read_in_part_still_builds_the_next(self, r_pts, top, take):
+        # only the first ``take`` rows of each degree below ``top`` are read
+        # before the next degree is asked for; all of ``top`` is read, and
+        # its rows are built from every row of the degree below
+        r, pts = r_pts
+        blocks = binomial_product_rows(pts, r)
+        for degree in range(top):
+            assert list(islice(next(blocks), take)) == pointwise_block(r, degree, pts)[:take]
+        assert list(next(blocks)) == pointwise_block(r, top, pts)

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from itertools import islice
 
 import pytest
@@ -14,7 +15,7 @@ from oracles import (
     su2_poincare_polynomial,
 )
 from strategies import connected_multigraphs
-from zonoharm import harmonics, linalg
+from zonoharm import funcspace, harmonics, linalg
 from zonoharm.analysis import CHECKS, Analysis, deletion_contraction_check
 from zonoharm.arrangement import LatticePointSet, VectorArrangement, interior_lattice_points
 from zonoharm.errors import DegreeOverflowError, LoopOrColoopError
@@ -165,6 +166,23 @@ class TestStopAtZn:
         counts[0] = 0
         build_graph_report("", g)
         assert counts == [1165]
+
+    def test_rows_built_on_wheel5(self, monkeypatch):
+        # each row is built from one step of its degree's table as it is
+        # read, so degree 4 builds the 30 rows that reach Z^30, not all 70
+        built = Counter()
+        parent_steps = funcspace._parent_steps
+
+        def counted(r, d):
+            for step in parent_steps(r, d):
+                built[d] += 1
+                yield step
+
+        monkeypatch.setattr(funcspace, "_parent_steps", counted)
+        va = cographical_arrangement(wheel_graph(5))
+        h = Harmonics(va, points=interior_lattice_points(va))
+        assert h.top_degree == 4
+        assert built == {1: 5, 2: 15, 3: 35, 4: 30}
 
     def test_full_rank_with_a_non_unit_pivot_goes_on(self, monkeypatch):
         # points (0, 0), (2, 1): after 1 and x the degree-1 lattice has rank
