@@ -14,10 +14,10 @@ columns.  Each dimension is certified by orbit harmonics: where the shifted
 binomials vanish on the points Z, their top-degree parts, the pure powers up
 to units, lie in gr I(Z), so dim (Sym/I)_d >= grDims[d] of the filtration on
 Z.  A dimension mod P can only overstate dim (Sym/I)_d, so one equal to
-grDims[d] is exact.  Every other degree is ranked by Bareiss on its
+grDims[d] is exact.  Every other degree takes the exact rank of its
 Macaulay matrix, whose rows are the monomial multiples of the generators
-and whose columns are the monomials of Sym_d; ``SYM_DEGREE_DIM_CAP`` limits
-only that exact fallback.
+and whose columns are the monomials of Sym_d, on the integer echelon of
+``linalg``; ``SYM_DEGREE_DIM_CAP`` limits only that exact fallback.
 """
 
 from __future__ import annotations
@@ -107,7 +107,8 @@ def _macaulay_rows(r: int, expansions, degree: int) -> tuple:
 
 
 def _exact_dim(r: int, expansions, degree: int) -> int:
-    """dim (Sym/I)_d over Q, by a Bareiss rank of the Macaulay matrix."""
+    """dim (Sym/I)_d over Q, by the exact rank of the Macaulay matrix on the
+    integer echelon (``linalg.rank``)."""
     dim, rows = _macaulay_rows(r, expansions, degree)
     return dim - rank(rows) if rows else dim
 
@@ -232,7 +233,7 @@ def _certified(r: int, expansions, bound: int, harmonics, vanishing):
     ``vanishing`` says whether the shifted binomials vanish on them; if so,
     its grDims, padded with zeros, bound the dimensions from below.  A chain
     dimension mod P bounds each from above, so one that meets the floor is
-    exact; every other degree is ranked by Bareiss.
+    exact; every other degree takes the exact rank of ``_exact_dim``.
     """
     gr = harmonics.gr_dims if vanishing else ()
     for d, (dim, free, residuals) in enumerate(_chain(r, expansions, bound)):
@@ -280,9 +281,9 @@ def redundant_generators(va: VectorArrangement, bound: int | None = None) -> tup
     degree-e generator rows are reduced once against that degree's Koszul
     images, and the others' residual rows give the dimension without g
     mod P.  Dropping g can only enlarge the quotient, so a mod-P dimension
-    equal to the full one proves g implied; otherwise one Bareiss rank
-    decides.  No minimality claim: the remaining set may itself contain
-    further implications.
+    equal to the full one proves g implied; otherwise one exact rank
+    (``_exact_dim``) decides.  No minimality claim: the remaining set may
+    itself contain further implications.
     """
     cocircuits, bound, harmonics, vanishing = _standalone(va, bound)
     r = va.lattice_rank

@@ -1,9 +1,10 @@
 """Exact integer linear algebra on small dense matrices.
 
 All values are immutable and all functions are pure.  ``Mat`` is a plain
-class, immutable by convention: nothing reassigns its fields.  Determinants
-and ranks are computed fraction-free (Bareiss).  Every lattice computation
-runs on one kernel step and one integer echelon.  ``kernel_step`` cuts a
+class, immutable by convention: nothing reassigns its fields.  Only the
+determinant is computed by fraction-free elimination (Bareiss); every rank
+and every lattice computation runs on one kernel step and one integer
+echelon, and ``rank`` is the number of echelon rows.  ``kernel_step`` cuts a
 lattice basis down to the vectors that pair to zero with one more row, by
 unimodular xgcd column steps; an integer kernel is the identity cut by each
 row in turn, and the cocircuit scan cuts the kernels of shared column
@@ -105,16 +106,9 @@ def xgcd(a: int, b: int):
     return a, x0, y0
 
 
-def _int_rows(m) -> list:
-    """Rows of m as fresh lists."""
-    if isinstance(m, Mat):
-        return m.row_list()
-    return [list(r) for r in m]
-
-
 def det(m) -> int:
-    """Determinant of a square integer matrix (Bareiss, fraction-free)."""
-    rows = _int_rows(m)
+    """Determinant of a square integer matrix, given as rows (Bareiss, fraction-free)."""
+    rows = [list(r) for r in m]
     n = len(rows)
     if any(len(r) != n for r in rows):
         raise ValueError("matrix not square")
@@ -138,29 +132,11 @@ def det(m) -> int:
 
 
 def rank(m) -> int:
-    """Exact rank over the rationals, by fraction-free Gaussian elimination (Bareiss)."""
-    rows = _int_rows(m)
-    if not rows:
-        return 0
-    ncols = len(rows[0])
-    r = 0
-    prev = 1
-    for c in range(ncols):
-        piv = next((i for i in range(r, len(rows)) if rows[i][c]), None)
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        p = rows[r][c]
-        for i in range(r + 1, len(rows)):
-            f = rows[i][c]
-            row_i, row_r = rows[i], rows[r]
-            for j in range(c, ncols):
-                row_i[j] = (row_i[j] * p - f * row_r[j]) // prev
-        prev = p
-        r += 1
-        if r == len(rows):
-            break
-    return r
+    """Exact rank over the rationals of a ``Mat`` or a list of integer rows:
+    the number of rows of their ``IntRowLattice`` echelon."""
+    if isinstance(m, Mat):
+        return IntRowLattice(m.cols, map(m.row, range(m.rows))).rank
+    return IntRowLattice(len(m[0]), m).rank if m else 0
 
 
 def in_row_lattice(echelon_rows, pivot_cols, vecs) -> bool:

@@ -19,7 +19,7 @@ from zonoharm.funcspace import binom_int, binomial_product_rows, exponents_of_de
 from zonoharm.graphs import BivariatePolynomial, _corank_nullity, graph_rank, tutte_of_arrangement
 from zonoharm.harmonics import iz_hilbert_series
 from zonoharm.ideals import P, _expansions, _macaulay_rows
-from zonoharm.linalg import IntRowLattice, Mat, det, rank, saturate, xgcd
+from zonoharm.linalg import IntRowLattice, Mat, det, saturate, xgcd
 from zonoharm.report import JSON_INT_LIMIT
 
 
@@ -33,6 +33,34 @@ def matmul(a, b):
     cols = b.col_list()
     rows = [[sum(x * y for x, y in zip(a.row(i), c)) for c in cols] for i in range(a.rows)]
     return Mat.from_rows(rows, cols=b.cols)
+
+
+def bareiss_rank(m) -> int:
+    """Exact rank over Q of a ``Mat`` or a list of integer rows, by
+    fraction-free Gaussian elimination (Bareiss), independent of the
+    library's integer echelon."""
+    rows = m.row_list() if isinstance(m, Mat) else [list(r) for r in m]
+    if not rows:
+        return 0
+    ncols = len(rows[0])
+    r = 0
+    prev = 1
+    for c in range(ncols):
+        piv = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        p = rows[r][c]
+        for i in range(r + 1, len(rows)):
+            f = rows[i][c]
+            row_i, row_r = rows[i], rows[r]
+            for j in range(c, ncols):
+                row_i[j] = (row_i[j] * p - f * row_r[j]) // prev
+        prev = p
+        r += 1
+        if r == len(rows):
+            break
+    return r
 
 
 class IsLoopError(ZonoharmError):
@@ -49,7 +77,7 @@ def deletion(va: VectorArrangement, a) -> VectorArrangement:
     A coloop is found by the rank of the remaining columns, not by cocircuits.
     """
     deleted = delete_column(va, va.index_of(a))
-    if rank(deleted.columns) != va.lattice_rank:
+    if bareiss_rank(deleted.columns) != va.lattice_rank:
         raise IsColoopError(f"{a!r} is a coloop; deletion would drop the rank")
     return deleted
 
@@ -196,7 +224,7 @@ def rank_loops_and_coloops(va):
         a
         for i, a in enumerate(va.ground)
         if any(cols[i])
-        and rank(Mat.from_cols(cols[:i] + cols[i + 1 :], rows=va.lattice_rank)) < va.lattice_rank
+        and bareiss_rank(Mat.from_cols(cols[:i] + cols[i + 1 :], rows=va.lattice_rank)) < va.lattice_rank
     )
     return loops, coloops
 
@@ -210,7 +238,7 @@ def bareiss_tutte(va):
     acc = {}
     for size in range(n + 1):
         for sel in combinations(range(n), size):
-            rk = rank(Mat.from_cols([cols[j] for j in sel], rows=r)) if sel else 0
+            rk = bareiss_rank(Mat.from_cols([cols[j] for j in sel], rows=r)) if sel else 0
             p, q = r - rk, size - rk
             for i in range(p + 1):
                 ci = binom_int(p, i) * (-1) ** (p - i)
@@ -463,16 +491,16 @@ def exactness_on_eval_rows(ctx, ctx_del, ctx_con, element, bars):
     for i in range(max(h.top_degree, h_con.top_degree, h_del.top_degree + 1) + 1):
         rows = eval_rows_up_to(h, i)
         xi_rows = [tuple(f[bar_idx[k]] for k in range(n)) for f in eval_rows_up_to(h_con, i)]
-        if rank(Mat.from_rows(xi_rows, cols=n)) != h_con.q_dim(i):
+        if bareiss_rank(Mat.from_rows(xi_rows, cols=n)) != h_con.q_dim(i):
             return False
-        if rank(Mat.from_rows(list(rows) + xi_rows, cols=n)) != h.q_dim(i):
+        if bareiss_rank(Mat.from_rows(list(rows) + xi_rows, cols=n)) != h.q_dim(i):
             return False
         d_rows = [tuple(f[b] - f[a] for a, b in shift_idx) for f in rows]
         if m:
             rows_del = eval_rows_up_to(h_del, i - 1)
-            if rank(Mat.from_rows(d_rows, cols=m)) != h_del.q_dim(i - 1):
+            if bareiss_rank(Mat.from_rows(d_rows, cols=m)) != h_del.q_dim(i - 1):
                 return False
-            if rank(Mat.from_rows(list(rows_del) + d_rows, cols=m)) != h_del.q_dim(i - 1):
+            if bareiss_rank(Mat.from_rows(list(rows_del) + d_rows, cols=m)) != h_del.q_dim(i - 1):
                 return False
             if any(f[b] - f[a] for f in xi_rows for a, b in shift_idx):
                 return False
@@ -528,7 +556,7 @@ def all_degree_redundant_generators(va, bound=None):
         out = []
         for d in range(bound + 1):
             dim, rows = _macaulay_rows(r, exps, d)
-            out.append(dim - rank(Mat.from_rows(rows, cols=dim)))
+            out.append(dim - bareiss_rank(Mat.from_rows(rows, cols=dim)))
         return tuple(out)
 
     full = dims(expansions)

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import K33, cycle_arrangement, data_path, named_arrangement
+from conftest import K33, cycle_arrangement, data_path, named_arrangement, wheel_graph
 from oracles import all_degree_redundant_generators, dense_power_expansion, dense_quotient_dims_mod_p
 from strategies import connected_multigraphs
 from zonoharm import analysis, ideals
@@ -174,14 +174,20 @@ class TestRedundancy:
     def test_cycle_has_no_redundancy(self):
         assert redundant_generators(cycle_arrangement(4)) == ()
 
-    def test_k33_certified_by_the_chain(self, bareiss_calls):
+    def test_k33_certified_by_the_chain(self, exact_rank_calls):
         # every degree of the report's dims is certified by the chain mod P;
         # each non-redundant generator takes one exact rank to decide
         va = cographical_arrangement(parse_graph(K33))
         assert Analysis(va).power_dims == (1, 4, 10, 11, 5, 0)
-        assert bareiss_calls == []
+        assert exact_rank_calls == []
         assert len(redundant_generators(va)) == 6
-        assert len(bareiss_calls) == 9
+        assert len(exact_rank_calls) == 9
+
+    def test_wheel6(self):
+        # at the default prime only: with P = 2 most generators take an exact rank
+        va = cographical_arrangement(wheel_graph(6))
+        assert power_ideal_quotient_dims(va) == (1, 6, 15, 20, 15, 5, 0)
+        assert redundant_generators(va) == (2, 4, 5, 7, 8, 9, 11, 12, 13, 14, *range(16, 30))
 
     @pytest.mark.parametrize("name", ["house", "C3", "C4", "C5", "C6", "W4", "K33", "prism"])
     def test_one_degree_matches_all_degrees(self, name):
@@ -205,7 +211,7 @@ EXPECTED = {
 
 
 @pytest.fixture()
-def bareiss_calls(monkeypatch):
+def exact_rank_calls(monkeypatch):
     """Record the shape of every exact rank the ideal layer takes."""
     calls = []
     exact = ideals.rank
@@ -225,32 +231,32 @@ class TestCertificate:
 
     @pytest.mark.parametrize("p", [2, 3])
     @pytest.mark.parametrize("name", sorted(EXPECTED))
-    def test_small_prime_falls_back_to_exact_rank(self, monkeypatch, bareiss_calls, name, p):
+    def test_small_prime_falls_back_to_exact_rank(self, monkeypatch, exact_rank_calls, name, p):
         monkeypatch.setattr(ideals, "P", p)
         va = named_arrangement(name)
         assert (power_ideal_quotient_dims(va), redundant_generators(va)) == EXPECTED[name]
-        assert bareiss_calls
+        assert exact_rank_calls
 
     @pytest.mark.parametrize("name", sorted(EXPECTED))
-    def test_no_bound_without_vanishing(self, monkeypatch, bareiss_calls, name):
+    def test_no_bound_without_vanishing(self, monkeypatch, exact_rank_calls, name):
         monkeypatch.setattr(analysis, "verify_vanishing", lambda gens, points: False)
         va = named_arrangement(name)
         dims = power_ideal_quotient_dims(va)
         assert dims == EXPECTED[name][0]
         # one exact rank per degree that has generators, none mod P alone
         low = min(c.degree - 1 for c in enumerate_cocircuits(va))
-        assert len(bareiss_calls) == len(dims) - low
+        assert len(exact_rank_calls) == len(dims) - low
 
-    def test_report_without_vanishing_ranks_every_degree_exactly(self, bareiss_calls):
+    def test_report_without_vanishing_ranks_every_degree_exactly(self, exact_rank_calls):
         ctx = Analysis(named_arrangement("K33"))
         ctx.generators_vanish = False  # the cached verdict
         assert ctx.power_dims == EXPECTED["K33"][0]
-        assert len(bareiss_calls) == 3  # degrees 3..5: K3,3's shortest cycles have 4 arrows
+        assert len(exact_rank_calls) == 3  # degrees 3..5: K3,3's shortest cycles have 4 arrows
 
-    def test_wheel7_certified_without_exact_rank(self, bareiss_calls):
+    def test_wheel7_certified_without_exact_rank(self, exact_rank_calls):
         va = cographical_arrangement(parse_graph(data_path("wheel7.graph").read_text()))
         assert power_ideal_quotient_dims(va) == (1, 7, 21, 35, 35, 21, 6, 0)
-        assert bareiss_calls == []
+        assert exact_rank_calls == []
 
 
 def top_bound(va):
@@ -313,7 +319,7 @@ class TestChain:
 class TestSizeCap:
     """``SYM_DEGREE_DIM_CAP`` guards the exact fallback only."""
 
-    def test_fallback_trips_before_listing_monomials(self, monkeypatch, bareiss_calls):
+    def test_fallback_trips_before_listing_monomials(self, monkeypatch, exact_rank_calls):
         monkeypatch.setattr(ideals, "SYM_DEGREE_DIM_CAP", 3)
         monkeypatch.setattr(analysis, "verify_vanishing", lambda gens, points: False)
         listed = []
@@ -328,7 +334,7 @@ class TestSizeCap:
         with pytest.raises(SizeExceededError, match="degree-1 "):
             power_ideal_quotient_dims(va)
         assert 1 not in listed
-        assert bareiss_calls == []
+        assert exact_rank_calls == []
 
     @pytest.mark.parametrize("name", sorted(EXPECTED))
     def test_certified_degrees_never_trip(self, monkeypatch, name):

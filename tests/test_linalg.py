@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from oracles import (
     XgcdRowLattice,
+    bareiss_rank,
     echelon_integer_kernel,
     identity,
     pivot_cols,
@@ -79,6 +80,17 @@ small_matrices = st.integers(1, 4).flatmap(
     )
 )
 
+@st.composite
+def int_matrices(draw):
+    """(ncols, rows): rectangular integer matrices with 0 to 6 rows and
+    columns, so 0 x n and n x 0 shapes too, small entries mixed with entries
+    past 2^64 of both signs, and zero and repeated rows mixed in."""
+    ncols = draw(st.integers(0, 6))
+    entries = st.one_of(st.integers(-6, 6), st.integers(2**64, 2**70), st.integers(-(2**70), -(2**64)))
+    rows = draw(st.lists(st.lists(entries, min_size=ncols, max_size=ncols), max_size=6))
+    extra = draw(st.lists(st.sampled_from(rows + [[0] * ncols]), max_size=3))
+    return ncols, draw(st.permutations(rows + extra))
+
 
 class TestRank:
     def test_identity(self):
@@ -86,6 +98,15 @@ class TestRank:
 
     def test_zero(self):
         assert rank(Mat(3, 4, (0,) * 12)) == 0
+        assert rank(Mat(0, 5, ())) == rank(Mat(4, 0, ())) == rank([]) == rank([[], [], []]) == 0
+
+    @given(int_matrices())
+    @settings(max_examples=200)
+    def test_matches_bareiss_reference(self, case):
+        ncols, rows = case
+        expected = bareiss_rank(rows)
+        assert rank(Mat.from_rows(rows, cols=ncols)) == expected
+        assert rank(rows) == expected
 
     def test_house_matrix(self):
         assert rank(Mat.from_cols(HOUSE_COLS, rows=2)) == 2
@@ -299,7 +320,7 @@ class TestSaturation:
         ncols = len(rows[0])
         sat, _ = saturate(rows, ncols)
         assert list(sat) == saturation_hnf(rows, ncols)
-        assert len(sat) == rank(Mat.from_rows(rows))
+        assert len(sat) == bareiss_rank(rows)
         assert in_row_lattice(sat, pivot_cols(sat), rows)
         assert saturate(sat, ncols) == (sat, 1)
 
@@ -340,7 +361,7 @@ class TestRowLattice:
             lat.add(r)
         batch, _ = row_hnf(rows, ncols)
         assert lat.canonical_rows() == tuple(batch)
-        assert lat.rank == rank(Mat.from_rows(rows))
+        assert lat.rank == bareiss_rank(rows)
         assert in_row_lattice(lat.canonical_rows(), lat.pivot_cols, rows)
         assert in_row_lattice(lat.rows, lat.pivot_cols, rows)
 
