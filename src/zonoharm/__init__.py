@@ -26,7 +26,6 @@ from .harmonics import (
     Harmonics,
     compute_filtration,
     divided_power,
-    divided_power_generation_check,
     iz_hilbert_series,
     verify_saturation,
 )

@@ -12,23 +12,24 @@ theorems, and a graph's ``tutteIdentity`` gates on it.  ``CHECKS`` defines
 every identity once, as a function of a context.  The CLI report evaluates
 the checks that carry a report key; the random suite evaluates all of them,
 and the standalone calls of ``ideals`` read their inputs off a context.
-The deletion/contraction check builds one context per minor and reuses the
-parent's points and filtration.  A parent with a coloop builds no minors:
-the coloop is a one-element cocircuit of both, so neither has interior
-points, and its report is read off the empty sets.  Only a parent context
-enumerates its cocircuits; both minors' are derived from the parent's in
-one sweep, the deletion's filtered through one table per parent, and
-handed to the minors' contexts, while their points come from their own
-facet descriptions.  The parent's cocircuits also certify each minor's
-span, so no minor runs a rank: an element that is not a coloop (no
-one-element cocircuit) leaves a deletion that spans, and one that is not a
-loop (a nonzero, primitive column) is mapped to e_1 by a unimodular U, whose
-rows 1.. take the other columns onto a spanning set of Z^(r-1).  The
-exactness ranks keep one running lattice per map across the degrees and
-insert only the images of the echelon rows whose pivot column is new at a
-degree, which span the piece together with the degree below; a degree
-whose pivot columns do not contain those below it is not nested in it,
-and fails.
+The deletion/contraction check runs in full, exactness ranks included, on
+every element that is neither a loop nor a coloop.  It builds one context
+per minor and reuses the parent's points and filtration.  A parent with a
+coloop builds no minors: the coloop is a one-element cocircuit of both, so
+neither has interior points, and its report is read off the empty sets.
+Only a parent context enumerates its cocircuits; both minors' are derived
+from the parent's in one sweep, the deletion's filtered through one table
+per parent, and handed to the minors' contexts, while their points come
+from their own facet descriptions.  The parent's cocircuits also certify
+each minor's span, so no minor runs a rank: an element that is not a
+coloop (no one-element cocircuit) leaves a deletion that spans, and one
+that is not a loop (a nonzero, primitive column) is mapped to e_1 by a
+unimodular U, whose rows 1.. take the other columns onto a spanning set of
+Z^(r-1).  The exactness ranks keep one running lattice per map across the
+degrees and insert only the images of the echelon rows whose pivot column
+is new at a degree, which span the piece together with the degree below;
+a degree whose pivot columns do not contain those below it is not nested
+in it, and fails.
 """
 
 from __future__ import annotations
@@ -59,7 +60,6 @@ from .graphs import (
 from .harmonics import (
     Harmonics,
     divided_power,
-    divided_power_generation_check,
     iz_hilbert_series,
     verify_saturation,
 )
@@ -82,7 +82,7 @@ class DeletionContractionReport(NamedTuple):
     element: str
     bijection_ok: bool
     degree_checks: tuple
-    exactness_ok: bool | None  # None when the rank checks were not requested
+    exactness_ok: bool
 
     @property
     def dims_ok(self) -> bool:
@@ -90,12 +90,7 @@ class DeletionContractionReport(NamedTuple):
 
     @property
     def ok(self) -> bool:
-        return self.verdict(self.bijection_ok, self.dims_ok, self.exactness_ok)
-
-    @staticmethod
-    def verdict(bijection_ok: bool, dims_ok: bool, exactness_ok: bool | None) -> bool:
-        """Pass unless a part failed; unchecked exactness (None) does not fail."""
-        return bijection_ok and dims_ok and exactness_ok is not False
+        return self.bijection_ok and self.dims_ok and self.exactness_ok
 
 
 # The degree checks of three empty point sets: every top degree is 0, and the
@@ -108,23 +103,18 @@ class Analysis:
 
     ``harmonics`` is the one filtration of the arrangement, built to its top
     degree and read by every check, the power-ideal dimensions and the
-    deletion/contraction checks alike.  ``exact_elements`` is how many usable
-    elements, in ground-set order, get the exactness rank checks in the
-    deletion/contraction check; None means all of them.
-    ``cocircuits``, when given, are the arrangement's cocircuits, already
-    derived; otherwise they are enumerated.
+    deletion/contraction checks alike.  ``cocircuits``, when given, are the
+    arrangement's cocircuits, already derived; otherwise they are enumerated.
     """
 
     def __init__(
         self,
         va: VectorArrangement,
         graph: DirectedGraph | None = None,
-        exact_elements: int | None = None,
         cocircuits: tuple | None = None,
     ):
         self.va = va
         self.graph = graph
-        self.exact_elements = exact_elements
         self._cocircuits = cocircuits
 
     @cached_property
@@ -228,7 +218,7 @@ class Analysis:
         bars = [tuple(sum(map(mul, u, z)) for u in quotient) for z in self.points.points]
         return ctx_del, ctx_con, bars
 
-    def deletion_contraction(self, element, check_exactness: bool = True) -> DeletionContractionReport:
+    def deletion_contraction(self, element) -> DeletionContractionReport:
         """Point-set bijection, dimension additivity, and exactness ranks.
 
         For a non-loop, non-coloop element: the interior points of the deletion
@@ -252,7 +242,7 @@ class Analysis:
                 element=element,
                 bijection_ok=True,
                 degree_checks=_EMPTY_MINOR_CHECKS,
-                exactness_ok=True if check_exactness else None,
+                exactness_ok=True,
             )
         ctx_del, ctx_con, bars = self.minors(element)
         pts = self.points.points
@@ -275,11 +265,8 @@ class Analysis:
             )
             for i in range(top + 2)
         )
-
-        exactness: bool | None = None
-        if check_exactness:
-            # empty point sets make every space zero: vacuously exact
-            exactness = h.point_count == 0 or _exactness_ranks(self, ctx_del, ctx_con, element, bars)
+        # empty point sets make every space zero: vacuously exact
+        exactness = h.point_count == 0 or _exactness_ranks(self, ctx_del, ctx_con, element, bars)
         return DeletionContractionReport(
             element=element,
             bijection_ok=bijection_ok,
@@ -288,11 +275,9 @@ class Analysis:
         )
 
 
-def deletion_contraction_check(
-    va: VectorArrangement, element, check_exactness: bool = True
-) -> DeletionContractionReport:
+def deletion_contraction_check(va: VectorArrangement, element) -> DeletionContractionReport:
     """Deletion/contraction check of one element; see ``Analysis.deletion_contraction``."""
-    return Analysis(va).deletion_contraction(element, check_exactness)
+    return Analysis(va).deletion_contraction(element)
 
 
 def _exactness_ranks(ctx: Analysis, ctx_del: Analysis, ctx_con: Analysis, element, bars) -> bool:
@@ -399,10 +384,6 @@ def _saturation(ctx: Analysis) -> bool:
     return verify_saturation(ctx.harmonics)
 
 
-def _divided_power_generation(ctx: Analysis) -> bool:
-    return divided_power_generation_check(ctx.harmonics)
-
-
 def _cocircuits_match_cycles(ctx: Analysis) -> bool:
     cyc_data = set()
     for c in ctx.cycles:
@@ -440,11 +421,7 @@ def _divided_power_law(ctx: Analysis) -> bool:
 
 
 def _deletion_contraction(ctx: Analysis) -> tuple:
-    n = ctx.exact_elements
-    return tuple(
-        ctx.deletion_contraction(a, check_exactness=n is None or pos < n)
-        for pos, a in enumerate(ctx.usable)
-    )
+    return tuple(ctx.deletion_contraction(a) for a in ctx.usable)
 
 
 class Check(NamedTuple):
@@ -464,7 +441,6 @@ CHECKS = (
     Check("point_count_identity", None, _point_count_identity),
     Check("tutte_duality", None, _tutte_duality),
     Check("saturation", "saturation", _saturation),
-    Check("divided_power_generation", "dividedPowerGeneration", _divided_power_generation),
     Check("cocircuits_match_cycles", None, _cocircuits_match_cycles),
     Check("generators_vanish", "generatorsVanish", _generators_vanish),
     Check("power_ideal_dims", "powerIdealDims", _power_ideal_dims),

@@ -19,6 +19,7 @@ they are plain classes, immutable by convention: nothing reassigns a field.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from itertools import chain, combinations
 from operator import mul
 from typing import NamedTuple
@@ -114,7 +115,9 @@ class LatticePointSet:
         return len(self.points)
 
     def __contains__(self, p):
-        return tuple(p) in set(self.points)
+        p = tuple(p)
+        i = bisect_left(self.points, p)
+        return i < len(self.points) and self.points[i] == p
 
     def index_map(self) -> dict:
         return {p: i for i, p in enumerate(self.points)}
@@ -212,11 +215,11 @@ def enumerate_cocircuits(va: VectorArrangement) -> tuple:
     Each cocircuit is the integer kernel of the first (r-1)-subset of
     columns, in lexicographic order, that spans its hyperplane.  A subset
     that misses the support of a cocircuit already found lies in that
-    hyperplane, so it is dependent or spans it again; it is skipped without
-    a kernel.  The kernels come from a stack of prefix kernels: ``stack[k]``
-    is a basis of the kernel of the first k columns of the last subset that
-    needed one, and a subset redoes only the ``kernel_step`` calls past the
-    prefix it shares with that one.
+    hyperplane, so it is dependent or spans it again; it gets no kernel.
+    The kernels come from a stack of prefix kernels: ``stack[k]`` is a basis
+    of the kernel of the first k columns of the last subset that needed one,
+    and a subset redoes only the ``kernel_step`` calls past the prefix it
+    shares with that one.
 
     This is the unimodularity test: every cocircuit pairs into {-1, 0, 1} iff
     every basis of columns has determinant +-1, i.e. iff the arrangement is

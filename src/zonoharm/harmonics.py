@@ -19,9 +19,8 @@ inserting its rows there, since every further row reduces to 0 and no
 snapshot, dimension or index can change.  Otherwise ``linalg.saturate`` gives
 the saturated rows as the integer kernel of the integer kernel, and the
 index as the quotient of the pivot products, so a lattice that is not
-saturated is still reported.  Only the divided-power generation check forms
-canonical row-style Hermite rows, and only at the degrees ``saturate`` ran
-on; the deletion/contraction check reads echelons.
+saturated is still reported.  The checks read these echelons; none forms
+canonical Hermite rows.
 
 A graded class is an integral representative given by its values on the
 points.  Its divided powers are entrywise binomial coefficients, checked by
@@ -39,7 +38,7 @@ from .arrangement import VectorArrangement, interior_lattice_points
 from .errors import DegreeOverflowError, NotIntegralError
 from .funcspace import binom_int, binomial_product_rows
 from .graphs import tutte_of_arrangement
-from .linalg import IntRowLattice, hermite_rows, in_row_lattice, saturate
+from .linalg import IntRowLattice, in_row_lattice, saturate
 
 
 class GradedClass(NamedTuple):
@@ -208,21 +207,4 @@ def divided_power(ctx: Harmonics, cls: GradedClass, m: int) -> GradedClass:
     if not in_row_lattice(*ctx.saturated_echelon(target - 1), [diff]):
         raise NotIntegralError(f"m! * e^[m] - e^m is not in the degree-{target - 1} piece")
     return GradedClass(degree=target, values=w)
-
-
-def divided_power_generation_check(ctx: Harmonics) -> bool:
-    """Degree-1 classes generate everything under divided powers.
-
-    The degree-<=i lattice is spanned by the entrywise products
-    prod_j C(z_j, m_j), the products of divided powers of the coordinate
-    classes, so for every degree i its canonical rows must equal those of
-    the saturated lattice of restricted degree-<=i integer-valued functions.
-    A degree with unit pivots is its own saturation, so only the degrees
-    that ``saturate`` ran on are compared, and only they form canonical rows.
-    """
-    return all(
-        hermite_rows(*ctx._echelons[d]) == sat
-        for d, sat in enumerate(ctx._saturated)
-        if sat is not None
-    )
 

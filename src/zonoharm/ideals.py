@@ -55,9 +55,9 @@ def k_minus_generators(va: VectorArrangement, cocircuits=None) -> tuple:
 
 
 def verify_vanishing(generators, points) -> bool:
-    """Every shifted-binomial generator is zero at every interior point."""
-    pts = points.points if hasattr(points, "points") else points
-    return not any(g.evaluate(p) for g in generators for p in pts)
+    """Every shifted-binomial generator is zero at every point of ``points``,
+    a ``LatticePointSet`` (the interior points)."""
+    return not any(g.evaluate(p) for g in generators for p in points.points)
 
 
 def _power_expansion(covector, e: int, r: int) -> dict:

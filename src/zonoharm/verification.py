@@ -19,7 +19,6 @@ from .formats import serialize_graph
 from .graphs import Arrow, DirectedGraph, cographical_arrangement
 
 RANDOM_SUITE_MAX_EDGES = 9
-EXACTNESS_INSTANCES = 20  # leading instances per suite that get the exactness rank checks
 
 
 class SuiteConfig(NamedTuple):
@@ -60,9 +59,9 @@ def random_connected_multigraph(rng: random.Random, max_edges: int) -> DirectedG
     return DirectedGraph(vertices=vertices, arrows=tuple(arrows))
 
 
-def run_instance_checks(g: DirectedGraph, check_exactness: bool = False) -> InstanceChecks:
+def run_instance_checks(g: DirectedGraph) -> InstanceChecks:
     """Every check of ``CHECKS`` for one graph instance."""
-    ctx = Analysis(cographical_arrangement(g), g, exact_elements=None if check_exactness else 0)
+    ctx = Analysis(cographical_arrangement(g), g)
     checks = {c.name: c.passed(c.run(ctx)) for c in CHECKS}
     return InstanceChecks(index=0, graph_text=serialize_graph(g), checks=checks)
 
@@ -90,7 +89,7 @@ def run_suite(cfg: SuiteConfig) -> SuiteSummary:
     first_failure = None
     for i in range(cfg.count):
         g = random_connected_multigraph(rng, cfg.max_edges)
-        res = run_instance_checks(g, check_exactness=i < EXACTNESS_INSTANCES)
+        res = run_instance_checks(g)
         if res.ok:
             passes += 1
         else:

@@ -20,6 +20,7 @@ from zonoharm.analysis import (
     _tutte_duality,
 )
 from zonoharm.arrangement import VectorArrangement, certify_pairings, enumerate_cocircuits
+from zonoharm.cli import EXIT_VERIFY, main
 from zonoharm.errors import LoopOrColoopError
 from zonoharm.formats import parse_graph
 from zonoharm.graphs import (
@@ -30,7 +31,7 @@ from zonoharm.graphs import (
     signed_incidence,
     tutte_of_arrangement,
 )
-from zonoharm.harmonics import Harmonics, divided_power_generation_check
+from zonoharm.harmonics import Harmonics
 from zonoharm.ideals import verify_vanishing
 from zonoharm.linalg import Mat, hermite_rows, rank
 from zonoharm.report import build_graph_report, build_report
@@ -56,7 +57,7 @@ def _calls(stats: pstats.Stats, fn, caller=None) -> int:
     "run",
     [
         lambda g: build_graph_report("", g),
-        lambda g: run_instance_checks(g, check_exactness=True),
+        run_instance_checks,
     ],
     ids=["build_graph_report", "run_instance_checks"],
 )
@@ -72,10 +73,9 @@ def test_each_quantity_once_per_arrangement(run):
     # one filtration for the arrangement and one per minor; nothing rebuilt,
     # and the minors' cocircuits are derived from the arrangement's
     assert _calls(stats, Harmonics.__init__) == 1 + 2 * u
-    # canonical rows of a filtration: none.  The minors' checks read
-    # echelons, and every degree of K4's filtration has unit pivots, so the
-    # dividedPowerGeneration check has no saturation to compare with
-    assert _calls(stats, hermite_rows, caller=divided_power_generation_check) == 0
+    # canonical rows: none.  Every check reads echelons, and every degree of
+    # K4's filtration has unit pivots, so no saturation is computed either
+    assert _calls(stats, hermite_rows) == 0
     assert _calls(stats, enumerate_cocircuits) == 1
     # one walk: the graph's polynomial is the arrangement's, swapped, and one
     # duality certificate, read by both Tutte checks
@@ -192,7 +192,40 @@ def test_each_exactness_exit_fails_on_its_own_fault(layer, method, fault):
     assert not _exactness_ranks(ctx, ctx_del, ctx_con, a, bars)
 
 
-def _report_from_minors(ctx: Analysis, a, check_exactness: bool) -> DeletionContractionReport:
+class TestExactnessOnEveryElement:
+    """The report and the suite run the exactness ranks on every usable
+    element: a fault on the house's last one fails both."""
+
+    @pytest.fixture()
+    def last(self, monkeypatch, house_graph):
+        """The house's last usable element, on which ``_exactness_ranks`` now fails."""
+        last = Analysis(cographical_arrangement(house_graph)).usable[-1]
+        ranks = analysis._exactness_ranks
+
+        def faulty(ctx, ctx_del, ctx_con, element, bars):
+            return element != last and ranks(ctx, ctx_del, ctx_con, element, bars)
+
+        monkeypatch.setattr(analysis, "_exactness_ranks", faulty)
+        return last
+
+    def test_report_fails(self, last, house_graph, capsys):
+        report = build_graph_report("", house_graph)
+        records = report["checks"]["deletionContraction"]
+        assert len(records) == 6
+        assert {r["element"]: r["exactness"] for r in records} == {
+            r["element"]: r["element"] != last for r in records
+        }
+        assert report["pass"] is False
+        assert main(["analyze-graph", str(data_path("house.graph"))]) == EXIT_VERIFY
+        assert f"delete/contract {last:<6} FAIL (bijection ok, dims ok, exactness FAIL)" in (
+            capsys.readouterr().out
+        )
+
+    def test_suite_instance_fails(self, last, house_graph):
+        assert run_instance_checks(house_graph).failed() == ("deletion_contraction",)
+
+
+def _report_from_minors(ctx: Analysis, a) -> DeletionContractionReport:
     """The deletion/contraction report assembled from ``ctx.minors(a)``, for
     a parent with a coloop, after checking that both minors are empty."""
     ctx_del, ctx_con, bars = ctx.minors(a)
@@ -205,9 +238,7 @@ def _report_from_minors(ctx: Analysis, a, check_exactness: bool) -> DeletionCont
         DegreeCheck(i, h.q_dim(i), h_con.q_dim(i), h_del.q_dim(i - 1)) for i in range(top + 2)
     )
     assert all(c == DegreeCheck(c.degree, 0, 0, 0) for c in checks)
-    exactness = None
-    if check_exactness:
-        exactness = exactness_on_eval_rows(ctx, ctx_del, ctx_con, a, bars)
+    exactness = exactness_on_eval_rows(ctx, ctx_del, ctx_con, a, bars)
     return DeletionContractionReport(a, True, checks, exactness)
 
 
@@ -229,10 +260,9 @@ class TestColoopParent:
         ctx = Analysis(va)
         assert ctx.loops_and_coloops[1]
         for a in ctx.usable:
-            for check_exactness in (True, False):
-                report = ctx.deletion_contraction(a, check_exactness)
-                assert report == _report_from_minors(ctx, a, check_exactness)
-                assert report.ok
+            report = ctx.deletion_contraction(a)
+            assert report == _report_from_minors(ctx, a)
+            assert report.ok
 
     @given(connected_multigraphs(max_edges=7))
     @settings(max_examples=40, deadline=None)
@@ -275,9 +305,8 @@ class TestColoopParent:
         ctx = Analysis(cographical_arrangement(_data_graph("selfloop")))
         assert ctx.loops_and_coloops == (("1",), ("2",))
         for a in ("1", "2"):
-            for check_exactness in (True, False):
-                with pytest.raises(LoopOrColoopError):
-                    ctx.deletion_contraction(a, check_exactness)
+            with pytest.raises(LoopOrColoopError):
+                ctx.deletion_contraction(a)
 
 
 class TestTutteDuality:

@@ -533,3 +533,19 @@ class TestProperties:
     def test_latticepointset_sorts(self):
         s = LatticePointSet(((2, 1), (1, 2), (1, 1)))
         assert s.points == ((1, 1), (1, 2), (2, 1))
+
+    @given(
+        st.integers(0, 3).flatmap(
+            lambda d: st.tuples(
+                st.lists(st.tuples(*[st.integers(-2, 2)] * d), max_size=10),
+                st.tuples(*[st.integers(-2, 2)] * d),
+            )
+        )
+    )
+    def test_membership_equals_set_membership(self, case):
+        # the lookup bisects the sorted points; a list probe is a tuple probe
+        points, probe = case
+        s = LatticePointSet(points)
+        assert (probe in s) == (list(probe) in s) == (probe in set(points))
+        assert all(p in s and list(p) in s for p in points)
+        assert probe not in LatticePointSet(())
