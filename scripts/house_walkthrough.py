@@ -10,16 +10,14 @@ unimodular change of basis.
 from pathlib import Path
 
 from zonoharm import (
-    deletion_contraction_check,
+    Analysis,
+    cographical_arrangement,
     divided_power,
-    power_ideal_quotient_dims,
+    k_minus_generators,
     redundant_generators,
     theta_subgraphs,
 )
-from zonoharm.analysis import Analysis
 from zonoharm.formats import parse_arrangement, parse_graph
-from zonoharm.graphs import cographical_arrangement
-from zonoharm.ideals import k_minus_generators
 
 DATA = Path(__file__).resolve().parent.parent / "data"
 
@@ -33,7 +31,7 @@ def main():
     print("columns:", gctx.va.columns.col_list())
     for c in gctx.cycles:
         print(f"cycle {c.arrows}  |C+|={len(c.c_plus)} |C-|={len(c.c_minus)}")
-    print("theta triples:", len(theta_subgraphs(graph, gctx.cycles)))
+    print("theta triples:", len(theta_subgraphs(gctx.cycles)))
     print("coordinatises the dual of the cycle matroid:", gctx.tutte_duality)
     print("su2 poincare (the iz series):", gctx.iz)
 
@@ -46,12 +44,12 @@ def main():
     h = ctx.harmonics
     print("qDims:", h.q_dims, " grDims:", h.gr_dims, " saturation:", h.saturation_indices)
     print("izHilbert:", ctx.iz)
-    print("delete/contract e4:", deletion_contraction_check(matrix, "e4").ok)
+    print("delete/contract e4:", ctx.deletion_contraction("e4").ok)
 
     print("\n== ideal layer ==")
-    for g in k_minus_generators(matrix, ctx.cocircuits):
+    for g in k_minus_generators(ctx.cocircuits):
         print(f"generator: C(<{g.cocircuit.covector}, x> {g.shift:+d}, {g.degree})")
-    print("quotient dims:", power_ideal_quotient_dims(matrix))
+    print("quotient dims:", ctx.power_dims)
     print("redundant generator indices:", redundant_generators(matrix))
 
     print("\n== divided powers on the first coordinate class ==")

@@ -5,8 +5,10 @@ Usage: python scripts/random_verification.py [--seeds 1 2 3] [--count 100]
 """
 
 import argparse
+import sys
 import time
 
+from zonoharm.errors import SizeExceededError
 from zonoharm.verification import SuiteConfig, run_suite
 
 
@@ -21,7 +23,11 @@ def main():
     all_ok = True
     for seed in args.seeds:
         start = time.perf_counter()
-        summary = run_suite(SuiteConfig(seed=seed, count=args.count, max_edges=args.max_edges))
+        try:
+            summary = run_suite(SuiteConfig(seed=seed, count=args.count, max_edges=args.max_edges))
+        except (SizeExceededError, ValueError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            raise SystemExit(2)
         elapsed = time.perf_counter() - start
         print(
             f"{seed:>6} {summary.count:>6} {summary.max_edges:>6}"

@@ -2,7 +2,7 @@
 lattice points of zonotopes of unimodular arrangements, together with
 the Tutte-polynomial identities that govern them."""
 
-from .analysis import deletion_contraction_check
+from .analysis import Analysis, compute_filtration
 from .arrangement import (
     Cocircuit,
     LatticePointSet,
@@ -24,7 +24,6 @@ from .graphs import (
 from .harmonics import (
     GradedClass,
     Harmonics,
-    compute_filtration,
     divided_power,
     iz_hilbert_series,
     verify_saturation,
@@ -32,7 +31,6 @@ from .harmonics import (
 from .ideals import (
     IdealGenerator,
     k_minus_generators,
-    power_ideal_quotient_dims,
     redundant_generators,
     verify_vanishing,
 )

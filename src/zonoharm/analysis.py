@@ -10,8 +10,9 @@ with x and y swapped, so one walk serves both, and its SU(2) series is the
 iz series; ``tutte_duality`` certifies the coordinatisation that makes both
 theorems, and a graph's ``tutteIdentity`` gates on it.  ``CHECKS`` defines
 every identity once, as a function of a context.  The CLI report evaluates
-the checks that carry a report key; the random suite evaluates all of them,
-and the standalone calls of ``ideals`` read their inputs off a context.
+the checks that carry a report key; the random suite evaluates all of them.
+Other modules take these quantities as arguments and compute none that is
+missing: a context is the only place that wires them together.
 The deletion/contraction check runs in full, exactness ranks included, on
 every element that is neither a loop nor a coloop.  It builds one context
 per minor and reuses the parent's points and filtration.  A parent with a
@@ -155,7 +156,7 @@ class Analysis:
 
     @cached_property
     def generators_vanish(self) -> bool:
-        return verify_vanishing(k_minus_generators(self.va, self.cocircuits), self.points)
+        return verify_vanishing(k_minus_generators(self.cocircuits), self.points)
 
     @cached_property
     def power_dims(self) -> tuple:
@@ -275,9 +276,10 @@ class Analysis:
         )
 
 
-def deletion_contraction_check(va: VectorArrangement, element) -> DeletionContractionReport:
-    """Deletion/contraction check of one element; see ``Analysis.deletion_contraction``."""
-    return Analysis(va).deletion_contraction(element)
+def compute_filtration(va: VectorArrangement) -> Harmonics:
+    """The filtration of ``va`` on its own interior points: rational
+    dimensions, integral lattices, and saturation indices."""
+    return Analysis(va).harmonics
 
 
 def _exactness_ranks(ctx: Analysis, ctx_del: Analysis, ctx_con: Analysis, element, bars) -> bool:

@@ -123,17 +123,15 @@ class LatticePointSet:
         return {p: i for i, p in enumerate(self.points)}
 
 
-def loops_and_coloops(va: VectorArrangement, cocircuits=None):
-    """Loops are zero columns; coloops are the one-element cocircuits.
+def loops_and_coloops(va: VectorArrangement, cocircuits) -> tuple:
+    """Loops are zero columns; coloops are the one-element cocircuits among
+    ``cocircuits``, the arrangement's.
 
     A coloop lies in every basis, so its complement spans a hyperplane
-    (Oxley, *Matroid Theory*, 2.1).  Pass the arrangement's cocircuits when
-    they are already known; otherwise ``enumerate_cocircuits`` runs here and
-    raises NotTotallyUnimodularError on an input it rejects.
+    (Oxley, *Matroid Theory*, 2.1).
     """
-    cocs = enumerate_cocircuits(va) if cocircuits is None else cocircuits
     loops = tuple(a for j, a in enumerate(va.ground) if not any(va.columns.col(j)))
-    coloops = {a for c in cocs if c.degree == 1 for a in c.support(va.ground)}
+    coloops = {a for c in cocircuits if c.degree == 1 for a in c.support(va.ground)}
     return loops, tuple(a for a in va.ground if a in coloops)
 
 
@@ -346,7 +344,7 @@ def certify_pairings(va: VectorArrangement, cocircuits) -> None:
             raise CertificateError(f"covector {c.covector} does not pair to {c.values}")
 
 
-def interior_lattice_points(va: VectorArrangement, cocircuits=None) -> LatticePointSet:
+def interior_lattice_points(va: VectorArrangement, cocircuits) -> LatticePointSet:
     """Lattice points strictly inside the zonotope of the arrangement.
 
     Any coloop forces emptiness; in rank 0 the single (empty) point remains.
@@ -357,14 +355,13 @@ def interior_lattice_points(va: VectorArrangement, cocircuits=None) -> LatticePo
     the box's per-cocircuit suffix minima and maxima this narrows each
     coordinate to an interval.  The box contains the zonotope, and a
     cocircuit is tested exactly at its last nonzero coordinate, so the scan
-    is exact.  Points come out in lexicographic order.  Pass the
-    arrangement's cocircuits when they are already known.
+    is exact.  Points come out in lexicographic order.  ``cocircuits`` are
+    the arrangement's.
     """
     r = va.lattice_rank
     if r == 0:
         return LatticePointSet(((),))
-    cocs = enumerate_cocircuits(va) if cocircuits is None else cocircuits
-    if any(c.degree == 1 for c in cocs):  # a coloop is a one-element cocircuit
+    if any(c.degree == 1 for c in cocircuits):  # a coloop is a one-element cocircuit
         return LatticePointSet(())
     cols = va.columns.col_list()
     lo = [sum(min(0, c[j]) for c in cols) for j in range(r)]
@@ -372,7 +369,7 @@ def interior_lattice_points(va: VectorArrangement, cocircuits=None) -> LatticePo
     # levels[j]: (k, a_j, low, high) for each cocircuit k with a_j != 0, where
     # a_j z_j must lie in [low - p_k, high - p_k] given the prefix pairing p_k
     levels = [[] for _ in range(r)]
-    for k, c in enumerate(cocs):
+    for k, c in enumerate(cocircuits):
         low, high = 1 - c.d_minus, c.d_plus - 1
         for j in reversed(range(r)):
             a = c.covector[j]
@@ -403,5 +400,5 @@ def interior_lattice_points(va: VectorArrangement, cocircuits=None) -> LatticePo
                 nxt[k] += a * v
             scan(j + 1, nxt)
 
-    scan(0, [0] * len(cocs))
+    scan(0, [0] * len(cocircuits))
     return LatticePointSet(tuple(pts))

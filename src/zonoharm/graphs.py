@@ -257,15 +257,13 @@ def _nonforest_ids(g: DirectedGraph) -> tuple:
     return tuple(a.ident for a in g.arrows if a.ident not in forest_ids)
 
 
-def theta_subgraphs(g: DirectedGraph, cycles=None) -> tuple:
-    """Unordered cycle triples whose classes admit signs summing to zero.
+def theta_subgraphs(cycles) -> tuple:
+    """Unordered triples of oriented ``cycles`` whose classes admit signs summing to zero.
 
     v_i + s v_j + t v_k = 0 means v_k = -t (v_i + s v_j), so each pair i < j
     and sign s looks its sum up among the classes and their negations.  The
     triples come out sorted by their indices (i, j, k) in ``cycles``.
     """
-    if cycles is None:
-        cycles = enumerate_oriented_cycles(g)
     vecs = [c.class_vector for c in cycles]
     where: dict = {}  # class vector or its negation -> indices of the cycles
     for k, v in enumerate(vecs):

@@ -34,10 +34,9 @@ from __future__ import annotations
 from math import factorial
 from typing import NamedTuple
 
-from .arrangement import VectorArrangement, interior_lattice_points
+from .arrangement import VectorArrangement
 from .errors import DegreeOverflowError, NotIntegralError
 from .funcspace import binom_int, binomial_product_rows
-from .graphs import tutte_of_arrangement
 from .linalg import IntRowLattice, in_row_lattice, saturate
 
 
@@ -53,21 +52,19 @@ class GradedClass(NamedTuple):
 
 
 class Harmonics:
-    """Filtration data for one arrangement, computed once and shared.
+    """Filtration data for one arrangement on ``points``, its interior points.
 
-    Pass the arrangement's interior points when they are already known.
     Degree by degree, the evaluation rows of the binomial products (each
     built from one row of the previous degree, see ``binomial_product_rows``)
     are added to one integer row lattice, up to the row that makes it Z^n,
     past which no row is built, and each degree keeps a snapshot of its
-    echelon.  A degree whose echelon
-    has all pivots 1 gets saturation index 1, with no kernel; any other
-    degree falls back to ``saturate``.
+    echelon.  A degree whose echelon has all pivots 1 gets saturation index
+    1, with no kernel; any other degree falls back to ``saturate``.
     """
 
-    def __init__(self, va: VectorArrangement, points=None):
+    def __init__(self, va: VectorArrangement, points):
         self.va = va
-        self.points = interior_lattice_points(va) if points is None else points
+        self.points = points
         n = len(self.points)
         self.point_count = n
         self.q_dims: list = []
@@ -153,25 +150,16 @@ class Harmonics:
         return GradedClass(degree=1, values=tuple(p[j] for p in self.points.points))
 
 
-def compute_filtration(va: VectorArrangement) -> Harmonics:
-    """The filtration of ``va`` on its own interior points: rational
-    dimensions, integral lattices, and saturation indices."""
-    return Harmonics(va)
-
-
 def verify_saturation(h: Harmonics) -> bool:
     """True iff every degree's integral lattice equals its saturation."""
     return all(ix == 1 for ix in h.saturation_indices)
 
 
-def iz_hilbert_series(va: VectorArrangement, tutte=None) -> tuple:
-    """Coefficients of t^(|A|-r) * T(0, 1/t) from the arrangement's Tutte polynomial.
-
-    Pass the arrangement's Tutte polynomial when it is already known.
-    """
-    t = tutte_of_arrangement(va) if tutte is None else tutte
+def iz_hilbert_series(va: VectorArrangement, tutte) -> tuple:
+    """Coefficients of t^(|A|-r) * T(0, 1/t) from ``tutte``, the
+    arrangement's Tutte polynomial."""
     nullity = va.size - va.lattice_rank
-    ys = t.y_slice(0)  # {j: coeff of x^0 y^j}
+    ys = tutte.y_slice(0)  # {j: coeff of x^0 y^j}
     coeffs = [ys.get(nullity - m, 0) for m in range(nullity + 1)]
     while coeffs and coeffs[-1] == 0:
         coeffs.pop()

@@ -25,7 +25,7 @@ from __future__ import annotations
 from math import comb, factorial
 from typing import NamedTuple
 
-from .arrangement import Cocircuit, VectorArrangement, enumerate_cocircuits
+from .arrangement import Cocircuit, VectorArrangement
 from .errors import SizeExceededError
 from .funcspace import binom_int, exponents_of_degree
 from .linalg import rank
@@ -47,10 +47,8 @@ class IdealGenerator(NamedTuple):
         return binom_int(s + self.shift, self.degree)
 
 
-def k_minus_generators(va: VectorArrangement, cocircuits=None) -> tuple:
+def k_minus_generators(cocircuits) -> tuple:
     """Shifted-binomial generators, one per canonical cocircuit."""
-    if cocircuits is None:
-        cocircuits = enumerate_cocircuits(va)
     return tuple(IdealGenerator(c, c.d_minus - 1, c.degree - 1) for c in cocircuits)
 
 
@@ -252,44 +250,31 @@ def quotient_dims(va: VectorArrangement, cocircuits, bound: int, harmonics, vani
     return tuple(dim for dim, _, _ in chain)
 
 
-def _standalone(va: VectorArrangement, bound: int | None) -> tuple:
-    """(cocircuits, bound, harmonics, vanishing) for a call outside a report,
-    read off one ``analysis.Analysis`` of ``va``, so the cocircuits, the
-    Tutte series, the points and the filtration are each computed once.  The
-    default bound is the length of the Tutte series, one past its last
-    degree, so the expected trailing zero is verified rather than assumed."""
+def redundant_generators(va: VectorArrangement) -> tuple:
+    """Indices of cocircuit generators implied by the others.
+
+    Generator g of degree e is implied iff dropping it leaves the degree-e
+    quotient dimension unchanged: then g lies in the ideal of the others, so
+    the two ideals agree in every degree.  The degrees run to the length of
+    the Tutte series, as in ``Analysis.power_dims``, whose quantities are
+    read off one context; a generator of higher degree counts as implied.
+    Dropping g leaves V_{<e} as it is, so the degree-e generator rows are
+    reduced once against that degree's Koszul images, and the others'
+    residual rows give the dimension without g mod P.  Dropping g can only
+    enlarge the quotient, so a mod-P dimension equal to the full one proves
+    g implied; otherwise one exact rank (``_exact_dim``) decides.  No
+    minimality claim: the remaining set may itself contain further
+    implications.
+    """
     # imported here: ``analysis`` imports this module
     from .analysis import Analysis
 
     ctx = Analysis(va)
-    bound = len(ctx.iz) if bound is None else bound
-    return ctx.cocircuits, bound, ctx.harmonics, ctx.generators_vanish
-
-
-def power_ideal_quotient_dims(va: VectorArrangement, bound: int | None = None) -> tuple:
-    """Graded dimensions of Sym modulo the pure cocircuit powers, degrees 0..bound."""
-    return quotient_dims(va, *_standalone(va, bound))
-
-
-def redundant_generators(va: VectorArrangement, bound: int | None = None) -> tuple:
-    """Indices of cocircuit generators implied by the others, up to a degree bound.
-
-    Generator g of degree e is implied iff dropping it leaves the degree-e
-    quotient dimension unchanged: then g lies in the ideal of the others, so
-    the two ideals agree in every degree.  A generator of degree above the
-    bound counts as implied.  Dropping g leaves V_{<e} as it is, so the
-    degree-e generator rows are reduced once against that degree's Koszul
-    images, and the others' residual rows give the dimension without g
-    mod P.  Dropping g can only enlarge the quotient, so a mod-P dimension
-    equal to the full one proves g implied; otherwise one exact rank
-    (``_exact_dim``) decides.  No minimality claim: the remaining set may
-    itself contain further implications.
-    """
-    cocircuits, bound, harmonics, vanishing = _standalone(va, bound)
+    bound = len(ctx.iz)
     r = va.lattice_rank
-    exps = _expansions(cocircuits, r)
+    exps = _expansions(ctx.cocircuits, r)
     implied = [e > bound for e, _ in exps]
-    chain = _certified(r, exps, bound, harmonics, vanishing)
+    chain = _certified(r, exps, bound, ctx.harmonics, ctx.generators_vanish)
     for d, (full, free, residuals) in enumerate(chain):
         for g in residuals:
             others = [row for i, row in residuals.items() if i != g]

@@ -97,7 +97,7 @@ def build_report(
             ],
             "thetaTriples": [
                 [[list(a) for a in c.arrows] for c in triple]
-                for triple in theta_subgraphs(graph, ctx.cycles)
+                for triple in theta_subgraphs(ctx.cycles)
             ],
         }
     report["checks"] = {c.key: _check_json(value) for c, value in results}

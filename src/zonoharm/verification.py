@@ -81,6 +81,8 @@ class SuiteSummary(NamedTuple):
 
 def run_suite(cfg: SuiteConfig) -> SuiteSummary:
     """Run the deterministic random verification suite."""
+    if cfg.max_edges < 1:
+        raise ValueError("random suite needs at least 1 edge")
     if cfg.max_edges > RANDOM_SUITE_MAX_EDGES:
         raise SizeExceededError(f"random suite limited to {RANDOM_SUITE_MAX_EDGES} edges")
     rng = random.Random(cfg.seed)

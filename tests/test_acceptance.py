@@ -16,22 +16,12 @@ import pytest
 
 from conftest import data_path
 from oracles import solve_row_lattice, su2_poincare_polynomial, tutte_polynomial
-from zonoharm.analysis import deletion_contraction_check
-from zonoharm.arrangement import (
-    VectorArrangement,
-    enumerate_cocircuits,
-    interior_lattice_points,
-    loops_and_coloops,
-)
+from zonoharm.analysis import Analysis, compute_filtration
+from zonoharm.arrangement import VectorArrangement, enumerate_cocircuits
 from zonoharm.formats import parse_arrangement, parse_graph
 from zonoharm.graphs import cographical_arrangement, enumerate_oriented_cycles
-from zonoharm.harmonics import (
-    Harmonics,
-    divided_power,
-    iz_hilbert_series,
-    verify_saturation,
-)
-from zonoharm.ideals import k_minus_generators, power_ideal_quotient_dims, verify_vanishing
+from zonoharm.harmonics import divided_power, verify_saturation
+from zonoharm.ideals import k_minus_generators, verify_vanishing
 from zonoharm.linalg import Mat, saturate
 from zonoharm.verification import random_connected_multigraph
 
@@ -63,7 +53,7 @@ def suite_graphs():
 
 @lru_cache(maxsize=1)
 def suite_contexts():
-    return tuple(Harmonics(cographical_arrangement(g)) for g in suite_graphs())
+    return tuple(compute_filtration(cographical_arrangement(g)) for g in suite_graphs())
 
 
 class TestCriterion1House:
@@ -71,7 +61,7 @@ class TestCriterion1House:
         start = time.perf_counter()
         failures = []
 
-        rep = Harmonics(house_arrangement)
+        rep = compute_filtration(house_arrangement)
         pts = rep.points.points
         expected_points = tuple(sorted((a, b) for a in (1, 2, 3) for b in (1, 2)))
         if pts != expected_points:
@@ -87,7 +77,7 @@ class TestCriterion1House:
             failures.append(f"saturation indices {rep.saturation_indices}")
 
         # graph route: same graded data; cycle table carries the (d+, d-) pairs
-        grep = Harmonics(cographical_arrangement(house_graph))
+        grep = compute_filtration(cographical_arrangement(house_graph))
         if grep.point_count != 6 or grep.q_dims != [1, 3, 5, 6] or grep.gr_dims != (1, 2, 2, 1):
             failures.append("graph route disagrees")
         if not verify_saturation(grep):
@@ -108,7 +98,7 @@ class TestCriterion2CycleFamily:
         failures = []
         for k in range(2, 9):
             va = cycle_arrangement(k)
-            ctx = Harmonics(va)
+            ctx = compute_filtration(va)
             if ctx.points.points != tuple((z,) for z in range(1, k)):
                 failures.append(f"k={k} points")
             if ctx.gr_dims != (1,) * (k - 1):
@@ -141,9 +131,9 @@ class TestCriterion3TutteIdentity:
         failures = []
         for i, g in enumerate(suite_graphs()):
             va = cographical_arrangement(g)
-            ctx = Harmonics(va)
+            ctx = compute_filtration(va)
             gr = trim(ctx.gr_dims)
-            iz = trim(iz_hilbert_series(va))
+            iz = trim(Analysis(va).iz)
             su2 = trim(su2_poincare_polynomial(g))
             if not (gr == iz == su2):
                 failures.append(f"instance {i}: {gr} {iz} {su2}")
@@ -163,10 +153,11 @@ class TestCriterion4DeletionContraction:
         checked = 0
         for i, g in enumerate(suite_graphs()):
             va = cographical_arrangement(g)
-            loops, coloops = loops_and_coloops(va)
+            ctx = Analysis(va)
+            loops, coloops = ctx.loops_and_coloops
             usable = [a for a in va.ground if a not in loops and a not in coloops]
             for a in usable:
-                rep = deletion_contraction_check(va, a)
+                rep = ctx.deletion_contraction(a)
                 checked += 1
                 if not rep.bijection_ok:
                     failures.append(f"instance {i} element {a}: bijection")
@@ -185,10 +176,10 @@ class TestCriterion5Saturation:
         for i, ctx in enumerate(suite_contexts()):
             if not all(ix == 1 for ix in ctx.saturation_indices):
                 failures.append(f"instance {i}: {ctx.saturation_indices}")
-        if not verify_saturation(Harmonics(house_arrangement)):
+        if not verify_saturation(compute_filtration(house_arrangement)):
             failures.append("house")
         for k in range(2, 9):
-            if not verify_saturation(Harmonics(cycle_arrangement(k))):
+            if not verify_saturation(compute_filtration(cycle_arrangement(k))):
                 failures.append(f"cycle k={k}")
         # sensitivity: the two-point set {0, 2} in Z has index 2 at degree 1
         rows = [(1, 1), (0, 2)]
@@ -206,12 +197,11 @@ class TestCriterion6IdealLayer:
         instances.append(("house", house_arrangement))
         instances += [(f"cycle-{k}", cycle_arrangement(k)) for k in range(2, 9)]
         for name, va in instances:
-            gens = k_minus_generators(va)
-            pts = interior_lattice_points(va)
-            if not verify_vanishing(gens, pts):
+            ctx = Analysis(va)
+            if not verify_vanishing(k_minus_generators(ctx.cocircuits), ctx.points):
                 failures.append(f"{name}: generator fails to vanish")
-            gr = trim(Harmonics(va).gr_dims)
-            if trim(power_ideal_quotient_dims(va)) != gr:
+            gr = trim(compute_filtration(va).gr_dims)
+            if trim(ctx.power_dims) != gr:
                 failures.append(f"{name}: power ideal dims")
         _report(6, not failures, f"{len(instances)} instances")
         assert not failures, failures

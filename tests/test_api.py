@@ -1,6 +1,7 @@
 """The package's public names are the ones its own code, scripts or benchmark use."""
 
 import ast
+import inspect
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -33,3 +34,28 @@ def test_every_export_has_a_caller_outside_the_tests():
     used = set().union(*map(referenced_names, users))
     assert "Harmonics" in exported
     assert sorted(exported - used) == []
+
+
+
+def test_only_analysis_computes_a_missing_input():
+    # ``Analysis`` wires an arrangement's inputs together; the other exported
+    # callables take theirs and never compute a missing one.  The exceptions:
+    # ``tutte_of_arrangement`` enumerates cocircuits only to reject an input
+    # it is given none for, and a context may be given a graph and cocircuits
+    import zonoharm
+
+    allowed = {
+        ("tutte_of_arrangement", "cocircuits"),
+        ("Analysis", "graph"),
+        ("Analysis", "cocircuits"),
+    }
+    exported = {name: getattr(zonoharm, name) for name in dir(zonoharm) if not name.startswith("_")}
+    defaults_none = {
+        (name, param.name)
+        for name, obj in exported.items()
+        if callable(obj)
+        for param in inspect.signature(obj).parameters.values()
+        if param.default is None
+    }
+    assert "Analysis" in exported
+    assert sorted(defaults_none - allowed) == []

@@ -139,24 +139,24 @@ class TestTotallyUnimodular:
 
 class TestLoopsColoops:
     def test_house(self, house_arrangement):
-        assert loops_and_coloops(house_arrangement) == ((), ())
+        assert Analysis(house_arrangement).loops_and_coloops == ((), ())
 
     def test_mixed(self):
-        loops, coloops = loops_and_coloops(arr(1, [(1,), (0,)]))
+        loops, coloops = Analysis(arr(1, [(1,), (0,)])).loops_and_coloops
         assert loops == ("a2",)
         assert coloops == ("a1",)
 
     def test_cycle(self):
-        assert loops_and_coloops(cycle_arrangement(4)) == ((), ())
+        assert Analysis(cycle_arrangement(4)).loops_and_coloops == ((), ())
 
     def test_rank_zero_all_loops(self):
         va = VectorArrangement(0, ("a1", "a2"), Mat(0, 2, ()))
-        assert loops_and_coloops(va) == (("a1", "a2"), ())
+        assert Analysis(va).loops_and_coloops == (("a1", "a2"), ())
 
     def test_rejected_input_raises(self):
         # coloops are read off the cocircuits, so an input they reject raises
         with pytest.raises(NotTotallyUnimodularError):
-            loops_and_coloops(arr(2, [(1, 1), (1, -1), (1, 0)]))
+            Analysis(arr(2, [(1, 1), (1, -1), (1, 0)])).loops_and_coloops
 
     @given(connected_multigraphs(max_edges=8))
     @settings(max_examples=80, deadline=None)
@@ -164,13 +164,13 @@ class TestLoopsColoops:
         # self-loops are coloops, bridges are loops, a tree has rank 0
         va = cographical_arrangement(g)
         expected = rank_loops_and_coloops(va)
-        assert loops_and_coloops(va) == expected
+        assert Analysis(va).loops_and_coloops == expected
         assert loops_and_coloops(va, enumerate_cocircuits(va)) == expected
 
     @given(sheared_arrangements())
     @settings(max_examples=40, deadline=None)
     def test_cocircuits_equal_rank_definition_sheared(self, va):
-        assert loops_and_coloops(va) == rank_loops_and_coloops(va)
+        assert Analysis(va).loops_and_coloops == rank_loops_and_coloops(va)
 
 
 class TestDeletion:
@@ -202,7 +202,7 @@ class TestContraction:
         assert va.lattice_rank == 0
         assert va.size == 3
         assert va.columns.data == ()
-        loops, _ = loops_and_coloops(va)
+        loops, _ = Analysis(va).loops_and_coloops
         assert loops == va.ground
 
     def test_basis_vector_drops_coordinate(self):
@@ -214,9 +214,9 @@ class TestContraction:
         out, transform, _ = contraction_data(house_arrangement, "e4")
         assert out.lattice_rank == 1 and out.size == 5
         # point-count additivity: 6 interior points split 2 + 4
-        pts = interior_lattice_points(house_arrangement)
-        pts_del = interior_lattice_points(deletion(house_arrangement, "e4"))
-        pts_con = interior_lattice_points(out)
+        pts = Analysis(house_arrangement).points
+        pts_del = Analysis(deletion(house_arrangement, "e4")).points
+        pts_con = Analysis(out).points
         assert (len(pts), len(pts_del), len(pts_con)) == (6, 2, 4)
         leftover = [p for p in pts.points if p not in pts_del]
         images = {tuple(transform.matvec(z)[1:]) for z in leftover}
@@ -281,7 +281,7 @@ class TestCocircuits:
 
 
 def _usable(va):
-    loops, coloops = loops_and_coloops(va)
+    loops, coloops = Analysis(va).loops_and_coloops
     return [a for a in va.ground if a not in loops and a not in coloops]
 
 
@@ -438,23 +438,23 @@ class TestMinorCocircuits:
 
 class TestInteriorPoints:
     def test_house(self, house_arrangement):
-        pts = interior_lattice_points(house_arrangement)
+        pts = Analysis(house_arrangement).points
         assert pts.points == tuple(sorted((a, b) for a in (1, 2, 3) for b in (1, 2)))
 
     def test_cycle(self):
-        pts = interior_lattice_points(cycle_arrangement(6))
+        pts = Analysis(cycle_arrangement(6)).points
         assert pts.points == tuple((z,) for z in range(1, 6))
 
     def test_coloop_empty(self):
-        pts = interior_lattice_points(arr(2, [(1, 0), (0, 1), (1, 1)]))
+        pts = Analysis(arr(2, [(1, 0), (0, 1), (1, 1)])).points
         # a1 and a2 are not coloops here; build one that has a coloop
         va = arr(2, [(1, 0), (0, 1)])
-        assert interior_lattice_points(va).points == ()
+        assert Analysis(va).points.points == ()
         assert len(pts) > 0
 
     def test_rank_zero_single_point(self):
         va = VectorArrangement(0, ("a1", "a2"), Mat(0, 2, ()))
-        assert interior_lattice_points(va).points == ((),)
+        assert Analysis(va).points.points == ((),)
 
     @given(connected_multigraphs(max_edges=8))
     @settings(max_examples=40, deadline=None)
@@ -484,22 +484,22 @@ class TestProperties:
     @settings(max_examples=40)
     def test_point_count_is_tutte_at_0_1(self, g):
         va = cographical_arrangement(g)
-        pts = interior_lattice_points(va)
+        pts = Analysis(va).points
         assert len(pts) == tutte_of_arrangement(va).eval_at(0, 1)
 
     @given(connected_multigraphs(max_edges=6))
     @settings(max_examples=30)
     def test_deletion_contraction_point_bijection(self, g):
         va = cographical_arrangement(g)
-        loops, coloops = loops_and_coloops(va)
-        pts = interior_lattice_points(va)
+        loops, coloops = Analysis(va).loops_and_coloops
+        pts = Analysis(va).points
         for a in va.ground:
             if a in loops or a in coloops:
                 continue
             va_del = deletion(va, a)
             va_con, transform, _ = contraction_data(va, a)
-            pts_del = interior_lattice_points(va_del)
-            pts_con = interior_lattice_points(va_con)
+            pts_del = Analysis(va_del).points
+            pts_con = Analysis(va_con).points
             assert all(p in pts for p in pts_del.points)
             leftover = [p for p in pts.points if p not in pts_del]
             images = [tuple(transform.matvec(z)[1:]) for z in leftover]
@@ -527,7 +527,7 @@ class TestProperties:
         assert one.columns == other.columns
 
     def test_points_sorted_lexicographically(self, house_arrangement):
-        pts = interior_lattice_points(house_arrangement).points
+        pts = Analysis(house_arrangement).points.points
         assert list(pts) == sorted(pts)
 
     def test_latticepointset_sorts(self):

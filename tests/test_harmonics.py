@@ -16,19 +16,13 @@ from oracles import (
 )
 from strategies import connected_multigraphs
 from zonoharm import funcspace, harmonics, linalg
-from zonoharm.analysis import CHECKS, Analysis, deletion_contraction_check
-from zonoharm.arrangement import LatticePointSet, VectorArrangement, interior_lattice_points
+from zonoharm.analysis import CHECKS, Analysis, compute_filtration
+from zonoharm.arrangement import LatticePointSet, VectorArrangement
 from zonoharm.errors import DegreeOverflowError, LoopOrColoopError
 from zonoharm.formats import parse_graph
 from zonoharm.funcspace import binom_int, binomial_product_rows
 from zonoharm.graphs import cographical_arrangement
-from zonoharm.harmonics import (
-    Harmonics,
-    compute_filtration,
-    divided_power,
-    iz_hilbert_series,
-    verify_saturation,
-)
+from zonoharm.harmonics import Harmonics, divided_power, verify_saturation
 from zonoharm.linalg import Mat, hermite_rows, in_row_lattice, saturate
 from zonoharm.report import build_graph_report
 
@@ -122,7 +116,7 @@ class TestCanonicalRowsOnDemand:
             va, pts = cycle_arrangement(3), LatticePointSet(((0,), (2,)))
         else:
             va = named_arrangement(name)
-            pts = interior_lattice_points(va)
+            pts = Analysis(va).points
         eager = eager_filtration(pts.points, va.lattice_rank, max_degree)
         calls = count_calls(monkeypatch, ("hermite_rows",), modules=(linalg,))
         h = Harmonics(va, points=pts)
@@ -158,7 +152,7 @@ class TestStopAtZn:
         # degree 4 reaches Z^30 after 30 of its 70 rows
         g = wheel_graph(5)
         va = cographical_arrangement(g)
-        pts = interior_lattice_points(va)
+        pts = Analysis(va).points
         counts = self.count_adds(monkeypatch)
         h = Harmonics(va, points=pts)
         assert h.q_dims == [1, 6, 16, 26, 30]
@@ -180,7 +174,7 @@ class TestStopAtZn:
 
         monkeypatch.setattr(funcspace, "_parent_steps", counted)
         va = cographical_arrangement(wheel_graph(5))
-        h = Harmonics(va, points=interior_lattice_points(va))
+        h = Harmonics(va, points=Analysis(va).points)
         assert h.top_degree == 4
         assert built == {1: 5, 2: 15, 3: 35, 4: 30}
 
@@ -248,19 +242,19 @@ class TestSaturationVerdict:
 class TestHilbertSeries:
     def test_cycle(self):
         for k in range(2, 8):
-            assert iz_hilbert_series(cycle_arrangement(k)) == (1,) * (k - 1)
+            assert Analysis(cycle_arrangement(k)).iz == (1,) * (k - 1)
 
     def test_house(self, house_arrangement):
-        assert iz_hilbert_series(house_arrangement) == (1, 2, 2, 1)
+        assert Analysis(house_arrangement).iz == (1, 2, 2, 1)
 
     def test_single_coloop_zero(self):
         va = VectorArrangement(1, ("a1",), Mat.from_rows([[1]]))
-        assert iz_hilbert_series(va) == ()
+        assert Analysis(va).iz == ()
 
 
 class TestDividedPower:
     def test_cycle_square(self):
-        ctx = Harmonics(cycle_arrangement(5))
+        ctx = compute_filtration(cycle_arrangement(5))
         e = ctx.coordinate_class(0)
         assert e.values == (1, 2, 3, 4)
         e2 = divided_power(ctx, e, 2)
@@ -271,25 +265,25 @@ class TestDividedPower:
         assert solve_row_lattice(ctx.saturated_echelon(1)[0], diff) is not None
 
     def test_m_one_is_identity(self):
-        ctx = Harmonics(cycle_arrangement(4))
+        ctx = compute_filtration(cycle_arrangement(4))
         e = ctx.coordinate_class(0)
         assert divided_power(ctx, e, 1) is e
 
     def test_m_zero_is_unit(self):
-        ctx = Harmonics(cycle_arrangement(4))
+        ctx = compute_filtration(cycle_arrangement(4))
         e = ctx.coordinate_class(0)
         u = divided_power(ctx, e, 0)
         assert u.degree == 0
         assert u.values == (1, 1, 1)
 
     def test_degree_overflow(self):
-        ctx = Harmonics(cycle_arrangement(4))
+        ctx = compute_filtration(cycle_arrangement(4))
         e = ctx.coordinate_class(0)
         with pytest.raises(DegreeOverflowError):
             divided_power(ctx, e, 3)
 
     def test_law_for_all_admissible_m(self, house_arrangement):
-        ctx = Harmonics(house_arrangement)
+        ctx = compute_filtration(house_arrangement)
         for j in (0, 1):
             e = ctx.coordinate_class(j)
             for m in range(2, ctx.top_degree + 1):
@@ -303,7 +297,7 @@ class TestDividedPower:
     def test_square_not_in_plain_subring_for_long_cycles(self):
         # the divided square is not an integer polynomial in the degree-1 class
         for k in (4, 5, 6):
-            ctx = Harmonics(cycle_arrangement(k))
+            ctx = compute_filtration(cycle_arrangement(k))
             e = ctx.coordinate_class(0)
             e2 = divided_power(ctx, e, 2)
             gens = list(ctx.saturated_echelon(1)[0]) + [tuple(v * v for v in e.values)]
@@ -320,7 +314,7 @@ class TestDividedPower:
 
 class TestDeletionContraction:
     def test_house_element_four(self, house_arrangement):
-        rep = deletion_contraction_check(house_arrangement, "e4")
+        rep = Analysis(house_arrangement).deletion_contraction("e4")
         assert rep.ok
         by_degree = {c.degree: c for c in rep.degree_checks}
         assert by_degree[3].dim_total == 6
@@ -329,7 +323,7 @@ class TestDeletionContraction:
 
     def test_cycle(self):
         for k in (2, 3, 5):
-            rep = deletion_contraction_check(cycle_arrangement(k), "a0")
+            rep = Analysis(cycle_arrangement(k)).deletion_contraction("a0")
             assert rep.ok
             top = max(c.degree for c in rep.degree_checks)
             final = [c for c in rep.degree_checks if c.degree == top][0]
@@ -338,7 +332,7 @@ class TestDeletionContraction:
             assert final.dim_deletion_prev == k - 2
 
     def test_triangle_cographical(self):
-        rep = deletion_contraction_check(cycle_arrangement(3), "a1")
+        rep = Analysis(cycle_arrangement(3)).deletion_contraction("a1")
         top = max(c.degree for c in rep.degree_checks)
         final = [c for c in rep.degree_checks if c.degree == top][0]
         assert (final.dim_total, final.dim_contraction, final.dim_deletion_prev) == (2, 1, 1)
@@ -346,9 +340,9 @@ class TestDeletionContraction:
     def test_rejects_loop_or_coloop(self):
         va = VectorArrangement(1, ("a1", "a2"), Mat.from_cols([(1,), (0,)]))
         with pytest.raises(LoopOrColoopError):
-            deletion_contraction_check(va, "a1")
+            Analysis(va).deletion_contraction("a1")
         with pytest.raises(LoopOrColoopError):
-            deletion_contraction_check(va, "a2")
+            Analysis(va).deletion_contraction("a2")
 
 
 def rees_data(h):
@@ -359,20 +353,20 @@ def rees_data(h):
 
 class TestReesData:
     def test_house_ranks(self, house_arrangement):
-        data = rees_data(Harmonics(house_arrangement))
+        data = rees_data(compute_filtration(house_arrangement))
         assert [(i, len(rows)) for i, rows in data] == [(0, 1), (1, 3), (2, 5), (3, 6)]
 
     def test_single_point(self):
         va = VectorArrangement(0, ("a1",), Mat(0, 1, ()))
-        data = rees_data(Harmonics(va))
+        data = rees_data(compute_filtration(va))
         assert [(i, len(rows)) for i, rows in data] == [(0, 1)]
 
     def test_cycle_three(self):
-        data = rees_data(Harmonics(cycle_arrangement(3)))
+        data = rees_data(compute_filtration(cycle_arrangement(3)))
         assert [(i, len(rows)) for i, rows in data] == [(0, 1), (1, 2)]
 
     def test_bases_are_saturated(self, house_arrangement):
-        for _, rows in rees_data(Harmonics(house_arrangement)):
+        for _, rows in rees_data(compute_filtration(house_arrangement)):
             assert saturate(rows, 6)[1] == 1
 
 
@@ -414,7 +408,7 @@ class TestInvariants:
     def test_graded_dims_match_tutte_and_su2(self, g):
         va = cographical_arrangement(g)
         rep = compute_filtration(va)
-        assert trim(rep.gr_dims) == trim(iz_hilbert_series(va))
+        assert trim(rep.gr_dims) == trim(Analysis(va).iz)
         assert trim(rep.gr_dims) == trim(su2_poincare_polynomial(g))
         assert sum(rep.gr_dims) == rep.point_count
 
@@ -427,7 +421,7 @@ class TestInvariants:
     @given(connected_multigraphs(max_edges=7))
     @settings(max_examples=30)
     def test_saturated_rows_equal_saturation(self, g):
-        h = Harmonics(cographical_arrangement(g))
+        h = compute_filtration(cographical_arrangement(g))
         n = h.point_count
         for i in range(len(h.q_dims)):
             sat = h.saturated_echelon(i)[0]

@@ -11,18 +11,14 @@ from oracles import all_degree_redundant_generators, dense_power_expansion, dens
 from strategies import connected_multigraphs
 from zonoharm import analysis, ideals
 from zonoharm.analysis import Analysis
-from zonoharm.arrangement import VectorArrangement, enumerate_cocircuits, interior_lattice_points
+from zonoharm.arrangement import VectorArrangement, enumerate_cocircuits
 from zonoharm.errors import NotTotallyUnimodularError, SizeExceededError
 from zonoharm.funcspace import binom_int
 from zonoharm.formats import parse_graph
 from zonoharm.graphs import cographical_arrangement, tutte_of_arrangement
-from zonoharm.harmonics import Harmonics, compute_filtration, iz_hilbert_series
-from zonoharm.ideals import (
-    k_minus_generators,
-    power_ideal_quotient_dims,
-    redundant_generators,
-    verify_vanishing,
-)
+from zonoharm.analysis import compute_filtration
+from zonoharm.harmonics import Harmonics, iz_hilbert_series
+from zonoharm.ideals import k_minus_generators, redundant_generators, verify_vanishing
 from zonoharm.linalg import Mat
 from zonoharm.verification import random_connected_multigraph
 
@@ -49,7 +45,7 @@ def test_power_expansion_over_the_support_equals_the_dense_one(case):
 
 class TestGenerators:
     def test_house(self, house_arrangement):
-        gens = k_minus_generators(house_arrangement)
+        gens = k_minus_generators(enumerate_cocircuits(house_arrangement))
         assert {(g.cocircuit.covector, g.shift, g.degree) for g in gens} == {
             ((0, 1), -1, 2),
             ((1, 0), -1, 3),
@@ -57,69 +53,69 @@ class TestGenerators:
         }
 
     def test_cycle(self):
-        (g,) = k_minus_generators(cycle_arrangement(5))
+        (g,) = k_minus_generators(enumerate_cocircuits(cycle_arrangement(5)))
         assert (g.cocircuit.covector, g.shift, g.degree) == ((1,), -1, 4)
 
     def test_single_coloop_constant_one(self):
         va = VectorArrangement(1, ("a1",), Mat.from_rows([[1]]))
-        (g,) = k_minus_generators(va)
+        (g,) = k_minus_generators(enumerate_cocircuits(va))
         assert g.degree == 0
         assert g.evaluate((7,)) == 1
         # vacuously vanishing: the interior point set is empty
-        assert verify_vanishing([g], interior_lattice_points(va))
+        assert verify_vanishing([g], Analysis(va).points)
 
 
 class TestVanishing:
     def test_house(self, house_arrangement):
-        gens = k_minus_generators(house_arrangement)
-        assert verify_vanishing(gens, interior_lattice_points(house_arrangement))
+        gens = k_minus_generators(enumerate_cocircuits(house_arrangement))
+        assert verify_vanishing(gens, Analysis(house_arrangement).points)
 
     def test_cycle(self):
         for k in range(2, 7):
             va = cycle_arrangement(k)
-            assert verify_vanishing(k_minus_generators(va), interior_lattice_points(va))
+            ctx = Analysis(va)
+            assert verify_vanishing(k_minus_generators(ctx.cocircuits), ctx.points)
 
     def test_wrong_shift_fails(self):
         va = cycle_arrangement(5)
-        (g,) = k_minus_generators(va)
+        (g,) = k_minus_generators(enumerate_cocircuits(va))
         bad = g._replace(shift=g.shift - 1)
-        assert not verify_vanishing([bad], interior_lattice_points(va))
+        assert not verify_vanishing([bad], Analysis(va).points)
 
 
 class TestQuotientDims:
     def test_house(self, house_arrangement):
-        assert power_ideal_quotient_dims(house_arrangement) == (1, 2, 2, 1, 0)
+        assert Analysis(house_arrangement).power_dims == (1, 2, 2, 1, 0)
 
     def test_cycle(self):
         for k in (3, 4, 6):
-            dims = power_ideal_quotient_dims(cycle_arrangement(k))
+            dims = Analysis(cycle_arrangement(k)).power_dims
             assert trim(dims) == (1,) * (k - 1)
 
     def test_unit_ideal(self):
         va = VectorArrangement(1, ("a1",), Mat.from_rows([[1]]))
-        assert trim(power_ideal_quotient_dims(va)) == ()
+        assert trim(Analysis(va).power_dims) == ()
 
     def test_non_unimodular_input_rejected(self):
-        # (2) is 0 mod 2; with or without a bound, the cocircuits enumerated
-        # in the call reject it before the Tutte series is read
+        # (2) is 0 mod 2: the context's cocircuits reject it before the
+        # Tutte series is read
         va = VectorArrangement(1, ("a", "b"), Mat.from_rows([[1, 2]]))
-        for bound in (None, 3):
-            with pytest.raises(NotTotallyUnimodularError):
-                power_ideal_quotient_dims(va, bound)
+        with pytest.raises(NotTotallyUnimodularError):
+            Analysis(va).power_dims
 
     @given(connected_multigraphs(max_edges=6))
     @settings(max_examples=30)
     def test_matches_graded_dims(self, g):
         va = cographical_arrangement(g)
         rep = compute_filtration(va)
-        assert trim(power_ideal_quotient_dims(va)) == trim(rep.gr_dims)
+        assert trim(Analysis(va).power_dims) == trim(rep.gr_dims)
 
 
 class TestLeadingForms:
     def test_binomial_lift_has_pure_power_top_degree(self, house_arrangement):
         # (d-1)! C(t + d_- - 1, d-1) - t^(d-1) must have degree < d-1 in t,
         # detected by a vanishing (d-1)-st finite difference
-        for g in k_minus_generators(house_arrangement):
+        for g in k_minus_generators(enumerate_cocircuits(house_arrangement)):
             e = g.degree
             fact = 1
             for i in range(2, e + 1):
@@ -143,10 +139,14 @@ class TestLeadingForms:
                 assert lhs == sign * rhs
 
 
+def power_dims(va):
+    return Analysis(va).power_dims
+
+
 class TestRedundancy:
-    @pytest.mark.parametrize("fn", [redundant_generators, power_ideal_quotient_dims])
+    @pytest.mark.parametrize("fn", [redundant_generators, power_dims])
     def test_cocircuits_enumerated_once(self, fn):
-        # the default bound reads the Tutte polynomial, which the same
+        # the degree bound reads the Tutte polynomial, which the same
         # cocircuits certify; they are not enumerated a second time
         va = cographical_arrangement(parse_graph(data_path("theta.graph").read_text()))
         prof = cProfile.Profile()
@@ -154,7 +154,7 @@ class TestRedundancy:
         code = enumerate_cocircuits.__code__
         assert pstats.Stats(prof).stats[(code.co_filename, code.co_firstlineno, code.co_name)][1] == 1
 
-    @pytest.mark.parametrize("fn", [redundant_generators, power_ideal_quotient_dims])
+    @pytest.mark.parametrize("fn", [redundant_generators, power_dims])
     def test_one_filtration_per_call(self, fn):
         prof = cProfile.Profile()
         prof.runcall(fn, named_arrangement("W4"))
@@ -162,9 +162,22 @@ class TestRedundancy:
         assert pstats.Stats(prof).stats[(code.co_filename, code.co_firstlineno, code.co_name)][1] == 1
 
     @pytest.mark.parametrize("name", ["W4", "house"])
-    def test_standalone_dims_equal_the_context(self, name):
+    def test_standalone_dims_equal_the_context(self, monkeypatch, name):
+        # ``redundant_generators`` runs the certified dimensions of the
+        # context's ``power_dims``, to the same degree
         va = named_arrangement(name)
-        assert power_ideal_quotient_dims(va) == Analysis(va).power_dims
+        expected = Analysis(va).power_dims
+        dims = []
+        certified = ideals._certified
+
+        def spy(*args):
+            for step in certified(*args):
+                dims.append(step[0])
+                yield step
+
+        monkeypatch.setattr(ideals, "_certified", spy)
+        redundant_generators(va)
+        assert tuple(dims) == expected
 
     def test_house_redundant_generator(self, house_arrangement):
         cocs = enumerate_cocircuits(house_arrangement)
@@ -186,7 +199,7 @@ class TestRedundancy:
     def test_wheel6(self):
         # at the default prime only: with P = 2 most generators take an exact rank
         va = cographical_arrangement(wheel_graph(6))
-        assert power_ideal_quotient_dims(va) == (1, 6, 15, 20, 15, 5, 0)
+        assert Analysis(va).power_dims == (1, 6, 15, 20, 15, 5, 0)
         assert redundant_generators(va) == (2, 4, 5, 7, 8, 9, 11, 12, 13, 14, *range(16, 30))
 
     @pytest.mark.parametrize("name", ["house", "C3", "C4", "C5", "C6", "W4", "K33", "prism"])
@@ -234,14 +247,14 @@ class TestCertificate:
     def test_small_prime_falls_back_to_exact_rank(self, monkeypatch, exact_rank_calls, name, p):
         monkeypatch.setattr(ideals, "P", p)
         va = named_arrangement(name)
-        assert (power_ideal_quotient_dims(va), redundant_generators(va)) == EXPECTED[name]
+        assert (Analysis(va).power_dims, redundant_generators(va)) == EXPECTED[name]
         assert exact_rank_calls
 
     @pytest.mark.parametrize("name", sorted(EXPECTED))
     def test_no_bound_without_vanishing(self, monkeypatch, exact_rank_calls, name):
         monkeypatch.setattr(analysis, "verify_vanishing", lambda gens, points: False)
         va = named_arrangement(name)
-        dims = power_ideal_quotient_dims(va)
+        dims = Analysis(va).power_dims
         assert dims == EXPECTED[name][0]
         # one exact rank per degree that has generators, none mod P alone
         low = min(c.degree - 1 for c in enumerate_cocircuits(va))
@@ -255,12 +268,12 @@ class TestCertificate:
 
     def test_wheel7_certified_without_exact_rank(self, exact_rank_calls):
         va = cographical_arrangement(parse_graph(data_path("wheel7.graph").read_text()))
-        assert power_ideal_quotient_dims(va) == (1, 7, 21, 35, 35, 21, 6, 0)
+        assert Analysis(va).power_dims == (1, 7, 21, 35, 35, 21, 6, 0)
         assert exact_rank_calls == []
 
 
 def top_bound(va):
-    """The default bound of ``power_ideal_quotient_dims``."""
+    """The degree bound of ``Analysis.power_dims`` and ``redundant_generators``."""
     return len(iz_hilbert_series(va, tutte_of_arrangement(va, enumerate_cocircuits(va))))
 
 
@@ -305,15 +318,15 @@ class TestChain:
         ids=["unit-ideal", "no-cocircuits", "selfloop", "K33-bound-2", "prism-bound-3"],
     )
     def test_edge_cases_match_dense(self, va, bound):
-        dense = dense_quotient_dims_mod_p(va, bound)
-        assert chain_dims(va, bound) == dense
-        assert power_ideal_quotient_dims(va, bound) == dense
-        assert redundant_generators(va, bound) == all_degree_redundant_generators(va, bound)
+        assert chain_dims(va, bound) == dense_quotient_dims_mod_p(va, bound)
+        # the public results run to the degree bound of the Tutte series
+        assert Analysis(va).power_dims == dense_quotient_dims_mod_p(va, top_bound(va))
+        assert redundant_generators(va) == all_degree_redundant_generators(va)
 
     def test_no_cocircuits_has_rank_zero(self):
         va = cographical_arrangement(parse_graph("vertex a\nvertex b\narrow 1 a b\n"))
         assert va.lattice_rank == 0 and enumerate_cocircuits(va) == ()
-        assert power_ideal_quotient_dims(va) == (1, 0)
+        assert Analysis(va).power_dims == (1, 0)
 
 
 class TestSizeCap:
@@ -332,11 +345,11 @@ class TestSizeCap:
         monkeypatch.setattr(ideals, "exponents_of_degree", spy)
         va = named_arrangement("K33")  # dim Sym_1 = 4 > 3; no generator below degree 3
         with pytest.raises(SizeExceededError, match="degree-1 "):
-            power_ideal_quotient_dims(va)
+            Analysis(va).power_dims
         assert 1 not in listed
         assert exact_rank_calls == []
 
     @pytest.mark.parametrize("name", sorted(EXPECTED))
     def test_certified_degrees_never_trip(self, monkeypatch, name):
         monkeypatch.setattr(ideals, "SYM_DEGREE_DIM_CAP", 0)
-        assert power_ideal_quotient_dims(named_arrangement(name)) == EXPECTED[name][0]
+        assert Analysis(named_arrangement(name)).power_dims == EXPECTED[name][0]

@@ -8,7 +8,7 @@ within their own type; the plain records are named tuples.
 import pytest
 
 from conftest import cycle_arrangement
-from zonoharm.arrangement import LatticePointSet, VectorArrangement
+from zonoharm.arrangement import LatticePointSet, VectorArrangement, enumerate_cocircuits
 from zonoharm.graphs import Arrow, DirectedGraph
 from zonoharm.ideals import k_minus_generators
 from zonoharm.linalg import Mat
@@ -118,7 +118,7 @@ def test_keyword_and_positional_construction_agree():
 
 
 def test_generator_replace():
-    (g,) = k_minus_generators(cycle_arrangement(5))
+    (g,) = k_minus_generators(enumerate_cocircuits(cycle_arrangement(5)))
     bad = g._replace(shift=g.shift - 1)
     assert bad.shift == g.shift - 1
     assert (bad.cocircuit, bad.degree) == (g.cocircuit, g.degree)

@@ -8,6 +8,15 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+
+def run_script(args):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, *args], cwd=ROOT, env=env, capture_output=True, timeout=300
+    )
 
 
 @pytest.mark.parametrize(
@@ -19,9 +28,25 @@ ROOT = Path(__file__).resolve().parent.parent
     ids=["house_walkthrough", "random_verification"],
 )
 def test_script_exits_zero(args):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, *args], cwd=ROOT, env=env, capture_output=True, timeout=300
-    )
+    proc = run_script(args)
     assert proc.returncode == 0, proc.stderr.decode()
+
+
+def test_walkthrough_stdout_matches_golden():
+    proc = run_script(["scripts/house_walkthrough.py"])
+    assert proc.stdout == (GOLDEN / "house_walkthrough.txt").read_bytes()
+
+
+@pytest.mark.parametrize(
+    "max_edges, message",
+    [("0", b"at least 1 edge"), ("10", b"limited to 9 edges")],
+    ids=["no-edges", "past-the-cap"],
+)
+def test_random_verification_rejects_max_edges(max_edges, message):
+    # the suite raises before it draws an instance; the script reports it in one line
+    proc = run_script(
+        ["scripts/random_verification.py", "--seeds", "1", "--count", "3", "--max-edges", max_edges]
+    )
+    assert proc.returncode == 2
+    assert b"Traceback" not in proc.stderr
+    assert proc.stderr.count(b"\n") == 1 and message in proc.stderr

@@ -72,7 +72,7 @@ class TestInstanceChecks:
             (
                 analysis,
                 "k_minus_generators",
-                lambda f: lambda va, cocs: [x._replace(shift=x.shift - 1) for x in f(va, cocs)],
+                lambda f: lambda cocs: [x._replace(shift=x.shift - 1) for x in f(cocs)],
                 ("generators_vanish",),
             ),
             # the last cocircuit power dropped from the ideal layer's generators
@@ -118,3 +118,8 @@ class TestSuite:
     def test_edge_cap(self):
         with pytest.raises(SizeExceededError):
             run_suite(SuiteConfig(max_edges=10))
+
+    @pytest.mark.parametrize("max_edges", [0, -1])
+    def test_needs_an_edge(self, max_edges):
+        with pytest.raises(ValueError, match="at least 1 edge"):
+            run_suite(SuiteConfig(max_edges=max_edges))
