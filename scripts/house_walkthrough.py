@@ -37,7 +37,7 @@ def main():
 
     print("\n== matrix route ==")
     ctx = Analysis(matrix)
-    print("interior points:", ctx.points.points)
+    print("interior points:", ctx.points)
     for c in ctx.cocircuits:
         print(f"cocircuit {c.covector}  d+={c.d_plus} d-={c.d_minus}")
 

@@ -9,7 +9,7 @@ import sys
 import time
 
 from zonoharm.errors import SizeExceededError
-from zonoharm.verification import SuiteConfig, run_suite
+from zonoharm.verification import run_suite
 
 
 def main():
@@ -24,13 +24,13 @@ def main():
     for seed in args.seeds:
         start = time.perf_counter()
         try:
-            summary = run_suite(SuiteConfig(seed=seed, count=args.count, max_edges=args.max_edges))
+            summary = run_suite(seed, args.count, args.max_edges)
         except (SizeExceededError, ValueError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             raise SystemExit(2)
         elapsed = time.perf_counter() - start
         print(
-            f"{seed:>6} {summary.count:>6} {summary.max_edges:>6}"
+            f"{seed:>6} {args.count:>6} {args.max_edges:>6}"
             f" {summary.passes:>7} {summary.failures:>9} {elapsed:>7.2f}"
         )
         if summary.first_failure is not None:

@@ -5,7 +5,6 @@ the Tutte-polynomial identities that govern them."""
 from .analysis import Analysis, compute_filtration
 from .arrangement import (
     Cocircuit,
-    LatticePointSet,
     VectorArrangement,
     enumerate_cocircuits,
     interior_lattice_points,

@@ -139,12 +139,12 @@ class Analysis:
         return deletion_drops(self.cocircuits)
 
     @cached_property
-    def points(self):
+    def points(self) -> tuple:
         return interior_lattice_points(self.va, self.cocircuits)
 
     @cached_property
     def harmonics(self) -> Harmonics:
-        return Harmonics(self.va, self.points)
+        return Harmonics(self.points)
 
     @cached_property
     def tutte(self):
@@ -216,7 +216,7 @@ class Analysis:
         )
         ctx_del = Analysis(delete_column(va, idx), cocircuits=cocs_del)
         ctx_con = Analysis(va_con, cocircuits=cocs_con)
-        bars = [tuple(sum(map(mul, u, z)) for u in quotient) for z in self.points.points]
+        bars = [tuple(sum(map(mul, u, z)) for u in quotient) for z in self.points]
         return ctx_del, ctx_con, bars
 
     def deletion_contraction(self, element) -> DeletionContractionReport:
@@ -246,13 +246,13 @@ class Analysis:
                 exactness_ok=True,
             )
         ctx_del, ctx_con, bars = self.minors(element)
-        pts = self.points.points
-        del_pts = set(ctx_del.points.points)
+        pts = self.points
+        del_pts = set(ctx_del.points)
         images = [zbar for z, zbar in zip(pts, bars) if z not in del_pts]
         bijection_ok = (
             del_pts <= set(pts)
             and len(images) == len(set(images))
-            and set(images) == set(ctx_con.points.points)
+            and set(images) == set(ctx_con.points)
         )
 
         h, h_del, h_con = self.harmonics, ctx_del.harmonics, ctx_con.harmonics
@@ -300,16 +300,16 @@ def _exactness_ranks(ctx: Analysis, ctx_del: Analysis, ctx_con: Analysis, elemen
     """
     h, h_del, h_con = ctx.harmonics, ctx_del.harmonics, ctx_con.harmonics
     col = ctx.va.column(element)
-    index = ctx.points.index_map()
+    index = {z: k for k, z in enumerate(ctx.points)}
     shift_idx = []
-    for z in ctx_del.points.points:
+    for z in ctx_del.points:
         if z not in index:
             return False
         zs = tuple(a + b for a, b in zip(z, col))
         if zs not in index:
             return False
         shift_idx.append((index[z], index[zs]))
-    con_index = ctx_con.points.index_map()
+    con_index = {z: k for k, z in enumerate(ctx_con.points)}
     bar_idx = []
     for zbar in bars:
         pos = con_index.get(zbar)

@@ -12,14 +12,14 @@ arrangement costs; minors cost none.  A deletion's columns are sliced out
 of its parent's and a contraction's are mapped by a unimodular transform,
 both without the constructor's checks.
 
-``Cocircuit`` is a named tuple.  ``VectorArrangement`` and
-``LatticePointSet`` validate and normalise their fields on construction;
-they are plain classes, immutable by convention: nothing reassigns a field.
+``Cocircuit`` is a named tuple.  ``VectorArrangement`` validates its fields
+on construction; it is a plain class, immutable by convention: nothing
+reassigns a field.  A set of interior points is a plain tuple of point
+tuples, in the lexicographic order in which the scan finds them.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from itertools import chain, combinations
 from operator import mul
 from typing import NamedTuple
@@ -90,37 +90,6 @@ class Cocircuit(NamedTuple):
 
     def support(self, ground) -> tuple:
         return tuple(a for a, v in zip(ground, self.values) if v)
-
-
-class LatticePointSet:
-    """A finite set of lattice points, stored in lexicographic order."""
-
-    __slots__ = ("points",)
-
-    def __init__(self, points: tuple):
-        self.points = tuple(sorted(tuple(p) for p in points))
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.points == other.points
-
-    def __hash__(self):
-        return hash((self.points,))
-
-    def __repr__(self):
-        return f"LatticePointSet(points={self.points!r})"
-
-    def __len__(self):
-        return len(self.points)
-
-    def __contains__(self, p):
-        p = tuple(p)
-        i = bisect_left(self.points, p)
-        return i < len(self.points) and self.points[i] == p
-
-    def index_map(self) -> dict:
-        return {p: i for i, p in enumerate(self.points)}
 
 
 def loops_and_coloops(va: VectorArrangement, cocircuits) -> tuple:
@@ -344,7 +313,7 @@ def certify_pairings(va: VectorArrangement, cocircuits) -> None:
             raise CertificateError(f"covector {c.covector} does not pair to {c.values}")
 
 
-def interior_lattice_points(va: VectorArrangement, cocircuits) -> LatticePointSet:
+def interior_lattice_points(va: VectorArrangement, cocircuits) -> tuple:
     """Lattice points strictly inside the zonotope of the arrangement.
 
     Any coloop forces emptiness; in rank 0 the single (empty) point remains.
@@ -355,14 +324,16 @@ def interior_lattice_points(va: VectorArrangement, cocircuits) -> LatticePointSe
     the box's per-cocircuit suffix minima and maxima this narrows each
     coordinate to an interval.  The box contains the zonotope, and a
     cocircuit is tested exactly at its last nonzero coordinate, so the scan
-    is exact.  Points come out in lexicographic order.  ``cocircuits`` are
-    the arrangement's.
+    is exact.  ``cocircuits`` are the arrangement's.  Returns the points as
+    a tuple of tuples, in strictly increasing lexicographic order: the scan
+    visits each coordinate's interval upwards, so that order is the scan's
+    own and nothing sorts it.
     """
     r = va.lattice_rank
     if r == 0:
-        return LatticePointSet(((),))
+        return ((),)
     if any(c.degree == 1 for c in cocircuits):  # a coloop is a one-element cocircuit
-        return LatticePointSet(())
+        return ()
     cols = va.columns.col_list()
     lo = [sum(min(0, c[j]) for c in cols) for j in range(r)]
     hi = [sum(max(0, c[j]) for c in cols) for j in range(r)]
@@ -401,4 +372,4 @@ def interior_lattice_points(va: VectorArrangement, cocircuits) -> LatticePointSe
             scan(j + 1, nxt)
 
     scan(0, [0] * len(cocircuits))
-    return LatticePointSet(tuple(pts))
+    return tuple(pts)

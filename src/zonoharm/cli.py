@@ -89,19 +89,18 @@ def cmd_random_suite(args) -> int:
     if args.max_edges < 1:
         return _input_error("--max-edges must be at least 1")
     # imported here: no other subcommand needs the suite, and every call pays for an import
-    from .verification import SuiteConfig, run_suite
+    from .verification import run_suite
 
-    cfg = SuiteConfig(seed=args.seed, count=args.count, max_edges=args.max_edges)
     try:
-        summary = run_suite(cfg)
+        summary = run_suite(args.seed, args.count, args.max_edges)
     except SizeExceededError as exc:
         print(f"size error: {exc}", file=sys.stderr)
         return EXIT_SIZE
     payload = {
         "schemaVersion": 1,
-        "seed": summary.seed,
-        "count": summary.count,
-        "maxEdges": summary.max_edges,
+        "seed": args.seed,
+        "count": args.count,
+        "maxEdges": args.max_edges,
         "passes": summary.passes,
         "failures": summary.failures,
         "firstFailure": (
@@ -118,8 +117,8 @@ def cmd_random_suite(args) -> int:
         _write(to_json_bytes(payload))
     else:
         lines = [
-            f"random suite: seed {summary.seed}, {summary.count} instances,"
-            f" max {summary.max_edges} edges",
+            f"random suite: seed {args.seed}, {args.count} instances,"
+            f" max {args.max_edges} edges",
             f"  passes  : {summary.passes}",
             f"  failures: {summary.failures}",
         ]

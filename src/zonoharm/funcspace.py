@@ -9,7 +9,7 @@ their exponents, so evaluation rows are stable.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import combinations, repeat
+from itertools import repeat
 from math import factorial
 from operator import floordiv, mul
 
@@ -31,29 +31,23 @@ def exponents_of_degree(r: int, d: int) -> tuple:
     Tabulated once per (r, d); the tuple is shared by every caller."""
     if r == 0:
         return ((),) if d == 0 else ()
-    out = []
-    for bars in combinations(range(d + r - 1), r - 1):
-        prev = -1
-        comp = []
-        for b in bars:
-            comp.append(b - prev - 1)
-            prev = b
-        comp.append(d + r - 2 - prev)
-        out.append(tuple(comp))
-    out.sort(key=lambda e: tuple(-x for x in e))
-    return tuple(out)
+    return tuple((k, *rest) for k in range(d, -1, -1) for rest in exponents_of_degree(r - 1, d - k))
 
 
 @lru_cache(maxsize=256)
 def _parent_steps(r: int, d: int) -> tuple:
     """(k, j, e_j) for each exponent e of ``exponents_of_degree(r, d)``,
-    d > 0: j is e's last nonzero coordinate and k the position of e - u_j
-    among the exponents of degree d - 1.  Tabulated once per (r, d)."""
-    position = {e: k for k, e in enumerate(exponents_of_degree(r, d - 1))}
+    d > 0, in order: j is e's last nonzero coordinate and k the position of
+    e - u_j among the exponents of degree d - 1.  Tabulated once per (r, d).
+
+    Each exponent p of degree d - 1 is listed with its children p + u_j, for
+    j from p's last nonzero coordinate (0 for p = 0) to r - 1.  Parents in
+    descending-lex order give their children in that order, so no sort is
+    needed."""
     steps = []
-    for e in exponents_of_degree(r, d):
-        j = max(c for c in range(r) if e[c])
-        steps.append((position[e[:j] + (e[j] - 1,) + e[j + 1 :]], j, e[j]))
+    for k, p in enumerate(exponents_of_degree(r, d - 1)):
+        last = max((c for c in range(r) if p[c]), default=0)
+        steps.extend((k, j, p[j] + 1) for j in range(last, r))
     return tuple(steps)
 
 

@@ -34,7 +34,6 @@ from __future__ import annotations
 from math import factorial
 from typing import NamedTuple
 
-from .arrangement import VectorArrangement
 from .errors import DegreeOverflowError, NotIntegralError
 from .funcspace import binom_int, binomial_product_rows
 from .linalg import IntRowLattice, in_row_lattice, saturate
@@ -52,7 +51,10 @@ class GradedClass(NamedTuple):
 
 
 class Harmonics:
-    """Filtration data for one arrangement on ``points``, its interior points.
+    """Filtration data of the functions on ``points``, a tuple of points of
+    Z^r such as an arrangement's interior points, whose order fixes the
+    columns.  It reads nothing else: r is the length of a point, and no
+    points give the zero filtration.
 
     Degree by degree, the evaluation rows of the binomial products (each
     built from one row of the previous degree, see ``binomial_product_rows``)
@@ -62,10 +64,9 @@ class Harmonics:
     1, with no kernel; any other degree falls back to ``saturate``.
     """
 
-    def __init__(self, va: VectorArrangement, points):
-        self.va = va
+    def __init__(self, points: tuple):
         self.points = points
-        n = len(self.points)
+        n = len(points)
         self.point_count = n
         self.q_dims: list = []
         self.saturation_indices: list = []
@@ -75,7 +76,7 @@ class Harmonics:
             self.top_degree = 0
             return
         lattice = IntRowLattice(n)
-        blocks = binomial_product_rows(self.points.points, va.lattice_rank)
+        blocks = binomial_product_rows(points, len(points[0]))
         grown, grown_pivots = lattice.rows, lattice.pivot_cols  # updated in place
         for degree, block in enumerate(blocks):
             for row in block:
@@ -145,9 +146,9 @@ class Harmonics:
         """Degree-1 class of the j-th coordinate function."""
         if self.top_degree < 1:
             raise DegreeOverflowError("filtration has no degree-1 piece")
-        if not 0 <= j < self.va.lattice_rank:
+        if not 0 <= j < len(self.points[0]):
             raise ValueError("coordinate index out of range")
-        return GradedClass(degree=1, values=tuple(p[j] for p in self.points.points))
+        return GradedClass(degree=1, values=tuple(p[j] for p in self.points))
 
 
 def verify_saturation(h: Harmonics) -> bool:
@@ -155,9 +156,9 @@ def verify_saturation(h: Harmonics) -> bool:
     return all(ix == 1 for ix in h.saturation_indices)
 
 
-def iz_hilbert_series(va: VectorArrangement, tutte) -> tuple:
-    """Coefficients of t^(|A|-r) * T(0, 1/t) from ``tutte``, the
-    arrangement's Tutte polynomial."""
+def iz_hilbert_series(va, tutte) -> tuple:
+    """Coefficients of t^(|A|-r) * T(0, 1/t) from ``tutte``, the Tutte
+    polynomial of ``va``, a ``VectorArrangement``."""
     nullity = va.size - va.lattice_rank
     ys = tutte.y_slice(0)  # {j: coeff of x^0 y^j}
     coeffs = [ys.get(nullity - m, 0) for m in range(nullity + 1)]

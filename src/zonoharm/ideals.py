@@ -54,8 +54,8 @@ def k_minus_generators(cocircuits) -> tuple:
 
 def verify_vanishing(generators, points) -> bool:
     """Every shifted-binomial generator is zero at every point of ``points``,
-    a ``LatticePointSet`` (the interior points)."""
-    return not any(g.evaluate(p) for g in generators for p in points.points)
+    a tuple of points (the interior points)."""
+    return not any(g.evaluate(p) for g in generators for p in points)
 
 
 def _power_expansion(covector, e: int, r: int) -> dict:

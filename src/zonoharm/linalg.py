@@ -75,9 +75,6 @@ class Mat:
     def col(self, j: int) -> tuple:
         return self.data[j :: self.cols] if self.cols else ()
 
-    def row_list(self) -> list:
-        return [list(self.row(i)) for i in range(self.rows)]
-
     def col_list(self) -> list:
         return [list(self.col(j)) for j in range(self.cols)]
 

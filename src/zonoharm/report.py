@@ -67,7 +67,7 @@ def build_report(
             }
             for c in ctx.cocircuits
         ],
-        "interiorPoints": [list(p) for p in ctx.points.points],
+        "interiorPoints": [list(p) for p in ctx.points],
         "pointCount": h.point_count,
         "tutte": [[i, j, c] for i, j, c in ctx.tutte.terms],
         "izHilbert": list(ctx.iz),

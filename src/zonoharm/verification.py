@@ -21,12 +21,6 @@ from .graphs import Arrow, DirectedGraph, cographical_arrangement
 RANDOM_SUITE_MAX_EDGES = 9
 
 
-class SuiteConfig(NamedTuple):
-    seed: int = 1
-    count: int = 50
-    max_edges: int = 7
-
-
 class InstanceChecks(NamedTuple):
     index: int
     graph_text: str = ""
@@ -67,9 +61,6 @@ def run_instance_checks(g: DirectedGraph) -> InstanceChecks:
 
 
 class SuiteSummary(NamedTuple):
-    seed: int
-    count: int
-    max_edges: int
     passes: int
     failures: int
     first_failure: InstanceChecks | None
@@ -79,18 +70,21 @@ class SuiteSummary(NamedTuple):
         return self.failures == 0
 
 
-def run_suite(cfg: SuiteConfig) -> SuiteSummary:
-    """Run the deterministic random verification suite."""
-    if cfg.max_edges < 1:
+def run_suite(seed: int, count: int, max_edges: int) -> SuiteSummary:
+    """Run the deterministic random verification suite: ``count`` instances
+    of at most ``max_edges`` arrows each, drawn from the stream of ``seed``."""
+    if count < 0:
+        raise ValueError("random suite needs a non-negative count")
+    if max_edges < 1:
         raise ValueError("random suite needs at least 1 edge")
-    if cfg.max_edges > RANDOM_SUITE_MAX_EDGES:
+    if max_edges > RANDOM_SUITE_MAX_EDGES:
         raise SizeExceededError(f"random suite limited to {RANDOM_SUITE_MAX_EDGES} edges")
-    rng = random.Random(cfg.seed)
+    rng = random.Random(seed)
     passes = 0
     failures = 0
     first_failure = None
-    for i in range(cfg.count):
-        g = random_connected_multigraph(rng, cfg.max_edges)
+    for i in range(count):
+        g = random_connected_multigraph(rng, max_edges)
         res = run_instance_checks(g)
         if res.ok:
             passes += 1
@@ -98,11 +92,4 @@ def run_suite(cfg: SuiteConfig) -> SuiteSummary:
             failures += 1
             if first_failure is None:
                 first_failure = res._replace(index=i)
-    return SuiteSummary(
-        seed=cfg.seed,
-        count=cfg.count,
-        max_edges=cfg.max_edges,
-        passes=passes,
-        failures=failures,
-        first_failure=first_failure,
-    )
+    return SuiteSummary(passes=passes, failures=failures, first_failure=first_failure)

@@ -15,7 +15,7 @@ from zonoharm.arrangement import (
     enumerate_cocircuits,
 )
 from zonoharm.errors import NotTotallyUnimodularError, ZonoharmError
-from zonoharm.funcspace import binom_int, binomial_product_rows, exponents_of_degree
+from zonoharm.funcspace import binom_int, binomial_product_rows
 from zonoharm.graphs import BivariatePolynomial, _corank_nullity, graph_rank, tutte_of_arrangement
 from zonoharm.harmonics import iz_hilbert_series
 from zonoharm.ideals import P, _expansions, _macaulay_rows
@@ -26,6 +26,11 @@ from zonoharm.report import JSON_INT_LIMIT
 def identity(n):
     """The n x n identity matrix."""
     return Mat.from_rows([[int(i == j) for j in range(n)] for i in range(n)], cols=n)
+
+
+def row_list(m):
+    """The rows of a ``Mat``, as lists."""
+    return [list(m.row(i)) for i in range(m.rows)]
 
 
 def matmul(a, b):
@@ -39,7 +44,7 @@ def bareiss_rank(m) -> int:
     """Exact rank over Q of a ``Mat`` or a list of integer rows, by
     fraction-free Gaussian elimination (Bareiss), independent of the
     library's integer echelon."""
-    rows = m.row_list() if isinstance(m, Mat) else [list(r) for r in m]
+    rows = row_list(m) if isinstance(m, Mat) else [list(r) for r in m]
     if not rows:
         return 0
     ncols = len(rows[0])
@@ -139,7 +144,7 @@ def violating_minor(va):
     basis; the library's own test (``enumerate_cocircuits``) does not.
     """
     r, n = va.lattice_rank, va.size
-    rows = va.columns.row_list()
+    rows = row_list(va.columns)
     for k in range(1, min(r, n) + 1):
         for rsel in combinations(range(r), k):
             for csel in combinations(range(n), k):
@@ -286,6 +291,36 @@ def theta_triples(cycles):
     return tuple(triples)
 
 
+def exponents_by_compositions(r: int, d: int) -> tuple:
+    """Exponent tuples of total degree exactly d in r variables, read off the
+    bar positions of each composition of d and then sorted descending-lex."""
+    if r == 0:
+        return ((),) if d == 0 else ()
+    out = []
+    for bars in combinations(range(d + r - 1), r - 1):
+        prev = -1
+        comp = []
+        for b in bars:
+            comp.append(b - prev - 1)
+            prev = b
+        comp.append(d + r - 2 - prev)
+        out.append(tuple(comp))
+    out.sort(key=lambda e: tuple(-x for x in e))
+    return tuple(out)
+
+
+def parent_steps_by_position(r: int, d: int) -> tuple:
+    """(k, j, e_j) for each exponent e of degree d > 0, in the order of
+    ``exponents_by_compositions``: j is e's last nonzero coordinate and k the
+    position of e - u_j among the exponents of degree d - 1, looked up."""
+    position = {e: k for k, e in enumerate(exponents_by_compositions(r, d - 1))}
+    steps = []
+    for e in exponents_by_compositions(r, d):
+        j = max(c for c in range(r) if e[c])
+        steps.append((position[e[:j] + (e[j] - 1,) + e[j + 1 :]], j, e[j]))
+    return tuple(steps)
+
+
 def binomial_product_value(exps, point):
     """Value of prod_j C(x_j, i_j) at ``point``, one binomial coefficient at a time."""
     return prod(binom_int(x, i) for x, i in zip(point, exps))
@@ -298,9 +333,11 @@ def monomial_value(exps, point):
 
 def pointwise_rows(r, degree, points, value=binomial_product_value):
     """Rows of ``value`` at each point, one per exponent of total degree <=
-    ``degree`` in r variables, in the order of ``exponents_of_degree``."""
+    ``degree`` in r variables, in the order of ``exponents_by_compositions``."""
     return [
-        [value(e, p) for p in points] for d in range(degree + 1) for e in exponents_of_degree(r, d)
+        [value(e, p) for p in points]
+        for d in range(degree + 1)
+        for e in exponents_by_compositions(r, d)
     ]
 
 
@@ -462,7 +499,7 @@ def eval_rows_up_to(h, degree):
     """Evaluation rows on h's points of every binomial product of degree <= ``degree``."""
     if h.point_count == 0 or degree < 0:
         return []
-    blocks = binomial_product_rows(h.points.points, h.va.lattice_rank)
+    blocks = binomial_product_rows(h.points, len(h.points[0]))
     return [row for block in islice(blocks, min(degree, h.top_degree) + 1) for row in block]
 
 
@@ -474,14 +511,14 @@ def exactness_on_eval_rows(ctx, ctx_del, ctx_con, element, bars):
     """
     h, h_del, h_con = ctx.harmonics, ctx_del.harmonics, ctx_con.harmonics
     col = ctx.va.column(element)
-    index = ctx.points.index_map()
+    index = {z: k for k, z in enumerate(ctx.points)}
     shift_idx = []
-    for z in ctx_del.points.points:
+    for z in ctx_del.points:
         zs = tuple(a + b for a, b in zip(z, col))
         if z not in index or zs not in index:
             return False
         shift_idx.append((index[z], index[zs]))
-    con_index = ctx_con.points.index_map()
+    con_index = {z: k for k, z in enumerate(ctx_con.points)}
     if any(zbar not in con_index for zbar in bars):
         return False
     bar_idx = [con_index[zbar] for zbar in bars]
@@ -513,7 +550,7 @@ def dense_power_expansion(covector, e: int, r: int) -> dict:
     """Monomial coefficients of (<covector, x>)^e as {exponents: coeff}, over
     all C(r+e-1, e) exponents of degree e, keeping the nonzero ones."""
     out: dict = {}
-    for exps in exponents_of_degree(r, e):
+    for exps in exponents_by_compositions(r, e):
         coeff = factorial(e)
         for k in exps:
             coeff //= factorial(k)

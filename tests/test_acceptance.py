@@ -62,7 +62,7 @@ class TestCriterion1House:
         failures = []
 
         rep = compute_filtration(house_arrangement)
-        pts = rep.points.points
+        pts = rep.points
         expected_points = tuple(sorted((a, b) for a in (1, 2, 3) for b in (1, 2)))
         if pts != expected_points:
             failures.append(f"interior points {pts}")
@@ -99,7 +99,7 @@ class TestCriterion2CycleFamily:
         for k in range(2, 9):
             va = cycle_arrangement(k)
             ctx = compute_filtration(va)
-            if ctx.points.points != tuple((z,) for z in range(1, k)):
+            if ctx.points != tuple((z,) for z in range(1, k)):
                 failures.append(f"k={k} points")
             if ctx.gr_dims != (1,) * (k - 1):
                 failures.append(f"k={k} grDims {ctx.gr_dims}")

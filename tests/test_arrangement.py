@@ -5,7 +5,7 @@ from itertools import combinations, product
 
 import pytest
 import sympy
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import wheel_graph
@@ -26,7 +26,6 @@ from strategies import connected_multigraphs, sheared_arrangements
 from zonoharm.analysis import Analysis
 from zonoharm.arrangement import (
     Cocircuit,
-    LatticePointSet,
     VectorArrangement,
     certify_pairings,
     deletion_drops,
@@ -218,9 +217,9 @@ class TestContraction:
         pts_del = Analysis(deletion(house_arrangement, "e4")).points
         pts_con = Analysis(out).points
         assert (len(pts), len(pts_del), len(pts_con)) == (6, 2, 4)
-        leftover = [p for p in pts.points if p not in pts_del]
+        leftover = [p for p in pts if p not in pts_del]
         images = {tuple(transform.matvec(z)[1:]) for z in leftover}
-        assert images == set(pts_con.points)
+        assert images == set(pts_con)
 
     def test_loop_rejected(self):
         with pytest.raises(IsLoopError):
@@ -331,7 +330,7 @@ def assert_minors_validated(va):
         assert matmul(transform, inverse) == identity(r)
         images = [transform.matvec(c)[1:] for c in rest]
         assert ctx_con.va == VectorArrangement(r - 1, ground, Mat.from_cols(images, rows=r - 1))
-        assert bars == [transform.matvec(z)[1:] for z in ctx.points.points]
+        assert bars == [transform.matvec(z)[1:] for z in ctx.points]
         assert ctx_del.cocircuits == enumerate_cocircuits(ctx_del.va)
         assert ctx_con.cocircuits == enumerate_cocircuits(ctx_con.va)
 
@@ -439,35 +438,35 @@ class TestMinorCocircuits:
 class TestInteriorPoints:
     def test_house(self, house_arrangement):
         pts = Analysis(house_arrangement).points
-        assert pts.points == tuple(sorted((a, b) for a in (1, 2, 3) for b in (1, 2)))
+        assert pts == tuple(sorted((a, b) for a in (1, 2, 3) for b in (1, 2)))
 
     def test_cycle(self):
         pts = Analysis(cycle_arrangement(6)).points
-        assert pts.points == tuple((z,) for z in range(1, 6))
+        assert pts == tuple((z,) for z in range(1, 6))
 
     def test_coloop_empty(self):
         pts = Analysis(arr(2, [(1, 0), (0, 1), (1, 1)])).points
         # a1 and a2 are not coloops here; build one that has a coloop
         va = arr(2, [(1, 0), (0, 1)])
-        assert Analysis(va).points.points == ()
+        assert Analysis(va).points == ()
         assert len(pts) > 0
 
     def test_rank_zero_single_point(self):
         va = VectorArrangement(0, ("a1", "a2"), Mat(0, 2, ()))
-        assert Analysis(va).points.points == ((),)
+        assert Analysis(va).points == ((),)
 
     @given(connected_multigraphs(max_edges=8))
     @settings(max_examples=40, deadline=None)
     def test_pruned_scan_equals_box_filter(self, g):
         va = cographical_arrangement(g)
         cocs = enumerate_cocircuits(va)
-        assert interior_lattice_points(va, cocs).points == box_filter(va, cocs)
+        assert interior_lattice_points(va, cocs) == box_filter(va, cocs)
 
     @given(sheared_arrangements())
     @settings(max_examples=40, deadline=None)
     def test_pruned_scan_equals_box_filter_sheared(self, va):
         cocs = enumerate_cocircuits(va)
-        assert interior_lattice_points(va, cocs).points == box_filter(va, cocs)
+        assert interior_lattice_points(va, cocs) == box_filter(va, cocs)
 
 
 def _relabeled(va, perm):
@@ -500,11 +499,11 @@ class TestProperties:
             va_con, transform, _ = contraction_data(va, a)
             pts_del = Analysis(va_del).points
             pts_con = Analysis(va_con).points
-            assert all(p in pts for p in pts_del.points)
-            leftover = [p for p in pts.points if p not in pts_del]
+            assert all(p in pts for p in pts_del)
+            leftover = [p for p in pts if p not in pts_del]
             images = [tuple(transform.matvec(z)[1:]) for z in leftover]
             assert len(images) == len(set(images))
-            assert set(images) == set(pts_con.points)
+            assert set(images) == set(pts_con)
 
     @given(connected_multigraphs(max_edges=6))
     @settings(max_examples=25)
@@ -527,25 +526,20 @@ class TestProperties:
         assert one.columns == other.columns
 
     def test_points_sorted_lexicographically(self, house_arrangement):
-        pts = Analysis(house_arrangement).points.points
+        pts = Analysis(house_arrangement).points
         assert list(pts) == sorted(pts)
 
-    def test_latticepointset_sorts(self):
-        s = LatticePointSet(((2, 1), (1, 2), (1, 1)))
-        assert s.points == ((1, 1), (1, 2), (2, 1))
-
     @given(
-        st.integers(0, 3).flatmap(
-            lambda d: st.tuples(
-                st.lists(st.tuples(*[st.integers(-2, 2)] * d), max_size=10),
-                st.tuples(*[st.integers(-2, 2)] * d),
-            )
+        st.one_of(
+            connected_multigraphs(max_edges=8).map(cographical_arrangement),
+            sheared_arrangements(),
         )
     )
-    def test_membership_equals_set_membership(self, case):
-        # the lookup bisects the sorted points; a list probe is a tuple probe
-        points, probe = case
-        s = LatticePointSet(points)
-        assert (probe in s) == (list(probe) in s) == (probe in set(points))
-        assert all(p in s and list(p) in s for p in points)
-        assert probe not in LatticePointSet(())
+    @example(VectorArrangement(0, ("a1", "a2"), Mat(0, 2, ())))  # rank 0
+    @example(arr(2, [(1, 0), (0, 1), (1, 1), (1, 1)]))  # a1 and a2 are coloops
+    @settings(max_examples=60, deadline=None)
+    def test_scan_is_strictly_lexicographic(self, va):
+        # nothing sorts the points: the depth-first scan must emit them in order
+        pts = interior_lattice_points(va, enumerate_cocircuits(va))
+        assert type(pts) is tuple and all(type(p) is tuple for p in pts)
+        assert all(p < q for p, q in zip(pts, pts[1:]))

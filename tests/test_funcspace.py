@@ -4,12 +4,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import binomial_product_value, monomial_value, pointwise_rows, solve_row_lattice
-from zonoharm.arrangement import LatticePointSet
+from oracles import (
+    binomial_product_value,
+    exponents_by_compositions,
+    monomial_value,
+    parent_steps_by_position,
+    pointwise_rows,
+    solve_row_lattice,
+)
+from zonoharm import funcspace
 from zonoharm.funcspace import binom_int, binomial_product_rows, exponents_of_degree
 from zonoharm.linalg import Mat, rank
 
-HOUSE_POINTS = LatticePointSet(tuple((a, b) for a in (1, 2, 3) for b in (1, 2)))
+HOUSE_POINTS = tuple((a, b) for a in (1, 2, 3) for b in (1, 2))
 
 
 def exponents_up_to(r, d):
@@ -55,7 +62,7 @@ class TestBases:
         assert rows_up_to([(3,)], 1, 2)[2] == (3,)
 
     def test_binomial_count(self):
-        assert len(rows_up_to(HOUSE_POINTS.points, 2, 2)) == 6
+        assert len(rows_up_to(HOUSE_POINTS, 2, 2)) == 6
 
     def test_same_exponent_order(self):
         # graded, then descending-lex within a degree; each exponent once
@@ -64,20 +71,29 @@ class TestBases:
         assert set(exps) == {e for e in product(range(4), repeat=3) if sum(e) <= 3}
         assert len(exps) == len(set(exps))
 
+    def test_recursion_matches_compositions(self):
+        # the recursive exponent tables, and the parent steps listed child by
+        # child, equal the composition-and-sort reference
+        for r in range(8):
+            for d in range(9):
+                assert exponents_of_degree(r, d) == exponents_by_compositions(r, d)
+                if d:
+                    assert funcspace._parent_steps(r, d) == parent_steps_by_position(r, d)
+
 
 class TestEvaluate:
     def test_constant_row(self):
-        assert list(next(binomial_product_rows(HOUSE_POINTS.points, 2))) == [(1,) * 6]
+        assert list(next(binomial_product_rows(HOUSE_POINTS, 2))) == [(1,) * 6]
 
     def test_house_degree_one(self):
-        rows = rows_up_to(HOUSE_POINTS.points, 2, 1)
+        rows = rows_up_to(HOUSE_POINTS, 2, 1)
         assert rows[0] == (1, 1, 1, 1, 1, 1)
         assert rows[1] == (1, 1, 2, 2, 3, 3)
         assert rows[2] == (1, 2, 1, 2, 1, 2)
 
     def test_shifted_binomial_of_difference(self):
         # C(x1 - x2 + 1, 2) on the six house points, in lexicographic order
-        values = tuple(binom_int(p[0] - p[1] + 1, 2) for p in HOUSE_POINTS.points)
+        values = tuple(binom_int(p[0] - p[1] + 1, 2) for p in HOUSE_POINTS)
         assert values == (0, 0, 1, 0, 3, 1)
 
 
@@ -101,7 +117,7 @@ class TestProperties:
     @given(small_points, st.integers(0, 3))
     @settings(max_examples=40)
     def test_spans_agree_over_q(self, pts, d):
-        ps = LatticePointSet(tuple(pts)).points
+        ps = tuple(pts)
         mono = pointwise_rows(2, d, ps, value=monomial_value)
         bino = rows_up_to(ps, 2, d)
         n = len(ps)
@@ -118,7 +134,7 @@ class TestProperties:
         # is the entrywise product of their rows
         a, b = abs(e1[0]), abs(e2[1])
         exps = exponents_up_to(2, a + b)
-        rows = rows_up_to(HOUSE_POINTS.points, 2, a + b)
+        rows = rows_up_to(HOUSE_POINTS, 2, a + b)
         f, g, fg = (rows[exps.index(e)] for e in ((a, 0), (0, b), (a, b)))
         assert fg == tuple(x * y for x, y in zip(f, g))
 
@@ -131,11 +147,9 @@ class TestProperties:
         # C(<alpha, x>, m) lies in the Z-span of the coordinate binomial
         # products of total degree <= m; checked on a grid large enough to
         # separate polynomials of per-variable degree <= m
-        grid = LatticePointSet(tuple(product(range(m + 1), repeat=2)))
-        basis = rows_up_to(grid.points, 2, m)
-        target = tuple(
-            binom_int(alpha[0] * p[0] + alpha[1] * p[1], m) for p in grid.points
-        )
+        grid = tuple(product(range(m + 1), repeat=2))
+        basis = rows_up_to(grid, 2, m)
+        target = tuple(binom_int(alpha[0] * p[0] + alpha[1] * p[1], m) for p in grid)
         assert solve_row_lattice(basis, target) is not None
 
 

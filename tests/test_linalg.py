@@ -15,6 +15,7 @@ from oracles import (
     pointwise_rows,
     rank_mod_p,
     row_hnf,
+    row_list,
     saturation_hnf,
     solve_row_lattice,
 )
@@ -193,7 +194,7 @@ def lattice_index(rows):
 
 class TestKernel:
     def test_identity_trivial(self):
-        assert integer_kernel(identity(3).row_list(), 3) == ()
+        assert integer_kernel(row_list(identity(3)), 3) == ()
 
     def test_empty_kernel_of_full_rank_rows(self):
         # unimodular and non-unimodular square matrices of full rank
@@ -201,7 +202,7 @@ class TestKernel:
         assert integer_kernel([[2, 0], [0, 3]], 2) == ()
 
     def test_full_kernel(self):
-        eye = tuple(map(tuple, identity(3).row_list()))
+        eye = tuple(map(tuple, row_list(identity(3))))
         assert integer_kernel([], 3) == eye
         assert integer_kernel([[0, 0, 0], [0, 0, 0]], 3) == eye
 
@@ -234,7 +235,7 @@ class TestHermite:
         assert saturate([[2, 0], [0, 3]], 2) == (((1, 0), (0, 1)), 6)
 
     def test_identity_divisors(self):
-        eye = tuple(identity(4).row_list())
+        eye = tuple(row_list(identity(4)))
         assert saturate(eye, 4) == (tuple(map(tuple, eye)), 1)
 
     def test_house_degree_one_evaluation_lattice(self):
@@ -247,9 +248,9 @@ class TestHermite:
     def test_smith_cap(self):
         # no dimension cap: a lattice of dimension 65 and index 2 saturates
         # to all of Z^65
-        rows = identity(65).row_list()
+        rows = row_list(identity(65))
         rows[64][64] = 2
-        assert saturate(rows, 65) == (tuple(map(tuple, identity(65).row_list())), 2)
+        assert saturate(rows, 65) == (tuple(map(tuple, row_list(identity(65)))), 2)
 
     @given(small_matrices)
     @settings(max_examples=50)

@@ -1,14 +1,14 @@
 """The record semantics the package relies on.
 
-``Mat``, ``VectorArrangement``, ``LatticePointSet`` and ``DirectedGraph``
-validate and normalise their fields on construction and compare by value
-within their own type; the plain records are named tuples.
+``Mat``, ``VectorArrangement`` and ``DirectedGraph`` validate and normalise
+their fields on construction and compare by value within their own type; the
+plain records are named tuples.
 """
 
 import pytest
 
 from conftest import cycle_arrangement
-from zonoharm.arrangement import LatticePointSet, VectorArrangement, enumerate_cocircuits
+from zonoharm.arrangement import VectorArrangement, enumerate_cocircuits
 from zonoharm.graphs import Arrow, DirectedGraph
 from zonoharm.ideals import k_minus_generators
 from zonoharm.linalg import Mat
@@ -22,10 +22,6 @@ def _arrangement():
     return VectorArrangement(2, ("a", "b", "c"), _mat())
 
 
-def _points():
-    return LatticePointSet(((1, 0), (0, 1)))
-
-
 def _graph():
     arrows = (Arrow(2, "v", "u"), Arrow(1, "u", "v"))
     return DirectedGraph(vertices=("u", "v"), arrows=arrows)
@@ -34,7 +30,6 @@ def _graph():
 VALUES = {
     "Mat": _mat,
     "VectorArrangement": _arrangement,
-    "LatticePointSet": _points,
     "DirectedGraph": _graph,
 }
 
@@ -65,7 +60,6 @@ def test_different_fields_differ():
     assert VectorArrangement(1, ("a", "b"), Mat(1, 2, (1, 1))) != VectorArrangement(
         1, ("b", "a"), Mat(1, 2, (1, 1))
     )
-    assert LatticePointSet(((0,),)) != LatticePointSet(((1,),))
     assert _graph() != DirectedGraph(("u", "v"), (Arrow(1, "u", "v"),))
 
 
@@ -96,13 +90,6 @@ def test_each_validation_still_raises(build, message):
         build()
 
 
-def test_point_set_sorts_its_points():
-    pts = LatticePointSet([[1, 0], (0, 2), (0, -1)])
-    assert pts.points == ((0, -1), (0, 2), (1, 0))
-    assert pts == LatticePointSet(((1, 0), (0, -1), (0, 2)))
-    assert len(pts) == 3 and [0, 2] in pts
-
-
 def test_graph_sorts_its_arrows():
     g = _graph()
     assert [a.ident for a in g.arrows] == [1, 2]
@@ -113,7 +100,6 @@ def test_graph_sorts_its_arrows():
 def test_keyword_and_positional_construction_agree():
     assert Mat(rows=2, cols=3, data=_mat().data) == _mat()
     assert VectorArrangement(lattice_rank=2, ground=("a", "b", "c"), columns=_mat()) == _arrangement()
-    assert LatticePointSet(points=((0, 1), (1, 0))) == _points()
     assert DirectedGraph(("u", "v"), _graph().arrows) == _graph()
 
 

@@ -38,14 +38,19 @@ def test_walkthrough_stdout_matches_golden():
 
 
 @pytest.mark.parametrize(
-    "max_edges, message",
-    [("0", b"at least 1 edge"), ("10", b"limited to 9 edges")],
-    ids=["no-edges", "past-the-cap"],
+    "count, max_edges, message",
+    [
+        ("3", "0", b"at least 1 edge"),
+        ("3", "10", b"limited to 9 edges"),
+        ("-1", "5", b"non-negative count"),
+    ],
+    ids=["no-edges", "past-the-cap", "negative-count"],
 )
-def test_random_verification_rejects_max_edges(max_edges, message):
-    # the suite raises before it draws an instance; the script reports it in one line
+def test_random_verification_rejects_max_edges(count, max_edges, message):
+    # the suite raises before it draws an instance, on a bad edge cap or a
+    # negative count; the script reports it in one line
     proc = run_script(
-        ["scripts/random_verification.py", "--seeds", "1", "--count", "3", "--max-edges", max_edges]
+        ["scripts/random_verification.py", "--seeds", "1", "--count", count, "--max-edges", max_edges]
     )
     assert proc.returncode == 2
     assert b"Traceback" not in proc.stderr

@@ -7,7 +7,6 @@ from zonoharm.errors import SizeExceededError
 from zonoharm.formats import parse_graph
 from zonoharm.graphs import graph_rank
 from zonoharm.verification import (
-    SuiteConfig,
     random_connected_multigraph,
     run_instance_checks,
     run_suite,
@@ -93,7 +92,7 @@ class TestInstanceChecks:
 
 class TestSuite:
     def test_small_suite_passes(self):
-        summary = run_suite(SuiteConfig(seed=2, count=15, max_edges=6))
+        summary = run_suite(2, 15, 6)
         assert summary.ok
         assert summary.passes == 15
         assert summary.first_failure is None
@@ -103,23 +102,27 @@ class TestSuite:
         # the summary names the first failing one by its index in the stream
         walk = graphs._corank_nullity
         monkeypatch.setattr(graphs, "_corank_nullity", lambda parity: walk(parity).swap())
-        cfg = SuiteConfig(seed=4, count=12, max_edges=6)
-        summary = run_suite(cfg)
-        rng = random.Random(cfg.seed)
+        seed, count, max_edges = 4, 12, 6
+        summary = run_suite(seed, count, max_edges)
+        rng = random.Random(seed)
         replay = [
-            run_instance_checks(random_connected_multigraph(rng, cfg.max_edges))
-            for _ in range(cfg.count)
+            run_instance_checks(random_connected_multigraph(rng, max_edges)) for _ in range(count)
         ]
         failing = [i for i, res in enumerate(replay) if not res.ok]
         assert failing[0] == 2
-        assert (summary.failures, summary.passes) == (len(failing), cfg.count - len(failing))
+        assert (summary.failures, summary.passes) == (len(failing), count - len(failing))
         assert summary.first_failure == replay[2]._replace(index=2)
 
     def test_edge_cap(self):
         with pytest.raises(SizeExceededError):
-            run_suite(SuiteConfig(max_edges=10))
+            run_suite(1, 50, 10)
 
     @pytest.mark.parametrize("max_edges", [0, -1])
     def test_needs_an_edge(self, max_edges):
         with pytest.raises(ValueError, match="at least 1 edge"):
-            run_suite(SuiteConfig(max_edges=max_edges))
+            run_suite(1, 50, max_edges)
+
+    def test_count_must_be_non_negative(self):
+        with pytest.raises(ValueError, match="non-negative count"):
+            run_suite(1, -1, 5)
+        assert run_suite(1, 0, 5) == (0, 0, None)
