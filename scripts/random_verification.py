@@ -19,9 +19,8 @@ def main():
     parser.add_argument("--max-edges", type=int, default=7)
     args = parser.parse_args()
 
-    print(f"{'seed':>6} {'count':>6} {'edges':>6} {'passes':>7} {'failures':>9} {'secs':>7}")
     all_ok = True
-    for seed in args.seeds:
+    for i, seed in enumerate(args.seeds):
         start = time.perf_counter()
         try:
             summary = run_suite(seed, args.count, args.max_edges)
@@ -29,6 +28,9 @@ def main():
             print(f"error: {exc}", file=sys.stderr)
             raise SystemExit(2)
         elapsed = time.perf_counter() - start
+        if i == 0:
+            # only once the suite has accepted the arguments
+            print(f"{'seed':>6} {'count':>6} {'edges':>6} {'passes':>7} {'failures':>9} {'secs':>7}")
         print(
             f"{seed:>6} {args.count:>6} {args.max_edges:>6}"
             f" {summary.passes:>7} {summary.failures:>9} {elapsed:>7.2f}"

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from conftest import data_path, wheel_graph
 from oracles import stdlib_json_bytes
+from zonoharm import cli
 from zonoharm.arrangement import enumerate_cocircuits
 from zonoharm.cli import main
 from zonoharm.formats import serialize_graph
@@ -161,8 +162,8 @@ class TestBadInput:
         "args, message",
         [
             (["analyze-graph", "{latin1}"], "not UTF-8"),
-            (["random-suite", "--max-edges", "0"], "--max-edges"),
-            (["random-suite", "--count", "-3"], "--count"),
+            (["random-suite", "--max-edges", "0"], "at least 1 edge"),
+            (["random-suite", "--count", "-3"], "non-negative count"),
         ],
         ids=["non-utf8", "max-edges-zero", "negative-count"],
     )
@@ -258,7 +259,7 @@ class TestMaxDegree:
     """The filtration has no degree cap: the option is gone, and the schema-1
     key ``truncated`` is always false."""
 
-    def test_option_is_rejected_by_argparse(self, capsys):
+    def test_option_is_rejected(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["analyze-graph", str(data_path("house.graph")), "--max-degree", "1"])
         assert exc.value.code == 2
@@ -271,6 +272,137 @@ class TestMaxDegree:
         assert code == 0
         assert report["truncated"] is False
         assert report["qDims"][-1] == report["pointCount"]
+
+
+HOUSE = str(data_path("house.graph"))
+
+
+class TestArguments:
+    """The parser accepts and rejects what the argparse parser it replaced did:
+    each row's exit code and the emptiness of stdout and stderr were
+    captured from that parser."""
+
+    @pytest.mark.parametrize(
+        "args, code, out, err",
+        [
+            (["--help"], 0, True, False),
+            (["analyze-graph", "--help"], 0, True, False),
+            (["random-suite", "-h"], 0, True, False),
+            ([], 2, False, True),
+            (["bogus"], 2, False, True),
+            (["analyze-graph"], 2, False, True),
+            (["analyze-graph", HOUSE, str(data_path("cycle4.graph"))], 2, False, True),
+            (["analyze-graph", "--json", HOUSE], 0, True, False),
+            (["random-suite", "--seed=3", "--count", "1"], 0, True, False),
+            (["random-suite", "--max", "5", "--count", "1"], 0, True, False),
+            (["random-suite", "--count", "x"], 2, False, True),
+            (["random-suite", "--count", "-3"], 2, False, True),
+            (["analyze-graph", HOUSE, "--max-degree", "1"], 2, False, True),
+            (["analyze-graph", "--", HOUSE], 0, True, False),
+            (["random-suite", "--count"], 2, False, True),
+            (["random-suite", "--json=1"], 2, False, True),
+            (["random-suite", "--"], 2, False, True),
+            (["analyze-graph", HOUSE, "--json", "--"], 2, False, True),
+            (["-hh"], 0, True, False),
+            (["random-suite", "--=5", "-h"], 2, False, True),
+        ],
+        ids=[
+            "help", "subcommand-help", "short-help", "no-arguments", "unknown-subcommand",
+            "missing-path", "two-paths", "json-before-path", "equals-value", "prefix",
+            "non-integer", "negative-count", "unknown-option", "dashes-before-path",
+            "missing-value", "flag-with-value", "dashes-without-path", "dashes-apart-from-path",
+            "help-cluster", "ambiguous-before-help",
+        ],
+    )
+    def test_same_outcome_as_argparse(self, args, code, out, err):
+        got = run_cli(*args)
+        assert (got[0], bool(got[1]), bool(got[2])) == (code, out, err), got[2]
+
+    @pytest.mark.parametrize(
+        "args, values",
+        [
+            (["random-suite"], dict(seed=1, count=50, max_edges=7, json=False)),
+            (
+                ["random-suite", "--j", "--s", "-4", "--co=0", "--max-e", "9", "--seed", "+5"],
+                dict(seed=5, count=0, max_edges=9, json=True),
+            ),
+            (["analyze-graph", "--js", "--", "--json"], dict(path="--json", json=True)),
+            (["analyze-arrangement", "-", "--json"], dict(path="-", json=True)),
+            (["analyze-graph", "-1.5"], dict(path="-1.5", json=False)),
+            (["analyze-graph", "-a --json"], dict(path="-a --json", json=False)),
+            (["analyze-graph", "a", "--"], dict(path="a", json=False)),
+        ],
+        ids=[
+            "defaults", "prefixes-and-last-wins", "dashes", "stdin-dash", "negative-number",
+            "space", "dashes-after-path",
+        ],
+    )
+    def test_values(self, args, values):
+        assert cli._parse(args)[1] == values
+
+    @pytest.mark.parametrize(
+        "args, usage, error",
+        [
+            (
+                ["bogus"],
+                "analyze-graph PATH [--json]",
+                "zonoharm: error: argument command: invalid choice: 'bogus'"
+                " (choose from 'analyze-graph', 'analyze-arrangement', 'random-suite')",
+            ),
+            (
+                ["analyze-graph"],
+                "analyze-graph PATH [--json]",
+                "zonoharm analyze-graph: error: the following arguments are required: path",
+            ),
+            (
+                ["random-suite", "--count", "x"],
+                "random-suite [--seed N] [--count N] [--max-edges N] [--json]",
+                "zonoharm random-suite: error: argument --count: invalid int value: 'x'",
+            ),
+            (
+                ["random-suite", "--seed", "--json"],
+                "random-suite [--seed N] [--count N] [--max-edges N] [--json]",
+                "zonoharm random-suite: error: argument --seed: expected one argument",
+            ),
+            (
+                ["-x", "random-suite", "1", "--y"],
+                "analyze-graph PATH [--json]",
+                "zonoharm: error: unrecognized arguments: -x 1 --y",
+            ),
+            (
+                ["analyze-graph", "-hx"],
+                "analyze-graph PATH [--json]",
+                "zonoharm analyze-graph: error: argument -h/--help: ignored explicit argument 'x'",
+            ),
+            (
+                ["--"],
+                "analyze-graph PATH [--json]",
+                "zonoharm: error: the following arguments are required: command",
+            ),
+        ],
+        ids=[
+            "unknown-subcommand", "missing-path", "non-integer", "missing-value", "unrecognized",
+            "help-with-text", "dashes-only",
+        ],
+    )
+    def test_usage_errors_exit_two(self, capsys, args, usage, error):
+        # argparse's wording, after the subcommand's usage line, or after
+        # every subcommand's for an error outside one
+        with pytest.raises(SystemExit) as exc:
+            main(args)
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        lines = err.splitlines()
+        assert out == "" and lines[0] == "usage: zonoharm " + usage and lines[-1] == error
+
+    def test_help_is_the_module_docstring(self, capsys):
+        for args in (["-h"], ["--he"], ["random-suite", "--count", "3", "--help"]):
+            with pytest.raises(SystemExit) as exc:
+                main(args)
+            assert exc.value.code == 0
+            assert capsys.readouterr() == (cli.__doc__, "")
+        # the docstring's usage block is the one that usage errors print
+        assert cli._usage() in cli.__doc__
 
 
 def run_python(script: str):
@@ -324,3 +456,19 @@ class TestImports:
         proc = run_python(script)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.splitlines() == ["", ""]
+
+    def test_no_call_imports_an_argument_parser(self):
+        # argparse, with gettext and locale behind it, costs every call a few
+        # milliseconds of a start-up that the report is now the smaller part of
+        script = (
+            "import sys\n"
+            "before = set(sys.modules)\n"
+            "import zonoharm.cli\n"
+            f"assert zonoharm.cli.main(['analyze-graph', {HOUSE!r}, '--json']) == 0\n"
+            "assert zonoharm.cli.main(['random-suite', '--count', '1', '--json']) == 0\n"
+            "parsers = {'argparse', 'getopt', 'optparse', 'gettext', 'locale'}\n"
+            "sys.stderr.write(repr(sorted((set(sys.modules) - before) & parsers)))\n"
+        )
+        proc = run_python(script)  # the reports go to stdout, the check to stderr
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr == "[]"

@@ -48,10 +48,10 @@ def test_walkthrough_stdout_matches_golden():
 )
 def test_random_verification_rejects_max_edges(count, max_edges, message):
     # the suite raises before it draws an instance, on a bad edge cap or a
-    # negative count; the script reports it in one line
+    # negative count; the script reports it in one line and prints no table
     proc = run_script(
         ["scripts/random_verification.py", "--seeds", "1", "--count", count, "--max-edges", max_edges]
     )
-    assert proc.returncode == 2
+    assert proc.returncode == 2 and proc.stdout == b""
     assert b"Traceback" not in proc.stderr
     assert proc.stderr.count(b"\n") == 1 and message in proc.stderr
