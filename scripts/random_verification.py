@@ -8,7 +8,7 @@ import argparse
 import sys
 import time
 
-from zonoharm.errors import SizeExceededError
+from zonoharm.errors import ArgumentError, SizeExceededError
 from zonoharm.verification import run_suite
 
 
@@ -24,7 +24,7 @@ def main():
         start = time.perf_counter()
         try:
             summary = run_suite(seed, args.count, args.max_edges)
-        except (SizeExceededError, ValueError) as exc:
+        except (ArgumentError, SizeExceededError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             raise SystemExit(2)
         elapsed = time.perf_counter() - start

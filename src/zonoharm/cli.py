@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import sys
 
-from .errors import NotTotallyUnimodularError, ParseError, SizeExceededError
+from .errors import ArgumentError, NotTotallyUnimodularError, ParseError, SizeExceededError
 from .formats import parse_arrangement, parse_graph
 from .report import build_graph_report, build_report, render_text, to_json_bytes
 
@@ -99,7 +99,7 @@ def cmd_random_suite(seed: int, count: int, max_edges: int, json: bool) -> int:
 
     try:
         summary = run_suite(seed, count, max_edges)
-    except ValueError as exc:
+    except ArgumentError as exc:
         return _input_error(str(exc))
     except SizeExceededError as exc:
         print(f"size error: {exc}", file=sys.stderr)

@@ -5,6 +5,10 @@ class ZonoharmError(Exception):
     """Base class for all package-specific errors."""
 
 
+class ArgumentError(ZonoharmError, ValueError):
+    """An argument is outside the values a function accepts."""
+
+
 class SizeExceededError(ZonoharmError):
     """Input is beyond a documented brute-force size cap."""
 

@@ -17,10 +17,9 @@ echelon is a basis of its saturation.  In particular a lattice with n rows
 and unit pivots is Z^n, which completes the filtration: that degree stops
 inserting its rows there, since every further row reduces to 0 and no
 snapshot, dimension or index can change.  Otherwise ``linalg.saturate`` gives
-the saturated rows as the integer kernel of the integer kernel, and the
-index as the quotient of the pivot products, so a lattice that is not
-saturated is still reported.  The checks read these echelons; none forms
-canonical Hermite rows.
+an echelon basis of the saturation, the kernel of the kernel, and the index
+as the quotient of the pivot products, so a lattice that is not saturated is
+still reported.  The dimensions and top degree are read off the echelons.
 
 A graded class is an integral representative given by its values on the
 points.  Its divided powers are entrywise binomial coefficients, checked by
@@ -68,36 +67,31 @@ class Harmonics:
         self.points = points
         n = len(points)
         self.point_count = n
-        self.q_dims: list = []
         self.saturation_indices: list = []
         self._echelons: list = []  # (rows, pivot_cols) of the degree-<=i lattice
-        self._saturated: list = []  # saturate's rows, or None where the pivots are 1
-        if n == 0:
-            self.top_degree = 0
-            return
-        lattice = IntRowLattice(n)
-        blocks = binomial_product_rows(points, len(points[0]))
-        grown, grown_pivots = lattice.rows, lattice.pivot_cols  # updated in place
-        for degree, block in enumerate(blocks):
-            for row in block:
-                lattice.add(row)
-                if len(grown) == n and all(r[c] == 1 for r, c in zip(grown, grown_pivots)):
-                    break  # the lattice is Z^n: every further row reduces to 0
-            rows, pivots = tuple(grown), tuple(grown_pivots)
-            self._echelons.append((rows, pivots))
-            self.q_dims.append(len(rows))
-            if all(row[c] == 1 for row, c in zip(rows, pivots)):
-                # unit pivots, which are the canonical pivots: Z^n / L is
-                # free, so L is its own saturation
-                self.saturation_indices.append(1)
-                self._saturated.append(None)
-            else:
-                sat, index = saturate(rows, n)
+        self._saturated: list = []  # (rows, pivot_cols) of its saturation
+        if n:
+            lattice = IntRowLattice(n)
+            grown, grown_pivots = lattice.rows, lattice.pivot_cols  # updated in place
+            for block in binomial_product_rows(points, len(points[0])):
+                for row in block:
+                    lattice.add(row)
+                    if len(grown) == n and all(r[c] == 1 for r, c in zip(grown, grown_pivots)):
+                        break  # the lattice is Z^n: every further row reduces to 0
+                rows, pivots = tuple(grown), tuple(grown_pivots)
+                self._echelons.append((rows, pivots))
+                if all(row[c] == 1 for row, c in zip(rows, pivots)):
+                    # unit pivots, which are the canonical pivots: Z^n / L is
+                    # free, so L is its own saturation
+                    sat, index = rows, 1
+                else:
+                    sat, index = saturate(rows, n)
+                self._saturated.append((sat, pivots))
                 self.saturation_indices.append(index)
-                self._saturated.append(sat)
-            if len(rows) == n:
-                self.top_degree = degree
-                break
+                if len(rows) == n:
+                    break
+        self.q_dims = [len(rows) for rows, _ in self._echelons]
+        self.top_degree = max(len(self._echelons) - 1, 0)
 
     # -- basic accessors -------------------------------------------------
 
@@ -114,23 +108,15 @@ class Harmonics:
         return ((), ()) if d is None else self._echelons[d]
 
     def q_dim(self, degree: int) -> int:
-        """Rational dimension of the degree-<=i filtered piece (extended)."""
-        if degree < 0:
-            return 0
-        if degree <= self.top_degree:
-            return self.q_dims[degree] if self.q_dims else 0
-        return self.point_count
+        """Rational dimension of the degree-<=i filtered piece, at any degree."""
+        return len(self.echelon(degree)[0])
 
     def saturated_echelon(self, degree: int) -> tuple:
         """(rows, pivot_cols): an echelon basis of the saturated degree-<=i
         lattice.  It shares the lattice's pivot columns, since both span one
         Q-space; with unit pivots it is the lattice's own echelon."""
         d = self._degree(degree)
-        if d is None:
-            return ((), ())
-        rows, pivots = self._echelons[d]
-        sat = self._saturated[d]
-        return (rows if sat is None else sat, pivots)
+        return ((), ()) if d is None else self._saturated[d]
 
     @property
     def gr_dims(self) -> tuple:

@@ -10,10 +10,10 @@ unimodular xgcd column steps; an integer kernel is the identity cut by each
 row in turn, and the cocircuit scan cuts the kernels of shared column
 prefixes.  ``IntRowLattice`` is the echelon: an insert subtracts a multiple
 of each stored row whose pivot divides the entry and takes an xgcd step at
-any other pivot.  Membership is decided on any echelon basis, in batches,
-and ``hermite_rows`` reduces one to the canonical rows, the row-style
-Hermite form, only where they are read: integer kernels are returned in it,
-and a saturation is the kernel of the kernel.
+any other pivot.  An echelon basis with positive pivots is the one form of
+a lattice here: integer kernels and saturations are returned as one,
+membership is decided on any one, in batches, and a saturation is the
+kernel of the kernel.
 """
 
 from __future__ import annotations
@@ -140,9 +140,9 @@ def in_row_lattice(echelon_rows, pivot_cols, vecs) -> bool:
     """True iff every integer vector of ``vecs`` lies in the row lattice of ``echelon_rows``.
 
     The rows must be in echelon form, row k's first nonzero entry at column
-    ``pivot_cols[k]``, strictly increasing, as in ``IntRowLattice`` or the
-    canonical rows of ``hermite_rows``, ``integer_kernel`` or ``saturate``.
-    Any echelon basis of the lattice gives the same answer.
+    ``pivot_cols[k]``, strictly increasing, as in ``IntRowLattice``,
+    ``integer_kernel`` or ``saturate``.  Any echelon basis of the lattice
+    gives the same answer.
     """
     basis = tuple(zip(echelon_rows, pivot_cols))
     for vec in vecs:
@@ -158,27 +158,12 @@ def in_row_lattice(echelon_rows, pivot_cols, vecs) -> bool:
     return True
 
 
-def hermite_rows(echelon_rows, pivot_cols) -> tuple:
-    """The canonical rows (row-style Hermite form) of an echelon basis with
-    positive pivots: each entry above a pivot is reduced into [0, pivot).
-    They depend only on the lattice, not on the echelon basis given."""
-    work = [list(r) for r in echelon_rows]
-    for k, c in enumerate(pivot_cols):
-        row = work[k]
-        p = row[c]
-        for i in range(k):
-            q = work[i][c] // p
-            if q:
-                work[i][c:] = [a - q * b for a, b in zip(work[i][c:], row[c:])]
-    return tuple(map(tuple, work))
-
-
 class IntRowLattice:
     """Grow-only integer row lattice kept in echelon form with positive pivots.
 
-    ``rank`` equals the rational dimension of the span, and ``canonical_rows``
-    returns the row-style HNF.  Stored rows are replaced, never mutated, so a
-    tuple of ``rows`` taken between inserts is a lasting snapshot.
+    ``rank`` equals the rational dimension of the span; the pivot columns and
+    pivots depend only on the lattice.  Stored rows are replaced, never
+    mutated, so a tuple of ``rows`` taken between inserts is a lasting snapshot.
     """
 
     def __init__(self, ncols: int, rows=()):
@@ -227,9 +212,6 @@ class IntRowLattice:
     def rank(self) -> int:
         return len(self.rows)
 
-    def canonical_rows(self) -> tuple:
-        return hermite_rows(self.rows, self.pivot_cols)
-
 
 def kernel_step(basis, vec):
     """The vectors of the lattice spanned by ``basis`` that pair to 0 with ``vec``.
@@ -263,11 +245,11 @@ def kernel_step(basis, vec):
 
 
 def integer_kernel(rows, ncols: int) -> tuple:
-    """Canonical basis rows of the integer kernel {x in Z^ncols : rows x = 0}.
+    """The integer kernel {x in Z^ncols : rows x = 0}, as echelon rows with positive pivots.
 
     The identity basis of Z^ncols is cut by ``kernel_step`` once per row;
     each step is unimodular on the lattice it cuts, so the result is a basis
-    of the kernel lattice, and ``hermite_rows`` makes it canonical.  A
+    of the kernel lattice, which ``IntRowLattice`` puts in echelon form.  A
     one-dimensional kernel is a primitive vector with positive first nonzero
     entry.
     """
@@ -276,18 +258,18 @@ def integer_kernel(rows, ncols: int) -> tuple:
         cut = kernel_step(basis, row)
         if cut is not None:
             basis = cut
-    return IntRowLattice(ncols, basis).canonical_rows()
+    return tuple(map(tuple, IntRowLattice(ncols, basis).rows))
 
 
 def saturate(rows, ncols: int):
     """Saturation of the row lattice L of ``rows`` in Z^ncols, with its index.
 
-    Returns (sat_rows, index): the canonical rows of the integer points of
-    L's Q-span, which is the integer kernel of L's integer kernel, and the
-    index of L in it.  Echelon bases of one Q-space share their pivot
-    columns, so on those coordinates the covolumes of L and of its
-    saturation are the products of their pivots; the index is their
-    quotient, and it is 1 iff L is saturated.
+    Returns (sat_rows, index): an echelon basis, with positive pivots, of the
+    integer points of L's Q-span, which is the integer kernel of L's integer
+    kernel, and the index of L in it.  Echelon bases of one Q-space share
+    their pivot columns (``sat_rows`` has L's), so on those coordinates the
+    covolumes of L and of its saturation are the products of their pivots;
+    the index is their quotient, and it is 1 iff L is saturated.
     """
     lattice = IntRowLattice(ncols, rows)
     sat = integer_kernel(integer_kernel(lattice.rows, ncols), ncols)

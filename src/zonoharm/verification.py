@@ -10,11 +10,10 @@ seed so any failure can be replayed from the serialized instance.
 from __future__ import annotations
 
 import random
-from types import MappingProxyType
 from typing import NamedTuple
 
 from .analysis import CHECKS, Analysis
-from .errors import SizeExceededError
+from .errors import ArgumentError, SizeExceededError
 from .formats import serialize_graph
 from .graphs import Arrow, DirectedGraph, cographical_arrangement
 
@@ -23,8 +22,8 @@ RANDOM_SUITE_MAX_EDGES = 9
 
 class InstanceChecks(NamedTuple):
     index: int
-    graph_text: str = ""
-    checks: dict = MappingProxyType({})  # read-only, so the shared default stays empty
+    graph_text: str
+    checks: dict
 
     @property
     def ok(self) -> bool:
@@ -74,9 +73,9 @@ def run_suite(seed: int, count: int, max_edges: int) -> SuiteSummary:
     """Run the deterministic random verification suite: ``count`` instances
     of at most ``max_edges`` arrows each, drawn from the stream of ``seed``."""
     if count < 0:
-        raise ValueError("random suite needs a non-negative count")
+        raise ArgumentError("random suite needs a non-negative count")
     if max_edges < 1:
-        raise ValueError("random suite needs at least 1 edge")
+        raise ArgumentError("random suite needs at least 1 edge")
     if max_edges > RANDOM_SUITE_MAX_EDGES:
         raise SizeExceededError(f"random suite limited to {RANDOM_SUITE_MAX_EDGES} edges")
     rng = random.Random(seed)

@@ -167,7 +167,7 @@ def echelon_integer_kernel(rows, ncols: int) -> tuple:
     lattice = IntRowLattice(k + ncols)
     for j in range(ncols):
         lattice.add([r[j] for r in rows] + [int(i == j) for i in range(ncols)])
-    canon = lattice.canonical_rows()
+    canon = canonical_rows(lattice)
     return tuple(row[k:] for row, c in zip(canon, lattice.pivot_cols) if c >= k)
 
 
@@ -399,6 +399,26 @@ def pivot_cols(echelon_rows) -> tuple:
     return tuple(next(j for j, x in enumerate(r) if x) for r in echelon_rows)
 
 
+def hermite_rows(echelon_rows, pivot_cols) -> tuple:
+    """The canonical rows (row-style Hermite form) of an echelon basis with
+    positive pivots: each entry above a pivot is reduced into [0, pivot).
+    They depend only on the lattice, not on the echelon basis given."""
+    work = [list(r) for r in echelon_rows]
+    for k, c in enumerate(pivot_cols):
+        row = work[k]
+        p = row[c]
+        for i in range(k):
+            q = work[i][c] // p
+            if q:
+                work[i][c:] = [a - q * b for a, b in zip(work[i][c:], row[c:])]
+    return tuple(map(tuple, work))
+
+
+def canonical_rows(lattice) -> tuple:
+    """The canonical rows of an ``IntRowLattice``'s echelon."""
+    return hermite_rows(lattice.rows, lattice.pivot_cols)
+
+
 class XgcdRowLattice(IntRowLattice):
     """``IntRowLattice`` with the reference insert: the pivot scan restarts
     from column 0 after each step, and every stored pivot the vector meets
@@ -441,11 +461,12 @@ def eager_filtration(points, r: int, max_degree=None) -> list:
     for degree, block in enumerate(binomial_product_rows(points, r)):
         for row in block:
             lattice.add(row)
-        canon = lattice.canonical_rows()
+        canon = canonical_rows(lattice)
         if all(row[c] == 1 for row, c in zip(canon, lattice.pivot_cols)):
             out.append((canon, canon, 1))
         else:
-            out.append((canon, *saturate(canon, n)))
+            sat, index = saturate(canon, n)
+            out.append((canon, hermite_rows(sat, lattice.pivot_cols), index))
         if lattice.rank == n or (max_degree is not None and degree >= max_degree):
             return out
 

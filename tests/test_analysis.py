@@ -33,7 +33,7 @@ from zonoharm.graphs import (
 )
 from zonoharm.harmonics import Harmonics
 from zonoharm.ideals import verify_vanishing
-from zonoharm.linalg import Mat, hermite_rows, rank
+from zonoharm.linalg import Mat, rank, saturate
 from zonoharm.report import build_graph_report, build_report
 from zonoharm.verification import random_connected_multigraph, run_instance_checks
 
@@ -73,9 +73,9 @@ def test_each_quantity_once_per_arrangement(run):
     # one filtration for the arrangement and one per minor; nothing rebuilt,
     # and the minors' cocircuits are derived from the arrangement's
     assert _calls(stats, Harmonics.__init__) == 1 + 2 * u
-    # canonical rows: none.  Every check reads echelons, and every degree of
-    # K4's filtration has unit pivots, so no saturation is computed either
-    assert _calls(stats, hermite_rows) == 0
+    # every check reads echelons, and every degree of K4's filtration and of
+    # its minors' has unit pivots, so no saturation is computed
+    assert _calls(stats, saturate) == 0
     assert _calls(stats, enumerate_cocircuits) == 1
     # one walk: the graph's polynomial is the arrangement's, swapped, and one
     # duality certificate, read by both Tutte checks

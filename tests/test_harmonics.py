@@ -4,10 +4,12 @@ from itertools import islice
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import cycle_arrangement, data_path, named_arrangement, wheel_graph
 from oracles import (
     eager_filtration,
+    hermite_rows,
     pivot_cols,
     row_hnf,
     saturation_hnf,
@@ -23,7 +25,7 @@ from zonoharm.formats import parse_graph
 from zonoharm.funcspace import binom_int, binomial_product_rows
 from zonoharm.graphs import cographical_arrangement
 from zonoharm.harmonics import Harmonics, divided_power, verify_saturation
-from zonoharm.linalg import Mat, hermite_rows, in_row_lattice, saturate
+from zonoharm.linalg import Mat, in_row_lattice, saturate
 from zonoharm.report import build_graph_report
 
 
@@ -92,11 +94,11 @@ class TestFiltration:
 
 class TestCanonicalRowsOnDemand:
     """Each degree keeps its echelon, with the eager filtration's canonical
-    rows; building the filtration forms none.  The eager filtration inserts
-    every row of every degree, so the inputs where ``Harmonics`` stops a
-    degree at Z^n (all but "even", whose pivots are not all 1) show that the
-    stop changes no snapshot.  ``max_degree`` stops the eager filtration
-    early; the degrees it has are compared."""
+    rows.  The eager filtration inserts every row of every degree, so the
+    inputs where ``Harmonics`` stops a degree at Z^n (all but "even", whose
+    pivots are not all 1) show that the stop changes no snapshot.
+    ``max_degree`` stops the eager filtration early; the degrees it has are
+    compared."""
 
     @pytest.mark.parametrize(
         "name, max_degree",
@@ -111,16 +113,13 @@ class TestCanonicalRowsOnDemand:
             ("even", None),
         ],
     )
-    def test_equal_to_eager_rows_at_every_degree(self, monkeypatch, name, max_degree):
+    def test_equal_to_eager_rows_at_every_degree(self, name, max_degree):
         if name == "even":  # {0, 2}: degree 1 has index 2 in its saturation
             pts = ((0,), (2,))
         else:
             pts = Analysis(named_arrangement(name)).points
         eager = eager_filtration(pts, len(pts[0]), max_degree)
-        calls = count_calls(monkeypatch, ("hermite_rows",), modules=(linalg,))
         h = Harmonics(pts)
-        # only the two integer kernels inside ``saturate`` form canonical rows
-        assert calls == ["hermite_rows"] * (2 if name == "even" else 0)
         top = len(h.q_dims) if max_degree is None else len(eager)
         assert h.q_dims[:top] == [len(canon) for canon, _, _ in eager]
         assert h.saturation_indices[:top] == [index for _, _, index in eager]
@@ -129,6 +128,37 @@ class TestCanonicalRowsOnDemand:
             rows, pivots = h.saturated_echelon(i)
             assert pivots == pivot_cols(sat)
             assert in_row_lattice(rows, pivots, sat) and in_row_lattice(sat, pivots, rows)
+
+
+point_sets = st.integers(1, 3).flatmap(
+    lambda r: st.sets(st.tuples(*[st.integers(-3, 3)] * r), max_size=6).map(sorted).map(tuple)
+)
+
+
+class TestDegreeQueries:
+    """``q_dim``, ``echelon`` and ``saturated_echelon`` agree at every degree,
+    below 0 and past ``top_degree`` included."""
+
+    @staticmethod
+    def check(h):
+        if not h.point_count:
+            assert h.top_degree == 0
+        for d in range(-2, h.top_degree + 3):
+            assert h.q_dim(d) == len(h.echelon(d)[0])
+            if d < 0:
+                assert h.q_dim(d) == 0
+            if d >= h.top_degree:
+                assert h.q_dim(d) == h.point_count
+            assert h.saturated_echelon(d)[1] == h.echelon(d)[1]
+
+    @pytest.mark.parametrize("points", [(), ((0,), (2,))], ids=["empty", "even"])
+    def test_fixed_point_sets(self, points):
+        self.check(Harmonics(points))
+
+    @given(point_sets)
+    @settings(max_examples=60)
+    def test_point_sets(self, points):
+        self.check(Harmonics(points))
 
 
 class TestStopAtZn:
@@ -212,6 +242,10 @@ class TestSaturationVerdict:
         assert [hermite_rows(*h.echelon(i)) for i in (0, 1)] == [((1, 1),), ((1, 1), (0, 2))]
         assert h.saturation_indices == [1, 2]
         assert h.saturated_echelon(1)[0] == ((1, 0), (0, 1))
+        # ``saturate``'s rows are an echelon, positive pivots at the lattice's pivot columns
+        rows, pivots = h.saturated_echelon(1)
+        assert pivots == h.echelon(1)[1] == pivot_cols(rows)
+        assert all(r[c] > 0 for r, c in zip(rows, pivots))
         ctx = Analysis(va)
         ctx.points = pts
         assert check_passes("saturation", ctx) is False

@@ -9,7 +9,9 @@ from hypothesis import strategies as st
 from oracles import (
     XgcdRowLattice,
     bareiss_rank,
+    canonical_rows,
     echelon_integer_kernel,
+    hermite_rows,
     identity,
     pivot_cols,
     pointwise_rows,
@@ -218,7 +220,8 @@ class TestKernel:
     @given(small_matrices)
     @settings(max_examples=60)
     def test_matches_echelon_oracle(self, rows):
-        assert integer_kernel(rows, len(rows[0])) == echelon_integer_kernel(rows, len(rows[0]))
+        kern = integer_kernel(rows, len(rows[0]))
+        assert hermite_rows(kern, pivot_cols(kern)) == echelon_integer_kernel(rows, len(rows[0]))
 
     @given(small_matrices)
     @settings(max_examples=40)
@@ -259,9 +262,9 @@ class TestHermite:
         for r in rows:
             lat.add(r)
         again = IntRowLattice(len(rows[0]))
-        for r in lat.canonical_rows():
+        for r in canonical_rows(lat):
             again.add(r)
-        assert again.canonical_rows() == lat.canonical_rows()
+        assert canonical_rows(again) == canonical_rows(lat)
         assert again.pivot_cols == lat.pivot_cols
 
     @given(small_matrices)
@@ -286,7 +289,7 @@ class TestHermite:
         lat = IntRowLattice(m.rows)
         for g in gens:
             lat.add(g)
-        basis = lat.canonical_rows()
+        basis = canonical_rows(lat)
         # mutual membership of generating sets
         for v in basis:
             assert solve_row_lattice(gens, v) is not None
@@ -313,17 +316,25 @@ class TestSaturation:
         for r in rows:
             lat.add(r)
         sat, idx = saturate(rows, len(rows[0]))
-        assert (idx == 1) == (sat == lat.canonical_rows()) == (lattice_index(rows) == 1)
+        canon = hermite_rows(sat, pivot_cols(sat))
+        assert (idx == 1) == (canon == canonical_rows(lat)) == (lattice_index(rows) == 1)
 
     @given(small_matrices)
     @settings(max_examples=40)
     def test_saturation_contains_and_same_span(self, rows):
         ncols = len(rows[0])
         sat, _ = saturate(rows, ncols)
-        assert list(sat) == saturation_hnf(rows, ncols)
+        canon = hermite_rows(sat, pivot_cols(sat))
+        assert list(canon) == saturation_hnf(rows, ncols)
         assert len(sat) == bareiss_rank(rows)
         assert in_row_lattice(sat, pivot_cols(sat), rows)
-        assert saturate(sat, ncols) == (sat, 1)
+        # an echelon, with positive pivots at the lattice's own pivot columns
+        pivots = IntRowLattice(ncols, rows).pivot_cols
+        assert pivot_cols(sat) == tuple(pivots)
+        assert all(r[c] > 0 for r, c in zip(sat, pivots))
+        again, index = saturate(sat, ncols)
+        assert hermite_rows(again, pivot_cols(again)) == canon
+        assert index == 1
 
 
 class TestIntegerKernel:
@@ -335,7 +346,13 @@ class TestIntegerKernel:
         for v in k:
             assert all(x == 0 for x in m.matvec(v))
         assert len(k) == m.cols - rank(m)
-        assert saturate(k, m.cols) == (k, 1)
+        # an echelon: strictly increasing pivot columns, positive pivots
+        pivots = pivot_cols(k)
+        assert list(pivots) == sorted(set(pivots))
+        assert all(r[c] > 0 for r, c in zip(k, pivots))
+        sat, index = saturate(k, m.cols)
+        assert hermite_rows(sat, pivots) == hermite_rows(k, pivots)
+        assert index == 1
 
 
 class TestRowLattice:
@@ -361,9 +378,9 @@ class TestRowLattice:
         for r in rows:
             lat.add(r)
         batch, _ = row_hnf(rows, ncols)
-        assert lat.canonical_rows() == tuple(batch)
+        assert canonical_rows(lat) == tuple(batch)
         assert lat.rank == bareiss_rank(rows)
-        assert in_row_lattice(lat.canonical_rows(), lat.pivot_cols, rows)
+        assert in_row_lattice(canonical_rows(lat), lat.pivot_cols, rows)
         assert in_row_lattice(lat.rows, lat.pivot_cols, rows)
 
     @given(
@@ -385,7 +402,7 @@ class TestRowLattice:
     def test_insert_matches_xgcd_reference(self, rows):
         ncols = len(rows[0])
         lat, ref = IntRowLattice(ncols, rows), XgcdRowLattice(ncols, rows)
-        assert lat.canonical_rows() == ref.canonical_rows()
+        assert canonical_rows(lat) == canonical_rows(ref)
         assert lat.pivot_cols == ref.pivot_cols
         assert [r[c] for r, c in zip(lat.rows, lat.pivot_cols)] == [
             r[c] for r, c in zip(ref.rows, ref.pivot_cols)
@@ -400,7 +417,7 @@ class TestRowLattice:
         assert lat.rows == [[2, 1, 0], [0, 2, 1]]
         lat.add((3, 0, 0))  # 2 does not divide 3: the stored row is replaced
         assert lat.rows[0] is not row and row == [2, 1, 0]
-        assert lat.canonical_rows() == XgcdRowLattice(3, [(2, 1, 0), (-4, 0, 1), (3, 0, 0)]).canonical_rows()
+        assert canonical_rows(lat) == canonical_rows(XgcdRowLattice(3, [(2, 1, 0), (-4, 0, 1), (3, 0, 0)]))
 
     @given(small_matrices, st.lists(st.integers(-3, 3), min_size=5, max_size=5), st.integers(0, 4))
     @settings(max_examples=60)

@@ -1,8 +1,12 @@
 import random
+import runpy
+import sys
+from pathlib import Path
 
 import pytest
 
-from zonoharm import analysis, graphs, ideals
+from zonoharm import analysis, graphs, ideals, verification
+from zonoharm.cli import main
 from zonoharm.errors import SizeExceededError
 from zonoharm.formats import parse_graph
 from zonoharm.graphs import graph_rank
@@ -126,3 +130,19 @@ class TestSuite:
         with pytest.raises(ValueError, match="non-negative count"):
             run_suite(1, -1, 5)
         assert run_suite(1, 0, 5) == (0, 0, None)
+
+    @pytest.mark.parametrize("entry", ["cli", "script"])
+    def test_a_fault_in_a_check_is_not_a_usage_error(self, monkeypatch, entry):
+        # only the suite's own argument checks read as a usage error; a
+        # ValueError raised inside an instance propagates
+        def planted(g):
+            raise ValueError("planted fault")
+
+        monkeypatch.setattr(verification, "run_instance_checks", planted)
+        with pytest.raises(ValueError, match="planted fault"):
+            if entry == "cli":
+                main(["random-suite", "--count", "1"])
+            else:
+                script = Path(__file__).resolve().parent.parent / "scripts" / "random_verification.py"
+                monkeypatch.setattr(sys, "argv", [str(script), "--seeds", "1", "--count", "1"])
+                runpy.run_path(str(script), run_name="__main__")
