@@ -2,7 +2,10 @@
 
 The cycle space H^1(G; Z) is coordinatized by the fundamental cycles of a
 deterministic spanning forest (greedy over ascending arrow ids), so every
-derived arrangement is reproducible.  Oriented cycles follow the convention
+derived arrangement is reproducible.  One walk from the root of each tree
+gives every vertex its signed root path, and the forest part of each
+fundamental cycle is the difference of two such paths, as in a network
+matrix.  Oriented cycles follow the convention
 that the lowest-id arrow in a cycle is traversed positively; this fixes one
 representative per opposite pair.
 
@@ -99,24 +102,6 @@ class OrientedCycle(NamedTuple):
         return len(self.arrows)
 
 
-class _UnionFind:
-    def __init__(self, items):
-        self.parent = {x: x for x in items}
-
-    def find(self, x):
-        while self.parent[x] != x:
-            self.parent[x] = self.parent[self.parent[x]]
-            x = self.parent[x]
-        return x
-
-    def union(self, x, y) -> bool:
-        rx, ry = self.find(x), self.find(y)
-        if rx == ry:
-            return False
-        self.parent[ry] = rx
-        return True
-
-
 def graph_rank(g: DirectedGraph) -> int:
     """Number of vertices minus number of connected components: the arrows
     of a spanning forest."""
@@ -138,75 +123,62 @@ def signed_incidence(g: DirectedGraph) -> Mat:
 
 def spanning_forest(g: DirectedGraph) -> tuple:
     """Arrow ids of the greedy spanning forest (ascending ids, union-find)."""
-    uf = _UnionFind(g.vertices)
+    parent = {v: v for v in g.vertices}
+
+    def find(v):
+        while parent[v] != v:
+            parent[v] = parent[parent[v]]
+            v = parent[v]
+        return v
+
     forest = []
     for a in g.arrows:
-        if a.tail != a.head and uf.union(a.tail, a.head):
+        tail, head = find(a.tail), find(a.head)
+        if tail != head:
+            parent[head] = tail
             forest.append(a.ident)
     return tuple(forest)
-
-
-def _forest_path(g: DirectedGraph, forest_ids, start, goal) -> list:
-    """Signed arrows of the forest path from start to goal (may be empty)."""
-    if start == goal:
-        return []
-    adj = {}
-    for a in g.arrows:
-        if a.ident in forest_ids:
-            adj.setdefault(a.tail, []).append((a, a.head, 1))
-            adj.setdefault(a.head, []).append((a, a.tail, -1))
-    prev = {start: None}
-    queue = [start]
-    while queue:
-        v = queue.pop(0)
-        if v == goal:
-            break
-        for a, w, sign in adj.get(v, ()):
-            if w not in prev:
-                prev[w] = (v, a.ident, sign)
-                queue.append(w)
-    if goal not in prev:
-        raise ValueError("vertices lie in different forest components")
-    path = []
-    v = goal
-    while prev[v] is not None:
-        u, ident, sign = prev[v]
-        path.append((ident, sign))
-        v = u
-    path.reverse()
-    return path
-
-
-def fundamental_cycles(g: DirectedGraph):
-    """One signed cycle per non-forest arrow, the arrow itself traversed +1."""
-    forest_ids = set(spanning_forest(g))
-    cycles = []
-    for a in g.arrows:
-        if a.ident in forest_ids:
-            continue
-        cycle = [(a.ident, 1)] + _forest_path(g, forest_ids, a.head, a.tail)
-        cycles.append(tuple(cycle))
-    return tuple(cycles)
 
 
 def cographical_arrangement(g: DirectedGraph) -> VectorArrangement:
     """The arrangement of arrow classes in the cycle space of the graph.
 
-    Coordinates come from the fundamental cycles of the greedy spanning
-    forest; the column of arrow a records its signed coefficient in each
-    fundamental cycle.  Fundamental-cycle matrices are network matrices, so
-    the result is totally unimodular.
+    Coordinate k is the coefficient in the fundamental cycle of f, the k-th
+    non-forest arrow of the greedy spanning forest: f itself with +1, and
+    the forest path from f's head back to its tail.  One walk from the root
+    of each tree records every vertex's signed root path, and the path from
+    f's head to its tail is the path to the tail minus the path to the head.
+    Fundamental-cycle matrices are network matrices, so the result is
+    totally unimodular.
     """
-    cycles = fundamental_cycles(g)
-    r = len(cycles)
-    coeff_maps = [dict(c) for c in cycles]
-    cols = []
+    forest = set(spanning_forest(g))
+    tree = {v: [] for v in g.vertices}
     for a in g.arrows:
-        cols.append(tuple(cm.get(a.ident, 0) for cm in coeff_maps))
+        if a.ident in forest:
+            tree[a.tail].append((a.head, a.ident, 1))
+            tree[a.head].append((a.tail, a.ident, -1))
+    path: dict = {}  # vertex -> {forest arrow id: its sign on the path from the root}
+    for root in g.vertices:
+        if root not in path:
+            path[root], stack = {}, [root]
+            while stack:
+                v = stack.pop()
+                for w, ident, sign in tree[v]:
+                    if w not in path:
+                        path[w] = {**path[v], ident: sign}
+                        stack.append(w)
+    nonforest = [f for f in g.arrows if f.ident not in forest]
+    cols = [
+        tuple(
+            path[f.tail].get(a.ident, 0) - path[f.head].get(a.ident, 0) + int(a is f)
+            for f in nonforest
+        )
+        for a in g.arrows
+    ]
     return VectorArrangement(
-        lattice_rank=r,
+        lattice_rank=len(nonforest),
         ground=tuple(str(a.ident) for a in g.arrows),
-        columns=Mat.from_cols(cols, rows=r),
+        columns=Mat.from_cols(cols, rows=len(nonforest)),
     )
 
 
@@ -243,18 +215,14 @@ def enumerate_oriented_cycles(g: DirectedGraph) -> tuple:
 
     # coordinate j of a class is the signed coefficient of the j-th
     # non-forest arrow in the cycle
-    nonforest = _nonforest_ids(g)
+    forest = set(spanning_forest(g))
+    nonforest = tuple(a.ident for a in g.arrows if a.ident not in forest)
     cycles = []
     for path in sorted(found, key=lambda p: (len(p), p)):
         coeffs = dict(path)
         vec = tuple(coeffs.get(nf_id, 0) for nf_id in nonforest)
         cycles.append(OrientedCycle(arrows=tuple(path), class_vector=vec))
     return tuple(cycles)
-
-
-def _nonforest_ids(g: DirectedGraph) -> tuple:
-    forest_ids = set(spanning_forest(g))
-    return tuple(a.ident for a in g.arrows if a.ident not in forest_ids)
 
 
 def theta_subgraphs(cycles) -> tuple:

@@ -33,7 +33,7 @@ from __future__ import annotations
 from math import factorial
 from typing import NamedTuple
 
-from .errors import DegreeOverflowError, NotIntegralError
+from .errors import ArgumentError, DegreeOverflowError, NotIntegralError
 from .funcspace import binom_int, binomial_product_rows
 from .linalg import IntRowLattice, in_row_lattice, saturate
 
@@ -50,9 +50,9 @@ class GradedClass(NamedTuple):
 
 
 class Harmonics:
-    """Filtration data of the functions on ``points``, a tuple of points of
-    Z^r such as an arrangement's interior points, whose order fixes the
-    columns.  It reads nothing else: r is the length of a point, and no
+    """Filtration data of the functions on ``points``, a tuple of distinct
+    points of Z^r such as an arrangement's interior points, whose order fixes
+    the columns.  It reads nothing else: r is the length of a point, and no
     points give the zero filtration.
 
     Degree by degree, the evaluation rows of the binomial products (each
@@ -64,6 +64,9 @@ class Harmonics:
     """
 
     def __init__(self, points: tuple):
+        if len(set(points)) != len(points):
+            # the lattice could never reach Z^n, so the degrees would not end
+            raise ArgumentError("Harmonics needs distinct points")
         self.points = points
         n = len(points)
         self.point_count = n

@@ -31,6 +31,21 @@ def connected_multigraphs(draw, max_edges=6, allow_self_loops=True):
 
 
 @st.composite
+def multigraphs(draw, max_vertices=6, max_edges=8):
+    """Arrows drawn between any two vertices, self-loops included, so isolated
+    vertices, several components and no arrows at all can all occur."""
+    n = draw(st.integers(1, max_vertices))
+    ends = st.tuples(st.integers(1, n), st.integers(1, n))
+    edges = draw(st.lists(ends, max_size=max_edges))
+    return DirectedGraph(
+        vertices=tuple(f"v{i}" for i in range(1, n + 1)),
+        arrows=tuple(
+            Arrow(ident=i, tail=f"v{u}", head=f"v{v}") for i, (u, v) in enumerate(edges, start=1)
+        ),
+    )
+
+
+@st.composite
 def sheared_arrangements(draw, max_edges=6):
     """A cycle-space arrangement moved by a few random integer shears.
 

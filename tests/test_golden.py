@@ -18,10 +18,10 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 
 CASES = [
     (f"graph_{name}.json", 0, ["analyze-graph", f"{name}.graph", "--json"])
-    for name in ("cycle4", "house", "house_selfloop", "selfloop", "theta")
+    for name in ("cycle4", "house", "house_selfloop", "selfloop", "theta", "two_parts")
 ] + [
     (f"graph_{name}.txt", 0, ["analyze-graph", f"{name}.graph"])
-    for name in ("cycle4", "house", "house_selfloop", "selfloop", "theta")
+    for name in ("cycle4", "house", "house_selfloop", "selfloop", "theta", "two_parts")
 ] + [
     # text only for W7: its JSON report is 167 KB, mostly theta triples
     ("graph_wheel7.txt", 0, ["analyze-graph", "wheel7.graph"]),

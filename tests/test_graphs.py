@@ -4,7 +4,7 @@ import random
 from itertools import combinations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import find, given, settings
 
 from conftest import DATA
 from oracles import (
@@ -15,7 +15,7 @@ from oracles import (
     tutte_polynomial,
     violating_minor,
 )
-from strategies import connected_multigraphs
+from strategies import connected_multigraphs, multigraphs
 from zonoharm.analysis import Analysis
 from zonoharm.arrangement import VectorArrangement, enumerate_cocircuits
 from zonoharm.errors import NotTotallyUnimodularError, SizeExceededError
@@ -27,6 +27,7 @@ from zonoharm.graphs import (
     cographical_arrangement,
     enumerate_oriented_cycles,
     graph_rank,
+    signed_incidence,
     spanning_forest,
     theta_subgraphs,
     tutte_of_arrangement,
@@ -126,6 +127,48 @@ class TestCographical:
 
     def test_forest_is_greedy(self, house_graph):
         assert spanning_forest(house_graph) == (1, 2, 3, 5)
+
+    @staticmethod
+    def check_fundamental_cycles(g):
+        """Coordinate k of every column is the k-th non-forest arrow f's
+        fundamental cycle z: a cycle (the incidence matrix kills it) that is 1
+        at f and 0 at every other non-forest arrow.  A forest holds no cycle,
+        so these facts fix z, however the columns are built."""
+        va = cographical_arrangement(g)
+        cols = va.columns.col_list()
+        forest = set(spanning_forest(g))
+        nonforest = [a.ident for a in g.arrows if a.ident not in forest]
+        assert va.lattice_rank == len(nonforest)
+        assert va.ground == tuple(str(a.ident) for a in g.arrows)
+        incidence = row_list(signed_incidence(g))
+        for k, f in enumerate(nonforest):
+            z = {a.ident: col[k] for a, col in zip(g.arrows, cols)}
+            assert all(
+                sum(x * z[a.ident] for x, a in zip(row, g.arrows)) == 0 for row in incidence
+            )
+            assert all(z[e] == (e == f) for e in nonforest)
+
+    @given(connected_multigraphs(max_edges=7))
+    @settings(max_examples=60)
+    def test_columns_are_fundamental_cycles(self, g):
+        self.check_fundamental_cycles(g)
+
+    @given(multigraphs())
+    @settings(max_examples=80)
+    def test_columns_are_fundamental_cycles_on_graphs_that_may_be_disconnected(self, g):
+        self.check_fundamental_cycles(g)
+
+    @pytest.mark.parametrize(
+        "kind",
+        [
+            lambda g: len({v for a in g.arrows for v in (a.tail, a.head)}) < len(g.vertices),
+            lambda g: len(g.vertices) - graph_rank(g) > 1,
+            lambda g: not g.arrows,
+        ],
+        ids=["isolated vertex", "several components", "no arrows"],
+    )
+    def test_multigraphs_reach_what_connected_ones_never_do(self, kind):
+        find(multigraphs(), kind)
 
 
 class TestOrientedCycles:

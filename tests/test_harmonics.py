@@ -20,7 +20,7 @@ from strategies import connected_multigraphs
 from zonoharm import funcspace, harmonics, linalg
 from zonoharm.analysis import CHECKS, Analysis, compute_filtration
 from zonoharm.arrangement import VectorArrangement
-from zonoharm.errors import DegreeOverflowError, LoopOrColoopError
+from zonoharm.errors import ArgumentError, DegreeOverflowError, LoopOrColoopError
 from zonoharm.formats import parse_graph
 from zonoharm.funcspace import binom_int, binomial_product_rows
 from zonoharm.graphs import cographical_arrangement
@@ -159,6 +159,18 @@ class TestDegreeQueries:
     @settings(max_examples=60)
     def test_point_sets(self, points):
         self.check(Harmonics(points))
+
+
+class TestRepeatedPoints:
+    """Repeated points can never give a lattice of rank n, so the degree loop
+    would not end: they are refused up front."""
+
+    @pytest.mark.parametrize(
+        "points", [((0,), (0,)), ((1, 2), (0, 0), (1, 2))], ids=["one", "two"]
+    )
+    def test_rejected(self, points):
+        with pytest.raises(ArgumentError, match="distinct"):
+            Harmonics(points)
 
 
 class TestStopAtZn:
