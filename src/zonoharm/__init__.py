@@ -16,7 +16,6 @@ from .graphs import (
     DirectedGraph,
     cographical_arrangement,
     enumerate_oriented_cycles,
-    graph_rank,
     theta_subgraphs,
     tutte_of_arrangement,
 )

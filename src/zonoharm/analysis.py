@@ -4,15 +4,16 @@
 once: loops and coloops, cocircuits, interior points, the filtration, the
 Tutte polynomial with its series, whether the shifted binomials vanish, the
 certified power-ideal quotient dimensions and, for a graph input, its
-oriented cycles, its Tutte polynomial and the duality verdict.  Coloops are
-read off the cocircuits.  A graph's Tutte polynomial is the arrangement's
-with x and y swapped, so one walk serves both, and its SU(2) series is the
-iz series; ``tutte_duality`` certifies the coordinatisation that makes both
-theorems, and a graph's ``tutteIdentity`` gates on it.  ``CHECKS`` defines
-every identity once, as a function of a context.  The CLI report evaluates
-the checks that carry a report key; the random suite evaluates all of them.
-Other modules take these quantities as arguments and compute none that is
-missing: a context is the only place that wires them together.
+spanning forest, its oriented cycles, its Tutte polynomial and the duality
+verdict.  Coloops are read off the cocircuits.  A graph's Tutte polynomial
+is the arrangement's with x and y swapped, so one walk serves both, and its
+SU(2) series is the iz series; ``tutte_duality`` certifies the
+coordinatisation that makes both theorems, and a graph's ``tutteIdentity``
+gates on it.  ``CHECKS`` defines every identity once, as a function of a
+context.  The CLI report evaluates the checks that carry a report key; the
+random suite evaluates all of them.  Other modules take these quantities as
+arguments and compute none that is missing: a context is the only place
+that wires them together.
 The deletion/contraction check runs in full, exactness ranks included, on
 every element that is neither a loop nor a coloop.  It builds one context
 per minor and reuses the parent's points and filtration.  A parent with a
@@ -24,13 +25,13 @@ per parent, and handed to the minors' contexts, while their points come
 from their own facet descriptions.  The parent's cocircuits also certify
 each minor's span, so no minor runs a rank: an element that is not a
 coloop (no one-element cocircuit) leaves a deletion that spans, and one
-that is not a loop (a nonzero, primitive column) is mapped to e_1 by a
-unimodular U, whose rows 1.. take the other columns onto a spanning set of
-Z^(r-1).  The exactness ranks keep one running lattice per map across the
-degrees and insert only the images of the echelon rows whose pivot column
-is new at a degree, which span the piece together with the degree below;
-a degree whose pivot columns do not contain those below it is not nested
-in it, and fails.
+that is not a loop (a nonzero, primitive column a) is contracted by Q, a
+basis of the integer covectors that vanish on a, which takes the other
+columns onto a spanning set of Z^(r-1).  The exactness ranks keep one
+running lattice per map across the degrees and insert only the images of
+the echelon rows whose pivot column is new at a degree, which span the
+piece together with the degree below; a degree whose pivot columns do not
+contain those below it is not nested in it, and fails.
 """
 
 from __future__ import annotations
@@ -41,7 +42,6 @@ from typing import Callable, NamedTuple
 
 from .arrangement import (
     VectorArrangement,
-    completion_transform,
     contract_column,
     delete_column,
     deletion_drops,
@@ -54,8 +54,7 @@ from .errors import LoopOrColoopError, NotIntegralError
 from .graphs import (
     DirectedGraph,
     enumerate_oriented_cycles,
-    graph_rank,
-    signed_incidence,
+    spanning_forest,
     tutte_of_arrangement,
 )
 from .harmonics import (
@@ -65,7 +64,7 @@ from .harmonics import (
     verify_saturation,
 )
 from .ideals import k_minus_generators, quotient_dims, verify_vanishing
-from .linalg import IntRowLattice, in_row_lattice
+from .linalg import IntRowLattice, in_row_lattice, integer_kernel
 
 
 class DegreeCheck(NamedTuple):
@@ -164,8 +163,12 @@ class Analysis:
         return quotient_dims(self.va, self.cocircuits, len(self.iz), h, self.generators_vanish)
 
     @cached_property
+    def forest(self) -> tuple:
+        return spanning_forest(self.graph)
+
+    @cached_property
     def cycles(self) -> tuple:
-        return enumerate_oriented_cycles(self.graph)
+        return enumerate_oriented_cycles(self.graph, self.forest)
 
     @cached_property
     def graph_tutte(self):
@@ -178,16 +181,23 @@ class Analysis:
         """The columns A coordinatise the dual of the graph's cycle matroid.
 
         D A^T = 0 for the signed incidence matrix D puts the row space of A
-        in the cycle space, and r + rank(G) = |E| makes it all of it, the
-        orthogonal complement of the row space of D.  Then M[A] = M[D]*
-        (Oxley, *Matroid Theory*, 2.2.8), so T_G = T_A with x and y swapped,
-        and the graph's SU(2) series t^rank(G) T_G(1/t, 0) is the iz series
+        in the cycle space: read as a flow on the arrows, each coordinate of
+        the columns nets to 0 at every vertex, where a self-loop adds and
+        takes the same amount.  r + rank(G) = |E|, rank(G) the size of the
+        spanning forest, makes it all of the cycle space, the orthogonal
+        complement of the row space of D.  Then M[A] = M[D]* (Oxley,
+        *Matroid Theory*, 2.2.8), so T_G = T_A with x and y swapped, and the
+        graph's SU(2) series t^rank(G) T_G(1/t, 0) is the iz series
         t^(|A|-r) T_A(0, 1/t).
         """
-        va, d = self.va, signed_incidence(self.graph)
-        if any(any(d.matvec(va.columns.row(i))) for i in range(va.lattice_rank)):
+        va, g = self.va, self.graph
+        net = {v: [0] * va.lattice_rank for v in g.vertices}
+        for a, col in zip(g.arrows, va.columns.col_list(), strict=True):
+            net[a.head] = [x + y for x, y in zip(net[a.head], col)]
+            net[a.tail] = [x - y for x, y in zip(net[a.tail], col)]
+        if any(any(flow) for flow in net.values()):
             return False
-        return va.lattice_rank + graph_rank(self.graph) == va.size
+        return va.lattice_rank + len(self.forest) == va.size
 
     def _require_usable(self, element) -> None:
         loops, coloops = self.loops_and_coloops
@@ -201,18 +211,20 @@ class Analysis:
 
         The cocircuits certify the element, so neither minor runs a rank:
         the deletion's columns are sliced from this context's, and the
-        contraction's come from the rows 1.. of U with U chi(a) = e_1.  Both
-        minors' cocircuits come from one sweep over this context's, filtered
-        through its ``drop_table``.
+        contraction's, like the bars, are their images under Q, the echelon
+        basis of the integer covectors that vanish on the element's column
+        chi(a): Q maps Z^r onto Z^(r-1) with kernel Z chi(a).  Both minors'
+        cocircuits come from one sweep over this context's, filtered through
+        its ``drop_table``; the contraction's are the parent's that vanish on
+        chi(a), in Q's coordinates.
         """
         self._require_usable(element)
         va = self.va
         idx = va.index_of(element)
-        rows, inv_cols = completion_transform(va.columns.col(idx))
-        quotient = rows[1:]
+        quotient = integer_kernel([va.columns.col(idx)], va.lattice_rank)
         va_con = contract_column(va, idx, quotient)
         cocs_del, cocs_con = minor_cocircuits(
-            self.cocircuits, self.drop_table, idx, va_con, inv_cols[1:]
+            self.cocircuits, self.drop_table, idx, va_con, quotient
         )
         ctx_del = Analysis(delete_column(va, idx), cocircuits=cocs_del)
         ctx_con = Analysis(va_con, cocircuits=cocs_con)

@@ -9,8 +9,8 @@ it.  The cocircuit scan cuts each subset's kernel from the kernels of the
 column prefixes it shares with the subset before, and the coloops are read
 off the one-element cocircuits, so one rank, in the constructor, is all an
 arrangement costs; minors cost none.  A deletion's columns are sliced out
-of its parent's and a contraction's are mapped by a unimodular transform,
-both without the constructor's checks.
+of its parent's and a contraction's are mapped by the integer kernel of the
+contracted column, both without the constructor's checks.
 
 ``Cocircuit`` is a named tuple.  ``VectorArrangement`` validates its fields
 on construction; it is a plain class, immutable by convention: nothing
@@ -25,7 +25,7 @@ from operator import mul
 from typing import NamedTuple
 
 from .errors import CertificateError, NotTotallyUnimodularError
-from .linalg import Mat, det, kernel_step, rank, xgcd
+from .linalg import Mat, det, kernel_step, rank
 
 
 class VectorArrangement:
@@ -128,50 +128,19 @@ def delete_column(va: VectorArrangement, idx: int) -> VectorArrangement:
 
 
 def contract_column(va: VectorArrangement, idx: int, quotient) -> VectorArrangement:
-    """Contract the element at ``idx``, given ``quotient``: rows 1.. of a
-    unimodular U that maps its column to e_1.
+    """Contract the element at ``idx``, given ``quotient``: a basis Q of the
+    integer covectors that vanish on its primitive column a.
 
-    Each other column c becomes (U c)[1:].  U is unimodular and the parent
-    spans, so these columns span Z^(r-1): no rank is run here.
+    Each other column c becomes Q c.  That lattice of covectors is saturated,
+    so a covector x with x . a = 1 completes Q to a unimodular matrix, and Q
+    maps Z^r onto Z^(r-1) with kernel Z a.  The parent spans, so these
+    columns span Z^(r-1): no rank is run here.
     """
     data, n = va.columns.data, va.size
     cols = [data[j::n] for j in range(n) if j != idx]
     out = tuple(sum(map(mul, u, c)) for u in quotient for c in cols)
     ground = va.ground[:idx] + va.ground[idx + 1 :]
     return _spanning(va.lattice_rank - 1, ground, Mat(len(quotient), n - 1, out))
-
-
-def completion_transform(v) -> tuple:
-    """Unimodular U with U v = e_1, and U^-1, built by sequential xgcd row ops.
-
-    Requires v primitive.  Returns (U as rows, columns of U^-1), as lists;
-    each row op on U is undone by the inverse column op on U^-1, so the first
-    column of U^-1 ends as v.  Deterministic, so quotient coordinates are
-    reproducible across runs.
-    """
-    r = len(v)
-    col = [int(x) for x in v]
-    U = [[1 if i == j else 0 for j in range(r)] for i in range(r)]
-    inv = [[1 if i == j else 0 for j in range(r)] for i in range(r)]
-    for i in range(1, r):
-        if col[i] == 0:
-            continue
-        g, x, y = xgcd(col[0], col[i])
-        a_, b_ = col[0] // g, col[i] // g
-        u0, ui = U[0], U[i]
-        U[0] = [x * p + y * q for p, q in zip(u0, ui)]
-        U[i] = [-b_ * p + a_ * q for p, q in zip(u0, ui)]
-        w0, wi = inv[0], inv[i]
-        inv[0] = [a_ * p + b_ * q for p, q in zip(w0, wi)]
-        inv[i] = [-y * p + x * q for p, q in zip(w0, wi)]
-        col[0], col[i] = g, 0
-    if col[0] < 0:
-        U[0] = [-x for x in U[0]]
-        inv[0] = [-x for x in inv[0]]
-        col[0] = -col[0]
-    if col[0] != 1:
-        raise ValueError("column is not primitive")
-    return U, inv
 
 
 def enumerate_cocircuits(va: VectorArrangement) -> tuple:
@@ -259,7 +228,7 @@ def deletion_drops(cocircuits) -> tuple:
     return tuple(table)
 
 
-def minor_cocircuits(cocircuits, drops, idx: int, contracted: VectorArrangement, lift) -> tuple:
+def minor_cocircuits(cocircuits, drops, idx: int, contracted: VectorArrangement, quotient) -> tuple:
     """The cocircuits of the deletion and of the contraction of the element at
     ``idx``, derived in one sweep from ``cocircuits``, their parent's, and
     ``drops``, their ``deletion_drops`` table.
@@ -270,13 +239,16 @@ def minor_cocircuits(cocircuits, drops, idx: int, contracted: VectorArrangement,
     covector, so that tuple is ``enumerate_cocircuits`` of the deletion, in
     the same order.
 
-    With ``contracted`` from ``contract_column`` and ``lift`` the columns
-    1.. of U^-1, covector alpha becomes beta with (0, beta) = alpha U^-1,
-    which pairs with each contracted column (U c)[1:] as alpha pairs with c.
-    The sign is renormalized and the result sorted, so it is
-    ``enumerate_cocircuits`` of the contraction; ``certify_pairings`` checks
-    every beta before return.  Returns (deletion's, contraction's).
+    With ``contracted`` from ``contract_column`` and ``quotient`` its Q, in
+    echelon form, a covector alpha that vanishes on the element is beta Q
+    for the integer beta read off Q's pivots by back-substitution (exact, as
+    Q spans a saturated lattice); beta pairs with each contracted column
+    Q c as alpha pairs with c.  The sign is renormalized and the result
+    sorted, so it is ``enumerate_cocircuits`` of the contraction;
+    ``certify_pairings`` checks every beta before return.  Returns
+    (deletion's, contraction's).
     """
+    pivots = [next(j for j, x in enumerate(q) if x) for q in quotient]
     bit = 1 << idx
     deleted = []
     con = []
@@ -290,7 +262,11 @@ def minor_cocircuits(cocircuits, drops, idx: int, contracted: VectorArrangement,
             continue
         if not drop & bit:
             deleted.append(Cocircuit(c.covector, values, c.d_plus, c.d_minus))
-        beta = tuple(sum(map(mul, c.covector, u)) for u in lift)
+        rest, beta = c.covector, ()
+        for q, p in zip(quotient, pivots):
+            t = rest[p] // q[p]
+            rest = [x - t * y for x, y in zip(rest, q)]
+            beta += (t,)
         if next(x for x in beta if x) < 0:
             beta, values = tuple(-x for x in beta), tuple(-x for x in values)
             con.append(Cocircuit(beta, values, c.d_minus, c.d_plus))

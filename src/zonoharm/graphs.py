@@ -19,7 +19,7 @@ certify that every basis has determinant +-1.  The walk runs once per
 connected part of the matroid, on the part's dual when that has the lower
 rank, so bridges, self-loops and long cycles stay cheap.  A graph's
 polynomial is its cographical arrangement's with x and y swapped, once
-``signed_incidence`` certifies the coordinatisation.
+``Analysis.tutte_duality`` certifies the coordinatisation.
 
 ``Arrow``, ``OrientedCycle`` and ``BivariatePolynomial`` are named tuples.
 ``DirectedGraph`` validates its vertices and arrows and sorts the arrows on
@@ -102,25 +102,6 @@ class OrientedCycle(NamedTuple):
         return len(self.arrows)
 
 
-def graph_rank(g: DirectedGraph) -> int:
-    """Number of vertices minus number of connected components: the arrows
-    of a spanning forest."""
-    return len(spanning_forest(g))
-
-
-def signed_incidence(g: DirectedGraph) -> Mat:
-    """The |V| x |E| signed incidence matrix: arrow a's column is +1 at its
-    head and -1 at its tail, so a self-loop gives a zero column."""
-    vindex = {v: i for i, v in enumerate(g.vertices)}
-    cols = []
-    for a in g.arrows:
-        col = [0] * len(g.vertices)
-        col[vindex[a.head]] += 1
-        col[vindex[a.tail]] -= 1
-        cols.append(col)
-    return Mat.from_cols(cols, rows=len(g.vertices))
-
-
 def spanning_forest(g: DirectedGraph) -> tuple:
     """Arrow ids of the greedy spanning forest (ascending ids, union-find)."""
     parent = {v: v for v in g.vertices}
@@ -182,12 +163,14 @@ def cographical_arrangement(g: DirectedGraph) -> VectorArrangement:
     )
 
 
-def enumerate_oriented_cycles(g: DirectedGraph) -> tuple:
+def enumerate_oriented_cycles(g: DirectedGraph, forest) -> tuple:
     """All simple oriented cycles, one representative per opposite pair.
 
     Anchored DFS: each cycle is reported starting at its lowest arrow id with
     sign +1, and only arrows with larger ids may appear elsewhere, so each
-    {C, C-bar} pair is produced exactly once.
+    {C, C-bar} pair is produced exactly once.  ``forest`` is
+    ``spanning_forest(g)``, whose non-forest arrows give the class vectors
+    their coordinates.
     """
     incidence = {v: [] for v in g.vertices}
     for a in g.arrows:
@@ -215,7 +198,7 @@ def enumerate_oriented_cycles(g: DirectedGraph) -> tuple:
 
     # coordinate j of a class is the signed coefficient of the j-th
     # non-forest arrow in the cycle
-    forest = set(spanning_forest(g))
+    forest = set(forest)
     nonforest = tuple(a.ident for a in g.arrows if a.ident not in forest)
     cycles = []
     for path in sorted(found, key=lambda p: (len(p), p)):

@@ -81,14 +81,6 @@ class Mat:
     def transpose(self) -> "Mat":
         return Mat(self.cols, self.rows, tuple(chain.from_iterable(map(self.col, range(self.cols)))))
 
-    def matvec(self, v) -> tuple:
-        if len(v) != self.cols:
-            raise ValueError("length mismatch")
-        data, n = self.data, self.cols
-        if not n:
-            return (0,) * self.rows
-        return tuple(sum(map(mul, data[k : k + n], v)) for k in range(0, len(data), n))
-
 
 def xgcd(a: int, b: int):
     """Return (g, x, y) with g = gcd(a, b) >= 0 and x*a + y*b = g."""

@@ -21,7 +21,6 @@ from .graphs import (
     DirectedGraph,
     check_tutte_size,
     cographical_arrangement,
-    graph_rank,
     theta_subgraphs,
 )
 
@@ -81,7 +80,7 @@ def build_report(
         report["graph"] = {
             "vertexCount": len(graph.vertices),
             "arrowCount": len(graph.arrows),
-            "rank": graph_rank(graph),
+            "rank": len(ctx.forest),
             "tutte": [[i, j, c] for i, j, c in ctx.graph_tutte.terms],
             # t^rank(G) T_G(1/t, 0) is the iz series once tutte_duality holds,
             # and tutteIdentity fails a graph report where it does not

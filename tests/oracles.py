@@ -9,17 +9,16 @@ from zonoharm.arrangement import (
     Cocircuit,
     VectorArrangement,
     certify_pairings,
-    completion_transform,
     contract_column,
     delete_column,
     enumerate_cocircuits,
 )
 from zonoharm.errors import NotTotallyUnimodularError, ZonoharmError
 from zonoharm.funcspace import binom_int, binomial_product_rows
-from zonoharm.graphs import BivariatePolynomial, _corank_nullity, graph_rank, tutte_of_arrangement
+from zonoharm.graphs import BivariatePolynomial, _corank_nullity, spanning_forest, tutte_of_arrangement
 from zonoharm.harmonics import iz_hilbert_series
 from zonoharm.ideals import P, _expansions, _macaulay_rows
-from zonoharm.linalg import IntRowLattice, Mat, det, saturate, xgcd
+from zonoharm.linalg import IntRowLattice, Mat, det, integer_kernel, saturate, xgcd
 from zonoharm.report import JSON_INT_LIMIT
 
 
@@ -33,11 +32,11 @@ def row_list(m):
     return [list(m.row(i)) for i in range(m.rows)]
 
 
-def matmul(a, b):
-    """The product of two matrices, entry by entry."""
-    cols = b.col_list()
-    rows = [[sum(x * y for x, y in zip(a.row(i), c)) for c in cols] for i in range(a.rows)]
-    return Mat.from_rows(rows, cols=b.cols)
+def matvec(m, v) -> tuple:
+    """The product of a ``Mat`` or a list of integer rows with the vector ``v``."""
+    rows = row_list(m) if isinstance(m, Mat) else m
+    assert all(len(row) == len(v) for row in rows)
+    return tuple(sum(map(mul, row, v)) for row in rows)
 
 
 def bareiss_rank(m) -> int:
@@ -90,23 +89,45 @@ def deletion(va: VectorArrangement, a) -> VectorArrangement:
 def contraction_data(va: VectorArrangement, a):
     """Contraction by a non-loop element plus the quotient map.
 
-    Returns (contracted, transform, inverse) where ``transform`` is the
-    unimodular matrix U with U * chi(a) = e_1 and ``inverse`` is U^-1; points
-    map to the quotient by z |-> (U z)[1:].
+    Returns (contracted, quotient) where ``quotient`` is Q, the integer
+    kernel of chi(a) as echelon rows, which ``assert_quotient_map`` checks
+    without the kernel code; points map to the quotient by z |-> Q z.
     """
     idx = va.index_of(a)
     col = va.columns.col(idx)
     if not any(col):
         raise IsLoopError(f"{a!r} is a loop; contraction is undefined")
-    rows, inv_cols = completion_transform(col)
-    contracted = contract_column(va, idx, rows[1:])
-    return contracted, Mat.from_rows(rows), Mat.from_cols(inv_cols, rows=va.lattice_rank)
+    quotient = integer_kernel([col], va.lattice_rank)
+    assert_quotient_map(quotient, col)
+    return contract_column(va, idx, quotient), quotient
 
 
-def scanned_minor_cocircuits(cocircuits, idx: int, contracted, lift) -> tuple:
+def unit_covector(a) -> list:
+    """An integer x with x . a = 1 for a primitive ``a``, by chained xgcd:
+    after entry i, x . a[: i + 1] is the gcd of those entries."""
+    x, g = [0] * len(a), 0
+    for i, v in enumerate(a):
+        g, s, t = xgcd(g, v)
+        x = [s * y for y in x]
+        x[i] += t
+    if g != 1:
+        raise ValueError("vector is not primitive")
+    return x
+
+
+def assert_quotient_map(quotient, a) -> None:
+    """Q maps Z^r onto Z^(r-1) with kernel Z a: Q has r - 1 rows, Q a = 0,
+    and [x; Q] has determinant +-1 (Bareiss) for an x with x . a = 1."""
+    assert len(quotient) == len(a) - 1
+    assert not any(matvec(quotient, a))
+    assert det([unit_covector(a), *quotient]) in (1, -1)
+
+
+def scanned_minor_cocircuits(cocircuits, idx: int, contracted, quotient) -> tuple:
     """``arrangement.minor_cocircuits`` without the drop table: the deletion
     keeps a cocircuit C that avoids the element unless C contains a whole
-    nonempty C' - a with a in C', found by scanning every such C' - a.
+    nonempty C' - a with a in C', found by scanning every such C' - a.  A
+    contraction covector beta solves beta Q = alpha through the row HNF.
 
     Returns (deletion's, contraction's), in the library's order.
     """
@@ -124,7 +145,7 @@ def scanned_minor_cocircuits(cocircuits, idx: int, contracted, lift) -> tuple:
             continue
         support = sum(1 << i for i, x in enumerate(values) if x)
         kept.append((support, Cocircuit(c.covector, values, c.d_plus, c.d_minus)))
-        beta = tuple(sum(map(mul, c.covector, u)) for u in lift)
+        beta = solve_row_lattice(quotient, c.covector)
         if next(x for x in beta if x) < 0:
             beta, values = tuple(-x for x in beta), tuple(-x for x in values)
             con.append(Cocircuit(beta, values, c.d_minus, c.d_plus))
@@ -253,6 +274,17 @@ def bareiss_tutte(va):
     return BivariatePolynomial.from_dict(acc)
 
 
+def signed_incidence(g) -> list:
+    """The rows of the |V| x |E| signed incidence matrix: arrow a's column is
+    +1 at its head and -1 at its tail, so a self-loop gives a zero column."""
+    vindex = {v: i for i, v in enumerate(g.vertices)}
+    rows = [[0] * len(g.arrows) for _ in g.vertices]
+    for j, a in enumerate(g.arrows):
+        rows[vindex[a.head]][j] += 1
+        rows[vindex[a.tail]][j] -= 1
+    return rows
+
+
 def tutte_polynomial(g):
     """Tutte polynomial of the graph's cycle matroid by the corank-nullity sum.
 
@@ -269,7 +301,7 @@ def tutte_polynomial(g):
 def su2_poincare_polynomial(g):
     """Coefficients of t^rank * T_G(1/t, 0), the Poincare polynomial of the
     SU(2) graphical configuration space, from the graph's own Tutte polynomial."""
-    rk = graph_rank(g)
+    rk = len(spanning_forest(g))
     xs = {i: c for i, j, c in tutte_polynomial(g).terms if j == 0}
     coeffs = [xs.get(rk - m, 0) for m in range(rk + 1)]
     while coeffs and coeffs[-1] == 0:

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 
 from conftest import complete_graph, data_path, wheel_graph
-from oracles import contraction_data, exactness_on_eval_rows, row_list
+from oracles import contraction_data, exactness_on_eval_rows, matvec, row_list, signed_incidence
 from strategies import connected_multigraphs
 from zonoharm import analysis
 from zonoharm.analysis import (
@@ -28,7 +28,7 @@ from zonoharm.graphs import (
     DirectedGraph,
     _corank_nullity,
     cographical_arrangement,
-    signed_incidence,
+    spanning_forest,
     tutte_of_arrangement,
 )
 from zonoharm.harmonics import Harmonics
@@ -81,7 +81,9 @@ def test_each_quantity_once_per_arrangement(run):
     # duality certificate, read by both Tutte checks
     assert _calls(stats, tutte_of_arrangement) == 1
     assert _calls(stats, _corank_nullity) == 1
-    assert _calls(stats, signed_incidence) == 1
+    # one forest for the coordinates and one per context, read by the
+    # cycles, the duality certificate and the report's graph rank
+    assert _calls(stats, spanning_forest) == 2
     # the arrangement's own rank and no other: its cocircuits certify that
     # each minor spans, so Analysis.minors builds both minors without one
     assert _calls(stats, rank) == 1
@@ -132,7 +134,7 @@ def test_exactness_fails_on_swapped_bars(house_graph):
 
 def test_exactness_fails_on_bars_not_constant_along_the_element():
     # the 7 points are symmetric under swapping the coordinates, so the bars
-    # of the swapped point, (U (z1, z0))[1:], factor through an affine
+    # of the swapped point, Q (z1, z0), factor through an affine
     # bijection and pass every rank check; they are not constant along the
     # element's direction, which only the composite-vanishing test sees
     cols = [(1, 0), (1, 0), (0, 1), (0, 1), (1, 1), (1, 1)]
@@ -140,8 +142,8 @@ def test_exactness_fails_on_bars_not_constant_along_the_element():
     ctx = Analysis(va)
     assert len(ctx.points) == 7
     for a in ("e0", "e1", "e2", "e3"):
-        _, transform, _ = contraction_data(va, a)
-        twisted = [tuple(transform.matvec((z[1], z[0]))[1:]) for z in ctx.points]
+        _, quotient = contraction_data(va, a)
+        twisted = [matvec(quotient, (z[1], z[0])) for z in ctx.points]
         assert _exactness_both_ways(ctx, a) == (True, True)
         assert _exactness_both_ways(ctx, a, twisted) == (False, False)
 
@@ -293,7 +295,7 @@ class TestColoopParent:
 
             return wrapper
 
-        for name in ("completion_transform", "minor_cocircuits"):
+        for name in ("integer_kernel", "minor_cocircuits"):
             monkeypatch.setattr(analysis, name, spy(name, getattr(analysis, name)))
         monkeypatch.setattr(Harmonics, "__init__", spy("Harmonics", Harmonics.__init__))
         reports = _deletion_contraction(ctx)
@@ -351,5 +353,5 @@ class TestTutteDuality:
 
     def test_self_loop_has_zero_incidence_column(self):
         g = DirectedGraph(("a", "b"), (Arrow(1, "a", "b"), Arrow(2, "b", "a"), Arrow(3, "b", "b")))
-        assert signed_incidence(g).col(2) == (0, 0)
+        assert [row[2] for row in signed_incidence(g)] == [0, 0]
         assert self._duality(g, row_list(cographical_arrangement(g).columns))

@@ -12,11 +12,11 @@ from conftest import wheel_graph
 from oracles import (
     IsColoopError,
     IsLoopError,
+    assert_quotient_map,
     contraction_data,
     deletion,
     echelon_cocircuits,
-    identity,
-    matmul,
+    matvec,
     rank_loops_and_coloops,
     scanned_minor_cocircuits,
     unpruned_cocircuits,
@@ -210,7 +210,7 @@ class TestContraction:
         assert out.columns.col_list() == [[1], [1]]
 
     def test_house_element_four(self, house_arrangement):
-        out, transform, _ = contraction_data(house_arrangement, "e4")
+        out, quotient = contraction_data(house_arrangement, "e4")
         assert out.lattice_rank == 1 and out.size == 5
         # point-count additivity: 6 interior points split 2 + 4
         pts = Analysis(house_arrangement).points
@@ -218,12 +218,20 @@ class TestContraction:
         pts_con = Analysis(out).points
         assert (len(pts), len(pts_del), len(pts_con)) == (6, 2, 4)
         leftover = [p for p in pts if p not in pts_del]
-        images = {tuple(transform.matvec(z)[1:]) for z in leftover}
+        images = {matvec(quotient, z) for z in leftover}
         assert images == set(pts_con)
 
     def test_loop_rejected(self):
         with pytest.raises(IsLoopError):
             contraction_data(arr(1, [(1,), (0,)]), "a2")
+
+    def test_quotient_check_rejects_what_is_no_quotient_map(self):
+        # a sublattice of index 2, a row that does not vanish on e_1, one
+        # row too few
+        assert_quotient_map(((0, 1, 0), (0, 0, 1)), (1, 0, 0))
+        for bad in (((0, 2, 0), (0, 0, 1)), ((1, 1, 0), (0, 0, 1)), ((0, 1, 0),)):
+            with pytest.raises(AssertionError):
+                assert_quotient_map(bad, (1, 0, 0))
 
 
 class TestCocircuits:
@@ -301,12 +309,17 @@ def box_filter(va, cocs):
 
 def _minor_cocircuits(va, a, cocs):
     """(deletion's, contraction's) cocircuits derived from ``cocs`` in one sweep."""
-    va_con, _, inverse = contraction_data(va, a)
-    return minor_cocircuits(cocs, deletion_drops(cocs), va.index_of(a), va_con, inverse.col_list()[1:])
+    va_con, quotient = contraction_data(va, a)
+    return minor_cocircuits(cocs, deletion_drops(cocs), va.index_of(a), va_con, quotient)
 
 
 def assert_minors_validated(va):
-    """Every usable element's minors from ``Analysis.minors`` equal the validated ones."""
+    """Every usable element's minors from ``Analysis.minors`` equal the validated ones.
+
+    ``contraction_data`` checks the quotient map Q, so the contraction's
+    columns Q c, checked to span by the constructor, and its bars Q z are a
+    contraction's, whatever kernel basis Q is.
+    """
     ctx = Analysis(va)
     loops, coloops = ctx.loops_and_coloops
     r, cols = va.lattice_rank, va.columns.col_list()
@@ -326,11 +339,10 @@ def assert_minors_validated(va):
         rest = cols[:idx] + cols[idx + 1 :]
         # the constructor runs its rank check on the same columns, built by transposes
         assert ctx_del.va == VectorArrangement(r, ground, Mat.from_cols(rest, rows=r))
-        _, transform, inverse = contraction_data(va, a)
-        assert matmul(transform, inverse) == identity(r)
-        images = [transform.matvec(c)[1:] for c in rest]
+        _, quotient = contraction_data(va, a)
+        images = [matvec(quotient, c) for c in rest]
         assert ctx_con.va == VectorArrangement(r - 1, ground, Mat.from_cols(images, rows=r - 1))
-        assert bars == [transform.matvec(z)[1:] for z in ctx.points]
+        assert bars == [matvec(quotient, z) for z in ctx.points]
         assert ctx_del.cocircuits == enumerate_cocircuits(ctx_del.va)
         assert ctx_con.cocircuits == enumerate_cocircuits(ctx_con.va)
 
@@ -355,17 +367,14 @@ class TestMinorCocircuits:
         for a in _usable(va):
             cocs_del, cocs_con = _minor_cocircuits(va, a, cocs)
             assert cocs_del == enumerate_cocircuits(deletion(va, a))
-            va_con, transform, inverse = contraction_data(va, a)
-            assert matmul(transform, inverse) == identity(va.lattice_rank)
-            assert cocs_con == enumerate_cocircuits(va_con)
+            assert cocs_con == enumerate_cocircuits(contraction_data(va, a)[0])
 
     @staticmethod
     def assert_table_equals_scan(va):
         cocs = enumerate_cocircuits(va)
         drops = deletion_drops(cocs)
         for a in _usable(va):
-            va_con, _, inverse = contraction_data(va, a)
-            args = (va.index_of(a), va_con, inverse.col_list()[1:])
+            args = (va.index_of(a), *contraction_data(va, a))
             assert minor_cocircuits(cocs, drops, *args) == scanned_minor_cocircuits(cocs, *args)
 
     @given(connected_multigraphs(max_edges=8))
@@ -423,16 +432,17 @@ class TestMinorCocircuits:
         with pytest.raises(CertificateError):
             certify_pairings(va_con, (bad,))
 
-    def test_wrong_inverse_raises(self):
+    def test_perturbed_quotient_raises(self):
+        # Q = ((0, 1, 0), (0, 0, 1)); with entry (0, 2) raised to 1, the
+        # covector (0, 1, -1) back-substitutes to (1, -2), not (1, -1)
         va = arr(3, [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 0), (0, 1, 1), (1, 1, 1)])
         cocs = enumerate_cocircuits(va)
-        va_con, _, inverse = contraction_data(va, "a1")
-        lift = inverse.col_list()[1:]
+        va_con, quotient = contraction_data(va, "a1")
+        assert quotient == ((0, 1, 0), (0, 0, 1))
         drops = deletion_drops(cocs)
-        assert minor_cocircuits(cocs, drops, 0, va_con, lift)[1]
-        lift[1][1] += 1  # entry (1, 2) of U^-1
+        assert minor_cocircuits(cocs, drops, 0, va_con, quotient)[1]
         with pytest.raises(CertificateError):
-            minor_cocircuits(cocs, drops, 0, va_con, lift)
+            minor_cocircuits(cocs, drops, 0, va_con, ((0, 1, 1), (0, 0, 1)))
 
 
 class TestInteriorPoints:
@@ -496,12 +506,12 @@ class TestProperties:
             if a in loops or a in coloops:
                 continue
             va_del = deletion(va, a)
-            va_con, transform, _ = contraction_data(va, a)
+            va_con, quotient = contraction_data(va, a)
             pts_del = Analysis(va_del).points
             pts_con = Analysis(va_con).points
             assert all(p in pts for p in pts_del)
             leftover = [p for p in pts if p not in pts_del]
-            images = [tuple(transform.matvec(z)[1:]) for z in leftover]
+            images = [matvec(quotient, z) for z in leftover]
             assert len(images) == len(set(images))
             assert set(images) == set(pts_con)
 

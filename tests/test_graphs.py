@@ -10,6 +10,7 @@ from conftest import DATA
 from oracles import (
     bareiss_tutte,
     row_list,
+    signed_incidence,
     su2_poincare_polynomial,
     theta_triples,
     tutte_polynomial,
@@ -26,14 +27,16 @@ from zonoharm.graphs import (
     DirectedGraph,
     cographical_arrangement,
     enumerate_oriented_cycles,
-    graph_rank,
-    signed_incidence,
     spanning_forest,
     theta_subgraphs,
     tutte_of_arrangement,
 )
 from zonoharm.linalg import Mat, rank
 from zonoharm.verification import random_connected_multigraph
+
+
+def cycles_of(g):
+    return enumerate_oriented_cycles(g, spanning_forest(g))
 
 
 def graph(n, edges):
@@ -94,13 +97,13 @@ def corank_nullity_tutte(g):
 
 class TestGraphRank:
     def test_house(self, house_graph):
-        assert graph_rank(house_graph) == 4
+        assert len(spanning_forest(house_graph)) == 4
 
     def test_cycle(self):
-        assert graph_rank(cycle_graph(5)) == 4
+        assert len(spanning_forest(cycle_graph(5))) == 4
 
     def test_edgeless(self):
-        assert graph_rank(graph(4, [])) == 0
+        assert len(spanning_forest(graph(4, []))) == 0
 
 
 class TestCographical:
@@ -140,7 +143,7 @@ class TestCographical:
         nonforest = [a.ident for a in g.arrows if a.ident not in forest]
         assert va.lattice_rank == len(nonforest)
         assert va.ground == tuple(str(a.ident) for a in g.arrows)
-        incidence = row_list(signed_incidence(g))
+        incidence = signed_incidence(g)
         for k, f in enumerate(nonforest):
             z = {a.ident: col[k] for a, col in zip(g.arrows, cols)}
             assert all(
@@ -162,7 +165,7 @@ class TestCographical:
         "kind",
         [
             lambda g: len({v for a in g.arrows for v in (a.tail, a.head)}) < len(g.vertices),
-            lambda g: len(g.vertices) - graph_rank(g) > 1,
+            lambda g: len(g.vertices) - len(spanning_forest(g)) > 1,
             lambda g: not g.arrows,
         ],
         ids=["isolated vertex", "several components", "no arrows"],
@@ -173,7 +176,7 @@ class TestCographical:
 
 class TestOrientedCycles:
     def test_house(self, house_graph):
-        cycles = {c.arrows for c in enumerate_oriented_cycles(house_graph)}
+        cycles = {c.arrows for c in cycles_of(house_graph)}
         assert cycles == {
             ((4, 1), (5, 1), (6, 1)),
             ((1, 1), (2, 1), (3, 1), (4, 1)),
@@ -181,28 +184,28 @@ class TestOrientedCycles:
         }
 
     def test_triangle(self):
-        assert len(enumerate_oriented_cycles(cycle_graph(3))) == 1
+        assert len(cycles_of(cycle_graph(3))) == 1
 
     def test_two_parallel_arrows(self):
         g = graph(2, [(1, 2), (1, 2)])
-        (c,) = enumerate_oriented_cycles(g)
+        (c,) = cycles_of(g)
         assert c.arrows == ((1, 1), (2, -1))
 
     def test_self_loop(self):
         g = graph(1, [(1, 1)])
-        (c,) = enumerate_oriented_cycles(g)
+        (c,) = cycles_of(g)
         assert c.arrows == ((1, 1),)
 
     def test_lowest_arrow_positive(self, house_graph):
-        for c in enumerate_oriented_cycles(house_graph):
+        for c in cycles_of(house_graph):
             ident, sign = min(c.arrows)
             assert sign == 1
 
     @given(connected_multigraphs(max_edges=6))
     @settings(max_examples=30)
     def test_classes_span_cycle_space(self, g):
-        cycles = enumerate_oriented_cycles(g)
-        dim = len(g.arrows) - graph_rank(g)
+        cycles = cycles_of(g)
+        dim = len(g.arrows) - len(spanning_forest(g))
         if dim == 0:
             assert not cycles
             return
@@ -215,7 +218,7 @@ class TestOrientedCycles:
         from zonoharm.formats import parse_graph, serialize_graph
 
         again = parse_graph(serialize_graph(g))
-        assert enumerate_oriented_cycles(again) == enumerate_oriented_cycles(g)
+        assert cycles_of(again) == cycles_of(g)
 
 
 def _cycle_subset_count(g):
@@ -253,31 +256,31 @@ class TestCycleCountOracle:
     @given(connected_multigraphs(max_edges=6))
     @settings(max_examples=40)
     def test_matches_degree_two_subset_oracle(self, g):
-        assert len(enumerate_oriented_cycles(g)) == _cycle_subset_count(g)
+        assert len(cycles_of(g)) == _cycle_subset_count(g)
 
 
 class TestThetaSubgraphs:
     def test_house(self, house_graph):
-        (triple,) = theta_subgraphs(enumerate_oriented_cycles(house_graph))
+        (triple,) = theta_subgraphs(cycles_of(house_graph))
         lengths = sorted(len(c) for c in triple)
         assert lengths == [3, 4, 5]
 
     def test_cycle_has_none(self):
-        assert theta_subgraphs(enumerate_oriented_cycles(cycle_graph(6))) == ()
+        assert theta_subgraphs(cycles_of(cycle_graph(6))) == ()
 
     def test_theta_graph(self):
         g = graph(2, [(1, 2), (1, 2), (2, 1)])
-        assert len(theta_subgraphs(enumerate_oriented_cycles(g))) == 1
+        assert len(theta_subgraphs(cycles_of(g))) == 1
 
     def test_complete_graph_k5(self):
         g = graph(5, list(combinations(range(1, 6), 2)))
-        cycles = enumerate_oriented_cycles(g)
+        cycles = cycles_of(g)
         assert theta_subgraphs(cycles) == theta_triples(cycles)
 
     @given(connected_multigraphs(max_edges=8))
     @settings(max_examples=60)
     def test_matches_triple_oracle(self, g):
-        cycles = enumerate_oriented_cycles(g)
+        cycles = cycles_of(g)
         assert theta_subgraphs(cycles) == theta_triples(cycles)
 
 
@@ -333,7 +336,7 @@ class TestTutte:
             g = graph(n, [(rng.randint(1, n), rng.randint(1, n)) for _ in range(rng.randint(0, 9))])
             if len({v for a in g.arrows for v in (a.tail, a.head)}) < n:
                 kinds.add("isolated vertex")
-            if len(g.vertices) - graph_rank(g) > 1:
+            if len(g.vertices) - len(spanning_forest(g)) > 1:
                 kinds.add("several components")
             if not g.arrows:
                 kinds.add("no arrows")
@@ -491,11 +494,5 @@ class TestIncidenceKernel:
         rng = random.Random(99)
         for _ in range(20):
             g = random_connected_multigraph(rng, 7)
-            vindex = {v: i for i, v in enumerate(g.vertices)}
-            rows = [[0] * len(g.arrows) for _ in g.vertices]
-            for j, a in enumerate(g.arrows):
-                rows[vindex[a.head]][j] += 1
-                rows[vindex[a.tail]][j] -= 1
-            kern = integer_kernel(rows, len(g.arrows))
+            kern = integer_kernel(signed_incidence(g), len(g.arrows))
             assert len(kern) == len(g.arrows) - len(spanning_forest(g))
-            assert len(kern) == len(g.arrows) - graph_rank(g)
