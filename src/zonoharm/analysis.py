@@ -192,7 +192,7 @@ class Analysis:
         """
         va, g = self.va, self.graph
         net = {v: [0] * va.lattice_rank for v in g.vertices}
-        for a, col in zip(g.arrows, va.columns.col_list(), strict=True):
+        for a, col in zip(g.arrows, va.columns.data, strict=True):
             net[a.head] = [x + y for x, y in zip(net[a.head], col)]
             net[a.tail] = [x - y for x, y in zip(net[a.tail], col)]
         if any(any(flow) for flow in net.values()):

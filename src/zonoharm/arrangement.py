@@ -20,7 +20,7 @@ tuples, in the lexicographic order in which the scan finds them.
 
 from __future__ import annotations
 
-from itertools import chain, combinations
+from itertools import combinations
 from operator import mul
 from typing import NamedTuple
 
@@ -38,7 +38,9 @@ class VectorArrangement:
             raise ValueError("column matrix shape does not match rank and ground set")
         if len(set(ground)) != len(ground):
             raise ValueError("duplicate ground set labels")
-        if rank(columns) != lattice_rank:
+        if not all(isinstance(x, int) for c in columns.data for x in c):
+            raise ValueError("column entries must be integers")
+        if rank(columns.data) != lattice_rank:  # a matrix and its transpose share their rank
             raise ValueError("columns do not span the ambient lattice")
         self.lattice_rank = lattice_rank
         self.ground = ground
@@ -99,7 +101,7 @@ def loops_and_coloops(va: VectorArrangement, cocircuits) -> tuple:
     A coloop lies in every basis, so its complement spans a hyperplane
     (Oxley, *Matroid Theory*, 2.1).
     """
-    loops = tuple(a for j, a in enumerate(va.ground) if not any(va.columns.col(j)))
+    loops = tuple(a for a, c in zip(va.ground, va.columns.data) if not any(c))
     coloops = {a for c in cocircuits if c.degree == 1 for a in c.support(va.ground)}
     return loops, tuple(a for a in va.ground if a in coloops)
 
@@ -116,14 +118,13 @@ def _spanning(lattice_rank: int, ground: tuple, columns: Mat) -> VectorArrangeme
 
 
 def delete_column(va: VectorArrangement, idx: int) -> VectorArrangement:
-    """Drop the element at ``idx``; its columns are sliced out of the parent's data.
+    """Drop the element at ``idx``; the parent's other column tuples are kept as they are.
 
     The result spans iff the element is not a coloop, which the caller
     certifies: no rank is run here.
     """
-    data, n = va.columns.data, va.size
-    rows = (data[k : k + idx] + data[k + idx + 1 : k + n] for k in range(0, len(data), n))
-    kept = Mat(va.lattice_rank, n - 1, tuple(chain.from_iterable(rows)))
+    data = va.columns.data
+    kept = Mat(va.lattice_rank, va.size - 1, data[:idx] + data[idx + 1 :])
     return _spanning(va.lattice_rank, va.ground[:idx] + va.ground[idx + 1 :], kept)
 
 
@@ -136,11 +137,10 @@ def contract_column(va: VectorArrangement, idx: int, quotient) -> VectorArrangem
     maps Z^r onto Z^(r-1) with kernel Z a.  The parent spans, so these
     columns span Z^(r-1): no rank is run here.
     """
-    data, n = va.columns.data, va.size
-    cols = [data[j::n] for j in range(n) if j != idx]
-    out = tuple(sum(map(mul, u, c)) for u in quotient for c in cols)
+    data = va.columns.data
+    out = tuple(tuple(sum(map(mul, u, c)) for u in quotient) for c in data[:idx] + data[idx + 1 :])
     ground = va.ground[:idx] + va.ground[idx + 1 :]
-    return _spanning(va.lattice_rank - 1, ground, Mat(len(quotient), n - 1, out))
+    return _spanning(va.lattice_rank - 1, ground, Mat(len(quotient), va.size - 1, out))
 
 
 def enumerate_cocircuits(va: VectorArrangement) -> tuple:
@@ -168,7 +168,7 @@ def enumerate_cocircuits(va: VectorArrangement) -> tuple:
     r, n = va.lattice_rank, va.size
     if r == 0:
         return ()
-    cols = va.columns.col_list()
+    cols = va.columns.data
     found = []
     supports = []  # support bitmask of each cocircuit found
     stack = [[[int(i == j) for j in range(r)] for i in range(r)]]
@@ -283,7 +283,7 @@ def certify_pairings(va: VectorArrangement, cocircuits) -> None:
     The columns span, so the values determine the covector: a derived
     cocircuit that passes is the one with those values.
     """
-    cols = va.columns.col_list()
+    cols = va.columns.data
     for c in cocircuits:
         if tuple(sum(map(mul, c.covector, col)) for col in cols) != c.values:
             raise CertificateError(f"covector {c.covector} does not pair to {c.values}")
@@ -310,7 +310,7 @@ def interior_lattice_points(va: VectorArrangement, cocircuits) -> tuple:
         return ((),)
     if any(c.degree == 1 for c in cocircuits):  # a coloop is a one-element cocircuit
         return ()
-    cols = va.columns.col_list()
+    cols = va.columns.data
     lo = [sum(min(0, c[j]) for c in cols) for j in range(r)]
     hi = [sum(max(0, c[j]) for c in cols) for j in range(r)]
     # levels[j]: (k, a_j, low, high) for each cocircuit k with a_j != 0, where

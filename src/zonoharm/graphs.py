@@ -270,7 +270,7 @@ def tutte_of_arrangement(va: VectorArrangement, cocircuits=None) -> BivariatePol
     check_tutte_size(va)
     if cocircuits is None:
         enumerate_cocircuits(va)
-    parity = [sum((x & 1) << i for i, x in enumerate(c)) for c in va.columns.col_list()]
+    parity = [sum((x & 1) << i for i, x in enumerate(c)) for c in va.columns.data]
     return _corank_nullity(parity)
 
 

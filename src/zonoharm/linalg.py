@@ -18,21 +18,22 @@ kernel of the kernel.
 
 from __future__ import annotations
 
-from itertools import chain
 from math import prod
 from operator import mul
 
 
 class Mat:
-    """Immutable row-major matrix with int entries."""
+    """Immutable int matrix whose ``data`` is ``cols`` column tuples of length ``rows``."""
 
     __slots__ = ("rows", "cols", "data")
 
     def __init__(self, rows: int, cols: int, data: tuple):
         if rows < 0 or cols < 0:
             raise ValueError("negative dimension")
-        if len(data) != rows * cols:
-            raise ValueError("entry count does not match shape")
+        if len(data) != cols:
+            raise ValueError("column count does not match shape")
+        if any(len(c) != rows for c in data):
+            raise ValueError("column length does not match shape")
         self.rows = rows
         self.cols = cols
         self.data = data
@@ -52,34 +53,15 @@ class Mat:
         return f"Mat(rows={self.rows!r}, cols={self.cols!r}, data={self.data!r})"
 
     @staticmethod
-    def from_rows(rows, cols: int | None = None) -> "Mat":
-        rows = [tuple(r) for r in rows]
-        if rows:
-            width = len(rows[0])
-            if any(len(r) != width for r in rows):
-                raise ValueError("ragged rows")
-            if cols is not None and cols != width:
-                raise ValueError("cols does not match row width")
-            cols = width
-        elif cols is None:
-            cols = 0
-        return Mat(len(rows), cols, tuple(chain.from_iterable(rows)))
-
-    @staticmethod
-    def from_cols(cols, rows: int | None = None) -> "Mat":
-        return Mat.from_rows(cols, rows).transpose()
-
-    def row(self, i: int) -> tuple:
-        return self.data[i * self.cols : (i + 1) * self.cols]
+    def from_cols(cols, rows: int) -> "Mat":
+        data = tuple(map(tuple, cols))
+        return Mat(rows, len(data), data)
 
     def col(self, j: int) -> tuple:
-        return self.data[j :: self.cols] if self.cols else ()
+        return self.data[j]
 
     def col_list(self) -> list:
-        return [list(self.col(j)) for j in range(self.cols)]
-
-    def transpose(self) -> "Mat":
-        return Mat(self.cols, self.rows, tuple(chain.from_iterable(map(self.col, range(self.cols)))))
+        return list(map(list, self.data))
 
 
 def xgcd(a: int, b: int):
@@ -120,12 +102,10 @@ def det(m) -> int:
     return sign * rows[n - 1][n - 1]
 
 
-def rank(m) -> int:
-    """Exact rank over the rationals of a ``Mat`` or a list of integer rows:
-    the number of rows of their ``IntRowLattice`` echelon."""
-    if isinstance(m, Mat):
-        return IntRowLattice(m.cols, map(m.row, range(m.rows))).rank
-    return IntRowLattice(len(m[0]), m).rank if m else 0
+def rank(rows) -> int:
+    """Exact rank over the rationals of a list of integer rows: the number of
+    rows of their ``IntRowLattice`` echelon."""
+    return IntRowLattice(len(rows[0]), rows).rank if rows else 0
 
 
 def in_row_lattice(echelon_rows, pivot_cols, vecs) -> bool:

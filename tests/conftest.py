@@ -51,7 +51,7 @@ def complete_graph(k: int) -> DirectedGraph:
 
 def cycle_arrangement(k: int) -> VectorArrangement:
     """The rank-1 arrangement of k copies of (1): the cographical arrangement of a k-cycle."""
-    return VectorArrangement(1, tuple(f"a{i}" for i in range(k)), Mat.from_rows([[1] * k]))
+    return VectorArrangement(1, tuple(f"a{i}" for i in range(k)), Mat.from_cols([(1,)] * k, rows=1))
 
 
 K33 = "".join(f"vertex {side}{i}\n" for side in "ab" for i in (1, 2, 3)) + "".join(

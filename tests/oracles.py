@@ -24,12 +24,12 @@ from zonoharm.report import JSON_INT_LIMIT
 
 def identity(n):
     """The n x n identity matrix."""
-    return Mat.from_rows([[int(i == j) for j in range(n)] for i in range(n)], cols=n)
+    return Mat.from_cols([[int(i == j) for i in range(n)] for j in range(n)], rows=n)
 
 
 def row_list(m):
-    """The rows of a ``Mat``, as lists."""
-    return [list(m.row(i)) for i in range(m.rows)]
+    """The rows of a ``Mat``, as lists, read off its stored columns."""
+    return [[c[i] for c in m.data] for i in range(m.rows)]
 
 
 def matvec(m, v) -> tuple:
@@ -581,16 +581,16 @@ def exactness_on_eval_rows(ctx, ctx_del, ctx_con, element, bars):
     for i in range(max(h.top_degree, h_con.top_degree, h_del.top_degree + 1) + 1):
         rows = eval_rows_up_to(h, i)
         xi_rows = [tuple(f[bar_idx[k]] for k in range(n)) for f in eval_rows_up_to(h_con, i)]
-        if bareiss_rank(Mat.from_rows(xi_rows, cols=n)) != h_con.q_dim(i):
+        if bareiss_rank(xi_rows) != h_con.q_dim(i):
             return False
-        if bareiss_rank(Mat.from_rows(list(rows) + xi_rows, cols=n)) != h.q_dim(i):
+        if bareiss_rank(list(rows) + xi_rows) != h.q_dim(i):
             return False
         d_rows = [tuple(f[b] - f[a] for a, b in shift_idx) for f in rows]
         if m:
             rows_del = eval_rows_up_to(h_del, i - 1)
-            if bareiss_rank(Mat.from_rows(d_rows, cols=m)) != h_del.q_dim(i - 1):
+            if bareiss_rank(d_rows) != h_del.q_dim(i - 1):
                 return False
-            if bareiss_rank(Mat.from_rows(list(rows_del) + d_rows, cols=m)) != h_del.q_dim(i - 1):
+            if bareiss_rank(list(rows_del) + d_rows) != h_del.q_dim(i - 1):
                 return False
             if any(f[b] - f[a] for f in xi_rows for a, b in shift_idx):
                 return False
@@ -646,7 +646,7 @@ def all_degree_redundant_generators(va, bound=None):
         out = []
         for d in range(bound + 1):
             dim, rows = _macaulay_rows(r, exps, d)
-            out.append(dim - bareiss_rank(Mat.from_rows(rows, cols=dim)))
+            out.append(dim - bareiss_rank(rows))
         return tuple(out)
 
     full = dims(expansions)

@@ -42,7 +42,7 @@ def trim(seq):
 
 
 def cycle_arrangement(k):
-    return VectorArrangement(1, tuple(f"a{i}" for i in range(k)), Mat.from_rows([[1] * k]))
+    return VectorArrangement(1, tuple(f"a{i}" for i in range(k)), Mat.from_cols([(1,)] * k, rows=1))
 
 
 @lru_cache(maxsize=1)

@@ -316,7 +316,8 @@ class TestTutteDuality:
 
     @staticmethod
     def _duality(g, rows) -> bool:
-        va = VectorArrangement(len(rows), tuple(str(a.ident) for a in g.arrows), Mat.from_rows(rows))
+        columns = Mat.from_cols(zip(*rows), rows=len(rows))
+        va = VectorArrangement(len(rows), tuple(str(a.ident) for a in g.arrows), columns)
         return _tutte_duality(Analysis(va, g))
 
     def test_cycle_matrix_passes(self):
@@ -329,7 +330,7 @@ class TestTutteDuality:
         rows = row_list(cographical_arrangement(g).columns)
         j = next(j for j, x in enumerate(rows[0]) if x)
         rows[0][j] = -rows[0][j]
-        assert rank(Mat.from_rows(rows)) == len(rows)
+        assert rank(rows) == len(rows)
         assert not self._duality(g, rows)
 
     def test_broken_rank_identity_fails(self):

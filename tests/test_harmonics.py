@@ -31,7 +31,7 @@ from zonoharm.report import build_graph_report
 
 
 def coloop_arrangement():
-    return VectorArrangement(2, ("a1", "a2"), Mat.from_cols([(1, 0), (0, 1)]))
+    return VectorArrangement(2, ("a1", "a2"), Mat.from_cols([(1, 0), (0, 1)], rows=2))
 
 
 def trim(seq):
@@ -174,6 +174,21 @@ class TestRepeatedPoints:
             Harmonics(points)
 
 
+class TestPointShapes:
+    """Points of different lengths or with non-integer coordinates are refused
+    up front: the first two inputs would never reach Z^n, and the third would
+    index past its shorter point."""
+
+    @pytest.mark.parametrize(
+        "points",
+        [((0,), (0, 1)), ((0.5,), (0.7,)), ((0, 1), (0,))],
+        ids=["longer-after", "fractions", "shorter-after"],
+    )
+    def test_rejected(self, points):
+        with pytest.raises(ArgumentError, match="integer points of one length"):
+            Harmonics(points)
+
+
 class TestStopAtZn:
     """A degree stops inserting rows once its lattice is Z^n: n rows, all pivots 1."""
 
@@ -201,9 +216,10 @@ class TestStopAtZn:
         assert counts == [86]
         counts[0] = 0
         build_graph_report("", g)
-        # 5 of them rank the 5 x 10 columns in the constructor, and 4 per
-        # contraction put the integer kernel of its column in echelon form
-        assert counts == [1482]
+        # 10 of them rank the constructor's 10 columns of length 5, read as
+        # rows, and 4 per contraction put the integer kernel of its column in
+        # echelon form
+        assert counts == [1487]
 
     def test_rows_built_on_wheel5(self, monkeypatch):
         # each row is built from one step of its degree's table as it is
@@ -295,7 +311,7 @@ class TestHilbertSeries:
         assert Analysis(house_arrangement).iz == (1, 2, 2, 1)
 
     def test_single_coloop_zero(self):
-        va = VectorArrangement(1, ("a1",), Mat.from_rows([[1]]))
+        va = VectorArrangement(1, ("a1",), Mat.from_cols([(1,)], rows=1))
         assert Analysis(va).iz == ()
 
 
@@ -385,7 +401,7 @@ class TestDeletionContraction:
         assert (final.dim_total, final.dim_contraction, final.dim_deletion_prev) == (2, 1, 1)
 
     def test_rejects_loop_or_coloop(self):
-        va = VectorArrangement(1, ("a1", "a2"), Mat.from_cols([(1,), (0,)]))
+        va = VectorArrangement(1, ("a1", "a2"), Mat.from_cols([(1,), (0,)], rows=1))
         with pytest.raises(LoopOrColoopError):
             Analysis(va).deletion_contraction("a1")
         with pytest.raises(LoopOrColoopError):
@@ -404,7 +420,7 @@ class TestReesData:
         assert [(i, len(rows)) for i, rows in data] == [(0, 1), (1, 3), (2, 5), (3, 6)]
 
     def test_single_point(self):
-        va = VectorArrangement(0, ("a1",), Mat(0, 1, ()))
+        va = VectorArrangement(0, ("a1",), Mat(0, 1, ((),)))
         data = rees_data(compute_filtration(va))
         assert [(i, len(rows)) for i, rows in data] == [(0, 1)]
 
@@ -446,7 +462,7 @@ def _random_unimodular(rng, n):
         c = rng.choice((-2, -1, 1, 2))
         for k in range(n):
             m[i][k] += c * m[j][k]
-    return Mat.from_rows(m)
+    return m
 
 
 class TestInvariants:

@@ -57,7 +57,7 @@ class TestGenerators:
         assert (g.cocircuit.covector, g.shift, g.degree) == ((1,), -1, 4)
 
     def test_single_coloop_constant_one(self):
-        va = VectorArrangement(1, ("a1",), Mat.from_rows([[1]]))
+        va = VectorArrangement(1, ("a1",), Mat.from_cols([(1,)], rows=1))
         (g,) = k_minus_generators(enumerate_cocircuits(va))
         assert g.degree == 0
         assert g.evaluate((7,)) == 1
@@ -93,13 +93,13 @@ class TestQuotientDims:
             assert trim(dims) == (1,) * (k - 1)
 
     def test_unit_ideal(self):
-        va = VectorArrangement(1, ("a1",), Mat.from_rows([[1]]))
+        va = VectorArrangement(1, ("a1",), Mat.from_cols([(1,)], rows=1))
         assert trim(Analysis(va).power_dims) == ()
 
     def test_non_unimodular_input_rejected(self):
         # (2) is 0 mod 2: the context's cocircuits reject it before the
         # Tutte series is read
-        va = VectorArrangement(1, ("a", "b"), Mat.from_rows([[1, 2]]))
+        va = VectorArrangement(1, ("a", "b"), Mat.from_cols([(1,), (2,)], rows=1))
         with pytest.raises(NotTotallyUnimodularError):
             Analysis(va).power_dims
 
@@ -309,7 +309,8 @@ class TestChain:
     @pytest.mark.parametrize(
         "va, bound",
         [
-            (VectorArrangement(1, ("a1",), Mat.from_rows([[1]])), 3),  # a degree-0 generator
+            # a degree-0 generator
+            (VectorArrangement(1, ("a1",), Mat.from_cols([(1,)], rows=1)), 3),
             (cographical_arrangement(parse_graph("vertex a\nvertex b\narrow 1 a b\n")), 3),
             (cographical_arrangement(parse_graph(data_path("selfloop.graph").read_text())), 3),
             (named_arrangement("K33"), 2),  # below the top degree

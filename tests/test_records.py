@@ -15,7 +15,7 @@ from zonoharm.linalg import Mat
 
 
 def _mat():
-    return Mat(2, 3, (1, 0, 1, 0, 1, 1))
+    return Mat(2, 3, ((1, 0), (0, 1), (1, 1)))
 
 
 def _arrangement():
@@ -55,10 +55,12 @@ def test_a_different_type_is_never_equal(name):
 
 
 def test_different_fields_differ():
-    assert Mat(1, 2, (1, 2)) != Mat(2, 1, (1, 2))
-    assert Mat(1, 2, (1, 2)) != Mat(1, 2, (2, 1))
-    assert VectorArrangement(1, ("a", "b"), Mat(1, 2, (1, 1))) != VectorArrangement(
-        1, ("b", "a"), Mat(1, 2, (1, 1))
+    assert Mat(1, 2, ((1,), (2,))) != Mat(2, 1, ((1, 2),))
+    assert Mat(1, 2, ((1,), (2,))) != Mat(1, 2, ((2,), (1,)))
+    # equal entries read by rows and by columns: a matrix and its transpose
+    assert Mat(2, 2, ((1, 2), (3, 4))) != Mat(2, 2, ((1, 3), (2, 4)))
+    assert VectorArrangement(1, ("a", "b"), Mat(1, 2, ((1,), (1,)))) != VectorArrangement(
+        1, ("b", "a"), Mat(1, 2, ((1,), (1,)))
     )
     assert _graph() != DirectedGraph(("u", "v"), (Arrow(1, "u", "v"),))
 
@@ -68,12 +70,14 @@ def test_different_fields_differ():
     [
         (lambda: Mat(-1, 0, ()), "negative dimension"),
         (lambda: Mat(0, -1, ()), "negative dimension"),
-        (lambda: Mat(2, 2, (1, 2, 3)), "entry count does not match shape"),
+        (lambda: Mat(2, 2, ((1, 2), (3, 4), (5, 6))), "column count does not match shape"),
+        (lambda: Mat(2, 2, ((1, 2), (3,))), "column length does not match shape"),
+        (lambda: Mat.from_cols([(1, 2), (3, 4)], rows=3), "column length does not match shape"),
         (lambda: VectorArrangement(3, ("a", "b", "c"), _mat()), "does not match rank and ground set"),
         (lambda: VectorArrangement(2, ("a", "b"), _mat()), "does not match rank and ground set"),
         (lambda: VectorArrangement(2, ("a", "b", "a"), _mat()), "duplicate ground set labels"),
         (
-            lambda: VectorArrangement(2, ("a", "b"), Mat(2, 2, (1, 2, 2, 4))),
+            lambda: VectorArrangement(2, ("a", "b"), Mat(2, 2, ((1, 2), (2, 4)))),
             "columns do not span the ambient lattice",
         ),
         (lambda: DirectedGraph(("u", "u"), ()), "duplicate vertex labels"),
