@@ -3,7 +3,8 @@
 ``Analysis`` computes each quantity that the checks read lazily and at most
 once: loops and coloops, cocircuits, interior points, the filtration, the
 Tutte polynomial with its series, whether the shifted binomials vanish, the
-certified power-ideal quotient dimensions and, for a graph input, its
+exact power-ideal quotient dimensions, which read only the cocircuits and
+the Tutte bound, and, for a graph input, its
 spanning forest, its oriented cycles, its Tutte polynomial and the duality
 verdict.  Coloops are read off the cocircuits.  A graph's Tutte polynomial
 is the arrangement's with x and y swapped, so one walk serves both, and its
@@ -102,8 +103,8 @@ class Analysis:
     """The quantities of one arrangement (and its graph, if any), each computed once.
 
     ``harmonics`` is the one filtration of the arrangement, built to its top
-    degree and read by every check, the power-ideal dimensions and the
-    deletion/contraction checks alike.  ``cocircuits``, when given, are the
+    degree and read by every check and the deletion/contraction checks
+    alike; the power-ideal dimensions never read it.  ``cocircuits``, when given, are the
     arrangement's cocircuits, already derived; otherwise they are enumerated.
     """
 
@@ -159,8 +160,7 @@ class Analysis:
 
     @cached_property
     def power_dims(self) -> tuple:
-        h = self.harmonics
-        return quotient_dims(self.va, self.cocircuits, len(self.iz), h, self.generators_vanish)
+        return quotient_dims(self.va, self.cocircuits, len(self.iz))
 
     @cached_property
     def forest(self) -> tuple:

@@ -51,9 +51,10 @@ class GradedClass(NamedTuple):
 
 class Harmonics:
     """Filtration data of the functions on ``points``, a tuple of distinct
-    points of Z^r such as an arrangement's interior points, whose order fixes
-    the columns, and refused with ArgumentError otherwise.  It reads nothing
-    else: r is the length of a point, and no points give the zero filtration.
+    points of Z^r, each a tuple of ints, such as an arrangement's interior
+    points, whose order fixes the columns, and refused with ArgumentError
+    otherwise.  It reads nothing else: r is the length of a point, and no
+    points give the zero filtration.
 
     Degree by degree, the evaluation rows of the binomial products (each
     built from one row of the previous degree, see ``binomial_product_rows``)
@@ -66,11 +67,16 @@ class Harmonics:
     def __init__(self, points: tuple):
         # the lattice must be able to reach Z^n, or the degrees would not end:
         # repeated points, and points equal on the first point's coordinates
-        # or once the echelon truncates non-integers, give equal columns
+        # or once the echelon truncates non-integers, give equal columns;
+        # list points cannot be hashed for the distinct-points check
+        if (
+            not all(isinstance(p, tuple) for p in points)
+            or len(set(map(len, points))) > 1
+            or not all(isinstance(x, int) for p in points for x in p)
+        ):
+            raise ArgumentError("Harmonics needs integer points of one length")
         if len(set(points)) != len(points):
             raise ArgumentError("Harmonics needs distinct points")
-        if len(set(map(len, points))) > 1 or not all(isinstance(x, int) for p in points for x in p):
-            raise ArgumentError("Harmonics needs integer points of one length")
         self.points = points
         n = len(points)
         self.point_count = n

@@ -14,10 +14,10 @@ from zonoharm.arrangement import (
     enumerate_cocircuits,
 )
 from zonoharm.errors import NotTotallyUnimodularError, ZonoharmError
-from zonoharm.funcspace import binom_int, binomial_product_rows
+from zonoharm.funcspace import binom_int, binomial_product_rows, exponents_of_degree
 from zonoharm.graphs import BivariatePolynomial, _corank_nullity, spanning_forest, tutte_of_arrangement
 from zonoharm.harmonics import iz_hilbert_series
-from zonoharm.ideals import P, _expansions, _macaulay_rows
+from zonoharm.ideals import _expansions
 from zonoharm.linalg import IntRowLattice, Mat, det, integer_kernel, saturate, xgcd
 from zonoharm.report import JSON_INT_LIMIT
 
@@ -630,6 +630,39 @@ def stdlib_json_bytes(report) -> bytes:
     return (json.dumps(_stringify_big_ints(report), indent=2, sort_keys=False) + "\n").encode("utf-8")
 
 
+def macaulay_rows(r: int, expansions, degree: int) -> tuple:
+    """(dim Sym_d, rows): every monomial multiple of degree d of each power
+    in ``expansions`` (pairs (e, expansion of a^e), as ``ideals._expansions``
+    gives them), over the monomial basis of Sym_d."""
+    index = {e: i for i, e in enumerate(exponents_of_degree(r, degree))}
+    rows = []
+    for e, expansion in expansions:
+        if e > degree:
+            continue
+        for shift_exps in exponents_of_degree(r, degree - e):
+            row = [0] * len(index)
+            for exps, coeff in expansion.items():
+                row[index[tuple(a + b for a, b in zip(exps, shift_exps))]] += coeff
+            rows.append(row)
+    return len(index), rows
+
+
+def dense_dims(r: int, expansions, bound: int) -> tuple:
+    """dim over Q of Sym modulo the powers in ``expansions``, degrees
+    0..bound, each from the Bareiss rank of its dense Macaulay matrix."""
+    out = []
+    for d in range(bound + 1):
+        dim, rows = macaulay_rows(r, expansions, d)
+        out.append(dim - bareiss_rank(rows))
+    return tuple(out)
+
+
+def dense_quotient_dims(va, bound):
+    """dim over Q of Sym modulo the pure cocircuit powers, degrees 0..bound."""
+    r = va.lattice_rank
+    return dense_dims(r, _expansions(enumerate_cocircuits(va), r), bound)
+
+
 def all_degree_redundant_generators(va, bound=None):
     """Indices of cocircuit generators whose removal leaves every quotient
     dimension up to the bound unchanged, each dimension by an exact rank.
@@ -641,18 +674,15 @@ def all_degree_redundant_generators(va, bound=None):
     expansions = _expansions(cocircuits, r)
     if bound is None:
         bound = len(iz_hilbert_series(va, tutte_of_arrangement(va, cocircuits)))
-
-    def dims(exps):
-        out = []
-        for d in range(bound + 1):
-            dim, rows = _macaulay_rows(r, exps, d)
-            out.append(dim - bareiss_rank(rows))
-        return tuple(out)
-
-    full = dims(expansions)
+    full = dense_dims(r, expansions, bound)
     return tuple(
-        i for i in range(len(expansions)) if dims(expansions[:i] + expansions[i + 1 :]) == full
+        i
+        for i in range(len(expansions))
+        if dense_dims(r, expansions[:i] + expansions[i + 1 :], bound) == full
     )
+
+
+P = (1 << 61) - 1  # a prime
 
 
 def rank_mod_p(rows, p=P):
@@ -676,17 +706,3 @@ def rank_mod_p(rows, p=P):
         if not work:
             break
     return rho
-
-
-def dense_quotient_dims_mod_p(va, bound, p=P, cocircuits=None):
-    """dim over F_p of Sym modulo the pure cocircuit powers, degrees 0..bound,
-    each from the rank mod p of its dense Macaulay matrix."""
-    r = va.lattice_rank
-    if cocircuits is None:
-        cocircuits = enumerate_cocircuits(va)
-    expansions = _expansions(cocircuits, r)
-    out = []
-    for d in range(bound + 1):
-        dim, rows = _macaulay_rows(r, expansions, d)
-        out.append(dim - rank_mod_p(rows, p) if rows else dim)
-    return tuple(out)

@@ -175,14 +175,15 @@ class TestRepeatedPoints:
 
 
 class TestPointShapes:
-    """Points of different lengths or with non-integer coordinates are refused
-    up front: the first two inputs would never reach Z^n, and the third would
-    index past its shorter point."""
+    """Points of different lengths, with non-integer coordinates or not given
+    as tuples are refused up front: the first two inputs would never reach
+    Z^n, the third would index past its shorter point, and the fourth cannot
+    be hashed for the distinct-points check."""
 
     @pytest.mark.parametrize(
         "points",
-        [((0,), (0, 1)), ((0.5,), (0.7,)), ((0, 1), (0,))],
-        ids=["longer-after", "fractions", "shorter-after"],
+        [((0,), (0, 1)), ((0.5,), (0.7,)), ((0, 1), (0,)), ([0], [1])],
+        ids=["longer-after", "fractions", "shorter-after", "lists"],
     )
     def test_rejected(self, points):
         with pytest.raises(ArgumentError, match="integer points of one length"):

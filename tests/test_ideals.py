@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import K33, cycle_arrangement, data_path, named_arrangement, wheel_graph
-from oracles import all_degree_redundant_generators, dense_power_expansion, dense_quotient_dims_mod_p
+from oracles import all_degree_redundant_generators, dense_power_expansion, dense_quotient_dims
 from strategies import connected_multigraphs
 from zonoharm import analysis, ideals
 from zonoharm.analysis import Analysis
@@ -83,6 +83,15 @@ class TestVanishing:
         assert not verify_vanishing([bad], Analysis(va).points)
 
 
+# power-ideal dims and redundant generator indices, computed by exact ranks
+EXPECTED = {
+    "house": ((1, 2, 2, 1, 0), (0,)),
+    "W4": ((1, 4, 6, 3, 0), (2, 4, 5, 7, 8, 9, 10, 11)),
+    "K33": ((1, 4, 10, 11, 5, 0), (3, 6, 7, 10, 12, 13)),
+    "prism": ((1, 4, 8, 9, 4, 0), (0, 3, 5, 6, 7, 9, 10, 11, 13)),
+}
+
+
 class TestQuotientDims:
     def test_house(self, house_arrangement):
         assert Analysis(house_arrangement).power_dims == (1, 2, 2, 1, 0)
@@ -109,6 +118,20 @@ class TestQuotientDims:
         va = cographical_arrangement(g)
         rep = compute_filtration(va)
         assert trim(Analysis(va).power_dims) == trim(rep.gr_dims)
+
+    @pytest.mark.parametrize("name", sorted(EXPECTED))
+    def test_without_vanishing(self, monkeypatch, name):
+        # the dimensions read nothing of the points: no vanishing verdict,
+        # no filtration
+        monkeypatch.setattr(analysis, "verify_vanishing", lambda gens, points: False)
+        va = named_arrangement(name)
+        ctx = Analysis(va)
+        assert not ctx.generators_vanish
+        assert (ctx.power_dims, redundant_generators(va)) == EXPECTED[name]
+
+    def test_wheel7(self):
+        va = cographical_arrangement(parse_graph(data_path("wheel7.graph").read_text()))
+        assert Analysis(va).power_dims == (1, 7, 21, 35, 35, 21, 6, 0)
 
 
 class TestLeadingForms:
@@ -156,28 +179,46 @@ class TestRedundancy:
 
     @pytest.mark.parametrize("fn", [redundant_generators, power_dims])
     def test_one_filtration_per_call(self, fn):
+        # the ideal layer reads the cocircuits and the Tutte bound only: it
+        # builds no filtration at all
         prof = cProfile.Profile()
         prof.runcall(fn, named_arrangement("W4"))
         code = Harmonics.__init__.__code__
-        assert pstats.Stats(prof).stats[(code.co_filename, code.co_firstlineno, code.co_name)][1] == 1
+        assert (code.co_filename, code.co_firstlineno, code.co_name) not in pstats.Stats(prof).stats
 
     @pytest.mark.parametrize("name", ["W4", "house"])
     def test_standalone_dims_equal_the_context(self, monkeypatch, name):
-        # ``redundant_generators`` runs the certified dimensions of the
-        # context's ``power_dims``, to the same degree
+        # ``redundant_generators`` runs the chain of the context's
+        # ``power_dims``, to the same degree
         va = named_arrangement(name)
         expected = Analysis(va).power_dims
         dims = []
-        certified = ideals._certified
+        chain = ideals._chain
 
         def spy(*args):
-            for step in certified(*args):
+            for step in chain(*args):
                 dims.append(step[0])
                 yield step
 
-        monkeypatch.setattr(ideals, "_certified", spy)
+        monkeypatch.setattr(ideals, "_chain", spy)
         redundant_generators(va)
         assert tuple(dims) == expected
+
+    def test_cap_trips_before_the_cocircuits(self):
+        # a 12-cycle with 10 chords: 22 arrows, past the 20-column cap of the
+        # Tutte polynomial that bounds the degrees, so nothing is enumerated
+        chords = [(1, 7), (2, 8), (3, 9), (4, 10), (5, 11), (6, 12), (1, 4), (7, 10), (2, 11), (3, 6)]
+        ends = [(i, i % 12 + 1) for i in range(1, 13)] + chords
+        text = "".join(f"vertex v{i}\n" for i in range(1, 13)) + "".join(
+            f"arrow {k} v{t} v{h}\n" for k, (t, h) in enumerate(ends, start=1)
+        )
+        va = cographical_arrangement(parse_graph(text))
+        assert (va.size, va.lattice_rank) == (22, 11)
+        prof = cProfile.Profile()
+        with pytest.raises(SizeExceededError, match="20 columns"):
+            prof.runcall(redundant_generators, va)
+        code = enumerate_cocircuits.__code__
+        assert (code.co_filename, code.co_firstlineno, code.co_name) not in pstats.Stats(prof).stats
 
     def test_house_redundant_generator(self, house_arrangement):
         cocs = enumerate_cocircuits(house_arrangement)
@@ -187,17 +228,12 @@ class TestRedundancy:
     def test_cycle_has_no_redundancy(self):
         assert redundant_generators(cycle_arrangement(4)) == ()
 
-    def test_k33_certified_by_the_chain(self, exact_rank_calls):
-        # every degree of the report's dims is certified by the chain mod P;
-        # each non-redundant generator takes one exact rank to decide
+    def test_k33_certified_by_the_chain(self):
         va = cographical_arrangement(parse_graph(K33))
         assert Analysis(va).power_dims == (1, 4, 10, 11, 5, 0)
-        assert exact_rank_calls == []
         assert len(redundant_generators(va)) == 6
-        assert len(exact_rank_calls) == 9
 
     def test_wheel6(self):
-        # at the default prime only: with P = 2 most generators take an exact rank
         va = cographical_arrangement(wheel_graph(6))
         assert Analysis(va).power_dims == (1, 6, 15, 20, 15, 5, 0)
         assert redundant_generators(va) == (2, 4, 5, 7, 8, 9, 11, 12, 13, 14, *range(16, 30))
@@ -214,97 +250,50 @@ class TestRedundancy:
             assert redundant_generators(va) == all_degree_redundant_generators(va)
 
 
-# power-ideal dims and redundant generator indices, computed by exact ranks
-EXPECTED = {
-    "house": ((1, 2, 2, 1, 0), (0,)),
-    "W4": ((1, 4, 6, 3, 0), (2, 4, 5, 7, 8, 9, 10, 11)),
-    "K33": ((1, 4, 10, 11, 5, 0), (3, 6, 7, 10, 12, 13)),
-    "prism": ((1, 4, 8, 9, 4, 0), (0, 3, 5, 6, 7, 9, 10, 11, 13)),
-}
-
-
-@pytest.fixture()
-def exact_rank_calls(monkeypatch):
-    """Record the shape of every exact rank the ideal layer takes."""
-    calls = []
-    exact = ideals.rank
-
-    def spy(rows):
-        calls.append((len(rows), len(rows[0])))
-        return exact(rows)
-
-    monkeypatch.setattr(ideals, "rank", spy)
-    return calls
-
-
-class TestCertificate:
-    """Each exit of the orbit-harmonics certificate: a certified degree (see
-    ``test_k33_certified_by_the_chain``), a bound missed mod a small prime,
-    and no bound when the shifted binomials do not vanish."""
-
-    @pytest.mark.parametrize("p", [2, 3])
-    @pytest.mark.parametrize("name", sorted(EXPECTED))
-    def test_small_prime_falls_back_to_exact_rank(self, monkeypatch, exact_rank_calls, name, p):
-        monkeypatch.setattr(ideals, "P", p)
-        va = named_arrangement(name)
-        assert (Analysis(va).power_dims, redundant_generators(va)) == EXPECTED[name]
-        assert exact_rank_calls
-
-    @pytest.mark.parametrize("name", sorted(EXPECTED))
-    def test_no_bound_without_vanishing(self, monkeypatch, exact_rank_calls, name):
-        monkeypatch.setattr(analysis, "verify_vanishing", lambda gens, points: False)
-        va = named_arrangement(name)
-        dims = Analysis(va).power_dims
-        assert dims == EXPECTED[name][0]
-        # one exact rank per degree that has generators, none mod P alone
-        low = min(c.degree - 1 for c in enumerate_cocircuits(va))
-        assert len(exact_rank_calls) == len(dims) - low
-
-    def test_report_without_vanishing_ranks_every_degree_exactly(self, exact_rank_calls):
-        ctx = Analysis(named_arrangement("K33"))
-        ctx.generators_vanish = False  # the cached verdict
-        assert ctx.power_dims == EXPECTED["K33"][0]
-        assert len(exact_rank_calls) == 3  # degrees 3..5: K3,3's shortest cycles have 4 arrows
-
-    def test_wheel7_certified_without_exact_rank(self, exact_rank_calls):
-        va = cographical_arrangement(parse_graph(data_path("wheel7.graph").read_text()))
-        assert Analysis(va).power_dims == (1, 7, 21, 35, 35, 21, 6, 0)
-        assert exact_rank_calls == []
-
-
 def top_bound(va):
     """The degree bound of ``Analysis.power_dims`` and ``redundant_generators``."""
     return len(iz_hilbert_series(va, tutte_of_arrangement(va, enumerate_cocircuits(va))))
 
 
 def chain_dims(va, bound):
-    """dim V_d over F_P of the successive quotients, before any certificate."""
+    """dim V_d over Q of the successive quotients."""
     r = va.lattice_rank
     expansions = ideals._expansions(enumerate_cocircuits(va), r)
     return tuple(dim for dim, _, _ in ideals._chain(r, expansions, bound))
 
 
 class TestChain:
-    """The successive quotients mod p against the dense Macaulay ranks mod p:
-    both are dim over F_p of the same graded piece, so they agree degree by
-    degree whether or not the certificate holds."""
+    """The successive quotients against the dense Macaulay ranks over Q, by
+    Bareiss elimination: both are dim over Q of the same graded piece."""
 
-    @pytest.mark.parametrize("p", [ideals.P, 2, 3])
     @pytest.mark.parametrize("name", sorted(EXPECTED))
-    def test_matches_dense_mod_p(self, monkeypatch, name, p):
-        monkeypatch.setattr(ideals, "P", p)
+    def test_matches_dense(self, name):
         va = named_arrangement(name)
         bound = top_bound(va)
-        assert chain_dims(va, bound) == dense_quotient_dims_mod_p(va, bound, p)
+        assert chain_dims(va, bound) == dense_quotient_dims(va, bound)
 
-    @pytest.mark.parametrize("p", [ideals.P, 2, 3])
-    def test_matches_dense_mod_p_on_random_graphs(self, monkeypatch, p):
-        monkeypatch.setattr(ideals, "P", p)
+    def test_matches_dense_on_random_graphs(self):
         rng = random.Random(7)
         for _ in range(30):
             va = cographical_arrangement(random_connected_multigraph(rng, 7))
             bound = top_bound(va)
-            assert chain_dims(va, bound) == dense_quotient_dims_mod_p(va, bound, p)
+            assert chain_dims(va, bound) == dense_quotient_dims(va, bound)
+
+    def test_row_without_unit_entry(self, monkeypatch):
+        # the house's chain meets a reduced row with no +-1 entry, so its
+        # pivot entry is not 1 and the next degree's basis is scaled
+        seen = []
+        insert, reduce = ideals._insert, ideals._reduce
+
+        def spy(row, pivots):
+            seen.append(reduce(row, pivots))
+            insert(row, pivots)
+
+        monkeypatch.setattr(ideals, "_insert", spy)
+        va = named_arrangement("house")
+        bound = top_bound(va)
+        assert chain_dims(va, bound) == dense_quotient_dims(va, bound) == EXPECTED["house"][0]
+        assert any(row and not {1, -1} & set(row.values()) for row in seen)
 
     @pytest.mark.parametrize(
         "va, bound",
@@ -319,38 +308,12 @@ class TestChain:
         ids=["unit-ideal", "no-cocircuits", "selfloop", "K33-bound-2", "prism-bound-3"],
     )
     def test_edge_cases_match_dense(self, va, bound):
-        assert chain_dims(va, bound) == dense_quotient_dims_mod_p(va, bound)
+        assert chain_dims(va, bound) == dense_quotient_dims(va, bound)
         # the public results run to the degree bound of the Tutte series
-        assert Analysis(va).power_dims == dense_quotient_dims_mod_p(va, top_bound(va))
+        assert Analysis(va).power_dims == dense_quotient_dims(va, top_bound(va))
         assert redundant_generators(va) == all_degree_redundant_generators(va)
 
     def test_no_cocircuits_has_rank_zero(self):
         va = cographical_arrangement(parse_graph("vertex a\nvertex b\narrow 1 a b\n"))
         assert va.lattice_rank == 0 and enumerate_cocircuits(va) == ()
         assert Analysis(va).power_dims == (1, 0)
-
-
-class TestSizeCap:
-    """``SYM_DEGREE_DIM_CAP`` guards the exact fallback only."""
-
-    def test_fallback_trips_before_listing_monomials(self, monkeypatch, exact_rank_calls):
-        monkeypatch.setattr(ideals, "SYM_DEGREE_DIM_CAP", 3)
-        monkeypatch.setattr(analysis, "verify_vanishing", lambda gens, points: False)
-        listed = []
-        exponents = ideals.exponents_of_degree
-
-        def spy(r, d):
-            listed.append(d)
-            return exponents(r, d)
-
-        monkeypatch.setattr(ideals, "exponents_of_degree", spy)
-        va = named_arrangement("K33")  # dim Sym_1 = 4 > 3; no generator below degree 3
-        with pytest.raises(SizeExceededError, match="degree-1 "):
-            Analysis(va).power_dims
-        assert 1 not in listed
-        assert exact_rank_calls == []
-
-    @pytest.mark.parametrize("name", sorted(EXPECTED))
-    def test_certified_degrees_never_trip(self, monkeypatch, name):
-        monkeypatch.setattr(ideals, "SYM_DEGREE_DIM_CAP", 0)
-        assert Analysis(named_arrangement(name)).power_dims == EXPECTED[name][0]

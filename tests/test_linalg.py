@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import (
+    P,
     XgcdRowLattice,
     bareiss_rank,
     canonical_rows,
@@ -22,7 +23,6 @@ from oracles import (
     saturation_hnf,
     solve_row_lattice,
 )
-from zonoharm.ideals import P
 from zonoharm.linalg import (
     IntRowLattice,
     Mat,
@@ -181,7 +181,7 @@ p_matrices = st.integers(1, 6).flatmap(
 
 
 class TestModularRank:
-    """``rank`` against sympy, and the dense mod-P rank oracle of the ideal layer against both."""
+    """``rank`` against sympy, and the dense mod-P rank oracle against both."""
 
     @pytest.mark.parametrize(
         "rows, expected",
