@@ -7,8 +7,8 @@ exact power-ideal quotient dimensions, which read only the cocircuits and
 the Tutte bound, and, for a graph input, its
 spanning forest, its oriented cycles, its Tutte polynomial and the duality
 verdict.  Coloops are read off the cocircuits.  A graph's Tutte polynomial
-is the arrangement's with x and y swapped, so one walk serves both, and its
-SU(2) series is the iz series; ``tutte_duality`` certifies the
+is the arrangement's with x and y swapped, so one computation serves both,
+and its SU(2) series is the iz series; ``tutte_duality`` certifies the
 coordinatisation that makes both theorems, and a graph's ``tutteIdentity``
 gates on it.  ``CHECKS`` defines every identity once, as a function of a
 context.  The CLI report evaluates the checks that carry a report key; the

@@ -10,7 +10,9 @@ column prefixes it shares with the subset before, and the coloops are read
 off the one-element cocircuits, so one rank, in the constructor, is all an
 arrangement costs; minors cost none.  A deletion's columns are sliced out
 of its parent's and a contraction's are mapped by the integer kernel of the
-contracted column, both without the constructor's checks.
+contracted column, both without the constructor's checks.  The scan visits
+up to C(n, r-1) column subsets, so ``check_cocircuit_scan_size`` caps n at
+``COCIRCUIT_SCAN_MAX_GROUND`` columns; a report checks that first.
 
 ``Cocircuit`` is a named tuple.  ``VectorArrangement`` validates its fields
 on construction; it is a plain class, immutable by convention: nothing
@@ -24,8 +26,10 @@ from itertools import combinations
 from operator import mul
 from typing import NamedTuple
 
-from .errors import CertificateError, NotTotallyUnimodularError
+from .errors import CertificateError, NotTotallyUnimodularError, SizeExceededError
 from .linalg import Mat, det, kernel_step, rank
+
+COCIRCUIT_SCAN_MAX_GROUND = 20
 
 
 class VectorArrangement:
@@ -141,6 +145,12 @@ def contract_column(va: VectorArrangement, idx: int, quotient) -> VectorArrangem
     out = tuple(tuple(sum(map(mul, u, c)) for u in quotient) for c in data[:idx] + data[idx + 1 :])
     ground = va.ground[:idx] + va.ground[idx + 1 :]
     return _spanning(va.lattice_rank - 1, ground, Mat(len(quotient), va.size - 1, out))
+
+
+def check_cocircuit_scan_size(va: VectorArrangement) -> None:
+    """Raise SizeExceededError if ``va`` is past the cocircuit scan's cap."""
+    if va.size > COCIRCUIT_SCAN_MAX_GROUND:
+        raise SizeExceededError(f"cocircuit scan limited to {COCIRCUIT_SCAN_MAX_GROUND} columns")
 
 
 def enumerate_cocircuits(va: VectorArrangement) -> tuple:

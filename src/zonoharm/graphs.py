@@ -13,13 +13,13 @@ Terminology note: a bridge of the graph is a loop of the cographical
 arrangement, and a self-loop of the graph is a coloop of it.  Code and reports
 always use the arrangement-level meaning of loop/coloop.
 
-The Tutte polynomial comes from one corank-nullity walk with every rank
-taken over GF(2), on the columns mod 2, which is exact once the cocircuits
-certify that every basis has determinant +-1.  The walk runs once per
-connected part of the matroid, on the part's dual when that has the lower
-rank, so bridges, self-loops and long cycles stay cheap.  A graph's
-polynomial is its cographical arrangement's with x and y swapped, once
-``Analysis.tutte_duality`` certifies the coordinatisation.
+The Tutte polynomial comes from one deletion-contraction on the columns
+mod 2, which have the matroid of the columns over Q once the cocircuits
+certify that every basis has determinant +-1.  Each minor is computed once,
+under a key read off its labelled matroid, so bridges, self-loops and long
+cycles stay cheap.  A graph's polynomial is its cographical arrangement's
+with x and y swapped, once ``Analysis.tutte_duality`` certifies the
+coordinatisation.
 
 ``Arrow``, ``OrientedCycle`` and ``BivariatePolynomial`` are named tuples.
 ``DirectedGraph`` validates its vertices and arrows and sorts the arrows on
@@ -32,12 +32,8 @@ from __future__ import annotations
 from itertools import combinations
 from typing import NamedTuple
 
-from .arrangement import VectorArrangement, enumerate_cocircuits
-from .errors import SizeExceededError
-from .funcspace import binom_int
+from .arrangement import VectorArrangement, check_cocircuit_scan_size, enumerate_cocircuits
 from .linalg import Mat
-
-TUTTE_ARRANGEMENT_MAX_GROUND = 20
 
 
 class Arrow(NamedTuple):
@@ -250,109 +246,72 @@ class BivariatePolynomial(NamedTuple):
         return {j: c for ii, j, c in self.terms if ii == i}
 
 
-def check_tutte_size(va: VectorArrangement) -> None:
-    """Raise SizeExceededError if ``va`` is past the corank-nullity sum's cap."""
-    if va.size > TUTTE_ARRANGEMENT_MAX_GROUND:
-        raise SizeExceededError(
-            f"corank-nullity sum limited to {TUTTE_ARRANGEMENT_MAX_GROUND} columns"
-        )
-
-
 def tutte_of_arrangement(va: VectorArrangement, cocircuits=None) -> BivariatePolynomial:
-    """Tutte polynomial of the column matroid by the corank-nullity sum, on GF(2) ranks.
+    """Tutte polynomial of the column matroid, by deletion-contraction on the columns mod 2.
 
     The cocircuits certify that every basis of columns has determinant +-1;
-    unless they are passed, ``enumerate_cocircuits`` runs here and raises
-    NotTotallyUnimodularError on any other input.  The columns span Q^r, so
-    an independent subset extends to such a basis, which stays independent
-    mod 2: every subset has the same rank over GF(2) as over Q.
+    unless they are passed, the cocircuit scan's size cap is checked and
+    ``enumerate_cocircuits`` runs here, raising NotTotallyUnimodularError on
+    any other input.  The columns span Q^r, so an independent subset extends
+    to such a basis, which stays independent mod 2: the columns mod 2 have
+    the same matroid as over Q.
     """
-    check_tutte_size(va)
     if cocircuits is None:
+        check_cocircuit_scan_size(va)
         enumerate_cocircuits(va)
     parity = [sum((x & 1) << i for i, x in enumerate(c)) for c in va.columns.data]
-    return _corank_nullity(parity)
+    return _binary_tutte(parity)
 
 
-def _corank_nullity(parity: list) -> BivariatePolynomial:
+def _binary_tutte(parity: list) -> BivariatePolynomial:
     """Tutte polynomial of the matroid of the GF(2) columns ``parity``.
 
-    Elimination picks a basis B of columns and the fundamental circuit of
-    every other column.  Columns that share such a circuit are joined into a
-    part; the matroid is the direct sum of its parts, so T is the product of
-    theirs, and a loop or coloop is a part with T = y or x.  A part whose
-    rank exceeds its nullity is walked as its dual and x, y swapped: with
-    coordinates [I | A] on B, the dual is [A^T | I] (Oxley, *Matroid Theory*,
-    2.2.8), so column k becomes the set of circuits that hold it.  A walk
-    stops growing a subset once it spans, so the lower rank is the cheaper.
+    Deletion-contraction on the last column e, with every minor kept under a
+    key that depends only on its labelled matroid: each column's coordinates
+    in the greedy basis of the columns before it, a column new to that basis
+    reading as the next power of 2 (Haggard, Pearce and Royle, "Computing
+    Tutte polynomials", ACM TOMS 37(3), 2010).  Deleting the last column
+    leaves the key of the rest.  A loop (e = 0) gives y times the deletion's
+    polynomial, a coloop (a bit that no other column holds) x times it, and
+    any other e the deletion's plus the contraction's, which xors e into
+    every column that holds e's lowest bit.  So a loop or coloop takes one
+    step, and a direct sum of parts in column order costs the sum of its
+    parts' minors, not their product.  The memo lives for one call.
     """
-    basis, circuits, parts = [], {}, []  # basis: (reduced vector, columns it sums)
-    for k, v in enumerate(parity):
-        m = 1 << k
-        for b, bm in basis:
-            if v ^ b < v:
-                v, m = v ^ b, m ^ bm
-        if v:
-            basis = sorted((*basis, (v, m)), reverse=True)
-            m = 1 << k
-        else:
-            circuits[k] = m
-        for p in [p for p in parts if p & m]:
-            parts.remove(p)
-            m |= p
-        parts.append(m)
-    acc = {(0, 0): 1}
-    for part in parts:
-        cols = [k for k in range(len(parity)) if part >> k & 1]
-        rest = [k for k in cols if k in circuits]
-        if 2 * len(rest) >= len(cols):
-            t = _walk([parity[k] for k in cols], len(cols) - len(rest))
-        else:
-            dual = [sum(1 << i for i, h in enumerate(rest) if circuits[h] >> k & 1) for k in cols]
-            t = {(j, i): c for (i, j), c in _walk(dual, len(rest)).items()}
-        prod: dict = {}
-        for (i, j), c in acc.items():
-            for (p, q), d in t.items():
-                prod[i + p, j + q] = prod.get((i + p, j + q), 0) + c * d
-        acc = prod
-    return BivariatePolynomial.from_dict(acc)
+    memo: dict = {}
 
+    def key(cols) -> tuple:
+        basis, out = [], []  # basis: (pivot bit, reduced vector, its coordinates)
+        for c in cols:
+            m = 0
+            for bit, v, coords in basis:
+                if c & bit:
+                    c, m = c ^ v, m ^ coords
+            if c:
+                new = 1 << len(basis)
+                basis.append((c & -c, c, new ^ m))
+                m = new
+            out.append(m)
+        return tuple(out)
 
-def _walk(parity: list, r: int) -> dict:
-    """Corank-nullity sum {(i, j): coeff} of the GF(2) columns ``parity`` of rank ``r``.
+    def tutte(cols: tuple) -> dict:
+        if not cols:
+            return {(0, 0): 1}
+        if cols not in memo:
+            memo[cols] = minor(cols)
+        return memo[cols]
 
-    One depth-first walk over the subsets keeps an xor basis of the columns'
-    bitmasks and counts the subsets of each (rank, size), all supersets of a
-    spanning subset at once, and (x-1)^(r-rank) (y-1)^(size-rank) is expanded
-    once per pair.
-    """
-    n = len(parity)
-    counts = [[0] * (n + 1) for _ in range(r + 1)]  # counts[rank][size]
+    def minor(cols: tuple) -> dict:
+        rest, e = cols[:-1], cols[-1]
+        t = tutte(rest)
+        if not e:
+            return {(i, j + 1): c for (i, j), c in t.items()}
+        if not any(c & e for c in rest):
+            return {(i + 1, j): c for (i, j), c in t.items()}
+        t = dict(t)
+        low = e & -e
+        for ij, c in tutte(key([c ^ e if c & low else c for c in rest])).items():
+            t[ij] = t.get(ij, 0) + c
+        return t
 
-    def walk(start, basis, size):
-        # basis: reduced vectors with distinct leading bits, in descending order
-        if len(basis) == r:  # every superset has full rank as well
-            m = n - start
-            for t in range(m + 1):
-                counts[r][size + t] += binom_int(m, t)
-            return
-        counts[len(basis)][size] += 1
-        for k in range(start, n):
-            v = parity[k]
-            for b in basis:
-                v = min(v, v ^ b)
-            walk(k + 1, tuple(sorted((*basis, v), reverse=True)) if v else basis, size + 1)
-
-    walk(0, (), 0)
-    acc: dict = {}
-    for rk, row in enumerate(counts):
-        for size, count in enumerate(row):
-            if not count:
-                continue
-            p, q = r - rk, size - rk
-            # expand count * (x-1)^p (y-1)^q
-            for i in range(p + 1):
-                ci = count * binom_int(p, i) * (-1) ** (p - i)
-                for j in range(q + 1):
-                    acc[(i, j)] = acc.get((i, j), 0) + ci * binom_int(q, j) * (-1) ** (q - j)
-    return acc
+    return BivariatePolynomial.from_dict(tutte(key(parity)))

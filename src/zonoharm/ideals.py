@@ -21,9 +21,8 @@ from __future__ import annotations
 from math import factorial, gcd, lcm
 from typing import NamedTuple
 
-from .arrangement import Cocircuit, VectorArrangement
+from .arrangement import Cocircuit, VectorArrangement, check_cocircuit_scan_size
 from .funcspace import binom_int, exponents_of_degree
-from .graphs import check_tutte_size
 
 
 class IdealGenerator(NamedTuple):
@@ -232,12 +231,12 @@ def redundant_generators(va: VectorArrangement) -> tuple:
     the rank of the others' residual rows gives the dimension without g.  No
     minimality claim: the remaining set may itself contain further
     implications.  Raises SizeExceededError before any other work when the
-    Tutte polynomial is past its cap.
+    cocircuit scan is past its cap.
     """
     # imported here: ``analysis`` imports this module
     from .analysis import Analysis
 
-    check_tutte_size(va)
+    check_cocircuit_scan_size(va)
     ctx = Analysis(va)
     bound = len(ctx.iz)
     r = va.lattice_rank

@@ -16,13 +16,8 @@ from __future__ import annotations
 from _json import encode_basestring_ascii
 
 from .analysis import CHECKS, Analysis
-from .arrangement import VectorArrangement
-from .graphs import (
-    DirectedGraph,
-    check_tutte_size,
-    cographical_arrangement,
-    theta_subgraphs,
-)
+from .arrangement import VectorArrangement, check_cocircuit_scan_size
+from .graphs import DirectedGraph, cographical_arrangement, theta_subgraphs
 
 SCHEMA_VERSION = 2
 JSON_INT_LIMIT = 2**53
@@ -35,12 +30,12 @@ def build_report(
 ) -> dict:
     """Assemble the full analysis record for an arrangement (or graph) input.
 
-    Raises SizeExceededError before any other work when the Tutte polynomial,
+    Raises SizeExceededError before any other work when the cocircuit scan,
     which every report needs, is past its cap, and NotTotallyUnimodularError
     when the cocircuits reject ``va``; a report therefore always certifies
     that every basis has determinant +-1.
     """
-    check_tutte_size(va)
+    check_cocircuit_scan_size(va)
     ctx = Analysis(va, graph)
     h = ctx.harmonics
     results = [(c, c.run(ctx)) for c in CHECKS if c.key]

@@ -15,7 +15,7 @@ from zonoharm.arrangement import (
 )
 from zonoharm.errors import NotTotallyUnimodularError, ZonoharmError
 from zonoharm.funcspace import binom_int, binomial_product_rows, exponents_of_degree
-from zonoharm.graphs import BivariatePolynomial, _corank_nullity, spanning_forest, tutte_of_arrangement
+from zonoharm.graphs import BivariatePolynomial, _binary_tutte, spanning_forest, tutte_of_arrangement
 from zonoharm.harmonics import iz_hilbert_series
 from zonoharm.ideals import _expansions
 from zonoharm.linalg import IntRowLattice, Mat, det, integer_kernel, saturate, xgcd
@@ -286,7 +286,7 @@ def signed_incidence(g) -> list:
 
 
 def tutte_polynomial(g):
-    """Tutte polynomial of the graph's cycle matroid by the corank-nullity sum.
+    """Tutte polynomial of the graph's cycle matroid by memoised deletion-contraction.
 
     Each arrow is the unsigned column of the incidence matrix over GF(2): the
     bitmask of its two ends, 0 for a self-loop.  A set of arrows is
@@ -295,7 +295,7 @@ def tutte_polynomial(g):
     coordinatisation to certify.
     """
     vindex = {v: i for i, v in enumerate(g.vertices)}
-    return _corank_nullity([(1 << vindex[a.tail]) ^ (1 << vindex[a.head]) for a in g.arrows])
+    return _binary_tutte([(1 << vindex[a.tail]) ^ (1 << vindex[a.head]) for a in g.arrows])
 
 
 def su2_poincare_polynomial(g):
@@ -680,29 +680,3 @@ def all_degree_redundant_generators(va, bound=None):
         for i in range(len(expansions))
         if dense_dims(r, expansions[:i] + expansions[i + 1 :], bound) == full
     )
-
-
-P = (1 << 61) - 1  # a prime
-
-
-def rank_mod_p(rows, p=P):
-    """Rank modulo the prime p of nonempty integer rows, by dense elimination
-    without lifting; each pivot row has the fewest nonzeros, for the least
-    fill-in."""
-    work = [[x % p for x in r] for r in rows]
-    rho = 0
-    for c in range(len(work[0])):
-        cands = [i for i, w in enumerate(work) if w[c]]
-        if not cands:
-            continue
-        row_p = work.pop(max(cands, key=lambda i: work[i].count(0)))
-        inv = pow(row_p[c], -1, p)
-        tail = [x * inv % p for x in row_p[c:]]
-        for w in work:
-            f = w[c]
-            if f:
-                w[c:] = [(a - f * b) % p for a, b in zip(w[c:], tail)]
-        rho += 1
-        if not work:
-            break
-    return rho

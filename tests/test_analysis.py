@@ -26,7 +26,7 @@ from zonoharm.formats import parse_graph
 from zonoharm.graphs import (
     Arrow,
     DirectedGraph,
-    _corank_nullity,
+    _binary_tutte,
     cographical_arrangement,
     spanning_forest,
     tutte_of_arrangement,
@@ -77,17 +77,17 @@ def test_each_quantity_once_per_arrangement(run):
     # its minors' has unit pivots, so no saturation is computed
     assert _calls(stats, saturate) == 0
     assert _calls(stats, enumerate_cocircuits) == 1
-    # one walk: the graph's polynomial is the arrangement's, swapped, and one
-    # duality certificate, read by both Tutte checks
+    # one deletion-contraction: the graph's polynomial is the arrangement's,
+    # swapped, and one duality certificate, read by both Tutte checks
     assert _calls(stats, tutte_of_arrangement) == 1
-    assert _calls(stats, _corank_nullity) == 1
+    assert _calls(stats, _binary_tutte) == 1
     # one forest for the coordinates and one per context, read by the
     # cycles, the duality certificate and the report's graph rank
     assert _calls(stats, spanning_forest) == 2
     # the arrangement's own rank and no other: its cocircuits certify that
     # each minor spans, so Analysis.minors builds both minors without one
     assert _calls(stats, rank) == 1
-    # the generatorsVanish check and the certificate of the power dims share one verdict
+    # only the generatorsVanish check reads the vanishing verdict
     assert _calls(stats, verify_vanishing) == 1
 
 

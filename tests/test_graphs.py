@@ -2,11 +2,12 @@ import cProfile
 import pstats
 import random
 from itertools import combinations
+from operator import mul
 
 import pytest
 from hypothesis import find, given, settings
 
-from conftest import DATA
+from conftest import DATA, complete_graph, wheel_graph
 from oracles import (
     bareiss_tutte,
     row_list,
@@ -31,7 +32,7 @@ from zonoharm.graphs import (
     theta_subgraphs,
     tutte_of_arrangement,
 )
-from zonoharm.linalg import Mat, rank
+from zonoharm.linalg import Mat, det, rank
 from zonoharm.verification import random_connected_multigraph
 
 
@@ -296,13 +297,13 @@ def times(*polys):
     return acc
 
 
-def walk_steps(fn, *args):
-    """``fn(*args)`` and the number of subsets the corank-nullity walk visited."""
+def minors_kept(fn, *args):
+    """``fn(*args)`` and the number of minors the deletion-contraction memo kept."""
     prof = cProfile.Profile()
     result = prof.runcall(fn, *args)
     stats = pstats.Stats(prof).stats
     steps = sum(
-        v[1] for (f, _, name), v in stats.items() if name == "walk" and f.endswith("graphs.py")
+        v[1] for (f, _, name), v in stats.items() if name == "minor" and f.endswith("graphs.py")
     )
     return result, steps
 
@@ -344,9 +345,10 @@ class TestTutte:
         assert kinds == {"isolated vertex", "several components", "no arrows"}
 
     def test_bridges_blocks_and_long_cycles_walk_few_subsets(self):
-        # each part is walked alone and a part of high rank as its dual, so
-        # the walk visits a few subsets per arrow where one walk over all
-        # the arrows would visit about 2^20
+        # a loop or coloop is one step and a part that ends the columns is
+        # finished before the parts in front of it, so the memo keeps a few
+        # minors per arrow where deletion-contraction without one would
+        # visit about 2^20
         tri = {(2, 0): 1, (1, 0): 1, (0, 1): 1}
         pendant = [(1, 2), (2, 3), (3, 1)] + [(i, i + 1) for i in range(3, 20)]
         chain = [e for k in range(1, 13, 2) for e in ((k, k + 1), (k + 1, k + 2), (k + 2, k))]
@@ -357,7 +359,7 @@ class TestTutte:
             (graph(13, chain), times(*[tri] * 6)),
         ]
         for g, expected in cases:
-            t, steps = walk_steps(tutte_polynomial, g)
+            t, steps = minors_kept(tutte_polynomial, g)
             assert t == BivariatePolynomial.from_dict(expected)
             assert steps <= 2 * len(g.arrows)
             if len(g.arrows) <= 20:
@@ -365,12 +367,13 @@ class TestTutte:
 
     def test_pendant_arrows_add_one_step_each(self):
         # W5 with a 10-arrow path hanging off a rim vertex: the path's
-        # bridges are coloops, never loops of a dual walk over W5
+        # bridges are the last columns and coloops, each deleted in one step
+        # down to W5's own key
         spokes = [(1, i) for i in range(2, 7)] + [(i, i % 5 + 2) for i in range(2, 7)]
-        wheel, steps = walk_steps(tutte_polynomial, graph(6, spokes))
+        wheel, steps = minors_kept(tutte_polynomial, graph(6, spokes))
         assert wheel == corank_nullity_tutte(graph(6, spokes))
         g = graph(16, spokes + [(i, i + 1) for i in range(6, 16)])
-        t, pendant_steps = walk_steps(tutte_polynomial, g)
+        t, pendant_steps = minors_kept(tutte_polynomial, g)
         wheel_dict = {(i, j): c for i, j, c in wheel.terms}
         assert t == BivariatePolynomial.from_dict(times(wheel_dict, {(10, 0): 1}))
         assert pendant_steps == steps + 10
@@ -464,13 +467,41 @@ class TestTutteOfArrangement:
 
     def test_eighteen_columns_rank_seven(self):
         # a 12-cycle with 6 chords: the Bareiss corank-nullity sum took 15 s
-        # here (Python 3.11.7, 2-core x86-64 VM), the GF(2) walk 0.4 s
+        # here (Python 3.11.7, 2-core x86-64 VM), the memoised GF(2)
+        # deletion-contraction 0.01 s with 1,225 minors kept
         edges = [(i, i % 12 + 1) for i in range(1, 13)]
         edges += [(1, 7), (2, 5), (3, 10), (4, 9), (6, 11), (8, 12)]
         g = graph(12, edges)
         va = cographical_arrangement(g)
         assert (va.lattice_rank, va.size) == (7, 18)
         assert tutte_of_arrangement(va).swap() == tutte_polynomial(g)
+
+    @pytest.mark.parametrize("name", ["K7", "W10", "11-cycle with 9 chords"])
+    def test_spanning_trees_and_all_subsets_at_the_cap_and_past_it(self, name):
+        # bareiss_tutte is out of reach at 20 columns: T_G(1, 1) counts the
+        # spanning trees, the determinant of a reduced Laplacian (Kirchhoff),
+        # and T_G(2, 2) counts every subset of the arrows
+        chords = [(1, 6), (2, 8), (3, 10), (4, 7), (5, 9), (6, 11), (7, 10), (8, 11), (9, 3)]
+        g = {
+            "K7": complete_graph(7),
+            "W10": wheel_graph(10),
+            "11-cycle with 9 chords": graph(11, [(i, i % 11 + 1) for i in range(1, 12)] + chords),
+        }[name]
+        assert len(g.arrows) >= 20
+        t = tutte_polynomial(g)
+        rows = signed_incidence(g)[1:]
+        laplacian = [[sum(map(mul, u, v)) for v in rows] for u in rows]
+        assert t.eval_at(1, 1) == det(laplacian)
+        assert t.eval_at(2, 2) == 2 ** len(g.arrows)
+
+    def test_cocircuits_passed_in_lift_the_cap(self):
+        # K7: 21 columns of rank 15; T_A(0, 1) = T_G(1, 0) = 6!, and
+        # T(1, 1) = 7^5 spanning trees (Cayley)
+        va = cographical_arrangement(complete_graph(7))
+        assert (va.size, va.lattice_rank) == (21, 15)
+        t = tutte_of_arrangement(va, enumerate_cocircuits(va))
+        assert (t.eval_at(0, 1), t.eval_at(1, 1)) == (720, 7**5)
+        assert t.swap() == tutte_polynomial(complete_graph(7))
 
     @given(connected_multigraphs(max_edges=6))
     @settings(max_examples=25)

@@ -205,8 +205,8 @@ class TestRedundancy:
         assert tuple(dims) == expected
 
     def test_cap_trips_before_the_cocircuits(self):
-        # a 12-cycle with 10 chords: 22 arrows, past the 20-column cap of the
-        # Tutte polynomial that bounds the degrees, so nothing is enumerated
+        # a 12-cycle with 10 chords: 22 arrows, past the cocircuit scan's
+        # 20-column cap, so nothing is enumerated
         chords = [(1, 7), (2, 8), (3, 9), (4, 10), (5, 11), (6, 12), (1, 4), (7, 10), (2, 11), (3, 6)]
         ends = [(i, i % 12 + 1) for i in range(1, 13)] + chords
         text = "".join(f"vertex v{i}\n" for i in range(1, 13)) + "".join(

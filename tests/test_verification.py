@@ -51,12 +51,12 @@ class TestInstanceChecks:
         assert res.failed() == ()
 
     def test_walk_with_swapped_exponents_fails_the_point_count(self, house_graph, monkeypatch):
-        # both Tutte polynomials come from one walk, and tutte_duality
-        # certifies the coordinatisation, not the walk, so a walk that
-        # returned T(M*) for T(M) would keep it; the point count and the
-        # Hilbert series comparisons catch it
-        walk = graphs._corank_nullity
-        monkeypatch.setattr(graphs, "_corank_nullity", lambda parity: walk(parity).swap())
+        # both Tutte polynomials come from one deletion-contraction, and
+        # tutte_duality certifies the coordinatisation, not that computation,
+        # so one that returned T(M*) for T(M) would keep it; the point count
+        # and the Hilbert series comparisons catch it
+        tutte = graphs._binary_tutte
+        monkeypatch.setattr(graphs, "_binary_tutte", lambda parity: tutte(parity).swap())
         res = run_instance_checks(house_graph)
         assert res.failed() == ("point_count_identity", "tutte_identity")
 
@@ -71,7 +71,7 @@ class TestInstanceChecks:
                 ("cocircuits_match_cycles",),
             ),
             # each shift one too low: the binomials miss their zeros; the power
-            # dims read the verdict too, but fall back to exact ranks and hold
+            # dims read only the cocircuits' pure powers, so they hold
             (
                 analysis,
                 "k_minus_generators",
@@ -102,10 +102,10 @@ class TestSuite:
         assert summary.first_failure is None
 
     def test_first_failure_keeps_its_index(self, monkeypatch):
-        # the swapped walk of the instance checks above fails most instances;
+        # the swapped polynomial of the instance checks above fails most instances;
         # the summary names the first failing one by its index in the stream
-        walk = graphs._corank_nullity
-        monkeypatch.setattr(graphs, "_corank_nullity", lambda parity: walk(parity).swap())
+        tutte = graphs._binary_tutte
+        monkeypatch.setattr(graphs, "_binary_tutte", lambda parity: tutte(parity).swap())
         seed, count, max_edges = 4, 12, 6
         summary = run_suite(seed, count, max_edges)
         rng = random.Random(seed)
