@@ -9,20 +9,22 @@ degree, with no symbolic ideal machinery.
 The quotients V_d = (Sym/I)_d over Q are built by successive quotients:
 V_d is V_{d-1}^r modulo the Koszul images of V_{d-2} and the degree-d
 generators, which is exact because the Koszul complex of the variables is.
-Every matrix has at most r * dim V_{d-1} columns.  The arithmetic is
-fraction-free over Z: each echelon row is a primitive integer row with a
-positive pivot entry, and each degree's basis is scaled by the lcm of its
-pivot entries, so the multiplication maps stay integral.  Scaling a basis
-changes no rank, so every dimension is exact over Q.
+Every matrix has at most r * dim V_{d-1} columns.  No power is expanded
+into monomials: a^t is carried by Horner steps, its normal form in V_t
+multiplied by <a, x> and mapped into V_{t+1} by the chain's own maps.  The
+arithmetic is fraction-free over Z: each echelon row is a primitive integer
+row with a positive pivot entry, and each degree's basis is scaled by the
+lcm of its pivot entries, so the multiplication maps stay integral.
+Scaling a basis changes no rank, so every dimension is exact over Q.
 """
 
 from __future__ import annotations
 
-from math import factorial, gcd, lcm
+from math import gcd, lcm
 from typing import NamedTuple
 
 from .arrangement import Cocircuit, VectorArrangement, check_cocircuit_scan_size
-from .funcspace import binom_int, exponents_of_degree
+from .funcspace import binom_int
 
 
 class IdealGenerator(NamedTuple):
@@ -49,27 +51,9 @@ def verify_vanishing(generators, points) -> bool:
     return not any(g.evaluate(p) for g in generators for p in points)
 
 
-def _power_expansion(covector, e: int, r: int) -> dict:
-    """Monomial coefficients of (<covector, x>)^e as {exponents: coeff}.
-
-    Only monomials in the covector's support have nonzero coefficients, so
-    the exponents are enumerated over the support and placed in r-tuples;
-    the placement keeps their descending-lexicographic order."""
-    support = [j for j in range(r) if covector[j]]
-    out: dict = {}
-    for sub in exponents_of_degree(len(support), e):
-        exps = [0] * r
-        coeff = factorial(e)
-        for j, k in zip(support, sub):
-            exps[j] = k
-            coeff = coeff // factorial(k) * covector[j] ** k
-        out[tuple(exps)] = coeff
-    return out
-
-
-def _expansions(cocircuits, r: int) -> list:
-    """(e, expansion of a^e) for each cocircuit a, with e = d(a) - 1."""
-    return [(c.degree - 1, _power_expansion(c.covector, c.degree - 1, r)) for c in cocircuits]
+def _powers(cocircuits) -> list:
+    """(e, covector) for the pure power a^e of each cocircuit a, e = d(a) - 1."""
+    return [(c.degree - 1, c.covector) for c in cocircuits]
 
 
 def _primitive(row: dict) -> dict:
@@ -129,21 +113,35 @@ def _rank(rows) -> int:
     return len(pivots)
 
 
-def _chain(r: int, expansions, bound: int):
-    """The successive quotients V_d = (Sym/I)_d over Q, for d = 0..bound.
+def _horner(covector, row: dict, image: list, q: int) -> dict:
+    """One Horner step: the W_t row of a^t through ``image``, the map
+    W_t -> V_t, is v_t, and the W_{t+1} row of a^(t+1) = <a, x> a^t is
+    a_j v_t in block j, with q = dim V_t."""
+    v: dict = {}
+    for c, x in row.items():
+        for i, w in image[c].items():
+            v[i] = v.get(i, 0) + x * w
+    return {j * q + i: a * w for j, a in enumerate(covector) if a for i, w in v.items() if w}
+
+
+def _chain(r: int, powers, bound: int):
+    """The successive quotients V_d = (Sym/I)_d over Q, for d = 0..bound,
+    of the pure powers a^e given as (e, covector) pairs in ``powers``.
 
     W_0 is the constants, and W_d = V_{d-1}^r for d > 0: its column j*q + b is
     x_j times basis element b of V_{d-1}, with q = dim V_{d-1}.  By exactness
     of the Koszul complex, V_d is W_d modulo two families of relations:
     the images x_k b e_j - x_j b e_k for b in the basis of V_{d-2}, and the
-    degree-d generators, each monomial x_j m' (j its first variable) placed
-    in block j as the normal form of m'.  The basis of V_d is the non-pivot
-    columns of the reduced echelon form of these relations, scaled by
-    D = lcm of the pivot entries, which gives the normal form in V_d of every
-    column of W_d, hence the multiplication maps V_{d-1} -> V_d: a non-pivot
-    column c maps to D times its basis element, and a pivot column c to
-    -(D / pivot entry) times its row at the non-pivot columns.  The scalings
-    multiply every relation of a degree by one nonzero constant, so no
+    degree-d generators.  A power is carried by Horner steps: the W_t row of
+    a^t maps to v_t, its normal form in V_t (v_0 the constant 1), and the
+    W_{t+1} row of a^(t+1) is a_j v_t in block j; at t = e it is the
+    generator's row.  The basis of V_d is the non-pivot columns of the
+    reduced echelon form of these relations, scaled by D = lcm of the pivot
+    entries, which gives the normal form in V_d of every column of W_d, hence
+    the multiplication maps V_{d-1} -> V_d: a non-pivot column c maps to D
+    times its basis element, and a pivot column c to -(D / pivot entry) times
+    its row at the non-pivot columns.  The scalings multiply every relation
+    of a degree, and every carried power, by one nonzero constant, so no
     dimension depends on them.
 
     Yields (dim V_d, free, residuals): ``free`` is dim W_d less the rank of
@@ -152,27 +150,7 @@ def _chain(r: int, expansions, bound: int):
     """
     maps: list = []  # maps[t][c]: scaled normal form in V_t of column c of W_t
     dims: list = []  # dims[t] = dim V_t
-    memo: dict = {}
-
-    def place(m) -> dict:
-        """The monomial m of degree t as a sparse vector of W_t."""
-        j = next((j for j, a in enumerate(m) if a), None)
-        if j is None:
-            return {0: 1}
-        rest = m[:j] + (m[j] - 1,) + m[j + 1 :]
-        q = dims[sum(rest)]
-        return {j * q + i: v for i, v in normal_form(rest).items()}
-
-    def normal_form(m) -> dict:
-        if m not in memo:
-            images = maps[sum(m)]
-            out: dict = {}
-            for c, v in place(m).items():
-                for i, w in images[c].items():
-                    out[i] = out.get(i, 0) + v * w
-            memo[m] = out
-        return memo[m]
-
+    rows = {g: {0: 1} for g, (e, _) in enumerate(powers) if e <= bound}  # W_d row of a_g^d
     for d in range(bound + 1):
         q = dims[d - 1] if d else 0
         ncols = r * q if d else 1
@@ -186,14 +164,7 @@ def _chain(r: int, expansions, bound: int):
                         for i, v in images[j * q2 + b].items():
                             row[k * q + i] = -v
                         _insert(row, pivots)
-        residuals = {}
-        for g, (e, expansion) in enumerate(expansions):
-            if e == d:
-                row: dict = {}
-                for m, coeff in expansion.items():
-                    for c, v in place(m).items():
-                        row[c] = row.get(c, 0) + coeff * v
-                residuals[g] = _reduce(row, pivots)
+        residuals = {g: _reduce(row, pivots) for g, row in rows.items() if powers[g][0] == d}
         free = ncols - len(pivots)
         for row in residuals.values():
             _insert(row, pivots)
@@ -207,15 +178,18 @@ def _chain(r: int, expansions, bound: int):
                 for c in range(ncols)
             ]
         )
-        dims.append(len(basis))
-        yield len(basis), free, residuals
+        n = len(basis)
+        dims.append(n)
+        rows = {
+            g: _horner(powers[g][1], row, maps[d], n) for g, row in rows.items() if g not in residuals
+        }
+        yield n, free, residuals
 
 
 def quotient_dims(va: VectorArrangement, cocircuits, bound: int) -> tuple:
     """Graded dimensions over Q of Sym modulo the pure cocircuit powers,
     degrees 0..bound."""
-    r = va.lattice_rank
-    return tuple(dim for dim, _, _ in _chain(r, _expansions(cocircuits, r), bound))
+    return tuple(dim for dim, _, _ in _chain(va.lattice_rank, _powers(cocircuits), bound))
 
 
 def redundant_generators(va: VectorArrangement) -> tuple:
@@ -239,10 +213,9 @@ def redundant_generators(va: VectorArrangement) -> tuple:
     check_cocircuit_scan_size(va)
     ctx = Analysis(va)
     bound = len(ctx.iz)
-    r = va.lattice_rank
-    exps = _expansions(ctx.cocircuits, r)
-    implied = [e > bound for e, _ in exps]
-    for full, free, residuals in _chain(r, exps, bound):
+    powers = _powers(ctx.cocircuits)
+    implied = [e > bound for e, _ in powers]
+    for full, free, residuals in _chain(va.lattice_rank, powers, bound):
         for g in residuals:
             others = [row for i, row in residuals.items() if i != g]
             implied[g] = free - _rank(others) == full

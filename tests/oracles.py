@@ -14,10 +14,9 @@ from zonoharm.arrangement import (
     enumerate_cocircuits,
 )
 from zonoharm.errors import NotTotallyUnimodularError, ZonoharmError
-from zonoharm.funcspace import binom_int, binomial_product_rows, exponents_of_degree
+from zonoharm.funcspace import binom_int, binomial_product_rows
 from zonoharm.graphs import BivariatePolynomial, _binary_tutte, spanning_forest, tutte_of_arrangement
 from zonoharm.harmonics import iz_hilbert_series
-from zonoharm.ideals import _expansions
 from zonoharm.linalg import IntRowLattice, Mat, det, integer_kernel, saturate, xgcd
 from zonoharm.report import JSON_INT_LIMIT
 
@@ -615,6 +614,12 @@ def dense_power_expansion(covector, e: int, r: int) -> dict:
     return out
 
 
+def power_expansions(cocircuits, r: int) -> list:
+    """(e, expansion of a^e) for each cocircuit a, with e = d(a) - 1, each
+    over every exponent of its degree."""
+    return [(c.degree - 1, dense_power_expansion(c.covector, c.degree - 1, r)) for c in cocircuits]
+
+
 def _stringify_big_ints(value):
     if type(value) is int and abs(value) >= JSON_INT_LIMIT:
         return str(value)
@@ -632,14 +637,14 @@ def stdlib_json_bytes(report) -> bytes:
 
 def macaulay_rows(r: int, expansions, degree: int) -> tuple:
     """(dim Sym_d, rows): every monomial multiple of degree d of each power
-    in ``expansions`` (pairs (e, expansion of a^e), as ``ideals._expansions``
+    in ``expansions`` (pairs (e, expansion of a^e), as ``power_expansions``
     gives them), over the monomial basis of Sym_d."""
-    index = {e: i for i, e in enumerate(exponents_of_degree(r, degree))}
+    index = {e: i for i, e in enumerate(exponents_by_compositions(r, degree))}
     rows = []
     for e, expansion in expansions:
         if e > degree:
             continue
-        for shift_exps in exponents_of_degree(r, degree - e):
+        for shift_exps in exponents_by_compositions(r, degree - e):
             row = [0] * len(index)
             for exps, coeff in expansion.items():
                 row[index[tuple(a + b for a, b in zip(exps, shift_exps))]] += coeff
@@ -660,7 +665,7 @@ def dense_dims(r: int, expansions, bound: int) -> tuple:
 def dense_quotient_dims(va, bound):
     """dim over Q of Sym modulo the pure cocircuit powers, degrees 0..bound."""
     r = va.lattice_rank
-    return dense_dims(r, _expansions(enumerate_cocircuits(va), r), bound)
+    return dense_dims(r, power_expansions(enumerate_cocircuits(va), r), bound)
 
 
 def all_degree_redundant_generators(va, bound=None):
@@ -671,7 +676,7 @@ def all_degree_redundant_generators(va, bound=None):
     """
     r = va.lattice_rank
     cocircuits = enumerate_cocircuits(va)
-    expansions = _expansions(cocircuits, r)
+    expansions = power_expansions(cocircuits, r)
     if bound is None:
         bound = len(iz_hilbert_series(va, tutte_of_arrangement(va, cocircuits)))
     full = dense_dims(r, expansions, bound)

@@ -28,6 +28,12 @@ CASES = [
     ("arr_house.json", 0, ["analyze-arrangement", "house.arr", "--json"]),
     # house.arr in a sheared lattice basis: its columns are not a network matrix
     ("arr_house_sheared.json", 0, ["analyze-arrangement", "house_sheared.arr", "--json"]),
+] + [
+    # regular matroids outside the graph files: R10 is neither graphic nor
+    # cographic, and K5 and K3,3 are given by their graphic arrangements
+    (f"arr_{name}.json", 0, ["analyze-arrangement", f"{name}.arr", "--json"])
+    for name in ("r10", "k5_graphic", "k33_graphic")
+] + [
     ("suite_seed7_count5.json", 0, ["random-suite", "--seed", "7", "--count", "5", "--json"]),
 ]
 

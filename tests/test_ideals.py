@@ -4,17 +4,16 @@ import random
 
 import pytest
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from conftest import K33, cycle_arrangement, data_path, named_arrangement, wheel_graph
-from oracles import all_degree_redundant_generators, dense_power_expansion, dense_quotient_dims
-from strategies import connected_multigraphs
+from oracles import all_degree_redundant_generators, dense_quotient_dims
+from strategies import connected_multigraphs, sheared_arrangements
 from zonoharm import analysis, ideals
 from zonoharm.analysis import Analysis
 from zonoharm.arrangement import VectorArrangement, enumerate_cocircuits
 from zonoharm.errors import NotTotallyUnimodularError, SizeExceededError
 from zonoharm.funcspace import binom_int
-from zonoharm.formats import parse_graph
+from zonoharm.formats import parse_arrangement, parse_graph
 from zonoharm.graphs import cographical_arrangement, tutte_of_arrangement
 from zonoharm.analysis import compute_filtration
 from zonoharm.harmonics import Harmonics, iz_hilbert_series
@@ -28,19 +27,6 @@ def trim(seq):
     while out and out[-1] == 0:
         out.pop()
     return tuple(out)
-
-
-@given(
-    st.integers(0, 6).flatmap(
-        lambda r: st.tuples(st.lists(st.integers(-3, 3), min_size=r, max_size=r), st.integers(0, 6))
-    )
-)
-def test_power_expansion_over_the_support_equals_the_dense_one(case):
-    # same keys, values and key order as the expansion over every exponent
-    covector, e = case
-    r = len(covector)
-    expected = dense_power_expansion(covector, e, r)
-    assert list(ideals._power_expansion(covector, e, r).items()) == list(expected.items())
 
 
 class TestGenerators:
@@ -257,9 +243,8 @@ def top_bound(va):
 
 def chain_dims(va, bound):
     """dim V_d over Q of the successive quotients."""
-    r = va.lattice_rank
-    expansions = ideals._expansions(enumerate_cocircuits(va), r)
-    return tuple(dim for dim, _, _ in ideals._chain(r, expansions, bound))
+    powers = ideals._powers(enumerate_cocircuits(va))
+    return tuple(dim for dim, _, _ in ideals._chain(va.lattice_rank, powers, bound))
 
 
 class TestChain:
@@ -278,6 +263,27 @@ class TestChain:
             va = cographical_arrangement(random_connected_multigraph(rng, 7))
             bound = top_bound(va)
             assert chain_dims(va, bound) == dense_quotient_dims(va, bound)
+
+    @given(sheared_arrangements())
+    @settings(max_examples=30, deadline=None)
+    def test_matches_dense_on_sheared_arrangements(self, va):
+        # shears take the covectors out of {-1, 0, 1}, so the Horner steps
+        # multiply by entries other than +-1
+        bound = top_bound(va)
+        assert chain_dims(va, bound) == dense_quotient_dims(va, bound)
+
+    @pytest.mark.parametrize("name", ["r10", "k5_graphic", "k33_graphic"])
+    def test_regular_arrangements_match_dense(self, name):
+        # R10 is neither graphic nor cographic, and the graphic K5 and K3,3
+        # are the duals of the cographic arrangements of those graphs
+        va = parse_arrangement(data_path(f"{name}.arr").read_text())
+        bound = top_bound(va)
+        assert Analysis(va).power_dims == chain_dims(va, bound) == dense_quotient_dims(va, bound)
+        if name == "r10":
+            # the all-degree oracle takes seconds here: the count is pinned
+            assert len(redundant_generators(va)) == 15
+        else:
+            assert redundant_generators(va) == all_degree_redundant_generators(va)
 
     def test_row_without_unit_entry(self, monkeypatch):
         # the house's chain meets a reduced row with no +-1 entry, so its

@@ -114,7 +114,29 @@ class TestMat:
         assert Mat.from_cols([], rows=3) == Mat(3, 0, ()) != Mat(0, 0, ())
 
 
+def grid_incidence(n: int) -> list:
+    """Vertex-arrow incidence matrix of the n x n grid graph: rank n*n - 1."""
+    vs = [(i, j) for i in range(n) for j in range(n)]
+    arrows = [((i, j), (i + 1, j)) for i in range(n - 1) for j in range(n)]
+    arrows += [((i, j), (i, j + 1)) for i in range(n) for j in range(n - 1)]
+    return [[(v == head) - (v == tail) for tail, head in arrows] for v in vs]
+
+
+def huge_kernel_matrix(n: int = 40) -> list:
+    """Rank n - 1; the kernel is spanned by (1, 2**40, 0, ..., 0)."""
+    rows = [[0] * n for _ in range(n)]
+    rows[0][0], rows[0][1] = 2**40, -1
+    for i in range(2, n):
+        rows[i][i] = 1
+    return rows
+
+
+P = (1 << 61) - 1  # a 61-bit diagonal entry
+
+
 class TestRank:
+    """``rank`` against the Bareiss reference and sympy."""
+
     def test_identity(self):
         assert rank(identity(2).data) == 2
 
@@ -147,30 +169,6 @@ class TestRank:
     def test_rank_nullity(self, rows):
         ncols = len(rows[0])
         assert ncols == rank(rows) + len(integer_kernel(rows, ncols))
-
-
-def grid_incidence(n: int) -> list:
-    """Vertex-arrow incidence matrix of the n x n grid graph: rank n*n - 1."""
-    vs = [(i, j) for i in range(n) for j in range(n)]
-    arrows = [((i, j), (i + 1, j)) for i in range(n - 1) for j in range(n)]
-    arrows += [((i, j), (i, j + 1)) for i in range(n) for j in range(n - 1)]
-    return [[(v == head) - (v == tail) for tail, head in arrows] for v in vs]
-
-
-def huge_kernel_matrix(n: int = 40) -> list:
-    """Rank n - 1; the kernel is spanned by (1, 2**40, 0, ..., 0)."""
-    rows = [[0] * n for _ in range(n)]
-    rows[0][0], rows[0][1] = 2**40, -1
-    for i in range(2, n):
-        rows[i][i] = 1
-    return rows
-
-
-P = (1 << 61) - 1  # a prime
-
-
-class TestModularRank:
-    """``rank`` against sympy."""
 
     @pytest.mark.parametrize(
         "rows, expected",

@@ -79,7 +79,7 @@ class TestInstanceChecks:
                 ("generators_vanish",),
             ),
             # the last cocircuit power dropped from the ideal layer's generators
-            (ideals, "_expansions", lambda f: lambda cocs, r: f(cocs, r)[:-1], ("power_ideal_dims",)),
+            (ideals, "_powers", lambda f: lambda cocs: f(cocs)[:-1], ("power_ideal_dims",)),
         ],
         ids=["cycles", "shifted-binomials", "pure-powers"],
     )
