@@ -1,8 +1,12 @@
 """Exact computation of graded function-space filtrations on the interior
 lattice points of zonotopes of unimodular arrangements, together with
-the Tutte-polynomial identities that govern them."""
+the Tutte-polynomial identities that govern them.
 
-from .analysis import Analysis, compute_filtration
+``Analysis`` and ``compute_filtration`` load on first use: a caller of the
+layers below the analysis context, such as ``redundant_generators``, never
+compiles it.
+"""
+
 from .arrangement import (
     Cocircuit,
     VectorArrangement,
@@ -34,3 +38,17 @@ from .ideals import (
 )
 
 __version__ = "0.1.0"
+
+_ANALYSIS_EXPORTS = ("Analysis", "compute_filtration")
+
+
+def __getattr__(name: str):
+    if name in _ANALYSIS_EXPORTS:
+        from . import analysis
+
+        return getattr(analysis, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted({*globals(), *_ANALYSIS_EXPORTS})

@@ -33,7 +33,10 @@ import sys
 
 from .errors import ArgumentError, NotTotallyUnimodularError, ParseError, SizeExceededError
 from .formats import parse_arrangement, parse_graph
-from .report import build_graph_report, build_report, render_text, to_json_bytes
+
+# the handlers import ``report``, and with it the analysis context: importing
+# the CLI compiles only the layers below them, all that a library call such as
+# ``redundant_generators`` needs
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -52,6 +55,8 @@ def _write(data) -> None:
 
 
 def _emit(report: dict, as_json: bool) -> int:
+    from .report import render_text, to_json_bytes
+
     _write(to_json_bytes(report) if as_json else render_text(report))
     return EXIT_OK if report["pass"] else EXIT_VERIFY
 
@@ -86,15 +91,20 @@ def _analyze(path: str, as_json: bool, parse, build) -> int:
 
 
 def cmd_analyze_graph(path: str, json: bool) -> int:
+    from .report import build_graph_report
+
     return _analyze(path, json, parse_graph, build_graph_report)
 
 
 def cmd_analyze_arrangement(path: str, json: bool) -> int:
+    from .report import build_report
+
     return _analyze(path, json, parse_arrangement, build_report)
 
 
 def cmd_random_suite(seed: int, count: int, max_edges: int, json: bool) -> int:
     # imported here: no other subcommand needs the suite, and every call pays for an import
+    from .report import to_json_bytes
     from .verification import run_suite
 
     try:

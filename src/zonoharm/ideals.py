@@ -23,8 +23,15 @@ from __future__ import annotations
 from math import gcd, lcm
 from typing import NamedTuple
 
-from .arrangement import Cocircuit, VectorArrangement, check_cocircuit_scan_size
+from .arrangement import (
+    Cocircuit,
+    VectorArrangement,
+    check_cocircuit_scan_size,
+    enumerate_cocircuits,
+)
 from .funcspace import binom_int
+from .graphs import tutte_of_arrangement
+from .harmonics import iz_hilbert_series
 
 
 class IdealGenerator(NamedTuple):
@@ -198,22 +205,19 @@ def redundant_generators(va: VectorArrangement) -> tuple:
     Generator g of degree e is implied iff dropping it leaves the degree-e
     quotient dimension unchanged: then g lies in the ideal of the others, so
     the two ideals agree in every degree.  The degrees run to the length of
-    the Tutte series, as in ``Analysis.power_dims``, whose cocircuits and
-    Tutte polynomial are read off one context; a generator of higher degree
-    counts as implied.  Dropping g leaves V_{<e} as it is, so the degree-e
-    generator rows are reduced once against that degree's Koszul images, and
-    the rank of the others' residual rows gives the dimension without g.  No
+    the Tutte series, as in ``Analysis.power_dims``, from the same
+    cocircuits and Tutte polynomial; a generator of higher degree counts as
+    implied.  Dropping g leaves V_{<e} as it is, so the degree-e generator
+    rows are reduced once against that degree's Koszul images, and the rank
+    of the others' residual rows gives the dimension without g.  No
     minimality claim: the remaining set may itself contain further
     implications.  Raises SizeExceededError before any other work when the
     cocircuit scan is past its cap.
     """
-    # imported here: ``analysis`` imports this module
-    from .analysis import Analysis
-
     check_cocircuit_scan_size(va)
-    ctx = Analysis(va)
-    bound = len(ctx.iz)
-    powers = _powers(ctx.cocircuits)
+    cocircuits = enumerate_cocircuits(va)
+    bound = len(iz_hilbert_series(va, tutte_of_arrangement(va, cocircuits)))
+    powers = _powers(cocircuits)
     implied = [e > bound for e, _ in powers]
     for full, free, residuals in _chain(va.lattice_rank, powers, bound):
         for g in residuals:

@@ -461,6 +461,38 @@ class TestImports:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.splitlines() == ["", ""]
 
+    def test_cli_import_stops_below_the_analysis_context(self):
+        # the handlers import the report, and with it the analysis context:
+        # importing the CLI, which a library call may do as well, compiles
+        # the layers below them only
+        script = (
+            "import sys\n"
+            "before = set(sys.modules)\n"
+            "import zonoharm.cli\n"
+            "print(*sorted(set(sys.modules) - before))\n"
+        )
+        proc = run_python(script)
+        assert proc.returncode == 0, proc.stderr
+        added = set(proc.stdout.split())
+        assert {"zonoharm.harmonics", "zonoharm.formats"} <= added
+        assert sorted(added & {"zonoharm.analysis", "zonoharm.report", "zonoharm.verification"}) == []
+
+    def test_redundant_generators_loads_no_analysis_context(self):
+        # the ideal layer wires its cocircuits and Tutte bound itself
+        graph = serialize_graph(wheel_graph(5))
+        script = (
+            "import sys\n"
+            "before = set(sys.modules)\n"
+            "import zonoharm\n"
+            "from zonoharm.formats import parse_graph\n"
+            f"va = zonoharm.cographical_arrangement(parse_graph({graph!r}))\n"
+            "print(len(zonoharm.redundant_generators(va)))\n"
+            "print(*sorted((set(sys.modules) - before) & {'zonoharm.analysis', 'zonoharm.report'}))\n"
+        )
+        proc = run_python(script)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines() == ["15", ""]
+
     def test_no_call_imports_an_argument_parser(self):
         # argparse, with gettext and locale behind it, costs every call a few
         # milliseconds of a start-up that the report is now the smaller part of

@@ -285,6 +285,26 @@ class TestChain:
         else:
             assert redundant_generators(va) == all_degree_redundant_generators(va)
 
+    @pytest.mark.parametrize("name", ["r10", "K5"])
+    def test_sign_dropped_in_a_horner_step_is_caught(self, name, monkeypatch):
+        # a planted fault: the carried powers multiply by |a_j|, not a_j.  The
+        # other inputs here, the random graphs and 300 sheared examples hold
+        # their dims under it; R10 and the cographic K5 do not
+        if name == "r10":
+            va = parse_arrangement(data_path("r10.arr").read_text())
+        else:
+            va = named_arrangement(name)
+        bound = top_bound(va)
+        dense = dense_quotient_dims(va, bound)
+        assert chain_dims(va, bound) == dense
+        horner = ideals._horner
+
+        def unsigned(covector, row, image, q):
+            return horner(tuple(map(abs, covector)), row, image, q)
+
+        monkeypatch.setattr(ideals, "_horner", unsigned)
+        assert chain_dims(va, bound) != dense
+
     def test_row_without_unit_entry(self, monkeypatch):
         # the house's chain meets a reduced row with no +-1 entry, so its
         # pivot entry is not 1 and the next degree's basis is scaled
