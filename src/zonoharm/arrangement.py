@@ -15,7 +15,7 @@ up to C(n, r-1) column subsets, so ``check_cocircuit_scan_size`` caps n at
 ``COCIRCUIT_SCAN_MAX_GROUND`` columns; a report checks that first.
 
 ``Cocircuit`` is a named tuple.  ``VectorArrangement`` validates its fields
-on construction; it is a plain class, immutable by convention: nothing
+on construction; it is a ``linalg.Record``, immutable by convention: nothing
 reassigns a field.  A set of interior points is a plain tuple of point
 tuples, in the lexicographic order in which the scan finds them.
 """
@@ -27,12 +27,12 @@ from operator import mul
 from typing import NamedTuple
 
 from .errors import CertificateError, NotTotallyUnimodularError, SizeExceededError
-from .linalg import Mat, det, kernel_step, rank
+from .linalg import Mat, Record, det, kernel_step, rank
 
 COCIRCUIT_SCAN_MAX_GROUND = 20
 
 
-class VectorArrangement:
+class VectorArrangement(Record):
     """A finite labeled family of columns in Z^r whose image spans Q^r."""
 
     __slots__ = ("lattice_rank", "ground", "columns")
@@ -49,23 +49,6 @@ class VectorArrangement:
         self.lattice_rank = lattice_rank
         self.ground = ground
         self.columns = columns
-
-    def _key(self) -> tuple:
-        return (self.lattice_rank, self.ground, self.columns)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self):
-        return hash(self._key())
-
-    def __repr__(self):
-        return (
-            f"VectorArrangement(lattice_rank={self.lattice_rank!r},"
-            f" ground={self.ground!r}, columns={self.columns!r})"
-        )
 
     @property
     def size(self) -> int:
@@ -162,6 +145,8 @@ def enumerate_cocircuits(va: VectorArrangement) -> tuple:
     columns, in lexicographic order, that spans its hyperplane.  A subset
     that misses the support of a cocircuit already found lies in that
     hyperplane, so it is dependent or spans it again; it gets no kernel.
+    The support a subset misses moves to the front of the list tested, as
+    the next subsets in lexicographic order mostly miss it too.
     The kernels come from a stack of prefix kernels: ``stack[k]`` is a basis
     of the kernel of the first k columns of the last subset that needed one,
     and a subset redoes only the ``kernel_step`` calls past the prefix it
@@ -185,32 +170,35 @@ def enumerate_cocircuits(va: VectorArrangement) -> tuple:
     last = ()
     for sel in combinations(range(n), r - 1):
         mask = sum(1 << j for j in sel)
-        if not all(mask & s for s in supports):
-            continue
-        k = 0
-        while k < len(stack) - 1 and sel[k] == last[k]:
-            k += 1
-        del stack[k + 1 :]
-        last = sel
-        for j in sel[k:]:
-            cut = kernel_step(stack[-1], cols[j])
-            if cut is None:  # the subset has rank below r - 1
+        for i, s in enumerate(supports):
+            if not mask & s:  # the next subsets mostly miss this support too
+                supports.insert(0, supports.pop(i))
                 break
-            stack.append(cut)
         else:
-            (alpha,) = stack[-1]
-            if next(x for x in alpha if x) < 0:
-                alpha = [-x for x in alpha]
-            alpha = tuple(alpha)
-            values = tuple(sum(map(mul, alpha, c)) for c in cols)
-            bad = next((j for j, v in enumerate(values) if v not in (-1, 0, 1)), None)
-            if bad is not None:
-                basis = sorted(sel + (bad,))
-                raise NotTotallyUnimodularError(
-                    tuple(va.ground[j] for j in basis), det([cols[j] for j in basis]), alpha, values
-                )
-            found.append(Cocircuit(alpha, values, values.count(1), values.count(-1)))
-            supports.append(sum(1 << j for j, v in enumerate(values) if v))
+            k = 0
+            while k < len(stack) - 1 and sel[k] == last[k]:
+                k += 1
+            del stack[k + 1 :]
+            last = sel
+            for j in sel[k:]:
+                cut = kernel_step(stack[-1], cols[j])
+                if cut is None:  # the subset has rank below r - 1
+                    break
+                stack.append(cut)
+            else:
+                (alpha,) = stack[-1]
+                if next(x for x in alpha if x) < 0:
+                    alpha = [-x for x in alpha]
+                alpha = tuple(alpha)
+                values = tuple(sum(map(mul, alpha, c)) for c in cols)
+                bad = next((j for j, v in enumerate(values) if v not in (-1, 0, 1)), None)
+                if bad is not None:
+                    basis = sorted(sel + (bad,))
+                    raise NotTotallyUnimodularError(
+                        tuple(va.ground[j] for j in basis), det([cols[j] for j in basis]), alpha, values
+                    )
+                found.append(Cocircuit(alpha, values, values.count(1), values.count(-1)))
+                supports.append(sum(1 << j for j, v in enumerate(values) if v))
     return tuple(sorted(found, key=lambda c: c.covector))
 
 

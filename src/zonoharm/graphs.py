@@ -23,7 +23,7 @@ coordinatisation.
 
 ``Arrow``, ``OrientedCycle`` and ``BivariatePolynomial`` are named tuples.
 ``DirectedGraph`` validates its vertices and arrows and sorts the arrows on
-construction; it is a plain class, immutable by convention: nothing
+construction; it is a ``linalg.Record``, immutable by convention: nothing
 reassigns a field.
 """
 
@@ -33,7 +33,7 @@ from itertools import combinations
 from typing import NamedTuple
 
 from .arrangement import VectorArrangement, check_cocircuit_scan_size, enumerate_cocircuits
-from .linalg import Mat
+from .linalg import Mat, Record
 
 
 class Arrow(NamedTuple):
@@ -42,7 +42,7 @@ class Arrow(NamedTuple):
     head: str
 
 
-class DirectedGraph:
+class DirectedGraph(Record):
     """Vertices plus an ordered list of arrows; parallels and self-loops allowed."""
 
     __slots__ = ("vertices", "arrows")
@@ -59,20 +59,6 @@ class DirectedGraph:
                 raise ValueError(f"arrow {a.ident} references an unknown vertex")
         self.vertices = vertices
         self.arrows = tuple(sorted(arrows, key=lambda a: a.ident))
-
-    def _key(self) -> tuple:
-        return (self.vertices, self.arrows)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self):
-        return hash(self._key())
-
-    def __repr__(self):
-        return f"DirectedGraph(vertices={self.vertices!r}, arrows={self.arrows!r})"
 
 
 class OrientedCycle(NamedTuple):

@@ -1,9 +1,10 @@
 """Exact integer linear algebra on small dense matrices.
 
-All values are immutable and all functions are pure.  ``Mat`` is a plain
-class, immutable by convention: nothing reassigns its fields.  Only the
-determinant is computed by fraction-free elimination (Bareiss); every rank
-and every lattice computation runs on one kernel step and one integer
+All values are immutable and all functions are pure.  ``Record`` gives
+``Mat`` and the package's other slotted values their equality, hash and repr
+by field; they are immutable by convention: nothing reassigns a field.  Only
+the determinant is computed by fraction-free elimination (Bareiss); every
+rank and every lattice computation runs on one kernel step and one integer
 echelon, and ``rank`` is the number of echelon rows.  ``kernel_step`` cuts a
 lattice basis down to the vectors that pair to zero with one more row, by
 unimodular xgcd column steps; an integer kernel is the identity cut by each
@@ -22,7 +23,30 @@ from math import prod
 from operator import mul
 
 
-class Mat:
+class Record:
+    """Value semantics for a slotted record: its fields are its ``__slots__``,
+    in order, and it compares, hashes and prints by them, never equal to a
+    value of another type."""
+
+    __slots__ = ()
+
+    def _key(self) -> tuple:
+        return tuple(getattr(self, s) for s in self.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        fields = ", ".join(f"{s}={getattr(self, s)!r}" for s in self.__slots__)
+        return f"{type(self).__name__}({fields})"
+
+
+class Mat(Record):
     """Immutable int matrix whose ``data`` is ``cols`` column tuples of length ``rows``."""
 
     __slots__ = ("rows", "cols", "data")
@@ -37,20 +61,6 @@ class Mat:
         self.rows = rows
         self.cols = cols
         self.data = data
-
-    def _key(self) -> tuple:
-        return (self.rows, self.cols, self.data)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self):
-        return hash(self._key())
-
-    def __repr__(self):
-        return f"Mat(rows={self.rows!r}, cols={self.cols!r}, data={self.data!r})"
 
     @staticmethod
     def from_cols(cols, rows: int) -> "Mat":

@@ -35,7 +35,7 @@ from zonoharm.arrangement import (
     minor_cocircuits,
 )
 from zonoharm.errors import CertificateError, LoopOrColoopError, NotTotallyUnimodularError
-from zonoharm.graphs import cographical_arrangement, tutte_of_arrangement
+from zonoharm.graphs import Arrow, DirectedGraph, cographical_arrangement, tutte_of_arrangement
 from zonoharm.linalg import Mat, det, kernel_step, rank
 
 
@@ -294,12 +294,27 @@ class TestCocircuits:
         # the 21 cocircuits (cycles) of W5 take 40 kernel steps in all, where
         # the unpruned scan takes one kernel per 4-subset of the 10 columns,
         # C(10, 4) = 210, and a kernel from scratch takes 4 steps
-        prof = cProfile.Profile()
-        cocs = prof.runcall(enumerate_cocircuits, cographical_arrangement(wheel_graph(5)))
-        code = kernel_step.__code__
-        key = (code.co_filename, code.co_firstlineno, code.co_name)
-        assert len(cocs) == 21
-        assert pstats.Stats(prof).stats[key][1] == 40
+        assert scan_kernel_steps(cographical_arrangement(wheel_graph(5))) == (21, 40)
+
+    def test_pruned_scan_kernel_count_at_the_cap(self):
+        # the 11-cycle with 9 chords, 20 arrows of rank 10: its 364
+        # cocircuits take 1713 kernel steps over C(20, 9) = 167,960 subsets;
+        # the order in which the supports are tested skips the same subsets
+        chords = [(1, 4), (2, 6), (3, 8), (4, 10), (5, 9), (6, 11), (7, 2), (8, 1), (9, 3)]
+        ends = [(i, i % 11 + 1) for i in range(1, 12)] + chords
+        arrows = tuple(Arrow(k, str(t), str(h)) for k, (t, h) in enumerate(ends, start=1))
+        va = cographical_arrangement(DirectedGraph(tuple(map(str, range(1, 12))), arrows))
+        assert va.size == 20
+        assert scan_kernel_steps(va) == (364, 1713)
+
+
+def scan_kernel_steps(va):
+    """The number of cocircuits of ``va`` and of ``kernel_step`` calls its scan makes."""
+    prof = cProfile.Profile()
+    cocs = prof.runcall(enumerate_cocircuits, va)
+    code = kernel_step.__code__
+    key = (code.co_filename, code.co_firstlineno, code.co_name)
+    return len(cocs), pstats.Stats(prof).stats[key][1]
 
 
 def _usable(va):
