@@ -143,6 +143,12 @@ class Analysis:
         return interior_lattice_points(self.va, self.cocircuits)
 
     @cached_property
+    def point_index(self) -> dict:
+        """``{point: position}`` of ``points``, read by every element's
+        deletion/contraction check."""
+        return {z: k for k, z in enumerate(self.points)}
+
+    @cached_property
     def harmonics(self) -> Harmonics:
         return Harmonics(self.points)
 
@@ -258,11 +264,10 @@ class Analysis:
                 exactness_ok=True,
             )
         ctx_del, ctx_con, bars = self.minors(element)
-        pts = self.points
         del_pts = set(ctx_del.points)
-        images = [zbar for z, zbar in zip(pts, bars) if z not in del_pts]
+        images = [zbar for z, zbar in zip(self.points, bars) if z not in del_pts]
         bijection_ok = (
-            del_pts <= set(pts)
+            del_pts <= self.point_index.keys()
             and len(images) == len(set(images))
             and set(images) == set(ctx_con.points)
         )
@@ -312,7 +317,7 @@ def _exactness_ranks(ctx: Analysis, ctx_del: Analysis, ctx_con: Analysis, elemen
     """
     h, h_del, h_con = ctx.harmonics, ctx_del.harmonics, ctx_con.harmonics
     col = ctx.va.column(element)
-    index = {z: k for k, z in enumerate(ctx.points)}
+    index = ctx.point_index
     shift_idx = []
     for z in ctx_del.points:
         if z not in index:
@@ -321,7 +326,7 @@ def _exactness_ranks(ctx: Analysis, ctx_del: Analysis, ctx_con: Analysis, elemen
         if zs not in index:
             return False
         shift_idx.append((index[z], index[zs]))
-    con_index = {z: k for k, z in enumerate(ctx_con.points)}
+    con_index = ctx_con.point_index
     bar_idx = []
     for zbar in bars:
         pos = con_index.get(zbar)

@@ -29,6 +29,7 @@ choice of lattice basis; the literal point coordinates are basis-dependent.
 
 from __future__ import annotations
 
+import gc
 import sys
 
 from .errors import ArgumentError, NotTotallyUnimodularError, ParseError, SizeExceededError
@@ -305,5 +306,19 @@ def main(argv=None) -> int:
     return handler(**values)
 
 
+def run():
+    """The process entry point: ``main()`` on ``sys.argv``, then exit with its code."""
+    # Freezing moves every live object into the permanent generation, which
+    # the collections the interpreter runs at exit skip: they would walk the
+    # whole heap and free, object by object, memory the OS frees anyway.
+    # atexit handlers, flushing and the exit code are unchanged, and an
+    # in-process main() keeps normal collection.
+    try:
+        code = main()
+    finally:
+        gc.freeze()
+    raise SystemExit(code)
+
+
 if __name__ == "__main__":
-    raise SystemExit(main())
+    run()

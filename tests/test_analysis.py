@@ -77,6 +77,9 @@ def test_each_quantity_once_per_arrangement(run):
     # its minors' has unit pivots, so no saturation is computed
     assert _calls(stats, saturate) == 0
     assert _calls(stats, enumerate_cocircuits) == 1
+    # one point index for the arrangement, read by every element's check,
+    # and one for each contraction; the deletions need none
+    assert _calls(stats, Analysis.point_index.func) == 1 + u
     # one deletion-contraction: the graph's polynomial is the arrangement's,
     # swapped, and one duality certificate, read by both Tutte checks
     assert _calls(stats, tutte_of_arrangement) == 1

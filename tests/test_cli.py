@@ -1,4 +1,5 @@
 import cProfile
+import gc
 import json
 import os
 import pstats
@@ -407,6 +408,72 @@ class TestArguments:
             assert capsys.readouterr() == (cli.__doc__, "")
         # the docstring's usage block is the one that usage errors print
         assert cli._usage() in cli.__doc__
+
+
+def _in_process(capsys, args) -> tuple:
+    """``(exit code, stdout, stderr)`` of ``main(args)`` in this interpreter."""
+    try:
+        code = main(args)
+    except SystemExit as exc:
+        code = exc.code
+    out, err = capsys.readouterr()
+    return code, out.encode(), err.encode()
+
+
+class TestEntryPoint:
+    """A process ends through ``cli.run``, which freezes the heap once
+    ``main`` returns or exits; nothing a caller sees may differ."""
+
+    @pytest.mark.parametrize(
+        "args, code",
+        [
+            (["analyze-graph", HOUSE, "--json"], 0),
+            (["--help"], 0),
+            (["analyze-graph", "{tmp}/missing.graph"], 2),
+            (["bogus"], 2),
+            (["random-suite", "--max-edges", "10"], 3),
+            (["analyze-arrangement", "{tmp}/bad.arr"], 5),
+        ],
+        ids=["house-json", "help", "missing-file", "unknown-command", "size-cap", "not-tu"],
+    )
+    def test_fresh_process_matches_main(self, capsys, tmp_path, args, code):
+        (tmp_path / "bad.arr").write_text("rank 1\ncol a 2\n")
+        args = [arg.format(tmp=tmp_path) for arg in args]
+        got = run_cli(*args)
+        assert got[0] == code
+        assert got == _in_process(capsys, args)
+
+    @pytest.mark.parametrize(
+        "args, code",
+        [(["analyze-graph", HOUSE, "--json"], 0), (["bogus"], 2)],
+        ids=["return", "usage-error"],
+    )
+    def test_only_the_entry_point_freezes(self, capsys, monkeypatch, args, code):
+        before = gc.get_freeze_count()
+        try:
+            assert _in_process(capsys, args)[0] == code
+            assert gc.get_freeze_count() == before
+            monkeypatch.setattr(sys, "argv", ["zonoharm", *args])
+            with pytest.raises(SystemExit) as exc:
+                cli.run()
+            assert exc.value.code == code
+            assert gc.get_freeze_count() > 0
+        finally:
+            gc.unfreeze()
+
+    def test_atexit_handlers_still_run(self):
+        # the process exits by SystemExit, not os._exit: coverage.py and
+        # user hooks registered with atexit see the end of the call
+        script = (
+            "import atexit, sys\n"
+            "from zonoharm.cli import run\n"
+            "atexit.register(lambda: sys.stderr.write('atexit ran'))\n"
+            "sys.argv = ['zonoharm', 'random-suite', '--count', '0', '--json']\n"
+            "run()\n"
+        )
+        proc = run_python(script)
+        assert (proc.returncode, proc.stderr) == (0, "atexit ran")
+        assert json.loads(proc.stdout)["passes"] == 0
 
 
 def run_python(script: str):
