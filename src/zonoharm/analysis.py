@@ -2,19 +2,19 @@
 
 ``Analysis`` computes each quantity that the checks read lazily and at most
 once: loops and coloops, cocircuits, interior points, the filtration, the
-Tutte polynomial with its series, whether the shifted binomials vanish, the
-exact power-ideal quotient dimensions, which read only the cocircuits and
-the Tutte bound, and, for a graph input, its
-spanning forest, its oriented cycles, its Tutte polynomial and the duality
-verdict.  Coloops are read off the cocircuits.  A graph's Tutte polynomial
-is the arrangement's with x and y swapped, so one computation serves both,
-and its SU(2) series is the iz series; ``tutte_duality`` certifies the
-coordinatisation that makes both theorems, and a graph's ``tutteIdentity``
-gates on it.  ``CHECKS`` defines every identity once, as a function of a
-context.  The CLI report evaluates the checks that carry a report key; the
-random suite evaluates all of them.  Other modules take these quantities as
-arguments and compute none that is missing: a context is the only place
-that wires them together.
+Tutte polynomial with its series, the exact power-ideal quotient
+dimensions, which read only the cocircuits and the Tutte bound, and, for a
+graph input, its spanning forest, its oriented cycles, its Tutte
+polynomial and the duality verdict.  Coloops are read off the cocircuits.
+A graph's Tutte polynomial is the arrangement's with x and y swapped, so
+one computation serves both, and its SU(2) series is the iz series;
+``tutte_duality`` certifies the coordinatisation that makes both theorems,
+and a graph's ``tutteIdentity`` gates on it.  ``CHECKS`` defines every
+identity once, as a function of a context that compares two sides computed
+independently.  The CLI report evaluates the checks that carry a report
+key; the random suite evaluates all of them.  Other modules take these
+quantities as arguments and compute none that is missing: a context is the
+only place that wires them together.
 The deletion/contraction check runs in full, exactness ranks included, on
 every element that is neither a loop nor a coloop.  It builds one context
 per minor and reuses the parent's points and filtration.  A parent with a
@@ -28,17 +28,18 @@ each minor's span, so no minor runs a rank: an element that is not a
 coloop (no one-element cocircuit) leaves a deletion that spans, and one
 that is not a loop (a nonzero, primitive column a) is contracted by Q, a
 basis of the integer covectors that vanish on a, which takes the other
-columns onto a spanning set of Z^(r-1).  The exactness ranks keep one
-running lattice per map across the degrees and insert only the images of
-the echelon rows whose pivot column is new at a degree, which span the
-piece together with the degree below; a degree whose pivot columns do not
-contain those below it is not nested in it, and fails.
+columns onto a spanning set of Z^(r-1).  The bijection test and the
+exactness ranks read one list of point positions per element.  The ranks
+keep one running lattice per map across the degrees and insert only the
+images of the echelon rows whose pivot column is new at a degree, which
+span the piece together with the degree below; a degree whose pivot
+columns do not contain those below it is not nested in it, and fails.
 """
 
 from __future__ import annotations
 
 from functools import cached_property
-from operator import mul
+from operator import add, mul
 from typing import Callable, NamedTuple
 
 from .arrangement import (
@@ -51,19 +52,14 @@ from .arrangement import (
     loops_and_coloops,
     minor_cocircuits,
 )
-from .errors import LoopOrColoopError, NotIntegralError
+from .errors import LoopOrColoopError
 from .graphs import (
     DirectedGraph,
     enumerate_oriented_cycles,
     spanning_forest,
     tutte_of_arrangement,
 )
-from .harmonics import (
-    Harmonics,
-    divided_power,
-    iz_hilbert_series,
-    verify_saturation,
-)
+from .harmonics import Harmonics, iz_hilbert_series, verify_saturation
 from .ideals import k_minus_generators, quotient_dims, verify_vanishing
 from .linalg import IntRowLattice, in_row_lattice, integer_kernel
 
@@ -159,10 +155,6 @@ class Analysis:
     @cached_property
     def iz(self) -> tuple:
         return iz_hilbert_series(self.va, self.tutte)
-
-    @cached_property
-    def generators_vanish(self) -> bool:
-        return verify_vanishing(k_minus_generators(self.cocircuits), self.points)
 
     @cached_property
     def power_dims(self) -> tuple:
@@ -264,12 +256,14 @@ class Analysis:
                 exactness_ok=True,
             )
         ctx_del, ctx_con, bars = self.minors(element)
-        del_pts = set(ctx_del.points)
-        images = [zbar for z, zbar in zip(self.points, bars) if z not in del_pts]
+        del_idx, shifted_idx, bar_idx = _positions(self, ctx_del, ctx_con, element, bars)
+        # the bars of the points outside the deletion hit each of the
+        # contraction's points once
+        images = [bar_idx[k] for k in set(range(len(bars))).difference(del_idx)]
         bijection_ok = (
-            del_pts <= self.point_index.keys()
-            and len(images) == len(set(images))
-            and set(images) == set(ctx_con.points)
+            None not in del_idx
+            and None not in images
+            and len(set(images)) == len(images) == len(ctx_con.points)
         )
 
         h, h_del, h_con = self.harmonics, ctx_del.harmonics, ctx_con.harmonics
@@ -283,8 +277,12 @@ class Analysis:
             )
             for i in range(top + 2)
         )
-        # empty point sets make every space zero: vacuously exact
-        exactness = h.point_count == 0 or _exactness_ranks(self, ctx_del, ctx_con, element, bars)
+        # empty point sets make every space zero: vacuously exact; a point
+        # with no position leaves a map undefined
+        exactness = h.point_count == 0 or (
+            None not in del_idx + shifted_idx + bar_idx
+            and _exactness_ranks(h, h_del, h_con, list(zip(del_idx, shifted_idx)), bar_idx)
+        )
         return DeletionContractionReport(
             element=element,
             bijection_ok=bijection_ok,
@@ -299,44 +297,34 @@ def compute_filtration(va: VectorArrangement) -> Harmonics:
     return Analysis(va).harmonics
 
 
-def _exactness_ranks(ctx: Analysis, ctx_del: Analysis, ctx_con: Analysis, element, bars) -> bool:
+def _positions(ctx: Analysis, ctx_del: Analysis, ctx_con: Analysis, element, bars) -> tuple:
+    """The positions among ``ctx``'s points of each deletion point z and of
+    z + chi(a), and among the contraction's of each bar; None for none."""
+    index, col = ctx.point_index, ctx.va.column(element)
+    del_idx = [index.get(z) for z in ctx_del.points]
+    shifted_idx = [index.get(tuple(map(add, z, col))) for z in ctx_del.points]
+    return del_idx, shifted_idx, [ctx_con.point_index.get(zbar) for zbar in bars]
+
+
+def _exactness_ranks(h: Harmonics, h_del: Harmonics, h_con: Harmonics, shift_idx, bar_idx) -> bool:
     """im(pullback) = ker(difference) and surjectivity, via evaluation vectors.
 
-    Each filtered piece V_i is represented by the echelon rows of its
-    integral lattice, which span V_i over Q.  The pieces are nested, so V_i
-    is V_{i-1} plus the rows whose pivot column is new at degree i: a
-    combination of those leads at a column no vector of V_{i-1} leads at.
-    One running lattice per map holds the images of the new rows of every
-    degree so far, so it spans the image of V_i, and each degree inserts and
-    tests only its new rows' images.  Rank and membership in a saturated
-    lattice depend only on the Q-span, and an image tested at a lower
-    degree stays in the pieces above it, so every verdict is that of all
-    rows.  A degree whose pivot columns do not contain those of the degree
-    below breaks the nesting, and fails.  ``bars[k]`` is the image in the
-    contraction's lattice of the k-th point.
+    ``h``, ``h_del`` and ``h_con`` filter the parent, deletion and contraction;
+    the positions come from ``_positions``, the deletion's zipped to pairs
+    (z, z + chi(a)).  Each filtered piece V_i is represented by the echelon
+    rows of its integral lattice, which span V_i over Q.  The pieces are
+    nested, so V_i is V_{i-1} plus the rows whose pivot column is new at
+    degree i: a combination of those leads at a column no vector of V_{i-1}
+    leads at.  One running lattice per map holds the images of the new rows
+    of every degree so far, so it spans the image of V_i, and each degree
+    inserts and tests only its new rows' images.  Rank and membership in a
+    saturated lattice depend only on the Q-span, and an image tested at a
+    lower degree stays in the pieces above it, so every verdict is that of
+    all rows.  A degree whose pivot columns do not contain those of the
+    degree below breaks the nesting, and fails.
     """
-    h, h_del, h_con = ctx.harmonics, ctx_del.harmonics, ctx_con.harmonics
-    col = ctx.va.column(element)
-    index = ctx.point_index
-    shift_idx = []
-    for z in ctx_del.points:
-        if z not in index:
-            return False
-        zs = tuple(a + b for a, b in zip(z, col))
-        if zs not in index:
-            return False
-        shift_idx.append((index[z], index[zs]))
-    con_index = ctx_con.point_index
-    bar_idx = []
-    for zbar in bars:
-        pos = con_index.get(zbar)
-        if pos is None:
-            return False
-        bar_idx.append(pos)
-
-    n = h.point_count
-    m = len(ctx_del.points)
-    pullback, difference = IntRowLattice(n), IntRowLattice(m)
+    m = len(shift_idx)
+    pullback, difference = IntRowLattice(h.point_count), IntRowLattice(m)
     below, below_con = set(), set()  # pivot columns of the degree below
     for i in range(max(h.top_degree, h_con.top_degree, h_del.top_degree + 1) + 1):
         rows, pivots = h.echelon(i)
@@ -385,25 +373,34 @@ def _gr(ctx: Analysis) -> list:
 
 
 def _tutte_identity(ctx: Analysis) -> bool:
-    """grDims equal the iz series, which for a graph is its SU(2) series
-    once ``tutte_duality`` holds."""
+    """grDims (the points) against the iz series (the Tutte polynomial): the
+    orbit-harmonics ring has the internal zonotopal Hilbert series, which for
+    a graph is its SU(2) series once ``tutte_duality`` holds."""
     return _gr(ctx) == _trim(ctx.iz) and (ctx.graph is None or ctx.tutte_duality)
 
 
 def _point_count_identity(ctx: Analysis) -> bool:
-    h = ctx.harmonics
-    return sum(h.gr_dims) == h.point_count == ctx.graph_tutte.eval_at(1, 0)
+    """The point scan's count against T(0, 1): the interior points number
+    the dimension of the internal zonotopal algebra."""
+    return len(ctx.points) == ctx.tutte.eval_at(0, 1)
 
 
 def _tutte_duality(ctx: Analysis) -> bool:
+    """The columns against the graph's incidence matrix: the arrangement is
+    cographical, coordinatising the dual of the graph's cycle matroid."""
     return ctx.tutte_duality
 
 
 def _saturation(ctx: Analysis) -> bool:
+    """Each degree's lattice against its saturation: the integral form's
+    filtered pieces are saturated."""
     return verify_saturation(ctx.harmonics)
 
 
 def _cocircuits_match_cycles(ctx: Analysis) -> bool:
+    """The cocircuits, with d_+ and d_-, against the graph's oriented cycles,
+    with their arrow counts: a cographical arrangement's cocircuits are the
+    graph's cycles."""
     cyc_data = set()
     for c in ctx.cycles:
         vec = c.class_vector
@@ -415,31 +412,20 @@ def _cocircuits_match_cycles(ctx: Analysis) -> bool:
 
 
 def _generators_vanish(ctx: Analysis) -> bool:
-    return ctx.generators_vanish
+    """The cocircuits' shifted binomials against the points, on each of which
+    all vanish: a postcondition of the point scan, not an identity of the paper."""
+    return verify_vanishing(k_minus_generators(ctx.cocircuits), ctx.points)
 
 
 def _power_ideal_dims(ctx: Analysis) -> bool:
+    """The power-ideal quotient's dimensions (the cocircuits) against grDims
+    (the points): the internal zonotopal algebra is the orbit-harmonics ring."""
     return _trim(ctx.power_dims) == _gr(ctx)
 
 
-def _divided_power_law(ctx: Analysis) -> bool:
-    """m! * e^[m] = e^m modulo the lower saturated piece, e the first coordinate class.
-
-    ``divided_power`` checks the law (and integrality) for each m.
-    """
-    h = ctx.harmonics
-    if h.top_degree < 1 or not h.point_count:
-        return True
-    e = h.coordinate_class(0)
-    try:
-        for m in range(2, h.top_degree + 1):
-            divided_power(h, e, m)
-    except NotIntegralError:
-        return False
-    return True
-
-
 def _deletion_contraction(ctx: Analysis) -> tuple:
+    """Each usable element's parent against its deletion and contraction: the
+    point bijection, the dimension identity and the exact sequence of pieces."""
     return tuple(ctx.deletion_contraction(a) for a in ctx.usable)
 
 
@@ -454,7 +440,8 @@ class Check(NamedTuple):
     passed: Callable = bool
 
 
-# Graph-only checks (point counts, duality, cycles) need a context with a graph.
+# The duality and cycle checks need a graph; they carry no key, so only the
+# random suite, whose instances are graphs, runs them.
 CHECKS = (
     Check("tutte_identity", "tutteIdentity", _tutte_identity),
     Check("point_count_identity", None, _point_count_identity),
@@ -463,7 +450,6 @@ CHECKS = (
     Check("cocircuits_match_cycles", None, _cocircuits_match_cycles),
     Check("generators_vanish", "generatorsVanish", _generators_vanish),
     Check("power_ideal_dims", "powerIdealDims", _power_ideal_dims),
-    Check("divided_power_law", None, _divided_power_law),
     Check(
         "deletion_contraction",
         "deletionContraction",

@@ -33,7 +33,7 @@ from __future__ import annotations
 from math import factorial
 from typing import NamedTuple
 
-from .errors import ArgumentError, DegreeOverflowError, NotIntegralError
+from .errors import ArgumentError, CertificateError, DegreeOverflowError, NotIntegralError
 from .funcspace import binom_int, binomial_product_rows
 from .linalg import IntRowLattice, in_row_lattice, saturate
 
@@ -61,14 +61,16 @@ class Harmonics:
     are added to one integer row lattice, up to the row that makes it Z^n,
     past which no row is built, and each degree keeps a snapshot of its
     echelon.  A degree whose echelon has all pivots 1 gets saturation index
-    1, with no kernel; any other degree falls back to ``saturate``.
+    1, with no kernel; any other degree falls back to ``saturate``.  A rank
+    below n past degree n - 1 raises ``CertificateError``.
     """
 
     def __init__(self, points: tuple):
-        # the lattice must be able to reach Z^n, or the degrees would not end:
-        # repeated points, and points equal on the first point's coordinates
-        # or once the echelon truncates non-integers, give equal columns;
-        # list points cannot be hashed for the distinct-points check
+        # the lattice must reach rank n, which n distinct points do by degree
+        # n - 1 (interpolate along a linear form injective on them): repeated
+        # points, and points equal on the first point's coordinates or once
+        # the echelon truncates non-integers, give equal columns; list points
+        # cannot be hashed for the distinct-points check
         if (
             not all(isinstance(p, tuple) for p in points)
             or len(set(map(len, points))) > 1
@@ -103,6 +105,8 @@ class Harmonics:
                 self.saturation_indices.append(index)
                 if len(rows) == n:
                     break
+                if len(self._echelons) == n:
+                    raise CertificateError(f"{n} points not spanned by degree {n - 1}")
         self.q_dims = [len(rows) for rows, _ in self._echelons]
         self.top_degree = max(len(self._echelons) - 1, 0)
 

@@ -559,7 +559,9 @@ def exactness_on_eval_rows(ctx, ctx_del, ctx_con, element, bars):
     """The deletion/contraction exactness ranks on every binomial-product
     evaluation row of each filtered piece, not only on a basis of it.
 
-    Same arguments and verdict as ``analysis._exactness_ranks``.
+    The verdict of ``analysis._exactness_ranks`` on the positions that
+    ``analysis._positions`` finds, False where one is missing; the points
+    are looked up here, independently.
     """
     h, h_del, h_con = ctx.harmonics, ctx_del.harmonics, ctx_con.harmonics
     col = ctx.va.column(element)

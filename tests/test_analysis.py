@@ -1,6 +1,7 @@
 """The analysis context computes each quantity once; exactness ranks match their oracle."""
 
 import cProfile
+import json
 import pstats
 import random
 
@@ -17,6 +18,7 @@ from zonoharm.analysis import (
     DeletionContractionReport,
     _deletion_contraction,
     _exactness_ranks,
+    _positions,
     _tutte_duality,
 )
 from zonoharm.arrangement import VectorArrangement, certify_pairings, enumerate_cocircuits
@@ -94,11 +96,19 @@ def test_each_quantity_once_per_arrangement(run):
     assert _calls(stats, verify_vanishing) == 1
 
 
+def _ranks(ctx: Analysis, ctx_del: Analysis, ctx_con: Analysis, element, bars) -> bool:
+    """``_exactness_ranks`` on the positions of the points, which must all be found."""
+    del_idx, shifted_idx, bar_idx = _positions(ctx, ctx_del, ctx_con, element, bars)
+    assert None not in del_idx + shifted_idx + bar_idx
+    hs = (ctx.harmonics, ctx_del.harmonics, ctx_con.harmonics)
+    return _exactness_ranks(*hs, list(zip(del_idx, shifted_idx)), bar_idx)
+
+
 def _exactness_both_ways(ctx: Analysis, element, bars=None) -> tuple:
     """The exactness verdict on basis rows and on all evaluation rows."""
     ctx_del, ctx_con, own_bars = ctx.minors(element)
     args = (ctx, ctx_del, ctx_con, element, own_bars if bars is None else bars)
-    return _exactness_ranks(*args), exactness_on_eval_rows(*args)
+    return _ranks(*args), exactness_on_eval_rows(*args)
 
 
 def _graph_contexts():
@@ -169,6 +179,7 @@ def _drop_an_old_pivot(ech, i):
         ("contraction", "echelon", lambda ech, i: (ech(i)[0][:1] * len(ech(i)[0]), ech(i)[1])),
         ("parent", "echelon", lambda ech, i: (ech(i)[0][:1], ech(i)[1][:1])),
         ("parent", "echelon", _drop_an_old_pivot),
+        ("parent", "q_dim", lambda dim, i: dim(i) + 1),
     ],
     ids=[
         "pullback-escapes",
@@ -176,25 +187,59 @@ def _drop_an_old_pivot(ech, i):
         "pullback-not-injective",
         "difference-not-onto",
         "pieces-not-nested",
+        "middle-not-exact",
     ],
 )
 def test_each_exactness_exit_fails_on_its_own_fault(layer, method, fault):
-    # each fault breaks one of the five tests and leaves the others, and the
-    # dimension identity, true: a saturated piece lagging one degree lets an
-    # image escape it; echelon rows that repeat the first, or keep only the
-    # constant function, take rank from the pullback or the difference; a
-    # degree that drops a pivot of the degree below is no longer nested in
-    # it, which only the nesting test sees, as the rows it still has span
-    # every image that the new-pivot rows give
+    # each fault breaks one of the six tests and leaves the others true: a
+    # saturated piece lagging one degree lets an image escape it; echelon
+    # rows that repeat the first, or keep only the constant function, take
+    # rank from the pullback or the difference; a degree that drops a pivot
+    # of the degree below is no longer nested in it, which only the nesting
+    # test sees, as the rows it still has span every image that the
+    # new-pivot rows give; a parent piece one larger than the two images'
+    # ranks add up to fails only the closing identity
     ctx = Analysis(cographical_arrangement(wheel_graph(4)))
     a = ctx.usable[0]
     ctx_del, ctx_con, bars = ctx.minors(a)
-    assert _exactness_ranks(ctx, ctx_del, ctx_con, a, bars)
+    assert _ranks(ctx, ctx_del, ctx_con, a, bars)
     layers = {"parent": ctx, "deletion": ctx_del, "contraction": ctx_con}
     h = layers[layer].harmonics
     ech = getattr(h, method)
     setattr(h, method, lambda i: fault(ech, i))  # the instance attribute shadows the method
-    assert not _exactness_ranks(ctx, ctx_del, ctx_con, a, bars)
+    assert not _ranks(ctx, ctx_del, ctx_con, a, bars)
+
+
+def _shift_deletion(ctx_del: Analysis, ctx_con: Analysis, bars, col):
+    """The deletion's points moved by the element's column: each lands on a
+    parent point, but a shifted one moved again leaves the parent's points."""
+    ctx_del.points = tuple(tuple(x + c for x, c in zip(z, col)) for z in ctx_del.points)
+    return ctx_del, ctx_con, bars
+
+
+def _bar_off_the_contraction(ctx_del: Analysis, ctx_con: Analysis, bars, col):
+    """The first bar moved off the contraction's points."""
+    off = tuple(1 + max(z[j] for z in ctx_con.points) for j in range(len(bars[0])))
+    return ctx_del, ctx_con, [off, *bars[1:]]
+
+
+@pytest.mark.parametrize(
+    "fault", [_shift_deletion, _bar_off_the_contraction], ids=["shifted-deletion", "bar-off"]
+)
+def test_a_point_without_a_position_fails_exactness(monkeypatch, fault):
+    # the one missing-position test: a deletion point z + chi(a) or a bar
+    # that is not a point of its arrangement leaves a map undefined
+    ctx = Analysis(cographical_arrangement(wheel_graph(4)))
+    assert len(ctx.usable) == 8
+    minors = Analysis.minors
+    monkeypatch.setattr(
+        Analysis,
+        "minors",
+        lambda self, a: fault(*minors(self, a), self.va.column(a)),
+    )
+    for a in ctx.usable:
+        rep = ctx.deletion_contraction(a)
+        assert rep.dims_ok and not rep.exactness_ok, a
 
 
 class TestExactnessOnEveryElement:
@@ -205,12 +250,16 @@ class TestExactnessOnEveryElement:
     def last(self, monkeypatch, house_graph):
         """The house's last usable element, on which ``_exactness_ranks`` now fails."""
         last = Analysis(cographical_arrangement(house_graph)).usable[-1]
-        ranks = analysis._exactness_ranks
+        deletion_contraction = Analysis.deletion_contraction
 
-        def faulty(ctx, ctx_del, ctx_con, element, bars):
-            return element != last and ranks(ctx, ctx_del, ctx_con, element, bars)
+        def faulty(self, element):
+            if element != last:
+                return deletion_contraction(self, element)
+            with monkeypatch.context() as m:
+                m.setattr(analysis, "_exactness_ranks", lambda *args: False)
+                return deletion_contraction(self, element)
 
-        monkeypatch.setattr(analysis, "_exactness_ranks", faulty)
+        monkeypatch.setattr(Analysis, "deletion_contraction", faulty)
         return last
 
     def test_report_fails(self, last, house_graph, capsys):
@@ -228,6 +277,25 @@ class TestExactnessOnEveryElement:
 
     def test_suite_instance_fails(self, last, house_graph):
         assert run_instance_checks(house_graph).failed() == ("deletion_contraction",)
+
+
+def test_bijection_fails_without_a_contraction_point(monkeypatch, capsys):
+    # each contraction loses its last point, which a bar of a point outside
+    # the deletion still hits: the bars no longer map onto its points
+    minors = Analysis.minors
+
+    def dropped(self, a):
+        ctx_del, ctx_con, bars = minors(self, a)
+        ctx_con.points = ctx_con.points[:-1]
+        return ctx_del, ctx_con, bars
+
+    monkeypatch.setattr(Analysis, "minors", dropped)
+    path = str(data_path("house.graph"))
+    assert main(["analyze-graph", path, "--json"]) == EXIT_VERIFY
+    records = json.loads(capsys.readouterr().out)["checks"]["deletionContraction"]
+    assert [r["bijection"] for r in records] == [False] * 6
+    assert main(["analyze-graph", path]) == EXIT_VERIFY
+    assert capsys.readouterr().out.count("(bijection FAIL,") == 6
 
 
 def _report_from_minors(ctx: Analysis, a) -> DeletionContractionReport:

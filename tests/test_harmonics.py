@@ -21,7 +21,13 @@ from strategies import connected_multigraphs
 from zonoharm import funcspace, harmonics, linalg
 from zonoharm.analysis import CHECKS, Analysis, compute_filtration
 from zonoharm.arrangement import VectorArrangement
-from zonoharm.errors import ArgumentError, DegreeOverflowError, LoopOrColoopError
+from zonoharm.errors import (
+    ArgumentError,
+    CertificateError,
+    DegreeOverflowError,
+    LoopOrColoopError,
+    NotIntegralError,
+)
 from zonoharm.formats import parse_graph
 from zonoharm.funcspace import binom_int, binomial_product_rows
 from zonoharm.graphs import cographical_arrangement
@@ -249,6 +255,21 @@ class TestStopAtZn:
         assert h.q_dims == [1, 2]
         assert h.saturation_indices == [1, 1]
 
+    def test_rank_below_n_past_degree_n_minus_1_raises(self, monkeypatch):
+        # n distinct points reach rank n by degree n - 1; rows that never
+        # do (here none at all) stop the build there instead of running on
+        class RanPast(Exception):
+            pass
+
+        def no_rows(points, r):
+            for _ in range(len(points) + 2):
+                yield iter(())
+            raise RanPast  # the degree loop went on past degree n + 1
+
+        monkeypatch.setattr(harmonics, "binomial_product_rows", no_rows)
+        with pytest.raises(CertificateError, match="3 points not spanned by degree 2"):
+            Harmonics(((0,), (1,), (2,)))
+
 
 class TestSaturationVerdict:
     def test_house(self, house_arrangement):
@@ -369,11 +390,49 @@ class TestDividedPower:
 
     def test_law_check_fails_on_plain_powers(self, house_arrangement, monkeypatch):
         # with C(n, k) replaced by n**k the "divided power" is e^m itself, and
-        # (m! - 1) e^m is not in the lower piece: the check reports, not raises
-        ctx = Analysis(house_arrangement)
-        assert check_passes("divided_power_law", ctx) is True
+        # e^2 is not in the degree-1 piece: the law's test raises
+        ctx = compute_filtration(house_arrangement)
+        e = ctx.coordinate_class(0)
+        for m in range(2, ctx.top_degree + 1):
+            divided_power(ctx, e, m)
         monkeypatch.setattr(harmonics, "binom_int", lambda n, k: n**k)
-        assert check_passes("divided_power_law", ctx) is False
+        with pytest.raises(NotIntegralError, match="not in the degree-1 piece"):
+            divided_power(ctx, e, 2)
+
+
+class TestDividedPowerLaw:
+    """m! * e^[m] = e^m modulo the saturated degree-(m - 1) piece, for e the
+    first coordinate class, holds on every set of distinct points.
+
+    Proof.  C(x_0, m) is the binomial product of exponent (m, 0, ..., 0), so
+    its values are one of the rows inserted at degree m, and e^[m] lies in
+    the degree-m lattice.  x_0^m - m! C(x_0, m) = x_0^m - x_0 (x_0 - 1) ...
+    (x_0 - m + 1) has integer coefficients and degree m - 1, so it is an
+    integer combination of the C(x_0, k) with k < m (x^k is the sum over j
+    of S(k, j) j! C(x, j)), and its values lie in the degree-(m - 1) lattice,
+    inside its saturation.  Neither step reads the points, so the law is an
+    invariant of ``Harmonics`` and ``binom_int``, not an identity of an
+    arrangement, and no check of ``CHECKS`` tests it.
+    """
+
+    def test_holds_on_points_of_no_arrangement(self):
+        # an arrangement's interior points give saturated lattices (the
+        # saturation check); most of these sets do not, and the law holds on
+        # every one of them
+        rng = random.Random(1)
+        unsaturated = 0
+        for _ in range(300):
+            r = rng.randint(1, 3)
+            n = rng.randint(2, 8)
+            points = set()
+            while len(points) < n:
+                points.add(tuple(rng.randint(-4, 4) for _ in range(r)))
+            h = Harmonics(tuple(sorted(points)))
+            e = h.coordinate_class(0)
+            for m in range(2, h.top_degree + 1):
+                assert divided_power(h, e, m).values == tuple(binom_int(v, m) for v in e.values)
+            unsaturated += not verify_saturation(h)
+        assert unsaturated > 150
 
 
 class TestDeletionContraction:
@@ -450,7 +509,9 @@ class TestWheel7:
 
     def test_divided_power_checks_without_smith(self, wheel7, monkeypatch):
         calls = count_calls(monkeypatch, ("saturate",))
-        assert check_passes("divided_power_law", wheel7) is True
+        h = wheel7.harmonics
+        e = h.coordinate_class(0)
+        assert [divided_power(h, e, m).degree for m in range(2, h.top_degree + 1)] == [2, 3, 4, 5, 6]
         assert calls == []
 
 

@@ -24,7 +24,6 @@ EXPECTED_CHECKS = {
     "cocircuits_match_cycles",
     "generators_vanish",
     "power_ideal_dims",
-    "divided_power_law",
     "deletion_contraction",
 }
 
