@@ -130,9 +130,9 @@ def contract_column(va: VectorArrangement, idx: int, quotient) -> VectorArrangem
     return _spanning(va.lattice_rank - 1, ground, Mat(len(quotient), va.size - 1, out))
 
 
-def check_cocircuit_scan_size(va: VectorArrangement) -> None:
-    """Raise SizeExceededError if ``va`` is past the cocircuit scan's cap."""
-    if va.size > COCIRCUIT_SCAN_MAX_GROUND:
+def check_cocircuit_scan_size(columns: int) -> None:
+    """Raise SizeExceededError if ``columns`` is past the cocircuit scan's cap."""
+    if columns > COCIRCUIT_SCAN_MAX_GROUND:
         raise SizeExceededError(f"cocircuit scan limited to {COCIRCUIT_SCAN_MAX_GROUND} columns")
 
 

@@ -31,15 +31,16 @@ def _meaningful_lines(text: str):
 
 
 def parse_graph(text: str) -> DirectedGraph:
-    vertices: list = []
-    arrows: list = []
+    # dicts keep the order given and find a duplicate in one lookup
+    vertices: dict = {}  # label -> None
+    arrows: dict = {}  # id -> Arrow
     for lineno, at, parts in _meaningful_lines(text):
         if parts[0] == "vertex":
             if len(parts) != 2:
                 raise ParseError(lineno, at[0], "expected: vertex <label>")
             if parts[1] in vertices:
                 raise ParseError(lineno, at[1], f"duplicate vertex {parts[1]!r}")
-            vertices.append(parts[1])
+            vertices[parts[1]] = None
         elif parts[0] == "arrow":
             if len(parts) != 4:
                 raise ParseError(lineno, at[0], "expected: arrow <id> <tail> <head>")
@@ -47,16 +48,16 @@ def parse_graph(text: str) -> DirectedGraph:
                 ident = int(parts[1])
             except ValueError:
                 raise ParseError(lineno, at[1], f"arrow id {parts[1]!r} is not an integer")
-            if any(a.ident == ident for a in arrows):
+            if ident in arrows:
                 raise ParseError(lineno, at[1], f"duplicate arrow id {ident}")
             tail, head = parts[2], parts[3]
             for k in (2, 3):
                 if parts[k] not in vertices:
                     raise ParseError(lineno, at[k], f"unknown vertex {parts[k]!r}")
-            arrows.append(Arrow(ident=ident, tail=tail, head=head))
+            arrows[ident] = Arrow(ident=ident, tail=tail, head=head)
         else:
             raise ParseError(lineno, at[0], f"unknown directive {parts[0]!r}")
-    return DirectedGraph(vertices=tuple(vertices), arrows=tuple(arrows))
+    return DirectedGraph(vertices=tuple(vertices), arrows=tuple(arrows.values()))
 
 
 def serialize_graph(g: DirectedGraph) -> str:

@@ -243,7 +243,7 @@ def tutte_of_arrangement(va: VectorArrangement, cocircuits=None) -> BivariatePol
     the same matroid as over Q.
     """
     if cocircuits is None:
-        check_cocircuit_scan_size(va)
+        check_cocircuit_scan_size(va.size)
         enumerate_cocircuits(va)
     parity = [sum((x & 1) << i for i, x in enumerate(c)) for c in va.columns.data]
     return _binary_tutte(parity)

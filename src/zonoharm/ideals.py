@@ -214,7 +214,7 @@ def redundant_generators(va: VectorArrangement) -> tuple:
     implications.  Raises SizeExceededError before any other work when the
     cocircuit scan is past its cap.
     """
-    check_cocircuit_scan_size(va)
+    check_cocircuit_scan_size(va.size)
     cocircuits = enumerate_cocircuits(va)
     bound = len(iz_hilbert_series(va, tutte_of_arrangement(va, cocircuits)))
     powers = _powers(cocircuits)

@@ -35,7 +35,7 @@ def build_report(
     when the cocircuits reject ``va``; a report therefore always certifies
     that every basis has determinant +-1.
     """
-    check_cocircuit_scan_size(va)
+    check_cocircuit_scan_size(va.size)
     ctx = Analysis(va, graph)
     h = ctx.harmonics
     results = [(c, c.run(ctx)) for c in CHECKS if c.key]
@@ -115,8 +115,10 @@ def _check_json(value):
 
 
 def build_graph_report(source_text: str, graph: DirectedGraph) -> dict:
-    va = cographical_arrangement(graph)
-    return build_report(source_text, va, graph)
+    """``build_report`` on the graph's arrangement, which has a column per
+    arrow: past the cap, SizeExceededError comes before it is built."""
+    check_cocircuit_scan_size(len(graph.arrows))
+    return build_report(source_text, cographical_arrangement(graph), graph)
 
 
 def _write_json(value, indent: str, out: list) -> None:

@@ -1,7 +1,7 @@
 """Brute-force reference computations that tests compare the library against."""
 
 import json
-from itertools import combinations, islice
+from itertools import combinations, count
 from math import factorial, prod
 from operator import mul
 
@@ -14,11 +14,16 @@ from zonoharm.arrangement import (
     enumerate_cocircuits,
 )
 from zonoharm.errors import NotTotallyUnimodularError, ZonoharmError
-from zonoharm.funcspace import binom_int, binomial_product_rows
 from zonoharm.graphs import BivariatePolynomial, _binary_tutte, spanning_forest, tutte_of_arrangement
 from zonoharm.harmonics import iz_hilbert_series
 from zonoharm.linalg import IntRowLattice, Mat, det, integer_kernel, saturate, xgcd
 from zonoharm.report import JSON_INT_LIMIT
+
+
+def binomial(n: int, k: int) -> int:
+    """C(n, k) for any integer n and k >= 0: the falling factorial
+    n (n - 1) ... (n - k + 1) over k!."""
+    return prod(range(n, n - k, -1)) // factorial(k)
 
 
 def identity(n):
@@ -266,9 +271,9 @@ def bareiss_tutte(va):
             rk = bareiss_rank(Mat.from_cols([cols[j] for j in sel], rows=r)) if sel else 0
             p, q = r - rk, size - rk
             for i in range(p + 1):
-                ci = binom_int(p, i) * (-1) ** (p - i)
+                ci = binomial(p, i) * (-1) ** (p - i)
                 for j in range(q + 1):
-                    c = ci * binom_int(q, j) * (-1) ** (q - j)
+                    c = ci * binomial(q, j) * (-1) ** (q - j)
                     acc[(i, j)] = acc.get((i, j), 0) + c
     return BivariatePolynomial.from_dict(acc)
 
@@ -340,21 +345,9 @@ def exponents_by_compositions(r: int, d: int) -> tuple:
     return tuple(out)
 
 
-def parent_steps_by_position(r: int, d: int) -> tuple:
-    """(k, j, e_j) for each exponent e of degree d > 0, in the order of
-    ``exponents_by_compositions``: j is e's last nonzero coordinate and k the
-    position of e - u_j among the exponents of degree d - 1, looked up."""
-    position = {e: k for k, e in enumerate(exponents_by_compositions(r, d - 1))}
-    steps = []
-    for e in exponents_by_compositions(r, d):
-        j = max(c for c in range(r) if e[c])
-        steps.append((position[e[:j] + (e[j] - 1,) + e[j + 1 :]], j, e[j]))
-    return tuple(steps)
-
-
 def binomial_product_value(exps, point):
     """Value of prod_j C(x_j, i_j) at ``point``, one binomial coefficient at a time."""
-    return prod(binom_int(x, i) for x, i in zip(point, exps))
+    return prod(binomial(x, i) for x, i in zip(point, exps))
 
 
 def monomial_value(exps, point):
@@ -362,14 +355,15 @@ def monomial_value(exps, point):
     return prod(x**i for x, i in zip(point, exps))
 
 
+def pointwise_block(r, d, points, value=binomial_product_value):
+    """Rows of ``value`` at each point, one per exponent of total degree
+    exactly d in r variables, in the order of ``exponents_by_compositions``."""
+    return [tuple(value(e, p) for p in points) for e in exponents_by_compositions(r, d)]
+
+
 def pointwise_rows(r, degree, points, value=binomial_product_value):
-    """Rows of ``value`` at each point, one per exponent of total degree <=
-    ``degree`` in r variables, in the order of ``exponents_by_compositions``."""
-    return [
-        [value(e, p) for p in points]
-        for d in range(degree + 1)
-        for e in exponents_by_compositions(r, d)
-    ]
+    """``pointwise_block`` of every degree from 0 to ``degree``, in turn."""
+    return [row for d in range(degree + 1) for row in pointwise_block(r, d, points, value)]
 
 
 def row_hnf(rows, ncols: int, transform: bool = False):
@@ -482,15 +476,15 @@ class XgcdRowLattice(IntRowLattice):
 def eager_filtration(points, r: int, max_degree=None) -> list:
     """(canonical rows, saturated rows, saturation index) per degree, as the
     filtration is built when every degree is reduced to canonical rows at
-    once: the reference insert, then ``canonical_rows``, certified by unit
-    pivots or else saturated."""
+    once: the reference insert of each ``pointwise_block`` row, then
+    ``canonical_rows``, certified by unit pivots or else saturated."""
     n = len(points)
     if n == 0:
         return []
     lattice = XgcdRowLattice(n)
     out = []
-    for degree, block in enumerate(binomial_product_rows(points, r)):
-        for row in block:
+    for degree in count():
+        for row in pointwise_block(r, degree, points):
             lattice.add(row)
         canon = canonical_rows(lattice)
         if all(row[c] == 1 for row, c in zip(canon, lattice.pivot_cols)):
@@ -551,8 +545,7 @@ def eval_rows_up_to(h, degree):
     """Evaluation rows on h's points of every binomial product of degree <= ``degree``."""
     if h.point_count == 0 or degree < 0:
         return []
-    blocks = binomial_product_rows(h.points, len(h.points[0]))
-    return [row for block in islice(blocks, min(degree, h.top_degree) + 1) for row in block]
+    return pointwise_rows(len(h.points[0]), min(degree, h.top_degree), h.points)
 
 
 def exactness_on_eval_rows(ctx, ctx_del, ctx_con, element, bars):

@@ -17,6 +17,8 @@ from zonoharm import cli
 from zonoharm.arrangement import enumerate_cocircuits
 from zonoharm.cli import main
 from zonoharm.formats import serialize_graph
+from zonoharm.graphs import cographical_arrangement
+from zonoharm.linalg import rank
 from zonoharm.report import to_json_bytes
 
 
@@ -74,6 +76,23 @@ class TestAnalyzeGraph:
 
     def test_missing_file(self):
         assert main(["analyze-graph", "/nonexistent/file.graph"]) == 2
+
+    def test_size_cap_exits_before_the_arrangement(self, tmp_path, capsys):
+        # 21 arrows on 7 vertices, one past the cap: the arrow count decides,
+        # before the arrangement and its constructor's rank are built
+        pairs = [(i, j) for i in range(7) for j in range(i + 1, 7)]
+        f = tmp_path / "k7.graph"
+        f.write_text(
+            "".join(f"vertex {v}\n" for v in range(7))
+            + "".join(f"arrow {k} {i} {j}\n" for k, (i, j) in enumerate(pairs, start=1))
+        )
+        prof = cProfile.Profile()
+        assert prof.runcall(main, ["analyze-graph", str(f)]) == 3
+        assert capsys.readouterr().err == "size error: cocircuit scan limited to 20 columns\n"
+        called = {(path, line) for path, line, _ in pstats.Stats(prof).stats}
+        for fn in (cographical_arrangement, rank):
+            code = fn.__code__
+            assert (code.co_filename, code.co_firstlineno) not in called
 
 
 class TestAnalyzeArrangement:

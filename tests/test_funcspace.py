@@ -8,23 +8,22 @@ from oracles import (
     binomial_product_value,
     exponents_by_compositions,
     monomial_value,
-    parent_steps_by_position,
+    pointwise_block,
     pointwise_rows,
     solve_row_lattice,
 )
-from zonoharm import funcspace
-from zonoharm.funcspace import binom_int, binomial_product_rows, exponents_of_degree
+from zonoharm.funcspace import binom_int, binomial_product_rows
 from zonoharm.linalg import rank
 
 HOUSE_POINTS = tuple((a, b) for a in (1, 2, 3) for b in (1, 2))
 
 
 def exponents_up_to(r, d):
-    return list(chain.from_iterable(exponents_of_degree(r, k) for k in range(d + 1)))
+    return list(chain.from_iterable(exponents_by_compositions(r, k) for k in range(d + 1)))
 
 
 def rows_up_to(points, r, d):
-    """Evaluation rows of every binomial product of degree <= d, from the tables."""
+    """Evaluation rows of every binomial product of degree <= d, from the library."""
     return list(chain.from_iterable(islice(binomial_product_rows(points, r), d + 1)))
 
 
@@ -70,15 +69,6 @@ class TestBases:
         assert exps == sorted(exps, key=lambda e: (sum(e), tuple(-x for x in e)))
         assert set(exps) == {e for e in product(range(4), repeat=3) if sum(e) <= 3}
         assert len(exps) == len(set(exps))
-
-    def test_recursion_matches_compositions(self):
-        # the recursive exponent tables, and the parent steps listed child by
-        # child, equal the composition-and-sort reference
-        for r in range(8):
-            for d in range(9):
-                assert exponents_of_degree(r, d) == exponents_by_compositions(r, d)
-                if d:
-                    assert funcspace._parent_steps(r, d) == parent_steps_by_position(r, d)
 
 
 class TestEvaluate:
@@ -159,11 +149,6 @@ POINT_SETS = st.integers(0, 3).flatmap(
         lambda pts: (r, pts)
     )
 )
-
-
-def pointwise_block(r, degree, pts):
-    """The rows of one degree, each evaluated point by point."""
-    return [tuple(row) for row in pointwise_rows(r, degree, pts)[len(exponents_up_to(r, degree - 1)) :]]
 
 
 class TestTabledRows:

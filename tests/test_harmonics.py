@@ -1,6 +1,6 @@
 import random
 from collections import Counter
-from itertools import islice
+from itertools import count, islice
 
 import pytest
 from hypothesis import given, settings
@@ -228,18 +228,29 @@ class TestStopAtZn:
         # echelon form
         assert counts == [1487]
 
+    @pytest.mark.parametrize("spokes, inserts", [(6, 316), (7, 1178)])
+    def test_insert_counts_on_larger_wheels(self, monkeypatch, spokes, inserts):
+        # the Z^n stop ends the top degree mid-way, so the count pins the
+        # order of the rows
+        pts = Analysis(cographical_arrangement(wheel_graph(spokes))).points
+        counts = self.count_adds(monkeypatch)
+        Harmonics(pts)
+        assert counts == [inserts]
+
     def test_rows_built_on_wheel5(self, monkeypatch):
-        # each row is built from one step of its degree's table as it is
-        # read, so degree 4 builds the 30 rows that reach Z^30, not all 70
+        # each row is built from one row of the degree below as it is read,
+        # so degree 4 builds the 30 rows that reach Z^30, not all 70
         built = Counter()
-        parent_steps = funcspace._parent_steps
+        degrees = count(1)  # each degree's rows start after the degree below's
+        rows_of_degree = funcspace._rows_of_degree
 
-        def counted(r, d):
-            for step in parent_steps(r, d):
-                built[d] += 1
-                yield step
+        def counted(*args):
+            degree = next(degrees)
+            for row in rows_of_degree(*args):
+                built[degree] += 1
+                yield row
 
-        monkeypatch.setattr(funcspace, "_parent_steps", counted)
+        monkeypatch.setattr(funcspace, "_rows_of_degree", counted)
         va = cographical_arrangement(wheel_graph(5))
         h = Harmonics(Analysis(va).points)
         assert h.top_degree == 4
