@@ -20,6 +20,7 @@ from .graphs import (
     DirectedGraph,
     cographical_arrangement,
     enumerate_oriented_cycles,
+    iz_hilbert_series,
     theta_subgraphs,
     tutte_of_arrangement,
 )
@@ -27,7 +28,6 @@ from .harmonics import (
     GradedClass,
     Harmonics,
     divided_power,
-    iz_hilbert_series,
     verify_saturation,
 )
 from .ideals import (

@@ -56,10 +56,11 @@ from .errors import LoopOrColoopError
 from .graphs import (
     DirectedGraph,
     enumerate_oriented_cycles,
+    iz_hilbert_series,
     spanning_forest,
     tutte_of_arrangement,
 )
-from .harmonics import Harmonics, iz_hilbert_series, verify_saturation
+from .harmonics import Harmonics, verify_saturation
 from .ideals import k_minus_generators, quotient_dims, verify_vanishing
 from .linalg import IntRowLattice, in_row_lattice, integer_kernel
 
@@ -361,22 +362,18 @@ def _exactness_ranks(h: Harmonics, h_del: Harmonics, h_con: Harmonics, shift_idx
     return True
 
 
-def _trim(seq) -> list:
+def _trim(seq) -> tuple:
     out = list(seq)
     while out and out[-1] == 0:
         out.pop()
-    return out
-
-
-def _gr(ctx: Analysis) -> list:
-    return _trim(ctx.harmonics.gr_dims)
+    return tuple(out)
 
 
 def _tutte_identity(ctx: Analysis) -> bool:
     """grDims (the points) against the iz series (the Tutte polynomial): the
     orbit-harmonics ring has the internal zonotopal Hilbert series, which for
     a graph is its SU(2) series once ``tutte_duality`` holds."""
-    return _gr(ctx) == _trim(ctx.iz) and (ctx.graph is None or ctx.tutte_duality)
+    return ctx.harmonics.gr_dims == ctx.iz and (ctx.graph is None or ctx.tutte_duality)
 
 
 def _point_count_identity(ctx: Analysis) -> bool:
@@ -420,7 +417,7 @@ def _generators_vanish(ctx: Analysis) -> bool:
 def _power_ideal_dims(ctx: Analysis) -> bool:
     """The power-ideal quotient's dimensions (the cocircuits) against grDims
     (the points): the internal zonotopal algebra is the orbit-harmonics ring."""
-    return _trim(ctx.power_dims) == _gr(ctx)
+    return _trim(ctx.power_dims) == ctx.harmonics.gr_dims
 
 
 def _deletion_contraction(ctx: Analysis) -> tuple:

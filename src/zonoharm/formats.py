@@ -70,8 +70,7 @@ def parse_arrangement(text: str) -> VectorArrangement:
     """Parse an arrangement file.  An error in a token points at its start;
     a missing rank line or columns that do not span point at column 1."""
     rank_value = None
-    labels: list = []
-    cols: list = []
+    cols: dict = {}  # label -> column, in the order given
     last_line = 0
     for lineno, at, parts in _meaningful_lines(text):
         last_line = lineno
@@ -92,7 +91,7 @@ def parse_arrangement(text: str) -> VectorArrangement:
             if len(parts) != 2 + rank_value:
                 raise ParseError(lineno, at[0], f"expected: col <label> <{rank_value} integers>")
             label = parts[1]
-            if label in labels:
+            if label in cols:
                 raise ParseError(lineno, at[1], f"duplicate column label {label!r}")
             vec = []
             for col, x in zip(at[2:], parts[2:]):
@@ -100,8 +99,7 @@ def parse_arrangement(text: str) -> VectorArrangement:
                     vec.append(int(x))
                 except ValueError:
                     raise ParseError(lineno, col, "column entries must be integers")
-            labels.append(label)
-            cols.append(tuple(vec))
+            cols[label] = tuple(vec)
         else:
             raise ParseError(lineno, at[0], f"unknown directive {parts[0]!r}")
     if rank_value is None:
@@ -109,8 +107,8 @@ def parse_arrangement(text: str) -> VectorArrangement:
     try:
         return VectorArrangement(
             lattice_rank=rank_value,
-            ground=tuple(labels),
-            columns=Mat.from_cols(cols, rows=rank_value),
+            ground=tuple(cols),
+            columns=Mat.from_cols(cols.values(), rows=rank_value),
         )
     except ValueError as exc:
         raise ParseError(last_line, 1, str(exc))

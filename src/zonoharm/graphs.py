@@ -15,11 +15,13 @@ always use the arrangement-level meaning of loop/coloop.
 
 The Tutte polynomial comes from one deletion-contraction on the columns
 mod 2, which have the matroid of the columns over Q once the cocircuits
-certify that every basis has determinant +-1.  Each minor is computed once,
-under a key read off its labelled matroid, so bridges, self-loops and long
-cycles stay cheap.  A graph's polynomial is its cographical arrangement's
-with x and y swapped, once ``Analysis.tutte_duality`` certifies the
-coordinatisation.
+certify that every basis has determinant +-1, so its caller passes them
+as the certificate.  Each minor is computed once, under a key read off its
+labelled matroid, so bridges, self-loops and long cycles stay cheap.  The
+internal zonotopal Hilbert series, t^(|A|-r) T(0, 1/t), is read off the
+polynomial's x^0 terms.  A graph's polynomial is its cographical
+arrangement's with x and y swapped, once ``Analysis.tutte_duality``
+certifies the coordinatisation.
 
 ``Arrow``, ``OrientedCycle`` and ``BivariatePolynomial`` are named tuples.
 ``DirectedGraph`` validates its vertices and arrows and sorts the arrows on
@@ -32,7 +34,7 @@ from __future__ import annotations
 from itertools import combinations
 from typing import NamedTuple
 
-from .arrangement import VectorArrangement, check_cocircuit_scan_size, enumerate_cocircuits
+from .arrangement import VectorArrangement
 from .linalg import Mat, Record
 
 
@@ -227,24 +229,27 @@ class BivariatePolynomial(NamedTuple):
     def swap(self) -> "BivariatePolynomial":
         return BivariatePolynomial(tuple(sorted((j, i, c) for i, j, c in self.terms)))
 
-    def y_slice(self, i: int) -> dict:
-        """Coefficients {j: c} of x^i."""
-        return {j: c for ii, j, c in self.terms if ii == i}
+
+def iz_hilbert_series(va: VectorArrangement, tutte: BivariatePolynomial) -> tuple:
+    """Coefficients of t^(|A|-r) * T(0, 1/t) from ``tutte``, the Tutte
+    polynomial of ``va``: the x^0 y^j term gives t^(|A|-r-j)."""
+    nullity = va.size - va.lattice_rank
+    ys = {j: c for i, j, c in tutte.terms if i == 0}
+    coeffs = [ys.get(nullity - m, 0) for m in range(nullity + 1)]
+    while coeffs and coeffs[-1] == 0:
+        coeffs.pop()
+    return tuple(coeffs)
 
 
-def tutte_of_arrangement(va: VectorArrangement, cocircuits=None) -> BivariatePolynomial:
+def tutte_of_arrangement(va: VectorArrangement, cocircuits) -> BivariatePolynomial:
     """Tutte polynomial of the column matroid, by deletion-contraction on the columns mod 2.
 
-    The cocircuits certify that every basis of columns has determinant +-1;
-    unless they are passed, the cocircuit scan's size cap is checked and
-    ``enumerate_cocircuits`` runs here, raising NotTotallyUnimodularError on
-    any other input.  The columns span Q^r, so an independent subset extends
-    to such a basis, which stays independent mod 2: the columns mod 2 have
-    the same matroid as over Q.
+    ``cocircuits``, the arrangement's as ``enumerate_cocircuits`` gives
+    them, are its certificate that every basis of columns has determinant
+    +-1; they are not read.  The columns span Q^r, so an independent subset
+    extends to such a basis, which stays independent mod 2: the columns mod 2
+    have the same matroid as over Q.
     """
-    if cocircuits is None:
-        check_cocircuit_scan_size(va.size)
-        enumerate_cocircuits(va)
     parity = [sum((x & 1) << i for i, x in enumerate(c)) for c in va.columns.data]
     return _binary_tutte(parity)
 

@@ -7,7 +7,9 @@ integer-valued polynomials).  This module computes both, compares the
 integral lattice with its saturation degree by degree, and gives the
 associated graded pieces their divided-power operations.  An arrangement
 has one filtration, always built up to the degree whose piece is every
-function on the points; its analysis context builds it once.
+function on the points; its analysis context builds it once.  The module
+reads only points: the series that the graded dimensions are compared
+with is read off the Tutte polynomial in ``graphs``.
 
 Each degree's lattice L in Z^n is kept as a snapshot of the echelon it had
 once that degree's rows were in: its rows and pivot columns.  The pivots of
@@ -157,17 +159,6 @@ class Harmonics:
 def verify_saturation(h: Harmonics) -> bool:
     """True iff every degree's integral lattice equals its saturation."""
     return all(ix == 1 for ix in h.saturation_indices)
-
-
-def iz_hilbert_series(va, tutte) -> tuple:
-    """Coefficients of t^(|A|-r) * T(0, 1/t) from ``tutte``, the Tutte
-    polynomial of ``va``, a ``VectorArrangement``."""
-    nullity = va.size - va.lattice_rank
-    ys = tutte.y_slice(0)  # {j: coeff of x^0 y^j}
-    coeffs = [ys.get(nullity - m, 0) for m in range(nullity + 1)]
-    while coeffs and coeffs[-1] == 0:
-        coeffs.pop()
-    return tuple(coeffs)
 
 
 def divided_power(ctx: Harmonics, cls: GradedClass, m: int) -> GradedClass:

@@ -30,8 +30,7 @@ from .arrangement import (
     enumerate_cocircuits,
 )
 from .funcspace import binom_int
-from .graphs import tutte_of_arrangement
-from .harmonics import iz_hilbert_series
+from .graphs import iz_hilbert_series, tutte_of_arrangement
 
 
 class IdealGenerator(NamedTuple):

@@ -14,8 +14,13 @@ from zonoharm.arrangement import (
     enumerate_cocircuits,
 )
 from zonoharm.errors import NotTotallyUnimodularError, ZonoharmError
-from zonoharm.graphs import BivariatePolynomial, _binary_tutte, spanning_forest, tutte_of_arrangement
-from zonoharm.harmonics import iz_hilbert_series
+from zonoharm.graphs import (
+    BivariatePolynomial,
+    _binary_tutte,
+    iz_hilbert_series,
+    spanning_forest,
+    tutte_of_arrangement,
+)
 from zonoharm.linalg import IntRowLattice, Mat, det, integer_kernel, saturate, xgcd
 from zonoharm.report import JSON_INT_LIMIT
 

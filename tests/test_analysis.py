@@ -382,6 +382,18 @@ class TestColoopParent:
                 ctx.deletion_contraction(a)
 
 
+def test_trailing_zero_graded_piece_fails_the_series_checks(monkeypatch, house_arrangement):
+    # a degree is stored only while the rank is below n, so the last graded
+    # piece is nonzero and grDims is compared untrimmed: a trailing 0 is a
+    # fault of the filtration, not a form of the series
+    gr_dims = Harmonics.gr_dims.fget
+    monkeypatch.setattr(Harmonics, "gr_dims", property(lambda h: (*gr_dims(h), 0)))
+    report = build_report("", house_arrangement)
+    assert report["grDims"][-1] == 0
+    failed = [key for key, v in report["checks"].items() if v is False]
+    assert failed == ["tutteIdentity", "powerIdealDims"]
+
+
 class TestTutteDuality:
     """The certificate that T_G is T_A with x and y swapped, on W5."""
 

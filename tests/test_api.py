@@ -70,13 +70,11 @@ def test_deferred_exports_resolve():
 
 def test_only_analysis_computes_a_missing_input():
     # ``Analysis`` wires an arrangement's inputs together; the other exported
-    # callables take theirs and never compute a missing one.  The exceptions:
-    # ``tutte_of_arrangement`` enumerates cocircuits only to reject an input
-    # it is given none for, and a context may be given a graph and cocircuits
+    # callables take theirs and never compute a missing one.  Only a context
+    # has optional inputs: no graph, or cocircuits that it enumerates itself
     import zonoharm
 
     allowed = {
-        ("tutte_of_arrangement", "cocircuits"),
         ("Analysis", "graph"),
         ("Analysis", "cocircuits"),
     }

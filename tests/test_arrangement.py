@@ -524,7 +524,7 @@ class TestProperties:
     def test_point_count_is_tutte_at_0_1(self, g):
         va = cographical_arrangement(g)
         pts = Analysis(va).points
-        assert len(pts) == tutte_of_arrangement(va).eval_at(0, 1)
+        assert len(pts) == tutte_of_arrangement(va, enumerate_cocircuits(va)).eval_at(0, 1)
 
     @given(connected_multigraphs(max_edges=6))
     @settings(max_examples=30)

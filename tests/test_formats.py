@@ -1,3 +1,5 @@
+import time
+
 import pytest
 from hypothesis import given, settings
 
@@ -69,16 +71,34 @@ class TestArrangementFormat:
     @pytest.mark.parametrize(
         "text, where",
         [
-            ("rank 2\ncol a 1  z\n", (2, 10)),
-            ("rank  -1\n", (1, 7)),
-            ("rank 1\ncol a 1\ncol  a 1\n", (3, 6)),
-            ("rank 1\n rank 1\n", (2, 2)),
+            # where: (line, column, message)
+            ("rank 2\ncol a 1  z\n", (2, 10, "column entries must be integers")),
+            ("rank  -1\n", (1, 7, "rank must be non-negative")),
+            ("rank 1\ncol a 1\ncol  a 1\n", (3, 6, "duplicate column label 'a'")),
+            ("rank 1\n rank 1\n", (2, 2, "duplicate rank line")),
+            # the duplicate of the first of several labels, after a comment
+            ("rank 1\ncol b 1\ncol a 1\n# c\ncol   b 2\n", (5, 7, "duplicate column label 'b'")),
         ],
     )
     def test_error_column_is_the_token_start(self, text, where):
         with pytest.raises(ParseError) as err:
             parse_arrangement(text)
-        assert (err.value.line, err.value.column) == where
+        assert (err.value.line, err.value.column, err.value.message) == where
+
+    def test_labels_are_checked_in_linear_time(self):
+        # one lookup per label: ten times the columns take about ten times
+        # as long, where a scan of the labels seen so far took about 70
+        def best_of_three(n: int) -> float:
+            text = "rank 1\n" + "".join(f"col c{i} 1\n" for i in range(n))
+            times = []
+            for _ in range(3):
+                start = time.perf_counter()
+                va = parse_arrangement(text)
+                times.append(time.perf_counter() - start)
+            assert va.ground[-1] == f"c{n - 1}" and va.size == n
+            return min(times)
+
+        assert best_of_three(20000) < 30 * best_of_three(2000)
 
     def test_missing_rank(self):
         with pytest.raises(ParseError):

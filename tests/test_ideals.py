@@ -14,9 +14,9 @@ from zonoharm.arrangement import VectorArrangement, enumerate_cocircuits
 from zonoharm.errors import NotTotallyUnimodularError, SizeExceededError
 from zonoharm.funcspace import binom_int
 from zonoharm.formats import parse_arrangement, parse_graph
-from zonoharm.graphs import cographical_arrangement, tutte_of_arrangement
+from zonoharm.graphs import cographical_arrangement, iz_hilbert_series, tutte_of_arrangement
 from zonoharm.analysis import compute_filtration
-from zonoharm.harmonics import Harmonics, iz_hilbert_series
+from zonoharm.harmonics import Harmonics
 from zonoharm.ideals import k_minus_generators, redundant_generators, verify_vanishing
 from zonoharm.linalg import Mat
 from zonoharm.verification import random_connected_multigraph
