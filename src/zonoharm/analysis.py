@@ -16,7 +16,9 @@ key; the random suite evaluates all of them.  Other modules take these
 quantities as arguments and compute none that is missing: a context is the
 only place that wires them together.
 The deletion/contraction check runs in full, exactness ranks included, on
-every element that is neither a loop nor a coloop.  It builds one context
+every element that is neither a loop nor a coloop.  The dimension identity
+is the middle of its exact sequence, so ``exactness`` reads ``dims`` and
+the ranks test only the two ends and the composite.  It builds one context
 per minor and reuses the parent's points and filtration.  A parent with a
 coloop builds no minors: the coloop is a one-element cocircuit of both, so
 neither has interior points, and its report is read off the empty sets.
@@ -65,35 +67,15 @@ from .ideals import k_minus_generators, quotient_dims, verify_vanishing
 from .linalg import IntRowLattice, in_row_lattice, integer_kernel
 
 
-class DegreeCheck(NamedTuple):
-    degree: int
-    dim_total: int
-    dim_contraction: int
-    dim_deletion_prev: int
-
-    @property
-    def ok(self) -> bool:
-        return self.dim_total == self.dim_contraction + self.dim_deletion_prev
-
-
 class DeletionContractionReport(NamedTuple):
     element: str
     bijection_ok: bool
-    degree_checks: tuple
+    dims_ok: bool
     exactness_ok: bool
-
-    @property
-    def dims_ok(self) -> bool:
-        return all(c.ok for c in self.degree_checks)
 
     @property
     def ok(self) -> bool:
         return self.bijection_ok and self.dims_ok and self.exactness_ok
-
-
-# The degree checks of three empty point sets: every top degree is 0, and the
-# checks run through degree max(0, 0, 0 + 1) + 1.
-_EMPTY_MINOR_CHECKS = tuple(DegreeCheck(i, 0, 0, 0) for i in range(3))
 
 
 class Analysis:
@@ -238,6 +220,12 @@ class Analysis:
         onto the contraction's points; per degree, dimensions satisfy
         dim_i = dim_i(contraction) + dim_{i-1}(deletion); and the pullback and
         difference maps form a short exact sequence on the filtered pieces.
+        ``_exactness_ranks`` shows the pullback injective, the difference
+        onto and their composite zero; the middle then follows from the
+        dimension identity, so exactness includes ``dims`` and runs only
+        where it holds.  ``top`` is at least every top degree and ``top - 1``
+        at least the deletion's, so at ``top + 1`` each piece equals its
+        piece at ``top``, and the degrees up to ``top`` decide both.
         The minors' cocircuits are derived from this context's; their points
         are computed from them, never mapped, so the bijection test is not
         vacuous.  The two minor contexts are dropped when the element is done.
@@ -250,12 +238,7 @@ class Analysis:
         """
         self._require_usable(element)
         if self.loops_and_coloops[1]:
-            return DeletionContractionReport(
-                element=element,
-                bijection_ok=True,
-                degree_checks=_EMPTY_MINOR_CHECKS,
-                exactness_ok=True,
-            )
+            return DeletionContractionReport(element, True, True, True)
         ctx_del, ctx_con, bars = self.minors(element)
         del_idx, shifted_idx, bar_idx = _positions(self, ctx_del, ctx_con, element, bars)
         # the bars of the points outside the deletion hit each of the
@@ -269,27 +252,17 @@ class Analysis:
 
         h, h_del, h_con = self.harmonics, ctx_del.harmonics, ctx_con.harmonics
         top = max(h.top_degree, h_con.top_degree, h_del.top_degree + 1)
-        checks = tuple(
-            DegreeCheck(
-                degree=i,
-                dim_total=h.q_dim(i),
-                dim_contraction=h_con.q_dim(i),
-                dim_deletion_prev=h_del.q_dim(i - 1),
-            )
-            for i in range(top + 2)
-        )
+        dims_ok = all(h.q_dim(i) == h_con.q_dim(i) + h_del.q_dim(i - 1) for i in range(top + 1))
         # empty point sets make every space zero: vacuously exact; a point
         # with no position leaves a map undefined
-        exactness = h.point_count == 0 or (
-            None not in del_idx + shifted_idx + bar_idx
-            and _exactness_ranks(h, h_del, h_con, list(zip(del_idx, shifted_idx)), bar_idx)
+        exactness = dims_ok and (
+            h.point_count == 0
+            or (
+                None not in del_idx + shifted_idx + bar_idx
+                and _exactness_ranks(h, h_del, h_con, top, list(zip(del_idx, shifted_idx)), bar_idx)
+            )
         )
-        return DeletionContractionReport(
-            element=element,
-            bijection_ok=bijection_ok,
-            degree_checks=checks,
-            exactness_ok=exactness,
-        )
+        return DeletionContractionReport(element, bijection_ok, dims_ok, exactness)
 
 
 def compute_filtration(va: VectorArrangement) -> Harmonics:
@@ -307,8 +280,14 @@ def _positions(ctx: Analysis, ctx_del: Analysis, ctx_con: Analysis, element, bar
     return del_idx, shifted_idx, [ctx_con.point_index.get(zbar) for zbar in bars]
 
 
-def _exactness_ranks(h: Harmonics, h_del: Harmonics, h_con: Harmonics, shift_idx, bar_idx) -> bool:
-    """im(pullback) = ker(difference) and surjectivity, via evaluation vectors.
+def _exactness_ranks(
+    h: Harmonics, h_del: Harmonics, h_con: Harmonics, top: int, shift_idx, bar_idx
+) -> bool:
+    """Pullback injective, difference onto, composite zero, via evaluation vectors.
+
+    Through degree ``top``; the middle of the sequence, im(pullback) =
+    ker(difference), then follows from the dimension identity, which the
+    caller tests.
 
     ``h``, ``h_del`` and ``h_con`` filter the parent, deletion and contraction;
     the positions come from ``_positions``, the deletion's zipped to pairs
@@ -327,7 +306,7 @@ def _exactness_ranks(h: Harmonics, h_del: Harmonics, h_con: Harmonics, shift_idx
     m = len(shift_idx)
     pullback, difference = IntRowLattice(h.point_count), IntRowLattice(m)
     below, below_con = set(), set()  # pivot columns of the degree below
-    for i in range(max(h.top_degree, h_con.top_degree, h_del.top_degree + 1) + 1):
+    for i in range(top + 1):
         rows, pivots = h.echelon(i)
         rows_con, pivots_con = h_con.echelon(i)
         if not (below.issubset(pivots) and below_con.issubset(pivots_con)):
@@ -355,9 +334,6 @@ def _exactness_ranks(h: Harmonics, h_del: Harmonics, h_con: Harmonics, shift_idx
             for f in xi_rows:
                 if any(f[b] - f[a] for a, b in shift_idx):
                     return False
-        # exactness in the middle now follows from the rank identity
-        if h.q_dim(i) != h_con.q_dim(i) + h_del.q_dim(i - 1):
-            return False
         below, below_con = set(pivots), set(pivots_con)
     return True
 

@@ -25,10 +25,6 @@ class InstanceChecks(NamedTuple):
     graph_text: str
     checks: dict
 
-    @property
-    def ok(self) -> bool:
-        return all(self.checks.values())
-
     def failed(self) -> tuple:
         return tuple(name for name, ok in sorted(self.checks.items()) if not ok)
 
@@ -52,11 +48,10 @@ def random_connected_multigraph(rng: random.Random, max_edges: int) -> DirectedG
     return DirectedGraph(vertices=vertices, arrows=tuple(arrows))
 
 
-def run_instance_checks(g: DirectedGraph) -> InstanceChecks:
-    """Every check of ``CHECKS`` for one graph instance."""
+def run_instance_checks(g: DirectedGraph) -> dict:
+    """``{name: verdict}`` of every check of ``CHECKS`` for one graph instance."""
     ctx = Analysis(cographical_arrangement(g), g)
-    checks = {c.name: c.passed(c.run(ctx)) for c in CHECKS}
-    return InstanceChecks(index=0, graph_text=serialize_graph(g), checks=checks)
+    return {c.name: c.passed(c.run(ctx)) for c in CHECKS}
 
 
 class SuiteSummary(NamedTuple):
@@ -84,11 +79,11 @@ def run_suite(seed: int, count: int, max_edges: int) -> SuiteSummary:
     first_failure = None
     for i in range(count):
         g = random_connected_multigraph(rng, max_edges)
-        res = run_instance_checks(g)
-        if res.ok:
+        checks = run_instance_checks(g)
+        if all(checks.values()):
             passes += 1
         else:
             failures += 1
             if first_failure is None:
-                first_failure = res._replace(index=i)
+                first_failure = InstanceChecks(i, serialize_graph(g), checks)
     return SuiteSummary(passes=passes, failures=failures, first_failure=first_failure)

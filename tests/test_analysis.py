@@ -7,14 +7,14 @@ import random
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import complete_graph, data_path, wheel_graph
 from oracles import contraction_data, exactness_on_eval_rows, matvec, row_list, signed_incidence
-from strategies import connected_multigraphs
+from strategies import connected_multigraphs, sheared_arrangements
 from zonoharm import analysis
 from zonoharm.analysis import (
     Analysis,
-    DegreeCheck,
     DeletionContractionReport,
     _deletion_contraction,
     _exactness_ranks,
@@ -96,12 +96,26 @@ def test_each_quantity_once_per_arrangement(run):
     assert _calls(stats, verify_vanishing) == 1
 
 
-def _ranks(ctx: Analysis, ctx_del: Analysis, ctx_con: Analysis, element, bars) -> bool:
-    """``_exactness_ranks`` on the positions of the points, which must all be found."""
+def _dims_identity(h: Harmonics, h_del: Harmonics, h_con: Harmonics, degrees) -> bool:
+    """dim_i = dim_i(contraction) + dim_{i-1}(deletion) at each of ``degrees``."""
+    return all(h.q_dim(i) == h_con.q_dim(i) + h_del.q_dim(i - 1) for i in degrees)
+
+
+def _exactness_args(ctx: Analysis, ctx_del: Analysis, ctx_con: Analysis, element, bars) -> tuple:
+    """The arguments of ``_exactness_ranks``, the points' positions all found."""
     del_idx, shifted_idx, bar_idx = _positions(ctx, ctx_del, ctx_con, element, bars)
     assert None not in del_idx + shifted_idx + bar_idx
-    hs = (ctx.harmonics, ctx_del.harmonics, ctx_con.harmonics)
-    return _exactness_ranks(*hs, list(zip(del_idx, shifted_idx)), bar_idx)
+    h, h_del, h_con = ctx.harmonics, ctx_del.harmonics, ctx_con.harmonics
+    top = max(h.top_degree, h_con.top_degree, h_del.top_degree + 1)
+    return h, h_del, h_con, top, list(zip(del_idx, shifted_idx)), bar_idx
+
+
+def _ranks(ctx: Analysis, ctx_del: Analysis, ctx_con: Analysis, element, bars) -> bool:
+    """``_exactness_ranks`` and the dimension identity that makes the middle exact."""
+    h, h_del, h_con, top, *positions = _exactness_args(ctx, ctx_del, ctx_con, element, bars)
+    return _dims_identity(h, h_del, h_con, range(top + 1)) and _exactness_ranks(
+        h, h_del, h_con, top, *positions
+    )
 
 
 def _exactness_both_ways(ctx: Analysis, element, bars=None) -> tuple:
@@ -179,7 +193,6 @@ def _drop_an_old_pivot(ech, i):
         ("contraction", "echelon", lambda ech, i: (ech(i)[0][:1] * len(ech(i)[0]), ech(i)[1])),
         ("parent", "echelon", lambda ech, i: (ech(i)[0][:1], ech(i)[1][:1])),
         ("parent", "echelon", _drop_an_old_pivot),
-        ("parent", "q_dim", lambda dim, i: dim(i) + 1),
     ],
     ids=[
         "pullback-escapes",
@@ -187,18 +200,17 @@ def _drop_an_old_pivot(ech, i):
         "pullback-not-injective",
         "difference-not-onto",
         "pieces-not-nested",
-        "middle-not-exact",
     ],
 )
 def test_each_exactness_exit_fails_on_its_own_fault(layer, method, fault):
-    # each fault breaks one of the six tests and leaves the others true: a
-    # saturated piece lagging one degree lets an image escape it; echelon
-    # rows that repeat the first, or keep only the constant function, take
-    # rank from the pullback or the difference; a degree that drops a pivot
-    # of the degree below is no longer nested in it, which only the nesting
-    # test sees, as the rows it still has span every image that the
-    # new-pivot rows give; a parent piece one larger than the two images'
-    # ranks add up to fails only the closing identity
+    # each fault breaks one of the five tests and leaves the others true,
+    # and each fails the ranks without the dimension identity: a saturated
+    # piece lagging one degree lets an image escape it; echelon rows that
+    # repeat the first, or keep only the constant function, take rank from
+    # the pullback or the difference; a degree that drops a pivot of the
+    # degree below is no longer nested in it, which only the nesting test
+    # sees, as the rows it still has span every image that the new-pivot
+    # rows give
     ctx = Analysis(cographical_arrangement(wheel_graph(4)))
     a = ctx.usable[0]
     ctx_del, ctx_con, bars = ctx.minors(a)
@@ -207,7 +219,49 @@ def test_each_exactness_exit_fails_on_its_own_fault(layer, method, fault):
     h = layers[layer].harmonics
     ech = getattr(h, method)
     setattr(h, method, lambda i: fault(ech, i))  # the instance attribute shadows the method
-    assert not _ranks(ctx, ctx_del, ctx_con, a, bars)
+    assert not _exactness_ranks(*_exactness_args(ctx, ctx_del, ctx_con, a, bars))
+
+
+def test_dims_fail_on_a_parent_piece_one_too_large(monkeypatch, capsys):
+    # each parent piece one larger than the two images' ranks add up to:
+    # the identity fails, and exactness, which includes it, fails with it,
+    # although the ranks never read the parent's dimensions
+    minors = Analysis.minors
+
+    def inflated(self, a):
+        dim = Harmonics.q_dim.__get__(self.harmonics)
+        self.harmonics.q_dim = lambda i: dim(i) + 1  # shadows the method
+        return minors(self, a)
+
+    monkeypatch.setattr(Analysis, "minors", inflated)
+    path = str(data_path("house.graph"))
+    assert main(["analyze-graph", path, "--json"]) == EXIT_VERIFY == 4
+    checks = json.loads(capsys.readouterr().out)["checks"]
+    assert [r["dims"] for r in checks["deletionContraction"]] == [False] * 6
+    assert [r["exactness"] for r in checks["deletionContraction"]] == [False] * 6
+    assert all(v is True for k, v in checks.items() if k != "deletionContraction")
+    assert main(["analyze-graph", path]) == EXIT_VERIFY
+    assert capsys.readouterr().out.count("(bijection ok, dims FAIL, exactness FAIL)") == 6
+
+
+@given(
+    st.one_of(
+        connected_multigraphs(max_edges=7).map(cographical_arrangement),
+        sheared_arrangements(max_edges=7),
+    )
+)
+@settings(max_examples=40, deadline=None)
+def test_dims_and_exactness_match_their_oracles(va):
+    # dims read through degree top + 1, which adds nothing, and exactness
+    # on every evaluation row, with its own identity check
+    ctx = Analysis(va)
+    for a in ctx.usable:
+        report = ctx.deletion_contraction(a)
+        ctx_del, ctx_con, bars = ctx.minors(a)
+        h, h_del, h_con = ctx.harmonics, ctx_del.harmonics, ctx_con.harmonics
+        top = max(h.top_degree, h_con.top_degree, h_del.top_degree + 1)
+        assert report.dims_ok == _dims_identity(h, h_del, h_con, range(top + 2))
+        assert report.exactness_ok == exactness_on_eval_rows(ctx, ctx_del, ctx_con, a, bars)
 
 
 def _shift_deletion(ctx_del: Analysis, ctx_con: Analysis, bars, col):
@@ -276,7 +330,8 @@ class TestExactnessOnEveryElement:
         )
 
     def test_suite_instance_fails(self, last, house_graph):
-        assert run_instance_checks(house_graph).failed() == ("deletion_contraction",)
+        checks = run_instance_checks(house_graph)
+        assert [name for name, ok in checks.items() if not ok] == ["deletion_contraction"]
 
 
 def test_bijection_fails_without_a_contraction_point(monkeypatch, capsys):
@@ -305,14 +360,11 @@ def _report_from_minors(ctx: Analysis, a) -> DeletionContractionReport:
     certify_pairings(ctx_del.va, ctx_del.cocircuits)
     certify_pairings(ctx_con.va, ctx_con.cocircuits)
     assert ctx.points == ctx_del.points == ctx_con.points == () == tuple(bars)
-    h, h_del, h_con = ctx.harmonics, ctx_del.harmonics, ctx_con.harmonics
-    top = max(h.top_degree, h_con.top_degree, h_del.top_degree + 1)
-    checks = tuple(
-        DegreeCheck(i, h.q_dim(i), h_con.q_dim(i), h_del.q_dim(i - 1)) for i in range(top + 2)
-    )
-    assert all(c == DegreeCheck(c.degree, 0, 0, 0) for c in checks)
+    # each top degree is 0 and its piece zero: every q_dim of the three is 0
+    hs = (ctx.harmonics, ctx_del.harmonics, ctx_con.harmonics)
+    assert [(h.top_degree, h.q_dim(0)) for h in hs] == [(0, 0)] * 3
     exactness = exactness_on_eval_rows(ctx, ctx_del, ctx_con, a, bars)
-    return DeletionContractionReport(a, True, checks, exactness)
+    return DeletionContractionReport(a, True, True, exactness)
 
 
 def _data_graph(name: str) -> DirectedGraph:

@@ -447,29 +447,31 @@ class TestDividedPowerLaw:
 
 
 class TestDeletionContraction:
+    @staticmethod
+    def final_dims(ctx: Analysis, a) -> tuple:
+        """(dim_top, dim_top(contraction), dim_{top-1}(deletion)) at the
+        deletion/contraction check's top degree."""
+        ctx_del, ctx_con, _ = ctx.minors(a)
+        h, h_del, h_con = ctx.harmonics, ctx_del.harmonics, ctx_con.harmonics
+        top = max(h.top_degree, h_con.top_degree, h_del.top_degree + 1)
+        return h.q_dim(top), h_con.q_dim(top), h_del.q_dim(top - 1)
+
     def test_house_element_four(self, house_arrangement):
-        rep = Analysis(house_arrangement).deletion_contraction("e4")
-        assert rep.ok
-        by_degree = {c.degree: c for c in rep.degree_checks}
-        assert by_degree[3].dim_total == 6
-        assert by_degree[3].dim_contraction == 4
-        assert by_degree[3].dim_deletion_prev == 2
+        ctx = Analysis(house_arrangement)
+        assert ctx.deletion_contraction("e4").ok
+        ctx_del, ctx_con, _ = ctx.minors("e4")
+        assert ctx.harmonics.q_dim(3) == 6
+        assert ctx_con.harmonics.q_dim(3) == 4
+        assert ctx_del.harmonics.q_dim(2) == 2
 
     def test_cycle(self):
         for k in (2, 3, 5):
-            rep = Analysis(cycle_arrangement(k)).deletion_contraction("a0")
-            assert rep.ok
-            top = max(c.degree for c in rep.degree_checks)
-            final = [c for c in rep.degree_checks if c.degree == top][0]
-            assert final.dim_total == k - 1
-            assert final.dim_contraction == 1
-            assert final.dim_deletion_prev == k - 2
+            ctx = Analysis(cycle_arrangement(k))
+            assert ctx.deletion_contraction("a0").ok
+            assert self.final_dims(ctx, "a0") == (k - 1, 1, k - 2)
 
     def test_triangle_cographical(self):
-        rep = Analysis(cycle_arrangement(3)).deletion_contraction("a1")
-        top = max(c.degree for c in rep.degree_checks)
-        final = [c for c in rep.degree_checks if c.degree == top][0]
-        assert (final.dim_total, final.dim_contraction, final.dim_deletion_prev) == (2, 1, 1)
+        assert self.final_dims(Analysis(cycle_arrangement(3)), "a1") == (2, 1, 1)
 
     def test_rejects_loop_or_coloop(self):
         va = VectorArrangement(1, ("a1", "a2"), Mat.from_cols([(1,), (0,)], rows=1))

@@ -8,9 +8,10 @@ import pytest
 from zonoharm import analysis, graphs, ideals, verification
 from zonoharm.cli import main
 from zonoharm.errors import SizeExceededError
-from zonoharm.formats import parse_graph
+from zonoharm.formats import parse_graph, serialize_graph
 from zonoharm.graphs import spanning_forest
 from zonoharm.verification import (
+    InstanceChecks,
     random_connected_multigraph,
     run_instance_checks,
     run_suite,
@@ -26,6 +27,21 @@ EXPECTED_CHECKS = {
     "power_ideal_dims",
     "deletion_contraction",
 }
+
+
+def failed_checks(g) -> tuple:
+    """The names of the checks that fail on ``g``, sorted."""
+    return InstanceChecks(0, "", run_instance_checks(g)).failed()
+
+
+@pytest.fixture()
+def swapped_tutte(monkeypatch):
+    """Both Tutte polynomials come from one deletion-contraction, and
+    tutte_duality certifies the coordinatisation, not that computation, so
+    one that returned T(M*) for T(M) would keep it; the point count and the
+    Hilbert series comparisons catch it."""
+    tutte = graphs._binary_tutte
+    monkeypatch.setattr(graphs, "_binary_tutte", lambda parity: tutte(parity).swap())
 
 
 class TestGenerator:
@@ -44,20 +60,13 @@ class TestGenerator:
 
 class TestInstanceChecks:
     def test_house_all_pass(self, house_graph):
-        res = run_instance_checks(house_graph)
-        assert set(res.checks) == EXPECTED_CHECKS
-        assert res.ok
-        assert res.failed() == ()
+        checks = run_instance_checks(house_graph)
+        assert set(checks) == EXPECTED_CHECKS
+        assert all(checks.values())
+        assert failed_checks(house_graph) == ()
 
-    def test_walk_with_swapped_exponents_fails_the_point_count(self, house_graph, monkeypatch):
-        # both Tutte polynomials come from one deletion-contraction, and
-        # tutte_duality certifies the coordinatisation, not that computation,
-        # so one that returned T(M*) for T(M) would keep it; the point count
-        # and the Hilbert series comparisons catch it
-        tutte = graphs._binary_tutte
-        monkeypatch.setattr(graphs, "_binary_tutte", lambda parity: tutte(parity).swap())
-        res = run_instance_checks(house_graph)
-        assert res.failed() == ("point_count_identity", "tutte_identity")
+    def test_walk_with_swapped_exponents_fails_the_point_count(self, house_graph, swapped_tutte):
+        assert failed_checks(house_graph) == ("point_count_identity", "tutte_identity")
 
     @pytest.mark.parametrize(
         "module, name, fault, failed",
@@ -86,11 +95,16 @@ class TestInstanceChecks:
         self, house_graph, monkeypatch, module, name, fault, failed
     ):
         monkeypatch.setattr(module, name, fault(getattr(module, name)))
-        assert run_instance_checks(house_graph).failed() == failed
+        assert failed_checks(house_graph) == failed
 
-    def test_graph_text_replays(self, house_graph):
-        res = run_instance_checks(house_graph)
-        assert parse_graph(res.graph_text) == house_graph
+    def test_graph_text_replays(self, swapped_tutte):
+        # a suite serializes only its first failure: the text parses back
+        # to that instance of the stream
+        summary = run_suite(4, 3, 6)
+        assert (summary.failures, summary.first_failure.index) == (1, 2)
+        rng = random.Random(4)
+        stream = [random_connected_multigraph(rng, 6) for _ in range(3)]
+        assert parse_graph(summary.first_failure.graph_text) == stream[2]
 
 
 class TestSuite:
@@ -100,21 +114,18 @@ class TestSuite:
         assert summary.passes == 15
         assert summary.first_failure is None
 
-    def test_first_failure_keeps_its_index(self, monkeypatch):
+    def test_first_failure_keeps_its_index(self, swapped_tutte):
         # the swapped polynomial of the instance checks above fails most instances;
         # the summary names the first failing one by its index in the stream
-        tutte = graphs._binary_tutte
-        monkeypatch.setattr(graphs, "_binary_tutte", lambda parity: tutte(parity).swap())
         seed, count, max_edges = 4, 12, 6
         summary = run_suite(seed, count, max_edges)
         rng = random.Random(seed)
-        replay = [
-            run_instance_checks(random_connected_multigraph(rng, max_edges)) for _ in range(count)
-        ]
-        failing = [i for i, res in enumerate(replay) if not res.ok]
+        stream = [random_connected_multigraph(rng, max_edges) for _ in range(count)]
+        replay = [run_instance_checks(g) for g in stream]
+        failing = [i for i, checks in enumerate(replay) if not all(checks.values())]
         assert failing[0] == 2
         assert (summary.failures, summary.passes) == (len(failing), count - len(failing))
-        assert summary.first_failure == replay[2]._replace(index=2)
+        assert summary.first_failure == InstanceChecks(2, serialize_graph(stream[2]), replay[2])
 
     def test_edge_cap(self):
         with pytest.raises(SizeExceededError):
