@@ -15,27 +15,23 @@ independently.  The CLI report evaluates the checks that carry a report
 key; the random suite evaluates all of them.  Other modules take these
 quantities as arguments and compute none that is missing: a context is the
 only place that wires them together.
-The deletion/contraction check runs in full, exactness ranks included, on
-every element that is neither a loop nor a coloop.  The dimension identity
-is the middle of its exact sequence, so ``exactness`` reads ``dims`` and
-the ranks test only the two ends and the composite.  It builds one context
-per minor and reuses the parent's points and filtration.  A parent with a
-coloop builds no minors: the coloop is a one-element cocircuit of both, so
-neither has interior points, and its report is read off the empty sets.
-Only a parent context enumerates its cocircuits; both minors' are derived
-from the parent's in one sweep, the deletion's filtered through one table
-per parent, and handed to the minors' contexts, while their points come
-from their own facet descriptions.  The parent's cocircuits also certify
-each minor's span, so no minor runs a rank: an element that is not a
-coloop (no one-element cocircuit) leaves a deletion that spans, and one
-that is not a loop (a nonzero, primitive column a) is contracted by Q, a
-basis of the integer covectors that vanish on a, which takes the other
-columns onto a spanning set of Z^(r-1).  The bijection test and the
-exactness ranks read one list of point positions per element.  The ranks
-keep one running lattice per map across the degrees and insert only the
-images of the echelon rows whose pivot column is new at a degree, which
-span the piece together with the degree below; a degree whose pivot
-columns do not contain those below it is not nested in it, and fails.
+The deletion/contraction check runs in full on every element that is
+neither a loop nor a coloop.  Its exactness is ``dims`` plus a test of the
+points, since the rest of the exact sequence holds on any finite point sets
+(``Analysis.deletion_contraction``).  It builds one context per minor and
+reuses the parent's points and filtration.  A parent with a coloop builds
+no minors: the coloop is a one-element cocircuit of both, so neither has
+interior points, and its report is read off the empty sets.  Only a parent
+context enumerates its cocircuits; both minors' are derived from the
+parent's in one sweep, the deletion's filtered through one table per
+parent, and handed to the minors' contexts, while their points come from
+their own facet descriptions.  The parent's cocircuits also certify each
+minor's span, so no minor runs a rank: an element that is not a coloop (no
+one-element cocircuit) leaves a deletion that spans, and one that is not a
+loop (a nonzero, primitive column a) is contracted by Q, a basis of the
+integer covectors that vanish on a, which takes the other columns onto a
+spanning set of Z^(r-1).  The bijection test and the exactness verdict read
+one list of point positions per element.
 """
 
 from __future__ import annotations
@@ -64,7 +60,7 @@ from .graphs import (
 )
 from .harmonics import Harmonics, verify_saturation
 from .ideals import k_minus_generators, quotient_dims, verify_vanishing
-from .linalg import IntRowLattice, in_row_lattice, integer_kernel
+from .linalg import integer_kernel
 
 
 class DeletionContractionReport(NamedTuple):
@@ -213,28 +209,43 @@ class Analysis:
         return ctx_del, ctx_con, bars
 
     def deletion_contraction(self, element) -> DeletionContractionReport:
-        """Point-set bijection, dimension additivity, and exactness ranks.
+        """Point-set bijection, dimension additivity, and exactness.
 
-        For a non-loop, non-coloop element: the interior points of the deletion
-        sit inside those of the arrangement and the complement maps bijectively
-        onto the contraction's points; per degree, dimensions satisfy
-        dim_i = dim_i(contraction) + dim_{i-1}(deletion); and the pullback and
-        difference maps form a short exact sequence on the filtered pieces.
-        ``_exactness_ranks`` shows the pullback injective, the difference
-        onto and their composite zero; the middle then follows from the
-        dimension identity, so exactness includes ``dims`` and runs only
-        where it holds.  ``top`` is at least every top degree and ``top - 1``
-        at least the deletion's, so at ``top + 1`` each piece equals its
-        piece at ``top``, and the degrees up to ``top`` decide both.
-        The minors' cocircuits are derived from this context's; their points
-        are computed from them, never mapped, so the bijection test is not
-        vacuous.  The two minor contexts are dropped when the element is done.
+        For a non-loop, non-coloop element a, write P, D and C for the
+        interior points of the arrangement, the deletion and the
+        contraction, and V_i(X) for the degree-<= i functions on X.  The
+        bijection: D sits inside P, and the bars Qz of P outside D hit each
+        point of C once.  ``dims``: dim V_i(P) = dim V_i(C) + dim V_{i-1}(D)
+        through degree ``top``, which is at least every top degree and
+        ``top - 1`` at least the deletion's, so higher degrees repeat it.
+        Exactness of 0 -> V_i(C) -> V_i(P) -> V_{i-1}(D) -> 0 (pullback
+        along z -> Qz, then F -> F(z + a) - F(z)) is ``dims`` plus a test of
+        the points: D and D + a lie in P, Q(P) in C, and Q(P) covers C.
+        The rest holds on any finite point sets once the maps are defined:
+
+        1. F o Q has degree <= i, so the pullback lands in V_i(P); it is
+           integer-valued when F is.
+        2. F(x + a) - F(x) has degree <= i - 1: it lands in V_{i-1}(D).
+        3. The difference is onto: a is primitive, so take a basis with a
+           first; any G of degree <= i - 1 is sum_k g_k C(y_1, k), with the
+           antiderivative sum_k g_k C(y_1, k + 1).
+        4. The composite is zero, since Qa = 0.
+        5. The pieces are nested: one grow-only lattice never loses a pivot
+           column.
+        6. ``top`` >= C's top degree, so V_top(C) is every function on C,
+           and the pullback is injective there iff Q(P) = C.
+
+        With the ends exact and the composite zero, the dimension identity
+        makes the middle exact.  The minors' points are computed from their
+        own cocircuits, never mapped, so neither test of the points is
+        vacuous.  The two minor contexts are dropped when the element is
+        done.
 
         A parent with a coloop builds no minors.  The coloop is a
         one-element cocircuit of the parent and still one of both minors, so
         none of the three has interior points: the bijection holds between
         empty sets, every dimension is 0, and every space is zero, so the
-        sequence is exact.
+        sequence is exact.  Any other parent has T(0, 1) >= 1 points.
         """
         self._require_usable(element)
         if self.loops_and_coloops[1]:
@@ -253,14 +264,11 @@ class Analysis:
         h, h_del, h_con = self.harmonics, ctx_del.harmonics, ctx_con.harmonics
         top = max(h.top_degree, h_con.top_degree, h_del.top_degree + 1)
         dims_ok = all(h.q_dim(i) == h_con.q_dim(i) + h_del.q_dim(i - 1) for i in range(top + 1))
-        # empty point sets make every space zero: vacuously exact; a point
-        # with no position leaves a map undefined
-        exactness = dims_ok and (
-            h.point_count == 0
-            or (
-                None not in del_idx + shifted_idx + bar_idx
-                and _exactness_ranks(h, h_del, h_con, top, list(zip(del_idx, shifted_idx)), bar_idx)
-            )
+        # every map defined, and the bars cover the contraction's points
+        exactness = (
+            dims_ok
+            and None not in del_idx + shifted_idx + bar_idx
+            and len(set(bar_idx)) == len(ctx_con.points)
         )
         return DeletionContractionReport(element, bijection_ok, dims_ok, exactness)
 
@@ -278,64 +286,6 @@ def _positions(ctx: Analysis, ctx_del: Analysis, ctx_con: Analysis, element, bar
     del_idx = [index.get(z) for z in ctx_del.points]
     shifted_idx = [index.get(tuple(map(add, z, col))) for z in ctx_del.points]
     return del_idx, shifted_idx, [ctx_con.point_index.get(zbar) for zbar in bars]
-
-
-def _exactness_ranks(
-    h: Harmonics, h_del: Harmonics, h_con: Harmonics, top: int, shift_idx, bar_idx
-) -> bool:
-    """Pullback injective, difference onto, composite zero, via evaluation vectors.
-
-    Through degree ``top``; the middle of the sequence, im(pullback) =
-    ker(difference), then follows from the dimension identity, which the
-    caller tests.
-
-    ``h``, ``h_del`` and ``h_con`` filter the parent, deletion and contraction;
-    the positions come from ``_positions``, the deletion's zipped to pairs
-    (z, z + chi(a)).  Each filtered piece V_i is represented by the echelon
-    rows of its integral lattice, which span V_i over Q.  The pieces are
-    nested, so V_i is V_{i-1} plus the rows whose pivot column is new at
-    degree i: a combination of those leads at a column no vector of V_{i-1}
-    leads at.  One running lattice per map holds the images of the new rows
-    of every degree so far, so it spans the image of V_i, and each degree
-    inserts and tests only its new rows' images.  Rank and membership in a
-    saturated lattice depend only on the Q-span, and an image tested at a
-    lower degree stays in the pieces above it, so every verdict is that of
-    all rows.  A degree whose pivot columns do not contain those of the
-    degree below breaks the nesting, and fails.
-    """
-    m = len(shift_idx)
-    pullback, difference = IntRowLattice(h.point_count), IntRowLattice(m)
-    below, below_con = set(), set()  # pivot columns of the degree below
-    for i in range(top + 1):
-        rows, pivots = h.echelon(i)
-        rows_con, pivots_con = h_con.echelon(i)
-        if not (below.issubset(pivots) and below_con.issubset(pivots_con)):
-            return False  # the pieces are not nested
-        # pullback of the new contraction functions along the bar map
-        new_con = [f for f, c in zip(rows_con, pivots_con) if c not in below_con]
-        xi_rows = [tuple(f[k] for k in bar_idx) for f in new_con]
-        for f in xi_rows:
-            pullback.add(f)
-        if pullback.rank != h_con.q_dim(i):
-            return False  # pullback not injective
-        if not in_row_lattice(*h.saturated_echelon(i), xi_rows):
-            return False  # pullback image escapes the filtered piece
-        if m:
-            # difference operator into functions on the deletion's points
-            new = [f for f, c in zip(rows, pivots) if c not in below]
-            d_rows = [tuple(f[b] - f[a] for a, b in shift_idx) for f in new]
-            for f in d_rows:
-                difference.add(f)
-            if difference.rank != h_del.q_dim(i - 1):
-                return False  # difference map not surjective
-            if not in_row_lattice(*h_del.saturated_echelon(i - 1), d_rows):
-                return False  # image escapes the lower filtered piece
-            # composite must vanish identically
-            for f in xi_rows:
-                if any(f[b] - f[a] for a, b in shift_idx):
-                    return False
-        below, below_con = set(pivots), set(pivots_con)
-    return True
 
 
 def _trim(seq) -> tuple:

@@ -1,6 +1,7 @@
 """Brute-force reference computations that tests compare the library against."""
 
 import json
+from fractions import Fraction
 from itertools import combinations, count
 from math import factorial, prod
 from operator import mul
@@ -21,7 +22,7 @@ from zonoharm.graphs import (
     spanning_forest,
     tutte_of_arrangement,
 )
-from zonoharm.linalg import IntRowLattice, Mat, det, integer_kernel, saturate, xgcd
+from zonoharm.linalg import IntRowLattice, Mat, integer_kernel, saturate, xgcd
 from zonoharm.report import JSON_INT_LIMIT
 
 
@@ -46,6 +47,28 @@ def matvec(m, v) -> tuple:
     rows = row_list(m) if isinstance(m, Mat) else m
     assert all(len(row) == len(v) for row in rows)
     return tuple(sum(map(mul, row, v)) for row in rows)
+
+
+def signed_det(rows) -> int:
+    """Determinant of a square integer matrix by Gaussian elimination over Q,
+    the sign flipped at each row swap: the product of the pivots, computed
+    without the library's fraction-free ``linalg.det``."""
+    m = [[Fraction(x) for x in r] for r in rows]
+    assert all(len(r) == len(m) for r in m)
+    d = Fraction(1)
+    for k in range(len(m)):
+        piv = next((i for i in range(k, len(m)) if m[i][k]), None)
+        if piv is None:
+            return 0
+        if piv != k:
+            m[k], m[piv] = m[piv], m[k]
+            d = -d
+        d *= m[k][k]
+        for i in range(k + 1, len(m)):
+            f = m[i][k] / m[k][k]
+            m[i] = [x - f * y for x, y in zip(m[i], m[k])]
+    assert d.denominator == 1
+    return int(d)
 
 
 def bareiss_rank(m) -> int:
@@ -126,10 +149,10 @@ def unit_covector(a) -> list:
 
 def assert_quotient_map(quotient, a) -> None:
     """Q maps Z^r onto Z^(r-1) with kernel Z a: Q has r - 1 rows, Q a = 0,
-    and [x; Q] has determinant +-1 (Bareiss) for an x with x . a = 1."""
+    and [x; Q] has determinant +-1 (``signed_det``) for an x with x . a = 1."""
     assert len(quotient) == len(a) - 1
     assert not any(matvec(quotient, a))
-    assert det([unit_covector(a), *quotient]) in (1, -1)
+    assert signed_det([unit_covector(a), *quotient]) in (1, -1)
 
 
 def scanned_minor_cocircuits(cocircuits, idx: int, contracted, quotient) -> tuple:
@@ -178,7 +201,7 @@ def violating_minor(va):
     for k in range(1, min(r, n) + 1):
         for rsel in combinations(range(r), k):
             for csel in combinations(range(n), k):
-                d = det([[rows[i][j] for j in csel] for i in rsel])
+                d = signed_det([[rows[i][j] for j in csel] for i in rsel])
                 if d not in (-1, 0, 1):
                     return rsel, tuple(va.ground[j] for j in csel), d
     return None
@@ -208,7 +231,7 @@ def _cocircuit_or_raise(va, cols, sel, alpha):
     if bad is not None:
         basis = sorted(sel + (bad,))
         raise NotTotallyUnimodularError(
-            tuple(va.ground[j] for j in basis), det([cols[j] for j in basis]), alpha, values
+            tuple(va.ground[j] for j in basis), signed_det([cols[j] for j in basis]), alpha, values
         )
     return Cocircuit(alpha, values, values.count(1), values.count(-1))
 
@@ -553,13 +576,45 @@ def eval_rows_up_to(h, degree):
     return pointwise_rows(len(h.points[0]), min(degree, h.top_degree), h.points)
 
 
-def exactness_on_eval_rows(ctx, ctx_del, ctx_con, element, bars):
-    """The deletion/contraction exactness ranks on every binomial-product
-    evaluation row of each filtered piece, not only on a basis of it.
+def exactness_ranks_on_eval_rows(h, h_del, h_con, shift_idx, bar_idx) -> bool:
+    """The ends and the composite of 0 -> V_i(C) -> V_i(P) -> V_{i-1}(D) -> 0
+    on every binomial-product evaluation row of each filtered piece, without
+    the dimension identity that makes the middle exact.
 
-    The verdict of ``analysis._exactness_ranks`` on the positions that
-    ``analysis._positions`` finds, False where one is missing; the points
-    are looked up here, independently.
+    ``h``, ``h_del`` and ``h_con`` filter P, D and C; ``shift_idx`` pairs
+    the positions in P of each z in D and of z + a, and ``bar_idx`` gives
+    the position in C of the bar of each point of P.  Through the top
+    degree of the deletion/contraction check: the pullback along the bars
+    is injective and lands in V_i(P), the difference F(z + a) - F(z) is
+    onto V_{i-1}(D) and lands in it, and their composite vanishes.
+    """
+    m = len(shift_idx)
+    for i in range(max(h.top_degree, h_con.top_degree, h_del.top_degree + 1) + 1):
+        rows = eval_rows_up_to(h, i)
+        xi_rows = [tuple(f[k] for k in bar_idx) for f in eval_rows_up_to(h_con, i)]
+        if bareiss_rank(xi_rows) != h_con.q_dim(i):
+            return False
+        if bareiss_rank(list(rows) + xi_rows) != h.q_dim(i):
+            return False
+        if m:
+            d_rows = [tuple(f[b] - f[a] for a, b in shift_idx) for f in rows]
+            rows_del = eval_rows_up_to(h_del, i - 1)
+            if bareiss_rank(d_rows) != h_del.q_dim(i - 1):
+                return False
+            if bareiss_rank(list(rows_del) + d_rows) != h_del.q_dim(i - 1):
+                return False
+            if any(f[b] - f[a] for f in xi_rows for a, b in shift_idx):
+                return False
+    return True
+
+
+def exactness_on_eval_rows(ctx, ctx_del, ctx_con, element, bars):
+    """The deletion/contraction exactness verdict by ranks: False where a
+    point has no position, else ``exactness_ranks_on_eval_rows`` and the
+    dimension identity dim_i = dim_i(C) + dim_{i-1}(D) at each degree.
+
+    The report reads the same verdict off the identity and the positions
+    alone; the points are looked up here, independently.
     """
     h, h_del, h_con = ctx.harmonics, ctx_del.harmonics, ctx_con.harmonics
     col = ctx.va.column(element)
@@ -574,28 +629,10 @@ def exactness_on_eval_rows(ctx, ctx_del, ctx_con, element, bars):
     if any(zbar not in con_index for zbar in bars):
         return False
     bar_idx = [con_index[zbar] for zbar in bars]
-
-    n = h.point_count
-    m = len(ctx_del.points)
-    for i in range(max(h.top_degree, h_con.top_degree, h_del.top_degree + 1) + 1):
-        rows = eval_rows_up_to(h, i)
-        xi_rows = [tuple(f[bar_idx[k]] for k in range(n)) for f in eval_rows_up_to(h_con, i)]
-        if bareiss_rank(xi_rows) != h_con.q_dim(i):
-            return False
-        if bareiss_rank(list(rows) + xi_rows) != h.q_dim(i):
-            return False
-        d_rows = [tuple(f[b] - f[a] for a, b in shift_idx) for f in rows]
-        if m:
-            rows_del = eval_rows_up_to(h_del, i - 1)
-            if bareiss_rank(d_rows) != h_del.q_dim(i - 1):
-                return False
-            if bareiss_rank(list(rows_del) + d_rows) != h_del.q_dim(i - 1):
-                return False
-            if any(f[b] - f[a] for f in xi_rows for a, b in shift_idx):
-                return False
-        if h.q_dim(i) != h_con.q_dim(i) + h_del.q_dim(i - 1):
-            return False
-    return True
+    top = max(h.top_degree, h_con.top_degree, h_del.top_degree + 1)
+    return exactness_ranks_on_eval_rows(h, h_del, h_con, shift_idx, bar_idx) and all(
+        h.q_dim(i) == h_con.q_dim(i) + h_del.q_dim(i - 1) for i in range(top + 1)
+    )
 
 
 def dense_power_expansion(covector, e: int, r: int) -> dict:

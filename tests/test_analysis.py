@@ -1,23 +1,33 @@
-"""The analysis context computes each quantity once; exactness ranks match their oracle."""
+"""The analysis context computes each quantity once; exactness matches its rank oracle."""
 
 import cProfile
 import json
 import pstats
 import random
+from math import gcd
+from operator import add
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import complete_graph, data_path, wheel_graph
-from oracles import contraction_data, exactness_on_eval_rows, matvec, row_list, signed_incidence
+from oracles import (
+    assert_quotient_map,
+    contraction_data,
+    echelon_integer_kernel,
+    exactness_on_eval_rows,
+    exactness_ranks_on_eval_rows,
+    matvec,
+    row_list,
+    signed_incidence,
+)
 from strategies import connected_multigraphs, sheared_arrangements
 from zonoharm import analysis
 from zonoharm.analysis import (
     Analysis,
     DeletionContractionReport,
     _deletion_contraction,
-    _exactness_ranks,
     _positions,
     _tutte_duality,
 )
@@ -33,7 +43,7 @@ from zonoharm.graphs import (
     spanning_forest,
     tutte_of_arrangement,
 )
-from zonoharm.harmonics import Harmonics
+from zonoharm.harmonics import Harmonics, verify_saturation
 from zonoharm.ideals import verify_vanishing
 from zonoharm.linalg import Mat, rank, saturate
 from zonoharm.report import build_graph_report, build_report
@@ -101,28 +111,13 @@ def _dims_identity(h: Harmonics, h_del: Harmonics, h_con: Harmonics, degrees) ->
     return all(h.q_dim(i) == h_con.q_dim(i) + h_del.q_dim(i - 1) for i in degrees)
 
 
-def _exactness_args(ctx: Analysis, ctx_del: Analysis, ctx_con: Analysis, element, bars) -> tuple:
-    """The arguments of ``_exactness_ranks``, the points' positions all found."""
-    del_idx, shifted_idx, bar_idx = _positions(ctx, ctx_del, ctx_con, element, bars)
-    assert None not in del_idx + shifted_idx + bar_idx
-    h, h_del, h_con = ctx.harmonics, ctx_del.harmonics, ctx_con.harmonics
-    top = max(h.top_degree, h_con.top_degree, h_del.top_degree + 1)
-    return h, h_del, h_con, top, list(zip(del_idx, shifted_idx)), bar_idx
-
-
-def _ranks(ctx: Analysis, ctx_del: Analysis, ctx_con: Analysis, element, bars) -> bool:
-    """``_exactness_ranks`` and the dimension identity that makes the middle exact."""
-    h, h_del, h_con, top, *positions = _exactness_args(ctx, ctx_del, ctx_con, element, bars)
-    return _dims_identity(h, h_del, h_con, range(top + 1)) and _exactness_ranks(
-        h, h_del, h_con, top, *positions
+def _exactness_both_ways(ctx: Analysis, element) -> tuple:
+    """The report's exactness verdict and the oracle's, on every evaluation row."""
+    ctx_del, ctx_con, bars = ctx.minors(element)
+    return (
+        ctx.deletion_contraction(element).exactness_ok,
+        exactness_on_eval_rows(ctx, ctx_del, ctx_con, element, bars),
     )
-
-
-def _exactness_both_ways(ctx: Analysis, element, bars=None) -> tuple:
-    """The exactness verdict on basis rows and on all evaluation rows."""
-    ctx_del, ctx_con, own_bars = ctx.minors(element)
-    args = (ctx, ctx_del, ctx_con, element, own_bars if bars is None else bars)
-    return _ranks(*args), exactness_on_eval_rows(*args)
 
 
 def _graph_contexts():
@@ -136,6 +131,8 @@ def _graph_contexts():
 
 
 def test_exactness_on_basis_rows_matches_all_rows():
+    # the report's verdict (dims, positions and cover) against the ranks on
+    # every evaluation row
     checked = 0
     for name, ctx in _graph_contexts():
         if not ctx.points:
@@ -148,15 +145,17 @@ def test_exactness_on_basis_rows_matches_all_rows():
 
 def test_exactness_fails_on_swapped_bars(house_graph):
     # two points with different images in the contraction trade images: the
-    # pullback no longer factors through the quotient, so exactness fails
+    # pullback no longer factors through the quotient, so the oracle's
+    # exactness fails; ``test_arrangement.assert_minors_validated`` pins the
+    # report's bars to Qz
     ctx = Analysis(cographical_arrangement(house_graph))
     assert len(ctx.usable) == 6
     for a in ctx.usable:
-        _, _, bars = ctx.minors(a)
+        ctx_del, ctx_con, bars = ctx.minors(a)
         k = next(k for k in range(1, len(bars)) if bars[k] != bars[0])
         swapped = [bars[k], *bars[1:k], bars[0], *bars[k + 1 :]]
         assert _exactness_both_ways(ctx, a) == (True, True)
-        assert _exactness_both_ways(ctx, a, swapped) == (False, False)
+        assert not exactness_on_eval_rows(ctx, ctx_del, ctx_con, a, swapped)
 
 
 def test_exactness_fails_on_bars_not_constant_along_the_element():
@@ -171,61 +170,14 @@ def test_exactness_fails_on_bars_not_constant_along_the_element():
     for a in ("e0", "e1", "e2", "e3"):
         _, quotient = contraction_data(va, a)
         twisted = [matvec(quotient, (z[1], z[0])) for z in ctx.points]
+        ctx_del, ctx_con, _ = ctx.minors(a)
         assert _exactness_both_ways(ctx, a) == (True, True)
-        assert _exactness_both_ways(ctx, a, twisted) == (False, False)
-
-
-def _drop_an_old_pivot(ech, i):
-    """Degree 2's echelon without its row at the last pivot column of degree 1."""
-    rows, pivots = ech(i)
-    if i != 2:
-        return rows, pivots
-    dropped = ech(1)[1][-1]
-    keep = [k for k, c in enumerate(pivots) if c != dropped]
-    return tuple(rows[k] for k in keep), tuple(pivots[k] for k in keep)
-
-
-@pytest.mark.parametrize(
-    "layer, method, fault",
-    [
-        ("parent", "saturated_echelon", lambda ech, i: ech(i - 1)),
-        ("deletion", "saturated_echelon", lambda ech, i: ech(i - 1)),
-        ("contraction", "echelon", lambda ech, i: (ech(i)[0][:1] * len(ech(i)[0]), ech(i)[1])),
-        ("parent", "echelon", lambda ech, i: (ech(i)[0][:1], ech(i)[1][:1])),
-        ("parent", "echelon", _drop_an_old_pivot),
-    ],
-    ids=[
-        "pullback-escapes",
-        "difference-escapes",
-        "pullback-not-injective",
-        "difference-not-onto",
-        "pieces-not-nested",
-    ],
-)
-def test_each_exactness_exit_fails_on_its_own_fault(layer, method, fault):
-    # each fault breaks one of the five tests and leaves the others true,
-    # and each fails the ranks without the dimension identity: a saturated
-    # piece lagging one degree lets an image escape it; echelon rows that
-    # repeat the first, or keep only the constant function, take rank from
-    # the pullback or the difference; a degree that drops a pivot of the
-    # degree below is no longer nested in it, which only the nesting test
-    # sees, as the rows it still has span every image that the new-pivot
-    # rows give
-    ctx = Analysis(cographical_arrangement(wheel_graph(4)))
-    a = ctx.usable[0]
-    ctx_del, ctx_con, bars = ctx.minors(a)
-    assert _ranks(ctx, ctx_del, ctx_con, a, bars)
-    layers = {"parent": ctx, "deletion": ctx_del, "contraction": ctx_con}
-    h = layers[layer].harmonics
-    ech = getattr(h, method)
-    setattr(h, method, lambda i: fault(ech, i))  # the instance attribute shadows the method
-    assert not _exactness_ranks(*_exactness_args(ctx, ctx_del, ctx_con, a, bars))
+        assert not exactness_on_eval_rows(ctx, ctx_del, ctx_con, a, twisted)
 
 
 def test_dims_fail_on_a_parent_piece_one_too_large(monkeypatch, capsys):
     # each parent piece one larger than the two images' ranks add up to:
-    # the identity fails, and exactness, which includes it, fails with it,
-    # although the ranks never read the parent's dimensions
+    # the identity fails, and exactness, which includes it, fails with it
     minors = Analysis.minors
 
     def inflated(self, a):
@@ -277,12 +229,26 @@ def _bar_off_the_contraction(ctx_del: Analysis, ctx_con: Analysis, bars, col):
     return ctx_del, ctx_con, [off, *bars[1:]]
 
 
+def _point_no_bar_hits(ctx_del: Analysis, ctx_con: Analysis, bars, col):
+    """One contraction point more, added after its filtration was built,
+    that is the bar of no parent point."""
+    assert ctx_con.harmonics.point_count == len(ctx_con.points) > 0
+    off = tuple(1 + max(z[j] for z in ctx_con.points) for j in range(len(bars[0])))
+    ctx_con.points = (*ctx_con.points, off)
+    return ctx_del, ctx_con, bars
+
+
 @pytest.mark.parametrize(
-    "fault", [_shift_deletion, _bar_off_the_contraction], ids=["shifted-deletion", "bar-off"]
+    "fault",
+    [_shift_deletion, _bar_off_the_contraction, _point_no_bar_hits],
+    ids=["shifted-deletion", "bar-off", "uncovered"],
 )
 def test_a_point_without_a_position_fails_exactness(monkeypatch, fault):
-    # the one missing-position test: a deletion point z + chi(a) or a bar
-    # that is not a point of its arrangement leaves a map undefined
+    # the test of the points: a deletion point z + chi(a) or a bar that is
+    # not a point of its arrangement leaves a map undefined, and a
+    # contraction point that no bar hits leaves the pullback not injective
+    # at the top degree, where every function on those points is in the
+    # piece; the dimensions still agree
     ctx = Analysis(cographical_arrangement(wheel_graph(4)))
     assert len(ctx.usable) == 8
     minors = Analysis.minors
@@ -296,24 +262,71 @@ def test_a_point_without_a_position_fails_exactness(monkeypatch, fault):
         assert rep.dims_ok and not rep.exactness_ok, a
 
 
+def _point_set_triple(rng: random.Random) -> tuple:
+    """Seeded point sets P, D and C of no arrangement, with the maps of the
+    deletion/contraction sequence defined: a primitive a, P some points of
+    [-3, 3]^r and the translates by a of half of them, D a subset of the z
+    in P with z + a in P, and C = Q(P), one time in five with one more
+    point.  Returns the three filtrations, the positions (``shift_idx``,
+    ``bar_idx``) and whether C = Q(P)."""
+    r = rng.randint(2, 3)
+    a = (0,) * r
+    while gcd(*a) != 1:
+        a = tuple(rng.randint(-2, 2) for _ in range(r))
+    cube = [tuple(rng.randint(-3, 3) for _ in range(r)) for _ in range(rng.randint(2, 7))]
+    points = tuple(sorted({*cube, *(tuple(map(add, z, a)) for z in cube[::2])}))
+    quotient = echelon_integer_kernel([a], r)
+    assert_quotient_map(quotient, a)
+    index = {z: k for k, z in enumerate(points)}
+    shiftable = [z for z in points if tuple(map(add, z, a)) in index]
+    deleted = tuple(sorted(rng.sample(shiftable, rng.randint(0, len(shiftable)))))
+    bars = [matvec(quotient, z) for z in points]
+    contracted = sorted(set(bars))
+    covered = rng.random() >= 0.2
+    if not covered:
+        contracted.append(tuple(1 + max(z[j] for z in contracted) for j in range(r - 1)))
+    con_index = {z: k for k, z in enumerate(contracted)}
+    shift_idx = [(index[z], index[tuple(map(add, z, a))]) for z in deleted]
+    bar_idx = [con_index[zbar] for zbar in bars]
+    hs = Harmonics(points), Harmonics(deleted), Harmonics(tuple(contracted))
+    return hs, shift_idx, bar_idx, covered
+
+
+def test_exactness_ranks_hold_on_point_sets_of_no_arrangement():
+    # the ends and the composite of the sequence hold on any finite point
+    # sets once every map is defined, except injectivity at the top degree,
+    # which holds iff the bars cover C (``Analysis.deletion_contraction``,
+    # steps 1-6), so exactness reads dims and that cover alone; most of
+    # these sets have an unsaturated lattice, which no arrangement's has
+    rng = random.Random(40)
+    unsaturated = covers = shifts = 0
+    for _ in range(300):
+        hs, shift_idx, bar_idx, covered = _point_set_triple(rng)
+        assert exactness_ranks_on_eval_rows(*hs, shift_idx, bar_idx) == covered
+        unsaturated += not all(map(verify_saturation, hs))
+        covers += covered
+        shifts += bool(shift_idx)
+    assert unsaturated > 200 and shifts > 150 and 200 < covers < 280
+
+
 class TestExactnessOnEveryElement:
-    """The report and the suite run the exactness ranks on every usable
-    element: a fault on the house's last one fails both."""
+    """The report and the suite test exactness on every usable element: a
+    fault on the house's last one fails both."""
 
     @pytest.fixture()
     def last(self, monkeypatch, house_graph):
-        """The house's last usable element, on which ``_exactness_ranks`` now fails."""
+        """The house's last usable element, one of whose shifted deletion
+        points z + chi(a) now has no position among the parent's points."""
         last = Analysis(cographical_arrangement(house_graph)).usable[-1]
-        deletion_contraction = Analysis.deletion_contraction
+        positions = analysis._positions
 
-        def faulty(self, element):
-            if element != last:
-                return deletion_contraction(self, element)
-            with monkeypatch.context() as m:
-                m.setattr(analysis, "_exactness_ranks", lambda *args: False)
-                return deletion_contraction(self, element)
+        def faulty(ctx, ctx_del, ctx_con, element, bars):
+            del_idx, shifted_idx, bar_idx = positions(ctx, ctx_del, ctx_con, element, bars)
+            if element == last:
+                shifted_idx[-1] = None
+            return del_idx, shifted_idx, bar_idx
 
-        monkeypatch.setattr(Analysis, "deletion_contraction", faulty)
+        monkeypatch.setattr(analysis, "_positions", faulty)
         return last
 
     def test_report_fails(self, last, house_graph, capsys):
@@ -393,6 +406,21 @@ class TestColoopParent:
     @settings(max_examples=40, deadline=None)
     def test_shortcut_equals_the_minors(self, g):
         self.assert_shortcut_equals_minors(cographical_arrangement(_with_self_loop(g)))
+
+    @given(
+        st.one_of(
+            connected_multigraphs(max_edges=7).map(cographical_arrangement),
+            sheared_arrangements(max_edges=7),
+        )
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_a_parent_without_a_coloop_has_a_point(self, va):
+        # each coloop is a factor x of T, and without one T(0, 1) >= 1, which
+        # counts the interior points: every parent past the coloop branch
+        # has a point, so deletion_contraction needs no empty-set guard
+        ctx = Analysis(va)
+        no_coloop = not ctx.loops_and_coloops[1]
+        assert (ctx.tutte.eval_at(0, 1) >= 1) == (len(ctx.points) >= 1) == no_coloop
 
     def test_shortcut_equals_the_minors_off_a_graph(self):
         # the house's columns with a zero third coordinate, sheared, and a

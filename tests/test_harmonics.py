@@ -223,10 +223,11 @@ class TestStopAtZn:
         assert counts == [86]
         counts[0] = 0
         build_graph_report("", g)
-        # 10 of them rank the constructor's 10 columns of length 5, read as
-        # rows, and 4 per contraction put the integer kernel of its column in
-        # echelon form
-        assert counts == [1487]
+        # 86 build the parent's filtration, 366 the 10 deletions' and 495
+        # the 10 contractions'; 10 rank the constructor's 10 columns of
+        # length 5, read as rows, and 4 per contraction put the integer
+        # kernel of its column in echelon form
+        assert counts == [86 + 366 + 495 + 10 + 4 * 10] == [997]
 
     @pytest.mark.parametrize("spokes, inserts", [(6, 316), (7, 1178)])
     def test_insert_counts_on_larger_wheels(self, monkeypatch, spokes, inserts):
